@@ -19,9 +19,9 @@ import numpy as np
 from . import __version__
 from .distributional import (distributional_expectation, distributional_terms,
                              split_test_function)
-from .errors import (ConfigError, OffSpectralError, OutOfValidityError, PlanorthError)
-from .expansion import (leading_coeff, monic_eval, monic_prefactor, normalized_eval,
-                        validity_radius)
+from .errors import ConfigError, OffSpectralError, OutOfValidityError, PlanorthError, stage
+from .expansion import (build_model, leading_coeff, monic_eval, monic_prefactor,
+                        normalized_eval, positioning_factor, validity_radius)
 from .geometry import load_domain_config, map_forward_many
 from .hierarchy import hierarchy_residual
 from .kernels import bw_kernel_diag, off_spectral_point, offspectral_leading
@@ -122,43 +122,14 @@ def _experiment(cfg: dict, args) -> dict:
     return {"kappa": kappa, "N": ns, "points": points,
             "oracle_degree": cfg.get("oracle_degree"),
             "allow_out_of_validity": bool(cfg.get("allow_out_of_validity", False)),
-            "tol": float(tol),
-            "threads": int(args.threads or 1)}
-
-
-class _Stage:
-    """Annotates pipeline errors with the failing stage name."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, PlanorthError):
-            exc.args = (f"[stage: {self.name}] {exc}",)
-        return False
+            "tol": float(tol)}
 
 
 def _build(cfg: dict, kappa: int):
-    from .geometry import pullback_weight, szego
-    from .hierarchy import solve_hierarchy
-    from .laplace import norm_expansion
-    from .expansion import ExpansionModel
-    with _Stage("config"):
+    with stage("config"):
         m, wd, rho, M, _K = load_domain_config(cfg["domain"])
-    with _Stage("weight-pullback"):
-        ws = pullback_weight(m, wd, M, rho)
-    with _Stage("outer-function"):
-        sz = szego(ws)
-    with _Stage("hierarchy"):
-        coeffs = solve_hierarchy(sz, kappa)
-    with _Stage("norm-expansion"):
-        norm = norm_expansion(sz, coeffs, kappa)
-    return ExpansionModel(map=m, weight=ws, szego=sz, coeffs=coeffs, norm=norm,
-                          order=kappa,
-                          validity_constant=float(cfg.get("validity_constant", 1.0)))
+    return build_model(m, wd, kappa, bidegree=M, inner_radius=rho,
+                       validity_constant=float(cfg.get("validity_constant", 1.0)))
 
 
 def _model_payload(model, cfg: dict) -> dict:
@@ -258,7 +229,7 @@ def cmd_eval(cfg: dict, exp: dict, outdir: Path) -> int:
 
 
 def _oracle_for(cfg: dict, exp: dict, model, N_max: int):
-    with _Stage("oracle"):
+    with stage("oracle"):
         degree = exp["oracle_degree"] or (2 * N_max + 8)
         rule = build_quadrature(model.map, model.weight, degree=degree)
         return rule, oracle_onps(rule, N_max)
@@ -307,9 +278,7 @@ def cmd_verify(cfg: dict, exp: dict, outdir: Path) -> int:
     rows = []
     for kappa in range(exp["kappa"] + 1):
         for N in exp["N"]:
-            scale = (monic_prefactor(model, N) * abs(1.0 / model.map.psi_prime(zeta0))
-                     * abs(zeta0) ** N
-                     * abs(np.exp(model.szego.v_exterior.evaluate(zeta0))))
+            scale = monic_prefactor(model, N) * abs(positioning_factor(model, N, zeta0))
             perr = abs(polys.monic(z0, N) - monic_eval(model, N, z0, order=kappa)) / scale
             l2 = l2_discrepancy(model, polys, rule, N, order=kappa)
             krel = abs(leading_coeff(model, N, kappa) / polys.kappa[N] - 1.0)
@@ -329,8 +298,7 @@ def cmd_verify(cfg: dict, exp: dict, outdir: Path) -> int:
         passed &= ok
     summary = {"schema": "planorth/verify-summary-v1", "slopes": slopes,
                "passed": bool(passed), "tolerance": exp["tol"],
-               "oracle_gram_residual": polys.gram_residual,
-               "threads": exp["threads"]}
+               "oracle_gram_residual": polys.gram_residual}
     _write_csv(outdir, "rates.csv",
                ["N", "kappa", "pointwise_error", "l2_discrepancy", "leading_coeff_rel_error"],
                rows)
@@ -450,8 +418,6 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--kappa", type=int, default=None, help="expansion order override")
         sp.add_argument("--n", default=None, help="comma-separated degree list override")
         sp.add_argument("--tol", type=float, default=None, help="verification tolerance")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker hint recorded in reports (pipeline is vectorized)")
     return p
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class PlanorthError(Exception):
     """Base class for all package errors."""
@@ -47,3 +49,13 @@ class ConsistencyError(PlanorthError):
 
 class ConfigError(PlanorthError):
     """Malformed or inconsistent configuration input."""
+
+
+@contextmanager
+def stage(name: str):
+    """Prefix a :class:`PlanorthError` raised inside the block with ``[stage: name]``."""
+    try:
+        yield
+    except PlanorthError as exc:
+        exc.args = (f"[stage: {name}] {exc}",)
+        raise

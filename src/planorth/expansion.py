@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfValidityError
+from .errors import OutOfValidityError, stage
 from .geometry import (ExteriorMap, SzegoData, WeightDef, WeightSpec, map_forward_many,
-                       pullback_weight, szego)
+                       phi_prime, pullback_weight, szego)
 from .hierarchy import HierarchyCoeffs, solve_hierarchy
 from .laplace import NormExpansion, norm_expansion
 from .series import CircleSeries
@@ -49,12 +49,17 @@ class ExpansionModel:
 def build_model(m: ExteriorMap, weight_def: WeightDef, order: int,
                 bidegree: int = 24, inner_radius: float | None = None,
                 validity_constant: float = 1.0) -> ExpansionModel:
-    """Run the full pipeline: pullback, outer function, recursion, norm constants."""
+    """Run the full pipeline: pullback, outer function, recursion, norm constants.
+    A :class:`PlanorthError` from a step is prefixed with ``[stage: <step>]``."""
     rho = inner_radius if inner_radius is not None else max(0.7, m.univalence_margin + 0.05)
-    ws = pullback_weight(m, weight_def, bidegree, rho)
-    sz = szego(ws)
-    coeffs = solve_hierarchy(sz, order)
-    norm = norm_expansion(sz, coeffs, order)
+    with stage("weight-pullback"):
+        ws = pullback_weight(m, weight_def, bidegree, rho)
+    with stage("outer-function"):
+        sz = szego(ws)
+    with stage("hierarchy"):
+        coeffs = solve_hierarchy(sz, order)
+    with stage("norm-expansion"):
+        norm = norm_expansion(sz, coeffs, order)
     return ExpansionModel(map=m, weight=ws, szego=sz, coeffs=coeffs, norm=norm,
                           order=order, validity_constant=validity_constant)
 
@@ -100,14 +105,19 @@ def leading_coeff(model: ExpansionModel, N: int, order: int | None = None) -> fl
     return float(math.sqrt(N) * norm_factor(model, N, order) / monic_prefactor(model, N))
 
 
+def positioning_factor(model: ExpansionModel, N: int, zeta) -> np.ndarray:
+    """Factor ``phi'(z) phi(z)^N e^V(z)`` at the points ``z = psi(zeta)``."""
+    return (phi_prime(model.map, zeta) * zeta ** N
+            * np.exp(model.szego.v_exterior.evaluate(zeta)))
+
+
 def canonical_position(model: ExpansionModel, f: CircleSeries, N: int, z,
                        check_validity: bool = False):
     """Apply the positioning operator: ``phi'(z) phi(z)^N e^V(z) f(phi(z))``."""
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     zeta, ok = _phi_many(model, zs)
     _require_valid(model, N, zeta, ok, check_validity)
-    vals = (model.map.psi_prime(zeta) ** -1 * zeta ** N
-            * np.exp(model.szego.v_exterior.evaluate(zeta)) * f.evaluate(zeta))
+    vals = positioning_factor(model, N, zeta) * f.evaluate(zeta)
     return vals if np.ndim(z) else complex(vals[0])
 
 
@@ -123,8 +133,7 @@ def monic_eval(model: ExpansionModel, N: int, z, order: int | None = None,
     s = np.zeros(zs.shape, dtype=np.complex128)
     for j in range(order + 1):
         s += float(N) ** (-j) * model.coeffs.X[j].evaluate(zeta)
-    vals = (monic_prefactor(model, N) / model.map.psi_prime(zeta) * zeta ** N
-            * np.exp(model.szego.v_exterior.evaluate(zeta)) * s)
+    vals = monic_prefactor(model, N) * positioning_factor(model, N, zeta) * s
     return vals if np.ndim(z) else complex(vals[0])
 
 

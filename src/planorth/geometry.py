@@ -359,14 +359,13 @@ class SzegoData:
 
     ``v_exterior`` holds ``V o psi`` as an exterior circle series,
     ``v_infinity`` its (real) value at infinity, ``omega_flat`` the flattened
-    weight on the annulus with ``omega_flat == 1`` on the circle,
-    ``log_omega_flat`` its exponent, and ``omega_flat_inv`` its reciprocal.
+    weight on the annulus with ``omega_flat == 1`` on the circle, and
+    ``log_omega_flat`` its exponent ``U`` (``omega_flat = exp U``).
     """
 
     v_exterior: CircleSeries
     v_infinity: float
     omega_flat: AnnulusSeries
-    omega_flat_inv: AnnulusSeries
     log_omega_flat: AnnulusSeries
     circle_residual: float
 
@@ -390,14 +389,13 @@ def szego(weight: WeightSpec, trunc_tol: float = DEFAULT_TRUNC_TOL) -> SzegoData
     two_re_v = lift_holomorphic(v, M, rho) + conjugate_lift(v, M, rho)
     U = two_re_v + R
     omega_flat = series_exp(U, cap=M, tol=trunc_tol)
-    omega_inv = series_exp(-U, cap=M, tol=trunc_tol)
     ts = np.exp(2j * np.pi * np.arange(256) / 256)
     residual = float(np.max(np.abs(omega_flat.evaluate(ts) - 1.0)))
     if residual > 1e-8:
         raise ConsistencyError(
             f"flattened weight deviates from 1 on the circle by {residual:.3e}")
     return SzegoData(v_exterior=v, v_infinity=float(v_inf.real), omega_flat=omega_flat,
-                     omega_flat_inv=omega_inv, log_omega_flat=U, circle_residual=residual)
+                     log_omega_flat=U, circle_residual=residual)
 
 
 def load_domain_config(cfg: dict):

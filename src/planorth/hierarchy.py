@@ -5,7 +5,7 @@ The corrections are boundary functions ``X_0, X_1, ...`` with ``X_0 == 1`` and
 recursive family of scalar jump problems across the unit circle driven by two
 operators:
 
-* the weighted first-order operator ``f -> (1/Omega) (z d/dz + 1)(f Omega)``
+* the weighted first-order operator ``T f = (1/Omega) (z d/dz + 1)(f Omega)``
   (:func:`weighted_derivative`), and
 * the composition "restrict to the circle, keep modes k <= -1"
   (:func:`exterior_projection`).
@@ -13,6 +13,10 @@ operators:
 ``solve_hierarchy`` evaluates the product form of the solution,
 ``solve_hierarchy_triangular`` the equivalent triangular sum; they are kept
 separate purely for cross-validation.
+
+``T`` is applied through the exact identity ``T f = z df/dz + f + f z dU/dz``:
+``Omega = exp U`` with ``U`` stored (``SzegoData.log_omega_flat``), so no
+truncated reciprocal ``1/Omega`` is needed.
 """
 
 from __future__ import annotations
@@ -41,10 +45,10 @@ class HierarchyCoeffs:
 
 
 def weighted_derivative(f: AnnulusSeries, szego: SzegoData) -> AnnulusSeries:
-    """Apply ``(1/Omega)(z d/dz + 1)(f Omega)`` on the annulus."""
-    M = szego.omega_flat.bidegree
-    fo = multiply(f, szego.omega_flat, cap=M)
-    return multiply(wirtinger_z(fo) + fo, szego.omega_flat_inv, cap=M)
+    """Apply ``T f = (1/Omega)(z d/dz + 1)(f Omega)`` on the annulus as
+    ``z df/dz + f + f z dU/dz``, exact since ``z dOmega/dz = Omega z dU/dz``."""
+    U = szego.log_omega_flat
+    return wirtinger_z(f) + f + multiply(f, wirtinger_z(U), cap=U.bidegree)
 
 
 def exterior_projection(a: AnnulusSeries) -> CircleSeries:

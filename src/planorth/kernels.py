@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OffSpectralError
-from .expansion import ExpansionModel
+from .expansion import ExpansionModel, positioning_factor
 from .geometry import ExteriorMap, map_forward
 
 
@@ -52,8 +52,7 @@ def offspectral_leading(model: ExpansionModel, point: OffSpectralPoint, N: int, 
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     zeta = np.asarray(map_forward(model.map, zs), dtype=np.complex128)
     vals = (math.sqrt(N) * outer_rho(model.map, point, zs)
-            / model.map.psi_prime(zeta) * zeta ** N
-            * np.exp(model.szego.v_exterior.evaluate(zeta)))
+            * positioning_factor(model, N, zeta))
     return vals if np.ndim(z) else complex(vals[0])
 
 

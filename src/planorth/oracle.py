@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DegreeTooHighError, DomainError, NonStarlikeError, PositivityError
-from .expansion import ExpansionModel, normalized_eval
+from .expansion import ExpansionModel, normalized_eval, positioning_factor
 from .geometry import ExteriorMap, WeightSpec, map_forward_many
 from .series import CircleSeries
 
@@ -301,8 +301,7 @@ def holomorphic_pairing(model: ExpansionModel, polys: OraclePolynomials, g: Circ
     ``p_N = P_N(psi(w)) psi'(w) w^{-N} e^{-V(psi(w))}``."""
     ring = ring_quadrature(rho_ring, n_rad=n_rad, n_ang=n_ang)
     w = ring.nodes
-    pN = (polys.eval_single(model.map.psi(w), N) * model.map.psi_prime(w)
-          * w ** (-N) * np.exp(-model.szego.v_exterior.evaluate(w)))
+    pN = polys.eval_single(model.map.psi(w), N) / positioning_factor(model, N, w)
     omega_flat = model.szego.omega_flat.evaluate(w)
     vals = g.evaluate(w) * np.conj(pN) * np.abs(w) ** (2 * N) * omega_flat
     return ring.integrate(vals)

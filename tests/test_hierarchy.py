@@ -56,6 +56,27 @@ def test_weighted_derivative_linear(disk_alpha_model):
     assert np.max(np.abs((lhs - rhs).coeffs)) <= 1e-12 * max(1.0, lhs.l1())
 
 
+def product_form_T(f, sz):
+    """Reference ``(1/Omega)(z d/dz + 1)(f Omega)`` by truncated products with
+    ``Omega`` and with its reciprocal ``exp(-U)``."""
+    M = sz.omega_flat.bidegree
+    omega_inv = po.series_exp(-sz.log_omega_flat, cap=M)
+    fo = po.multiply(f, sz.omega_flat, cap=M)
+    return po.multiply(po.wirtinger_z(fo) + fo, omega_inv, cap=M)
+
+
+def test_weighted_derivative_matches_product_form(all_preset_models):
+    rng = np.random.default_rng(5)
+    for name, model in all_preset_models.items():
+        sz, rho = model.szego, model.inner_radius
+        M = sz.omega_flat.bidegree
+        fs = [lift_holomorphic(X, M, rho) for X in model.coeffs.X]
+        fs.append(sparse_annulus(rng, M, rho))
+        for f in fs:
+            ref = product_form_T(f, sz)
+            assert (weighted_derivative(f, sz) - ref).l1() <= 1e-12 * ref.l1(), name
+
+
 def test_exterior_projection_cases(disk_const_model):
     rho = disk_const_model.inner_radius
     assert exterior_projection(po.annulus_constant(1.0, 4, rho)).l2() == 0.0

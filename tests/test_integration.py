@@ -104,7 +104,20 @@ def test_high_order_refinement_vs_oracle(disk_alpha_oracle):
 
 
 def test_truncation_budget_guards_small_grids():
-    # quadratic weight genuinely needs more than bidegree 18 at this radius
-    with pytest.raises(po.TruncationOverflowError):
+    # at bidegree 8 the flattened quadratic weight is genuinely under-resolved:
+    # exp(U) has ~4e-6 of coefficient mass beyond the grid
+    with pytest.raises(po.TruncationOverflowError, match="stage: outer-function"):
         po.build_model(po.disk_map(), po.exp_re_poly_weight([0.0, 0.15, 0.1]),
-                       3, bidegree=18, inner_radius=0.5)
+                       3, bidegree=8, inner_radius=0.5)
+
+
+def test_quadratic_weight_grid_independent():
+    # bidegree 18 already resolves the quadratic weight: refining the grid
+    # leaves the corrections and the norm constants unchanged
+    models = [po.build_model(po.disk_map(), po.exp_re_poly_weight([0.0, 0.15, 0.1]),
+                             3, bidegree=M, inner_radius=0.5) for M in (18, 24, 32)]
+    for model in models:
+        assert abs(model.coeffs.X[1].coeff(-1) - 0.15) < 1e-13
+        assert np.max(np.abs(model.norm.d - [0.5, -0.15625, 0.165125])) < 1e-13
+        for j in range(1, 4):
+            assert (model.coeffs.X[j] - models[-1].coeffs.X[j]).linf() < 1e-13
