@@ -7,9 +7,9 @@ quantity against a brute-force orthogonalization oracle.
 """
 
 from .errors import (ConfigError, ConsistencyError, ConvergenceError, DegreeTooHighError,
-                     DomainError, NonStarlikeError, OffSpectralError, OutOfValidityError,
-                     PlanorthError, PositivityError, TruncationOverflowError,
-                     WeightResolutionError)
+                     DomainError, NonFiniteError, NonStarlikeError, OffSpectralError,
+                     OutOfValidityError, PlanorthError, PositivityError,
+                     TruncationOverflowError, WeightResolutionError)
 from .series import (AnnulusSeries, CircleSeries, annulus_constant, annulus_from_terms,
                      annulus_zeros, circle_from_modes, circle_zeros, conjugate_lift,
                      hardy_project, herglotz, lift_holomorphic, multiply, radial,
@@ -21,7 +21,7 @@ from .geometry import (ExteriorMap, SzegoData, WeightDef, WeightSpec, capacity,
 from .hierarchy import (HierarchyCoeffs, exterior_projection, hierarchy_residual,
                         neumann_partial_sum, solve_hierarchy, solve_hierarchy_triangular,
                         weighted_derivative)
-from .laplace import JetAtZero, NormExpansion, norm_expansion, watson_sum
+from .laplace import JetAtZero, NormExpansion, norm_expansion, watson_sum, weighted_moments
 from .expansion import (ExpansionModel, build_model, canonical_position, leading_coeff,
                         monic_eval, monic_prefactor, norm_factor, normalized_eval,
                         validity_radius)

@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from .distributional import (distributional_expectation, distributional_terms,
                              split_test_function)
-from .errors import ConfigError, OffSpectralError, OutOfValidityError, PlanorthError, stage
+from .errors import (ConfigError, NonFiniteError, OffSpectralError, OutOfValidityError,
+                     PlanorthError, stage)
 from .expansion import (build_model, leading_coeff, monic_eval, monic_prefactor,
                         normalized_eval, positioning_factor, validity_radius)
 from .geometry import load_domain_config, map_forward_many
@@ -102,16 +103,27 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
+def _integer(value, what: str) -> int:
+    """An integral JSON number or command-line string as an int."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if isinstance(value, bool) or not x.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(x)
+
+
 def _experiment(cfg: dict, args) -> dict:
     if "domain" not in cfg:
         raise ConfigError("config must contain a 'domain' object (map/weight/rho/M/K)")
-    kappa = int(args.kappa if args.kappa is not None else cfg.get("kappa", 2))
+    kappa = _integer(args.kappa if args.kappa is not None else cfg.get("kappa", 2), "kappa")
     if not (0 <= kappa <= MAX_ORDER):
         raise ConfigError(f"kappa must lie in [0, {MAX_ORDER}]")
     if args.n is not None:
-        ns = [int(x) for x in args.n.split(",") if x.strip()]
+        ns = [_integer(x, "degree N") for x in args.n.split(",") if x.strip()]
     else:
-        ns = [int(x) for x in cfg.get("N", [])]
+        ns = [_integer(x, "degree N") for x in cfg.get("N", [])]
     if ns != sorted(ns):
         raise ConfigError("N list must be sorted ascending")
     points = [complex(p[0], p[1]) for p in cfg.get("points", [])]
@@ -163,10 +175,13 @@ def _model_payload(model, cfg: dict) -> dict:
 
 
 def _write_json(outdir: Path, name: str, payload: dict) -> None:
+    try:
+        text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteError(f"{name} would hold a non-finite number: {exc}") from exc
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / name, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(outdir: Path, name: str, header: list, rows: list) -> None:
@@ -212,6 +227,8 @@ def cmd_eval(cfg: dict, exp: dict, outdir: Path) -> int:
             if valid:
                 mv = monic_eval(model, N, z)
                 nv = normalized_eval(model, N, z)
+                if not (np.isfinite(mv) and np.isfinite(nv)):
+                    raise NonFiniteError(f"eval at N={N}, point {z}: monic {mv}, normalized {nv}")
                 results.append({"N": N, "point": _c2l(z), "valid": True,
                                 "monic": _c2l(mv), "normalized": _c2l(nv)})
                 rows.append([N, z.real, z.imag, 1, mv.real, mv.imag, nv.real, nv.imag])
@@ -290,11 +307,12 @@ def cmd_verify(cfg: dict, exp: dict, outdir: Path) -> int:
         sub = [(r[0], r[2]) for r in rows if r[1] == kappa]
         ns = np.array([s[0] for s in sub], dtype=float)
         es = np.maximum([s[1] for s in sub], 1e-300)
-        slope = float(np.polyfit(np.log(ns), np.log(es), 1)[0]) if len(sub) > 1 else math.nan
+        # one degree fits no slope: null, and failed
+        slope = float(np.polyfit(np.log(ns), np.log(es), 1)[0]) if len(sub) > 1 else None
         target = -(kappa + 1)
-        ok = slope <= target + exp["tol"]
+        ok = slope is not None and slope <= target + exp["tol"]
         slopes[str(kappa)] = {"slope": slope, "target": target, "pass": bool(ok),
-                              "steeper_than_polynomial": bool(slope < target - exp["tol"])}
+                              "steeper_than_polynomial": bool(ok and slope < target - exp["tol"])}
         passed &= ok
     summary = {"schema": "planorth/verify-summary-v1", "slopes": slopes,
                "passed": bool(passed), "tolerance": exp["tol"],

@@ -9,6 +9,10 @@ coefficients.
 
 Test functions enter as annulus series in the exterior coordinate, for which
 the smooth three-way split is an exact Fourier-mode split.
+
+The weighted side of every term is read off the moment table
+``model.norm.moments`` (built once per model), so a request only takes the
+radial moments of the test function and pairs them on the circle.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ import numpy as np
 
 from .expansion import ExpansionModel, norm_factor
 from .geometry import SzegoData
+from .laplace import weighted_moments
 from .series import (AnnulusSeries, CircleSeries, SUPPORT_EXTERIOR, SUPPORT_EXTERIOR_VANISHING,
-                     conjugate_lift, lift_holomorphic, multiply, radial, restrict_to_circle)
+                     conjugate_lift, lift_holomorphic, radial_moments, restrict_to_circle)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,12 +67,12 @@ def split_test_function(g: AnnulusSeries) -> TestFunctionSplit:
                              minus_infinity=complex(np.conj(minus_conj.coeff(0))))
 
 
-def _half_radial_neg(a: AnnulusSeries, power: int) -> AnnulusSeries:
-    """Apply ``(-(r d/dr)/2)**power``."""
-    out = a
-    for _ in range(power):
-        out = radial(out) * (-0.5)
-    return out
+def _w_combination(moments, N: int, nu: int, order: int) -> CircleSeries:
+    """``sum_{mu<=order-nu} N^-mu C(nu+mu, nu) moments[mu]``."""
+    acc = moments[0]
+    for mu in range(1, order - nu + 1):
+        acc = acc + moments[mu] * (math.comb(nu + mu, nu) * float(N) ** (-mu))
+    return acc
 
 
 def w_operator(szego: SzegoData, N: int, nu: int, order: int, a: AnnulusSeries) -> CircleSeries:
@@ -75,25 +80,14 @@ def w_operator(szego: SzegoData, N: int, nu: int, order: int, a: AnnulusSeries) 
     ``R sum_{mu<=order-nu} N^-mu C(nu+mu, nu) (-(r d/dr)/2 - 1)^mu (a Omega)``."""
     if not (1 <= nu <= order):
         raise ValueError("need 1 <= nu <= order")
-    M = szego.omega_flat.bidegree
-    b = multiply(a, szego.omega_flat, cap=M)
-    acc = None
-    for mu in range(order - nu + 1):
-        coef = math.comb(nu + mu, nu) * float(N) ** (-mu)
-        term = restrict_to_circle(b) * coef
-        acc = term if acc is None else acc + term
-        if mu < order - nu:
-            b = _half_radial_neg(b, 1) + (-1.0) * b
-    return acc
+    return _w_combination(weighted_moments(a, szego, order - nu), N, nu, order)
 
 
 def _circle_mean(u: CircleSeries, v: CircleSeries) -> complex:
     """Circle integral of a product against normalized arc length: mode-0 of u*v."""
     Ku, Kv = u.bandwidth, v.bandwidth
-    acc = 0.0 + 0.0j
-    for k in range(-min(Ku, Kv), min(Ku, Kv) + 1):
-        acc += u.coeff(k) * v.coeff(-k)
-    return acc
+    K = min(Ku, Kv)
+    return complex(np.dot(u.coeffs[Ku - K:Ku + K + 1], v.coeffs[Kv - K:Kv + K + 1][::-1]))
 
 
 def distributional_terms(model: ExpansionModel, split: TestFunctionSplit, N: int,
@@ -106,19 +100,13 @@ def distributional_terms(model: ExpansionModel, split: TestFunctionSplit, N: int
         raise ValueError("requested order exceeds the model order")
     if order < 1:
         return []
-    sz = model.szego
-    M = sz.omega_flat.bidegree
-    rho = sz.omega_flat.inner_radius
-    lifts = [lift_holomorphic(model.coeffs.X[j], M, rho) for j in range(order + 1)]
-    clifts = [conjugate_lift(model.coeffs.X[k], M, rho) for k in range(order + 1)]
+    gs = radial_moments(split.zero, 0.0, order)
     terms = []
     for nu in range(1, order + 1):
-        gnu = restrict_to_circle(_half_radial_neg(split.zero, nu))
         for j in range(order - nu + 1):
             for k in range(order - nu - j + 1):
-                a = multiply(lifts[j], clifts[k], cap=M)
-                wk = w_operator(sz, N, nu, order, a)
-                val = float(N) ** (-(nu + j + k)) * _circle_mean(gnu, wk)
+                wk = _w_combination(model.norm.moments[j, k], N, nu, order)
+                val = float(N) ** (-(nu + j + k)) * _circle_mean(gs[nu], wk)
                 terms.append(((nu, j, k), complex(val)))
     return terms
 

@@ -47,6 +47,10 @@ class ConsistencyError(PlanorthError):
     """An internal cross-check failed (a quantity that must be real or normalized is not)."""
 
 
+class NonFiniteError(PlanorthError):
+    """A result overflows a float or is not finite."""
+
+
 class ConfigError(PlanorthError):
     """Malformed or inconsistent configuration input."""
 

@@ -8,7 +8,9 @@ approximated by::
     monic(z) ~ C_N * phi'(z) * phi(z)^N * exp(V(z)) * sum_j N^-j X_j(phi(z))
 
 with ``C_N = cap^(N+1) exp(-V(inf))``, and the unit-norm polynomial by
-``kappa_N * monic`` with ``kappa_N = C_N^-1 N^(1/2) D_N``.
+``kappa_N * monic`` with ``kappa_N = C_N^-1 N^(1/2) D_N``: the positioned
+sum times ``kappa_N C_N = N^(1/2) D_N``, which never forms ``C_N`` (a float
+overflow for ``cap > 1`` at large ``N``).
 
 Evaluation is restricted to the region ``|phi(z)| >= 1 - A log(N)/N`` (points
 deeper inside the domain are refused rather than silently extrapolated).
@@ -21,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfValidityError, stage
+from .errors import NonFiniteError, OutOfValidityError, stage
 from .geometry import (ExteriorMap, SzegoData, WeightDef, WeightSpec, map_forward_many,
                        phi_prime, pullback_weight, szego)
-from .hierarchy import HierarchyCoeffs, solve_hierarchy
+from .hierarchy import HierarchyCoeffs, neumann_partial_sum, solve_hierarchy
 from .laplace import NormExpansion, norm_expansion
 from .series import CircleSeries
 
@@ -69,15 +71,14 @@ def validity_radius(N: int, constant: float = 1.0) -> float:
     return 1.0 - constant * math.log(N) / N
 
 
-def _phi_many(model: ExpansionModel, zs: np.ndarray):
-    zeta, ok = map_forward_many(model.map, zs)
-    return zeta, ok
+def _require_degree(N: int) -> None:
+    if N < N_MIN:
+        raise OutOfValidityError(f"degree {N} below the asymptotic threshold {N_MIN}")
 
 
 def _require_valid(model: ExpansionModel, N: int, zeta: np.ndarray, ok: np.ndarray,
                    check_validity: bool) -> None:
-    if N < N_MIN:
-        raise OutOfValidityError(f"degree {N} below the asymptotic threshold {N_MIN}")
+    _require_degree(N)
     if not np.all(ok):
         raise OutOfValidityError("point could not be mapped into the analytic collar")
     if check_validity:
@@ -89,7 +90,11 @@ def _require_valid(model: ExpansionModel, N: int, zeta: np.ndarray, ok: np.ndarr
 
 
 def monic_prefactor(model: ExpansionModel, N: int) -> float:
-    """Constant ``C_N = cap^(N+1) * exp(-V(inf))``."""
+    """Constant ``C_N = cap^(N+1) * exp(-V(inf))``, or :class:`NonFiniteError`
+    where it leaves the float range."""
+    log_c = (N + 1) * math.log(model.map.cap) - model.szego.v_infinity
+    if abs(log_c) > math.log(np.finfo(float).max):
+        raise NonFiniteError(f"C_N out of float range at degree {N} (log C_N = {log_c:.1f})")
     return float(model.map.cap ** (N + 1) * math.exp(-model.szego.v_infinity))
 
 
@@ -100,8 +105,7 @@ def norm_factor(model: ExpansionModel, N: int, order: int | None = None) -> floa
 
 def leading_coeff(model: ExpansionModel, N: int, order: int | None = None) -> float:
     """Leading coefficient ``kappa_N = C_N^-1 N^(1/2) D_N`` of the unit-norm polynomial."""
-    if N < N_MIN:
-        raise OutOfValidityError(f"degree {N} below the asymptotic threshold {N_MIN}")
+    _require_degree(N)
     return float(math.sqrt(N) * norm_factor(model, N, order) / monic_prefactor(model, N))
 
 
@@ -115,7 +119,7 @@ def canonical_position(model: ExpansionModel, f: CircleSeries, N: int, z,
                        check_validity: bool = False):
     """Apply the positioning operator: ``phi'(z) phi(z)^N e^V(z) f(phi(z))``."""
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    zeta, ok = _phi_many(model, zs)
+    zeta, ok = map_forward_many(model.map, zs)
     _require_valid(model, N, zeta, ok, check_validity)
     vals = positioning_factor(model, N, zeta) * f.evaluate(zeta)
     return vals if np.ndim(z) else complex(vals[0])
@@ -124,21 +128,17 @@ def canonical_position(model: ExpansionModel, f: CircleSeries, N: int, z,
 def monic_eval(model: ExpansionModel, N: int, z, order: int | None = None,
                check_validity: bool = True):
     """Asymptotic value of the monic orthogonal polynomial of degree ``N``."""
-    order = model.order if order is None else order
-    if order > model.order:
-        raise ValueError("requested order exceeds the model order")
-    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    zeta, ok = _phi_many(model, zs)
-    _require_valid(model, N, zeta, ok, check_validity)
-    s = np.zeros(zs.shape, dtype=np.complex128)
-    for j in range(order + 1):
-        s += float(N) ** (-j) * model.coeffs.X[j].evaluate(zeta)
-    vals = monic_prefactor(model, N) * positioning_factor(model, N, zeta) * s
-    return vals if np.ndim(z) else complex(vals[0])
+    _require_degree(N)
+    vals = canonical_position(model, neumann_partial_sum(model.coeffs, N, order), N, z,
+                              check_validity)
+    return monic_prefactor(model, N) * vals
 
 
 def normalized_eval(model: ExpansionModel, N: int, z, order: int | None = None,
                     check_validity: bool = True):
-    """Asymptotic value of the unit-norm orthogonal polynomial of degree ``N``."""
-    vals = monic_eval(model, N, z, order=order, check_validity=check_validity)
-    return leading_coeff(model, N, order) * vals
+    """Asymptotic value of the unit-norm orthogonal polynomial of degree ``N``
+    (``kappa_N C_N = N^(1/2) D_N``, so ``C_N`` is never formed)."""
+    _require_degree(N)
+    vals = canonical_position(model, neumann_partial_sum(model.coeffs, N, order), N, z,
+                              check_validity)
+    return math.sqrt(N) * norm_factor(model, N, order) * vals

@@ -12,6 +12,10 @@ operator plus the explicit ``-2`` from the Jacobian factor), so the expansion
 ``N * ||.||^2 = 1 + sum_p c_p N^-p`` is computed exactly in the series
 algebra.  The unit-norm constants ``d_j`` are the coefficients of the formal
 inverse square root of that series.
+
+``d_j`` is read off the moment table ``B[j,k][mu] = R L^mu (X_j conj(X_k) Omega)``,
+``L = -(r d/dr)/2 - 1``, built once per model and shared with the
+boundary-distribution terms (:func:`weighted_moments`).
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ import numpy as np
 from .errors import ConsistencyError
 from .geometry import SzegoData
 from .hierarchy import HierarchyCoeffs
-from .series import conjugate_lift, lift_holomorphic, multiply, radial, restrict_to_circle
+from .series import (AnnulusSeries, conjugate_lift, lift_holomorphic, multiply,
+                     radial_moments)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,14 +84,33 @@ def _ps_exp(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def weighted_moments(a: AnnulusSeries, szego: SzegoData, mu_max: int) -> list:
+    """Boundary moments ``R L^mu (a Omega)`` for ``mu = 0..mu_max``, where
+    ``L = -(r d/dr)/2 - 1`` and ``R`` restricts to the circle.  The product
+    is kept whole: only its restriction is stored, so no mass is dropped."""
+    return radial_moments(multiply(a, szego.omega_flat), 1.0, mu_max)
+
+
+def _moment_table(szego: SzegoData, coeffs: HierarchyCoeffs, order: int) -> dict:
+    """``B[j, k] = weighted_moments(X_j conj(X_k), szego, order)`` for ``j + k <= order``."""
+    M = szego.omega_flat.bidegree
+    rho = szego.omega_flat.inner_radius
+    lifts = [lift_holomorphic(coeffs.X[j], M, rho) for j in range(order + 1)]
+    clifts = [conjugate_lift(coeffs.X[k], M, rho) for k in range(order + 1)]
+    return {(j, k): weighted_moments(multiply(lifts[j], clifts[k], cap=M), szego, order)
+            for j in range(order + 1) for k in range(order + 1 - j)}
+
+
 @dataclass(frozen=True, eq=False)
 class NormExpansion:
     """Norm-constant data: ``raw[p-1] = c_p`` with
     ``N ||.||^2 = 1 + sum c_p N^-p`` and ``d[j-1] = d_j`` from the inverse
-    square root (all real)."""
+    square root (all real); ``moments[j, k][mu]`` is the table ``B`` they are
+    read from."""
 
     d: np.ndarray
     raw: np.ndarray
+    moments: dict
 
     def factor(self, N: float, order: int | None = None) -> float:
         """Truncated norm correction ``1 + sum_{j<=order} d_j N^-j``."""
@@ -100,35 +124,20 @@ def norm_expansion(szego: SzegoData, coeffs: HierarchyCoeffs, order: int,
                    imag_tol: float = 1e-10) -> NormExpansion:
     """Expand the squared norm of the positioned partial sum and invert.
 
-    For each total correction order ``q`` the product
-    ``sum_{j+k=q} X_j conj(X_k) * Omega`` is formed on the annulus; its
-    ``m``-th radial derivative at the circle is obtained by applying
-    ``(-(r d/dr) - 2)`` ``m`` times (the ``-2`` carries the area Jacobian)
-    and taking the angular mean.  Watson's sum with ``lambda = 2N`` then
-    yields ``c_p = sum_{m+q=p} 2^-m A_q^(m)(0)``.
+    The ``m``-th ``s``-derivative at the circle of the angular mean of
+    ``X_j conj(X_k) Omega e^{-2s}`` is ``2^m`` times the mean of
+    ``B[j,k][m]`` (the ``-1`` in ``L`` carries the area Jacobian), so Watson's
+    sum with ``lambda = 2N`` yields ``c_p = sum_{j+k+m=p} B[j,k][m]`` at mode 0.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     if order > coeffs.order:
         raise ValueError("hierarchy not solved to the requested order")
-    M = szego.omega_flat.bidegree
-    rho = szego.omega_flat.inner_radius
-
-    # products[q] = sum_{j+k=q} X_j conj(X_k) Omega on the annulus
-    lifts = [lift_holomorphic(coeffs.X[j], M, rho) for j in range(order + 1)]
-    clifts = [conjugate_lift(coeffs.X[k], M, rho) for k in range(order + 1)]
+    table = _moment_table(szego, coeffs, order)
     c = np.zeros(order + 1, dtype=np.complex128)
-    for q in range(order + 1):
-        prod = None
-        for j in range(q + 1):
-            term = multiply(lifts[j], clifts[q - j], cap=M)
-            prod = term if prod is None else prod + term
-        a = multiply(prod, szego.omega_flat, cap=M)
-        # derivatives in s at 0: one application of (-radial - 2) per order
-        for m in range(order - q + 1):
-            c[q + m] += (0.5 ** m) * restrict_to_circle(a).coeff(0)
-            if q + m < order:
-                a = -radial(a) + (-2.0) * a
+    for (j, k), moments in table.items():
+        for m in range(order - j - k + 1):
+            c[j + k + m] += moments[m].coeff(0)
     if float(np.max(np.abs(c.imag))) > imag_tol:
         raise ConsistencyError(
             f"norm series has imaginary part {np.max(np.abs(c.imag)):.3e}; "
@@ -138,4 +147,4 @@ def norm_expansion(szego: SzegoData, coeffs: HierarchyCoeffs, order: int,
     d_series = _ps_exp(-0.5 * _ps_log(cr.astype(np.complex128)))
     if float(np.max(np.abs(d_series.imag))) > imag_tol:
         raise ConsistencyError("norm factor series must be real")
-    return NormExpansion(d=d_series.real[1:].copy(), raw=cr[1:].copy())
+    return NormExpansion(d=d_series.real[1:].copy(), raw=cr[1:].copy(), moments=table)

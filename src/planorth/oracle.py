@@ -244,6 +244,16 @@ def smoothstep(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
+def _cutoff(model: ExpansionModel, z: np.ndarray, rho1: float | None, rho2: float | None):
+    """``(phi(z), chi0, chi0 > 0)``; ``chi0`` is zero where ``z`` cannot be mapped."""
+    rho = model.inner_radius
+    rho1 = rho + 0.05 if rho1 is None else rho1
+    rho2 = rho + 0.15 if rho2 is None else rho2
+    zeta, ok = map_forward_many(model.map, z)
+    chi = smoothstep(np.where(ok, np.abs(zeta), 0.0), rho1, rho2)
+    return zeta, chi, chi > 0.0
+
+
 def l2_discrepancy(model: ExpansionModel, polys: OraclePolynomials, rule: QuadratureRule,
                    N: int, order: int | None = None, rho1: float | None = None,
                    rho2: float | None = None) -> float:
@@ -254,16 +264,10 @@ def l2_discrepancy(model: ExpansionModel, polys: OraclePolynomials, rule: Quadra
     ``[rho1, rho2]`` (defaults ``rho + 0.05``, ``rho + 0.15``); the expansion
     is extended by zero where ``chi0`` vanishes.
     """
-    rho = model.inner_radius
-    rho1 = rho + 0.05 if rho1 is None else rho1
-    rho2 = rho + 0.15 if rho2 is None else rho2
     z = rule.nodes
     P = polys.eval_single(z, N)
-    zeta, ok = map_forward_many(model.map, z)
-    absphi = np.where(ok, np.abs(zeta), 0.0)
-    chi = smoothstep(absphi, rho1, rho2)
+    _, chi, sel = _cutoff(model, z, rho1, rho2)
     F = np.zeros_like(P)
-    sel = chi > 0.0
     if np.any(sel):
         F[sel] = normalized_eval(model, N, z[sel], order=order, check_validity=False)
     diff2 = np.abs(P - chi * F) ** 2
@@ -277,15 +281,9 @@ def berezin_expectation(model: ExpansionModel, polys: OraclePolynomials, rule: Q
     test function ``G(z) = chi0(|phi(z)|) g(phi(z))``: the annulus test data
     tapered to zero deep inside the domain by the smoothstep on
     ``[rho1, rho2]``.  Near the boundary ``G`` agrees with ``g o phi``."""
-    rho = model.inner_radius
-    rho1 = rho + 0.05 if rho1 is None else rho1
-    rho2 = rho + 0.15 if rho2 is None else rho2
     z = rule.nodes
-    zeta, ok = map_forward_many(model.map, z)
-    absphi = np.where(ok, np.abs(zeta), 0.0)
-    chi = smoothstep(absphi, rho1, rho2)
+    zeta, chi, sel = _cutoff(model, z, rho1, rho2)
     G = np.zeros(z.shape, dtype=np.complex128)
-    sel = chi > 0.0
     if np.any(sel):
         G[sel] = chi[sel] * g.evaluate(zeta[sel])
     P = polys.eval_single(z, N)

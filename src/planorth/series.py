@@ -106,11 +106,7 @@ class AnnulusSeries:
         return NotImplemented
 
     def __sub__(self, other):
-        if isinstance(other, AnnulusSeries):
-            a, b = _common_grid(self, other)
-            return AnnulusSeries(a.coeffs - b.coeffs, self.inner_radius,
-                                 self.trunc_mass + other.trunc_mass)
-        return NotImplemented
+        return self + (-other) if isinstance(other, AnnulusSeries) else NotImplemented
 
     def __neg__(self):
         return AnnulusSeries(-self.coeffs, self.inner_radius, self.trunc_mass)
@@ -338,10 +334,7 @@ class CircleSeries:
         return NotImplemented
 
     def __sub__(self, other):
-        if isinstance(other, CircleSeries):
-            K = max(self.bandwidth, other.bandwidth)
-            return CircleSeries(_pad_circle(self, K) - _pad_circle(other, K))
-        return NotImplemented
+        return self + (-other) if isinstance(other, CircleSeries) else NotImplemented
 
     def __neg__(self):
         return CircleSeries(-self.coeffs, self.support)
@@ -402,11 +395,23 @@ def restrict_to_circle(a: AnnulusSeries, bandwidth: int | None = None) -> Circle
     K = 2 * M if bandwidth is None else bandwidth
     if K < 2 * M:
         raise DomainError(f"bandwidth {K} below 2*bidegree {2 * M}; modes would be lost")
-    out = np.zeros(2 * K + 1, dtype=np.complex128)
-    # coeffs[i, j] holds (m, n) = (i-M, j-M); the diagonal j = i + o collects m - n = -o
-    for k in range(-2 * M, 2 * M + 1):
-        out[K + k] = np.trace(a.coeffs, offset=-k)
+    # coeffs[i, j] holds (m, n) = (i-M, j-M), which lands in mode m - n = i - j
+    i = np.arange(2 * M + 1)
+    idx, c = (K + i[:, None] - i[None, :]).ravel(), a.coeffs.ravel()
+    out = np.bincount(idx, c.real, 2 * K + 1) + 1j * np.bincount(idx, c.imag, 2 * K + 1)
     return CircleSeries(out)
+
+
+def radial_moments(a: AnnulusSeries, shift: float, mu_max: int) -> list:
+    """Restrictions ``R (-(r d/dr)/2 - shift)^mu a`` for ``mu = 0..mu_max``
+    (``r d/dr`` multiplies ``c[m, n]`` by ``m + n``)."""
+    m = np.arange(-a.bidegree, a.bidegree + 1)
+    f = -(m[:, None] + m[None, :]) / 2.0 - shift
+    out, grid = [], a.coeffs
+    for _ in range(mu_max + 1):
+        out.append(restrict_to_circle(AnnulusSeries(grid, a.inner_radius)))
+        grid = grid * f
+    return out
 
 
 def hardy_project(c: CircleSeries) -> CircleSeries:
@@ -460,18 +465,4 @@ def lift_holomorphic(c: CircleSeries, bidegree: int, inner_radius: float,
 def conjugate_lift(c: CircleSeries, bidegree: int, inner_radius: float,
                    tol: float = DEFAULT_TRUNC_TOL) -> AnnulusSeries:
     """Annulus series of ``z -> conj(f(z))`` for a holomorphic ``f``: modes ``(0, k)``."""
-    K = c.bandwidth
-    grid = np.zeros((2 * bidegree + 1, 2 * bidegree + 1), dtype=np.complex128)
-    discarded = 0.0
-    for k in range(-K, K + 1):
-        v = np.conj(c.coeffs[K + k])
-        if v == 0.0:
-            continue
-        if abs(k) > bidegree:
-            discarded += abs(v)
-        else:
-            grid[bidegree, bidegree + k] = v
-    if discarded > tol:
-        raise TruncationOverflowError(
-            f"conjugate lift discarded mass {discarded:.3e} above tolerance {tol:.1e}")
-    return AnnulusSeries(grid, inner_radius, discarded)
+    return lift_holomorphic(c, bidegree, inner_radius, tol).conjugate()

@@ -1,8 +1,10 @@
 import json
 
 import jsonschema
+import pytest
 
 from planorth import cli
+from planorth.errors import NonFiniteError
 from planorth.presets import preset_config
 
 
@@ -201,3 +203,45 @@ def test_custom_samples_weight_end_to_end(tmp_path):
     first = [c for c in payload["corrections"] if c["order"] == 1][0]
     got = dict(zip(first["modes"], [c[0] for c in first["coeffs"]]))
     assert abs(got.get(-1, 0.0) - truth) < 1e-8
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_eval_nonfinite_is_typed(tmp_path):
+    # ellipse-expre at z=3: monic overflows to inf at N=1000, and C_N itself
+    # leaves the float range at N=2000; neither may reach an artifact
+    for N in (1000, 2000):
+        cfg = write_config(tmp_path, "ellipse-expre", N=[N], points=[[3.0, 0.0]])
+        out = tmp_path / f"o{N}"
+        assert run(["eval", "--config", cfg, "--out", out]) == 3
+        assert not out.exists()
+
+
+def test_write_json_refuses_nan(tmp_path):
+    with pytest.raises(NonFiniteError):
+        cli._write_json(tmp_path, "x.json", {"v": float("nan")})
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_verify_single_degree_has_no_slope(tmp_path):
+    cfg = write_config(tmp_path, N=[8])
+    out = tmp_path / "o"
+    assert run(["verify", "--config", cfg, "--out", out]) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["slopes"]["0"]["slope"] is None
+    assert summary["passed"] is False
+
+
+def test_fractional_degree_in_config(tmp_path):
+    cfg = write_config(tmp_path, N=[30.5])
+    assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
+def test_fractional_degree_on_command_line(tmp_path):
+    cfg = write_config(tmp_path)
+    assert run(["eval", "--config", cfg, "--out", tmp_path / "o", "--n", "30.5"]) == 2
+
+
+def test_fractional_kappa_in_config(tmp_path):
+    cfg = write_config(tmp_path, kappa=2.5)
+    assert run(["expand", "--config", cfg, "--out", tmp_path / "o"]) == 2

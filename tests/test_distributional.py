@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import planorth as po
+from planorth import laplace, series
 from planorth.distributional import (_circle_mean, distributional_expectation,
-                                     split_test_function, w_operator)
+                                     distributional_terms, split_test_function, w_operator)
 from planorth.oracle import berezin_expectation
 
 from conftest import random_annulus
@@ -128,3 +131,65 @@ def test_circle_mean_pairing():
     u = po.circle_from_modes({1: 2.0, -1: 3.0}, 4)
     v = po.circle_from_modes({-1: 5.0, 1: 7.0}, 4)
     assert _circle_mean(u, v) == 2.0 * 5.0 + 3.0 * 7.0
+
+
+def _radial_chain_w_operator(sz, N, nu, order, a):
+    """``w_operator`` as first implemented: multiply by ``Omega``, then apply
+    ``(-(r d/dr)/2 - 1)`` once per power of ``1/N``."""
+    b = po.multiply(a, sz.omega_flat, cap=sz.omega_flat.bidegree)
+    acc = None
+    for mu in range(order - nu + 1):
+        term = po.restrict_to_circle(b) * (math.comb(nu + mu, nu) * float(N) ** (-mu))
+        acc = term if acc is None else acc + term
+        b = po.radial(b) * (-0.5) + (-1.0) * b
+    return acc
+
+
+def test_w_operator_matches_radial_chain(all_preset_models):
+    rng = np.random.default_rng(23)
+    for name, model in all_preset_models.items():
+        a = random_annulus(rng, 4, model.inner_radius, scale=0.4)
+        for nu in (1, 2, 4):
+            got = w_operator(model.szego, 17, nu, 4, a)
+            want = _radial_chain_w_operator(model.szego, 17, nu, 4, a)
+            assert np.max(np.abs((got - want).coeffs)) <= 1e-13 * want.l1(), (name, nu)
+
+
+def test_terms_match_per_call_form(all_preset_models):
+    # the per-model moment table against the per-request products it replaced
+    rng = np.random.default_rng(29)
+    for name, model in all_preset_models.items():
+        sz = model.szego
+        M, rho = sz.omega_flat.bidegree, model.inner_radius
+        split = split_test_function(random_annulus(rng, 6, rho, scale=0.5))
+        order, N = model.order, 13
+        want = []
+        for nu in range(1, order + 1):
+            b = split.zero
+            for _ in range(nu):
+                b = po.radial(b) * (-0.5)
+            gnu = po.restrict_to_circle(b)
+            for j in range(order - nu + 1):
+                for k in range(order - nu - j + 1):
+                    a = po.multiply(po.lift_holomorphic(model.coeffs.X[j], M, rho),
+                                    po.conjugate_lift(model.coeffs.X[k], M, rho), cap=M)
+                    wk = w_operator(sz, N, nu, order, a)
+                    want.append(((nu, j, k), float(N) ** (-(nu + j + k)) * _circle_mean(gnu, wk)))
+        got = distributional_terms(model, split, N)
+        assert [idx for idx, _ in got] == [idx for idx, _ in want], name
+        l1 = sum(abs(v) for _, v in want)
+        dev = max(abs(g - w) for (_, g), (_, w) in zip(got, want))
+        assert dev <= 1e-13 * l1, (name, dev, l1)
+
+
+def test_expectation_forms_no_products(disk_alpha_model, monkeypatch):
+    # the weighted side comes from the model's moment table, built once
+    rng = np.random.default_rng(31)
+    split = split_test_function(random_annulus(rng, 6, disk_alpha_model.inner_radius))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("series.multiply called inside a request")
+
+    monkeypatch.setattr(series, "multiply", forbidden)
+    monkeypatch.setattr(laplace, "multiply", forbidden)
+    assert np.isfinite(distributional_expectation(disk_alpha_model, split, 20))

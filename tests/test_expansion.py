@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import planorth as po
-from planorth.errors import OutOfValidityError
+from planorth.errors import NonFiniteError, OutOfValidityError
 from planorth.oracle import ring_quadrature
 
 
@@ -148,3 +148,41 @@ def test_validity_enforcement(disk_alpha_model):
 def test_validity_radius_shape():
     assert po.validity_radius(10) == pytest.approx(1 - math.log(10) / 10)
     assert po.validity_radius(40, 2.0) == pytest.approx(1 - 2 * math.log(40) / 40)
+
+
+def test_normalized_is_leading_coeff_times_monic(all_preset_models):
+    for name, model in all_preset_models.items():
+        zeta = 1.3 * np.exp(1j * np.linspace(0.1, 6.0, 7))
+        z = model.map.psi(zeta)
+        for N in (4, 17, 60, 200):
+            want = po.leading_coeff(model, N) * po.monic_eval(model, N, z)
+            got = po.normalized_eval(model, N, z)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13, (name, N)
+
+
+def test_normalized_large_degree_log_domain(ellipse_exp_model):
+    # C_N = 1.5^(N+1) exp(-V(inf)) overflows a float from N ~ 1750; the
+    # unit-norm value does not need it, since kappa_N C_N = N^(1/2) D_N
+    model = ellipse_exp_model
+    for N in (2000, 10 ** 4):
+        t = np.linspace(-1.0, 2.0, 9)
+        z = model.map.psi((1.0 + t * math.log(N) / N) * np.exp(1j * np.linspace(0.2, 6.1, 9)))
+        zeta = po.map_forward(model.map, z)
+        partial = sum(float(N) ** -j * model.coeffs.X[j].evaluate(zeta)
+                      for j in range(model.order + 1))
+        log_val = (0.5 * math.log(N) + math.log(po.norm_factor(model, N)) + N * np.log(zeta)
+                   + model.szego.v_exterior.evaluate(zeta)
+                   - np.log(model.map.psi_prime(zeta)) + np.log(partial))
+        got = po.normalized_eval(model, N, z)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got / np.exp(log_val) - 1.0)) <= 1e-10, N
+        with pytest.raises(NonFiniteError):
+            po.monic_eval(model, N, z)
+
+
+def test_degree_checked_before_overflow(ellipse_exp_model):
+    for f in (po.monic_eval, po.normalized_eval):
+        with pytest.raises(OutOfValidityError):
+            f(ellipse_exp_model, 3, 3.0)
+    with pytest.raises(NonFiniteError):
+        po.monic_prefactor(ellipse_exp_model, 2000)

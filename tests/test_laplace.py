@@ -105,3 +105,46 @@ def test_norm_expansion_rejects_unsolved_order(disk_alpha_model):
     with pytest.raises(ValueError):
         po.norm_expansion(disk_alpha_model.szego, disk_alpha_model.coeffs,
                           disk_alpha_model.order + 1)
+
+
+def _product_form_norm_series(model):
+    """The squared-norm series as first implemented: sum the products
+    ``X_j conj(X_k)`` of each total order, multiply by ``Omega`` and apply
+    ``(-(r d/dr) - 2)`` once per derivative, weighting the ``m``-th by ``2^-m``."""
+    sz, order = model.szego, model.order
+    M = sz.omega_flat.bidegree
+    rho = sz.omega_flat.inner_radius
+    lifts = [po.lift_holomorphic(model.coeffs.X[j], M, rho) for j in range(order + 1)]
+    clifts = [po.conjugate_lift(model.coeffs.X[k], M, rho) for k in range(order + 1)]
+    c = np.zeros(order + 1, dtype=np.complex128)
+    for q in range(order + 1):
+        prod = None
+        for j in range(q + 1):
+            term = po.multiply(lifts[j], clifts[q - j], cap=M)
+            prod = term if prod is None else prod + term
+        a = po.multiply(prod, sz.omega_flat, cap=M)
+        for m in range(order - q + 1):
+            c[q + m] += (0.5 ** m) * po.restrict_to_circle(a).coeff(0)
+            a = -po.radial(a) + (-2.0) * a
+    return c.real, _ps_exp(-0.5 * _ps_log(c.real.astype(np.complex128))).real
+
+
+def test_norm_expansion_matches_product_form(all_preset_models):
+    # the moment table reads c_p off L^m = 2^-m (-(r d/dr) - 2)^m
+    for name, model in all_preset_models.items():
+        c, d = _product_form_norm_series(model)
+        assert np.max(np.abs(model.norm.raw - c[1:])) <= 1e-13, name
+        assert np.max(np.abs(model.norm.d - d[1:])) <= 1e-13, name
+        assert set(model.norm.moments) == {(j, k) for j in range(model.order + 1)
+                                           for k in range(model.order + 1 - j)}
+
+
+def test_moment_table_drops_no_mass():
+    # X_1 conj(X_0) Omega reaches past bidegree 24 by 1.3e-13 here; the table
+    # keeps the whole product (only its restriction is stored), so the build
+    # neither trips the truncation guard nor loses that mass
+    m = po.exterior_map(1.0, [0.0, 0.0, 0.0, complex(-0.0765155848155947, 0.08851194992952947)])
+    w = po.exp_re_poly_weight([0.0, complex(0.003318991724478022, 0.4895720831212811),
+                               complex(-0.3231695246045201, 0.24617173043809984)])
+    model = po.build_model(m, w, 1, bidegree=24, inner_radius=0.8682)
+    assert abs(model.norm.d[0] - 0.5) <= 1e-14

@@ -5,7 +5,7 @@ import pytest
 
 import planorth as po
 from planorth.errors import ConvergenceError, DomainError, TruncationOverflowError
-from planorth.series import SUPPORT_EXTERIOR_VANISHING
+from planorth.series import SUPPORT_EXTERIOR_VANISHING, radial_moments
 
 from conftest import random_annulus, random_circle
 
@@ -206,3 +206,14 @@ def test_annulus_evaluation_matches_coefficientwise():
 def test_support_tag_validation():
     with pytest.raises(ValueError):
         po.CircleSeries(np.array([0.0, 0.0, 1.0]), SUPPORT_EXTERIOR_VANISHING)
+
+
+def test_radial_moments_match_repeated_radial():
+    rng = np.random.default_rng(41)
+    a = random_annulus(rng, 5, RHO)
+    for shift in (0.0, 1.0):
+        b = a
+        for mu, got in enumerate(radial_moments(a, shift, 3)):
+            want = po.restrict_to_circle(b)
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12 * max(1.0, want.l1()), mu
+            b = po.radial(b) * (-0.5) + (-shift) * b
