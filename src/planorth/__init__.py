@@ -23,11 +23,12 @@ from .hierarchy import (HierarchyCoeffs, exterior_projection, hierarchy_residual
                         weighted_derivative)
 from .laplace import JetAtZero, NormExpansion, norm_expansion, watson_sum, weighted_moments
 from .expansion import (ExpansionModel, build_model, canonical_position, leading_coeff,
-                        monic_eval, monic_prefactor, norm_factor, normalized_eval,
-                        validity_radius)
+                        monic_at, monic_eval, monic_prefactor, norm_factor, normalized_at,
+                        normalized_eval, validity_radius)
 from .oracle import (OraclePolynomials, QuadratureRule, berezin_expectation,
-                     build_quadrature, holomorphic_pairing, l2_discrepancy, oracle_kernel,
-                     oracle_onps, ring_quadrature, smoothstep)
+                     berezin_expectations, build_quadrature, holomorphic_pairing,
+                     l2_discrepancies, l2_discrepancy, oracle_kernel, oracle_onps,
+                     ring_quadrature, smoothstep)
 from .distributional import (TestFunctionSplit, distributional_expectation,
                              distributional_terms, split_test_function, w_operator)
 from .kernels import (OffSpectralPoint, bw_kernel_diag, off_spectral_point,

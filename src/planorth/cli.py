@@ -21,12 +21,12 @@ from .distributional import (distributional_expectation, distributional_terms,
                              split_test_function)
 from .errors import (ConfigError, NonFiniteError, OffSpectralError, OutOfValidityError,
                      PlanorthError, stage)
-from .expansion import (build_model, leading_coeff, monic_eval, monic_prefactor,
-                        normalized_eval, positioning_factor, validity_radius)
+from .expansion import (build_model, leading_coeff, monic_at, monic_eval, monic_prefactor,
+                        normalized_at, positioning_factor, validity_radius)
 from .geometry import load_domain_config, map_forward_many
 from .hierarchy import hierarchy_residual
 from .kernels import bw_kernel_diag, off_spectral_point, offspectral_leading
-from .oracle import (berezin_expectation, build_quadrature, l2_discrepancy, oracle_kernel,
+from .oracle import (berezin_expectations, build_quadrature, l2_discrepancies, oracle_kernel,
                      oracle_onps)
 from .series import annulus_from_terms
 
@@ -216,8 +216,8 @@ def cmd_eval(cfg: dict, exp: dict, outdir: Path) -> int:
     model = _build(cfg, exp["kappa"])
     results = []
     rows = []
+    zeta, ok = map_forward_many(model.map, np.array(exp["points"], dtype=complex))
     for N in exp["N"]:
-        zeta, ok = map_forward_many(model.map, np.array(exp["points"], dtype=complex))
         for z, zz, k in zip(exp["points"], zeta, ok):
             valid = bool(k and abs(zz) >= validity_radius(N, model.validity_constant))
             if not valid and not exp["allow_out_of_validity"]:
@@ -225,8 +225,8 @@ def cmd_eval(cfg: dict, exp: dict, outdir: Path) -> int:
                     f"point {z} outside the validity region at degree {N} "
                     "(set allow_out_of_validity to flag instead)")
             if valid:
-                mv = monic_eval(model, N, z)
-                nv = normalized_eval(model, N, z)
+                mv = complex(monic_at(model, N, zz))
+                nv = complex(normalized_at(model, N, zz))
                 if not (np.isfinite(mv) and np.isfinite(nv)):
                     raise NonFiniteError(f"eval at N={N}, point {z}: monic {mv}, normalized {nv}")
                 results.append({"N": N, "point": _c2l(z), "valid": True,
@@ -258,7 +258,7 @@ def cmd_oracle(cfg: dict, exp: dict, outdir: Path) -> int:
     model = _build(cfg, exp["kappa"])
     N_max = max(exp["N"])
     rule, polys = _oracle_for(cfg, exp, model, N_max)
-    vals = polys.evaluate(rule.nodes)
+    vals = polys.at_rule(rule)
     wq = rule.weights[:, None] * vals
     gram = vals.conj().T @ wq
     per_degree = [float(np.max(np.abs(gram[: n + 1, n] - np.eye(N_max + 1)[: n + 1, n])))
@@ -291,15 +291,15 @@ def cmd_verify(cfg: dict, exp: dict, outdir: Path) -> int:
     N_max = max(exp["N"])
     rule, polys = _oracle_for(cfg, exp, model, N_max)
     zeta0 = map_forward_many(model.map, np.array([z0]))[0][0]
+    p0 = polys.evaluate(np.array([z0]))[0]
 
+    pairs = [(N, kappa) for kappa in range(exp["kappa"] + 1) for N in exp["N"]]
     rows = []
-    for kappa in range(exp["kappa"] + 1):
-        for N in exp["N"]:
-            scale = monic_prefactor(model, N) * abs(positioning_factor(model, N, zeta0))
-            perr = abs(polys.monic(z0, N) - monic_eval(model, N, z0, order=kappa)) / scale
-            l2 = l2_discrepancy(model, polys, rule, N, order=kappa)
-            krel = abs(leading_coeff(model, N, kappa) / polys.kappa[N] - 1.0)
-            rows.append([N, kappa, perr, l2, krel])
+    for (N, kappa), l2 in zip(pairs, l2_discrepancies(model, polys, rule, pairs)):
+        scale = monic_prefactor(model, N) * abs(positioning_factor(model, N, zeta0))
+        perr = abs(p0[N] / polys.kappa[N] - monic_eval(model, N, z0, order=kappa)) / scale
+        krel = abs(leading_coeff(model, N, kappa) / polys.kappa[N] - 1.0)
+        rows.append([N, kappa, perr, float(l2), krel])
 
     slopes = {}
     passed = True
@@ -349,9 +349,9 @@ def cmd_distributional(cfg: dict, exp: dict, outdir: Path) -> int:
     N_max = max(exp["N"])
     rule, polys = _oracle_for(cfg, exp, model, N_max)
     rows = []
-    for N in exp["N"]:
+    for N, ov in zip(exp["N"], berezin_expectations(model, polys, rule, g, exp["N"])):
         val = distributional_expectation(model, split, N, order=exp["kappa"])
-        ov = berezin_expectation(model, polys, rule, g, N)
+        ov = complex(ov)
         rows.append([N, val.real, val.imag, ov.real, ov.imag, abs(val - ov)])
     term_table = [{"nu": idx[0], "j": idx[1], "k": idx[2], "value": _c2l(v)}
                   for idx, v in distributional_terms(model, split, max(exp["N"]),

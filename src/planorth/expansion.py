@@ -109,36 +109,63 @@ def leading_coeff(model: ExpansionModel, N: int, order: int | None = None) -> fl
     return float(math.sqrt(N) * norm_factor(model, N, order) / monic_prefactor(model, N))
 
 
+def position_frame(model: ExpansionModel, zeta) -> np.ndarray:
+    """Degree-free part ``phi'(z) e^V(z)`` of the positioning factor at ``z = psi(zeta)``."""
+    return phi_prime(model.map, zeta) * np.exp(model.szego.v_exterior.evaluate(zeta))
+
+
 def positioning_factor(model: ExpansionModel, N: int, zeta) -> np.ndarray:
     """Factor ``phi'(z) phi(z)^N e^V(z)`` at the points ``z = psi(zeta)``."""
-    return (phi_prime(model.map, zeta) * zeta ** N
-            * np.exp(model.szego.v_exterior.evaluate(zeta)))
+    return position_frame(model, zeta) * zeta ** N
+
+
+def position_at(model: ExpansionModel, f: CircleSeries, N: int, zeta, frame=None):
+    """The positioning operator at mapped points ``zeta = phi(z)``:
+    ``phi'(z) phi(z)^N e^V(z) f(phi(z))``.  ``frame`` is
+    ``position_frame(model, zeta)`` when the caller already holds it."""
+    frame = position_frame(model, zeta) if frame is None else frame
+    return frame * zeta ** N * f.evaluate(zeta)
+
+
+def _map_checked(model: ExpansionModel, N: int, z, check_validity: bool) -> np.ndarray:
+    zeta, ok = map_forward_many(model.map, np.atleast_1d(np.asarray(z, dtype=np.complex128)))
+    _require_valid(model, N, zeta, ok, check_validity)
+    return zeta
 
 
 def canonical_position(model: ExpansionModel, f: CircleSeries, N: int, z,
                        check_validity: bool = False):
     """Apply the positioning operator: ``phi'(z) phi(z)^N e^V(z) f(phi(z))``."""
-    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    zeta, ok = map_forward_many(model.map, zs)
-    _require_valid(model, N, zeta, ok, check_validity)
-    vals = positioning_factor(model, N, zeta) * f.evaluate(zeta)
+    vals = position_at(model, f, N, _map_checked(model, N, z, check_validity))
     return vals if np.ndim(z) else complex(vals[0])
+
+
+def monic_at(model: ExpansionModel, N: int, zeta, order: int | None = None):
+    """Asymptotic monic polynomial of degree ``N`` at mapped points ``zeta = phi(z)``
+    (the degree is checked, the validity region is the caller's)."""
+    _require_degree(N)
+    return monic_prefactor(model, N) * position_at(
+        model, neumann_partial_sum(model.coeffs, N, order), N, zeta)
+
+
+def normalized_at(model: ExpansionModel, N: int, zeta, order: int | None = None, frame=None):
+    """Asymptotic unit-norm polynomial of degree ``N`` at mapped points
+    ``zeta = phi(z)``: the positioned partial sum times ``kappa_N C_N = N^(1/2) D_N``,
+    so ``C_N`` is never formed.  ``frame`` as in :func:`position_at`."""
+    _require_degree(N)
+    return math.sqrt(N) * norm_factor(model, N, order) * position_at(
+        model, neumann_partial_sum(model.coeffs, N, order), N, zeta, frame)
 
 
 def monic_eval(model: ExpansionModel, N: int, z, order: int | None = None,
                check_validity: bool = True):
     """Asymptotic value of the monic orthogonal polynomial of degree ``N``."""
-    _require_degree(N)
-    vals = canonical_position(model, neumann_partial_sum(model.coeffs, N, order), N, z,
-                              check_validity)
-    return monic_prefactor(model, N) * vals
+    vals = monic_at(model, N, _map_checked(model, N, z, check_validity), order)
+    return vals if np.ndim(z) else complex(vals[0])
 
 
 def normalized_eval(model: ExpansionModel, N: int, z, order: int | None = None,
                     check_validity: bool = True):
-    """Asymptotic value of the unit-norm orthogonal polynomial of degree ``N``
-    (``kappa_N C_N = N^(1/2) D_N``, so ``C_N`` is never formed)."""
-    _require_degree(N)
-    vals = canonical_position(model, neumann_partial_sum(model.coeffs, N, order), N, z,
-                              check_validity)
-    return math.sqrt(N) * norm_factor(model, N, order) * vals
+    """Asymptotic value of the unit-norm orthogonal polynomial of degree ``N``."""
+    vals = normalized_at(model, N, _map_checked(model, N, z, check_validity), order)
+    return vals if np.ndim(z) else complex(vals[0])

@@ -38,12 +38,15 @@ def outer_rho(m: ExteriorMap, point: OffSpectralPoint, z):
     is zero-free and nonvanishing at infinity (hence outer on the exterior),
     and at ``z = w`` takes the positive value ``|a| (|a|^2 - 1)^(-1/2)``.
     """
-    a = point.image
-    zeta = map_forward(m, z)
-    zeta = np.asarray(zeta, dtype=np.complex128)
-    vals = (math.sqrt(abs(a) ** 2 - 1.0) * np.conj(a) * zeta
-            / (abs(a) * (np.conj(a) * zeta - 1.0)))
+    vals = _outer_rho_at(point, np.asarray(map_forward(m, z), dtype=np.complex128))
     return vals if np.ndim(z) else complex(vals)
+
+
+def _outer_rho_at(point: OffSpectralPoint, zeta: np.ndarray) -> np.ndarray:
+    """:func:`outer_rho` at mapped points ``zeta = phi(z)``."""
+    a = point.image
+    return (math.sqrt(abs(a) ** 2 - 1.0) * np.conj(a) * zeta
+            / (abs(a) * (np.conj(a) * zeta - 1.0)))
 
 
 def offspectral_leading(model: ExpansionModel, point: OffSpectralPoint, N: int, z):
@@ -51,7 +54,7 @@ def offspectral_leading(model: ExpansionModel, point: OffSpectralPoint, N: int, 
     unimodular phase: ``N^(1/2) rho_w(z) phi'(z) phi(z)^N e^V(z)``."""
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     zeta = np.asarray(map_forward(model.map, zs), dtype=np.complex128)
-    vals = (math.sqrt(N) * outer_rho(model.map, point, zs)
+    vals = (math.sqrt(N) * _outer_rho_at(point, zeta)
             * positioning_factor(model, N, zeta))
     return vals if np.ndim(z) else complex(vals[0])
 

@@ -11,7 +11,14 @@ is the previous orthonormal one multiplied by the coordinate, then
 orthogonalized with two passes of classical Gram-Schmidt against all earlier
 ones.  This avoids the catastrophic conditioning of raw monomial input and
 reaches degree 40+ in double precision, with the recurrence data kept for
-stable evaluation anywhere in the plane.
+stable evaluation anywhere in the plane.  The orthonormal basis itself is kept
+too: column ``n`` is ``P_n`` at the nodes of the rule it was built on.
+
+Comparisons against the expansion take their node data once per rule: the
+batch forms :func:`l2_discrepancies` and :func:`berezin_expectations` map the
+nodes once, read ``P_N`` from the kept basis and evaluate the degree-free
+factors ``phi'``, ``e^V`` and ``g o phi`` once, so each further degree or order
+costs ``O(nodes)``.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DegreeTooHighError, DomainError, NonStarlikeError, PositivityError
-from .expansion import ExpansionModel, normalized_eval, positioning_factor
+from .expansion import ExpansionModel, normalized_at, position_frame, positioning_factor
 from .geometry import ExteriorMap, WeightSpec, map_forward_many
 from .series import CircleSeries
 
@@ -147,7 +154,8 @@ class OraclePolynomials:
     ``P_0 .. P_{n-1}`` with the normalizing entry on the subdiagonal,
     ``kappa[n]`` the positive leading coefficients, and ``coeff_table[:, n]``
     the monomial coefficients of ``P_n``.  ``gram_residual`` is the largest
-    deviation of the discrete Gram matrix from the identity.
+    deviation of the discrete Gram matrix from the identity.  ``basis[:, n]``
+    holds ``P_n`` at the nodes of ``rule``, the rule it was orthonormalized on.
     """
 
     degree: int
@@ -155,7 +163,8 @@ class OraclePolynomials:
     kappa: np.ndarray
     coeff_table: np.ndarray
     gram_residual: float
-    rule_meta: dict = field(default_factory=dict)
+    rule: QuadratureRule = field(repr=False)
+    basis: np.ndarray = field(repr=False)
 
     def evaluate(self, z, upto: int | None = None) -> np.ndarray:
         """Values ``P_0(z) .. P_upto(z)``, shape ``(len(z), upto+1)``."""
@@ -169,6 +178,15 @@ class OraclePolynomials:
                 acc = acc - self.hess[j, n - 1] * out[:, j]
             out[:, n] = acc / self.hess[n, n - 1]
         return out
+
+    def at_rule(self, rule: QuadratureRule, degrees=None) -> np.ndarray:
+        """Values ``P_n`` at the nodes of ``rule`` for ``n`` in ``degrees``
+        (default all), shape ``(nodes, len(degrees))``: columns of ``basis`` on
+        the rule the polynomials were built on, the recurrence elsewhere."""
+        if rule is self.rule:
+            return self.basis if degrees is None else self.basis[:, degrees]
+        degrees = list(range(self.degree + 1)) if degrees is None else degrees
+        return self.evaluate(rule.nodes, upto=max(degrees))[:, degrees]
 
     def eval_single(self, z, n: int) -> np.ndarray:
         return self.evaluate(z, upto=n)[:, n] if np.ndim(z) else self.evaluate(z, upto=n)[0, n]
@@ -191,7 +209,7 @@ def oracle_onps(rule: QuadratureRule, N: int, gram_tol: float = 1e-8) -> OracleP
             f"rule sized for degree {ndeg} cannot orthogonalize to degree {N}")
     z = rule.nodes
     w = rule.weights
-    Q = np.empty((z.size, N + 1), dtype=np.complex128)
+    Q = np.empty((z.size, N + 1), dtype=np.complex128, order="F")
     hess = np.zeros((N + 1, N), dtype=np.complex128)
     kappa = np.empty(N + 1, dtype=float)
     mass = float(np.sum(w))
@@ -201,7 +219,7 @@ def oracle_onps(rule: QuadratureRule, N: int, gram_tol: float = 1e-8) -> OracleP
         v = z * Q[:, n - 1]
         h = np.zeros(n, dtype=np.complex128)
         for _ in range(2):  # two-pass classical Gram-Schmidt
-            proj = Q[:, :n].conj().T @ (w * v)
+            proj = ((w * v).conj() @ Q[:, :n]).conj()
             v = v - Q[:, :n] @ proj
             h += proj
         nrm = math.sqrt(abs(np.sum(w * v * np.conj(v)).real))
@@ -212,7 +230,8 @@ def oracle_onps(rule: QuadratureRule, N: int, gram_tol: float = 1e-8) -> OracleP
         hess[n, n - 1] = nrm
         kappa[n] = kappa[n - 1] / nrm
 
-    gram = Q.conj().T @ (w[:, None] * Q)
+    wq = w[:, None] * Q
+    gram = np.conj(wq, out=wq).T @ Q
     gram_residual = float(np.max(np.abs(gram - np.eye(N + 1))))
     if gram_residual > gram_tol:
         raise DegreeTooHighError(
@@ -227,7 +246,7 @@ def oracle_onps(rule: QuadratureRule, N: int, gram_tol: float = 1e-8) -> OracleP
         shifted[:n] -= coeff[:n, :n] @ hess[:n, n - 1]
         coeff[:, n] = shifted / hess[n, n - 1]
     return OraclePolynomials(degree=N, hess=hess, kappa=kappa, coeff_table=coeff,
-                             gram_residual=gram_residual, rule_meta=dict(rule.meta))
+                             gram_residual=gram_residual, rule=rule, basis=Q)
 
 
 def oracle_kernel(polys: OraclePolynomials, z, w, upto: int | None = None) -> complex:
@@ -254,6 +273,27 @@ def _cutoff(model: ExpansionModel, z: np.ndarray, rho1: float | None, rho2: floa
     return zeta, chi, chi > 0.0
 
 
+def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, rule: QuadratureRule,
+                     pairs, rho1: float | None = None, rho2: float | None = None) -> np.ndarray:
+    """:func:`l2_discrepancy` for each ``(N, order)`` in ``pairs``.
+
+    The nodes are mapped once, ``phi' e^V`` is evaluated once and ``P_N`` is
+    read once per degree; each pair adds ``phi^N``, its partial sum and one
+    weighted sum over the nodes."""
+    pairs = list(pairs)
+    degrees = sorted({N for N, _ in pairs})
+    zeta, chi, sel = _cutoff(model, rule.nodes, rho1, rho2)
+    zeta, chi_sel = zeta[sel], chi[sel]
+    frame = position_frame(model, zeta)
+    P = polys.at_rule(rule, degrees)
+    out = np.empty(len(pairs))
+    for i, (N, order) in enumerate(pairs):
+        diff = P[:, degrees.index(N)].copy()
+        diff[sel] -= chi_sel * normalized_at(model, N, zeta, order, frame)
+        out[i] = math.sqrt(abs(rule.integrate(np.abs(diff) ** 2).real))
+    return out
+
+
 def l2_discrepancy(model: ExpansionModel, polys: OraclePolynomials, rule: QuadratureRule,
                    N: int, order: int | None = None, rho1: float | None = None,
                    rho2: float | None = None) -> float:
@@ -264,14 +304,20 @@ def l2_discrepancy(model: ExpansionModel, polys: OraclePolynomials, rule: Quadra
     ``[rho1, rho2]`` (defaults ``rho + 0.05``, ``rho + 0.15``); the expansion
     is extended by zero where ``chi0`` vanishes.
     """
-    z = rule.nodes
-    P = polys.eval_single(z, N)
-    _, chi, sel = _cutoff(model, z, rho1, rho2)
-    F = np.zeros_like(P)
-    if np.any(sel):
-        F[sel] = normalized_eval(model, N, z[sel], order=order, check_validity=False)
-    diff2 = np.abs(P - chi * F) ** 2
-    return float(math.sqrt(abs(rule.integrate(diff2).real)))
+    return float(l2_discrepancies(model, polys, rule, [(N, order)], rho1, rho2)[0])
+
+
+def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, rule: QuadratureRule,
+                         g, degrees, rho1: float | None = None,
+                         rho2: float | None = None) -> np.ndarray:
+    """:func:`berezin_expectation` for each ``N`` in ``degrees``: the nodes
+    are mapped and ``G`` evaluated once, each degree adds one weighted sum."""
+    degrees = list(degrees)
+    zeta, chi, sel = _cutoff(model, rule.nodes, rho1, rho2)
+    G = np.zeros(rule.nodes.shape, dtype=np.complex128)
+    G[sel] = chi[sel] * g.evaluate(zeta[sel])
+    P = polys.at_rule(rule, degrees)
+    return np.array([rule.integrate(G * np.abs(P[:, i]) ** 2) for i in range(len(degrees))])
 
 
 def berezin_expectation(model: ExpansionModel, polys: OraclePolynomials, rule: QuadratureRule,
@@ -281,13 +327,7 @@ def berezin_expectation(model: ExpansionModel, polys: OraclePolynomials, rule: Q
     test function ``G(z) = chi0(|phi(z)|) g(phi(z))``: the annulus test data
     tapered to zero deep inside the domain by the smoothstep on
     ``[rho1, rho2]``.  Near the boundary ``G`` agrees with ``g o phi``."""
-    z = rule.nodes
-    zeta, chi, sel = _cutoff(model, z, rho1, rho2)
-    G = np.zeros(z.shape, dtype=np.complex128)
-    if np.any(sel):
-        G[sel] = chi[sel] * g.evaluate(zeta[sel])
-    P = polys.eval_single(z, N)
-    return rule.integrate(G * np.abs(P) ** 2)
+    return complex(berezin_expectations(model, polys, rule, g, [N], rho1, rho2)[0])
 
 
 def holomorphic_pairing(model: ExpansionModel, polys: OraclePolynomials, g: CircleSeries,

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, TruncationOverflowError
 
 DEFAULT_TRUNC_TOL = 1e-13
+EVAL_CHUNK = 4096   # points per block in AnnulusSeries.evaluate
 
 # Mode-support tags for CircleSeries.
 SUPPORT_GENERAL = "general"
@@ -89,14 +90,18 @@ class AnnulusSeries:
         return AnnulusSeries(np.conj(self.coeffs).T, self.inner_radius, self.trunc_mass)
 
     def evaluate(self, z) -> np.ndarray:
-        """Evaluate at points ``z`` (annulus points; vectorized)."""
-        zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-        M = self.bidegree
-        exps = np.arange(-M, M + 1)
-        zp = zs[:, None] ** exps[None, :]
-        wp = np.conj(zs)[:, None] ** exps[None, :]
-        vals = np.einsum("pm,mn,pn->p", zp, self.coeffs, wp)
-        return vals if np.ndim(z) else vals[0]
+        """Evaluate at points ``z`` (annulus points; vectorized).
+
+        Points are taken ``EVAL_CHUNK`` at a time, so the power matrices
+        never exceed ``EVAL_CHUNK x (2M+1)`` whatever the number of points."""
+        zs = np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()
+        exps = np.arange(-self.bidegree, self.bidegree + 1)
+        vals = np.empty(zs.shape, dtype=np.complex128)
+        for lo in range(0, zs.size, EVAL_CHUNK):
+            zp = zs[lo:lo + EVAL_CHUNK, None] ** exps
+            # conj(z)^n = conj(z^n)
+            vals[lo:lo + EVAL_CHUNK] = np.sum((zp @ self.coeffs) * zp.conj(), axis=1)
+        return vals.reshape(np.shape(z)) if np.ndim(z) else vals[0]
 
     def __add__(self, other):
         if isinstance(other, AnnulusSeries):
@@ -321,10 +326,21 @@ class CircleSeries:
         return CircleSeries(np.conj(self.coeffs)[::-1], SUPPORT_GENERAL)
 
     def evaluate(self, z) -> np.ndarray:
+        """Evaluate at points ``z`` by Horner's scheme in ``z`` (modes
+        ``k >= 0``) and in ``1/z`` (modes ``k < 0``), over the nonzero modes."""
         zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
         K = self.bandwidth
-        exps = np.arange(-K, K + 1)
-        vals = (zs[:, None] ** exps[None, :]) @ self.coeffs
+        nz = np.flatnonzero(self.coeffs)
+        lo, hi = (nz[0] - K, nz[-1] - K) if nz.size else (0, 0)
+        vals = np.zeros(zs.shape, dtype=np.complex128)
+        for k in range(hi, -1, -1):
+            vals = vals * zs + self.coeffs[K + k]
+        if lo < 0:
+            w = 1.0 / zs
+            neg = np.zeros(zs.shape, dtype=np.complex128)
+            for k in range(lo, 0):
+                neg = (neg + self.coeffs[K + k]) * w
+            vals = vals + neg
         return vals if np.ndim(z) else vals[0]
 
     def __add__(self, other):

@@ -1,10 +1,14 @@
 import json
+import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
-from planorth import cli
+from planorth import cli, geometry
 from planorth.errors import NonFiniteError
+from planorth.kernels import off_spectral_point, offspectral_leading
+from planorth.oracle import OraclePolynomials
 from planorth.presets import preset_config
 
 
@@ -245,3 +249,70 @@ def test_fractional_degree_on_command_line(tmp_path):
 def test_fractional_kappa_in_config(tmp_path):
     cfg = write_config(tmp_path, kappa=2.5)
     assert run(["expand", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
+@pytest.fixture
+def mapped_points(monkeypatch):
+    """Every point sent through ``map_forward_many``, whichever planorth module
+    calls it: one array per call."""
+    calls = []
+    original = geometry.map_forward_many
+
+    def counting(m, zs, *args, **kwargs):
+        calls.append(np.array(zs, dtype=complex).ravel())
+        return original(m, zs, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("planorth") and getattr(module, "map_forward_many", None) is original:
+            monkeypatch.setattr(module, "map_forward_many", counting)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["verify", "distributional"])
+def test_oracle_commands_map_each_node_once(tmp_path, monkeypatch, mapped_points, command):
+    rules, node_evaluations = [], []
+    build, evaluate = cli.build_quadrature, OraclePolynomials.evaluate
+
+    def keep_rule(*args, **kwargs):
+        rules.append(build(*args, **kwargs))
+        return rules[-1]
+
+    def watch_evaluate(self, z, upto=None):
+        node_evaluations.append(bool(np.isin(np.ravel(z), self.rule.nodes).any()))
+        return evaluate(self, z, upto)
+
+    monkeypatch.setattr(cli, "build_quadrature", keep_rule)
+    monkeypatch.setattr(OraclePolynomials, "evaluate", watch_evaluate)
+    cfg = write_config(tmp_path, "ellipse-expre", N=[8, 12, 16, 24], points=[[2.5, 0.5]],
+                       test_function={"terms": [[0, 0, 0.5, 0.0], [1, 1, 0.2, 0.0]]})
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 0
+    (rule,) = rules
+    mapped = np.concatenate(mapped_points)
+    # 4 degrees x 3 orders (verify) or 4 degrees (distributional), yet each
+    # node is mapped exactly once
+    assert np.count_nonzero(np.isin(mapped, rule.nodes)) == rule.nodes.size
+    assert np.isin(rule.nodes, mapped).all()
+    assert not any(node_evaluations)
+
+
+def test_offspectral_leading_maps_each_point_once(ellipse_exp_model, mapped_points):
+    point = off_spectral_point(ellipse_exp_model.map, 2.5 + 0.3j)
+    mapped_points.clear()
+    z = ellipse_exp_model.map.psi(1.2 * np.exp(2j * np.pi * np.arange(256) / 256))
+    offspectral_leading(ellipse_exp_model, point, 64, z)
+    assert sum(c.size for c in mapped_points) == 256
+
+
+def test_eval_maps_each_point_once(tmp_path, monkeypatch, mapped_points):
+    build = cli.build_model
+
+    def build_then_clear(*args, **kwargs):
+        model = build(*args, **kwargs)
+        mapped_points.clear()
+        return model
+
+    monkeypatch.setattr(cli, "build_model", build_then_clear)
+    cfg = write_config(tmp_path, "ellipse-expre", N=[8, 16, 32],
+                       points=[[2.0, 0.0], [0.3, 1.6]])
+    assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert sum(c.size for c in mapped_points) == 2

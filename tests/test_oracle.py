@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import planorth as po
-from planorth.errors import DegreeTooHighError, NonStarlikeError
-from planorth.oracle import berezin_expectation, holomorphic_pairing, smoothstep
+from planorth.errors import DegreeTooHighError, NonStarlikeError, OutOfValidityError
+from planorth.geometry import map_forward_many
+from planorth.oracle import (berezin_expectation, berezin_expectations, holomorphic_pairing,
+                             l2_discrepancies, smoothstep)
 
 
 def test_disk_mass_and_moment(disk_const_model):
@@ -153,3 +155,61 @@ def test_berezin_constant_function(disk_alpha_model, disk_alpha_oracle):
         v = berezin_expectation(disk_alpha_model, polys, rule, one, N)
         # the taper removes only exponentially little of the unit mass
         assert abs(v - 1.0) <= 5e-4
+
+
+def _per_degree_cutoff(model, rule):
+    zeta, ok = map_forward_many(model.map, rule.nodes)
+    rho = model.inner_radius
+    chi = smoothstep(np.where(ok, np.abs(zeta), 0.0), rho + 0.05, rho + 0.15)
+    return zeta, chi, chi > 0.0
+
+
+def _l2_per_degree(model, polys, rule, N, order):
+    """The per-degree form: map the nodes and evaluate the expansion at this N only."""
+    _, chi, sel = _per_degree_cutoff(model, rule)
+    F = np.zeros(rule.nodes.shape, dtype=complex)
+    F[sel] = po.normalized_eval(model, N, rule.nodes[sel], order=order, check_validity=False)
+    return math.sqrt(rule.integrate(np.abs(polys.basis[:, N] - chi * F) ** 2).real)
+
+
+def _berezin_per_degree(model, polys, rule, g, N):
+    zeta, chi, sel = _per_degree_cutoff(model, rule)
+    G = np.zeros(rule.nodes.shape, dtype=complex)
+    G[sel] = chi[sel] * g.evaluate(zeta[sel])
+    return rule.integrate(G * np.abs(polys.basis[:, N]) ** 2)
+
+
+@pytest.mark.parametrize("fixture", ["disk_alpha", "ellipse_exp"])
+def test_batch_forms_match_per_degree_forms(request, fixture):
+    model = request.getfixturevalue(f"{fixture}_model")
+    rule, polys = request.getfixturevalue(f"{fixture}_oracle")
+    pairs = [(N, order) for order in (0, 2, 4) for N in (8, 16, 24, 32)]
+    batch = l2_discrepancies(model, polys, rule, pairs)
+    for (N, order), got in zip(pairs, batch):
+        want = _l2_per_degree(model, polys, rule, N, order)
+        assert abs(got - want) <= 1e-13 * want, (N, order)
+        assert po.l2_discrepancy(model, polys, rule, N, order=order) == got
+    g = po.annulus_from_terms({(0, 0): 0.2, (1, 1): 0.3, (1, 0): 0.1 - 0.2j, (0, 1): 0.1 + 0.2j,
+                               (2, -1): 0.05j, (-1, 2): -0.05j}, 8, model.inner_radius)
+    degrees = [8, 16, 32]
+    batch = berezin_expectations(model, polys, rule, g, degrees)
+    for N, got in zip(degrees, batch):
+        want = _berezin_per_degree(model, polys, rule, g, N)
+        assert abs(got - want) <= 1e-13 * abs(want), N
+        assert berezin_expectation(model, polys, rule, g, N) == got
+
+
+def test_basis_is_the_recurrence_at_the_nodes(disk_alpha_model, disk_alpha_oracle):
+    rule, polys = disk_alpha_oracle
+    assert polys.rule is rule and polys.basis.shape == (rule.nodes.size, polys.degree + 1)
+    # a rule that is not the one the basis was built on goes through the recurrence
+    twin = po.build_quadrature(disk_alpha_model.map, disk_alpha_model.weight, degree=82)
+    got = polys.at_rule(twin, [0, 12, 40])
+    want = polys.basis[:, [0, 12, 40]]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_batch_l2_checks_the_degree(disk_alpha_model, disk_alpha_oracle):
+    rule, polys = disk_alpha_oracle
+    with pytest.raises(OutOfValidityError):
+        l2_discrepancies(disk_alpha_model, polys, rule, [(8, 1), (3, 1)])

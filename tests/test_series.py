@@ -5,7 +5,7 @@ import pytest
 
 import planorth as po
 from planorth.errors import ConvergenceError, DomainError, TruncationOverflowError
-from planorth.series import SUPPORT_EXTERIOR_VANISHING, radial_moments
+from planorth.series import EVAL_CHUNK, SUPPORT_EXTERIOR_VANISHING, radial_moments
 
 from conftest import random_annulus, random_circle
 
@@ -217,3 +217,44 @@ def test_radial_moments_match_repeated_radial():
             want = po.restrict_to_circle(b)
             assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12 * max(1.0, want.l1()), mu
             b = po.radial(b) * (-0.5) + (-shift) * b
+
+
+@pytest.mark.parametrize("K", [0, 1, 7, 48])
+def test_circle_horner_matches_power_matrix(K):
+    rng = np.random.default_rng(51 + K)
+    z = (np.exp(rng.uniform(math.log(0.5), math.log(2.0), 400))
+         * np.exp(2j * np.pi * rng.random(400)))
+    for c in (random_circle(rng, K),
+              po.CircleSeries(np.where(np.arange(2 * K + 1) <= K, 1.0, 0.0) * (1 + 0.5j)),
+              po.CircleSeries(np.where(np.arange(2 * K + 1) >= K, 1.0, 0.0) * (0.3 - 1j))):
+        powers = z[:, None] ** np.arange(-K, K + 1)
+        want = powers @ c.coeffs
+        scale = np.abs(powers) @ np.abs(c.coeffs)
+        assert np.max(np.abs(c.evaluate(z) - want) / np.maximum(scale, 1e-300)) <= 1e-13
+    zero = po.circle_zeros(K)
+    assert np.all(zero.evaluate(z) == 0.0)
+
+
+def test_circle_evaluate_scalar_and_empty():
+    c = po.circle_from_modes({-2: 0.5, 0: 1.0, 3: 0.25j}, 4)
+    z = 1.1 * np.exp(0.7j)
+    got = c.evaluate(z)
+    assert np.ndim(got) == 0
+    assert abs(got - (0.5 * z ** -2 + 1.0 + 0.25j * z ** 3)) <= 1e-15 * 3
+    assert c.evaluate(np.array([z])).shape == (1,)
+    assert c.evaluate(np.zeros(0, dtype=complex)).shape == (0,)
+
+
+@pytest.mark.parametrize("size", [0, 1, EVAL_CHUNK, EVAL_CHUNK + 1])
+def test_annulus_chunked_evaluate_matches_einsum(size):
+    rng = np.random.default_rng(61)
+    a = random_annulus(rng, 6, RHO)
+    z = rng.uniform(RHO, 1 / RHO, size) * np.exp(2j * np.pi * rng.random(size))
+    exps = np.arange(-6, 7)
+    zp, wp = z[:, None] ** exps, np.conj(z)[:, None] ** exps
+    want = np.einsum("pm,mn,pn->p", zp, a.coeffs, wp)
+    scale = np.einsum("pm,mn,pn->p", np.abs(zp), np.abs(a.coeffs), np.abs(wp))
+    got = a.evaluate(z)
+    assert got.shape == (size,)
+    if size:
+        assert np.max(np.abs(got - want) / scale) <= 1e-13
