@@ -103,15 +103,30 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-def _integer(value, what: str) -> int:
-    """An integral JSON number or command-line string as an int."""
+def _number(value, what: str) -> float:
+    """A finite JSON number or command-line string as a float."""
     try:
         x = float(value)
     except (TypeError, ValueError):
         x = math.nan
-    if isinstance(value, bool) or not x.is_integer():
+    if isinstance(value, bool) or not math.isfinite(x):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return x
+
+
+def _integer(value, what: str) -> int:
+    """An integral JSON number or command-line string as an int."""
+    x = _number(value, what)
+    if not x.is_integer():
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(x)
+
+
+def _pair(value, what: str) -> complex:
+    """A JSON ``[re, im]`` pair as a complex number."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{what} must be an [re, im] pair, got {value!r}")
+    return complex(_number(value[0], what), _number(value[1], what))
 
 
 def _experiment(cfg: dict, args) -> dict:
@@ -126,22 +141,24 @@ def _experiment(cfg: dict, args) -> dict:
         ns = [_integer(x, "degree N") for x in cfg.get("N", [])]
     if ns != sorted(ns):
         raise ConfigError("N list must be sorted ascending")
-    points = [complex(p[0], p[1]) for p in cfg.get("points", [])]
+    points = [_pair(p, "points entry") for p in cfg.get("points", [])]
     tols = cfg.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ConfigError("tolerances must be an object, e.g. {\"slope\": 0.35}")
-    tol = args.tol if args.tol is not None else tols.get("slope", cfg.get("tolerance", 0.35))
+    tol = args.tol if args.tol is not None else tols.get("slope", 0.35)
+    degree = cfg.get("oracle_degree")
     return {"kappa": kappa, "N": ns, "points": points,
-            "oracle_degree": cfg.get("oracle_degree"),
+            "oracle_degree": None if degree is None else _integer(degree, "oracle_degree"),
             "allow_out_of_validity": bool(cfg.get("allow_out_of_validity", False)),
-            "tol": float(tol)}
+            "tol": _number(tol, "tolerances.slope")}
 
 
 def _build(cfg: dict, kappa: int):
     with stage("config"):
         m, wd, rho, M, _K = load_domain_config(cfg["domain"])
+        validity_constant = _number(cfg.get("validity_constant", 1.0), "validity_constant")
     return build_model(m, wd, kappa, bidegree=M, inner_radius=rho,
-                       validity_constant=float(cfg.get("validity_constant", 1.0)))
+                       validity_constant=validity_constant)
 
 
 def _model_payload(model, cfg: dict) -> dict:
@@ -258,11 +275,6 @@ def cmd_oracle(cfg: dict, exp: dict, outdir: Path) -> int:
     model = _build(cfg, exp["kappa"])
     N_max = max(exp["N"])
     rule, polys = _oracle_for(cfg, exp, model, N_max)
-    vals = polys.at_rule(rule)
-    wq = rule.weights[:, None] * vals
-    gram = vals.conj().T @ wq
-    per_degree = [float(np.max(np.abs(gram[: n + 1, n] - np.eye(N_max + 1)[: n + 1, n])))
-                  for n in range(N_max + 1)]
     payload = {
         "schema": "planorth/oracle-v1",
         "degree": N_max,
@@ -275,7 +287,7 @@ def cmd_oracle(cfg: dict, exp: dict, outdir: Path) -> int:
     }
     _write_json(outdir, "oracle.json", payload)
     _write_csv(outdir, "gram_residuals.csv", ["degree", "kappa_n", "gram_residual"],
-               [[n, polys.kappa[n], per_degree[n]] for n in range(N_max + 1)])
+               [[n, polys.kappa[n], float(polys.gram_residuals[n])] for n in range(N_max + 1)])
     print(f"oracle: wrote {outdir / 'oracle.json'} "
           f"(degree {N_max}, gram residual {polys.gram_residual:.2e})")
     return 0
@@ -335,8 +347,10 @@ def _test_function(cfg: dict, model):
     M = model.szego.omega_flat.bidegree
     rho = model.inner_radius
     terms = {}
-    for m, n, re, im in tf["terms"]:
-        terms[(int(m), int(n))] = complex(re, im)
+    for row in tf["terms"]:
+        if not isinstance(row, list) or len(row) != 4:
+            raise ConfigError(f"test_function.terms rows are [m, n, re, im], got {row!r}")
+        terms[_integer(row[0], "term m"), _integer(row[1], "term n")] = _pair(row[2:], "term")
     return annulus_from_terms(terms, M, rho)
 
 
@@ -380,10 +394,10 @@ def cmd_kernel(cfg: dict, exp: dict, outdir: Path) -> int:
     if "w" not in kc or "z" not in kc:
         raise ConfigError("kernel needs kernel.w and kernel.z points")
     model = _build(cfg, exp["kappa"])
-    w = complex(kc["w"][0], kc["w"][1])
-    z = complex(kc["z"][0], kc["z"][1])
-    rho = float(kc.get("rho", 0.5))
-    rho1 = float(kc.get("rho1", 0.7))
+    w = _pair(kc["w"], "kernel.w")
+    z = _pair(kc["z"], "kernel.z")
+    rho = _number(kc.get("rho", 0.5), "kernel.rho")
+    rho1 = _number(kc.get("rho1", 0.7), "kernel.rho1")
     pt = off_spectral_point(model.map, w)
     N_max = max(exp["N"])
     rule, polys = _oracle_for(cfg, exp, model, N_max)

@@ -76,19 +76,6 @@ def _require_degree(N: int) -> None:
         raise OutOfValidityError(f"degree {N} below the asymptotic threshold {N_MIN}")
 
 
-def _require_valid(model: ExpansionModel, N: int, zeta: np.ndarray, ok: np.ndarray,
-                   check_validity: bool) -> None:
-    _require_degree(N)
-    if not np.all(ok):
-        raise OutOfValidityError("point could not be mapped into the analytic collar")
-    if check_validity:
-        r = validity_radius(N, model.validity_constant)
-        if np.any(np.abs(zeta) < r):
-            worst = float(np.min(np.abs(zeta)))
-            raise OutOfValidityError(
-                f"|phi(z)| = {worst:.4f} below the validity radius {r:.4f} at degree {N}")
-
-
 def monic_prefactor(model: ExpansionModel, N: int) -> float:
     """Constant ``C_N = cap^(N+1) * exp(-V(inf))``, or :class:`NonFiniteError`
     where it leaves the float range."""
@@ -127,16 +114,28 @@ def position_at(model: ExpansionModel, f: CircleSeries, N: int, zeta, frame=None
     return frame * zeta ** N * f.evaluate(zeta)
 
 
-def _map_checked(model: ExpansionModel, N: int, z, check_validity: bool) -> np.ndarray:
+def _map_checked(model: ExpansionModel, N: int, z) -> np.ndarray:
+    """``phi(z)``; the degree and the mapping into the collar are checked."""
     zeta, ok = map_forward_many(model.map, np.atleast_1d(np.asarray(z, dtype=np.complex128)))
-    _require_valid(model, N, zeta, ok, check_validity)
+    _require_degree(N)
+    if not np.all(ok):
+        raise OutOfValidityError("point could not be mapped into the analytic collar")
     return zeta
 
 
-def canonical_position(model: ExpansionModel, f: CircleSeries, N: int, z,
-                       check_validity: bool = False):
+def _map_valid(model: ExpansionModel, N: int, z) -> np.ndarray:
+    """:func:`_map_checked`, and every point inside the validity region."""
+    zeta = _map_checked(model, N, z)
+    r = validity_radius(N, model.validity_constant)
+    if np.any(np.abs(zeta) < r):
+        raise OutOfValidityError(f"|phi(z)| = {np.min(np.abs(zeta)):.4f} below the "
+                                 f"validity radius {r:.4f} at degree {N}")
+    return zeta
+
+
+def canonical_position(model: ExpansionModel, f: CircleSeries, N: int, z):
     """Apply the positioning operator: ``phi'(z) phi(z)^N e^V(z) f(phi(z))``."""
-    vals = position_at(model, f, N, _map_checked(model, N, z, check_validity))
+    vals = position_at(model, f, N, _map_checked(model, N, z))
     return vals if np.ndim(z) else complex(vals[0])
 
 
@@ -157,15 +156,15 @@ def normalized_at(model: ExpansionModel, N: int, zeta, order: int | None = None,
         model, neumann_partial_sum(model.coeffs, N, order), N, zeta, frame)
 
 
-def monic_eval(model: ExpansionModel, N: int, z, order: int | None = None,
-               check_validity: bool = True):
-    """Asymptotic value of the monic orthogonal polynomial of degree ``N``."""
-    vals = monic_at(model, N, _map_checked(model, N, z, check_validity), order)
+def monic_eval(model: ExpansionModel, N: int, z, order: int | None = None):
+    """Asymptotic value of the monic orthogonal polynomial of degree ``N``
+    inside the validity region (:func:`monic_at` is the unchecked form)."""
+    vals = monic_at(model, N, _map_valid(model, N, z), order)
     return vals if np.ndim(z) else complex(vals[0])
 
 
-def normalized_eval(model: ExpansionModel, N: int, z, order: int | None = None,
-                    check_validity: bool = True):
-    """Asymptotic value of the unit-norm orthogonal polynomial of degree ``N``."""
-    vals = normalized_at(model, N, _map_checked(model, N, z, check_validity), order)
+def normalized_eval(model: ExpansionModel, N: int, z, order: int | None = None):
+    """Asymptotic value of the unit-norm orthogonal polynomial of degree ``N``
+    inside the validity region (:func:`normalized_at` is the unchecked form)."""
+    vals = normalized_at(model, N, _map_valid(model, N, z), order)
     return vals if np.ndim(z) else complex(vals[0])

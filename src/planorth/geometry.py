@@ -22,9 +22,13 @@ import numpy as np
 
 from .errors import (ConfigError, ConsistencyError, ConvergenceError,
                      PositivityError, WeightResolutionError)
-from .series import (AnnulusSeries, CircleSeries, DEFAULT_TRUNC_TOL,
-                     conjugate_lift, herglotz, lift_holomorphic, restrict_to_circle,
-                     series_exp)
+from .series import (AnnulusSeries, CircleSeries, conjugate_lift, herglotz, lift_holomorphic,
+                     restrict_to_circle, series_exp)
+
+NEWTON_TOL = 1e-13     # map_forward stops at |psi(zeta) - z| <= NEWTON_TOL max(1, |z|)
+NEWTON_MAXITER = 50    # Newton steps before map_forward gives up
+FIT_TOL = 1e-9         # largest pullback fit residual on the validation grid
+MARGIN_SAMPLES = 64    # angles per radius in the univalence-margin check
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,9 +99,9 @@ def _estimate_margin(cap: float, tail: np.ndarray) -> float:
     return min(0.98, max(0.05, 1.05 * r))
 
 
-def _check_margin(m: ExteriorMap, samples: int = 64) -> None:
+def _check_margin(m: ExteriorMap) -> None:
     radii = np.linspace(m.univalence_margin, 1.5, 24)
-    angles = np.exp(2j * np.pi * np.arange(samples) / samples)
+    angles = np.exp(2j * np.pi * np.arange(MARGIN_SAMPLES) / MARGIN_SAMPLES)
     grid = radii[:, None] * angles[None, :]
     dmin = float(np.min(np.abs(m.psi_prime(grid))))
     if dmin <= 1e-12:
@@ -129,39 +133,34 @@ def capacity(m: ExteriorMap) -> float:
     return float(m.cap)
 
 
-def map_forward(m: ExteriorMap, z, guess=None, tol: float = 1e-13, maxiter: int = 50):
+def map_forward(m: ExteriorMap, z):
     """Evaluate ``phi(z)`` (inverse of psi) by Newton iteration.
 
     Works for points in the exterior or in the analytic collar
-    ``|phi(z)| > univalence_margin``.  Raises :class:`ConvergenceError` when
-    the iteration leaves the collar or fails to converge.
+    ``|phi(z)| > univalence_margin``, to the residual ``NEWTON_TOL``.  Raises
+    :class:`ConvergenceError` when the iteration leaves the collar or fails to
+    converge in ``NEWTON_MAXITER`` steps.
     """
-    zeta, ok = map_forward_many(m, np.atleast_1d(np.asarray(z, dtype=np.complex128)),
-                                None if guess is None else np.atleast_1d(guess),
-                                tol=tol, maxiter=maxiter)
+    zeta, ok = map_forward_many(m, np.atleast_1d(np.asarray(z, dtype=np.complex128)))
     if not np.all(ok):
         raise ConvergenceError("Newton inversion left the analytic collar or did not converge")
     return zeta if np.ndim(z) else complex(zeta[0])
 
 
-def map_forward_many(m: ExteriorMap, zs: np.ndarray, guesses: np.ndarray | None = None,
-                     tol: float = 1e-13, maxiter: int = 50):
-    """Vectorized Newton inversion; returns ``(zeta, ok_mask)`` without raising."""
+def map_forward_many(m: ExteriorMap, zs: np.ndarray):
+    """Vectorized :func:`map_forward`; returns ``(zeta, ok_mask)`` without raising."""
     zs = np.asarray(zs, dtype=np.complex128)
-    if guesses is None:
-        zeta = zs / m.cap
-        small = np.abs(zeta) < 1.0
-        if np.any(small):
-            # points near or inside the boundary: seed on the unit circle at the same angle
-            ang = np.angle(zs - (m.tail[0] if len(m.tail) else 0.0))
-            zeta = np.where(small, np.exp(1j * ang), zeta)
-    else:
-        zeta = np.array(guesses, dtype=np.complex128)
+    zeta = zs / m.cap
+    small = np.abs(zeta) < 1.0
+    if np.any(small):
+        # points near or inside the boundary: seed on the unit circle at the same angle
+        ang = np.angle(zs - (m.tail[0] if len(m.tail) else 0.0))
+        zeta = np.where(small, np.exp(1j * ang), zeta)
     scale = np.maximum(1.0, np.abs(zs))
     ok = np.ones(zs.shape, dtype=bool)
-    for _ in range(maxiter):
+    for _ in range(NEWTON_MAXITER):
         r = m.psi(zeta) - zs
-        if np.all(np.abs(r) <= tol * scale):
+        if np.all(np.abs(r) <= NEWTON_TOL * scale):
             break
         dp = m.psi_prime(zeta)
         bad = np.abs(dp) < 1e-14
@@ -187,12 +186,10 @@ class WeightDef:
     """Weight declaration: a global evaluator plus, when available, the
     holomorphic polynomial ``P`` with ``omega = exp(2 Re P)``."""
 
-    def __init__(self, kind: str, evaluator: Callable, holo_poly: np.ndarray | None = None,
-                 params: dict | None = None):
+    def __init__(self, kind: str, evaluator: Callable, holo_poly: np.ndarray | None = None):
         self.kind = kind
         self.evaluator = evaluator
         self.holo_poly = None if holo_poly is None else np.asarray(holo_poly, dtype=np.complex128)
-        self.params = params or {}
 
     def __call__(self, z):
         return self.evaluator(np.asarray(z, dtype=np.complex128))
@@ -203,7 +200,7 @@ def constant_weight(value: float = 1.0) -> WeightDef:
         raise ConfigError("constant weight must be positive")
     c = 0.5 * np.log(value)
     return WeightDef("const", lambda z: np.full(np.shape(z), float(value)),
-                     holo_poly=np.array([c]), params={"value": value})
+                     holo_poly=np.array([c]))
 
 
 def exp_re_poly_weight(coeffs) -> WeightDef:
@@ -217,14 +214,13 @@ def exp_re_poly_weight(coeffs) -> WeightDef:
             acc = acc * z + poly[j]
         return np.exp(2.0 * np.real(acc))
 
-    return WeightDef("exp-re-poly", ev, holo_poly=poly, params={"coeffs": poly})
+    return WeightDef("exp-re-poly", ev, holo_poly=poly)
 
 
 def exp_re_linear_weight(alpha: complex) -> WeightDef:
     """Weight ``omega(z) = exp(2 Re(alpha z))``."""
     w = exp_re_poly_weight([0.0, alpha])
-    return WeightDef("exp-re-linear", w.evaluator, holo_poly=w.holo_poly,
-                     params={"alpha": complex(alpha)})
+    return WeightDef("exp-re-linear", w.evaluator, holo_poly=w.holo_poly)
 
 
 def sampled_weight(points, values, degree: int = 4) -> WeightDef:
@@ -247,8 +243,7 @@ def sampled_weight(points, values, degree: int = 4) -> WeightDef:
     for j in range(1, degree + 1):
         poly[j] = sol[2 * j - 1] + 1j * sol[2 * j]
     w = exp_re_poly_weight(poly)
-    return WeightDef("custom-samples", w.evaluator, holo_poly=poly,
-                     params={"degree": degree, "n_samples": int(pts.size)})
+    return WeightDef("custom-samples", w.evaluator, holo_poly=poly)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,18 +255,17 @@ class WeightSpec:
     pullback: AnnulusSeries
     floor: float
     fit_residual: float
-    kind: str = "custom"
 
 
-def pullback_weight(m: ExteriorMap, weight: WeightDef, bidegree: int, inner_radius: float,
-                    fit_tol: float = 1e-9) -> WeightSpec:
+def pullback_weight(m: ExteriorMap, weight: WeightDef, bidegree: int,
+                    inner_radius: float) -> WeightSpec:
     """Fit ``R = log omega(psi(zeta))`` on the annulus ``[rho, 1/rho]``.
 
     Weights declared through a holomorphic polynomial are composed exactly
     with the Laurent tail of ``psi``; black-box evaluators are fitted by
     Fourier analysis in angle and radial least squares per angular mode.
     The validation residual on a staggered grid is recorded and must stay
-    below ``fit_tol``.
+    below ``FIT_TOL``.
     """
     rho = float(inner_radius)
     if not (0 < rho < 1):
@@ -292,15 +286,15 @@ def pullback_weight(m: ExteriorMap, weight: WeightDef, bidegree: int, inner_radi
     grid = (radii[:, None] * angles[None, :]).ravel()
     direct = np.log(weight(m.psi(grid)))
     resid = float(np.max(np.abs(R.evaluate(grid) - direct)))
-    if resid > fit_tol:
+    if resid > FIT_TOL:
         raise WeightResolutionError(
-            f"pullback fit residual {resid:.3e} above tolerance {fit_tol:.1e}; "
+            f"pullback fit residual {resid:.3e} above tolerance {FIT_TOL:.1e}; "
             "increase the bidegree or move the inner radius closer to 1")
 
     omega_min = float(np.min(weight(m.psi(grid))))
     if omega_min <= 0:
         raise PositivityError("weight is not strictly positive on the collar")
-    return WeightSpec(weight, R, floor=omega_min, fit_residual=resid, kind=weight.kind)
+    return WeightSpec(weight, R, floor=omega_min, fit_residual=resid)
 
 
 def _compose_pullback(m: ExteriorMap, poly: np.ndarray, bidegree: int, rho: float) -> AnnulusSeries:
@@ -370,7 +364,7 @@ class SzegoData:
     circle_residual: float
 
 
-def szego(weight: WeightSpec, trunc_tol: float = DEFAULT_TRUNC_TOL) -> SzegoData:
+def szego(weight: WeightSpec) -> SzegoData:
     """Build the outer function and the flattened weight from a pullback.
 
     ``u = -R`` restricted to the circle is real; ``V o psi`` is half its
@@ -388,7 +382,7 @@ def szego(weight: WeightSpec, trunc_tol: float = DEFAULT_TRUNC_TOL) -> SzegoData
         raise ConsistencyError("outer function is not real at infinity")
     two_re_v = lift_holomorphic(v, M, rho) + conjugate_lift(v, M, rho)
     U = two_re_v + R
-    omega_flat = series_exp(U, cap=M, tol=trunc_tol)
+    omega_flat = series_exp(U)
     ts = np.exp(2j * np.pi * np.arange(256) / 256)
     residual = float(np.max(np.abs(omega_flat.evaluate(ts) - 1.0)))
     if residual > 1e-8:
@@ -432,7 +426,7 @@ def load_domain_config(cfg: dict):
         K = int(cfg.get("K", 2 * M))
     except KeyError as exc:
         raise ConfigError(f"missing config field: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
     m = exterior_map(cap, tail)
     return m, wd, rho, M, K

@@ -11,22 +11,24 @@ from .errors import DomainError, OffSpectralError
 from .expansion import ExpansionModel, positioning_factor
 from .geometry import ExteriorMap, map_forward
 
+OFFSPECTRAL_MARGIN = 1e-6   # least separation |phi(w)| - 1 of a root point
+BW_TAIL_TOL = 1e-14         # relative size at which bw_kernel_diag's tail sum stops
+
 
 @dataclass(frozen=True, eq=False)
 class OffSpectralPoint:
-    """Root point ``w`` outside the closed domain with ``|phi(w)| > 1 + margin``."""
+    """Root point ``w`` outside the closed domain: ``|phi(w)| > 1 + OFFSPECTRAL_MARGIN``."""
 
     w: complex
     image: complex   # phi(w)
-    margin: float
 
 
-def off_spectral_point(m: ExteriorMap, w: complex, margin: float = 1e-6) -> OffSpectralPoint:
+def off_spectral_point(m: ExteriorMap, w: complex) -> OffSpectralPoint:
     a = map_forward(m, complex(w))
-    if abs(a) <= 1.0 + margin:
+    if abs(a) <= 1.0 + OFFSPECTRAL_MARGIN:
         raise OffSpectralError(
             f"|phi(w)| = {abs(a):.6f} is not separated from the closed domain")
-    return OffSpectralPoint(w=complex(w), image=complex(a), margin=margin)
+    return OffSpectralPoint(w=complex(w), image=complex(a))
 
 
 def outer_rho(m: ExteriorMap, point: OffSpectralPoint, z):
@@ -67,15 +69,15 @@ def offspectral_phase(model: ExpansionModel, point: OffSpectralPoint, N: int) ->
     return float(-(N * np.angle(a) + np.angle(dphi) + np.imag(v)))
 
 
-def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z, tol: float = 1e-14) -> float:
+def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z) -> float:
     """Diagonal of the reproducing kernel for holomorphic functions of growth
     ``O(|z|^N)`` on the exterior of the level curve ``|phi| = rho``, with the
     ring ``rho < |phi| < 1`` as the inner-product region.
 
     ``K_N(z, z) = |phi'(z)|^2 [ |phi(z)|^-2 / log(1/rho^2)
     + sum_{n <= N, n != -1} (n+1) |phi(z)|^{2n} / (1 - rho^{2n+2}) ]``;
-    the tail over ``n -> -inf`` is summed until terms drop below ``tol``
-    relative to the accumulated value.
+    the tail over ``n -> -inf`` is summed until terms drop below
+    ``BW_TAIL_TOL`` relative to the accumulated value.
     """
     if not (0 < rho < 1):
         raise DomainError("need 0 < rho < 1")
@@ -91,7 +93,7 @@ def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z, tol: float = 1e-14) ->
     while True:
         term = (n + 1) * r ** (2 * n) / (1.0 - rho ** (2 * n + 2))
         acc += term
-        if abs(term) < tol * max(1.0, abs(acc)):
+        if abs(term) < BW_TAIL_TOL * max(1.0, abs(acc)):
             break
         n -= 1
         if n < -100000:

@@ -30,6 +30,8 @@ from .hierarchy import HierarchyCoeffs
 from .series import (AnnulusSeries, conjugate_lift, lift_holomorphic, multiply,
                      radial_moments)
 
+NORM_IMAG_TOL = 1e-10   # largest imaginary part the norm series may carry
+
 
 @dataclass(frozen=True, eq=False)
 class JetAtZero:
@@ -120,8 +122,7 @@ class NormExpansion:
         return float(1.0 + sum(self.d[j - 1] * float(N) ** (-j) for j in range(1, order + 1)))
 
 
-def norm_expansion(szego: SzegoData, coeffs: HierarchyCoeffs, order: int,
-                   imag_tol: float = 1e-10) -> NormExpansion:
+def norm_expansion(szego: SzegoData, coeffs: HierarchyCoeffs, order: int) -> NormExpansion:
     """Expand the squared norm of the positioned partial sum and invert.
 
     The ``m``-th ``s``-derivative at the circle of the angular mean of
@@ -138,13 +139,13 @@ def norm_expansion(szego: SzegoData, coeffs: HierarchyCoeffs, order: int,
     for (j, k), moments in table.items():
         for m in range(order - j - k + 1):
             c[j + k + m] += moments[m].coeff(0)
-    if float(np.max(np.abs(c.imag))) > imag_tol:
+    if float(np.max(np.abs(c.imag))) > NORM_IMAG_TOL:
         raise ConsistencyError(
             f"norm series has imaginary part {np.max(np.abs(c.imag)):.3e}; "
             "the squared norm must be real")
     cr = c.real.copy()
     # D-series = (c-series)^(-1/2); c[0] is 1 up to roundoff and is kept as computed
     d_series = _ps_exp(-0.5 * _ps_log(cr.astype(np.complex128)))
-    if float(np.max(np.abs(d_series.imag))) > imag_tol:
+    if float(np.max(np.abs(d_series.imag))) > NORM_IMAG_TOL:
         raise ConsistencyError("norm factor series must be real")
     return NormExpansion(d=d_series.real[1:].copy(), raw=cr[1:].copy(), moments=table)

@@ -34,6 +34,11 @@ from .expansion import ExpansionModel, normalized_at, position_frame, positionin
 from .geometry import ExteriorMap, WeightSpec, map_forward_many
 from .series import CircleSeries
 
+RADIAL_GRADE = 0.5      # ratio of successive radial panel widths toward the boundary
+GRAM_TOL = 1e-8         # largest Gram deviation oracle_onps accepts
+PAIRING_N_RAD = 160     # radial nodes of the holomorphic_pairing ring rule
+PAIRING_N_ANG = 768     # angular nodes of the holomorphic_pairing ring rule
+
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
@@ -63,30 +68,27 @@ def _gl_panels(breaks: np.ndarray, q: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _radial_breaks(layers: int, grade: float = 0.5) -> np.ndarray:
+def _radial_breaks(layers: int) -> np.ndarray:
     """Breakpoints on [0, 1] geometrically refined toward 1."""
     pts = [0.0]
     for k in range(layers, 0, -1):
-        pts.append(1.0 - grade ** (layers - k + 1))
+        pts.append(1.0 - RADIAL_GRADE ** (layers - k + 1))
     pts.append(1.0)
     return np.unique(np.array(pts))
 
 
-def build_quadrature(m: ExteriorMap, weight: WeightSpec, degree: int,
-                     accuracy_check: bool = True) -> QuadratureRule:
+def build_quadrature(m: ExteriorMap, weight: WeightSpec, degree: int) -> QuadratureRule:
     """Polar-fan rule over the domain able to integrate polynomial data of the
-    given total degree against the weight.
+    given total degree against the weight.  Its declared accuracy is the mass
+    difference to a finer rule (degree + 12, 1.4 times the panels).
 
     Raises :class:`NonStarlikeError` when the boundary is not starlike with
     respect to its centroid (checked by angle monotonicity on 1024 samples)
     and :class:`PositivityError` when the weight is not positive at a node.
     """
     rule = _build_fan(m, weight, degree)
-    declared = math.inf
-    if accuracy_check:
-        finer = _build_fan(m, weight, degree + 12, refine=1.4)
-        declared = abs(rule.mass - finer.mass)
-    return QuadratureRule(rule.nodes, rule.weights, declared, rule.meta)
+    finer = _build_fan(m, weight, degree + 12, refine=1.4)
+    return QuadratureRule(rule.nodes, rule.weights, abs(rule.mass - finer.mass), rule.meta)
 
 
 def _build_fan(m: ExteriorMap, weight: WeightSpec, degree: int, refine: float = 1.0) -> QuadratureRule:
@@ -128,15 +130,14 @@ def _build_fan(m: ExteriorMap, weight: WeightSpec, degree: int, refine: float = 
     return QuadratureRule(flat_nodes, flat_wts * om, math.inf, meta)
 
 
-def ring_quadrature(rho_in: float, n_rad: int = 120, n_ang: int = 512,
-                    rho_out: float = 1.0) -> QuadratureRule:
-    """Plain-area rule on the ring ``rho_in < |w| < rho_out`` (no weight),
-    radially graded toward the outer circle, trapezoid in angle."""
-    if not (0 < rho_in < rho_out <= 1.0):
-        raise DomainError("need 0 < rho_in < rho_out <= 1")
+def ring_quadrature(rho_in: float, n_rad: int = 120, n_ang: int = 512) -> QuadratureRule:
+    """Plain-area rule on the ring ``rho_in < |w| < 1`` (no weight),
+    radially graded toward the unit circle, trapezoid in angle."""
+    if not (0 < rho_in < 1.0):
+        raise DomainError("need 0 < rho_in < 1")
     layers = max(4, int(math.ceil(math.log2(n_rad))))
-    pts = rho_out - (rho_out - rho_in) * 0.5 ** np.arange(1, layers + 1)
-    breaks = np.unique(np.concatenate([[rho_in], pts, [rho_out]]))
+    pts = 1.0 - (1.0 - rho_in) * 0.5 ** np.arange(1, layers + 1)
+    breaks = np.unique(np.concatenate([[rho_in], pts, [1.0]]))
     q = max(10, n_rad // max(1, len(breaks) - 1))
     r_nodes, r_weights = _gl_panels(breaks, q)
     t = 2 * np.pi * np.arange(n_ang) / n_ang
@@ -153,18 +154,24 @@ class OraclePolynomials:
     Column ``n-1`` of ``hess`` holds the projections of ``z * P_{n-1}`` onto
     ``P_0 .. P_{n-1}`` with the normalizing entry on the subdiagonal,
     ``kappa[n]`` the positive leading coefficients, and ``coeff_table[:, n]``
-    the monomial coefficients of ``P_n``.  ``gram_residual`` is the largest
-    deviation of the discrete Gram matrix from the identity.  ``basis[:, n]``
-    holds ``P_n`` at the nodes of ``rule``, the rule it was orthonormalized on.
+    the monomial coefficients of ``P_n``.  ``gram_residuals[n]`` is the largest
+    deviation from the identity in row and column ``n`` of the leading
+    ``(n+1) x (n+1)`` block of the discrete Gram matrix; ``gram_residual`` is
+    their maximum.  ``basis[:, n]`` holds ``P_n`` at the nodes of ``rule``, the
+    rule it was orthonormalized on.
     """
 
     degree: int
     hess: np.ndarray
     kappa: np.ndarray
     coeff_table: np.ndarray
-    gram_residual: float
+    gram_residuals: np.ndarray
     rule: QuadratureRule = field(repr=False)
     basis: np.ndarray = field(repr=False)
+
+    @property
+    def gram_residual(self) -> float:
+        return float(np.max(self.gram_residuals))
 
     def evaluate(self, z, upto: int | None = None) -> np.ndarray:
         """Values ``P_0(z) .. P_upto(z)``, shape ``(len(z), upto+1)``."""
@@ -196,11 +203,11 @@ class OraclePolynomials:
         return self.eval_single(z, n) / self.kappa[n]
 
 
-def oracle_onps(rule: QuadratureRule, N: int, gram_tol: float = 1e-8) -> OraclePolynomials:
+def oracle_onps(rule: QuadratureRule, N: int) -> OraclePolynomials:
     """Orthonormalize ``1, z, z^2, ...`` up to degree ``N`` over the rule.
 
     Raises :class:`DegreeTooHighError` when the discrete Gram matrix deviates
-    from the identity by more than ``gram_tol`` (the rule then cannot resolve
+    from the identity by more than ``GRAM_TOL`` (the rule then cannot resolve
     degree-``2N`` products).
     """
     ndeg = rule.meta.get("degree")
@@ -231,11 +238,12 @@ def oracle_onps(rule: QuadratureRule, N: int, gram_tol: float = 1e-8) -> OracleP
         kappa[n] = kappa[n - 1] / nrm
 
     wq = w[:, None] * Q
-    gram = np.conj(wq, out=wq).T @ Q
-    gram_residual = float(np.max(np.abs(gram - np.eye(N + 1))))
-    if gram_residual > gram_tol:
+    dev = np.abs(np.conj(wq, out=wq).T @ Q - np.eye(N + 1))
+    # column n of the upper triangle of max(dev, dev^T): row and column n of block n
+    gram_residuals = np.max(np.triu(np.maximum(dev, dev.T)), axis=0)
+    if np.max(gram_residuals) > GRAM_TOL:
         raise DegreeTooHighError(
-            f"Gram residual {gram_residual:.3e} above {gram_tol:.1e}; "
+            f"Gram residual {np.max(gram_residuals):.3e} above {GRAM_TOL:.1e}; "
             "increase quadrature resolution or lower the degree")
 
     coeff = np.zeros((N + 1, N + 1), dtype=np.complex128)
@@ -246,7 +254,7 @@ def oracle_onps(rule: QuadratureRule, N: int, gram_tol: float = 1e-8) -> OracleP
         shifted[:n] -= coeff[:n, :n] @ hess[:n, n - 1]
         coeff[:, n] = shifted / hess[n, n - 1]
     return OraclePolynomials(degree=N, hess=hess, kappa=kappa, coeff_table=coeff,
-                             gram_residual=gram_residual, rule=rule, basis=Q)
+                             gram_residuals=gram_residuals, rule=rule, basis=Q)
 
 
 def oracle_kernel(polys: OraclePolynomials, z, w, upto: int | None = None) -> complex:
@@ -331,13 +339,12 @@ def berezin_expectation(model: ExpansionModel, polys: OraclePolynomials, rule: Q
 
 
 def holomorphic_pairing(model: ExpansionModel, polys: OraclePolynomials, g: CircleSeries,
-                        N: int, rho_ring: float = 0.75, n_rad: int = 160,
-                        n_ang: int = 768) -> complex:
+                        N: int, rho_ring: float = 0.75) -> complex:
     """Annulus pairing of an exterior-holomorphic test function against the
     pulled-back oracle polynomial:
     ``int_ring g(w) conj(p_N(w)) |w|^{2N} Omega(w) dA(w)`` where
     ``p_N = P_N(psi(w)) psi'(w) w^{-N} e^{-V(psi(w))}``."""
-    ring = ring_quadrature(rho_ring, n_rad=n_rad, n_ang=n_ang)
+    ring = ring_quadrature(rho_ring, n_rad=PAIRING_N_RAD, n_ang=PAIRING_N_ANG)
     w = ring.nodes
     pN = polys.eval_single(model.map.psi(w), N) / positioning_factor(model, N, w)
     omega_flat = model.szego.omega_flat.evaluate(w)

@@ -8,9 +8,9 @@ real-analytic function on the annulus ``rho < |z| < 1/rho``.  A
 every operation is a pure function, so instances can be shared freely.
 
 Truncating operations report the absolute coefficient mass they discard and
-raise :class:`~planorth.errors.TruncationOverflowError` when it exceeds the
-requested tolerance (default ``1e-13``): silently dropped mass would corrupt
-downstream convergence-rate measurements.
+raise :class:`~planorth.errors.TruncationOverflowError` when it exceeds
+``TRUNC_TOL``: silently dropped mass would corrupt downstream convergence-rate
+measurements.
 """
 
 from __future__ import annotations
@@ -22,8 +22,11 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, TruncationOverflowError
 
-DEFAULT_TRUNC_TOL = 1e-13
-EVAL_CHUNK = 4096   # points per block in AnnulusSeries.evaluate
+TRUNC_TOL = 1e-13        # largest discarded coefficient mass of a truncation
+EXP_TERMS = 18           # Taylor terms of the series_exp core
+EXP_NORM_LIMIT = 40.0    # largest l1 norm series_exp accepts
+HERGLOTZ_REAL_TOL = 1e-11  # realness tolerance of the herglotz argument
+EVAL_CHUNK = 4096        # points per block in AnnulusSeries.evaluate
 
 # Mode-support tags for CircleSeries.
 SUPPORT_GENERAL = "general"
@@ -165,13 +168,12 @@ def _pad(a: AnnulusSeries, M: int) -> AnnulusSeries:
     return AnnulusSeries(grid, a.inner_radius, a.trunc_mass)
 
 
-def multiply(a: AnnulusSeries, b: AnnulusSeries, cap: int | None = None,
-             tol: float = DEFAULT_TRUNC_TOL) -> AnnulusSeries:
+def multiply(a: AnnulusSeries, b: AnnulusSeries, cap: int | None = None) -> AnnulusSeries:
     """Product of two annulus series.
 
     The coefficient grid is the 2-D convolution of the inputs, truncated to
     bidegree ``min(Ma + Mb, cap)``.  The sum of absolute discarded coefficients
-    is recorded on the result; if it exceeds ``tol`` a
+    is recorded on the result; if it exceeds ``TRUNC_TOL`` a
     :class:`TruncationOverflowError` is raised.
     """
     if abs(a.inner_radius - b.inner_radius) > 1e-12:
@@ -191,9 +193,9 @@ def multiply(a: AnnulusSeries, b: AnnulusSeries, cap: int | None = None,
         floor = 64.0 * np.finfo(float).eps * a.l1() * b.l1()
         outside = np.abs(full[mask])
         discarded = float(np.sum(outside[outside > floor]))
-        if discarded > tol:
+        if discarded > TRUNC_TOL:
             raise TruncationOverflowError(
-                f"multiply discarded mass {discarded:.3e} above tolerance {tol:.1e} "
+                f"multiply discarded mass {discarded:.3e} above tolerance {TRUNC_TOL:.1e} "
                 f"(cap {cap}); increase the bidegree cap")
     return AnnulusSeries(np.ascontiguousarray(out), a.inner_radius,
                          a.trunc_mass + b.trunc_mass + discarded)
@@ -218,29 +220,28 @@ def _conv2(A: np.ndarray, B: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def series_exp(a: AnnulusSeries, terms: int = 18, cap: int | None = None,
-               tol: float = DEFAULT_TRUNC_TOL, norm_limit: float = 40.0) -> AnnulusSeries:
-    """Exponential of an annulus series by scaling and squaring.
+def series_exp(a: AnnulusSeries) -> AnnulusSeries:
+    """Exponential of an annulus series on its own grid, by scaling and squaring.
 
     The argument is scaled by ``2**-s`` until its l1 coefficient norm is below
-    1/2, a ``terms``-term Taylor core is summed by Horner's scheme, and the
-    result is squared ``s`` times.  Raises :class:`ConvergenceError` when the
-    l1 norm exceeds ``norm_limit`` (a weight that large should be handled with
-    a bigger inner radius or a smaller amplitude).
+    1/2, an ``EXP_TERMS``-term Taylor core is summed by Horner's scheme, and
+    the result is squared ``s`` times.  Raises :class:`ConvergenceError` when
+    the l1 norm exceeds ``EXP_NORM_LIMIT`` (a weight that large should be
+    handled with a bigger inner radius or a smaller amplitude).
     """
-    cap = a.bidegree if cap is None else cap
+    M = a.bidegree
     norm = a.l1()
-    if norm > norm_limit:
+    if norm > EXP_NORM_LIMIT:
         raise ConvergenceError(
-            f"series exp argument has l1 norm {norm:.2e} > {norm_limit}; "
+            f"series exp argument has l1 norm {norm:.2e} > {EXP_NORM_LIMIT}; "
             "increase the annulus inner radius or reduce the weight amplitude")
     s = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
     b = a * (0.5 ** s)
-    acc = annulus_constant(1.0, b.bidegree, b.inner_radius)
-    for k in range(terms, 0, -1):
-        acc = annulus_constant(1.0, cap, b.inner_radius) + multiply(acc, b, cap=cap, tol=tol) * (1.0 / k)
+    acc = one = annulus_constant(1.0, M, b.inner_radius)
+    for k in range(EXP_TERMS, 0, -1):
+        acc = one + multiply(acc, b, cap=M) * (1.0 / k)
     for _ in range(s):
-        acc = multiply(acc, acc, cap=cap, tol=tol)
+        acc = multiply(acc, acc, cap=M)
     return acc
 
 
@@ -357,7 +358,7 @@ class CircleSeries:
 
     def __mul__(self, other):
         if isinstance(other, CircleSeries):
-            return circle_multiply(self, other)
+            return CircleSeries(np.convolve(self.coeffs, other.coeffs))
         if np.isscalar(other):
             return CircleSeries(self.coeffs * other, self.support)
         return NotImplemented
@@ -365,8 +366,8 @@ class CircleSeries:
     __rmul__ = __mul__
 
 
-def circle_zeros(bandwidth: int, support: str = SUPPORT_GENERAL) -> CircleSeries:
-    return CircleSeries(np.zeros(2 * bandwidth + 1, dtype=np.complex128), support)
+def circle_zeros(bandwidth: int) -> CircleSeries:
+    return CircleSeries(np.zeros(2 * bandwidth + 1, dtype=np.complex128))
 
 
 def circle_from_modes(modes: dict, bandwidth: int, support: str = SUPPORT_GENERAL) -> CircleSeries:
@@ -387,30 +388,11 @@ def _pad_circle(c: CircleSeries, K: int) -> np.ndarray:
     return out
 
 
-def circle_multiply(a: CircleSeries, b: CircleSeries, cap: int | None = None,
-                    tol: float = DEFAULT_TRUNC_TOL) -> CircleSeries:
-    """Product on the circle: 1-D convolution of mode coefficients."""
-    full = np.convolve(a.coeffs, b.coeffs)
-    Kfull = a.bandwidth + b.bandwidth
-    if cap is None or cap >= Kfull:
-        return CircleSeries(full)
-    lo, hi = Kfull - cap, Kfull + cap + 1
-    discarded = float(np.sum(np.abs(full[:lo])) + np.sum(np.abs(full[hi:])))
-    if discarded > tol:
-        raise TruncationOverflowError(
-            f"circle multiply discarded mass {discarded:.3e} above tolerance {tol:.1e}")
-    return CircleSeries(full[lo:hi])
-
-
-def restrict_to_circle(a: AnnulusSeries, bandwidth: int | None = None) -> CircleSeries:
-    """Restrict to ``|z| = 1``: mode ``k`` collects ``sum_{m-n=k} c[m, n]``.
-
-    The natural bandwidth is ``2M``; a larger ``bandwidth`` merely pads.
-    """
+def restrict_to_circle(a: AnnulusSeries) -> CircleSeries:
+    """Restrict to ``|z| = 1``: mode ``k`` collects ``sum_{m-n=k} c[m, n]``,
+    bandwidth ``K = 2M``."""
     M = a.bidegree
-    K = 2 * M if bandwidth is None else bandwidth
-    if K < 2 * M:
-        raise DomainError(f"bandwidth {K} below 2*bidegree {2 * M}; modes would be lost")
+    K = 2 * M
     # coeffs[i, j] holds (m, n) = (i-M, j-M), which lands in mode m - n = i - j
     i = np.arange(2 * M + 1)
     idx, c = (K + i[:, None] - i[None, :]).ravel(), a.coeffs.ravel()
@@ -442,14 +424,14 @@ def hardy_project(c: CircleSeries) -> CircleSeries:
     return CircleSeries(out, SUPPORT_EXTERIOR_VANISHING)
 
 
-def herglotz(u: CircleSeries, tol: float = 1e-11) -> CircleSeries:
+def herglotz(u: CircleSeries) -> CircleSeries:
     """Exterior Herglotz transform of a real-valued circle function.
 
     Returns ``H[u](z) = u_hat(0) + 2 sum_{k>=1} u_hat(-k) z^{-k}``, the unique
     holomorphic function on the exterior disk, real at infinity, whose real
-    part on the circle equals ``u``.
+    part on the circle equals ``u`` (real to ``HERGLOTZ_REAL_TOL``).
     """
-    if not u.is_real(tol):
+    if not u.is_real(HERGLOTZ_REAL_TOL):
         raise DomainError("herglotz transform requires a real-valued circle function")
     K = u.bandwidth
     out = np.zeros(2 * K + 1, dtype=np.complex128)
@@ -458,8 +440,7 @@ def herglotz(u: CircleSeries, tol: float = 1e-11) -> CircleSeries:
     return CircleSeries(out, SUPPORT_EXTERIOR)
 
 
-def lift_holomorphic(c: CircleSeries, bidegree: int, inner_radius: float,
-                     tol: float = DEFAULT_TRUNC_TOL) -> AnnulusSeries:
+def lift_holomorphic(c: CircleSeries, bidegree: int, inner_radius: float) -> AnnulusSeries:
     """Lift circle modes ``z^k`` to the annulus grid as pure-z terms ``(k, 0)``."""
     K = c.bandwidth
     grid = np.zeros((2 * bidegree + 1, 2 * bidegree + 1), dtype=np.complex128)
@@ -472,13 +453,12 @@ def lift_holomorphic(c: CircleSeries, bidegree: int, inner_radius: float,
             discarded += abs(v)
         else:
             grid[bidegree + k, bidegree] = v
-    if discarded > tol:
+    if discarded > TRUNC_TOL:
         raise TruncationOverflowError(
-            f"lift discarded mass {discarded:.3e} above tolerance {tol:.1e}")
+            f"lift discarded mass {discarded:.3e} above tolerance {TRUNC_TOL:.1e}")
     return AnnulusSeries(grid, inner_radius, discarded)
 
 
-def conjugate_lift(c: CircleSeries, bidegree: int, inner_radius: float,
-                   tol: float = DEFAULT_TRUNC_TOL) -> AnnulusSeries:
+def conjugate_lift(c: CircleSeries, bidegree: int, inner_radius: float) -> AnnulusSeries:
     """Annulus series of ``z -> conj(f(z))`` for a holomorphic ``f``: modes ``(0, k)``."""
-    return lift_holomorphic(c, bidegree, inner_radius, tol).conjugate()
+    return lift_holomorphic(c, bidegree, inner_radius).conjugate()

@@ -8,7 +8,7 @@ import pytest
 from planorth import cli, geometry
 from planorth.errors import NonFiniteError
 from planorth.kernels import off_spectral_point, offspectral_leading
-from planorth.oracle import OraclePolynomials
+from planorth.oracle import OraclePolynomials, build_quadrature, oracle_onps
 from planorth.presets import preset_config
 
 
@@ -45,6 +45,23 @@ def test_expand_disk_alpha_table(tmp_path):
     first = [c for c in payload["corrections"] if c["order"] == 1][0]
     assert first["modes"] == [-1]
     assert abs(first["coeffs"][0][0] - 0.3) < 1e-12 and abs(first["coeffs"][0][1]) < 1e-13
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("expand", {"points": [[2.0]]}),
+    ("expand", {"points": [["a", 0]]}),
+    ("distributional", {"test_function": {"terms": [[1, 1, 1.0]]}}),
+    ("kernel", {"kernel": {"w": [2.0], "z": [2.5, 0.0]}}),
+    ("expand", {"tolerances": {"slope": "x"}}),
+    ("oracle", {"oracle_degree": "abc"}),
+    ("expand", {"domain": {"map": {"cap": 1.0, "tail": []},
+                           "weight": {"kind": "exp-re-linear", "alpha": [0.3]}}}),
+], ids=["point-one-entry", "point-not-number", "term-row-three-entries", "kernel-w-one-entry",
+        "slope-not-number", "oracle-degree-not-number", "alpha-one-entry"])
+def test_malformed_field_is_config_error(tmp_path, capsys, command, extra):
+    cfg = write_config(tmp_path, **extra)
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_malformed_config_exit_code(tmp_path):
@@ -85,7 +102,7 @@ def test_eval_flagging_allowed(tmp_path):
     assert flags[(0.2, 0.0)] is False and flags[(2.0, 0.0)] is True
 
 
-def test_oracle_artifacts(tmp_path):
+def test_oracle_artifacts(tmp_path, disk_alpha_model):
     cfg = write_config(tmp_path, N=[8])
     out = tmp_path / "o"
     assert run(["oracle", "--config", cfg, "--out", out]) == 0
@@ -95,6 +112,14 @@ def test_oracle_artifacts(tmp_path):
     lines = (out / "gram_residuals.csv").read_text().strip().splitlines()
     assert lines[0] == "degree,kappa_n,gram_residual"
     assert len(lines) == payload["degree"] + 2
+    column = [float(line.split(",")[2]) for line in lines[1:]]
+    # direct recomputation: row and column n of the leading (n+1) x (n+1) Gram block
+    rule = build_quadrature(disk_alpha_model.map, disk_alpha_model.weight, degree=2 * 8 + 8)
+    vals = oracle_onps(rule, 8).at_rule(rule)
+    dev = np.abs(vals.conj().T @ (rule.weights[:, None] * vals) - np.eye(9))
+    direct = [max(dev[:n + 1, n].max(), dev[n, :n + 1].max()) for n in range(9)]
+    assert np.max(np.abs(np.array(column) - direct)) <= 1e-14
+    assert max(column) == payload["gram_residual"]
 
 
 def test_verify_rates_and_summary(tmp_path):

@@ -140,8 +140,8 @@ def test_validity_enforcement(disk_alpha_model):
         po.monic_eval(disk_alpha_model, 30, 0.62)  # |phi| = 0.62 < 1 - log(30)/30
     with pytest.raises(OutOfValidityError):
         po.monic_eval(disk_alpha_model, 3, 2.0)  # below the degree threshold
-    # the same point is fine when enforcement is off (quasipolynomial extension)
-    val = po.monic_eval(disk_alpha_model, 30, 0.62, check_validity=False)
+    # the same point is fine through the unchecked form (quasipolynomial extension)
+    val = po.monic_at(disk_alpha_model, 30, po.map_forward(disk_alpha_model.map, 0.62))
     assert np.isfinite(val)
 
 

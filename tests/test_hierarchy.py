@@ -60,7 +60,7 @@ def product_form_T(f, sz):
     """Reference ``(1/Omega)(z d/dz + 1)(f Omega)`` by truncated products with
     ``Omega`` and with its reciprocal ``exp(-U)``."""
     M = sz.omega_flat.bidegree
-    omega_inv = po.series_exp(-sz.log_omega_flat, cap=M)
+    omega_inv = po.series_exp(-sz.log_omega_flat)
     fo = po.multiply(f, sz.omega_flat, cap=M)
     return po.multiply(po.wirtinger_z(fo) + fo, omega_inv, cap=M)
 

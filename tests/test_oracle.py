@@ -166,9 +166,9 @@ def _per_degree_cutoff(model, rule):
 
 def _l2_per_degree(model, polys, rule, N, order):
     """The per-degree form: map the nodes and evaluate the expansion at this N only."""
-    _, chi, sel = _per_degree_cutoff(model, rule)
+    zeta, chi, sel = _per_degree_cutoff(model, rule)
     F = np.zeros(rule.nodes.shape, dtype=complex)
-    F[sel] = po.normalized_eval(model, N, rule.nodes[sel], order=order, check_validity=False)
+    F[sel] = po.normalized_at(model, N, zeta[sel], order)
     return math.sqrt(rule.integrate(np.abs(polys.basis[:, N] - chi * F) ** 2).real)
 
 

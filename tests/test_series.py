@@ -93,12 +93,6 @@ def test_restrict_pointwise_oracle():
     assert np.max(np.abs(a.evaluate(ts) - c.evaluate(ts))) <= 1e-12 * max(1.0, a.l1())
 
 
-def test_restrict_bandwidth_guard():
-    a = random_annulus(np.random.default_rng(0), 6, RHO)
-    with pytest.raises(DomainError):
-        po.restrict_to_circle(a, bandwidth=5)
-
-
 def test_hardy_mode_selection():
     c = po.circle_from_modes({0: 3.0, -1: 2.0, 1: 5.0}, 4)
     h = po.hardy_project(c)
