@@ -1,33 +1,42 @@
-"""Tour of the series algebra: bi-Laurent arithmetic on an annulus, circle
-restriction, Hardy-type projection and the exterior Herglotz transform."""
+"""Tour of the one-dimensional series algebra behind the model: Laurent series
+on the circle, the outer factor E = exp(F) by an oversampled FFT, the weighted
+operator T, the Hardy-type projection and the exterior Herglotz transform."""
 
 import numpy as np
 
 import planorth as po
 
-RHO = 0.7
+print("== Laurent series and their products ==")
+f = po.circle_from_modes({1: 0.3, -1: -0.3}, 16)                 # F = 0.3 z - 0.3/z
+g = po.circle_from_modes({2: 1.0}, 16)
+zs = 1.1 * np.exp(2j * np.pi * np.arange(8) / 8)
+print("product vs pointwise product at |z| = 1.1:",
+      np.max(np.abs((f * g).evaluate(zs) - f.evaluate(zs) * g.evaluate(zs))))
 
-print("== products and exponentials ==")
-a = po.annulus_from_terms({(1, 0): 0.3, (0, 1): 0.3}, 12, RHO)   # 2 Re(0.3 z)
-omega = po.series_exp(a)
-zs = np.exp(2j * np.pi * np.arange(8) / 8)
-print("exp(series) vs exp(values) on the circle:",
-      np.max(np.abs(omega.evaluate(zs) - np.exp(a.evaluate(zs)))))
+print("\n== E = exp(F): sampled, exponentiated, transformed back ==")
+E = po.circle_exp(f)
+print("exp(series) vs exp(values) at |z| = 1.1:",
+      np.max(np.abs(E.evaluate(zs) - np.exp(f.evaluate(zs)))))
+print("modes above the FFT rounding floor:", E.trimmed().bandwidth, "of 16")
+ts = np.exp(2j * np.pi * np.arange(64) / 64)
+print("F is imaginary on the circle, so max ||E| - 1| there:",
+      np.max(np.abs(np.abs(E.evaluate(ts)) - 1.0)))
+try:
+    po.circle_exp(po.circle_from_modes({1: 3.0, -1: -3.0}, 4))
+except po.TruncationOverflowError as exc:
+    print("too wide for bandwidth 4:", exc)
 
-prod = po.multiply(omega, po.series_exp(-a))
-print("exp(a) * exp(-a) on the circle:", np.max(np.abs(prod.evaluate(zs) - 1.0)))
-print("truncation mass carried by the product:", prod.trunc_mass)
-
-print("\n== circle restriction ==")
-f = po.annulus_from_terms({(2, 1): 1.0, (1, 1): 2.0}, 4, RHO)    # z^2 zbar + 2 |z|^2
-r = po.restrict_to_circle(f)
-print("z^2 zbar restricts to mode +1:", r.coeff(1), " |z|^2 to mode 0:", r.coeff(0))
+print("\n== the weighted operator T f = z f' + f + f z F' ==")
+model = po.build_model(po.disk_map(), po.exp_re_linear_weight(0.3), 2,
+                       bidegree=8, inner_radius=0.5)
+t1 = po.weighted_derivative(po.circle_from_modes({0: 1.0}, 16), model.szego)
+print("T 1 on the disk with omega = exp(2 Re(0.3 z)):",
+      {k: round(t1.coeff(k).real, 12) for k in (-1, 0, 1)})
 
 print("\n== projection onto exterior-vanishing boundary data ==")
-c = po.circle_from_modes({0: 3.0, -1: 2.0, 1: 5.0}, 4)
-proj = po.hardy_project(c)
-surviving = {k: complex(proj.coeff(k)) for k in range(-4, 5) if proj.coeff(k) != 0}
-print("3 + 2/z + 5z  ->  ", surviving, " (tag:", proj.support + ")")
+proj = po.hardy_project(t1)
+print("Q T 1 = X_1:", {k: round(proj.coeff(k).real, 12) for k in (-1, 0, 1)},
+      " (tag:", proj.support + ")")
 
 print("\n== Herglotz transform ==")
 u = po.circle_from_modes({1: 0.5, -1: 0.5}, 8)                   # cos t

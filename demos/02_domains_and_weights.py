@@ -1,4 +1,4 @@
-"""Domains as exterior maps, weights as annulus pullbacks, and the outer
+"""Domains as exterior maps, weights as Laurent pullbacks, and the outer
 function that flattens the weight on the unit circle."""
 
 import numpy as np
@@ -18,12 +18,12 @@ wd = po.exp_re_linear_weight(0.5)                 # omega = exp(Re z)
 ws = po.pullback_weight(ell, wd, 24, 0.75)
 print("fit residual:", ws.fit_residual, " positivity floor:", round(ws.floor, 4))
 
-print("\n== outer function and flattened weight ==")
+print("\n== outer function and flattened weight Omega = |E|^2 ==")
 sz = po.szego(ws)
 print("V o psi modes (0, -1):", sz.v_exterior.coeff(0), sz.v_exterior.coeff(-1))
 ts = np.exp(2j * np.pi * np.arange(256) / 256)
-print("max |Omega - 1| on 256 circle samples:",
-      np.max(np.abs(sz.omega_flat.evaluate(ts) - 1.0)))
+print("max ||E| - 1| on 256 circle samples:",
+      np.max(np.abs(np.abs(sz.E.evaluate(ts)) - 1.0)))
 
 print("\n== the same pipeline through a config dict ==")
 cfg = {"map": {"cap": 1.0, "tail": []},

@@ -13,8 +13,8 @@ model = preset_model("disk-expre03", 3)
 rule = po.build_quadrature(model.map, model.weight, degree=68)
 polys = po.oracle_onps(rule, 32)
 
-M, rho = model.szego.omega_flat.bidegree, model.inner_radius
-g = po.annulus_from_terms({(1, 1): 1.0, (0, 0): -1.0}, M, rho)   # |z|^2 - 1
+rho = model.inner_radius
+g = po.annulus_from_terms({(1, 1): 1.0, (0, 0): -1.0}, 1, rho)   # |z|^2 - 1
 split = split_test_function(g)
 print("test data g = |z|^2 - 1 (vanishes on the circle):")
 print("  g_+(inf) =", split.plus_infinity, " g_-(inf) =", split.minus_infinity)
@@ -29,7 +29,7 @@ print("\nper-index contributions at N = 32 (nu, j, k):")
 for idx, val in distributional_terms(model, split, 32, order=2):
     print(f"  {idx}: {val.real:+.6e}")
 
-gp = po.annulus_from_terms({(-1, 0): 1.0}, M, rho)               # 1/z: no boundary-vanishing part
+gp = po.annulus_from_terms({(-1, 0): 1.0}, 1, rho)               # 1/z: no boundary-vanishing part
 sp = split_test_function(gp)
 print("\nharmonic-measure limit for g = 1/z (value at infinity 0):")
 for N in (16, 32):

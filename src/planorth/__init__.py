@@ -11,16 +11,14 @@ from .errors import (ConfigError, ConsistencyError, ConvergenceError, DegreeTooH
                      OutOfValidityError, PlanorthError, PositivityError,
                      TruncationOverflowError, WeightResolutionError)
 from .series import (AnnulusSeries, CircleSeries, annulus_constant, annulus_from_terms,
-                     annulus_zeros, circle_from_modes, circle_zeros, conjugate_lift,
-                     hardy_project, herglotz, lift_holomorphic, multiply, radial,
-                     restrict_to_circle, series_exp, wirtinger_z, wirtinger_zbar)
+                     circle_exp, circle_from_modes, circle_zeros, hardy_project, herglotz,
+                     restrict_to_circle, truncate)
 from .geometry import (ExteriorMap, SzegoData, WeightDef, WeightSpec, capacity,
                        constant_weight, disk_map, ellipse_map, exp_re_linear_weight,
                        exp_re_poly_weight, exterior_map, load_domain_config, map_forward,
                        perturbed_disk_map, pullback_weight, sampled_weight, szego)
-from .hierarchy import (HierarchyCoeffs, exterior_projection, hierarchy_residual,
-                        neumann_partial_sum, solve_hierarchy, solve_hierarchy_triangular,
-                        weighted_derivative)
+from .hierarchy import (HierarchyCoeffs, hierarchy_residual, neumann_partial_sum,
+                        solve_hierarchy, solve_hierarchy_triangular, weighted_derivative)
 from .laplace import JetAtZero, NormExpansion, norm_expansion, watson_sum, weighted_moments
 from .expansion import (ExpansionModel, build_model, canonical_position, leading_coeff,
                         monic_at, monic_eval, monic_prefactor, norm_factor, normalized_at,

@@ -23,7 +23,7 @@ from .errors import (ConfigError, NonFiniteError, OffSpectralError, OutOfValidit
                      PlanorthError, stage)
 from .expansion import (build_model, leading_coeff, monic_at, monic_eval, monic_prefactor,
                         normalized_at, positioning_factor, validity_radius)
-from .geometry import load_domain_config, map_forward_many
+from .geometry import load_domain_config, map_forward_many, parse_integer, parse_number
 from .hierarchy import hierarchy_residual
 from .kernels import bw_kernel_diag, off_spectral_point, offspectral_leading
 from .oracle import (berezin_expectations, build_quadrature, l2_discrepancies, oracle_kernel,
@@ -103,42 +103,24 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-def _number(value, what: str) -> float:
-    """A finite JSON number or command-line string as a float."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if isinstance(value, bool) or not math.isfinite(x):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    return x
-
-
-def _integer(value, what: str) -> int:
-    """An integral JSON number or command-line string as an int."""
-    x = _number(value, what)
-    if not x.is_integer():
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(x)
-
-
 def _pair(value, what: str) -> complex:
     """A JSON ``[re, im]`` pair as a complex number."""
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{what} must be an [re, im] pair, got {value!r}")
-    return complex(_number(value[0], what), _number(value[1], what))
+    return complex(parse_number(value[0], what), parse_number(value[1], what))
 
 
 def _experiment(cfg: dict, args) -> dict:
     if "domain" not in cfg:
         raise ConfigError("config must contain a 'domain' object (map/weight/rho/M/K)")
-    kappa = _integer(args.kappa if args.kappa is not None else cfg.get("kappa", 2), "kappa")
+    kappa = parse_integer(args.kappa if args.kappa is not None else cfg.get("kappa", 2),
+                          "kappa")
     if not (0 <= kappa <= MAX_ORDER):
         raise ConfigError(f"kappa must lie in [0, {MAX_ORDER}]")
     if args.n is not None:
-        ns = [_integer(x, "degree N") for x in args.n.split(",") if x.strip()]
+        ns = [parse_integer(x, "degree N") for x in args.n.split(",") if x.strip()]
     else:
-        ns = [_integer(x, "degree N") for x in cfg.get("N", [])]
+        ns = [parse_integer(x, "degree N") for x in cfg.get("N", [])]
     if ns != sorted(ns):
         raise ConfigError("N list must be sorted ascending")
     points = [_pair(p, "points entry") for p in cfg.get("points", [])]
@@ -147,16 +129,20 @@ def _experiment(cfg: dict, args) -> dict:
         raise ConfigError("tolerances must be an object, e.g. {\"slope\": 0.35}")
     tol = args.tol if args.tol is not None else tols.get("slope", 0.35)
     degree = cfg.get("oracle_degree")
+    allow = cfg.get("allow_out_of_validity", False)
+    if not isinstance(allow, bool):
+        raise ConfigError(f"allow_out_of_validity must be true or false, got {allow!r}")
     return {"kappa": kappa, "N": ns, "points": points,
-            "oracle_degree": None if degree is None else _integer(degree, "oracle_degree"),
-            "allow_out_of_validity": bool(cfg.get("allow_out_of_validity", False)),
-            "tol": _number(tol, "tolerances.slope")}
+            "oracle_degree": (None if degree is None
+                              else parse_integer(degree, "oracle_degree")),
+            "allow_out_of_validity": allow,
+            "tol": parse_number(tol, "tolerances.slope")}
 
 
 def _build(cfg: dict, kappa: int):
     with stage("config"):
         m, wd, rho, M, _K = load_domain_config(cfg["domain"])
-        validity_constant = _number(cfg.get("validity_constant", 1.0), "validity_constant")
+        validity_constant = parse_number(cfg.get("validity_constant", 1.0), "validity_constant")
     return build_model(m, wd, kappa, bidegree=M, inner_radius=rho,
                        validity_constant=validity_constant)
 
@@ -344,14 +330,15 @@ def _test_function(cfg: dict, model):
     tf = cfg.get("test_function")
     if not tf or "terms" not in tf:
         raise ConfigError("distributional needs test_function.terms = [[m, n, re, im], ...]")
-    M = model.szego.omega_flat.bidegree
-    rho = model.inner_radius
     terms = {}
     for row in tf["terms"]:
         if not isinstance(row, list) or len(row) != 4:
             raise ConfigError(f"test_function.terms rows are [m, n, re, im], got {row!r}")
-        terms[_integer(row[0], "term m"), _integer(row[1], "term n")] = _pair(row[2:], "term")
-    return annulus_from_terms(terms, M, rho)
+        mn = parse_integer(row[0], "term m"), parse_integer(row[1], "term n")
+        terms[mn] = _pair(row[2:], "term")
+    # the grid holds exactly the terms given: a test function has no bidegree cap
+    bidegree = max((max(abs(m), abs(n)) for m, n in terms), default=0)
+    return annulus_from_terms(terms, bidegree, model.inner_radius)
 
 
 def cmd_distributional(cfg: dict, exp: dict, outdir: Path) -> int:
@@ -396,8 +383,8 @@ def cmd_kernel(cfg: dict, exp: dict, outdir: Path) -> int:
     model = _build(cfg, exp["kappa"])
     w = _pair(kc["w"], "kernel.w")
     z = _pair(kc["z"], "kernel.z")
-    rho = _number(kc.get("rho", 0.5), "kernel.rho")
-    rho1 = _number(kc.get("rho1", 0.7), "kernel.rho1")
+    rho = parse_number(kc.get("rho", 0.5), "kernel.rho")
+    rho1 = parse_number(kc.get("rho1", 0.7), "kernel.rho1")
     pt = off_spectral_point(model.map, w)
     N_max = max(exp["N"])
     rule, polys = _oracle_for(cfg, exp, model, N_max)

@@ -26,7 +26,7 @@ from .expansion import ExpansionModel, norm_factor
 from .geometry import SzegoData
 from .laplace import weighted_moments
 from .series import (AnnulusSeries, CircleSeries, SUPPORT_EXTERIOR, SUPPORT_EXTERIOR_VANISHING,
-                     conjugate_lift, lift_holomorphic, radial_moments, restrict_to_circle)
+                     radial_moments, restrict_to_circle)
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +49,6 @@ class TestFunctionSplit:
 def split_test_function(g: AnnulusSeries) -> TestFunctionSplit:
     """Split an annulus test function into exterior-holomorphic,
     conjugate-holomorphic and circle-vanishing parts."""
-    rho = g.inner_radius
     r = restrict_to_circle(g)
     K = r.bandwidth
     plus_c = r.coeffs.copy()
@@ -60,9 +59,15 @@ def split_test_function(g: AnnulusSeries) -> TestFunctionSplit:
     mc = np.zeros(2 * K + 1, dtype=np.complex128)
     mc[:K] = np.conj(r.coeffs[K + 1:])[::-1]
     minus_conj = CircleSeries(mc, SUPPORT_EXTERIOR_VANISHING)
-    lifted = lift_holomorphic(plus, K, rho) + conjugate_lift(minus_conj, K, rho)
-    zero = g - lifted
-    return TestFunctionSplit(plus=plus, minus_conj=minus_conj, zero=zero,
+    # g_0 = g - g_+ - g_-: g_+ sits on the pure-z column (k, 0), g_- on the
+    # pure-conj(z) row (0, k), of a grid padded to bidegree K
+    d = K - g.bidegree
+    zero = np.zeros((2 * K + 1, 2 * K + 1), dtype=np.complex128)
+    zero[d:2 * K + 1 - d, d:2 * K + 1 - d] = g.coeffs
+    zero[:K + 1, K] -= plus_c[:K + 1]
+    zero[K, :K] -= np.conj(mc[:K])
+    return TestFunctionSplit(plus=plus, minus_conj=minus_conj,
+                             zero=AnnulusSeries(zero, g.inner_radius),
                              plus_infinity=plus.coeff(0),
                              minus_infinity=complex(np.conj(minus_conj.coeff(0))))
 

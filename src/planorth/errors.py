@@ -12,7 +12,7 @@ class TruncationOverflowError(PlanorthError):
 
 
 class ConvergenceError(PlanorthError):
-    """An iterative procedure (series exponential, Newton inversion) failed to converge."""
+    """An iterative procedure (Newton inversion) failed to converge."""
 
 
 class DomainError(PlanorthError):
@@ -28,7 +28,7 @@ class OutOfValidityError(PlanorthError):
 
 
 class WeightResolutionError(PlanorthError):
-    """Weight pullback could not be resolved on the annulus to the requested tolerance."""
+    """Weight pullback is not harmonic, or not resolved at the bandwidth, to the tolerance."""
 
 
 class PositivityError(PlanorthError):

@@ -45,7 +45,7 @@ class ExpansionModel:
 
     @property
     def inner_radius(self) -> float:
-        return self.szego.omega_flat.inner_radius
+        return self.szego.inner_radius
 
 
 def build_model(m: ExteriorMap, weight_def: WeightDef, order: int,

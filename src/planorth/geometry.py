@@ -4,17 +4,20 @@ A domain is specified through the inverse exterior map ``psi(zeta) =
 cap*zeta + a_0 + a_1/zeta + ...`` with ``cap > 0`` (so infinity is fixed and
 the derivative there is positive).  The forward map ``phi`` is obtained by
 Newton inversion.  A weight is a strictly positive function on the closure of
-the domain whose logarithm is real-analytic near the boundary; its pullback
-``log(omega(psi(zeta)))`` is carried as an :class:`~planorth.series.AnnulusSeries`.
+the domain whose logarithm is harmonic near the boundary; its pullback is
+``log(omega(psi(zeta))) = h + conj(h)`` with a Laurent series ``h``, carried as
+a :class:`~planorth.series.CircleSeries`.
 
 From the pullback we build the boundary outer function ``V`` (holomorphic on
 the exterior, real at infinity, with ``2 Re V = -log omega`` on the boundary)
 and the flattened weight ``Omega = exp(2 Re V o psi) * omega o psi``, which is
-identically one on the unit circle.
+identically one on the unit circle.  It factors as ``Omega = E conj(E)`` with
+``E = exp(F)`` and ``F = V o psi + h``, so the whole model lives on the circle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,8 +25,7 @@ import numpy as np
 
 from .errors import (ConfigError, ConsistencyError, ConvergenceError,
                      PositivityError, WeightResolutionError)
-from .series import (AnnulusSeries, CircleSeries, conjugate_lift, herglotz, lift_holomorphic,
-                     restrict_to_circle, series_exp)
+from .series import OVERSAMPLE, AnnulusSeries, CircleSeries, circle_exp, herglotz, truncate
 
 NEWTON_TOL = 1e-13     # map_forward stops at |psi(zeta) - z| <= NEWTON_TOL max(1, |z|)
 NEWTON_MAXITER = 50    # Newton steps before map_forward gives up
@@ -248,24 +250,31 @@ def sampled_weight(points, values, degree: int = 4) -> WeightDef:
 
 @dataclass(frozen=True, eq=False)
 class WeightSpec:
-    """Weight attached to a domain: global evaluator, annulus pullback of the
-    log-weight, positivity floor and the pullback fit residual."""
+    """Weight attached to a domain: global evaluator, the pullback of the
+    log-weight, positivity floor and the pullback fit residual.
+
+    ``pullback`` is the Laurent series ``h`` with
+    ``log omega(psi(zeta)) = h(zeta) + conj(h(zeta))`` on the annulus
+    ``inner_radius < |zeta| < 1/inner_radius``, at bandwidth ``2M``.
+    """
 
     omega: Callable
-    pullback: AnnulusSeries
+    pullback: CircleSeries
+    inner_radius: float
     floor: float
     fit_residual: float
 
 
 def pullback_weight(m: ExteriorMap, weight: WeightDef, bidegree: int,
                     inner_radius: float) -> WeightSpec:
-    """Fit ``R = log omega(psi(zeta))`` on the annulus ``[rho, 1/rho]``.
+    """Resolve ``log omega(psi(zeta)) = h + conj(h)`` at bandwidth ``2 * bidegree``.
 
     Weights declared through a holomorphic polynomial are composed exactly
-    with the Laurent tail of ``psi``; black-box evaluators are fitted by
-    Fourier analysis in angle and radial least squares per angular mode.
-    The validation residual on a staggered grid is recorded and must stay
-    below ``FIT_TOL``.
+    with the Laurent tail of ``psi``; black-box evaluators are fitted for
+    their harmonic part from two circles.  The residual on a staggered
+    validation grid is recorded and must stay below ``FIT_TOL``: a
+    black-box log-weight that is not harmonic near the boundary fails here
+    with :class:`WeightResolutionError`.
     """
     rho = float(inner_radius)
     if not (0 < rho < 1):
@@ -275,30 +284,32 @@ def pullback_weight(m: ExteriorMap, weight: WeightDef, bidegree: int,
             f"inner radius {rho} is not inside the analytic collar "
             f"(univalence margin {m.univalence_margin:.3f})")
 
+    K = 2 * bidegree
     if weight.holo_poly is not None:
-        R = _compose_pullback(m, weight.holo_poly, bidegree, rho)
+        h = _compose_pullback(m, weight.holo_poly, K)
     else:
-        R = _fit_pullback(m, weight, bidegree, rho)
+        h = _fit_harmonic(m, weight, K, rho)
 
     # validation on a staggered grid
     radii = np.linspace(rho + 0.01, 1.0 / rho - 0.01, 7)
     angles = np.exp(1j * (2 * np.pi * (np.arange(33) + 0.37) / 33))
     grid = (radii[:, None] * angles[None, :]).ravel()
     direct = np.log(weight(m.psi(grid)))
-    resid = float(np.max(np.abs(R.evaluate(grid) - direct)))
+    resid = float(np.max(np.abs(2.0 * h.evaluate(grid).real - direct)))
     if resid > FIT_TOL:
         raise WeightResolutionError(
-            f"pullback fit residual {resid:.3e} above tolerance {FIT_TOL:.1e}; "
-            "increase the bidegree or move the inner radius closer to 1")
+            f"non-harmonic residual {resid:.3e} of the weight pullback above tolerance "
+            f"{FIT_TOL:.1e}: only a log-weight harmonic near the boundary is resolved "
+            "(non-harmonic log-weights are ROADMAP item 5), at bandwidth 2M")
 
     omega_min = float(np.min(weight(m.psi(grid))))
     if omega_min <= 0:
         raise PositivityError("weight is not strictly positive on the collar")
-    return WeightSpec(weight, R, floor=omega_min, fit_residual=resid)
+    return WeightSpec(weight, h, rho, floor=omega_min, fit_residual=resid)
 
 
-def _compose_pullback(m: ExteriorMap, poly: np.ndarray, bidegree: int, rho: float) -> AnnulusSeries:
-    """Exact Laurent composition ``h = P(psi)``, then ``R = h + conj(h)``."""
+def _compose_pullback(m: ExteriorMap, poly: np.ndarray, K: int) -> CircleSeries:
+    """Exact Laurent composition ``h = P(psi)``, cut to bandwidth ``K``."""
     L = len(m.tail) - 1 if len(m.tail) else 0
     deg = len(poly) - 1
     Kmax = max(1, deg * max(1, L)) + deg + 2
@@ -312,84 +323,108 @@ def _compose_pullback(m: ExteriorMap, poly: np.ndarray, bidegree: int, rho: floa
     for j in range(deg - 1, -1, -1):
         h = np.convolve(h, psi_c)[len(psi_c) // 2: len(psi_c) // 2 + 2 * Kmax + 1]
         h[Kmax] += poly[j]
-    hs = CircleSeries(h)
-    return lift_holomorphic(hs, bidegree, rho) + conjugate_lift(hs, bidegree, rho)
+    return truncate(CircleSeries(h), K, "log-weight pullback")
 
 
-def _fit_pullback(m: ExteriorMap, weight: WeightDef, M: int, rho: float) -> AnnulusSeries:
-    """Sampled fit: FFT in angle on each radius, then radial least squares
-    onto the powers ``r**(m+n)`` available on each angular diagonal."""
-    n_t = 4 * M + 4
-    n_r = 2 * M + 5
-    # radii on a Chebyshev grid in [rho, 1/rho]
-    theta = (np.arange(n_r) + 0.5) * np.pi / n_r
-    radii = 0.5 * (rho + 1.0 / rho) + 0.5 * (1.0 / rho - rho) * np.cos(theta)
-    angles = np.exp(2j * np.pi * np.arange(n_t) / n_t)
+def _fit_harmonic(m: ExteriorMap, weight: WeightDef, K: int, rho: float) -> CircleSeries:
+    """Harmonic fit ``h`` of a black-box log-weight from the circles ``rho`` and ``1/rho``.
+
+    On ``|zeta| = r`` mode ``k >= 1`` of ``h + conj(h)`` is
+    ``h_k r^k + conj(h_-k) r^-k``; the two circles determine both
+    coefficients, and mode 0 gives ``Re h_0``.  What is not harmonic is left
+    for the caller's validation to measure.
+    """
+    n = OVERSAMPLE * (2 * K + 1)
+    angles = np.exp(2j * np.pi * np.arange(n) / n)
     with np.errstate(invalid="ignore", divide="ignore"):
-        samples = np.log(weight(m.psi(radii[:, None] * angles[None, :])))
+        samples = np.log(weight(m.psi(np.array([rho, 1.0 / rho])[:, None] * angles[None, :])))
     if np.any(~np.isfinite(samples)):
         raise PositivityError("weight evaluator returned non-positive or non-finite values")
-    modes = np.fft.fft(samples, axis=1) / n_t  # modes[:, k] ~ coefficient of e^{ikt}
-    grid = np.zeros((2 * M + 1, 2 * M + 1), dtype=np.complex128)
-    for k in range(-M, M + 1):
-        dk = modes[:, k % n_t]
-        ns = np.arange(max(-M, -M - k), min(M, M - k) + 1)
-        powers = 2 * ns + k
-        A = radii[:, None] ** powers[None, :]
-        colnorm = np.linalg.norm(A, axis=0)
-        beta, *_ = np.linalg.lstsq(A / colnorm, dk, rcond=1e-12)
-        beta = beta / colnorm
-        for n, b in zip(ns, beta):
-            grid[M + n + k, M + n] = b
-    R = AnnulusSeries(grid, rho)
-    # real-symmetrize: the log-weight is real
-    sym = 0.5 * (R.coeffs + np.conj(R.coeffs).T)
-    return AnnulusSeries(sym, rho)
+    c_in, c_out = np.fft.fft(samples, axis=1)[:, :K + 1] / n
+    k = np.arange(1, K + 1)
+    rk, q = rho ** k, rho ** (2 * k)
+    h = np.zeros(2 * K + 1, dtype=np.complex128)
+    h[K] = 0.25 * (c_in[0].real + c_out[0].real)
+    h[K + 1:] = rk * (c_out[1:] - q * c_in[1:]) / (1.0 - q * q)
+    h[K - 1::-1] = np.conj(rk * (c_in[1:] - q * c_out[1:]) / (1.0 - q * q))
+    return CircleSeries(h)
 
 
 @dataclass(frozen=True, eq=False)
 class SzegoData:
     """Boundary outer-function data for one (domain, weight) pair.
 
-    ``v_exterior`` holds ``V o psi`` as an exterior circle series,
-    ``v_infinity`` its (real) value at infinity, ``omega_flat`` the flattened
-    weight on the annulus with ``omega_flat == 1`` on the circle, and
-    ``log_omega_flat`` its exponent ``U`` (``omega_flat = exp U``).
+    ``v_exterior`` holds ``V o psi`` as an exterior circle series and
+    ``v_infinity`` its (real) value at infinity.  ``F = V o psi + h`` is the
+    Laurent series whose real part is half the flattened log-weight,
+    ``U = F + conj(F)``, and ``E = exp(F)``, so the flattened weight is
+    ``Omega = E conj(E)`` and ``|E| = 1`` on the circle.  ``F`` and ``E``
+    carry bandwidth ``2M``.
     """
 
     v_exterior: CircleSeries
     v_infinity: float
-    omega_flat: AnnulusSeries
-    log_omega_flat: AnnulusSeries
+    F: CircleSeries
+    E: CircleSeries
+    inner_radius: float
     circle_residual: float
+
+    @property
+    def omega_flat(self) -> AnnulusSeries:
+        """``Omega = E conj(E)`` as a bi-Laurent grid, ``c[m, n] = E_m conj(E_n)``.
+
+        Derived on request, never used by the pipeline.  The grid is the full
+        ``(4M+1)^2`` outer product, not cut to bidegree ``M``: callers that
+        rebuild boundary moments from ``.coeffs`` (the eval-sweep reference in
+        ``bench/workloads.py``) would otherwise disagree with the model.
+        """
+        e = self.E.coeffs
+        return AnnulusSeries(np.outer(e, np.conj(e)), self.inner_radius)
 
 
 def szego(weight: WeightSpec) -> SzegoData:
-    """Build the outer function and the flattened weight from a pullback.
+    """Build the outer function and ``E`` from a pullback.
 
-    ``u = -R`` restricted to the circle is real; ``V o psi`` is half its
-    Herglotz transform; ``Omega = exp(2 Re V o psi + R)`` is then identically
-    one on the circle (checked on 256 samples).
+    ``u = -(h + conj(h))`` on the circle is real; ``V o psi`` is half its
+    Herglotz transform; ``F = V o psi + h`` is then purely imaginary on the
+    circle, so ``|E| = |exp(F)| = 1`` there (checked on 256 samples).
     """
-    R = weight.pullback
-    M, rho = R.bidegree, R.inner_radius
-    u = restrict_to_circle(-R)
+    h = weight.pullback
+    u = -(h + h.conjugate_on_circle())
     if not u.is_real(1e-9):
         raise ConsistencyError("restricted log-weight is not real on the circle")
     v = 0.5 * herglotz(u)
     v_inf = v.coeff(0)
     if abs(v_inf.imag) > 1e-10 * max(1.0, abs(v_inf)):
         raise ConsistencyError("outer function is not real at infinity")
-    two_re_v = lift_holomorphic(v, M, rho) + conjugate_lift(v, M, rho)
-    U = two_re_v + R
-    omega_flat = series_exp(U)
+    F = v + h
+    E = circle_exp(F)
     ts = np.exp(2j * np.pi * np.arange(256) / 256)
-    residual = float(np.max(np.abs(omega_flat.evaluate(ts) - 1.0)))
+    residual = float(np.max(np.abs(np.abs(E.evaluate(ts)) ** 2 - 1.0)))
     if residual > 1e-8:
         raise ConsistencyError(
             f"flattened weight deviates from 1 on the circle by {residual:.3e}")
-    return SzegoData(v_exterior=v, v_infinity=float(v_inf.real), omega_flat=omega_flat,
-                     log_omega_flat=U, circle_residual=residual)
+    return SzegoData(v_exterior=v, v_infinity=float(v_inf.real), F=F, E=E,
+                     inner_radius=weight.inner_radius, circle_residual=residual)
+
+
+def parse_number(value, what: str) -> float:
+    """A finite JSON number or command-line string as a float."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if isinstance(value, bool) or not math.isfinite(x):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return x
+
+
+def parse_integer(value, what: str) -> int:
+    """An integral JSON number or command-line string as an int."""
+    x = parse_number(value, what)
+    if not x.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(x)
 
 
 def load_domain_config(cfg: dict):
@@ -400,6 +435,9 @@ def load_domain_config(cfg: dict):
         {"map": {"cap": float, "tail": [[re, im], ...]},
          "weight": {"kind": "const"|"exp-re-linear"|"exp-re-poly"|"custom-samples", ...},
          "rho": float, "M": int, "K": int}
+
+    ``M`` (a positive integer) sets the circle bandwidth ``2M`` of the model's
+    Laurent series; ``K`` is accepted and has no effect.
     """
     try:
         mp = cfg["map"]
@@ -422,7 +460,9 @@ def load_domain_config(cfg: dict):
         else:
             raise ConfigError(f"unknown weight kind {kind!r}")
         rho = float(cfg.get("rho", 0.7))
-        M = int(cfg.get("M", 24))
+        M = parse_integer(cfg.get("M", 24), "M")
+        if M < 1:
+            raise ConfigError(f"M must be a positive integer, got {M}")
         K = int(cfg.get("K", 2 * M))
     except KeyError as exc:
         raise ConfigError(f"missing config field: {exc}") from exc

@@ -7,16 +7,17 @@ operators:
 
 * the weighted first-order operator ``T f = (1/Omega) (z d/dz + 1)(f Omega)``
   (:func:`weighted_derivative`), and
-* the composition "restrict to the circle, keep modes k <= -1"
-  (:func:`exterior_projection`).
+* the projection onto modes ``k <= -1`` (:func:`~planorth.series.hardy_project`).
 
 ``solve_hierarchy`` evaluates the product form of the solution,
 ``solve_hierarchy_triangular`` the equivalent triangular sum; they are kept
 separate purely for cross-validation.
 
-``T`` is applied through the exact identity ``T f = z df/dz + f + f z dU/dz``:
-``Omega = exp U`` with ``U`` stored (``SzegoData.log_omega_flat``), so no
-truncated reciprocal ``1/Omega`` is needed.
+With ``Omega = E conj(E)`` and ``E = exp(F)`` (``SzegoData``), ``T`` is the
+exact identity ``T f = z df/dz + f + f z dF/dz`` for holomorphic ``f``: the
+factor ``conj(E)`` is anti-holomorphic and commutes with ``z d/dz``.  So ``T``
+maps Laurent series to Laurent series and the whole recursion, residuals
+included, is one-dimensional convolution at the circle bandwidth ``2M``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .geometry import SzegoData
-from .series import (AnnulusSeries, CircleSeries, circle_from_modes, hardy_project,
-                     lift_holomorphic, multiply, restrict_to_circle, wirtinger_z)
+from .series import CircleSeries, circle_from_modes, hardy_project, truncate
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,42 +44,39 @@ class HierarchyCoeffs:
             raise ConsistencyError("correction list length does not match order")
 
 
-def weighted_derivative(f: AnnulusSeries, szego: SzegoData) -> AnnulusSeries:
-    """Apply ``T f = (1/Omega)(z d/dz + 1)(f Omega)`` on the annulus as
-    ``z df/dz + f + f z dU/dz``, exact since ``z dOmega/dz = Omega z dU/dz``."""
-    U = szego.log_omega_flat
-    return wirtinger_z(f) + f + multiply(f, wirtinger_z(U), cap=U.bidegree)
-
-
-def exterior_projection(a: AnnulusSeries) -> CircleSeries:
-    """Restrict to the circle and keep only modes ``k <= -1``."""
-    return hardy_project(restrict_to_circle(a))
+def weighted_derivative(f: CircleSeries, szego: SzegoData) -> CircleSeries:
+    """Apply ``T f = (1/Omega)(z d/dz + 1)(f Omega)`` to a Laurent series as
+    ``z df/dz + f + f z dF/dz``, cut to the bandwidth of ``F`` (the discarded
+    mass is guarded by ``TRUNC_TOL``)."""
+    K, Kf = szego.F.bandwidth, f.bandwidth
+    dF = szego.F.coeffs * np.arange(-K, K + 1)
+    out = np.zeros(2 * (K + Kf) + 1, dtype=np.complex128)
+    out[K:K + 2 * Kf + 1] = f.coeffs * np.arange(-Kf, Kf + 1) + f.coeffs
+    out = out + np.convolve(f.coeffs, dF)
+    return truncate(CircleSeries(out), K, "weighted derivative")
 
 
 def _one(szego: SzegoData) -> CircleSeries:
-    K = 2 * szego.omega_flat.bidegree
-    return circle_from_modes({0: 1.0}, K)
+    return circle_from_modes({0: 1.0}, szego.F.bandwidth)
 
 
 def solve_hierarchy(szego: SzegoData, order: int) -> HierarchyCoeffs:
     """Corrections from the product form of the recursion.
 
-    Iterates ``W -> (projected lift of T W) - T W`` on annulus intermediates,
-    harvesting ``X_p`` as the projection of ``T W`` at each step.  Restricting
-    before the next application would destroy the recursion: the weighted
-    derivative of an iterate is genuinely non-holomorphic.
+    Iterates ``W -> X_p - T W``, harvesting ``X_p`` as the projection of
+    ``T W`` at each step.  Projecting before the next application would
+    destroy the recursion: the weighted derivative of an iterate carries
+    modes of both signs.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    M = szego.omega_flat.bidegree
-    rho = szego.omega_flat.inner_radius
     xs = [_one(szego)]
-    W = lift_holomorphic(xs[0], M, rho)
+    W = xs[0]
     for _ in range(1, order + 1):
         A = weighted_derivative(W, szego)
-        Xp = exterior_projection(A)
+        Xp = hardy_project(A)
         xs.append(Xp)
-        W = lift_holomorphic(Xp, M, rho) - A
+        W = Xp - A
     return HierarchyCoeffs(order=order, X=tuple(xs))
 
 
@@ -88,10 +85,8 @@ def solve_hierarchy_triangular(szego: SzegoData, order: int) -> HierarchyCoeffs:
     ``X_p = sum_{l<p} (-1)^{p-l+1} Q T^{p-l} X_l``; cross-validation only."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    M = szego.omega_flat.bidegree
-    rho = szego.omega_flat.inner_radius
     xs = [_one(szego)]
-    iterates = {0: [lift_holomorphic(xs[0], M, rho)]}  # iterates[l][i] = T^i (lift X_l)
+    iterates = {0: [xs[0]]}  # iterates[l][i] = T^i X_l
     for p in range(1, order + 1):
         for l in range(p):
             seq = iterates[l]
@@ -99,32 +94,30 @@ def solve_hierarchy_triangular(szego: SzegoData, order: int) -> HierarchyCoeffs:
                 seq.append(weighted_derivative(seq[-1], szego))
         acc = None
         for l in range(p):
-            term = exterior_projection(iterates[l][p - l]) * ((-1.0) ** (p - l + 1))
+            term = hardy_project(iterates[l][p - l]) * ((-1.0) ** (p - l + 1))
             acc = term if acc is None else acc + term
         Xp = hardy_project(acc)
         xs.append(Xp)
-        iterates[p] = [lift_holomorphic(Xp, M, rho)]
+        iterates[p] = [Xp]
     return HierarchyCoeffs(order=order, X=tuple(xs))
 
 
 def hierarchy_residual(coeffs: HierarchyCoeffs, szego: SzegoData, p: int) -> float:
     """Defect of the order-``p`` jump condition.
 
-    Forms ``sum_{l<=p} (-1)^{p-l} T^{p-l} X_l`` restricted to the circle and
-    returns the largest absolute coefficient over modes ``k <= -1``; the exact
-    solution leaves only modes ``k >= 0`` (the combined jump data extends
+    Forms ``sum_{l<=p} (-1)^{p-l} T^{p-l} X_l`` on the circle and returns the
+    largest absolute coefficient over modes ``k <= -1``; the exact solution
+    leaves only modes ``k >= 0`` (the combined jump data extends
     holomorphically into the disk).
     """
     if not (1 <= p <= coeffs.order):
         raise ValueError("need 1 <= p <= order")
-    M = szego.omega_flat.bidegree
-    rho = szego.omega_flat.inner_radius
     total = None
     for l in range(p + 1):
-        a = lift_holomorphic(coeffs.X[l], M, rho)
+        a = coeffs.X[l]
         for _ in range(p - l):
             a = weighted_derivative(a, szego)
-        term = restrict_to_circle(a) * ((-1.0) ** (p - l))
+        term = a * ((-1.0) ** (p - l))
         total = term if total is None else total + term
     K = total.bandwidth
     return float(np.max(np.abs(total.coeffs[:K]))) if K else 0.0

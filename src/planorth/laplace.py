@@ -27,8 +27,7 @@ import numpy as np
 from .errors import ConsistencyError
 from .geometry import SzegoData
 from .hierarchy import HierarchyCoeffs
-from .series import (AnnulusSeries, conjugate_lift, lift_holomorphic, multiply,
-                     radial_moments)
+from .series import AnnulusSeries, radial_moments
 
 NORM_IMAG_TOL = 1e-10   # largest imaginary part the norm series may carry
 
@@ -86,21 +85,42 @@ def _ps_exp(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _conv_matrix(e: np.ndarray, n: int) -> np.ndarray:
+    """Matrix of ``x -> np.convolve(e, x)`` on vectors of length ``n``."""
+    T = np.zeros((e.size + n - 1, n), dtype=np.complex128)
+    for j in range(n):
+        T[j:j + e.size, j] = e
+    return T
+
+
 def weighted_moments(a: AnnulusSeries, szego: SzegoData, mu_max: int) -> list:
     """Boundary moments ``R L^mu (a Omega)`` for ``mu = 0..mu_max``, where
-    ``L = -(r d/dr)/2 - 1`` and ``R`` restricts to the circle.  The product
-    is kept whole: only its restriction is stored, so no mass is dropped."""
-    return radial_moments(multiply(a, szego.omega_flat), 1.0, mu_max)
+    ``L = -(r d/dr)/2 - 1`` and ``R`` restricts to the circle.
+
+    ``Omega = E conj(E)`` has rank one, so ``a Omega`` is two 1-D
+    convolutions of the coefficient grid: by ``E`` along ``z`` and by
+    ``conj(E)`` along ``conj(z)``.  The product is kept whole, so no mass is
+    dropped."""
+    T = _conv_matrix(szego.E.trimmed().coeffs, a.coeffs.shape[0])
+    grid = T @ a.coeffs @ T.conj().T
+    return radial_moments(AnnulusSeries(grid, szego.inner_radius), 1.0, mu_max)
 
 
 def _moment_table(szego: SzegoData, coeffs: HierarchyCoeffs, order: int) -> dict:
-    """``B[j, k] = weighted_moments(X_j conj(X_k), szego, order)`` for ``j + k <= order``."""
-    M = szego.omega_flat.bidegree
-    rho = szego.omega_flat.inner_radius
-    lifts = [lift_holomorphic(coeffs.X[j], M, rho) for j in range(order + 1)]
-    clifts = [conjugate_lift(coeffs.X[k], M, rho) for k in range(order + 1)]
-    return {(j, k): weighted_moments(multiply(lifts[j], clifts[k], cap=M), szego, order)
-            for j in range(order + 1) for k in range(order + 1 - j)}
+    """``B[j, k] = weighted_moments(X_j conj(X_k), szego, order)`` for ``j + k <= order``.
+
+    At mode ``p`` this is ``sum_{m-n=p} (-(m+n)/2 - 1)^mu a_m conj(b_n)`` with
+    ``a = X_j E`` and ``b = X_k E``; each ``X_j`` enters at the least
+    bandwidth that holds it."""
+    X = [x.trimmed() for x in coeffs.X[:order + 1]]
+    table = {}
+    for j in range(order + 1):
+        for k in range(order + 1 - j):
+            S = max(X[j].bandwidth, X[k].bandwidth)
+            xj, xk = (np.pad(x.coeffs, S - x.bandwidth) for x in (X[j], X[k]))
+            a = np.outer(xj, np.conj(xk))
+            table[j, k] = weighted_moments(AnnulusSeries(a, szego.inner_radius), szego, order)
+    return table
 
 
 @dataclass(frozen=True, eq=False)

@@ -343,10 +343,10 @@ def holomorphic_pairing(model: ExpansionModel, polys: OraclePolynomials, g: Circ
     """Annulus pairing of an exterior-holomorphic test function against the
     pulled-back oracle polynomial:
     ``int_ring g(w) conj(p_N(w)) |w|^{2N} Omega(w) dA(w)`` where
-    ``p_N = P_N(psi(w)) psi'(w) w^{-N} e^{-V(psi(w))}``."""
+    ``p_N = P_N(psi(w)) psi'(w) w^{-N} e^{-V(psi(w))}`` and ``Omega = |E|^2``."""
     ring = ring_quadrature(rho_ring, n_rad=PAIRING_N_RAD, n_ang=PAIRING_N_ANG)
     w = ring.nodes
     pN = polys.eval_single(model.map.psi(w), N) / positioning_factor(model, N, w)
-    omega_flat = model.szego.omega_flat.evaluate(w)
+    omega_flat = np.abs(model.szego.E.evaluate(w)) ** 2
     vals = g.evaluate(w) * np.conj(pN) * np.abs(w) ** (2 * N) * omega_flat
     return ring.integrate(vals)

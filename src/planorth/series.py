@@ -1,30 +1,32 @@
-"""Truncated bi-Laurent series on an annulus and Laurent series on the unit circle.
+"""Laurent series on the unit circle, and bi-Laurent test functions on an annulus.
 
-An :class:`AnnulusSeries` stores a dense grid of coefficients ``c[m, n]`` of
-``z**m * conj(z)**n`` for ``|m| <= M``, ``|n| <= M`` and represents a
-real-analytic function on the annulus ``rho < |z| < 1/rho``.  A
-:class:`CircleSeries` stores coefficients of ``z**k`` on the unit circle for
-``|k| <= K`` together with a mode-support tag.  All values are immutable and
-every operation is a pure function, so instances can be shared freely.
+A :class:`CircleSeries` stores coefficients of ``z**k`` for ``|k| <= K``
+together with a mode-support tag.  Read as a function of ``z`` it is a
+Laurent polynomial, holomorphic on the punctured plane, so it carries every
+holomorphic quantity of the model (``F``, ``E = exp(F)``, ``V``, ``X_j``) on
+the annulus as well as on the circle.  An :class:`AnnulusSeries` stores a
+dense grid of coefficients ``c[m, n]`` of ``z**m * conj(z)**n`` for
+``|m|, |n| <= M``: the genuinely two-dimensional test functions of the
+boundary-distribution expansion.  All values are immutable and every
+operation is a pure function, so instances can be shared freely.
 
-Truncating operations report the absolute coefficient mass they discard and
-raise :class:`~planorth.errors.TruncationOverflowError` when it exceeds
+Truncations measure the absolute coefficient mass they discard and raise
+:class:`~planorth.errors.TruncationOverflowError` when it exceeds
 ``TRUNC_TOL``: silently dropped mass would corrupt downstream convergence-rate
 measurements.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, TruncationOverflowError
+from .errors import DomainError, TruncationOverflowError
 
 TRUNC_TOL = 1e-13        # largest discarded coefficient mass of a truncation
-EXP_TERMS = 18           # Taylor terms of the series_exp core
-EXP_NORM_LIMIT = 40.0    # largest l1 norm series_exp accepts
+OVERSAMPLE = 9           # circle_exp samples OVERSAMPLE * (2K+1) points (odd)
+CHOP_TOL = 1e-16         # circle_exp coefficients below CHOP_TOL * l1 are FFT rounding
 HERGLOTZ_REAL_TOL = 1e-11  # realness tolerance of the herglotz argument
 EVAL_CHUNK = 4096        # points per block in AnnulusSeries.evaluate
 
@@ -53,13 +55,10 @@ class AnnulusSeries:
         ``coeffs[M+m, M+n]`` is the coefficient of ``z**m * conj(z)**n``.
     inner_radius : float
         Inner radius ``rho`` of the annulus of validity, in ``(0, 1)``.
-    trunc_mass : float
-        Absolute coefficient mass discarded while producing this series.
     """
 
     coeffs: np.ndarray
     inner_radius: float
-    trunc_mass: float = 0.0
 
     def __post_init__(self):
         arr = _as_complex_array(self.coeffs)
@@ -90,7 +89,7 @@ class AnnulusSeries:
 
     def conjugate(self) -> "AnnulusSeries":
         """Series of ``z -> conj(f(z))``."""
-        return AnnulusSeries(np.conj(self.coeffs).T, self.inner_radius, self.trunc_mass)
+        return AnnulusSeries(np.conj(self.coeffs).T, self.inner_radius)
 
     def evaluate(self, z) -> np.ndarray:
         """Evaluate at points ``z`` (annulus points; vectorized).
@@ -109,29 +108,21 @@ class AnnulusSeries:
     def __add__(self, other):
         if isinstance(other, AnnulusSeries):
             a, b = _common_grid(self, other)
-            return AnnulusSeries(a.coeffs + b.coeffs, self.inner_radius,
-                                 self.trunc_mass + other.trunc_mass)
+            return AnnulusSeries(a.coeffs + b.coeffs, self.inner_radius)
         return NotImplemented
 
     def __sub__(self, other):
         return self + (-other) if isinstance(other, AnnulusSeries) else NotImplemented
 
     def __neg__(self):
-        return AnnulusSeries(-self.coeffs, self.inner_radius, self.trunc_mass)
+        return AnnulusSeries(-self.coeffs, self.inner_radius)
 
     def __mul__(self, other):
-        if isinstance(other, AnnulusSeries):
-            return multiply(self, other)
         if np.isscalar(other):
-            return AnnulusSeries(self.coeffs * other, self.inner_radius, self.trunc_mass)
+            return AnnulusSeries(self.coeffs * other, self.inner_radius)
         return NotImplemented
 
     __rmul__ = __mul__
-
-
-def annulus_zeros(bidegree: int, inner_radius: float) -> AnnulusSeries:
-    side = 2 * bidegree + 1
-    return AnnulusSeries(np.zeros((side, side), dtype=np.complex128), inner_radius)
 
 
 def annulus_constant(value: complex, bidegree: int, inner_radius: float) -> AnnulusSeries:
@@ -165,105 +156,7 @@ def _pad(a: AnnulusSeries, M: int) -> AnnulusSeries:
     d = M - a.bidegree
     grid = np.zeros((2 * M + 1, 2 * M + 1), dtype=np.complex128)
     grid[d:d + a.coeffs.shape[0], d:d + a.coeffs.shape[1]] = a.coeffs
-    return AnnulusSeries(grid, a.inner_radius, a.trunc_mass)
-
-
-def multiply(a: AnnulusSeries, b: AnnulusSeries, cap: int | None = None) -> AnnulusSeries:
-    """Product of two annulus series.
-
-    The coefficient grid is the 2-D convolution of the inputs, truncated to
-    bidegree ``min(Ma + Mb, cap)``.  The sum of absolute discarded coefficients
-    is recorded on the result; if it exceeds ``TRUNC_TOL`` a
-    :class:`TruncationOverflowError` is raised.
-    """
-    if abs(a.inner_radius - b.inner_radius) > 1e-12:
-        raise DomainError("annulus series live on different annuli")
-    Ma, Mb = a.bidegree, b.bidegree
-    Mfull = Ma + Mb
-    size = 2 * Mfull + 1
-    full = _conv2(a.coeffs, b.coeffs, size)
-    if cap is None or cap >= Mfull:
-        out, discarded = full, 0.0
-    else:
-        lo, hi = Mfull - cap, Mfull + cap + 1
-        out = full[lo:hi, lo:hi]
-        mask = np.ones_like(full, dtype=bool)
-        mask[lo:hi, lo:hi] = False
-        # entries below the roundoff floor of the convolution are not counted
-        floor = 64.0 * np.finfo(float).eps * a.l1() * b.l1()
-        outside = np.abs(full[mask])
-        discarded = float(np.sum(outside[outside > floor]))
-        if discarded > TRUNC_TOL:
-            raise TruncationOverflowError(
-                f"multiply discarded mass {discarded:.3e} above tolerance {TRUNC_TOL:.1e} "
-                f"(cap {cap}); increase the bidegree cap")
-    return AnnulusSeries(np.ascontiguousarray(out), a.inner_radius,
-                         a.trunc_mass + b.trunc_mass + discarded)
-
-
-def _conv2(A: np.ndarray, B: np.ndarray, size: int) -> np.ndarray:
-    """Full 2-D convolution.  Sparse-shift accumulation (exact, preserves
-    structural zeros) driven by the factor with fewer nonzeros; FFT fallback
-    when both factors are dense."""
-    nza = np.argwhere(A != 0)
-    nzb = np.argwhere(B != 0)
-    if min(len(nza), len(nzb)) > 6000:
-        fa = np.fft.fft2(A, s=(size, size))
-        fb = np.fft.fft2(B, s=(size, size))
-        return np.fft.ifft2(fa * fb)
-    if len(nzb) < len(nza):
-        A, B, nza = B, A, nzb
-    out = np.zeros((size, size), dtype=np.complex128)
-    sb = B.shape[0]
-    for i, j in nza:
-        out[i:i + sb, j:j + sb] += A[i, j] * B
-    return out
-
-
-def series_exp(a: AnnulusSeries) -> AnnulusSeries:
-    """Exponential of an annulus series on its own grid, by scaling and squaring.
-
-    The argument is scaled by ``2**-s`` until its l1 coefficient norm is below
-    1/2, an ``EXP_TERMS``-term Taylor core is summed by Horner's scheme, and
-    the result is squared ``s`` times.  Raises :class:`ConvergenceError` when
-    the l1 norm exceeds ``EXP_NORM_LIMIT`` (a weight that large should be
-    handled with a bigger inner radius or a smaller amplitude).
-    """
-    M = a.bidegree
-    norm = a.l1()
-    if norm > EXP_NORM_LIMIT:
-        raise ConvergenceError(
-            f"series exp argument has l1 norm {norm:.2e} > {EXP_NORM_LIMIT}; "
-            "increase the annulus inner radius or reduce the weight amplitude")
-    s = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
-    b = a * (0.5 ** s)
-    acc = one = annulus_constant(1.0, M, b.inner_radius)
-    for k in range(EXP_TERMS, 0, -1):
-        acc = one + multiply(acc, b, cap=M) * (1.0 / k)
-    for _ in range(s):
-        acc = multiply(acc, acc, cap=M)
-    return acc
-
-
-def wirtinger_z(a: AnnulusSeries) -> AnnulusSeries:
-    """Apply ``z d/dz``: multiplies ``c[m, n]`` by ``m``."""
-    M = a.bidegree
-    m = np.arange(-M, M + 1)[:, None]
-    return AnnulusSeries(a.coeffs * m, a.inner_radius, a.trunc_mass)
-
-
-def wirtinger_zbar(a: AnnulusSeries) -> AnnulusSeries:
-    """Apply ``conj(z) d/dconj(z)``: multiplies ``c[m, n]`` by ``n``."""
-    M = a.bidegree
-    n = np.arange(-M, M + 1)[None, :]
-    return AnnulusSeries(a.coeffs * n, a.inner_radius, a.trunc_mass)
-
-
-def radial(a: AnnulusSeries) -> AnnulusSeries:
-    """Apply ``r d/dr = z d/dz + conj(z) d/dconj(z)``: multiplies ``c[m, n]`` by ``m + n``."""
-    M = a.bidegree
-    m = np.arange(-M, M + 1)
-    return AnnulusSeries(a.coeffs * (m[:, None] + m[None, :]), a.inner_radius, a.trunc_mass)
+    return AnnulusSeries(grid, a.inner_radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,6 +214,13 @@ class CircleSeries:
         """Real-valued on the circle: ``c[-k] == conj(c[k])``."""
         dev = np.max(np.abs(self.coeffs[::-1] - np.conj(self.coeffs)))
         return bool(dev <= tol * max(1.0, self.l1()))
+
+    def trimmed(self) -> "CircleSeries":
+        """The same series at the least bandwidth that holds its nonzero modes."""
+        K = self.bandwidth
+        nz = np.flatnonzero(self.coeffs)
+        S = int(np.max(np.abs(nz - K))) if nz.size else 0
+        return CircleSeries(self.coeffs[K - S:K + S + 1], self.support)
 
     def conjugate_on_circle(self) -> "CircleSeries":
         """Series of ``zeta -> conj(f(zeta))`` restricted to ``|zeta| = 1``."""
@@ -388,6 +288,42 @@ def _pad_circle(c: CircleSeries, K: int) -> np.ndarray:
     return out
 
 
+def truncate(c: CircleSeries, bandwidth: int, what: str) -> CircleSeries:
+    """``c`` cut to modes ``|k| <= bandwidth`` (zero-padded if narrower).
+
+    Raises :class:`TruncationOverflowError`, naming ``what``, when the
+    absolute mass of the discarded modes exceeds ``TRUNC_TOL``."""
+    K = c.bandwidth
+    if K <= bandwidth:
+        return CircleSeries(_pad_circle(c, bandwidth), c.support)
+    d = K - bandwidth
+    discarded = float(np.sum(np.abs(c.coeffs[:d])) + np.sum(np.abs(c.coeffs[-d:])))
+    if discarded > TRUNC_TOL:
+        raise TruncationOverflowError(
+            f"{what} has mass {discarded:.3e} beyond bandwidth {bandwidth}, above "
+            f"tolerance {TRUNC_TOL:.1e}; increase M")
+    return CircleSeries(c.coeffs[d:K + bandwidth + 1], c.support)
+
+
+def circle_exp(f: CircleSeries) -> CircleSeries:
+    """``exp(f)`` at the bandwidth ``K`` of ``f``.
+
+    ``f`` is sampled at ``n = OVERSAMPLE (2K+1)`` points of the unit circle
+    (an inverse FFT of its modes), exponentiated pointwise and transformed
+    back, so every mode ``|k| < n/2`` of ``exp(f)`` is measured directly
+    rather than bounded.  Coefficients below ``CHOP_TOL`` times the l1 norm
+    are the flat rounding floor of the FFT and are set to zero (a chop in the
+    sense of Aurentz & Trefethen, ACM TOMS 2017); the rest is cut to ``K`` by
+    :func:`truncate`, so a tail above ``TRUNC_TOL`` raises.
+    """
+    K = f.bandwidth
+    n = OVERSAMPLE * (2 * K + 1)
+    spec = np.fft.ifftshift(np.pad(f.coeffs, (n - 2 * K - 1) // 2))
+    e = np.fft.fft(np.exp(np.fft.ifft(spec) * n)) / n
+    e[np.abs(e) < CHOP_TOL * np.sum(np.abs(e))] = 0.0
+    return truncate(CircleSeries(np.fft.fftshift(e)), K, "exp")
+
+
 def restrict_to_circle(a: AnnulusSeries) -> CircleSeries:
     """Restrict to ``|z| = 1``: mode ``k`` collects ``sum_{m-n=k} c[m, n]``,
     bandwidth ``K = 2M``."""
@@ -438,27 +374,3 @@ def herglotz(u: CircleSeries) -> CircleSeries:
     out[K] = u.coeffs[K].real
     out[:K] = 2.0 * u.coeffs[:K]
     return CircleSeries(out, SUPPORT_EXTERIOR)
-
-
-def lift_holomorphic(c: CircleSeries, bidegree: int, inner_radius: float) -> AnnulusSeries:
-    """Lift circle modes ``z^k`` to the annulus grid as pure-z terms ``(k, 0)``."""
-    K = c.bandwidth
-    grid = np.zeros((2 * bidegree + 1, 2 * bidegree + 1), dtype=np.complex128)
-    discarded = 0.0
-    for k in range(-K, K + 1):
-        v = c.coeffs[K + k]
-        if v == 0.0:
-            continue
-        if abs(k) > bidegree:
-            discarded += abs(v)
-        else:
-            grid[bidegree + k, bidegree] = v
-    if discarded > TRUNC_TOL:
-        raise TruncationOverflowError(
-            f"lift discarded mass {discarded:.3e} above tolerance {TRUNC_TOL:.1e}")
-    return AnnulusSeries(grid, inner_radius, discarded)
-
-
-def conjugate_lift(c: CircleSeries, bidegree: int, inner_radius: float) -> AnnulusSeries:
-    """Annulus series of ``z -> conj(f(z))`` for a holomorphic ``f``: modes ``(0, k)``."""
-    return lift_holomorphic(c, bidegree, inner_radius).conjugate()

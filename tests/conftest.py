@@ -1,7 +1,13 @@
+import numpy as np
 import pytest
+from hypothesis import settings
 
 import planorth as po
 from planorth.presets import preset_model
+
+# property tests stay deterministic and cheap inside the tier-1 run
+settings.register_profile("planorth", derandomize=True, max_examples=20, deadline=None)
+settings.load_profile("planorth")
 
 
 @pytest.fixture(scope="session")
@@ -74,3 +80,15 @@ def random_circle(rng, bandwidth, scale=1.0):
     arr = scale * (rng.standard_normal(2 * bandwidth + 1)
                    + 1j * rng.standard_normal(2 * bandwidth + 1))
     return po.CircleSeries(arr)
+
+
+def conv2_reference(A, B):
+    """Full 2-D convolution of two centred coefficient grids by shifted
+    accumulation over the nonzeros of ``A``: the bi-Laurent product as first
+    implemented, kept as an independent reference."""
+    size = A.shape[0] + B.shape[0] - 1
+    out = np.zeros((size, size), dtype=np.complex128)
+    sb = B.shape[0]
+    for i, j in np.argwhere(A != 0):
+        out[i:i + sb, j:j + sb] += A[i, j] * B
+    return out

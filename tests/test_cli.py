@@ -56,8 +56,12 @@ def test_expand_disk_alpha_table(tmp_path):
     ("oracle", {"oracle_degree": "abc"}),
     ("expand", {"domain": {"map": {"cap": 1.0, "tail": []},
                            "weight": {"kind": "exp-re-linear", "alpha": [0.3]}}}),
+    ("expand", {"domain": {**preset_config("disk-expre03"), "M": 16.7}}),
+    ("expand", {"domain": {**preset_config("disk-expre03"), "M": 0}}),
+    ("eval", {"allow_out_of_validity": "false"}),
 ], ids=["point-one-entry", "point-not-number", "term-row-three-entries", "kernel-w-one-entry",
-        "slope-not-number", "oracle-degree-not-number", "alpha-one-entry"])
+        "slope-not-number", "oracle-degree-not-number", "alpha-one-entry", "M-not-integer",
+        "M-not-positive", "allow-out-of-validity-string"])
 def test_malformed_field_is_config_error(tmp_path, capsys, command, extra):
     cfg = write_config(tmp_path, **extra)
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import planorth as po
-from planorth import laplace, series
+from planorth import distributional, laplace
 from planorth.distributional import (_circle_mean, distributional_expectation,
                                      distributional_terms, split_test_function, w_operator)
 from planorth.oracle import berezin_expectation
 
-from conftest import random_annulus
+from conftest import conv2_reference, random_annulus
 
 
 def test_split_constant(disk_alpha_model):
@@ -133,15 +133,21 @@ def test_circle_mean_pairing():
     assert _circle_mean(u, v) == 2.0 * 5.0 + 3.0 * 7.0
 
 
+def _radial(b):
+    """``r d/dr`` on a bi-Laurent grid: ``c[m, n]`` times ``m + n``."""
+    m = np.arange(-b.bidegree, b.bidegree + 1)
+    return po.AnnulusSeries(b.coeffs * (m[:, None] + m[None, :]), b.inner_radius)
+
+
 def _radial_chain_w_operator(sz, N, nu, order, a):
-    """``w_operator`` as first implemented: multiply by ``Omega``, then apply
-    ``(-(r d/dr)/2 - 1)`` once per power of ``1/N``."""
-    b = po.multiply(a, sz.omega_flat, cap=sz.omega_flat.bidegree)
+    """``w_operator`` as first implemented: multiply by the bi-Laurent grid of
+    ``Omega``, then apply ``(-(r d/dr)/2 - 1)`` once per power of ``1/N``."""
+    b = po.AnnulusSeries(conv2_reference(a.coeffs, sz.omega_flat.coeffs), a.inner_radius)
     acc = None
     for mu in range(order - nu + 1):
         term = po.restrict_to_circle(b) * (math.comb(nu + mu, nu) * float(N) ** (-mu))
         acc = term if acc is None else acc + term
-        b = po.radial(b) * (-0.5) + (-1.0) * b
+        b = _radial(b) * (-0.5) + (-1.0) * b
     return acc
 
 
@@ -156,23 +162,26 @@ def test_w_operator_matches_radial_chain(all_preset_models):
 
 
 def test_terms_match_per_call_form(all_preset_models):
-    # the per-model moment table against the per-request products it replaced
+    # the per-model moment table against the per-request products it replaced;
+    # a complex weight makes the corrections complex, so conj(X_k) matters
     rng = np.random.default_rng(29)
-    for name, model in all_preset_models.items():
-        sz = model.szego
-        M, rho = sz.omega_flat.bidegree, model.inner_radius
+    models = dict(all_preset_models)
+    models["disk-complex"] = po.build_model(po.disk_map(), po.exp_re_linear_weight(0.2 + 0.2j),
+                                            4, bidegree=16, inner_radius=0.5)
+    for name, model in models.items():
+        sz, rho = model.szego, model.inner_radius
         split = split_test_function(random_annulus(rng, 6, rho, scale=0.5))
         order, N = model.order, 13
         want = []
         for nu in range(1, order + 1):
             b = split.zero
             for _ in range(nu):
-                b = po.radial(b) * (-0.5)
+                b = _radial(b) * (-0.5)
             gnu = po.restrict_to_circle(b)
             for j in range(order - nu + 1):
                 for k in range(order - nu - j + 1):
-                    a = po.multiply(po.lift_holomorphic(model.coeffs.X[j], M, rho),
-                                    po.conjugate_lift(model.coeffs.X[k], M, rho), cap=M)
+                    a = po.AnnulusSeries(np.outer(model.coeffs.X[j].coeffs,
+                                                  np.conj(model.coeffs.X[k].coeffs)), rho)
                     wk = w_operator(sz, N, nu, order, a)
                     want.append(((nu, j, k), float(N) ** (-(nu + j + k)) * _circle_mean(gnu, wk)))
         got = distributional_terms(model, split, N)
@@ -188,8 +197,9 @@ def test_expectation_forms_no_products(disk_alpha_model, monkeypatch):
     split = split_test_function(random_annulus(rng, 6, disk_alpha_model.inner_radius))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("series.multiply called inside a request")
+        raise AssertionError("a product with Omega formed inside a request")
 
-    monkeypatch.setattr(series, "multiply", forbidden)
-    monkeypatch.setattr(laplace, "multiply", forbidden)
+    monkeypatch.setattr(laplace, "weighted_moments", forbidden)
+    monkeypatch.setattr(laplace, "_moment_table", forbidden)
+    monkeypatch.setattr(distributional, "weighted_moments", forbidden)
     assert np.isfinite(distributional_expectation(disk_alpha_model, split, 20))

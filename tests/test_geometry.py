@@ -3,7 +3,7 @@ import pytest
 
 import planorth as po
 from planorth.errors import ConfigError, ConvergenceError, PositivityError
-from planorth.geometry import WeightDef, phi_prime
+from planorth.geometry import FIT_TOL, WeightDef, phi_prime
 
 
 def test_map_forward_identity():
@@ -74,12 +74,11 @@ def test_pullback_constant_weight():
 def test_pullback_disk_linear_weight():
     alpha = 0.3
     ws = po.pullback_weight(po.disk_map(), po.exp_re_linear_weight(alpha), 8, 0.7)
-    R = ws.pullback
-    assert abs(R.coeff(1, 0) - alpha) < 1e-14
-    assert abs(R.coeff(0, 1) - alpha) < 1e-14
-    rest = R.coeffs.copy()
-    rest[8 + 1, 8] = 0.0
-    rest[8, 8 + 1] = 0.0
+    h = ws.pullback
+    assert h.bandwidth == 16
+    assert abs(h.coeff(1) - alpha) < 1e-14
+    rest = h.coeffs.copy()
+    rest[16 + 1] = 0.0
     assert np.max(np.abs(rest)) <= 1e-12
 
 
@@ -103,6 +102,23 @@ def test_pullback_positivity_guard():
     bad = WeightDef("custom", lambda z: np.real(z))  # negative on part of the collar
     with pytest.raises((PositivityError, po.WeightResolutionError)):
         po.pullback_weight(po.disk_map(), bad, 6, 0.7)
+
+
+def test_blackbox_harmonic_weight_reproduces_F():
+    # the harmonic fit from two circles recovers the exact outer data
+    target = po.exp_re_linear_weight(0.3)
+    for m in (po.disk_map(), po.ellipse_map(2, 1)):
+        exact = po.szego(po.pullback_weight(m, target, 12, 0.75))
+        fitted = po.szego(po.pullback_weight(m, WeightDef("custom", target.evaluator), 12, 0.75))
+        assert (fitted.F - exact.F).linf() <= FIT_TOL
+        assert abs(fitted.v_infinity - exact.v_infinity) <= FIT_TOL
+
+
+def test_nonharmonic_blackbox_weight_is_refused():
+    # log omega = 0.01 |z|^2 is not harmonic: no (F, E) pair represents it
+    radial = WeightDef("custom", lambda z: np.exp(0.01 * np.abs(z) ** 2))
+    with pytest.raises(po.WeightResolutionError, match=r"non-harmonic residual \d\.\d{3}e-0\d"):
+        po.pullback_weight(po.disk_map(), radial, 12, 0.7)
 
 
 def test_sampled_weight_fit():
@@ -158,6 +174,26 @@ def test_szego_circle_normalization(all_preset_models):
         assert resid <= 1e-10, name
 
 
+def test_outer_factor_is_the_flattened_weight(all_preset_models):
+    # |E(zeta)|^2 == omega(psi(zeta)) |exp(V(zeta))|^2 on the annulus, E from
+    # the circle FFT and the right-hand side from the weight evaluator
+    for name, model in all_preset_models.items():
+        rho = model.inner_radius
+        zeta = np.concatenate([r * np.exp(2j * np.pi * (np.arange(24) + 0.4) / 24)
+                               for r in (rho + 0.02, 1.0, 1.0 / rho - 0.02)])
+        want = (model.weight.omega(model.map.psi(zeta))
+                * np.abs(np.exp(model.szego.v_exterior.evaluate(zeta))) ** 2)
+        got = np.abs(model.szego.E.evaluate(zeta)) ** 2
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12, name
+
+
+def test_omega_flat_is_the_outer_product_of_E(disk_alpha_model):
+    sz = disk_alpha_model.szego
+    grid = sz.omega_flat
+    assert grid.bidegree == sz.E.bandwidth == 2 * 16
+    assert grid.coeff(1, -2) == sz.E.coeff(1) * np.conj(sz.E.coeff(-2))
+
+
 def test_phi_prime_matches_difference_quotient():
     m = po.ellipse_map(2, 1)
     z = 2.3 + 0.4j
@@ -176,3 +212,7 @@ def test_load_domain_config_roundtrip():
     assert wd.kind == "exp-re-linear"
     with pytest.raises(ConfigError):
         po.load_domain_config({"map": {"cap": 1.0}, "weight": {"kind": "nope"}})
+    for bad in (16.7, 0, -4, "x", True):
+        with pytest.raises(ConfigError, match="M must be"):
+            po.load_domain_config({**cfg, "M": bad})
+    assert po.load_domain_config({**cfg, "M": 16.0})[3] == 16

@@ -1,35 +1,33 @@
 import numpy as np
 
 import planorth as po
-from planorth.hierarchy import exterior_projection, weighted_derivative
-from planorth.series import lift_holomorphic
+from planorth.hierarchy import weighted_derivative
 
-from conftest import random_annulus
+from conftest import random_circle
 
 ALPHA = 0.3
 
 
-def lifted_one(model):
-    M = model.szego.omega_flat.bidegree
-    return lift_holomorphic(po.circle_from_modes({0: 1.0}, 2 * M), M, model.inner_radius)
+def circle_one(model):
+    return po.circle_from_modes({0: 1.0}, model.szego.F.bandwidth)
 
 
 def test_weighted_derivative_flat_weight(disk_const_model):
     sz = disk_const_model.szego
     # with flattened weight identically one: T f = z df/dz + f; constants are fixed
-    one = lifted_one(disk_const_model)
+    one = circle_one(disk_const_model)
     t1 = weighted_derivative(one, sz)
     assert np.max(np.abs((t1 - one).coeffs)) < 1e-14
     rng = np.random.default_rng(2)
-    f = random_annulus(rng, sz.omega_flat.bidegree, disk_const_model.inner_radius, scale=0.2)
+    K = sz.F.bandwidth
+    f = random_circle(rng, K, scale=0.2)
     lhs = weighted_derivative(f, sz)
-    rhs = po.wirtinger_z(f) + f
+    rhs = po.CircleSeries(f.coeffs * (np.arange(-K, K + 1) + 1))
     assert np.max(np.abs((lhs - rhs).coeffs)) < 1e-12
 
 
 def test_weighted_derivative_disk_alpha(disk_alpha_model):
-    t1 = po.restrict_to_circle(weighted_derivative(lifted_one(disk_alpha_model),
-                                                   disk_alpha_model.szego))
+    t1 = weighted_derivative(circle_one(disk_alpha_model), disk_alpha_model.szego)
     assert abs(t1.coeff(0) - 1.0) < 1e-12
     assert abs(t1.coeff(1) - ALPHA) < 1e-12
     assert abs(t1.coeff(-1) - ALPHA) < 1e-12
@@ -37,51 +35,66 @@ def test_weighted_derivative_disk_alpha(disk_alpha_model):
     assert others < 1e-12
 
 
-def sparse_annulus(rng, bidegree, inner_radius, terms=6, span=3):
-    grid = {}
+def sparse_circle(rng, bandwidth, terms=6, span=3):
+    modes = {}
     for _ in range(terms):
-        m, n = rng.integers(-span, span + 1, size=2)
-        grid[(int(m), int(n))] = complex(rng.standard_normal(), rng.standard_normal())
-    return po.annulus_from_terms(grid, bidegree, inner_radius)
+        modes[int(rng.integers(-span, span + 1))] = complex(rng.standard_normal(),
+                                                            rng.standard_normal())
+    return po.circle_from_modes(modes, bandwidth)
 
 
 def test_weighted_derivative_linear(disk_alpha_model):
     sz = disk_alpha_model.szego
     rng = np.random.default_rng(8)
-    M = sz.omega_flat.bidegree
-    f = sparse_annulus(rng, M, disk_alpha_model.inner_radius)
-    g = sparse_annulus(rng, M, disk_alpha_model.inner_radius)
+    f = sparse_circle(rng, sz.F.bandwidth)
+    g = sparse_circle(rng, sz.F.bandwidth)
     lhs = weighted_derivative(f + g, sz)
     rhs = weighted_derivative(f, sz) + weighted_derivative(g, sz)
     assert np.max(np.abs((lhs - rhs).coeffs)) <= 1e-12 * max(1.0, lhs.l1())
 
 
-def product_form_T(f, sz):
-    """Reference ``(1/Omega)(z d/dz + 1)(f Omega)`` by truncated products with
-    ``Omega`` and with its reciprocal ``exp(-U)``."""
-    M = sz.omega_flat.bidegree
-    omega_inv = po.series_exp(-sz.log_omega_flat)
-    fo = po.multiply(f, sz.omega_flat, cap=M)
-    return po.multiply(po.wirtinger_z(fo) + fo, omega_inv, cap=M)
+def omega_direct(model, z):
+    """The flattened weight from its definition, ``omega(psi(z)) |exp(V(z))|^2``."""
+    return (model.weight.omega(model.map.psi(z))
+            * np.abs(np.exp(model.szego.v_exterior.evaluate(z))) ** 2)
+
+
+def product_form_T(f, model, z, h=1e-3):
+    """Reference ``(1/Omega)(z d/dz + 1)(f Omega)`` at annulus points ``z``, with
+    ``Omega`` from :func:`omega_direct` and ``d/dz = (d/dx - i d/dy)/2`` by
+    fourth-order central differences."""
+    def g(w):
+        return f.evaluate(w) * omega_direct(model, w)
+
+    def diff(step):
+        return (-g(z + 2 * step) + 8 * g(z + step) - 8 * g(z - step) + g(z - 2 * step)) / (12 * h)
+
+    dz = 0.5 * (diff(h) - 1j * diff(1j * h))
+    return (z * dz + g(z)) / omega_direct(model, z)
 
 
 def test_weighted_derivative_matches_product_form(all_preset_models):
     rng = np.random.default_rng(5)
+    z = np.concatenate([r * np.exp(2j * np.pi * (np.arange(16) + 0.3) / 16)
+                        for r in (0.9, 1.0, 1.1)])
     for name, model in all_preset_models.items():
-        sz, rho = model.szego, model.inner_radius
-        M = sz.omega_flat.bidegree
-        fs = [lift_holomorphic(X, M, rho) for X in model.coeffs.X]
-        fs.append(sparse_annulus(rng, M, rho))
+        sz = model.szego
+        fs = list(model.coeffs.X) + [sparse_circle(rng, sz.F.bandwidth)]
         for f in fs:
-            ref = product_form_T(f, sz)
-            assert (weighted_derivative(f, sz) - ref).l1() <= 1e-12 * ref.l1(), name
+            ref = product_form_T(f, model, z)
+            got = weighted_derivative(f, sz).evaluate(z)
+            assert np.max(np.abs(got - ref)) <= 1e-8 * max(1.0, np.max(np.abs(ref))), name
 
 
 def test_exterior_projection_cases(disk_const_model):
     rho = disk_const_model.inner_radius
-    assert exterior_projection(po.annulus_constant(1.0, 4, rho)).l2() == 0.0
-    assert exterior_projection(po.annulus_from_terms({(2, 1): 1.0}, 4, rho)).l2() == 0.0
-    q = exterior_projection(po.annulus_from_terms({(1, 2): 1.0}, 4, rho))
+
+    def project(terms):
+        return po.hardy_project(po.restrict_to_circle(po.annulus_from_terms(terms, 4, rho)))
+
+    assert project({(0, 0): 1.0}).l2() == 0.0
+    assert project({(2, 1): 1.0}).l2() == 0.0
+    q = project({(1, 2): 1.0})
     assert q.coeff(-1) == 1.0 and q.l2() == 1.0
 
 
@@ -105,7 +118,8 @@ def test_hierarchy_disk_alpha_values(disk_alpha_model):
 def test_first_correction_is_projected_log_derivative(all_preset_models):
     for name, model in all_preset_models.items():
         sz = model.szego
-        expect = po.hardy_project(po.restrict_to_circle(po.wirtinger_z(sz.log_omega_flat)))
+        K = sz.F.bandwidth
+        expect = po.hardy_project(po.CircleSeries(sz.F.coeffs * np.arange(-K, K + 1)))
         diff = (model.coeffs.X[1] - expect).linf()
         assert diff < 1e-11, name
 

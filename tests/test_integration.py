@@ -104,11 +104,13 @@ def test_high_order_refinement_vs_oracle(disk_alpha_oracle):
 
 
 def test_truncation_budget_guards_small_grids():
-    # at bidegree 8 the flattened quadratic weight is genuinely under-resolved:
-    # exp(U) has ~4e-6 of coefficient mass beyond the grid
-    with pytest.raises(po.TruncationOverflowError, match="stage: outer-function"):
+    # at M = 4 the outer factor of the quadratic weight is genuinely
+    # under-resolved: E = exp(F) has 1.4e-6 of coefficient mass beyond its
+    # circle bandwidth 2M = 8 (M = 8, bandwidth 16, leaves 8e-14 and builds)
+    with pytest.raises(po.TruncationOverflowError,
+                       match=r"stage: outer-function\] exp has mass 1\.4\d\de-06"):
         po.build_model(po.disk_map(), po.exp_re_poly_weight([0.0, 0.15, 0.1]),
-                       3, bidegree=8, inner_radius=0.5)
+                       3, bidegree=4, inner_radius=0.5)
 
 
 def test_quadratic_weight_grid_independent():

@@ -4,6 +4,8 @@ import pytest
 import planorth as po
 from planorth.laplace import _ps_exp, _ps_log
 
+from conftest import conv2_reference
+
 
 def test_watson_constant():
     jet = po.JetAtZero([1.0, 0.0, 0.0], 0.0)
@@ -109,23 +111,20 @@ def test_norm_expansion_rejects_unsolved_order(disk_alpha_model):
 
 def _product_form_norm_series(model):
     """The squared-norm series as first implemented: sum the products
-    ``X_j conj(X_k)`` of each total order, multiply by ``Omega`` and apply
-    ``(-(r d/dr) - 2)`` once per derivative, weighting the ``m``-th by ``2^-m``."""
-    sz, order = model.szego, model.order
-    M = sz.omega_flat.bidegree
-    rho = sz.omega_flat.inner_radius
-    lifts = [po.lift_holomorphic(model.coeffs.X[j], M, rho) for j in range(order + 1)]
-    clifts = [po.conjugate_lift(model.coeffs.X[k], M, rho) for k in range(order + 1)]
+    ``X_j conj(X_k)`` of each total order, multiply by the bi-Laurent grid of
+    ``Omega`` (a 2-D convolution) and apply ``(-(r d/dr) - 2)`` once per
+    derivative, weighting the ``m``-th by ``2^-m``."""
+    order = model.order
+    omega = model.szego.omega_flat.coeffs
+    X = [x.coeffs for x in model.coeffs.X]
     c = np.zeros(order + 1, dtype=np.complex128)
     for q in range(order + 1):
-        prod = None
-        for j in range(q + 1):
-            term = po.multiply(lifts[j], clifts[q - j], cap=M)
-            prod = term if prod is None else prod + term
-        a = po.multiply(prod, sz.omega_flat, cap=M)
-        for m in range(order - q + 1):
-            c[q + m] += (0.5 ** m) * po.restrict_to_circle(a).coeff(0)
-            a = -po.radial(a) + (-2.0) * a
+        prod = sum(np.outer(X[j], np.conj(X[q - j])) for j in range(q + 1))
+        a = conv2_reference(prod, omega)
+        m = np.arange(a.shape[0]) - (a.shape[0] - 1) // 2
+        for k in range(order - q + 1):
+            c[q + k] += (0.5 ** k) * np.trace(a)  # mode 0 of the restriction
+            a = a * (-(m[:, None] + m[None, :]) - 2.0)
     return c.real, _ps_exp(-0.5 * _ps_log(c.real.astype(np.complex128))).real
 
 
@@ -140,7 +139,7 @@ def test_norm_expansion_matches_product_form(all_preset_models):
 
 
 def test_moment_table_drops_no_mass():
-    # X_1 conj(X_0) Omega reaches past bidegree 24 by 1.3e-13 here; the table
+    # X_1 conj(X_0) Omega carries 1.3e-13 beyond bidegree 24 here; the table
     # keeps the whole product (only its restriction is stored), so the build
     # neither trips the truncation guard nor loses that mass
     m = po.exterior_map(1.0, [0.0, 0.0, 0.0, complex(-0.0765155848155947, 0.08851194992952947)])
@@ -148,3 +147,4 @@ def test_moment_table_drops_no_mass():
                                complex(-0.3231695246045201, 0.24617173043809984)])
     model = po.build_model(m, w, 1, bidegree=24, inner_radius=0.8682)
     assert abs(model.norm.d[0] - 0.5) <= 1e-14
+

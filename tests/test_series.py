@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import planorth as po
-from planorth.errors import ConvergenceError, DomainError, TruncationOverflowError
+from planorth.errors import DomainError, TruncationOverflowError
+from planorth.hierarchy import weighted_derivative
+from planorth.laplace import weighted_moments
 from planorth.series import EVAL_CHUNK, SUPPORT_EXTERIOR_VANISHING, radial_moments
 
 from conftest import random_annulus, random_circle
@@ -13,27 +16,24 @@ RHO = 0.7
 
 
 def test_multiply_monomials():
-    a = po.annulus_from_terms({(1, 0): 1.0}, 4, RHO)
-    b = po.annulus_from_terms({(0, 1): 1.0}, 4, RHO)
-    p = po.multiply(a, b)
-    assert p.coeff(1, 1) == 1.0
-    nz = np.argwhere(p.coeffs != 0)
-    assert len(nz) == 1
+    # circle products convolve modes; structural zeros stay exactly zero
+    p = po.circle_from_modes({1: 1.0}, 4) * po.circle_from_modes({-1: 1.0}, 4)
+    assert p.coeff(0) == 1.0
+    assert np.count_nonzero(p.coeffs) == 1
 
 
 def test_multiply_identity():
     rng = np.random.default_rng(7)
-    b = random_annulus(rng, 5, RHO)
-    one = po.annulus_constant(1.0, 5, RHO)
-    p = po.multiply(one, b)
-    assert np.max(np.abs(p.coeffs[5:16, 5:16] - b.coeffs)) == 0.0
+    b = random_circle(rng, 5)
+    p = po.circle_from_modes({0: 1.0}, 5) * b
+    assert np.max(np.abs(p.coeffs[5:16] - b.coeffs)) == 0.0
 
 
 def test_multiply_pointwise_oracle():
     rng = np.random.default_rng(11)
-    a = random_annulus(rng, 8, RHO, scale=0.3)
-    b = random_annulus(rng, 8, RHO, scale=0.3)
-    p = po.multiply(a, b)
+    a = random_circle(rng, 8, scale=0.3)
+    b = random_circle(rng, 8, scale=0.3)
+    p = a * b
     zs = 1.05 * np.exp(2j * np.pi * np.arange(32) / 32)
     lhs = p.evaluate(zs)
     rhs = a.evaluate(zs) * b.evaluate(zs)
@@ -41,43 +41,61 @@ def test_multiply_pointwise_oracle():
 
 
 def test_multiply_truncation_overflow():
-    a = po.annulus_from_terms({(3, 0): 1.0}, 4, RHO)
-    with pytest.raises(TruncationOverflowError):
-        po.multiply(a, a, cap=4)
+    a = po.circle_from_modes({3: 1.0}, 4)
+    with pytest.raises(TruncationOverflowError, match="beyond bandwidth 4"):
+        po.truncate(a * a, 4, "z^6")
+    # mass below TRUNC_TOL is cut silently; a narrower series is zero-padded
+    cut = po.truncate(po.circle_from_modes({0: 1.0, 6: 1e-15}, 6), 4, "tail")
+    assert cut.bandwidth == 4 and cut.coeff(0) == 1.0 and cut.l1() == 1.0
+    assert po.truncate(a, 6, "pad").coeff(3) == 1.0
 
 
 def test_exp_zero():
-    e = po.series_exp(po.annulus_zeros(6, RHO))
-    assert e.coeff(0, 0) == 1.0
-    assert np.sum(np.abs(e.coeffs)) == 1.0
+    e = po.circle_exp(po.circle_zeros(6))
+    assert e.coeff(0) == 1.0
+    assert e.l1() == 1.0
 
 
 def test_exp_taylor_coefficients():
     alpha = 0.3
-    e = po.series_exp(po.annulus_from_terms({(1, 0): alpha}, 12, RHO))
+    e = po.circle_exp(po.circle_from_modes({1: alpha}, 12))
     for k in range(12):
-        assert abs(e.coeff(k, 0) - alpha ** k / math.factorial(k)) < 1e-15
+        assert abs(e.coeff(k) - alpha ** k / math.factorial(k)) < 1e-15
 
 
 def test_exp_scalar_evaluation_oracle():
-    a = po.annulus_from_terms({(1, 0): 0.2, (0, 1): 0.2, (-1, 0): -0.2, (0, -1): -0.2}, 14, RHO)
-    e = po.series_exp(a)
-    zs = np.exp(2j * np.pi * np.arange(16) / 16)
-    assert np.max(np.abs(e.evaluate(zs) - np.exp(a.evaluate(zs)))) <= 1e-12
+    f = po.circle_from_modes({1: 0.2, -1: -0.2, 2: 0.1j, -3: 0.05}, 30)
+    e = po.circle_exp(f)
+    zs = np.concatenate([r * np.exp(2j * np.pi * np.arange(16) / 16) for r in (0.8, 1.0, 1.2)])
+    want = np.exp(f.evaluate(zs))
+    assert np.max(np.abs(e.evaluate(zs) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_exp_norm_limit():
-    with pytest.raises(ConvergenceError):
-        po.series_exp(po.annulus_from_terms({(1, 0): 100.0}, 4, RHO))
+    # an exponential too wide for its bandwidth is refused, not wrapped around
+    with pytest.raises(TruncationOverflowError, match="beyond bandwidth 4"):
+        po.circle_exp(po.circle_from_modes({1: 100.0}, 4))
+
+
+def test_exp_tail_is_measured():
+    # the reported tail is the true mass beyond the bandwidth, not a bound
+    alpha, K = 0.3, 8
+    with pytest.raises(TruncationOverflowError) as info:
+        po.circle_exp(po.circle_from_modes({1: alpha}, K))
+    reported = float(re.search(r"mass ([0-9.e+-]+)", str(info.value)).group(1))
+    exact = sum(alpha ** k / math.factorial(k) for k in range(K + 1, 40))
+    assert abs(reported / exact - 1.0) < 1e-3
 
 
 def test_wirtinger_and_radial():
-    a = po.annulus_from_terms({(2, 1): 1.0}, 4, RHO)
-    assert po.wirtinger_z(a).coeff(2, 1) == 2.0
-    assert po.wirtinger_zbar(a).coeff(2, 1) == 1.0
-    assert np.all(po.radial(po.annulus_constant(3.0, 4, RHO)).coeffs == 0.0)
-    zz = po.annulus_from_terms({(1, 1): 1.0}, 4, RHO)
-    assert po.radial(zz).coeff(1, 1) == 2.0
+    # z d/dz multiplies mode k by k: with a flat weight T z^k = (k + 1) z^k
+    sz = po.szego(po.pullback_weight(po.disk_map(), po.constant_weight(), 4, RHO))
+    t = weighted_derivative(po.circle_from_modes({2: 1.0, -3: 1.0}, 8), sz)
+    assert t.coeff(2) == 3.0 and t.coeff(-3) == -2.0 and t.l1() == 5.0
+    # r d/dr multiplies c[m, n] by m + n
+    moms = radial_moments(po.annulus_from_terms({(2, 1): 1.0}, 4, RHO), 0.0, 2)
+    assert [m.coeff(1) for m in moms] == [1.0, -1.5, 2.25]
+    assert radial_moments(po.annulus_constant(3.0, 4, RHO), 0.0, 1)[1].l1() == 0.0
 
 
 def test_restrict_modes():
@@ -149,13 +167,14 @@ def test_herglotz_rejects_non_real():
         po.herglotz(c)
 
 
-def test_restrict_of_product_is_circle_convolution():
+def test_restrict_of_product_is_circle_convolution(disk_alpha_model):
+    # the restriction of a Omega is the circle product R(a) E conj(E)
     rng = np.random.default_rng(23)
+    sz = disk_alpha_model.szego
     for _ in range(4):
-        a = random_annulus(rng, 6, RHO, scale=0.5)
-        b = random_annulus(rng, 6, RHO, scale=0.5)
-        lhs = po.restrict_to_circle(po.multiply(a, b))
-        rhs = po.restrict_to_circle(a) * po.restrict_to_circle(b)
+        a = random_annulus(rng, 6, disk_alpha_model.inner_radius, scale=0.5)
+        lhs = weighted_moments(a, sz, 0)[0]
+        rhs = po.restrict_to_circle(a) * sz.E * sz.E.conjugate_on_circle()
         assert np.max(np.abs((lhs - rhs).coeffs)) <= 1e-12 * max(1.0, lhs.l1())
 
 
@@ -173,10 +192,12 @@ def test_herglotz_real_part_reproduces_input():
 
 
 def test_exp_inverse_on_circle():
-    a = po.annulus_from_terms({(1, 0): 0.3, (0, 1): 0.3, (-1, 0): -0.3, (0, -1): -0.3}, 16, RHO)
-    prod = po.multiply(po.series_exp(a), po.series_exp(-a))
+    f = po.circle_from_modes({1: 0.3, -1: -0.3, 2: 0.1j, -2: 0.1j}, 24)  # imaginary on |z| = 1
+    e = po.circle_exp(f)
+    e_inv = po.circle_exp(-f)
     ts = np.exp(2j * np.pi * np.arange(40) / 40)
-    assert np.max(np.abs(prod.evaluate(ts) - 1.0)) <= 1e-10
+    assert np.max(np.abs((e * e_inv).evaluate(ts) - 1.0)) <= 1e-13
+    assert np.max(np.abs((e * e.conjugate_on_circle()).evaluate(ts) - 1.0)) <= 1e-13
 
 
 def test_real_tag_invariant():
@@ -210,7 +231,8 @@ def test_radial_moments_match_repeated_radial():
         for mu, got in enumerate(radial_moments(a, shift, 3)):
             want = po.restrict_to_circle(b)
             assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12 * max(1.0, want.l1()), mu
-            b = po.radial(b) * (-0.5) + (-shift) * b
+            m = np.arange(-b.bidegree, b.bidegree + 1)
+            b = po.AnnulusSeries(b.coeffs * (m[:, None] + m[None, :]), RHO) * (-0.5) + (-shift) * b
 
 
 @pytest.mark.parametrize("K", [0, 1, 7, 48])
@@ -252,3 +274,11 @@ def test_annulus_chunked_evaluate_matches_einsum(size):
     assert got.shape == (size,)
     if size:
         assert np.max(np.abs(got - want) / scale) <= 1e-13
+
+
+def test_trimmed_keeps_values_and_tag():
+    c = po.circle_from_modes({-2: 0.5, 1: 1.0}, 9)
+    t = c.trimmed()
+    assert t.bandwidth == 2 and t.coeff(-2) == 0.5 and t.coeff(1) == 1.0
+    assert po.hardy_project(c).trimmed().support == SUPPORT_EXTERIOR_VANISHING
+    assert po.circle_zeros(5).trimmed().bandwidth == 0
