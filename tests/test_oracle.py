@@ -213,3 +213,111 @@ def test_batch_l2_checks_the_degree(disk_alpha_model, disk_alpha_oracle):
     rule, polys = disk_alpha_oracle
     with pytest.raises(OutOfValidityError):
         l2_discrepancies(disk_alpha_model, polys, rule, [(8, 1), (3, 1)])
+
+
+def _gram_schmidt_reference(rule, N, passes):
+    """Arnoldi with a fixed number of classical Gram-Schmidt passes per degree.
+
+    Returns ``(basis, hess, kappa, gram_residual, ratios)``; ``ratios[n-1]`` is
+    the weighted norm of the degree-``n`` vector after the first pass over its
+    norm before it."""
+    z, w = rule.nodes, rule.weights
+    Q = np.empty((z.size, N + 1), dtype=complex)
+    hess = np.zeros((N + 1, N), dtype=complex)
+    kappa = np.empty(N + 1)
+    Q[:, 0] = kappa[0] = 1.0 / math.sqrt(np.sum(w))
+    ratios = np.empty(N)
+    for n in range(1, N + 1):
+        v = z * Q[:, n - 1]
+        before = math.sqrt(np.sum(w * np.abs(v) ** 2))
+        for k in range(passes):
+            proj = Q[:, :n].conj().T @ (w * v)
+            v = v - Q[:, :n] @ proj
+            hess[:n, n - 1] += proj
+            if k == 0:
+                ratios[n - 1] = math.sqrt(np.sum(w * np.abs(v) ** 2)) / before
+        nrm = math.sqrt(np.sum(w * np.abs(v) ** 2))
+        Q[:, n] = v / nrm
+        hess[n, n - 1] = nrm
+        kappa[n] = kappa[n - 1] / nrm
+    gram = (w[:, None] * Q).conj().T @ Q
+    return Q, hess, kappa, np.max(np.abs(gram - np.eye(N + 1))), ratios
+
+
+def _assert_matches_reference(polys, reference):
+    Q, hess, kappa = reference[:3]
+    assert np.max(np.abs(polys.basis - Q)) <= 1e-13 * np.max(np.abs(Q))
+    assert np.max(np.abs(polys.hess - hess)) <= 1e-13 * np.max(np.abs(hess))
+    assert np.max(np.abs(polys.kappa / kappa - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("fixture", ["disk_const", "disk_alpha", "ellipse_const", "ellipse_exp"])
+def test_one_pass_gram_schmidt_matches_two_passes(request, fixture):
+    rule, polys = request.getfixturevalue(f"{fixture}_oracle")
+    reference = _gram_schmidt_reference(rule, polys.degree, passes=2)
+    # the first pass never cancels past 1/sqrt(2) here, so no degree takes a second one
+    assert np.min(reference[4]) > 1 / math.sqrt(2)
+    _assert_matches_reference(polys, reference)
+
+
+def test_second_pass_on_near_breakdown():
+    # 24 equal-weight roots of unity and 12 nodes of tiny weight inside: z^24 - 1
+    # vanishes on the heavy nodes, so the degree-24 vector almost cancels
+    K, extra = 24, 12
+    nodes = np.concatenate([np.exp(2j * np.pi * np.arange(K) / K),
+                            0.5 * np.exp(2j * np.pi * (np.arange(extra) + 0.5) / extra)])
+    weights = np.concatenate([np.full(K, 1.0 / K), np.full(extra, 1e-12)])
+    rule = po.QuadratureRule(nodes, weights, math.inf, {})
+    N = 30
+    reference = _gram_schmidt_reference(rule, N, passes=2)
+    assert np.min(reference[4]) <= 1 / math.sqrt(2)
+    # one pass alone loses orthogonality there; the second pass restores it
+    assert _gram_schmidt_reference(rule, N, passes=1)[3] > 1e-12
+    polys = po.oracle_onps(rule, N)
+    assert polys.gram_residual <= 1e-12
+    _assert_matches_reference(polys, reference)
+
+
+def _ellipse_log_kappa(cap, a1, n):
+    """``log kappa_n`` of the constant-weight ellipse ``cap zeta + a1 / zeta``: the
+    orthonormal polynomials are ``U_n(z / c)`` over their norms, ``c = 2 sqrt(cap a1)``."""
+    c, log_r = 2.0 * math.sqrt(cap * a1), 0.5 * math.log(cap / a1)
+    log_sq_norm = (2.0 * math.log(c / 2.0) + (2 * n + 2) * log_r
+                   + math.log1p(-math.exp(-(4 * n + 4) * log_r)) - math.log(n + 1))
+    return n * math.log(2.0 / c) - 0.5 * log_sq_norm
+
+
+@pytest.mark.parametrize("preset", ["disk-const", "ellipse-const"])
+def test_exact_kappa_at_high_degree(all_preset_models, preset):
+    model = all_preset_models[preset]
+    rule = po.build_quadrature(model.map, model.weight, degree=168)
+    polys = po.oracle_onps(rule, 80)
+    n = np.arange(81)
+    if preset == "disk-const":
+        exact = np.sqrt(n + 1.0)
+    else:
+        cap, a1 = model.map.cap, model.map.tail[1].real
+        exact = np.exp([_ellipse_log_kappa(cap, a1, k) for k in n])
+    assert np.max(np.abs(polys.kappa / exact - 1.0)) <= 1e-13
+
+
+def test_quadrature_node_budget(all_preset_models):
+    for name, model in all_preset_models.items():
+        for degree, budget in ((88, 15_000), (168, 30_000)):
+            rule = po.build_quadrature(model.map, model.weight, degree=degree)
+            assert rule.nodes.size <= budget, (name, degree, rule.nodes.size)
+
+
+def test_evaluate_matches_the_written_out_recurrence(ellipse_exp_oracle):
+    _, polys = ellipse_exp_oracle
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-1.5, 1.5, 200) + 1j * rng.uniform(-1.0, 1.0, 200)
+    want = np.empty((z.size, polys.degree + 1), dtype=complex)
+    want[:, 0] = polys.kappa[0]
+    for n in range(1, polys.degree + 1):
+        acc = z * want[:, n - 1]
+        for j in range(n):
+            acc = acc - polys.hess[j, n - 1] * want[:, j]
+        want[:, n] = acc / polys.hess[n, n - 1]
+    got = polys.evaluate(z)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-13
