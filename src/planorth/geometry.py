@@ -2,9 +2,12 @@
 
 A domain is specified through the inverse exterior map ``psi(zeta) =
 cap*zeta + a_0 + a_1/zeta + ...`` with ``cap > 0`` (so infinity is fixed and
-the derivative there is positive).  The forward map ``phi`` is obtained by
-Newton inversion.  A weight is a strictly positive function on the closure of
-the domain whose logarithm is harmonic near the boundary; its pullback is
+the derivative there is positive); ``psi`` and ``psi'`` are evaluated by
+Horner's scheme in ``1/zeta``.  The forward map ``phi`` is obtained by Newton
+inversion, in which a point freezes once it has converged and the batch
+shrinks to its unconverged points once at most half of it is left.  A weight
+is a strictly positive function on the closure of the domain whose logarithm
+is harmonic near the boundary; its pullback is
 ``log(omega(psi(zeta))) = h + conj(h)`` with a Laurent series ``h``, carried as
 a :class:`~planorth.series.CircleSeries`.
 
@@ -38,6 +41,8 @@ class ExteriorMap:
     """Inverse exterior map ``psi(zeta) = cap*zeta + sum_j tail[j] zeta^{-j}``.
 
     ``tail[j]`` is the coefficient of ``zeta**-j`` for ``j = 0, 1, ...``.
+    ``psi`` and ``psi'`` are polynomials in ``w = 1/zeta`` past the linear
+    term and are evaluated by Horner's scheme.
     ``univalence_margin`` is a radius ``rho_u < 1`` such that ``psi`` stays
     injective (in particular ``psi'`` zero-free) on ``|zeta| > rho_u``.
     """
@@ -52,24 +57,40 @@ class ExteriorMap:
         arr = np.array(self.tail, dtype=np.complex128)
         arr.setflags(write=False)
         object.__setattr__(self, "tail", arr)
+        # coefficients of p'(w) for p(w) = sum_j tail[j] w^j
+        object.__setattr__(self, "_dtail", np.arange(1, len(arr)) * arr[1:])
 
     def psi(self, zeta) -> np.ndarray:
-        zs = np.asarray(zeta, dtype=np.complex128)
-        out = self.cap * zs
-        for j, aj in enumerate(self.tail):
-            if j == 0:
-                out = out + aj
-            elif aj != 0:
-                out = out + aj * zs ** (-j)
-        return out
+        return self._evaluate(zeta, value=True, prime=False)[0]
 
     def psi_prime(self, zeta) -> np.ndarray:
+        return self._evaluate(zeta, value=False, prime=True)[1]
+
+    def psi_and_prime(self, zeta):
+        """``(psi(zeta), psi'(zeta))`` sharing one reciprocal ``w = 1/zeta``."""
+        return self._evaluate(zeta, value=True, prime=True)
+
+    def _evaluate(self, zeta, value: bool, prime: bool):
+        # psi = cap zeta + p(w) and psi' = cap - w^2 p'(w) with
+        # p(w) = sum_j tail[j] w^j, both polynomials in w by Horner's scheme
         zs = np.asarray(zeta, dtype=np.complex128)
-        out = np.full_like(zs, self.cap)
-        for j, aj in enumerate(self.tail):
-            if j > 0 and aj != 0:
-                out = out - j * aj * zs ** (-j - 1)
-        return out
+        if len(self.tail) < 2:   # psi = cap zeta + a_0
+            a0 = self.tail[0] if len(self.tail) else 0.0
+            val = self.cap * zs + a0 if value else None
+            der = np.full_like(zs, self.cap) if prime else None
+        else:
+            w = np.reciprocal(zs)
+            val = self.cap * zs + _horner(self.tail, w) if value else None
+            der = self.cap - w * w * _horner(self._dtail, w) if prime else None
+        return val, der
+
+
+def _horner(coeffs: np.ndarray, w: np.ndarray):
+    """``sum_j coeffs[j] w^j`` by Horner's scheme."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * w + c
+    return acc
 
 
 def exterior_map(cap: float, tail=(), univalence_margin: float | None = None) -> ExteriorMap:
@@ -141,7 +162,7 @@ def map_forward(m: ExteriorMap, z):
     Works for points in the exterior or in the analytic collar
     ``|phi(z)| > univalence_margin``, to the residual ``NEWTON_TOL``.  Raises
     :class:`ConvergenceError` when the iteration leaves the collar or fails to
-    converge in ``NEWTON_MAXITER`` steps.
+    converge in ``NEWTON_MAXITER`` steps.  See :func:`map_forward_many`.
     """
     zeta, ok = map_forward_many(m, np.atleast_1d(np.asarray(z, dtype=np.complex128)))
     if not np.all(ok):
@@ -150,33 +171,60 @@ def map_forward(m: ExteriorMap, z):
 
 
 def map_forward_many(m: ExteriorMap, zs: np.ndarray):
-    """Vectorized :func:`map_forward`; returns ``(zeta, ok_mask)`` without raising."""
+    """Vectorized :func:`map_forward`; returns ``(zeta, ok_mask)`` without raising.
+
+    Each Newton step takes ``psi`` and ``psi'`` from one Horner pass in
+    ``1/zeta``.  A point freezes at the first iterate whose residual
+    ``|psi(zeta) - z|`` is at most ``NEWTON_TOL * max(1, |z|)``; a point whose
+    residual is not finite (a non-finite input, say) drops out too.  The
+    iteration runs on the whole batch while more than half of it is live;
+    once at most half is, it carries on with the live points only, so the
+    slow few do not make every point pay for their steps.  ``ok`` is false
+    where ``psi'`` nearly vanished at a step, where the final residual
+    exceeds ``1e-10 * max(1, |z|)`` or where ``|zeta|`` is not above the
+    univalence margin.
+    """
     zs = np.asarray(zs, dtype=np.complex128)
-    zeta = zs / m.cap
+    z = zs.ravel()
+    zeta = z / m.cap
     small = np.abs(zeta) < 1.0
     if np.any(small):
         # points near or inside the boundary: seed on the unit circle at the same angle
-        ang = np.angle(zs - (m.tail[0] if len(m.tail) else 0.0))
+        ang = np.angle(z - (m.tail[0] if len(m.tail) else 0.0))
         zeta = np.where(small, np.exp(1j * ang), zeta)
-    scale = np.maximum(1.0, np.abs(zs))
-    ok = np.ones(zs.shape, dtype=bool)
-    for _ in range(NEWTON_MAXITER):
-        r = m.psi(zeta) - zs
-        if np.all(np.abs(r) <= NEWTON_TOL * scale):
+    scale = np.maximum(1.0, np.abs(z))
+    resid = np.empty(z.shape)
+    ok = np.ones(z.shape, dtype=bool)
+    at = slice(None)                      # the working set: all points, then indices
+    zw, zt, tol = zeta, z, NEWTON_TOL * scale
+    for it in range(NEWTON_MAXITER + 1):
+        p, dp = m.psi_and_prime(zw)
+        r = p - zt
+        ar = np.abs(r)
+        # a NaN residual compares false and freezes; an infinite one turns NaN at its step
+        live = ar > tol
+        n_live = np.count_nonzero(live)
+        if n_live == 0 or it == NEWTON_MAXITER:
             break
-        dp = m.psi_prime(zeta)
+        if 2 * n_live <= live.size:
+            zeta[at], resid[at] = zw, ar
+            keep = np.flatnonzero(live)
+            at = keep if isinstance(at, slice) else at[keep]
+            zw, zt, tol, r, dp = zw[keep], zt[keep], tol[keep], r[keep], dp[keep]
         bad = np.abs(dp) < 1e-14
+        ok[at] &= ~bad
         dp = np.where(bad, 1.0, dp)
         step = r / dp
-        cap_len = 0.5 * np.maximum(1.0, np.abs(zeta))
+        cap_len = 0.5 * np.maximum(1.0, np.abs(zw))
         slen = np.maximum(np.abs(step), 1e-300)
         step = np.where(slen > cap_len, step * cap_len / slen, step)
-        zeta = zeta - step
-        ok &= ~bad
-    resid = np.abs(m.psi(zeta) - zs)
+        if n_live < step.size:
+            step[~live] = 0.0   # converged points keep their iterate
+        zw = zw - step
+    zeta[at], resid[at] = zw, ar
     ok &= resid <= 1e-10 * scale
     ok &= np.abs(zeta) > m.univalence_margin
-    return zeta, ok
+    return zeta.reshape(zs.shape), ok.reshape(zs.shape)
 
 
 def phi_prime(m: ExteriorMap, zeta) -> np.ndarray:

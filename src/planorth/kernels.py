@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OffSpectralError
+from .errors import DomainError, NonFiniteError, OffSpectralError
 from .expansion import ExpansionModel, positioning_factor
 from .geometry import ExteriorMap, map_forward
 
@@ -86,9 +86,11 @@ def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z) -> float:
     if r <= rho:
         raise DomainError(f"|phi(z)| = {r:.4f} must exceed rho = {rho}")
     dphi2 = abs(1.0 / m.psi_prime(zeta)) ** 2
+    n = np.arange(N + 1)
     acc = r ** (-2.0) / math.log(1.0 / rho ** 2)
-    for n in range(0, N + 1):
-        acc += (n + 1) * r ** (2 * n) / (1.0 - rho ** (2 * n + 2))
+    acc += float(np.sum((n + 1) * r ** (2 * n) / (1.0 - rho ** (2 * n + 2))))
+    if not math.isfinite(acc):
+        raise NonFiniteError(f"K_N(z, z) overflows a float at N = {N}, |phi(z)| = {r:.4f}")
     n = -2
     while True:
         term = (n + 1) * r ** (2 * n) / (1.0 - rho ** (2 * n + 2))

@@ -16,7 +16,9 @@ ones, and a second pass only where the first cancels more than a factor
 This avoids the catastrophic conditioning of raw monomial input and
 reaches degree 40+ in double precision, with the recurrence data kept for
 stable evaluation anywhere in the plane.  The orthonormal basis itself is kept
-too: column ``n`` is ``P_n`` at the nodes of the rule it was built on.
+too: column ``n`` is ``P_n`` at the nodes of the rule it was built on.  The
+Gram check sums ``Q^H W Q`` over blocks of ``GRAM_BLOCK`` nodes, so it never
+holds a weighted copy of the whole basis.
 
 Comparisons against the expansion take their node data once per rule: the
 batch forms :func:`l2_discrepancies` and :func:`berezin_expectations` map the
@@ -40,6 +42,7 @@ from .series import CircleSeries
 
 RADIAL_GRADE = 0.5      # ratio of successive radial panel widths toward the boundary
 GRAM_TOL = 1e-8         # largest Gram deviation oracle_onps accepts
+GRAM_BLOCK = 2048       # basis rows per block of the Gram check's Q^H W Q sum
 PAIRING_N_RAD = 160     # radial nodes of the holomorphic_pairing ring rule
 PAIRING_N_ANG = 768     # angular nodes of the holomorphic_pairing ring rule
 
@@ -256,8 +259,12 @@ def oracle_onps(rule: QuadratureRule, N: int) -> OraclePolynomials:
         hess[n, n - 1] = nrm
         kappa[n] = kappa[n - 1] / nrm
 
-    wq = w[:, None] * Q
-    dev = np.abs(np.conj(wq, out=wq).T @ Q - np.eye(N + 1))
+    gram = np.zeros((N + 1, N + 1), dtype=np.complex128)
+    for s in range(0, z.size, GRAM_BLOCK):
+        rows = Q[s:s + GRAM_BLOCK]
+        wq = w[s:s + GRAM_BLOCK, None] * rows
+        gram += np.conj(wq, out=wq).T @ rows
+    dev = np.abs(gram - np.eye(N + 1))
     # column n of the upper triangle of max(dev, dev^T): row and column n of block n
     gram_residuals = np.max(np.triu(np.maximum(dev, dev.T)), axis=0)
     if np.max(gram_residuals) > GRAM_TOL:

@@ -3,7 +3,9 @@ import pytest
 
 import planorth as po
 from planorth.errors import ConfigError, ConvergenceError, PositivityError
-from planorth.geometry import FIT_TOL, WeightDef, phi_prime
+from planorth.geometry import (FIT_TOL, NEWTON_MAXITER, NEWTON_TOL, ExteriorMap, WeightDef,
+                               map_forward_many, phi_prime)
+from planorth.presets import PRESETS, preset_parts
 
 
 def test_map_forward_identity():
@@ -35,6 +37,119 @@ def test_map_forward_rejects_deep_interior():
     m = po.ellipse_map(2, 1)
     with pytest.raises(ConvergenceError):
         po.map_forward(m, 0.0)
+
+
+def _power_sums(m, zeta):
+    """``psi`` and ``psi'`` as written in the map's definition, one power per
+    tail term, with the sum of the terms' moduli as the roundoff scale."""
+    val, der = m.cap * zeta, np.full_like(zeta, m.cap)
+    scale, dscale = m.cap * np.abs(zeta), np.full(zeta.shape, m.cap)
+    for j, aj in enumerate(m.tail):
+        val = val + aj * zeta ** (-j)
+        scale = scale + abs(aj) * np.abs(zeta) ** (-j)
+        der = der - j * aj * zeta ** (-j - 1)
+        dscale = dscale + j * abs(aj) * np.abs(zeta) ** (-j - 1)
+    return val, der, scale, dscale
+
+
+def test_horner_maps_match_power_sums():
+    maps = {name: preset_parts(name)[0] for name in PRESETS}
+    maps["six-term tail"] = po.exterior_map(1.2, [0.05, 0.0, 0.08j, 0.0, 0.0, 0.01 - 0.02j])
+    for name, m in maps.items():
+        radii = np.linspace(m.univalence_margin + 0.05, 2.0, 9)
+        zeta = (radii[:, None] * np.exp(2j * np.pi * (np.arange(37) + 0.3) / 37)).ravel()
+        val, der, scale, dscale = _power_sums(m, zeta)
+        assert np.max(np.abs(m.psi(zeta) - val) / scale) <= 1e-14, name
+        assert np.max(np.abs(m.psi_prime(zeta) - der) / dscale) <= 1e-14, name
+        pair = m.psi_and_prime(zeta)
+        assert np.array_equal(pair[0], m.psi(zeta)) and np.array_equal(pair[1], m.psi_prime(zeta))
+
+
+def _full_batch_newton(m, zs):
+    """Newton inversion that steps every point until all have converged:
+    the reference for ``map_forward_many``'s shrinking working set."""
+    zeta = zs / m.cap
+    small = np.abs(zeta) < 1.0
+    zeta = np.where(small, np.exp(1j * np.angle(zs - (m.tail[0] if len(m.tail) else 0.0))), zeta)
+    scale = np.maximum(1.0, np.abs(zs))
+    ok = np.ones(zs.shape, dtype=bool)
+    for _ in range(NEWTON_MAXITER):
+        r = m.psi(zeta) - zs
+        if np.all(np.abs(r) <= NEWTON_TOL * scale):
+            break
+        dp = m.psi_prime(zeta)
+        bad = np.abs(dp) < 1e-14
+        step = r / np.where(bad, 1.0, dp)
+        cap_len = 0.5 * np.maximum(1.0, np.abs(zeta))
+        slen = np.maximum(np.abs(step), 1e-300)
+        zeta = zeta - np.where(slen > cap_len, step * cap_len / slen, step)
+        ok &= ~bad
+    ok &= np.abs(m.psi(zeta) - zs) <= 1e-10 * scale
+    ok &= np.abs(zeta) > m.univalence_margin
+    return zeta, ok
+
+
+def _counting_map(monkeypatch):
+    """Record the number of points of every ``psi_and_prime`` call."""
+    sizes = []
+    original = ExteriorMap.psi_and_prime
+
+    def counted(self, zeta):
+        sizes.append(np.size(zeta))
+        return original(self, zeta)
+
+    monkeypatch.setattr(ExteriorMap, "psi_and_prime", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("preset", ["disk-expre03", "ellipse-expre", "perturbed-expre"])
+def test_map_forward_many_matches_full_batch_newton(all_preset_models, monkeypatch, preset):
+    model = all_preset_models[preset]
+    m = model.map
+    sizes = _counting_map(monkeypatch)
+    # the degree-88 rule's deep-interior nodes never converge: the set shrinks
+    nodes = po.build_quadrature(m, model.weight, 88).nodes
+    batches = [nodes]
+    # 256 points at |phi| = 1 + t log N / N converge together: the set never shrinks
+    N = 1000
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        t = rng.uniform(0.0, 6.0, 256)
+        batches.append(m.psi((1.0 + t * np.log(N) / N) * np.exp(2j * np.pi * rng.random(256))))
+    for i, zs in enumerate(batches):
+        sizes.clear()
+        zeta, ok = map_forward_many(m, zs)
+        want, want_ok = _full_batch_newton(m, zs)
+        assert np.array_equal(ok, want_ok), (preset, i)
+        assert np.max(np.abs(zeta - want) / np.abs(want)) <= 1e-12, (preset, i)
+        if i == 0:
+            assert min(sizes) < zs.size
+        else:
+            assert ok.all() and set(sizes) == {256}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_map_forward_many_nonfinite_and_empty_input():
+    for m in (po.disk_map(), po.ellipse_map(2, 1), preset_parts("perturbed-expre")[0]):
+        bad = np.array([np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(0.0, np.nan)])
+        zs = np.concatenate([bad, [3.0 + 0.5j]])
+        zeta, ok = map_forward_many(m, zs)
+        assert ok.tolist() == [False] * bad.size + [True]
+        assert abs(m.psi(zeta[-1]) - zs[-1]) <= 1e-12
+        zeta, ok = map_forward_many(m, np.zeros(0, dtype=np.complex128))
+        assert zeta.shape == ok.shape == (0,)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_newton_work_budget(all_preset_models, monkeypatch, preset):
+    # each node costs a few map evaluations, not one per step of the slowest node
+    model = all_preset_models[preset]
+    sizes = _counting_map(monkeypatch)
+    for degree in (88, 168):
+        nodes = po.build_quadrature(model.map, model.weight, degree).nodes
+        sizes.clear()
+        map_forward_many(model.map, nodes)
+        assert sum(sizes) <= 10 * nodes.size, (preset, degree, sum(sizes) / nodes.size)
 
 
 def test_capacity_values():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import planorth as po
-from planorth.errors import DomainError, OffSpectralError
-from planorth.kernels import (bw_kernel_diag, off_spectral_point, offspectral_leading,
-                              offspectral_phase, outer_rho)
+from planorth.errors import DomainError, NonFiniteError, OffSpectralError
+from planorth.kernels import (BW_TAIL_TOL, bw_kernel_diag, off_spectral_point,
+                              offspectral_leading, offspectral_phase, outer_rho)
 from planorth.oracle import ring_quadrature
 
 
@@ -119,3 +119,37 @@ def test_bw_band_bound():
 def test_bw_domain_guard():
     with pytest.raises(DomainError):
         bw_kernel_diag(0.5, po.disk_map(), 10, 0.4)
+
+
+def _bw_diag_loop(rho, m, N, z):
+    """``bw_kernel_diag`` written out term by term: the head ``n = 0..N`` and
+    the tail ``n = -2, -3, ...`` down to ``BW_TAIL_TOL`` of the sum."""
+    zeta = po.map_forward(m, z)
+    r = abs(zeta)
+    acc = r ** -2.0 / math.log(1.0 / rho ** 2)
+    for n in range(N + 1):
+        acc += (n + 1) * r ** (2 * n) / (1.0 - rho ** (2 * n + 2))
+    n = -2
+    while True:
+        term = (n + 1) * r ** (2 * n) / (1.0 - rho ** (2 * n + 2))
+        acc += term
+        if abs(term) < BW_TAIL_TOL * max(1.0, abs(acc)):
+            break
+        n -= 1
+    return acc * abs(1.0 / m.psi_prime(zeta)) ** 2
+
+
+@pytest.mark.parametrize("N", [8, 1000, 10 ** 4])
+def test_bw_diag_matches_the_term_loop(N):
+    m = po.ellipse_map(2, 1)
+    for r in (0.8, 0.97, 1.0):
+        z = m.psi(r * np.exp(0.37j))
+        want = _bw_diag_loop(0.5, m, N, z)
+        assert abs(bw_kernel_diag(0.5, m, N, z) / want - 1.0) <= 1e-13, r
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_bw_diag_overflow_is_typed():
+    # |phi(z)|^(2N) = 1.2^20000 overflows a float
+    with pytest.raises(NonFiniteError, match="overflows"):
+        bw_kernel_diag(0.5, po.disk_map(), 10 ** 4, 1.2)

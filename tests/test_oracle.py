@@ -6,8 +6,9 @@ import pytest
 import planorth as po
 from planorth.errors import DegreeTooHighError, NonStarlikeError, OutOfValidityError
 from planorth.geometry import map_forward_many
-from planorth.oracle import (berezin_expectation, berezin_expectations, holomorphic_pairing,
-                             l2_discrepancies, smoothstep)
+from planorth.oracle import (GRAM_BLOCK, QuadratureRule, berezin_expectation,
+                             berezin_expectations, holomorphic_pairing, l2_discrepancies,
+                             smoothstep)
 
 
 def test_disk_mass_and_moment(disk_const_model):
@@ -42,6 +43,24 @@ def test_oracle_monomials_on_disk(disk_const_oracle):
 def test_oracle_gram_residual(disk_alpha_oracle):
     _, polys = disk_alpha_oracle
     assert polys.gram_residual <= 1e-10
+
+
+def test_blocked_gram_check_matches_the_full_product(disk_alpha_oracle):
+    rule, polys = disk_alpha_oracle
+    assert rule.nodes.size > GRAM_BLOCK and rule.nodes.size % GRAM_BLOCK != 0
+    Q = polys.basis
+    dev = np.abs(Q.conj().T @ (rule.weights[:, None] * Q) - np.eye(polys.degree + 1))
+    want = np.max(np.triu(np.maximum(dev, dev.T)), axis=0)
+    assert np.max(np.abs(polys.gram_residuals - want)) <= 1e-15
+
+
+def test_gram_gate_refuses_an_unresolved_rule():
+    # 24 nodes pass the declared-degree gate but span only degrees below 24
+    nodes = 0.9 * np.exp(2j * np.pi * np.arange(24) / 24)
+    rule = QuadratureRule(nodes, np.full(24, 1.0 / 24), math.inf, {"degree": 200})
+    assert po.oracle_onps(rule, 20).gram_residual <= 1e-12
+    with pytest.raises(DegreeTooHighError, match=r"Gram residual \d\.\d{3}e[-+]\d\d above"):
+        po.oracle_onps(rule, 30)
 
 
 def test_oracle_kappa_times_prefactor_carleman(ellipse_const_model, ellipse_const_oracle):
