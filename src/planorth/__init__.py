@@ -16,10 +16,10 @@ from .series import (AnnulusSeries, CircleSeries, annulus_constant, annulus_from
 from .geometry import (ExteriorMap, SzegoData, WeightDef, WeightSpec, capacity,
                        constant_weight, disk_map, ellipse_map, exp_re_linear_weight,
                        exp_re_poly_weight, exterior_map, load_domain_config, map_forward,
-                       perturbed_disk_map, pullback_weight, sampled_weight, szego)
+                       pullback_weight, sampled_weight, szego)
 from .hierarchy import (HierarchyCoeffs, hierarchy_residual, neumann_partial_sum,
                         solve_hierarchy, solve_hierarchy_triangular, weighted_derivative)
-from .laplace import JetAtZero, NormExpansion, norm_expansion, watson_sum, weighted_moments
+from .laplace import JetAtZero, NormExpansion, norm_expansion, watson_sum
 from .expansion import (ExpansionModel, build_model, canonical_position, leading_coeff,
                         monic_at, monic_eval, monic_prefactor, norm_factor, normalized_at,
                         normalized_eval, validity_radius)
@@ -28,7 +28,7 @@ from .oracle import (OraclePolynomials, QuadratureRule, berezin_expectation,
                      l2_discrepancies, l2_discrepancy, oracle_kernel, oracle_onps,
                      ring_quadrature, smoothstep)
 from .distributional import (TestFunctionSplit, distributional_expectation,
-                             distributional_terms, split_test_function, w_operator)
+                             distributional_terms, split_test_function)
 from .kernels import (OffSpectralPoint, bw_kernel_diag, off_spectral_point,
                       offspectral_leading, offspectral_phase, outer_rho)
 

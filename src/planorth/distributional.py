@@ -10,9 +10,10 @@ coefficients.
 Test functions enter as annulus series in the exterior coordinate, for which
 the smooth three-way split is an exact Fourier-mode split.
 
-The weighted side of every term is read off the moment table
-``model.norm.moments`` (built once per model), so a request only takes the
-radial moments of the test function and pairs them on the circle.
+The weighted side of every term, the weighted boundary operator applied to
+``X_j conj(X_k)``, is a combination of the moment table ``model.norm.moments``
+(built once per model), so a request only takes the radial moments of the
+test function and pairs them on the circle.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expansion import ExpansionModel, norm_factor
-from .geometry import SzegoData
-from .laplace import weighted_moments
 from .series import (AnnulusSeries, CircleSeries, SUPPORT_EXTERIOR, SUPPORT_EXTERIOR_VANISHING,
                      radial_moments, restrict_to_circle)
 
@@ -73,19 +72,13 @@ def split_test_function(g: AnnulusSeries) -> TestFunctionSplit:
 
 
 def _w_combination(moments, N: int, nu: int, order: int) -> CircleSeries:
-    """``sum_{mu<=order-nu} N^-mu C(nu+mu, nu) moments[mu]``."""
+    """The weighted boundary operator on ``X_j conj(X_k)``:
+    ``sum_{mu<=order-nu} N^-mu C(nu+mu, nu) moments[mu]`` with
+    ``moments = model.norm.moments[j, k]``."""
     acc = moments[0]
     for mu in range(1, order - nu + 1):
         acc = acc + moments[mu] * (math.comb(nu + mu, nu) * float(N) ** (-mu))
     return acc
-
-
-def w_operator(szego: SzegoData, N: int, nu: int, order: int, a: AnnulusSeries) -> CircleSeries:
-    """Weighted boundary operator
-    ``R sum_{mu<=order-nu} N^-mu C(nu+mu, nu) (-(r d/dr)/2 - 1)^mu (a Omega)``."""
-    if not (1 <= nu <= order):
-        raise ValueError("need 1 <= nu <= order")
-    return _w_combination(weighted_moments(a, szego, order - nu), N, nu, order)
 
 
 def _circle_mean(u: CircleSeries, v: CircleSeries) -> complex:

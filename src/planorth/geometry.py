@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import (ConfigError, ConsistencyError, ConvergenceError,
                      PositivityError, WeightResolutionError)
-from .series import OVERSAMPLE, AnnulusSeries, CircleSeries, circle_exp, herglotz, truncate
+from .series import (OVERSAMPLE, AnnulusSeries, CircleSeries, _horner, circle_exp,
+                     circle_from_modes, herglotz, truncate)
 
 NEWTON_TOL = 1e-13     # map_forward stops at |psi(zeta) - z| <= NEWTON_TOL max(1, |z|)
 NEWTON_MAXITER = 50    # Newton steps before map_forward gives up
@@ -85,14 +86,6 @@ class ExteriorMap:
         return val, der
 
 
-def _horner(coeffs: np.ndarray, w: np.ndarray):
-    """``sum_j coeffs[j] w^j`` by Horner's scheme."""
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * w + c
-    return acc
-
-
 def exterior_map(cap: float, tail=(), univalence_margin: float | None = None) -> ExteriorMap:
     """Construct a map, estimating the univalence margin from the zeros of psi'."""
     tail = np.asarray(list(tail), dtype=np.complex128)
@@ -142,13 +135,6 @@ def ellipse_map(a: float, b: float) -> ExteriorMap:
     if not (a >= b > 0):
         raise ConfigError("ellipse needs a >= b > 0")
     return exterior_map((a + b) / 2.0, [0.0, (a - b) / 2.0])
-
-
-def perturbed_disk_map(eps: complex, k: int) -> ExteriorMap:
-    """Unit disk perturbed by a single tail mode: ``psi(zeta) = zeta + eps zeta^{-k}``."""
-    tail = [0.0] * (k + 1)
-    tail[k] = eps
-    return exterior_map(1.0, tail)
 
 
 def capacity(m: ExteriorMap) -> float:
@@ -258,10 +244,8 @@ def exp_re_poly_weight(coeffs) -> WeightDef:
     poly = np.asarray(list(coeffs), dtype=np.complex128)
 
     def ev(z):
-        z = np.asarray(z, dtype=np.complex128)
-        acc = np.zeros(z.shape, dtype=np.complex128)
-        for j in range(len(poly) - 1, -1, -1):
-            acc = acc * z + poly[j]
+        acc = np.zeros(np.shape(z), dtype=np.complex128)
+        acc += _horner(poly, np.asarray(z, dtype=np.complex128))
         return np.exp(2.0 * np.real(acc))
 
     return WeightDef("exp-re-poly", ev, holo_poly=poly)
@@ -357,21 +341,14 @@ def pullback_weight(m: ExteriorMap, weight: WeightDef, bidegree: int,
 
 
 def _compose_pullback(m: ExteriorMap, poly: np.ndarray, K: int) -> CircleSeries:
-    """Exact Laurent composition ``h = P(psi)``, cut to bandwidth ``K``."""
-    L = len(m.tail) - 1 if len(m.tail) else 0
-    deg = len(poly) - 1
-    Kmax = max(1, deg * max(1, L)) + deg + 2
-    # Laurent coefficients over modes [-Kmax, Kmax]; index Kmax + k
-    psi_c = np.zeros(2 * Kmax + 1, dtype=np.complex128)
-    psi_c[Kmax + 1] = m.cap
-    for j, aj in enumerate(m.tail):
-        psi_c[Kmax - j] += aj
-    h = np.zeros(2 * Kmax + 1, dtype=np.complex128)
-    h[Kmax] = poly[deg]
-    for j in range(deg - 1, -1, -1):
-        h = np.convolve(h, psi_c)[len(psi_c) // 2: len(psi_c) // 2 + 2 * Kmax + 1]
-        h[Kmax] += poly[j]
-    return truncate(CircleSeries(h), K, "log-weight pullback")
+    """Exact Laurent composition ``h = P(psi)`` by Horner's scheme over circle
+    series, cut to bandwidth ``K``."""
+    modes = {1: m.cap, **{-j: a for j, a in enumerate(m.tail)}}
+    psi = circle_from_modes(modes, max(1, len(m.tail) - 1))
+    h = CircleSeries(poly[-1:])
+    for c in poly[-2::-1]:
+        h = h * psi + CircleSeries(np.array([c]))
+    return truncate(h, K, "log-weight pullback")
 
 
 def _fit_harmonic(m: ExteriorMap, weight: WeightDef, K: int, rho: float) -> CircleSeries:

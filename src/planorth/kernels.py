@@ -12,7 +12,8 @@ from .expansion import ExpansionModel, positioning_factor
 from .geometry import ExteriorMap, map_forward
 
 OFFSPECTRAL_MARGIN = 1e-6   # least separation |phi(w)| - 1 of a root point
-BW_TAIL_TOL = 1e-14         # relative size at which bw_kernel_diag's tail sum stops
+BW_TAIL_TOL = 1e-14         # relative size of what bw_kernel_diag's tail sum leaves out
+BW_TAIL_TERMS = 10 ** 6     # most terms bw_kernel_diag's tail sum may take
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,29 +76,32 @@ def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z) -> float:
     ring ``rho < |phi| < 1`` as the inner-product region.
 
     ``K_N(z, z) = |phi'(z)|^2 [ |phi(z)|^-2 / log(1/rho^2)
-    + sum_{n <= N, n != -1} (n+1) |phi(z)|^{2n} / (1 - rho^{2n+2}) ]``;
-    the tail over ``n -> -inf`` is summed until terms drop below
-    ``BW_TAIL_TOL`` relative to the accumulated value.
+    + sum_{n <= N, n != -1} (n+1) |phi(z)|^{2n} / (1 - rho^{2n+2}) ]``.
+    With ``r = |phi(z)|`` the tail ``n <= -2`` is the Lambert series
+    ``r^-2 sum_{l>=0} x_l / (1 - x_l)^2``, ``x_l = (rho/r)^2 rho^{2l}``.  Term
+    ``l`` is at most ``rho^{2l} / (1 - rho^2)^2`` times term 0 whatever ``r``
+    is, so the first ``L`` terms, ``rho^{2L} <= BW_TAIL_TOL (1 - rho^2)^3``,
+    leave out less than ``BW_TAIL_TOL`` of the sum.  A ``rho`` that needs more
+    than ``BW_TAIL_TERMS`` of them raises :class:`DomainError`.
     """
     if not (0 < rho < 1):
         raise DomainError("need 0 < rho < 1")
+    rho2 = rho * rho
+    log_rho2 = 2.0 * math.log(rho)   # rho * rho underflows for rho below 1e-162
+    L = math.ceil(math.log(BW_TAIL_TOL * (1.0 - rho2) ** 3) / log_rho2)
+    if L > BW_TAIL_TERMS:
+        raise DomainError(f"rho = {rho} is too close to 1: the kernel's tail sum "
+                          f"needs {L} terms, more than {BW_TAIL_TERMS}")
     zeta = map_forward(m, complex(z))
     r = abs(zeta)
     if r <= rho:
         raise DomainError(f"|phi(z)| = {r:.4f} must exceed rho = {rho}")
     dphi2 = abs(1.0 / m.psi_prime(zeta)) ** 2
     n = np.arange(N + 1)
-    acc = r ** (-2.0) / math.log(1.0 / rho ** 2)
+    acc = r ** (-2.0) / -log_rho2
     acc += float(np.sum((n + 1) * r ** (2 * n) / (1.0 - rho ** (2 * n + 2))))
     if not math.isfinite(acc):
         raise NonFiniteError(f"K_N(z, z) overflows a float at N = {N}, |phi(z)| = {r:.4f}")
-    n = -2
-    while True:
-        term = (n + 1) * r ** (2 * n) / (1.0 - rho ** (2 * n + 2))
-        acc += term
-        if abs(term) < BW_TAIL_TOL * max(1.0, abs(acc)):
-            break
-        n -= 1
-        if n < -100000:
-            raise DomainError("tail summation did not converge; |phi(z)| too close to rho")
+    x = (rho / r) ** 2 * rho2 ** np.arange(L)
+    acc += float(np.sum(x / (1.0 - x) ** 2)) / r ** 2
     return float(acc * dphi2)

@@ -4,18 +4,20 @@
 of ``int_0^inf G(s) e^{-lambda s} ds`` with the standard remainder bound
 ``sup|G^(kappa+1)| / lambda^(kappa+2)``.
 
-``norm_expansion`` applies this with ``lambda = 2N`` to the squared weighted
-norm of the positioned partial sum.  Writing the radial profile of the
-angular mean of ``|sum_j N^-j X_j|^2 * Omega * e^{-2s}`` at ``r = e^{-s}``,
-every ``s``-derivative at 0 is a coefficient operation (the radial Euler
-operator plus the explicit ``-2`` from the Jacobian factor), so the expansion
-``N * ||.||^2 = 1 + sum_p c_p N^-p`` is computed exactly in the series
-algebra.  The unit-norm constants ``d_j`` are the coefficients of the formal
-inverse square root of that series.
+``norm_expansion`` expands, in powers of ``1/N``, the squared weighted norm
+of the positioned partial sum: the Laplace integral with ``lambda = 2N`` of
+the angular mean of ``|sum_j N^-j X_j|^2 * Omega * e^{-2s}`` at ``r = e^{-s}``.
+Every ``s``-derivative at 0 of that mean is a coefficient operation (the
+radial Euler operator plus the explicit ``-2`` from the Jacobian factor), so
+Watson's coefficients are read exactly off the moment table
+``B[j,k][mu] = R L^mu (X_j conj(X_k) Omega)``, ``L = -(r d/dr)/2 - 1``, and
+``N * ||.||^2 = 1 + sum_p c_p N^-p``.  The unit-norm constants ``d_j`` are the
+coefficients of the formal inverse square root of that series.
 
-``d_j`` is read off the moment table ``B[j,k][mu] = R L^mu (X_j conj(X_k) Omega)``,
-``L = -(r d/dr)/2 - 1``, built once per model and shared with the
-boundary-distribution terms (:func:`weighted_moments`).
+``Omega = E conj(E)``, so ``X_j conj(X_k) Omega = A_j conj(A_k)`` with the
+1-D products ``A_j = X_j E``: the table is built once per model from those
+and shared with the boundary-distribution terms, which combine it into the
+weighted boundary operator.
 """
 
 from __future__ import annotations
@@ -85,41 +87,23 @@ def _ps_exp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conv_matrix(e: np.ndarray, n: int) -> np.ndarray:
-    """Matrix of ``x -> np.convolve(e, x)`` on vectors of length ``n``."""
-    T = np.zeros((e.size + n - 1, n), dtype=np.complex128)
-    for j in range(n):
-        T[j:j + e.size, j] = e
-    return T
-
-
-def weighted_moments(a: AnnulusSeries, szego: SzegoData, mu_max: int) -> list:
-    """Boundary moments ``R L^mu (a Omega)`` for ``mu = 0..mu_max``, where
-    ``L = -(r d/dr)/2 - 1`` and ``R`` restricts to the circle.
-
-    ``Omega = E conj(E)`` has rank one, so ``a Omega`` is two 1-D
-    convolutions of the coefficient grid: by ``E`` along ``z`` and by
-    ``conj(E)`` along ``conj(z)``.  The product is kept whole, so no mass is
-    dropped."""
-    T = _conv_matrix(szego.E.trimmed().coeffs, a.coeffs.shape[0])
-    grid = T @ a.coeffs @ T.conj().T
-    return radial_moments(AnnulusSeries(grid, szego.inner_radius), 1.0, mu_max)
-
-
 def _moment_table(szego: SzegoData, coeffs: HierarchyCoeffs, order: int) -> dict:
-    """``B[j, k] = weighted_moments(X_j conj(X_k), szego, order)`` for ``j + k <= order``.
+    """``B[j, k][mu] = R L^mu (X_j conj(X_k) Omega)`` for ``j + k <= order``, ``mu <= order``.
 
-    At mode ``p`` this is ``sum_{m-n=p} (-(m+n)/2 - 1)^mu a_m conj(b_n)`` with
-    ``a = X_j E`` and ``b = X_k E``; each ``X_j`` enters at the least
+    With ``A_j = X_j E`` (one circle product per ``j``) this is the radial
+    moment of the outer product ``A_j conj(A_k)``: at mode ``p``,
+    ``sum_{m-n=p} (-(m+n)/2 - 1)^mu A_j[m] conj(A_k[n])``.  Each product is
+    kept whole, so no mass is dropped, and each ``X_j`` enters at the least
     bandwidth that holds it."""
-    X = [x.trimmed() for x in coeffs.X[:order + 1]]
+    E = szego.E.trimmed()
+    A = [x.trimmed() * E for x in coeffs.X[:order + 1]]
     table = {}
     for j in range(order + 1):
         for k in range(order + 1 - j):
-            S = max(X[j].bandwidth, X[k].bandwidth)
-            xj, xk = (np.pad(x.coeffs, S - x.bandwidth) for x in (X[j], X[k]))
-            a = np.outer(xj, np.conj(xk))
-            table[j, k] = weighted_moments(AnnulusSeries(a, szego.inner_radius), szego, order)
+            S = max(A[j].bandwidth, A[k].bandwidth)
+            aj, ak = (np.pad(a.coeffs, S - a.bandwidth) for a in (A[j], A[k]))
+            grid = AnnulusSeries(np.outer(aj, np.conj(ak)), szego.inner_radius)
+            table[j, k] = radial_moments(grid, 1.0, order)
     return table
 
 

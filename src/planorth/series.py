@@ -234,14 +234,11 @@ class CircleSeries:
         nz = np.flatnonzero(self.coeffs)
         lo, hi = (nz[0] - K, nz[-1] - K) if nz.size else (0, 0)
         vals = np.zeros(zs.shape, dtype=np.complex128)
-        for k in range(hi, -1, -1):
-            vals = vals * zs + self.coeffs[K + k]
+        if hi >= 0:
+            vals += _horner(self.coeffs[K:K + hi + 1], zs)
         if lo < 0:
             w = 1.0 / zs
-            neg = np.zeros(zs.shape, dtype=np.complex128)
-            for k in range(lo, 0):
-                neg = (neg + self.coeffs[K + k]) * w
-            vals = vals + neg
+            vals += _horner(self.coeffs[K + lo:K][::-1], w) * w
         return vals if np.ndim(z) else vals[0]
 
     def __add__(self, other):
@@ -264,6 +261,15 @@ class CircleSeries:
         return NotImplemented
 
     __rmul__ = __mul__
+
+
+def _horner(coeffs: np.ndarray, w: np.ndarray):
+    """``sum_j coeffs[j] w^j`` by Horner's scheme (the bare ``coeffs[0]`` when
+    there is one coefficient, so a constant costs no array)."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * w + c
+    return acc
 
 
 def circle_zeros(bandwidth: int) -> CircleSeries:

@@ -174,6 +174,17 @@ def test_kernel_command(tmp_path):
     assert errs[-1] < errs[0]
 
 
+def test_kernel_band_next_to_rho(tmp_path):
+    # the diagonal's band starts at |phi| = 1.01 rho, where the kernel's tail
+    # terms shrink only by (rho/r)^2 = 0.98
+    cfg = write_config(tmp_path, N=[8, 16],
+                       kernel={"w": [2.0, 0.0], "z": [2.5, 0.0], "rho": 0.5, "rho1": 0.505})
+    out = tmp_path / "o"
+    assert run(["kernel", "--config", cfg, "--out", out]) == 0
+    payload = json.loads((out / "kernel.json").read_text())
+    assert all(np.isfinite(r["sup"]) and r["sup"] > 0 for r in payload["diag_bound"])
+
+
 def test_kernel_not_off_spectral(tmp_path):
     cfg = write_config(tmp_path, N=[8],
                        kernel={"w": [0.5, 0.0], "z": [2.5, 0.0]})
@@ -254,6 +265,20 @@ def test_write_json_refuses_nan(tmp_path):
     with pytest.raises(NonFiniteError):
         cli._write_json(tmp_path, "x.json", {"v": float("nan")})
     assert not (tmp_path / "x.json").exists()
+
+
+def test_verify_exact_model_passes(tmp_path):
+    # every correction of the flat disk vanishes: the pointwise errors are
+    # roundoff, whose fitted slope means nothing, so each order passes as exact
+    cfg = write_config(tmp_path, "disk-const", N=[8, 12, 16, 24])
+    out = tmp_path / "o"
+    assert run(["verify", "--config", cfg, "--out", out]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["passed"] is True
+    for entry in summary["slopes"].values():
+        assert entry["exact"] is True and entry["slope"] is None and entry["pass"] is True
+    errors = np.loadtxt(out / "rates.csv", delimiter=",", skiprows=1)[:, 2]
+    assert np.all(errors <= cli.EXACT_FLOOR)
 
 
 def test_verify_single_degree_has_no_slope(tmp_path):

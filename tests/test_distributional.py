@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import planorth as po
-from planorth import distributional, laplace
-from planorth.distributional import (_circle_mean, distributional_expectation,
-                                     distributional_terms, split_test_function, w_operator)
+from planorth import laplace
+from planorth.distributional import (_circle_mean, _w_combination, distributional_expectation,
+                                     distributional_terms, split_test_function)
 from planorth.oracle import berezin_expectation
 
 from conftest import conv2_reference, random_annulus
@@ -43,33 +43,11 @@ def test_split_reassembly(disk_alpha_model):
     assert po.restrict_to_circle(sp.zero).linf() <= 1e-12 * max(1.0, g.l1())
 
 
-def test_w_operator_flat_weight_single_term(disk_const_model):
-    sz = disk_const_model.szego
-    rho = disk_const_model.inner_radius
-    a = po.annulus_from_terms({(1, 1): 0.7, (0, 0): 0.1}, 6, rho)
-    w = w_operator(sz, 10, nu=2, order=2, a=a)
-    expect = po.restrict_to_circle(a)
-    assert np.max(np.abs((w - expect).coeffs)) < 1e-14
-
-
 def test_w_operator_hand_value(disk_const_model):
-    # two terms: identity plus (1/N) * binom(2,1) * (-1) acting on a constant
-    sz = disk_const_model.szego
-    one = po.annulus_constant(1.0, 6, disk_const_model.inner_radius)
-    w = w_operator(sz, 10, nu=1, order=2, a=one)
+    # W(1) on the flat disk, two terms: identity plus (1/N) * binom(2,1) * (-1)
+    w = _w_combination(disk_const_model.norm.moments[0, 0], 10, nu=1, order=2)
     assert abs(w.coeff(0) - 0.8) < 1e-14
     assert w.l2() == pytest.approx(0.8)
-
-
-def test_w_operator_linear(disk_alpha_model):
-    sz = disk_alpha_model.szego
-    rng = np.random.default_rng(21)
-    rho = disk_alpha_model.inner_radius
-    a = random_annulus(rng, 4, rho, scale=0.4)
-    b = random_annulus(rng, 4, rho, scale=0.4)
-    length = w_operator(sz, 12, 1, 3, a + b)
-    parts = w_operator(sz, 12, 1, 3, a) + w_operator(sz, 12, 1, 3, b)
-    assert np.max(np.abs((length - parts).coeffs)) <= 1e-12 * max(1.0, length.l1())
 
 
 def test_expectation_constant_is_one(disk_alpha_model):
@@ -140,8 +118,9 @@ def _radial(b):
 
 
 def _radial_chain_w_operator(sz, N, nu, order, a):
-    """``w_operator`` as first implemented: multiply by the bi-Laurent grid of
-    ``Omega``, then apply ``(-(r d/dr)/2 - 1)`` once per power of ``1/N``."""
+    """The weighted boundary operator as first implemented: multiply by the
+    bi-Laurent grid of ``Omega``, then apply ``(-(r d/dr)/2 - 1)`` once per
+    power of ``1/N``."""
     b = po.AnnulusSeries(conv2_reference(a.coeffs, sz.omega_flat.coeffs), a.inner_radius)
     acc = None
     for mu in range(order - nu + 1):
@@ -151,18 +130,25 @@ def _radial_chain_w_operator(sz, N, nu, order, a):
     return acc
 
 
+def _correction_product(model, j, k):
+    """``X_j conj(X_k)`` as a bi-Laurent grid."""
+    return po.AnnulusSeries(np.outer(model.coeffs.X[j].coeffs, np.conj(model.coeffs.X[k].coeffs)),
+                            model.inner_radius)
+
+
 def test_w_operator_matches_radial_chain(all_preset_models):
-    rng = np.random.default_rng(23)
+    # every row of the moment table, combined into W, against the radial chain
     for name, model in all_preset_models.items():
-        a = random_annulus(rng, 4, model.inner_radius, scale=0.4)
-        for nu in (1, 2, 4):
-            got = w_operator(model.szego, 17, nu, 4, a)
-            want = _radial_chain_w_operator(model.szego, 17, nu, 4, a)
-            assert np.max(np.abs((got - want).coeffs)) <= 1e-13 * want.l1(), (name, nu)
+        for (j, k), moments in model.norm.moments.items():
+            a = _correction_product(model, j, k)
+            for nu in (1, 2, 4):
+                got = _w_combination(moments, 17, nu, 4)
+                want = _radial_chain_w_operator(model.szego, 17, nu, 4, a)
+                assert np.max(np.abs((got - want).coeffs)) <= 1e-13 * want.l1(), (name, j, k, nu)
 
 
 def test_terms_match_per_call_form(all_preset_models):
-    # the per-model moment table against the per-request products it replaced;
+    # the per-model moment table against the per-request radial chain;
     # a complex weight makes the corrections complex, so conj(X_k) matters
     rng = np.random.default_rng(29)
     models = dict(all_preset_models)
@@ -180,9 +166,8 @@ def test_terms_match_per_call_form(all_preset_models):
             gnu = po.restrict_to_circle(b)
             for j in range(order - nu + 1):
                 for k in range(order - nu - j + 1):
-                    a = po.AnnulusSeries(np.outer(model.coeffs.X[j].coeffs,
-                                                  np.conj(model.coeffs.X[k].coeffs)), rho)
-                    wk = w_operator(sz, N, nu, order, a)
+                    a = _correction_product(model, j, k)
+                    wk = _radial_chain_w_operator(sz, N, nu, order, a)
                     want.append(((nu, j, k), float(N) ** (-(nu + j + k)) * _circle_mean(gnu, wk)))
         got = distributional_terms(model, split, N)
         assert [idx for idx, _ in got] == [idx for idx, _ in want], name
@@ -199,7 +184,5 @@ def test_expectation_forms_no_products(disk_alpha_model, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a product with Omega formed inside a request")
 
-    monkeypatch.setattr(laplace, "weighted_moments", forbidden)
     monkeypatch.setattr(laplace, "_moment_table", forbidden)
-    monkeypatch.setattr(distributional, "weighted_moments", forbidden)
     assert np.isfinite(distributional_expectation(disk_alpha_model, split, 20))

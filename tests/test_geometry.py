@@ -197,6 +197,17 @@ def test_pullback_disk_linear_weight():
     assert np.max(np.abs(rest)) <= 1e-12
 
 
+def test_pullback_is_the_laurent_composition():
+    # P(psi) for a cubic P and a tail with a gap, against P evaluated at psi(zeta)
+    m = po.exterior_map(1.2, [0.1j, 0.2, 0.0, -0.05 + 0.02j])
+    poly = np.array([0.3, -0.2 + 0.1j, 0.15, 0.05j])
+    h = po.pullback_weight(m, po.exp_re_poly_weight(poly), 12, 0.8).pullback
+    zeta = np.array([r * np.exp(2j * np.pi * t) for r in (0.85, 1.0, 1.2) for t in (0.1, 0.45, 0.8)])
+    want = np.polyval(poly[::-1], m.psi(zeta))
+    scale = np.polyval(np.abs(poly[::-1]), np.abs(m.psi(zeta)))
+    assert np.max(np.abs(h.evaluate(zeta) - want) / scale) <= 1e-14
+
+
 def test_pullback_ellipse_fit_residual():
     ws = po.pullback_weight(po.ellipse_map(2, 1), po.exp_re_linear_weight(0.5), 24, 0.75)
     assert ws.fit_residual <= 1e-10

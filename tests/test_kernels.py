@@ -153,3 +153,28 @@ def test_bw_diag_overflow_is_typed():
     # |phi(z)|^(2N) = 1.2^20000 overflows a float
     with pytest.raises(NonFiniteError, match="overflows"):
         bw_kernel_diag(0.5, po.disk_map(), 10 ** 4, 1.2)
+
+
+@pytest.mark.parametrize("r", [0.505, 0.5001])
+def test_bw_diag_next_to_rho(r):
+    # the tail n <= -2 summed as sum_{m>=1} (m/r^2) q^m/(1-rho^{2m}), q = (rho/r)^2,
+    # whose terms shrink only by q: the power form overflows a float here
+    rho, N = 0.5, 10
+    q = (rho / r) ** 2
+    m = np.arange(1, 400001)
+    tail = np.sum(m / r ** 2 * q ** m / (1.0 - rho ** (2 * m)))
+    n = np.arange(N + 1)
+    head = r ** -2 / math.log(1.0 / rho ** 2) + np.sum((n + 1) * r ** (2 * n)
+                                                       / (1.0 - rho ** (2 * n + 2)))
+    assert abs(bw_kernel_diag(rho, po.disk_map(), N, r) / (head + tail) - 1.0) <= 1e-13
+
+
+def test_bw_diag_refuses_a_ring_too_thin_to_sum():
+    with pytest.raises(DomainError, match="too close to 1"):
+        bw_kernel_diag(1.0 - 1e-9, po.disk_map(), 10, 1.0)
+
+
+def test_bw_diag_tiny_rho():
+    # rho^2 underflows to 0: the tail vanishes and the head is 1/log(1/rho^2) + sum (n+1)
+    val = bw_kernel_diag(1e-200, po.disk_map(), 10, 1.0)
+    assert abs(val - (66.0 + 1.0 / (400.0 * math.log(10.0)))) <= 1e-13 * 66.0

@@ -7,7 +7,6 @@ import pytest
 import planorth as po
 from planorth.errors import DomainError, TruncationOverflowError
 from planorth.hierarchy import weighted_derivative
-from planorth.laplace import weighted_moments
 from planorth.series import EVAL_CHUNK, SUPPORT_EXTERIOR_VANISHING, radial_moments
 
 from conftest import random_annulus, random_circle
@@ -168,14 +167,13 @@ def test_herglotz_rejects_non_real():
 
 
 def test_restrict_of_product_is_circle_convolution(disk_alpha_model):
-    # the restriction of a Omega is the circle product R(a) E conj(E)
-    rng = np.random.default_rng(23)
-    sz = disk_alpha_model.szego
-    for _ in range(4):
-        a = random_annulus(rng, 6, disk_alpha_model.inner_radius, scale=0.5)
-        lhs = weighted_moments(a, sz, 0)[0]
-        rhs = po.restrict_to_circle(a) * sz.E * sz.E.conjugate_on_circle()
-        assert np.max(np.abs((lhs - rhs).coeffs)) <= 1e-12 * max(1.0, lhs.l1())
+    # the moment table's mu = 0 row restricts X_j conj(X_k) Omega, which on
+    # the circle is the product of X_j E and the conjugate of X_k E
+    sz, X = disk_alpha_model.szego, disk_alpha_model.coeffs.X
+    for (j, k), moments in disk_alpha_model.norm.moments.items():
+        lhs = moments[0]
+        rhs = (X[j] * sz.E) * (X[k] * sz.E).conjugate_on_circle()
+        assert np.max(np.abs((lhs - rhs).coeffs)) <= 1e-12 * max(1.0, lhs.l1()), (j, k)
 
 
 def test_herglotz_real_part_reproduces_input():
