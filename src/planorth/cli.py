@@ -32,6 +32,7 @@ from .series import annulus_from_terms
 
 MAX_ORDER = 8
 EXACT_FLOOR = 1e-13   # verify: an order whose every pointwise error is at most this is exact
+MODE_FLOOR = 1e-15    # model.json lists the modes whose coefficient exceeds this in modulus
 
 MODEL_SCHEMA = {
     "type": "object",
@@ -148,22 +149,28 @@ def _build(cfg: dict, kappa: int):
                        validity_constant=validity_constant)
 
 
+def _modes(coeffs: np.ndarray, K: int) -> tuple[list, list]:
+    """Modes ``k`` (``coeffs[K + k]``, ascending) whose coefficient exceeds
+    ``MODE_FLOOR`` in modulus, and those coefficients as ``[re, im]`` pairs."""
+    idx = np.flatnonzero(np.abs(coeffs) > MODE_FLOOR)
+    return (idx - K).tolist(), [_c2l(z) for z in coeffs[idx]]
+
+
 def _model_payload(model, cfg: dict) -> dict:
     corrections = []
     for j in range(1, model.order + 1):
         X = model.coeffs.X[j]
-        modes = [k for k in range(-X.bandwidth, X.bandwidth + 1) if abs(X.coeff(k)) > 1e-15]
-        corrections.append({"order": j, "modes": modes,
-                            "coeffs": [_c2l(X.coeff(k)) for k in modes]})
+        modes, coeffs = _modes(X.coeffs, X.bandwidth)
+        corrections.append({"order": j, "modes": modes, "coeffs": coeffs})
     v = model.szego.v_exterior
-    vmodes = [k for k in range(-v.bandwidth, 1) if abs(v.coeff(k)) > 1e-15]
+    vmodes, vcoeffs = _modes(v.coeffs[:v.bandwidth + 1], v.bandwidth)
     return {
         "schema": "planorth/model-v1",
         "domain": cfg["domain"],
         "kappa": model.order,
         "map": {"cap": model.map.cap, "tail": [_c2l(a) for a in model.map.tail],
                 "univalence_margin": model.map.univalence_margin},
-        "szego": {"v_exterior": {"modes": vmodes, "coeffs": [_c2l(v.coeff(k)) for k in vmodes]},
+        "szego": {"v_exterior": {"modes": vmodes, "coeffs": vcoeffs},
                   "v_infinity": model.szego.v_infinity,
                   "circle_residual": model.szego.circle_residual},
         "corrections": corrections,
@@ -434,15 +441,13 @@ def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="planorth",
                                 description="Planar orthogonal polynomial expansions")
     p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="experiment config JSON")
-        sp.add_argument("--out", default=None,
-                        help="output directory (default: config 'out' field, else ./out)")
-        sp.add_argument("--kappa", type=int, default=None, help="expansion order override")
-        sp.add_argument("--n", default=None, help="comma-separated degree list override")
-        sp.add_argument("--tol", type=float, default=None, help="verification tolerance")
+    p.add_argument("command", choices=list(_COMMANDS))
+    p.add_argument("--config", required=True, help="experiment config JSON")
+    p.add_argument("--out", default=None,
+                   help="output directory (default: config 'out' field, else ./out)")
+    p.add_argument("--kappa", type=int, default=None, help="expansion order override")
+    p.add_argument("--n", default=None, help="comma-separated degree list override")
+    p.add_argument("--tol", type=float, default=None, help="verification tolerance")
     return p
 
 

@@ -11,8 +11,9 @@ Test functions enter as annulus series in the exterior coordinate, for which
 the smooth three-way split is an exact Fourier-mode split.
 
 The weighted side of every term, the weighted boundary operator applied to
-``X_j conj(X_k)``, is a combination of the moment table ``model.norm.moments``
-(built once per model), so a request only takes the radial moments of the
+``X_j conj(X_k)``, contracts the model's moment array ``model.norm.moments``
+(``B[j, k, mu, mode]``, built once per model) over ``mu`` with the weights
+``C(nu+mu, nu) N^-mu``, so a request only takes the radial moments of the
 test function and pairs them on the circle.
 """
 
@@ -71,14 +72,12 @@ def split_test_function(g: AnnulusSeries) -> TestFunctionSplit:
                              minus_infinity=complex(np.conj(minus_conj.coeff(0))))
 
 
-def _w_combination(moments, N: int, nu: int, order: int) -> CircleSeries:
+def _w_combination(moments: np.ndarray, N: int, nu: int, order: int) -> CircleSeries:
     """The weighted boundary operator on ``X_j conj(X_k)``:
     ``sum_{mu<=order-nu} N^-mu C(nu+mu, nu) moments[mu]`` with
-    ``moments = model.norm.moments[j, k]``."""
-    acc = moments[0]
-    for mu in range(1, order - nu + 1):
-        acc = acc + moments[mu] * (math.comb(nu + mu, nu) * float(N) ** (-mu))
-    return acc
+    ``moments = model.norm.moments[j, k]`` (rows ``mu``, columns circle modes)."""
+    w = [math.comb(nu + mu, nu) * float(N) ** (-mu) for mu in range(order - nu + 1)]
+    return CircleSeries(w @ moments[:order - nu + 1])
 
 
 def _circle_mean(u: CircleSeries, v: CircleSeries) -> complex:

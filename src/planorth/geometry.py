@@ -240,8 +240,11 @@ def constant_weight(value: float = 1.0) -> WeightDef:
 
 
 def exp_re_poly_weight(coeffs) -> WeightDef:
-    """Weight ``omega(z) = exp(2 Re sum_j coeffs[j] z^j)``."""
+    """Weight ``omega(z) = exp(2 Re sum_j coeffs[j] z^j)``; an empty
+    coefficient list names no polynomial and is a :class:`ConfigError`."""
     poly = np.asarray(list(coeffs), dtype=np.complex128)
+    if poly.size == 0:
+        raise ConfigError("exp-re-poly weight needs at least one coefficient")
 
     def ev(z):
         acc = np.zeros(np.shape(z), dtype=np.complex128)

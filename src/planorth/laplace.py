@@ -10,14 +10,16 @@ the angular mean of ``|sum_j N^-j X_j|^2 * Omega * e^{-2s}`` at ``r = e^{-s}``.
 Every ``s``-derivative at 0 of that mean is a coefficient operation (the
 radial Euler operator plus the explicit ``-2`` from the Jacobian factor), so
 Watson's coefficients are read exactly off the moment table
-``B[j,k][mu] = R L^mu (X_j conj(X_k) Omega)``, ``L = -(r d/dr)/2 - 1``, and
-``N * ||.||^2 = 1 + sum_p c_p N^-p``.  The unit-norm constants ``d_j`` are the
-coefficients of the formal inverse square root of that series.
+``B[j, k, mu, p] = R L^mu (X_j conj(X_k) Omega)`` at circle mode ``p``,
+``L = -(r d/dr)/2 - 1``, and ``N * ||.||^2 = 1 + sum_p c_p N^-p``.  The
+unit-norm constants ``d_j`` are the coefficients of the formal inverse square
+root of that series.
 
 ``Omega = E conj(E)``, so ``X_j conj(X_k) Omega = A_j conj(A_k)`` with the
-1-D products ``A_j = X_j E``: the table is built once per model from those
-and shared with the boundary-distribution terms, which combine it into the
-weighted boundary operator.
+1-D products ``A_j = X_j E``, and each row of the table is a weighted 1-D
+correlation of ``A_j`` with ``A_k``.  The table is one complex array, built
+once per model and shared with the boundary-distribution terms, which
+contract it over ``mu`` into the weighted boundary operator.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 from .errors import ConsistencyError
 from .geometry import SzegoData
 from .hierarchy import HierarchyCoeffs
-from .series import AnnulusSeries, radial_moments
 
 NORM_IMAG_TOL = 1e-10   # largest imaginary part the norm series may carry
 
@@ -87,23 +88,39 @@ def _ps_exp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _moment_table(szego: SzegoData, coeffs: HierarchyCoeffs, order: int) -> dict:
-    """``B[j, k][mu] = R L^mu (X_j conj(X_k) Omega)`` for ``j + k <= order``, ``mu <= order``.
+def _moment_table(szego: SzegoData, coeffs: HierarchyCoeffs, order: int) -> np.ndarray:
+    """``B[j, k, mu, 2S + p] = R L^mu (X_j conj(X_k) Omega)`` at mode ``p``,
+    for ``j + k <= order`` and ``mu <= order`` (zero where ``j + k > order``).
 
-    With ``A_j = X_j E`` (one circle product per ``j``) this is the radial
-    moment of the outer product ``A_j conj(A_k)``: at mode ``p``,
-    ``sum_{m-n=p} (-(m+n)/2 - 1)^mu A_j[m] conj(A_k[n])``.  Each product is
-    kept whole, so no mass is dropped, and each ``X_j`` enters at the least
-    bandwidth that holds it."""
-    E = szego.E.trimmed()
-    A = [x.trimmed() * E for x in coeffs.X[:order + 1]]
-    table = {}
+    With ``A_j = X_j E`` (one circle product per ``j``, each ``X_j`` at the
+    least bandwidth that holds it) and ``S`` the largest bandwidth of the
+    ``A_j``, mode ``p`` of the restriction sums one diagonal ``m - n = p`` of
+    the outer product ``A_j conj(A_k)``, where ``L`` multiplies by
+    ``-(m+n)/2 - 1 = -(2n+p)/2 - 1``:
+    ``B[j,k,mu,p] = sum_n A_j[n+p] conj(A_k[n]) (-(2n+p)/2 - 1)^mu``.
+    So each row is a weighted 1-D correlation: the ``(4S+1) x (2S+1)``
+    sliding window ``A_j[n+p]`` of the zero-padded ``A_j``, times the
+    ``mu``-th power of the weight, contracted with ``conj(A_k)``.  No product
+    is truncated, and every mode beyond ``bw(A_j) + bw(A_k)`` is exactly 0."""
+    E = szego.E.trimmed().coeffs
+    A = [np.convolve(x.trimmed().coeffs, E) for x in coeffs.X[:order + 1]]
+    S = max((a.size - 1) // 2 for a in A)
+    # padded[j, 3S + n] = A_j[n], zero for |n| > bw(A_j)
+    padded = np.zeros((order + 1, 6 * S + 1), dtype=np.complex128)
+    for j, a in enumerate(A):
+        padded[j, 3 * S - (a.size - 1) // 2:3 * S + (a.size + 1) // 2] = a
+    conjA = np.conj(padded[:, 2 * S:4 * S + 1])
+    p = np.arange(-2 * S, 2 * S + 1)[:, None]
+    n = np.arange(-S, S + 1)[None, :]
+    weight = -(2 * n + p) / 2.0 - 1.0
+    table = np.zeros((order + 1, order + 1, order + 1, 4 * S + 1), dtype=np.complex128)
     for j in range(order + 1):
-        for k in range(order + 1 - j):
-            S = max(A[j].bandwidth, A[k].bandwidth)
-            aj, ak = (np.pad(a.coeffs, S - a.bandwidth) for a in (A[j], A[k]))
-            grid = AnnulusSeries(np.outer(aj, np.conj(ak)), szego.inner_radius)
-            table[j, k] = radial_moments(grid, 1.0, order)
+        rows = conjA[:order + 1 - j]
+        # window[2S + p, S + n] = A_j[n + p], one copy per j, weighted in place
+        window = np.lib.stride_tricks.sliding_window_view(padded[j], 2 * S + 1).copy()
+        for mu in range(order + 1):
+            table[j, :order + 1 - j, mu] = rows @ window.T
+            window *= weight
     return table
 
 
@@ -111,12 +128,12 @@ def _moment_table(szego: SzegoData, coeffs: HierarchyCoeffs, order: int) -> dict
 class NormExpansion:
     """Norm-constant data: ``raw[p-1] = c_p`` with
     ``N ||.||^2 = 1 + sum c_p N^-p`` and ``d[j-1] = d_j`` from the inverse
-    square root (all real); ``moments[j, k][mu]`` is the table ``B`` they are
-    read from."""
+    square root (all real); ``moments`` is the table ``B[j, k, mu, 2S + p]``
+    they are read from (see ``_moment_table``)."""
 
     d: np.ndarray
     raw: np.ndarray
-    moments: dict
+    moments: np.ndarray
 
     def factor(self, N: float, order: int | None = None) -> float:
         """Truncated norm correction ``1 + sum_{j<=order} d_j N^-j``."""
@@ -131,18 +148,20 @@ def norm_expansion(szego: SzegoData, coeffs: HierarchyCoeffs, order: int) -> Nor
 
     The ``m``-th ``s``-derivative at the circle of the angular mean of
     ``X_j conj(X_k) Omega e^{-2s}`` is ``2^m`` times the mean of
-    ``B[j,k][m]`` (the ``-1`` in ``L`` carries the area Jacobian), so Watson's
-    sum with ``lambda = 2N`` yields ``c_p = sum_{j+k+m=p} B[j,k][m]`` at mode 0.
+    ``B[j, k, m]`` (the ``-1`` in ``L`` carries the area Jacobian), so Watson's
+    sum with ``lambda = 2N`` yields ``c_p = sum_{j+k+m=p} B[j, k, m]`` at mode 0.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     if order > coeffs.order:
         raise ValueError("hierarchy not solved to the requested order")
     table = _moment_table(szego, coeffs, order)
+    mode0 = table[..., (table.shape[-1] - 1) // 2]
     c = np.zeros(order + 1, dtype=np.complex128)
-    for (j, k), moments in table.items():
-        for m in range(order - j - k + 1):
-            c[j + k + m] += moments[m].coeff(0)
+    for j in range(order + 1):
+        for k in range(order + 1 - j):
+            for m in range(order + 1 - j - k):
+                c[j + k + m] += mode0[j, k, m]
     if float(np.max(np.abs(c.imag))) > NORM_IMAG_TOL:
         raise ConsistencyError(
             f"norm series has imaginary part {np.max(np.abs(c.imag)):.3e}; "

@@ -1,15 +1,21 @@
 import json
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import planorth
 from planorth import cli, geometry
-from planorth.errors import NonFiniteError
+from planorth.errors import ConfigError, NonFiniteError
 from planorth.kernels import off_spectral_point, offspectral_leading
 from planorth.oracle import OraclePolynomials, build_quadrature, oracle_onps
 from planorth.presets import preset_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, name="disk-expre03", **extra):
@@ -370,3 +376,69 @@ def test_eval_maps_each_point_once(tmp_path, monkeypatch, mapped_points):
                        points=[[2.0, 0.0], [0.3, 1.6]])
     assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == 0
     assert sum(c.size for c in mapped_points) == 2
+
+
+def test_parser_needs_a_known_command(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    for argv in ([], ["--config", cfg], ["expnad", "--config", cfg]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "expnad" in err
+
+
+def test_parser_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == planorth.__version__
+
+
+def test_readme_invocations_parse():
+    # every command line of the README's shell blocks, and one with every flag
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    lines = [shlex.split(line, comments=True) for b in blocks for line in b.splitlines()]
+    lines = [words[1:] for words in lines if words and words[0] == "planorth"]
+    assert sorted(words[0] for words in lines) == sorted(cli._COMMANDS)
+    for words in lines:
+        args = cli.make_parser().parse_args(words)
+        assert vars(args) == {"command": words[0], "config": "cfg.json", "out": "out/",
+                              "kappa": None, "n": None, "tol": None}, words
+    args = cli.make_parser().parse_args(["verify", "--config", "c.json", "--kappa", "3",
+                                         "--n", "8,16", "--tol", "0.5", "--out", "o"])
+    assert vars(args) == {"command": "verify", "config": "c.json", "out": "o",
+                          "kappa": 3, "n": "8,16", "tol": 0.5}
+
+
+@pytest.mark.parametrize("coeffs, code", [
+    ([], 2),
+    ([[0.4, 0.1]], 0),
+    ([[0.0, 0.0], [0.0, 0.0]], 0),
+], ids=["empty", "one-term", "all-zero"])
+def test_exp_re_poly_coefficient_count(tmp_path, capsys, coeffs, code):
+    domain = {**preset_config("disk-const"), "weight": {"kind": "exp-re-poly", "coeffs": coeffs}}
+    cfg = write_config(tmp_path, domain=domain)
+    assert run(["expand", "--config", cfg, "--out", tmp_path / "o"]) == code
+    if code == 2:
+        assert "config error [expand]" in capsys.readouterr().err
+        with pytest.raises(ConfigError):
+            geometry.exp_re_poly_weight([])
+
+
+def test_model_payload_modes_match_per_mode_listing(all_preset_models):
+    # the mode lists of model.json against the per-mode comprehension they
+    # replace, compared as serialized text
+    for name, model in all_preset_models.items():
+        payload = cli._model_payload(model, {"domain": name})
+        want = []
+        for j in range(1, model.order + 1):
+            X = model.coeffs.X[j]
+            modes = [k for k in range(-X.bandwidth, X.bandwidth + 1) if abs(X.coeff(k)) > 1e-15]
+            want.append({"order": j, "modes": modes,
+                         "coeffs": [[X.coeff(k).real, X.coeff(k).imag] for k in modes]})
+        assert json.dumps(payload["corrections"]) == json.dumps(want), name
+        v = model.szego.v_exterior
+        vmodes = [k for k in range(-v.bandwidth, 1) if abs(v.coeff(k)) > 1e-15]
+        vwant = {"modes": vmodes, "coeffs": [[v.coeff(k).real, v.coeff(k).imag] for k in vmodes]}
+        assert json.dumps(payload["szego"]["v_exterior"]) == json.dumps(vwant), name

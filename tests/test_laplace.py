@@ -3,6 +3,8 @@ import pytest
 
 import planorth as po
 from planorth.laplace import _ps_exp, _ps_log
+from planorth.presets import preset_model
+from planorth.series import radial_moments
 
 from conftest import conv2_reference
 
@@ -134,8 +136,9 @@ def test_norm_expansion_matches_product_form(all_preset_models):
         c, d = _product_form_norm_series(model)
         assert np.max(np.abs(model.norm.raw - c[1:])) <= 1e-13, name
         assert np.max(np.abs(model.norm.d - d[1:])) <= 1e-13, name
-        assert set(model.norm.moments) == {(j, k) for j in range(model.order + 1)
-                                           for k in range(model.order + 1 - j)}
+        J = model.order + 1
+        assert model.norm.moments.shape[:3] == (J, J, J), name
+        assert model.norm.moments.shape[3] % 2 == 1, name
 
 
 def test_moment_table_drops_no_mass():
@@ -148,3 +151,43 @@ def test_moment_table_drops_no_mass():
     model = po.build_model(m, w, 1, bidegree=24, inner_radius=0.8682)
     assert abs(model.norm.d[0] - 0.5) <= 1e-14
 
+
+
+def _outer_product_moments(model, j, k, order):
+    """``R L^mu (A_j conj(A_k))`` for ``mu <= order`` from the 2-D outer
+    product of ``A_j = X_j E`` and ``conj(A_k)``, both padded to the larger
+    bandwidth: the moment table as first built, a row at a time."""
+    E = model.szego.E.trimmed()
+    aj, ak = (x.trimmed() * E for x in (model.coeffs.X[j], model.coeffs.X[k]))
+    S = max(aj.bandwidth, ak.bandwidth)
+    a, b = (np.pad(x.coeffs, S - x.bandwidth) for x in (aj, ak))
+    return radial_moments(po.AnnulusSeries(np.outer(a, np.conj(b)), model.inner_radius),
+                          1.0, order)
+
+
+@pytest.mark.parametrize("name", ["disk-const", "disk-expre03", "ellipse-const",
+                                  "ellipse-expre", "perturbed-expre", "disk-complex"])
+def test_moment_table_matches_outer_product_radial_moments(name):
+    # each weighted 1-D correlation against the diagonal sums of the 2-D outer
+    # product; modes beyond the pair's own band, and pairs with j + k > order,
+    # are exactly zero
+    for order in range(1, 5):
+        if name == "disk-complex":
+            model = po.build_model(po.disk_map(), po.exp_re_linear_weight(0.2 + 0.2j),
+                                   order, bidegree=16, inner_radius=0.5)
+        else:
+            model = preset_model(name, order)
+        B = model.norm.moments
+        centre = (B.shape[-1] - 1) // 2
+        assert B.shape == (order + 1, order + 1, order + 1, 2 * centre + 1)
+        for j in range(order + 1):
+            assert not np.any(B[j, order + 1 - j:]), (name, order, j)
+            for k in range(order + 1 - j):
+                for mu, want in enumerate(_outer_product_moments(model, j, k, order)):
+                    K = want.bandwidth
+                    got = B[j, k, mu]
+                    band = got[centre - K:centre + K + 1]
+                    dev = np.max(np.abs(band - want.coeffs))
+                    assert dev <= 1e-14 * max(want.l1(), 1e-300), (name, order, j, k, mu)
+                    assert not np.any(got[:centre - K]) and not np.any(got[centre + K + 1:]), \
+                        (name, order, j, k, mu)
