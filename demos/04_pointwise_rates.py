@@ -8,9 +8,8 @@ import planorth as po
 from planorth.presets import preset_model
 
 model = preset_model("disk-expre03", 3)
-rule = po.build_quadrature(model.map, model.weight, degree=82)
-polys = po.oracle_onps(rule, 40)
-print("oracle: %d nodes, Gram residual %.1e" % (rule.meta["n_nodes"], polys.gram_residual))
+polys = po.boundary_onps(model.map, model.weight.holo_poly, 40)
+print("oracle: %d boundary samples, Gram residual %.1e" % (polys.rule.L, polys.gram_residual))
 
 z = 2.0
 zeta = po.map_forward(model.map, z)
@@ -37,8 +36,7 @@ for k in range(3):
 
 print("\nclassical constant-weight check (2x1 ellipse, N = 30, z = 3):")
 ec = preset_model("ellipse-const", 2)
-er = po.build_quadrature(ec.map, ec.weight, degree=62)
-ep = po.oracle_onps(er, 30)
+ep = po.boundary_onps(ec.map, ec.weight.holo_poly, 30)
 zeta3 = po.map_forward(ec.map, 3.0)
 carleman = np.sqrt(31) / ec.map.psi_prime(zeta3) * zeta3 ** 30
 print("  oracle / sqrt(N+1) phi' phi^N - 1 =",

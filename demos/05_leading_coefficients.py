@@ -20,8 +20,7 @@ alpha = preset_model("disk-expre03", 4)
 print("disk, omega = exp(2 Re(0.3 z)): d =", np.round(alpha.norm.d, 8))
 
 print("\n== leading coefficient vs oracle ==")
-rule = po.build_quadrature(alpha.map, alpha.weight, degree=68)
-polys = po.oracle_onps(rule, 32)
+polys = po.boundary_onps(alpha.map, alpha.weight.holo_poly, 32)
 for N in (16, 32):
     for order in (1, 2):
         rel = abs(po.leading_coeff(alpha, N, order=order) / polys.kappa[N] - 1.0)
@@ -32,8 +31,8 @@ print("\nexact disk value: kappa_24 =", po.leading_coeff(disk, 24, order=2),
 
 print("\n== L2 discrepancy of the cut-off expansion ==")
 for N in (12, 24):
-    d = po.l2_discrepancy(alpha, polys, rule, N, order=1)
+    d = po.l2_discrepancy(alpha, polys, N, order=1)
     print(f"  N={N:<3} order=1: ||P_N - chi0 F_N|| = {d:.3e}")
-d12 = po.l2_discrepancy(alpha, polys, rule, 12, order=1)
-d24 = po.l2_discrepancy(alpha, polys, rule, 24, order=1)
+d12 = po.l2_discrepancy(alpha, polys, 12, order=1)
+d24 = po.l2_discrepancy(alpha, polys, 24, order=1)
 print("  ratio 24/12 =", round(d24 / d12, 4), " (one extra correction order: ~ 1/4)")

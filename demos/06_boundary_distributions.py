@@ -10,8 +10,7 @@ from planorth.oracle import berezin_expectation
 from planorth.presets import preset_model
 
 model = preset_model("disk-expre03", 3)
-rule = po.build_quadrature(model.map, model.weight, degree=68)
-polys = po.oracle_onps(rule, 32)
+polys = po.boundary_onps(model.map, model.weight.holo_poly, 32)
 
 rho = model.inner_radius
 g = po.annulus_from_terms({(1, 1): 1.0, (0, 0): -1.0}, 1, rho)   # |z|^2 - 1
@@ -22,7 +21,7 @@ print("  g_+(inf) =", split.plus_infinity, " g_-(inf) =", split.minus_infinity)
 print("\n  N    boundary expansion   oracle integral      |difference|")
 for N in (8, 16, 32):
     v = distributional_expectation(model, split, N, order=2)
-    o = berezin_expectation(model, polys, rule, g, N)
+    o = berezin_expectation(model, polys, g, N)
     print(f"  {N:<4} {v.real:+.8f}        {o.real:+.8f}        {abs(v - o):.2e}")
 
 print("\nper-index contributions at N = 32 (nu, j, k):")
@@ -33,6 +32,6 @@ gp = po.annulus_from_terms({(-1, 0): 1.0}, 1, rho)               # 1/z: no bound
 sp = split_test_function(gp)
 print("\nharmonic-measure limit for g = 1/z (value at infinity 0):")
 for N in (16, 32):
-    o = berezin_expectation(model, polys, rule, gp, N)
+    o = berezin_expectation(model, polys, gp, N)
     print(f"  N={N:<3} expansion = {distributional_expectation(model, sp, N, order=2)}"
           f"  oracle = {abs(o):.2e}")

@@ -11,8 +11,7 @@ from planorth.kernels import (bw_kernel_diag, off_spectral_point, offspectral_le
 from planorth.presets import preset_model
 
 model = preset_model("disk-expre03", 2)
-rule = po.build_quadrature(model.map, model.weight, degree=68)
-polys = po.oracle_onps(rule, 32)
+polys = po.boundary_onps(model.map, model.weight.holo_poly, 32)
 
 w, z = 2.0, 2.5
 pt = off_spectral_point(model.map, w)

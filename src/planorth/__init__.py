@@ -17,16 +17,17 @@ from .geometry import (ExteriorMap, SzegoData, WeightDef, WeightSpec, capacity,
                        constant_weight, disk_map, ellipse_map, exp_re_linear_weight,
                        exp_re_poly_weight, exterior_map, load_domain_config, map_forward,
                        pullback_weight, sampled_weight, szego)
-from .hierarchy import (HierarchyCoeffs, hierarchy_residual, neumann_partial_sum,
-                        solve_hierarchy, solve_hierarchy_triangular, weighted_derivative)
+from .hierarchy import (HierarchyCoeffs, hierarchy_residual, hierarchy_residuals,
+                        neumann_partial_sum, solve_hierarchy, solve_hierarchy_triangular,
+                        weighted_derivative)
 from .laplace import JetAtZero, NormExpansion, norm_expansion, watson_sum
 from .expansion import (ExpansionModel, build_model, canonical_position, leading_coeff,
                         monic_at, monic_eval, monic_prefactor, norm_factor, normalized_at,
                         normalized_eval, validity_radius)
-from .oracle import (OraclePolynomials, QuadratureRule, berezin_expectation,
-                     berezin_expectations, build_quadrature, holomorphic_pairing,
-                     l2_discrepancies, l2_discrepancy, oracle_kernel, oracle_onps,
-                     ring_quadrature, smoothstep)
+from .oracle import (BoundaryRule, OraclePolynomials, QuadratureRule, berezin_expectation,
+                     berezin_expectations, boundary_onps, boundary_rule, build_quadrature,
+                     holomorphic_pairing, l2_discrepancies, l2_discrepancy, oracle_kernel,
+                     oracle_onps, ring_quadrature, smoothstep)
 from .distributional import (TestFunctionSplit, distributional_expectation,
                              distributional_terms, split_test_function)
 from .kernels import (OffSpectralPoint, bw_kernel_diag, off_spectral_point,

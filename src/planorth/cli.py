@@ -21,13 +21,12 @@ from .distributional import (distributional_expectation, distributional_terms,
                              split_test_function)
 from .errors import (ConfigError, NonFiniteError, OffSpectralError, OutOfValidityError,
                      PlanorthError, stage)
-from .expansion import (build_model, leading_coeff, monic_at, monic_eval, monic_prefactor,
+from .expansion import (build_model, check_valid, leading_coeff, monic_at, monic_prefactor,
                         normalized_at, positioning_factor, validity_radius)
 from .geometry import load_domain_config, map_forward_many, parse_integer, parse_number
-from .hierarchy import hierarchy_residual
+from .hierarchy import hierarchy_residuals
 from .kernels import bw_kernel_diag, off_spectral_point, offspectral_leading
-from .oracle import (berezin_expectations, build_quadrature, l2_discrepancies, oracle_kernel,
-                     oracle_onps)
+from .oracle import berezin_expectations, boundary_onps, l2_discrepancies, oracle_kernel
 from .series import annulus_from_terms
 
 MAX_ORDER = 8
@@ -130,13 +129,13 @@ def _experiment(cfg: dict, args) -> dict:
     if not isinstance(tols, dict):
         raise ConfigError("tolerances must be an object, e.g. {\"slope\": 0.35}")
     tol = args.tol if args.tol is not None else tols.get("slope", 0.35)
-    degree = cfg.get("oracle_degree")
+    if "oracle_degree" in cfg:
+        raise ConfigError("oracle_degree is no longer a config key: the boundary oracle "
+                          "sizes itself from the degree; remove it")
     allow = cfg.get("allow_out_of_validity", False)
     if not isinstance(allow, bool):
         raise ConfigError(f"allow_out_of_validity must be true or false, got {allow!r}")
     return {"kappa": kappa, "N": ns, "points": points,
-            "oracle_degree": (None if degree is None
-                              else parse_integer(degree, "oracle_degree")),
             "allow_out_of_validity": allow,
             "tol": parse_number(tol, "tolerances.slope")}
 
@@ -179,8 +178,8 @@ def _model_payload(model, cfg: dict) -> dict:
         "diagnostics": {
             "omega_circle_residual": model.szego.circle_residual,
             "weight_fit_residual": model.weight.fit_residual,
-            "hierarchy_residuals": [hierarchy_residual(model.coeffs, model.szego, p)
-                                    for p in range(1, model.order + 1)],
+            "hierarchy_residuals": hierarchy_residuals(model.coeffs, model.szego,
+                                                       model.order),
         },
     }
 
@@ -256,11 +255,9 @@ def cmd_eval(cfg: dict, exp: dict, outdir: Path) -> int:
     return 0
 
 
-def _oracle_for(exp: dict, model, N_max: int):
+def _oracle_for(model, N_max: int):
     with stage("oracle"):
-        degree = exp["oracle_degree"] or (2 * N_max + 8)
-        rule = build_quadrature(model.map, model.weight, degree=degree)
-        return rule, oracle_onps(rule, N_max)
+        return boundary_onps(model.map, model.weight.holo_poly, N_max)
 
 
 def cmd_oracle(cfg: dict, exp: dict, outdir: Path) -> int:
@@ -268,7 +265,7 @@ def cmd_oracle(cfg: dict, exp: dict, outdir: Path) -> int:
         raise ConfigError("oracle needs a nonempty N list")
     model = _build(cfg, exp["kappa"])
     N_max = max(exp["N"])
-    rule, polys = _oracle_for(exp, model, N_max)
+    polys = _oracle_for(model, N_max)
     payload = {
         "schema": "planorth/oracle-v1",
         "degree": N_max,
@@ -277,7 +274,7 @@ def cmd_oracle(cfg: dict, exp: dict, outdir: Path) -> int:
         "leading_coeffs": [float(k) for k in polys.kappa],
         "coefficients": [[_c2l(polys.coeff_table[i, n]) for i in range(n + 1)]
                          for n in range(N_max + 1)],
-        "rule": {"declared_accuracy": rule.declared_accuracy, **rule.meta},
+        "rule": polys.health,
     }
     _write_json(outdir, "oracle.json", payload)
     _write_csv(outdir, "gram_residuals.csv", ["degree", "kappa_n", "gram_residual"],
@@ -295,15 +292,17 @@ def cmd_verify(cfg: dict, exp: dict, outdir: Path) -> int:
     model = _build(cfg, exp["kappa"])
     z0 = exp["points"][0]
     N_max = max(exp["N"])
-    rule, polys = _oracle_for(exp, model, N_max)
-    zeta0 = map_forward_many(model.map, np.array([z0]))[0][0]
+    polys = _oracle_for(model, N_max)
+    zeta, ok = map_forward_many(model.map, np.array([z0]))   # the one mapped point
+    zeta0 = zeta[0]
     p0 = polys.evaluate(np.array([z0]))[0]
 
     pairs = [(N, kappa) for kappa in range(exp["kappa"] + 1) for N in exp["N"]]
     rows = []
-    for (N, kappa), l2 in zip(pairs, l2_discrepancies(model, polys, rule, pairs)):
+    for (N, kappa), l2 in zip(pairs, l2_discrepancies(model, polys, pairs)):
+        check_valid(model, N, zeta, ok)
         scale = monic_prefactor(model, N) * abs(positioning_factor(model, N, zeta0))
-        perr = abs(p0[N] / polys.kappa[N] - monic_eval(model, N, z0, order=kappa)) / scale
+        perr = abs(p0[N] / polys.kappa[N] - monic_at(model, N, zeta, order=kappa)[0]) / scale
         krel = abs(leading_coeff(model, N, kappa) / polys.kappa[N] - 1.0)
         rows.append([N, kappa, perr, float(l2), krel])
 
@@ -361,9 +360,9 @@ def cmd_distributional(cfg: dict, exp: dict, outdir: Path) -> int:
     g = _test_function(cfg, model)
     split = split_test_function(g)
     N_max = max(exp["N"])
-    rule, polys = _oracle_for(exp, model, N_max)
+    polys = _oracle_for(model, N_max)
     rows = []
-    for N, ov in zip(exp["N"], berezin_expectations(model, polys, rule, g, exp["N"])):
+    for N, ov in zip(exp["N"], berezin_expectations(model, polys, g, exp["N"])):
         val = distributional_expectation(model, split, N, order=exp["kappa"])
         ov = complex(ov)
         rows.append([N, val.real, val.imag, ov.real, ov.imag, abs(val - ov)])
@@ -400,7 +399,7 @@ def cmd_kernel(cfg: dict, exp: dict, outdir: Path) -> int:
     rho1 = parse_number(kc.get("rho1", 0.7), "kernel.rho1")
     pt = off_spectral_point(model.map, w)
     N_max = max(exp["N"])
-    rule, polys = _oracle_for(exp, model, N_max)
+    polys = _oracle_for(model, N_max)
     off_rows = []
     for N in exp["N"]:
         knum = abs(oracle_kernel(polys, z, w, upto=N)) / math.sqrt(

@@ -114,22 +114,34 @@ def position_at(model: ExpansionModel, f: CircleSeries, N: int, zeta, frame=None
     return frame * zeta ** N * f.evaluate(zeta)
 
 
-def _map_checked(model: ExpansionModel, N: int, z) -> np.ndarray:
-    """``phi(z)``; the degree and the mapping into the collar are checked."""
-    zeta, ok = map_forward_many(model.map, np.atleast_1d(np.asarray(z, dtype=np.complex128)))
+def _check_mapped(N: int, ok) -> None:
     _require_degree(N)
     if not np.all(ok):
         raise OutOfValidityError("point could not be mapped into the analytic collar")
+
+
+def _map_checked(model: ExpansionModel, N: int, z) -> np.ndarray:
+    """``phi(z)``; the degree and the mapping into the collar are checked."""
+    zeta, ok = map_forward_many(model.map, np.atleast_1d(np.asarray(z, dtype=np.complex128)))
+    _check_mapped(N, ok)
     return zeta
 
 
-def _map_valid(model: ExpansionModel, N: int, z) -> np.ndarray:
-    """:func:`_map_checked`, and every point inside the validity region."""
-    zeta = _map_checked(model, N, z)
+def check_valid(model: ExpansionModel, N: int, zeta, ok) -> None:
+    """Raise :class:`OutOfValidityError` unless the degree is at least
+    ``N_MIN`` and every point was mapped (``ok``, as from ``map_forward_many``)
+    to ``zeta`` inside the validity region."""
+    _check_mapped(N, ok)
     r = validity_radius(N, model.validity_constant)
     if np.any(np.abs(zeta) < r):
         raise OutOfValidityError(f"|phi(z)| = {np.min(np.abs(zeta)):.4f} below the "
                                  f"validity radius {r:.4f} at degree {N}")
+
+
+def _map_valid(model: ExpansionModel, N: int, z) -> np.ndarray:
+    """``phi(z)`` for points that pass :func:`check_valid`."""
+    zeta, ok = map_forward_many(model.map, np.atleast_1d(np.asarray(z, dtype=np.complex128)))
+    check_valid(model, N, zeta, ok)
     return zeta
 
 
@@ -147,12 +159,18 @@ def monic_at(model: ExpansionModel, N: int, zeta, order: int | None = None):
         model, neumann_partial_sum(model.coeffs, N, order), N, zeta)
 
 
+def normalized_scale(model: ExpansionModel, N: int, order: int | None = None) -> float:
+    """``kappa_N C_N = N^(1/2) D_N``: the factor taking the positioned partial
+    sum to the unit-norm polynomial (the degree is checked)."""
+    _require_degree(N)
+    return math.sqrt(N) * norm_factor(model, N, order)
+
+
 def normalized_at(model: ExpansionModel, N: int, zeta, order: int | None = None, frame=None):
     """Asymptotic unit-norm polynomial of degree ``N`` at mapped points
-    ``zeta = phi(z)``: the positioned partial sum times ``kappa_N C_N = N^(1/2) D_N``,
+    ``zeta = phi(z)``: the positioned partial sum times :func:`normalized_scale`,
     so ``C_N`` is never formed.  ``frame`` as in :func:`position_at`."""
-    _require_degree(N)
-    return math.sqrt(N) * norm_factor(model, N, order) * position_at(
+    return normalized_scale(model, N, order) * position_at(
         model, neumann_partial_sum(model.coeffs, N, order), N, zeta, frame)
 
 

@@ -286,7 +286,8 @@ def sampled_weight(points, values, degree: int = 4) -> WeightDef:
 @dataclass(frozen=True, eq=False)
 class WeightSpec:
     """Weight attached to a domain: global evaluator, the pullback of the
-    log-weight, positivity floor and the pullback fit residual.
+    log-weight, positivity floor, the pullback fit residual and the declared
+    polynomial ``P`` with ``omega = |e^P|^2`` (None for a black box).
 
     ``pullback`` is the Laurent series ``h`` with
     ``log omega(psi(zeta)) = h(zeta) + conj(h(zeta))`` on the annulus
@@ -298,6 +299,7 @@ class WeightSpec:
     inner_radius: float
     floor: float
     fit_residual: float
+    holo_poly: np.ndarray | None
 
 
 def pullback_weight(m: ExteriorMap, weight: WeightDef, bidegree: int,
@@ -340,7 +342,8 @@ def pullback_weight(m: ExteriorMap, weight: WeightDef, bidegree: int,
     omega_min = float(np.min(weight(m.psi(grid))))
     if omega_min <= 0:
         raise PositivityError("weight is not strictly positive on the collar")
-    return WeightSpec(weight, h, rho, floor=omega_min, fit_residual=resid)
+    return WeightSpec(weight, h, rho, floor=omega_min, fit_residual=resid,
+                      holo_poly=weight.holo_poly)
 
 
 def _compose_pullback(m: ExteriorMap, poly: np.ndarray, K: int) -> CircleSeries:

@@ -102,25 +102,37 @@ def solve_hierarchy_triangular(szego: SzegoData, order: int) -> HierarchyCoeffs:
     return HierarchyCoeffs(order=order, X=tuple(xs))
 
 
-def hierarchy_residual(coeffs: HierarchyCoeffs, szego: SzegoData, p: int) -> float:
-    """Defect of the order-``p`` jump condition.
+def hierarchy_residuals(coeffs: HierarchyCoeffs, szego: SzegoData, upto: int) -> list:
+    """Defects of the jump conditions of orders ``p = 1..upto``, in one pass.
 
-    Forms ``sum_{l<=p} (-1)^{p-l} T^{p-l} X_l`` on the circle and returns the
-    largest absolute coefficient over modes ``k <= -1``; the exact solution
-    leaves only modes ``k >= 0`` (the combined jump data extends
-    holomorphically into the disk).
+    Order ``p`` forms ``sum_{l<=p} (-1)^{p-l} T^{p-l} X_l`` on the circle and
+    reports the largest absolute coefficient over modes ``k <= -1``; the exact
+    solution leaves only modes ``k >= 0`` (the combined jump data extends
+    holomorphically into the disk).  Each ``T^{p-l} X_l`` is carried to
+    ``p + 1`` by one more ``T``, so ``upto (upto + 1) / 2`` applications serve
+    every order.  This is not the solver's own iterate ``X_p - T W``, so it
+    checks the solution independently.
     """
+    if not (0 <= upto <= coeffs.order):
+        raise ValueError("need 0 <= upto <= order")
+    iterates = [coeffs.X[0]]          # iterates[l] = T^(p-l) X_l
+    out = []
+    for p in range(1, upto + 1):
+        iterates = [weighted_derivative(a, szego) for a in iterates] + [coeffs.X[p]]
+        total = None
+        for l, a in enumerate(iterates):
+            term = a * ((-1.0) ** (p - l))
+            total = term if total is None else total + term
+        K = total.bandwidth
+        out.append(float(np.max(np.abs(total.coeffs[:K]))) if K else 0.0)
+    return out
+
+
+def hierarchy_residual(coeffs: HierarchyCoeffs, szego: SzegoData, p: int) -> float:
+    """Defect of the order-``p`` jump condition (see :func:`hierarchy_residuals`)."""
     if not (1 <= p <= coeffs.order):
         raise ValueError("need 1 <= p <= order")
-    total = None
-    for l in range(p + 1):
-        a = coeffs.X[l]
-        for _ in range(p - l):
-            a = weighted_derivative(a, szego)
-        term = a * ((-1.0) ** (p - l))
-        total = term if total is None else total + term
-    K = total.bandwidth
-    return float(np.max(np.abs(total.coeffs[:K]))) if K else 0.0
+    return hierarchy_residuals(coeffs, szego, p)[-1]
 
 
 def neumann_partial_sum(coeffs: HierarchyCoeffs, N: float, order: int | None = None) -> CircleSeries:

@@ -1,50 +1,69 @@
-"""Ground truth by brute force: quadrature, orthonormal polynomials, kernels.
+"""Ground truth by brute force: orthonormal polynomials, kernels, discrepancies.
 
-The quadrature rule tessellates a starlike domain by a polar fan from the
-boundary centroid: equispaced trapezoid nodes in the fan angle, where the
-integrand is periodic and the rule converges geometrically, times
-Gauss-Legendre panels in the fan radius, graded geometrically toward the
-boundary, where the mass of high-degree integrands concentrates.  Area is
-normalized so the unit disk has measure one and weights already include the
-weight function.
+The oracle orthonormalizes ``1, z, z^2, ...`` in the area inner product
+``<f, g> = int_D f conj(g) omega dA / pi`` of a weight ``omega = |e^P|^2``
+with a polynomial ``P``, the form of every configured weight.  For
+polynomials ``f, g`` Stokes' theorem moves that integral to the boundary:
+with ``a = f e^P`` and a primitive ``B' = g e^P``, ``d(a conj B)/d(zbar) =
+a conj(g e^P)``, so on ``z = psi(zeta)``, ``zeta = e^{i theta}``::
 
-Orthonormal polynomials are produced degree by degree: the next basis vector
-is the previous orthonormal one multiplied by the coordinate, then
-orthogonalized with one pass of classical Gram-Schmidt against all earlier
-ones, and a second pass only where the first cancels more than a factor
-``1/sqrt(2)`` of its norm (the test of Daniel, Gragg, Kaufman and Stewart).
-This avoids the catastrophic conditioning of raw monomial input and
-reaches degree 40+ in double precision, with the recurrence data kept for
-stable evaluation anywhere in the plane.  The orthonormal basis itself is kept
-too: column ``n`` is ``P_n`` at the nodes of the rule it was built on.  The
-Gram check sums ``Q^H W Q`` over blocks of ``GRAM_BLOCK`` nodes, so it never
-holds a weighted copy of the whole basis.
+    <f, g> = mean_theta [ a(psi) conj(B(psi)) psi'(zeta) zeta ].
 
-Comparisons against the expansion take their node data once per rule: the
-batch forms :func:`l2_discrepancies` and :func:`berezin_expectations` map the
-nodes once, read ``P_N`` from the kept basis and evaluate the degree-free
-factors ``phi'``, ``e^V`` and ``g o phi`` once, so each further degree or order
-costs ``O(nodes)``.
+:func:`boundary_onps` runs Arnoldi on ``L`` equispaced samples of
+``|zeta| = 1``: each basis vector keeps its samples ``P_n o psi`` and the
+samples of its primitive ``B_n o psi``, and both are updated by the same
+Gram-Schmidt coefficients.  ``B_v o psi`` is the termwise primitive of the
+Laurent series ``(v e^P o psi) psi'``: mode ``k`` of ``(v e^P o psi) psi' zeta``
+divided by ``k``, one FFT pair per degree.  Mode 0, the residue of the entire
+function ``v e^P`` along the boundary, vanishes exactly and measures the
+aliasing.  A degree takes one pass of classical Gram-Schmidt, and a second
+only where the first cancels more than a factor ``1/sqrt(2)`` of its norm
+(the test of Daniel, Gragg, Kaufman and Stewart).  No 2-D rule is built and
+no point is mapped by Newton's method.  Arnoldi from boundary data is
+standard for Bergman polynomials (Gustafsson, Putinar, Saff and
+Stylianopoulos 2009); its stability is that of Vandermonde with Arnoldi
+(Brubeck, Nakatsukasa and Trefethen 2021).
+
+Comparisons against the expansion (:func:`l2_discrepancies`,
+:func:`berezin_expectations`) integrate over a collar rule in ``zeta``:
+trapezoid in the angle at the oracle's ``L`` samples times Gauss-Legendre
+panels in the radius, with breaks at the cutoff's ``rho1`` and ``rho2`` and
+then graded toward 1.  ``P_N o psi`` on every radius comes from the modes of
+its boundary samples, mode ``k`` scaled by ``r^k``; the expansion's ``X_j``
+and ``V`` are evaluated there once by the same scaling, so each further
+degree or order costs ``O(nodes)``.  The part of the L2 distance inside
+``|phi| < rho1`` is itself a Stokes integral on ``psi(rho1 S^1)``, read from
+the primitive's modes.
+
+The polar-fan area rule (:func:`build_quadrature`) and its Arnoldi
+(:func:`oracle_onps`) remain as an independent small-``N`` reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DegreeTooHighError, DomainError, NonStarlikeError, PositivityError
-from .expansion import ExpansionModel, normalized_at, position_frame, positioning_factor
-from .geometry import ExteriorMap, WeightSpec, map_forward_many
-from .series import CircleSeries
+from .expansion import ExpansionModel, normalized_scale, positioning_factor
+from .geometry import ExteriorMap, WeightSpec
+from .series import CircleSeries, _horner
 
 RADIAL_GRADE = 0.5      # ratio of successive radial panel widths toward the boundary
-GRAM_TOL = 1e-8         # largest Gram deviation oracle_onps accepts
-GRAM_BLOCK = 2048       # basis rows per block of the Gram check's Q^H W Q sum
+GRAM_TOL = 1e-8         # largest Gram deviation an oracle accepts
+GRAM_BLOCK = 2048       # basis rows per block of the fan Gram check's Q^H W Q sum
 PAIRING_N_RAD = 160     # radial nodes of the holomorphic_pairing ring rule
 PAIRING_N_ANG = 768     # angular nodes of the holomorphic_pairing ring rule
+MIN_SAMPLES = 128       # fewest circle samples of a boundary oracle
+MAX_SAMPLES = 2 ** 16   # most circle samples a boundary oracle doubles to
+DOUBLING_TOL = 1e-10    # largest change of log kappa_n under doubled samples
+CHOP = 64 * np.finfo(float).eps  # modes below CHOP * max|mode| are dropped before r^k scaling
+COLLAR_Q = 12           # Gauss-Legendre nodes per radial panel of the collar rule
+COLLAR_HALVINGS = 5     # collar panels past rho2, each half the width of the last
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,9 +110,13 @@ def build_quadrature(m: ExteriorMap, weight: WeightSpec, degree: int) -> Quadrat
     moment ``int |z - center|^d omega dA`` to a finer rule (degree + 12, 1.4
     times the nodes per direction).
 
-    Raises :class:`NonStarlikeError` when the boundary is not starlike with
-    respect to its centroid (checked by angle monotonicity on 1024 samples)
-    and :class:`PositivityError` when the weight is not positive at a node.
+    The rule tessellates a starlike domain by a polar fan from the boundary
+    centroid: equispaced trapezoid nodes in the fan angle times
+    Gauss-Legendre panels in the fan radius, graded geometrically toward the
+    boundary.  Raises :class:`NonStarlikeError` when the boundary is not
+    starlike with respect to its centroid (checked by angle monotonicity on
+    1024 samples) and :class:`PositivityError` when the weight is not
+    positive at a node.
     """
     center = _fan_center(m)
     rule = _build_fan(m, weight, center, degree)
@@ -164,30 +187,110 @@ def ring_quadrature(rho_in: float, n_rad: int = 120, n_ang: int = 512) -> Quadra
 
 
 @dataclass(frozen=True, eq=False)
+class BoundaryRule:
+    """The boundary form of the area inner product on ``L`` equispaced points
+    ``zeta`` of the unit circle: ``nodes = psi(zeta)``, ``dz = psi'(zeta) zeta``
+    and ``e_p = exp(P(nodes))`` for the weight ``|e^P|^2``."""
+
+    map: ExteriorMap
+    holo_poly: np.ndarray
+    zeta: np.ndarray
+    nodes: np.ndarray
+    dz: np.ndarray
+    e_p: np.ndarray
+
+    @property
+    def L(self) -> int:
+        return self.zeta.size
+
+    @cached_property
+    def _e_p_dz(self) -> np.ndarray:
+        return self.e_p * self.dz
+
+    @cached_property
+    def _inverse_modes(self) -> np.ndarray:
+        """``1/k`` at the FFT bin of each signed mode ``k``, 0 at ``k = 0``."""
+        k = np.fft.fftfreq(self.L, 1.0 / self.L)
+        k[0] = np.inf
+        return 1.0 / k
+
+    def primitive(self, v: np.ndarray):
+        """Samples of ``B o psi`` with ``B' = v e^P`` for the polynomial sampled as
+        ``v`` (its constant mode set to zero), and the residue: ``|mode 0|`` of
+        ``(v e^P o psi) psi' zeta`` over its largest mode, 0 up to aliasing."""
+        c = np.fft.fft(v * self._e_p_dz, norm="forward")
+        residue = abs(c[0]) / np.max(np.abs(c))
+        return np.fft.ifft(c * self._inverse_modes, norm="forward"), residue
+
+    def inner(self, v: np.ndarray, primitives: np.ndarray) -> np.ndarray:
+        """``<v, g>`` for the polynomial sampled as ``v`` against every ``g``
+        whose primitive is sampled in a column of ``primitives``."""
+        return np.conj(np.conj(v * self._e_p_dz) @ primitives) / self.L
+
+
+def boundary_rule(m: ExteriorMap, holo_poly, L: int) -> BoundaryRule:
+    """:class:`BoundaryRule` of the weight ``|e^P|^2``, ``P = holo_poly``
+    (ascending coefficients), on ``L`` circle samples."""
+    poly = np.asarray(holo_poly, dtype=np.complex128)
+    zeta = np.exp(2j * np.pi * np.arange(L) / L)
+    z, dpsi = m.psi_and_prime(zeta)
+    return BoundaryRule(m, poly, zeta, z, dpsi * zeta, np.exp(_horner(poly, z)))
+
+
+def boundary_samples(m: ExteriorMap, N: int) -> int:
+    """Circle samples of a degree-``N`` boundary oracle: the power of two at
+    least ``max(4, T + 2) (N + 8)`` and ``MIN_SAMPLES``, with ``T`` the degree
+    of ``psi``'s tail in ``1/zeta``.  The integrands of the inner product are
+    Laurent polynomials with modes within ``(T + 1) N`` of 0 times the
+    weight's fast-decaying modes, so these do not alias."""
+    t = max(0, len(m.tail) - 1)
+    return max(MIN_SAMPLES, 1 << math.ceil(math.log2(max(4, t + 2) * (N + 8))))
+
+
+@dataclass(frozen=True, eq=False)
 class OraclePolynomials:
-    """Orthonormal polynomials from quadrature orthogonalization.
+    """Orthonormal polynomials from a discrete inner product.
 
     Column ``n-1`` of ``hess`` holds the projections of ``z * P_{n-1}`` onto
-    ``P_0 .. P_{n-1}`` with the normalizing entry on the subdiagonal,
-    ``kappa[n]`` the positive leading coefficients, and ``coeff_table[:, n]``
-    the monomial coefficients of ``P_n``.  ``gram_residuals[n]`` is the largest
-    deviation from the identity in row and column ``n`` of the leading
-    ``(n+1) x (n+1)`` block of the discrete Gram matrix; ``gram_residual`` is
-    their maximum.  ``basis[:, n]`` holds ``P_n`` at the nodes of ``rule``, the
-    rule it was orthonormalized on.
+    ``P_0 .. P_{n-1}`` with the normalizing entry on the subdiagonal, and
+    ``log_kappa[n]`` the logarithm of the positive leading coefficient.
+    ``gram_residuals[n]`` is the largest deviation from the identity in row
+    and column ``n`` of the leading ``(n+1) x (n+1)`` block of the discrete
+    Gram matrix; ``gram_residual`` is their maximum.  ``basis[:, n]`` holds
+    ``P_n`` at ``rule.nodes``; a boundary oracle also keeps the primitive
+    ``B_n`` (``B_n' = P_n e^P``) there in ``primitive[:, n]``.  ``health``
+    describes the rule and its accuracy figures, as ``oracle.json`` reports them.
     """
 
     degree: int
     hess: np.ndarray
-    kappa: np.ndarray
-    coeff_table: np.ndarray
+    log_kappa: np.ndarray
     gram_residuals: np.ndarray
-    rule: QuadratureRule = field(repr=False)
+    rule: QuadratureRule | BoundaryRule = field(repr=False)
     basis: np.ndarray = field(repr=False)
+    primitive: np.ndarray | None = field(default=None, repr=False)
+    health: dict = field(default_factory=dict)
+
+    @property
+    def kappa(self) -> np.ndarray:
+        return np.exp(self.log_kappa)
 
     @property
     def gram_residual(self) -> float:
         return float(np.max(self.gram_residuals))
+
+    @cached_property
+    def coeff_table(self) -> np.ndarray:
+        """Monomial coefficients: ``coeff_table[:, n]`` is ``P_n``."""
+        N = self.degree
+        coeff = np.zeros((N + 1, N + 1), dtype=np.complex128)
+        coeff[0, 0] = self.kappa[0]
+        for n in range(1, N + 1):
+            shifted = np.zeros(N + 1, dtype=np.complex128)
+            shifted[1:n + 1] = coeff[0:n, n - 1]
+            shifted[:n] -= coeff[:n, :n] @ self.hess[:n, n - 1]
+            coeff[:, n] = shifted / self.hess[n, n - 1]
+        return coeff
 
     def evaluate(self, z, upto: int | None = None) -> np.ndarray:
         """Values ``P_0(z) .. P_upto(z)``, shape ``(len(z), upto+1)``."""
@@ -200,15 +303,6 @@ class OraclePolynomials:
                          / self.hess[n, n - 1])
         return out
 
-    def at_rule(self, rule: QuadratureRule, degrees=None) -> np.ndarray:
-        """Values ``P_n`` at the nodes of ``rule`` for ``n`` in ``degrees``
-        (default all), shape ``(nodes, len(degrees))``: columns of ``basis`` on
-        the rule the polynomials were built on, the recurrence elsewhere."""
-        if rule is self.rule:
-            return self.basis if degrees is None else self.basis[:, degrees]
-        degrees = list(range(self.degree + 1)) if degrees is None else degrees
-        return self.evaluate(rule.nodes, upto=max(degrees))[:, degrees]
-
     def eval_single(self, z, n: int) -> np.ndarray:
         return self.evaluate(z, upto=n)[:, n] if np.ndim(z) else self.evaluate(z, upto=n)[0, n]
 
@@ -217,15 +311,31 @@ class OraclePolynomials:
         return self.eval_single(z, n) / self.kappa[n]
 
 
+def _gram_residuals(gram: np.ndarray) -> np.ndarray:
+    """Column ``n`` of the upper triangle of ``max(dev, dev^T)``, ``dev = |gram - I|``:
+    the largest deviation in row and column ``n`` of the leading block ``n``;
+    refused above ``GRAM_TOL``."""
+    dev = np.abs(gram - np.eye(gram.shape[0]))
+    residuals = np.max(np.triu(np.maximum(dev, dev.T)), axis=0)
+    if np.max(residuals) > GRAM_TOL:
+        raise DegreeTooHighError(
+            f"Gram residual {np.max(residuals):.3e} above {GRAM_TOL:.1e}; "
+            "increase quadrature resolution or lower the degree")
+    return residuals
+
+
 def _weighted_norm(w: np.ndarray, v: np.ndarray) -> float:
     return math.sqrt(abs(float(w @ (v.real ** 2 + v.imag ** 2))))
 
 
 def oracle_onps(rule: QuadratureRule, N: int) -> OraclePolynomials:
-    """Orthonormalize ``1, z, z^2, ...`` up to degree ``N`` over the rule.
+    """Orthonormalize ``1, z, z^2, ...`` up to degree ``N`` over an area rule
+    (the small-``N`` reference for :func:`boundary_onps`).
 
-    Raises :class:`DegreeTooHighError` when the discrete Gram matrix deviates
-    from the identity by more than ``GRAM_TOL`` (the rule then cannot resolve
+    The Gram check sums ``Q^H W Q`` over blocks of ``GRAM_BLOCK`` nodes, so it
+    never holds a weighted copy of the whole basis.  Raises
+    :class:`DegreeTooHighError` when the discrete Gram matrix deviates from
+    the identity by more than ``GRAM_TOL`` (the rule then cannot resolve
     degree-``2N`` products).
     """
     ndeg = rule.meta.get("degree")
@@ -236,10 +346,10 @@ def oracle_onps(rule: QuadratureRule, N: int) -> OraclePolynomials:
     w = rule.weights
     Q = np.empty((z.size, N + 1), dtype=np.complex128, order="F")
     hess = np.zeros((N + 1, N), dtype=np.complex128)
-    kappa = np.empty(N + 1, dtype=float)
+    log_kappa = np.empty(N + 1, dtype=float)
     mass = float(np.sum(w))
     Q[:, 0] = 1.0 / math.sqrt(mass)
-    kappa[0] = 1.0 / math.sqrt(mass)
+    log_kappa[0] = -0.5 * math.log(mass)
     for n in range(1, N + 1):
         v = z * Q[:, n - 1]
         h = np.zeros(n, dtype=np.complex128)
@@ -257,30 +367,99 @@ def oracle_onps(rule: QuadratureRule, N: int) -> OraclePolynomials:
         Q[:, n] = v / nrm
         hess[:n, n - 1] = h
         hess[n, n - 1] = nrm
-        kappa[n] = kappa[n - 1] / nrm
+        log_kappa[n] = log_kappa[n - 1] - math.log(nrm)
 
     gram = np.zeros((N + 1, N + 1), dtype=np.complex128)
     for s in range(0, z.size, GRAM_BLOCK):
         rows = Q[s:s + GRAM_BLOCK]
         wq = w[s:s + GRAM_BLOCK, None] * rows
         gram += np.conj(wq, out=wq).T @ rows
-    dev = np.abs(gram - np.eye(N + 1))
-    # column n of the upper triangle of max(dev, dev^T): row and column n of block n
-    gram_residuals = np.max(np.triu(np.maximum(dev, dev.T)), axis=0)
-    if np.max(gram_residuals) > GRAM_TOL:
-        raise DegreeTooHighError(
-            f"Gram residual {np.max(gram_residuals):.3e} above {GRAM_TOL:.1e}; "
-            "increase quadrature resolution or lower the degree")
+    health = {"kind": "fan", "declared_accuracy": rule.declared_accuracy, **rule.meta}
+    return OraclePolynomials(degree=N, hess=hess, log_kappa=log_kappa,
+                             gram_residuals=_gram_residuals(gram), rule=rule, basis=Q,
+                             health=health)
 
-    coeff = np.zeros((N + 1, N + 1), dtype=np.complex128)
-    coeff[0, 0] = kappa[0]
+
+def _circle_arnoldi(rule: BoundaryRule, N: int) -> OraclePolynomials:
+    """Arnoldi in the boundary form of the inner product on one set of samples.
+    ``health`` holds ``L``, the largest residue and the Gram deviation."""
+    L = rule.L
+    Q = np.empty((L, N + 1), dtype=np.complex128, order="F")
+    B = np.empty((L, N + 1), dtype=np.complex128, order="F")
+    hess = np.zeros((N + 1, N), dtype=np.complex128)
+    log_kappa = np.empty(N + 1, dtype=float)
+    one = np.ones(L, dtype=np.complex128)
+    b, residue = rule.primitive(one)
+    mass = float(rule.inner(one, b[:, None])[0].real)
+    if not mass > 0:
+        raise DegreeTooHighError(f"boundary mass {mass:.3e} is not positive")
+    Q[:, 0], B[:, 0] = one / math.sqrt(mass), b / math.sqrt(mass)
+    log_kappa[0] = -0.5 * math.log(mass)
     for n in range(1, N + 1):
-        shifted = np.zeros(N + 1, dtype=np.complex128)
-        shifted[1:n + 1] = coeff[0:n, n - 1]
-        shifted[:n] -= coeff[:n, :n] @ hess[:n, n - 1]
-        coeff[:, n] = shifted / hess[n, n - 1]
-    return OraclePolynomials(degree=N, hess=hess, kappa=kappa, coeff_table=coeff,
-                             gram_residuals=gram_residuals, rule=rule, basis=Q)
+        v = rule.nodes * Q[:, n - 1]
+        b, res = rule.primitive(v)
+        residue = max(residue, res)
+        h = np.zeros(n, dtype=np.complex128)
+        sq = rule.inner(v, b[:, None])[0].real
+        for _ in range(2):  # classical Gram-Schmidt, repeated once on heavy cancellation
+            before = sq
+            proj = rule.inner(v, B[:, :n])
+            v = v - Q[:, :n] @ proj
+            b = b - B[:, :n] @ proj
+            h += proj
+            sq = rule.inner(v, b[:, None])[0].real
+            if sq > before / 2:
+                break
+        if not (sq > 0 and np.isfinite(sq)):
+            raise DegreeTooHighError(f"breakdown at degree {n}: residual norm^2 {sq:.3e}")
+        nrm = math.sqrt(sq)
+        Q[:, n], B[:, n] = v / nrm, b / nrm
+        hess[:n, n - 1] = h
+        hess[n, n - 1] = nrm
+        log_kappa[n] = log_kappa[n - 1] - math.log(nrm)
+    gram = (np.conj(B).T @ (Q * rule._e_p_dz[:, None])) / L
+    residuals = _gram_residuals(gram)
+    health = {"kind": "boundary", "L": L, "residue": float(residue),
+              "gram_deviation": float(np.max(residuals))}
+    return OraclePolynomials(degree=N, hess=hess, log_kappa=log_kappa,
+                             gram_residuals=residuals, rule=rule, basis=Q, primitive=B,
+                             health=health)
+
+
+def boundary_onps(m: ExteriorMap, holo_poly, N: int) -> OraclePolynomials:
+    """Orthonormalize ``1, z, ..., z^N`` for the weight ``|e^P|^2`` on the
+    domain of ``m``, ``P = holo_poly`` (ascending coefficients), from
+    ``boundary_samples(m, N)`` circle samples.
+
+    The same Arnoldi on twice the samples must move no ``log kappa_n`` by
+    more than ``DOUBLING_TOL``; otherwise the samples double until it does,
+    up to ``MAX_SAMPLES``.  ``health`` reports ``L``, the largest residue, the
+    Gram deviation and that change (``doubled_L_change``).  Raises
+    :class:`DegreeTooHighError` when no sample count up to the cap passes or
+    the Gram matrix deviates from the identity by more than ``GRAM_TOL``.
+    """
+    if holo_poly is None:
+        raise DomainError("the boundary oracle needs the weight as |e^P|^2 with a polynomial P")
+    L = boundary_samples(m, N)
+    polys, failure = _try_circle_arnoldi(m, holo_poly, N, L)
+    while 2 * L <= MAX_SAMPLES:
+        twin, twin_failure = _try_circle_arnoldi(m, holo_poly, N, 2 * L)
+        if polys is not None and twin is not None:
+            change = float(np.max(np.abs(twin.log_kappa - polys.log_kappa)))
+            if change <= DOUBLING_TOL:
+                return replace(polys, health={**polys.health, "doubled_L_change": change})
+            failure = f"log kappa moved by {change:.3e} from {L} to {2 * L} samples"
+        L, polys, failure = 2 * L, twin, twin_failure or failure
+    raise DegreeTooHighError(f"boundary oracle at degree {N} not settled at {L} circle "
+                             f"samples: {failure}")
+
+
+def _try_circle_arnoldi(m: ExteriorMap, holo_poly, N: int, L: int):
+    """``(polys, None)``, or ``(None, reason)`` where ``L`` samples do not resolve it."""
+    try:
+        return _circle_arnoldi(boundary_rule(m, holo_poly, L), N), None
+    except DegreeTooHighError as exc:
+        return None, str(exc)
 
 
 def oracle_kernel(polys: OraclePolynomials, z, w, upto: int | None = None) -> complex:
@@ -297,71 +476,167 @@ def smoothstep(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def _cutoff(model: ExpansionModel, z: np.ndarray, rho1: float | None, rho2: float | None):
-    """``(phi(z), chi0, chi0 > 0)``; ``chi0`` is zero where ``z`` cannot be mapped."""
+def _modes(samples: np.ndarray):
+    """Signed modes ``k`` and coefficients of a Laurent polynomial sampled at
+    the equispaced circle points, without those below ``CHOP`` times the
+    largest: scaled by ``r^k`` with ``r < 1``, their roundoff would grow."""
+    c = np.fft.fft(samples, norm="forward")
+    keep = np.flatnonzero(np.abs(c) >= CHOP * np.max(np.abs(c)))
+    k = np.where(keep > samples.size // 2, keep - samples.size, keep)
+    return k, c[keep]
+
+
+def _on_circles(k: np.ndarray, scaled: np.ndarray, L: int) -> np.ndarray:
+    """``sum_i scaled[:, i] zeta_l^k[i]`` at the ``L`` circle angles ``zeta_l``,
+    one row per radius: column ``i`` lands in bin ``k[i] mod L``, exact at the
+    sample angles for any number of modes."""
+    spec = np.zeros((scaled.shape[0], L), dtype=np.complex128)
+    np.add.at(spec, (slice(None), k % L), scaled)
+    return np.fft.ifft(spec, axis=1, norm="forward")
+
+
+def _laurent_on_circles(k: np.ndarray, c: np.ndarray, radii: np.ndarray, L: int) -> np.ndarray:
+    """``sum_k c_k (r zeta_l)^k`` on each radius ``r``: mode ``k`` scaled by ``r^k``."""
+    return _on_circles(k, c[None, :] * radii[:, None] ** k[None, :], L)
+
+
+def _sampled_on_circles(samples: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """A Laurent polynomial sampled at the circle points, on each radius."""
+    return _laurent_on_circles(*_modes(samples), radii, samples.size)
+
+
+def _series_on_circles(f: CircleSeries, radii: np.ndarray, L: int) -> np.ndarray:
+    """A circle series at the collar nodes by the same mode scaling."""
+    nz = np.flatnonzero(f.coeffs)
+    return _laurent_on_circles(nz - f.bandwidth, f.coeffs[nz], radii, L)
+
+
+def _annulus_on_circles(g, radii: np.ndarray, L: int) -> np.ndarray:
+    """Annulus data ``sum c[m, n] zeta^m conj(zeta)^n`` on each radius ``r``:
+    mode ``m - n`` gathers ``c[m, n] r^(m + n)``."""
+    e = np.arange(-g.bidegree, g.bidegree + 1)
+    powers = (e[:, None] + e[None, :]).ravel()
+    return _on_circles((e[:, None] - e[None, :]).ravel(),
+                       g.coeffs.ravel()[None, :] * radii[:, None] ** powers[None, :], L)
+
+
+@dataclass(frozen=True, eq=False)
+class _Collar:
+    """Collar rule ``rho1 < |zeta| < 1`` at a boundary oracle's angles:
+    ``weights`` hold ``omega dA / pi`` pulled back by ``psi``, ``dpsi`` is
+    ``psi'(zeta)`` and ``chi`` the cutoff on each radius."""
+
+    rho1: float
+    radii: np.ndarray
+    zeta: np.ndarray
+    dpsi: np.ndarray
+    chi: np.ndarray
+    weights: np.ndarray
+
+
+def _collar(model: ExpansionModel, polys: OraclePolynomials, rho1, rho2) -> _Collar:
+    """The collar rule of a boundary oracle for the cutoff rising on
+    ``[rho1, rho2]`` (defaults ``rho + 0.05``, ``rho + 0.15``)."""
+    rule = polys.rule
+    if not isinstance(rule, BoundaryRule):
+        raise DomainError("collar integrals need a boundary oracle (boundary_onps)")
     rho = model.inner_radius
     rho1 = rho + 0.05 if rho1 is None else rho1
     rho2 = rho + 0.15 if rho2 is None else rho2
-    zeta, ok = map_forward_many(model.map, z)
-    chi = smoothstep(np.where(ok, np.abs(zeta), 0.0), rho1, rho2)
-    return zeta, chi, chi > 0.0
+    if not (rule.map.univalence_margin < rho1 < 1.0 and rho1 < rho2):
+        raise DomainError(f"cutoff needs univalence margin < rho1 < 1 and rho1 < rho2, "
+                          f"got {rho1}, {rho2}")
+    top = min(rho2, 1.0)
+    grade = 1.0 - (1.0 - top) * 0.5 ** np.arange(1, COLLAR_HALVINGS + 1)
+    r, wr = _gl_panels(np.unique(np.concatenate([[rho1, top], grade, [1.0]])), COLLAR_Q)
+    zeta = r[:, None] * rule.zeta[None, :]
+    z, dpsi = rule.map.psi_and_prime(zeta)
+    weights = ((2.0 / rule.L) * (wr * r)[:, None] * (dpsi.real ** 2 + dpsi.imag ** 2)
+               * np.exp(2.0 * _horner(rule.holo_poly, z).real))
+    return _Collar(rho1, r, zeta, dpsi, smoothstep(r, rho1, rho2), weights)
 
 
-def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, rule: QuadratureRule,
-                     pairs, rho1: float | None = None, rho2: float | None = None) -> np.ndarray:
-    """:func:`l2_discrepancy` for each ``(N, order)`` in ``pairs``.
-
-    The nodes are mapped once, ``phi' e^V`` is evaluated once and ``P_N`` is
-    read once per degree; each pair adds ``phi^N``, its partial sum and one
-    weighted sum over the nodes."""
-    pairs = list(pairs)
-    degrees = sorted({N for N, _ in pairs})
-    zeta, chi, sel = _cutoff(model, rule.nodes, rho1, rho2)
-    zeta, chi_sel = zeta[sel], chi[sel]
-    frame = position_frame(model, zeta)
-    P = polys.at_rule(rule, degrees)
-    out = np.empty(len(pairs))
-    for i, (N, order) in enumerate(pairs):
-        diff = P[:, degrees.index(N)].copy()
-        diff[sel] -= chi_sel * normalized_at(model, N, zeta, order, frame)
-        out[i] = math.sqrt(abs(rule.integrate(np.abs(diff) ** 2).real))
-    return out
+def _inner_part(polys: OraclePolynomials, N: int, rho1: float) -> float:
+    """``int |P_N|^2 omega dA / pi`` over ``|phi| < rho1`` by Stokes on
+    ``psi(rho1 S^1)``: ``P_N`` and its primitive ``B_N`` from their modes."""
+    rule = polys.rule
+    r = np.array([rho1])
+    p = _sampled_on_circles(polys.basis[:, N], r)[0]
+    b = _sampled_on_circles(polys.primitive[:, N], r)[0]
+    z, dpsi = rule.map.psi_and_prime(rho1 * rule.zeta)
+    return float(np.mean(p * np.exp(_horner(rule.holo_poly, z)) * np.conj(b)
+                         * dpsi * rho1 * rule.zeta).real)
 
 
-def l2_discrepancy(model: ExpansionModel, polys: OraclePolynomials, rule: QuadratureRule,
-                   N: int, order: int | None = None, rho1: float | None = None,
-                   rho2: float | None = None) -> float:
-    """Weighted L2 distance between the oracle polynomial and the cut-off
-    expansion: ``|| P_N - chi0 * F_N ||`` over the domain.
+def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs,
+                     rho1: float | None = None, rho2: float | None = None) -> np.ndarray:
+    """Weighted L2 distance ``|| P_N - chi0 F_N ||`` between the oracle
+    polynomial and the cut-off expansion of order ``order``, for each
+    ``(N, order)`` in ``pairs`` (``order`` None: the model's).
 
     ``chi0`` is the quintic smoothstep in ``|phi(z)|`` rising on
     ``[rho1, rho2]`` (defaults ``rho + 0.05``, ``rho + 0.15``); the expansion
-    is extended by zero where ``chi0`` vanishes.
+    is extended by zero where ``chi0`` vanishes.  ``polys`` is a boundary
+    oracle.  The collar ``|phi| > rho1`` takes the collar rule, on which
+    ``X_j``, ``phi' e^V`` and each degree's ``P_N`` are evaluated once; the
+    rest is a Stokes integral per degree.
     """
-    return float(l2_discrepancies(model, polys, rule, [(N, order)], rho1, rho2)[0])
+    pairs = list(pairs)
+    scales = [normalized_scale(model, N, order) for N, order in pairs]  # degrees checked
+    collar = _collar(model, polys, rho1, rho2)
+    rule, radii = polys.rule, collar.radii
+    L = rule.L
+    # phi' e^V, as expansion.position_frame, with V by the same mode scaling
+    frame = np.exp(_series_on_circles(model.szego.v_exterior, radii, L)) / collar.dpsi
+    xs = [_series_on_circles(X, radii, L) for X in model.coeffs.X]
+    steps = np.arange(L)
+    cache = {}
+    out = np.empty(len(pairs))
+    for i, (N, order) in enumerate(pairs):
+        if N not in cache:
+            p = _sampled_on_circles(polys.basis[:, N], radii)
+            zeta_n = radii[:, None] ** N * rule.zeta[(N * steps) % L][None, :]
+            cache[N] = (p, collar.chi[:, None] * frame * zeta_n,
+                        _inner_part(polys, N, collar.rho1))
+        p, positioned, inner = cache[N]
+        order = model.order if order is None else order
+        partial = sum(xs[j] * float(N) ** -j for j in range(1, order + 1)) + xs[0]
+        diff = p - scales[i] * positioned * partial
+        collar_part = float(np.sum(collar.weights * (diff.real ** 2 + diff.imag ** 2)))
+        out[i] = math.sqrt(abs(inner + collar_part))
+    return out
 
 
-def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, rule: QuadratureRule,
-                         g, degrees, rho1: float | None = None,
-                         rho2: float | None = None) -> np.ndarray:
-    """:func:`berezin_expectation` for each ``N`` in ``degrees``: the nodes
-    are mapped and ``G`` evaluated once, each degree adds one weighted sum."""
-    degrees = list(degrees)
-    zeta, chi, sel = _cutoff(model, rule.nodes, rho1, rho2)
-    G = np.zeros(rule.nodes.shape, dtype=np.complex128)
-    G[sel] = chi[sel] * g.evaluate(zeta[sel])
-    P = polys.at_rule(rule, degrees)
-    return np.array([rule.integrate(G * np.abs(P[:, i]) ** 2) for i in range(len(degrees))])
+def l2_discrepancy(model: ExpansionModel, polys: OraclePolynomials, N: int,
+                   order: int | None = None, rho1: float | None = None,
+                   rho2: float | None = None) -> float:
+    """:func:`l2_discrepancies` for one ``(N, order)``."""
+    return float(l2_discrepancies(model, polys, [(N, order)], rho1, rho2)[0])
 
 
-def berezin_expectation(model: ExpansionModel, polys: OraclePolynomials, rule: QuadratureRule,
-                        g, N: int, rho1: float | None = None,
-                        rho2: float | None = None) -> complex:
-    """Quadrature value of ``int G |P_N|^2 omega dA`` for the globally smooth
-    test function ``G(z) = chi0(|phi(z)|) g(phi(z))``: the annulus test data
-    tapered to zero deep inside the domain by the smoothstep on
-    ``[rho1, rho2]``.  Near the boundary ``G`` agrees with ``g o phi``."""
-    return complex(berezin_expectations(model, polys, rule, g, [N], rho1, rho2)[0])
+def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, g, degrees,
+                         rho1: float | None = None, rho2: float | None = None) -> np.ndarray:
+    """``int G |P_N|^2 omega dA / pi`` for each ``N`` in ``degrees``, for the
+    globally smooth test function ``G(z) = chi0(|phi(z)|) g(phi(z))``: the
+    annulus test data tapered to zero deep inside the domain by the
+    smoothstep on ``[rho1, rho2]``, so the integral lives on the collar rule.
+    ``G`` is evaluated once; each degree adds its ``P_N`` and one weighted sum.
+    ``polys`` is a boundary oracle."""
+    collar = _collar(model, polys, rho1, rho2)
+    wg = (collar.weights * collar.chi[:, None]
+          * _annulus_on_circles(g, collar.radii, polys.rule.L))
+    out = []
+    for N in degrees:
+        p = _sampled_on_circles(polys.basis[:, N], collar.radii)
+        out.append(np.sum(wg * (p.real ** 2 + p.imag ** 2)))
+    return np.array(out, dtype=np.complex128)
+
+
+def berezin_expectation(model: ExpansionModel, polys: OraclePolynomials, g, N: int,
+                        rho1: float | None = None, rho2: float | None = None) -> complex:
+    """:func:`berezin_expectations` for one degree.  Near the boundary ``G``
+    agrees with ``g o phi``."""
+    return complex(berezin_expectations(model, polys, g, [N], rho1, rho2)[0])
 
 
 def holomorphic_pairing(model: ExpansionModel, polys: OraclePolynomials, g: CircleSeries,

@@ -42,32 +42,53 @@ def all_preset_models(disk_const_model, disk_alpha_model, ellipse_const_model,
     }
 
 
+def boundary_oracle(model, N):
+    return po.boundary_onps(model.map, model.weight.holo_poly, N)
+
+
 @pytest.fixture(scope="session")
 def disk_alpha_oracle(disk_alpha_model):
-    rule = po.build_quadrature(disk_alpha_model.map, disk_alpha_model.weight, degree=82)
-    polys = po.oracle_onps(rule, 40)
-    return rule, polys
+    return boundary_oracle(disk_alpha_model, 40)
 
 
 @pytest.fixture(scope="session")
 def disk_const_oracle(disk_const_model):
-    rule = po.build_quadrature(disk_const_model.map, disk_const_model.weight, degree=44)
-    polys = po.oracle_onps(rule, 20)
-    return rule, polys
+    return boundary_oracle(disk_const_model, 20)
 
 
 @pytest.fixture(scope="session")
 def ellipse_const_oracle(ellipse_const_model):
-    rule = po.build_quadrature(ellipse_const_model.map, ellipse_const_model.weight, degree=64)
-    polys = po.oracle_onps(rule, 30)
-    return rule, polys
+    return boundary_oracle(ellipse_const_model, 30)
 
 
 @pytest.fixture(scope="session")
 def ellipse_exp_oracle(ellipse_exp_model):
+    return boundary_oracle(ellipse_exp_model, 32)
+
+
+# the polar-fan area rule and its Arnoldi: the independent small-N reference
+@pytest.fixture(scope="session")
+def disk_alpha_fan(disk_alpha_model):
+    rule = po.build_quadrature(disk_alpha_model.map, disk_alpha_model.weight, degree=82)
+    return rule, po.oracle_onps(rule, 40)
+
+
+@pytest.fixture(scope="session")
+def disk_const_fan(disk_const_model):
+    rule = po.build_quadrature(disk_const_model.map, disk_const_model.weight, degree=44)
+    return rule, po.oracle_onps(rule, 20)
+
+
+@pytest.fixture(scope="session")
+def ellipse_const_fan(ellipse_const_model):
+    rule = po.build_quadrature(ellipse_const_model.map, ellipse_const_model.weight, degree=64)
+    return rule, po.oracle_onps(rule, 30)
+
+
+@pytest.fixture(scope="session")
+def ellipse_exp_fan(ellipse_exp_model):
     rule = po.build_quadrature(ellipse_exp_model.map, ellipse_exp_model.weight, degree=68)
-    polys = po.oracle_onps(rule, 32)
-    return rule, polys
+    return rule, po.oracle_onps(rule, 32)
 
 
 def random_annulus(rng, bidegree, inner_radius, scale=1.0):

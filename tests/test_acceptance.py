@@ -35,8 +35,7 @@ def test_criterion_01_carleman_degeneration():
 def test_criterion_02_carleman_formula():
     t0 = time.monotonic()
     model = preset_model("ellipse-const", 3)
-    rule = po.build_quadrature(model.map, model.weight, degree=62)
-    polys = po.oracle_onps(rule, 30)
+    polys = po.boundary_onps(model.map, model.weight.holo_poly, 30)
     z, N = 3.0, 30
     zeta = po.map_forward(model.map, z)
     carleman = math.sqrt(N + 1) / model.map.psi_prime(zeta) * zeta ** N
@@ -52,8 +51,7 @@ def test_criterion_02_carleman_formula():
 def test_criterion_03_pointwise_rate_law():
     t0 = time.monotonic()
     model = preset_model("disk-expre03", 3)
-    rule = po.build_quadrature(model.map, model.weight, degree=82)
-    polys = po.oracle_onps(rule, 40)
+    polys = po.boundary_onps(model.map, model.weight.holo_poly, 40)
     z = 2.0
     zeta = po.map_forward(model.map, z)
     base = (abs(1.0 / model.map.psi_prime(zeta))
@@ -78,9 +76,9 @@ def test_criterion_03_pointwise_rate_law():
 
 def test_criterion_04_l2_discrepancy_rate(disk_alpha_model, disk_alpha_oracle):
     t0 = time.monotonic()
-    rule, polys = disk_alpha_oracle
-    d12 = po.l2_discrepancy(disk_alpha_model, polys, rule, 12, order=1)
-    d24 = po.l2_discrepancy(disk_alpha_model, polys, rule, 24, order=1)
+    polys = disk_alpha_oracle
+    d12 = po.l2_discrepancy(disk_alpha_model, polys, 12, order=1)
+    d24 = po.l2_discrepancy(disk_alpha_model, polys, 24, order=1)
     ratio = d24 / d12
     elapsed = time.monotonic() - t0
     ok = 0.25 / 1.6 <= ratio <= 0.25 * 1.6 and elapsed < 120.0
@@ -119,12 +117,12 @@ def test_criterion_07_leading_coefficient(disk_const_model):
 
 def test_criterion_08_distributional(disk_alpha_model, disk_alpha_oracle):
     t0 = time.monotonic()
-    rule, polys = disk_alpha_oracle
+    polys = disk_alpha_oracle
     model = disk_alpha_model
     g = po.annulus_from_terms({(1, 1): 1.0, (0, 0): -1.0},
                               model.szego.omega_flat.bidegree, model.inner_radius)
     sp = split_test_function(g)
-    oracle = {N: berezin_expectation(model, polys, rule, g, N) for N in (16, 32)}
+    oracle = {N: berezin_expectation(model, polys, g, N) for N in (16, 32)}
     drop = abs(oracle[16]) / abs(oracle[32])      # both leading values' limit is 0
     ok = 2 / 1.6 <= drop <= 2 * 1.6
     errs = {N: abs(distributional_expectation(model, sp, N, order=1) - oracle[N])
@@ -137,7 +135,7 @@ def test_criterion_08_distributional(disk_alpha_model, disk_alpha_oracle):
 
 
 def test_criterion_09_offspectral(disk_alpha_model, disk_alpha_oracle):
-    _, polys = disk_alpha_oracle
+    polys = disk_alpha_oracle
     pt = off_spectral_point(disk_alpha_model.map, 2.0)
     z = 2.5
     errs = {}

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import planorth
-from planorth import cli, geometry
+from planorth import cli, geometry, oracle
 from planorth.errors import ConfigError, NonFiniteError
 from planorth.kernels import off_spectral_point, offspectral_leading
-from planorth.oracle import OraclePolynomials, build_quadrature, oracle_onps
+from planorth.oracle import OraclePolynomials, boundary_onps
 from planorth.presets import preset_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -74,6 +74,14 @@ def test_malformed_field_is_config_error(tmp_path, capsys, command, extra):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["oracle", "verify", "distributional", "kernel"])
+def test_oracle_degree_is_retired(tmp_path, capsys, command):
+    # it sized the fan rule; the boundary oracle sizes itself from the degree
+    cfg = write_config(tmp_path, oracle_degree=64)
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "oracle_degree" in capsys.readouterr().err
+
+
 def test_malformed_config_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"domain": {"map": {"cap": -1.0, "tail": []},
@@ -123,12 +131,19 @@ def test_oracle_artifacts(tmp_path, disk_alpha_model):
     assert lines[0] == "degree,kappa_n,gram_residual"
     assert len(lines) == payload["degree"] + 2
     column = [float(line.split(",")[2]) for line in lines[1:]]
-    # direct recomputation: row and column n of the leading (n+1) x (n+1) Gram block
-    rule = build_quadrature(disk_alpha_model.map, disk_alpha_model.weight, degree=2 * 8 + 8)
-    vals = oracle_onps(rule, 8).at_rule(rule)
-    dev = np.abs(vals.conj().T @ (rule.weights[:, None] * vals) - np.eye(9))
+    # direct recomputation of the boundary Gram matrix <P_k, P_j> = mean(P_k e^P conj(B_j) dz)
+    # from the samples and primitives: row and column n of the leading (n+1) x (n+1) block
+    polys = boundary_onps(disk_alpha_model.map, disk_alpha_model.weight.holo_poly, 8)
+    rule = polys.rule
+    gram = np.array([[np.mean(polys.basis[:, k] * rule.e_p * np.conj(polys.primitive[:, j])
+                              * rule.dz) for k in range(9)] for j in range(9)])
+    dev = np.abs(gram - np.eye(9))
     direct = [max(dev[:n + 1, n].max(), dev[n, :n + 1].max()) for n in range(9)]
     assert np.max(np.abs(np.array(column) - direct)) <= 1e-14
+    assert payload["rule"] == {"kind": "boundary", "L": rule.L, **{
+        key: pytest.approx(polys.health[key], abs=1e-15)
+        for key in ("residue", "gram_deviation", "doubled_L_change")}}
+    assert payload["rule"]["residue"] <= 1e-13 and payload["rule"]["doubled_L_change"] <= 1e-13
     assert max(column) == payload["gram_residual"]
 
 
@@ -329,30 +344,34 @@ def mapped_points(monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["verify", "distributional"])
-def test_oracle_commands_map_each_node_once(tmp_path, monkeypatch, mapped_points, command):
-    rules, node_evaluations = [], []
-    build, evaluate = cli.build_quadrature, OraclePolynomials.evaluate
+def test_oracle_commands_map_only_the_evaluation_point(tmp_path, monkeypatch, mapped_points,
+                                                       command):
+    evaluated = []
+    build, evaluate = cli.build_model, OraclePolynomials.evaluate
 
-    def keep_rule(*args, **kwargs):
-        rules.append(build(*args, **kwargs))
-        return rules[-1]
+    def build_then_clear(*args, **kwargs):
+        model = build(*args, **kwargs)
+        mapped_points.clear()
+        return model
 
     def watch_evaluate(self, z, upto=None):
-        node_evaluations.append(bool(np.isin(np.ravel(z), self.rule.nodes).any()))
+        evaluated.append(np.ravel(z).copy())
         return evaluate(self, z, upto)
 
-    monkeypatch.setattr(cli, "build_quadrature", keep_rule)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fan rule is not on the oracle path")
+
+    monkeypatch.setattr(cli, "build_model", build_then_clear)
     monkeypatch.setattr(OraclePolynomials, "evaluate", watch_evaluate)
+    monkeypatch.setattr(oracle, "build_quadrature", refuse)
+    monkeypatch.setattr(oracle, "oracle_onps", refuse)
     cfg = write_config(tmp_path, "ellipse-expre", N=[8, 12, 16, 24], points=[[2.5, 0.5]],
                        test_function={"terms": [[0, 0, 0.5, 0.0], [1, 1, 0.2, 0.0]]})
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 0
-    (rule,) = rules
-    mapped = np.concatenate(mapped_points)
-    # 4 degrees x 3 orders (verify) or 4 degrees (distributional), yet each
-    # node is mapped exactly once
-    assert np.count_nonzero(np.isin(mapped, rule.nodes)) == rule.nodes.size
-    assert np.isin(rule.nodes, mapped).all()
-    assert not any(node_evaluations)
+    # no collar or boundary node goes through Newton's method or the recurrence
+    want = [np.array([2.5 + 0.5j])] if command == "verify" else []
+    assert [c.tolist() for c in mapped_points] == [c.tolist() for c in want]
+    assert [c.tolist() for c in evaluated] == [c.tolist() for c in want]
 
 
 def test_offspectral_leading_maps_each_point_once(ellipse_exp_model, mapped_points):

@@ -58,12 +58,12 @@ def test_expectation_constant_is_one(disk_alpha_model):
 
 
 def test_expectation_zero_part_rate(disk_alpha_model, disk_alpha_oracle):
-    rule, polys = disk_alpha_oracle
+    polys = disk_alpha_oracle
     model = disk_alpha_model
     g = po.annulus_from_terms({(1, 1): 1.0, (0, 0): -1.0},
                               model.szego.omega_flat.bidegree, model.inner_radius)
     sp = split_test_function(g)
-    oracle = {N: berezin_expectation(model, polys, rule, g, N) for N in (16, 32)}
+    oracle = {N: berezin_expectation(model, polys, g, N) for N in (16, 32)}
     # leading behavior ~ c/N: the boundary value halves within factor 1.6
     drop = abs(oracle[16]) / abs(oracle[32])
     assert 2 / 1.6 <= drop <= 2 * 1.6
@@ -73,14 +73,14 @@ def test_expectation_zero_part_rate(disk_alpha_model, disk_alpha_oracle):
 
 
 def test_harmonic_measure_limit(disk_alpha_model, disk_alpha_oracle):
-    rule, polys = disk_alpha_oracle
+    polys = disk_alpha_oracle
     model = disk_alpha_model
     g = po.annulus_from_terms({(-1, 0): 1.0}, 8, model.inner_radius)
     sp = split_test_function(g)
     assert sp.plus_infinity == 0.0
     for N in (16, 32):
         assert distributional_expectation(model, sp, N, order=2) == 0.0
-        assert abs(berezin_expectation(model, polys, rule, g, N)) <= 0.5 / N
+        assert abs(berezin_expectation(model, polys, g, N)) <= 0.5 / N
 
 
 def test_expectation_real_for_real_input(disk_alpha_model):

@@ -71,7 +71,7 @@ def test_monic_far_field_limit(disk_alpha_model):
 
 
 def test_monic_vs_oracle_ellipse_carleman(ellipse_const_model, ellipse_const_oracle):
-    _, polys = ellipse_const_oracle
+    polys = ellipse_const_oracle
     z, N = 3.0, 30
     target = polys.monic(z, N)
     val = po.monic_eval(ellipse_const_model, N, z)
@@ -79,7 +79,7 @@ def test_monic_vs_oracle_ellipse_carleman(ellipse_const_model, ellipse_const_ora
 
 
 def test_monic_rate_slopes(disk_alpha_model, disk_alpha_oracle):
-    _, polys = disk_alpha_oracle
+    polys = disk_alpha_oracle
     model = disk_alpha_model
     z = 2.0
     zeta = po.map_forward(model.map, z)
@@ -102,7 +102,7 @@ def test_leading_coeff_disk(disk_const_model):
 
 
 def test_normalized_matches_carleman_formula(ellipse_const_model, ellipse_const_oracle):
-    _, polys = ellipse_const_oracle
+    polys = ellipse_const_oracle
     z, N = 3.0, 30
     zeta = po.map_forward(ellipse_const_model.map, z)
     carleman = math.sqrt(N + 1) / ellipse_const_model.map.psi_prime(zeta) * zeta ** N
@@ -111,7 +111,7 @@ def test_normalized_matches_carleman_formula(ellipse_const_model, ellipse_const_
 
 
 def test_leading_coeff_vs_oracle_improves(disk_alpha_model, disk_alpha_oracle):
-    _, polys = disk_alpha_oracle
+    polys = disk_alpha_oracle
     N = 20
     rel1 = abs(po.leading_coeff(disk_alpha_model, N, order=1) / polys.kappa[N] - 1.0)
     rel2 = abs(po.leading_coeff(disk_alpha_model, N, order=2) / polys.kappa[N] - 1.0)
@@ -126,7 +126,7 @@ def test_positivity_of_leading_coeff(all_preset_models):
 
 
 def test_monotone_refinement(disk_alpha_model, disk_alpha_oracle):
-    _, polys = disk_alpha_oracle
+    polys = disk_alpha_oracle
     model = disk_alpha_model
     z, N = 2.0, 32
     target = polys.monic(z, N)

@@ -192,3 +192,36 @@ def test_reflection_symmetry_on_ellipse():
         a = base.coeffs.X[j].coeffs
         b = refl.coeffs.X[j].coeffs
         assert np.max(np.abs(b - np.conj(a))) <= 1e-12
+
+
+def _residual_per_order(coeffs, szego, p):
+    """The order-``p`` residual rebuilt from scratch: every ``T^(p-l) X_l``
+    from ``X_l``."""
+    total = None
+    for l in range(p + 1):
+        a = coeffs.X[l]
+        for _ in range(p - l):
+            a = weighted_derivative(a, szego)
+        term = a * ((-1.0) ** (p - l))
+        total = term if total is None else total + term
+    K = total.bandwidth
+    return float(np.max(np.abs(total.coeffs[:K]))) if K else 0.0
+
+
+def test_one_pass_residuals_are_the_per_order_ones(all_preset_models, monkeypatch):
+    from planorth import hierarchy
+    for name, model in all_preset_models.items():
+        want = [_residual_per_order(model.coeffs, model.szego, p) for p in range(1, 5)]
+        calls = []
+        original = hierarchy.weighted_derivative
+
+        def counting(f, szego):
+            calls.append(1)
+            return original(f, szego)
+
+        monkeypatch.setattr(hierarchy, "weighted_derivative", counting)
+        got = po.hierarchy_residuals(model.coeffs, model.szego, 4)
+        monkeypatch.undo()
+        assert got == want, name                 # bit-identical
+        assert len(calls) == 4 * 5 // 2          # kappa (kappa + 1) / 2, not ... (kappa + 2) / 6
+    assert po.hierarchy_residuals(model.coeffs, model.szego, 0) == []

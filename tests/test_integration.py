@@ -26,14 +26,14 @@ def fitted_slopes(model, polys, z, orders, Ns):
 
 
 def test_ellipse_exp_weight_rates(ellipse_exp_model, ellipse_exp_oracle):
-    _, polys = ellipse_exp_oracle
+    polys = ellipse_exp_oracle
     slopes = fitted_slopes(ellipse_exp_model, polys, 3.0, (0, 1, 2), np.arange(8, 33, 4))
     for order, slope in slopes.items():
         assert abs(slope + (order + 1)) <= 0.35, slopes
 
 
 def test_ellipse_exp_weight_leading_coeff(ellipse_exp_model, ellipse_exp_oracle):
-    _, polys = ellipse_exp_oracle
+    polys = ellipse_exp_oracle
     rels = {N: abs(po.leading_coeff(ellipse_exp_model, N, order=2) / polys.kappa[N] - 1.0)
             for N in (16, 32)}
     assert rels[16] / rels[32] >= 2 ** 2.5  # O(N^-3)
@@ -42,15 +42,14 @@ def test_ellipse_exp_weight_leading_coeff(ellipse_exp_model, ellipse_exp_oracle)
 
 def test_perturbed_map_rates(all_preset_models):
     model = all_preset_models["perturbed-expre"]
-    rule = po.build_quadrature(model.map, model.weight, degree=68)
-    polys = po.oracle_onps(rule, 32)
+    polys = po.boundary_onps(model.map, model.weight.holo_poly, 32)
     slopes = fitted_slopes(model, polys, 2.0, (0, 1, 2), np.arange(8, 33, 4))
     for order, slope in slopes.items():
         assert abs(slope + (order + 1)) <= 0.35, slopes
 
 
 def test_ellipse_distributional_rates(ellipse_exp_model, ellipse_exp_oracle):
-    rule, polys = ellipse_exp_oracle
+    polys = ellipse_exp_oracle
     model = ellipse_exp_model
     g = po.annulus_from_terms({(1, 1): 1.0, (0, 0): -1.0},
                               model.szego.omega_flat.bidegree, model.inner_radius)
@@ -62,7 +61,7 @@ def test_ellipse_distributional_rates(ellipse_exp_model, ellipse_exp_oracle):
         errs = {}
         for N in (16, 32):
             v = distributional_expectation(model, sp, N, order=order)
-            o = berezin_expectation(model, polys, rule, g, N, rho1=0.70, rho2=0.80)
+            o = berezin_expectation(model, polys, g, N, rho1=0.70, rho2=0.80)
             errs[N] = abs(v - o)
         assert errs[16] / errs[32] >= want, (order, errs)
 
@@ -80,8 +79,7 @@ def test_quadratic_weight_first_correction(quadratic_model):
 
 
 def test_quadratic_weight_rates(quadratic_model):
-    rule = po.build_quadrature(quadratic_model.map, quadratic_model.weight, degree=68)
-    polys = po.oracle_onps(rule, 32)
+    polys = po.boundary_onps(quadratic_model.map, quadratic_model.weight.holo_poly, 32)
     slopes = fitted_slopes(quadratic_model, polys, 2.0, (0, 1, 2), np.arange(8, 33, 4))
     for order, slope in slopes.items():
         assert abs(slope + (order + 1)) <= 0.35, slopes
@@ -89,7 +87,7 @@ def test_quadratic_weight_rates(quadratic_model):
 
 def test_high_order_refinement_vs_oracle(disk_alpha_oracle):
     # at fixed N each extra pair of correction orders buys roughly N^2
-    _, polys = disk_alpha_oracle
+    polys = disk_alpha_oracle
     model = po.build_model(po.disk_map(), po.exp_re_linear_weight(0.3), 6,
                            bidegree=24, inner_radius=0.5)
     assert max(po.hierarchy_residual(model.coeffs, model.szego, p)

@@ -45,7 +45,7 @@ def test_off_spectral_guard(disk_alpha_model):
 
 
 def test_offspectral_leading_vs_oracle(disk_alpha_model, disk_alpha_oracle):
-    _, polys = disk_alpha_oracle
+    polys = disk_alpha_oracle
     pt = off_spectral_point(disk_alpha_model.map, 2.0)
     z = 2.5
     errs = {}
@@ -64,7 +64,7 @@ def test_offspectral_real_symmetry(disk_const_model):
 
 
 def test_offspectral_phase(disk_alpha_model, disk_alpha_oracle):
-    _, polys = disk_alpha_oracle
+    polys = disk_alpha_oracle
     w = 2.0 * np.exp(1j * np.pi / 6)
     pt = off_spectral_point(disk_alpha_model.map, w)
     z, N = 2.5, 24

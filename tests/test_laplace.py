@@ -94,7 +94,7 @@ def test_norm_expansion_disk_alpha_bessel_oracle(disk_alpha_model):
 
 
 def test_norm_expansion_vs_oracle_leading_coeff(disk_alpha_model, disk_alpha_oracle):
-    _, polys = disk_alpha_oracle
+    polys = disk_alpha_oracle
     consts = []
     for N in (16, 32):
         model_k = po.leading_coeff(disk_alpha_model, N, order=2)
