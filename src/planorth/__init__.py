@@ -7,9 +7,9 @@ quantity against a brute-force orthogonalization oracle.
 """
 
 from .errors import (ConfigError, ConsistencyError, ConvergenceError, DegreeTooHighError,
-                     DomainError, NonFiniteError, NonStarlikeError, OffSpectralError,
-                     OutOfValidityError, PlanorthError, PositivityError,
-                     TruncationOverflowError, WeightResolutionError)
+                     DomainError, NonFiniteError, OffSpectralError, OutOfValidityError,
+                     PlanorthError, PositivityError, TruncationOverflowError,
+                     WeightResolutionError)
 from .series import (AnnulusSeries, CircleSeries, annulus_constant, annulus_from_terms,
                      circle_exp, circle_from_modes, circle_zeros, hardy_project, herglotz,
                      restrict_to_circle, truncate)
@@ -24,10 +24,9 @@ from .laplace import JetAtZero, NormExpansion, norm_expansion, watson_sum
 from .expansion import (ExpansionModel, build_model, canonical_position, leading_coeff,
                         monic_at, monic_eval, monic_prefactor, norm_factor, normalized_at,
                         normalized_eval, validity_radius)
-from .oracle import (BoundaryRule, OraclePolynomials, QuadratureRule, berezin_expectation,
-                     berezin_expectations, boundary_onps, boundary_rule, build_quadrature,
-                     holomorphic_pairing, l2_discrepancies, l2_discrepancy, oracle_kernel,
-                     oracle_onps, ring_quadrature, smoothstep)
+from .oracle import (BoundaryRule, OraclePolynomials, berezin_expectation,
+                     berezin_expectations, boundary_onps, boundary_rule, l2_discrepancies,
+                     l2_discrepancy, oracle_kernel, smoothstep)
 from .distributional import (TestFunctionSplit, distributional_expectation,
                              distributional_terms, split_test_function)
 from .kernels import (OffSpectralPoint, bw_kernel_diag, off_spectral_point,

@@ -74,7 +74,7 @@ SUMMARY_SCHEMA = {
     "type": "object",
     "required": ["schema", "slopes", "passed", "tolerance"],
     "properties": {"schema": {"const": "planorth/verify-summary-v1"},
-                   "passed": {"type": "boolean"}},
+                   "passed": {"type": "boolean"}, "oracle": {"type": "object"}},
 }
 
 DISTRIBUTIONAL_SCHEMA = {
@@ -326,7 +326,7 @@ def cmd_verify(cfg: dict, exp: dict, outdir: Path) -> int:
         passed &= ok
     summary = {"schema": "planorth/verify-summary-v1", "slopes": slopes,
                "passed": bool(passed), "tolerance": exp["tol"],
-               "oracle_gram_residual": polys.gram_residual}
+               "oracle_gram_residual": polys.gram_residual, "oracle": polys.health}
     _write_csv(outdir, "rates.csv",
                ["N", "kappa", "pointwise_error", "l2_discrepancy", "leading_coeff_rel_error"],
                rows)

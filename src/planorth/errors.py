@@ -35,12 +35,9 @@ class PositivityError(PlanorthError):
     """Weight is not strictly positive where it must be."""
 
 
-class NonStarlikeError(PlanorthError):
-    """Domain is not starlike with respect to the boundary centroid."""
-
-
 class DegreeTooHighError(PlanorthError):
-    """Quadrature resolution insufficient for the requested polynomial degree."""
+    """The boundary oracle cannot orthonormalize to the requested degree: its Gram
+    matrix or ``log kappa_n`` does not settle at any circle sample count it tries."""
 
 
 class ConsistencyError(PlanorthError):

@@ -34,9 +34,6 @@ and ``V`` are evaluated there once by the same scaling, so each further
 degree or order costs ``O(nodes)``.  The part of the L2 distance inside
 ``|phi| < rho1`` is itself a Stokes integral on ``psi(rho1 S^1)``, read from
 the primitive's modes.
-
-The polar-fan area rule (:func:`build_quadrature`) and its Arnoldi
-(:func:`oracle_onps`) remain as an independent small-``N`` reference.
 """
 
 from __future__ import annotations
@@ -48,39 +45,18 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DegreeTooHighError, DomainError, NonStarlikeError, PositivityError
-from .expansion import ExpansionModel, normalized_scale, positioning_factor
-from .geometry import ExteriorMap, WeightSpec
+from .errors import DegreeTooHighError, DomainError
+from .expansion import ExpansionModel, normalized_scale
+from .geometry import ExteriorMap
 from .series import CircleSeries, _horner
 
-RADIAL_GRADE = 0.5      # ratio of successive radial panel widths toward the boundary
 GRAM_TOL = 1e-8         # largest Gram deviation an oracle accepts
-GRAM_BLOCK = 2048       # basis rows per block of the fan Gram check's Q^H W Q sum
-PAIRING_N_RAD = 160     # radial nodes of the holomorphic_pairing ring rule
-PAIRING_N_ANG = 768     # angular nodes of the holomorphic_pairing ring rule
 MIN_SAMPLES = 128       # fewest circle samples of a boundary oracle
 MAX_SAMPLES = 2 ** 16   # most circle samples a boundary oracle doubles to
 DOUBLING_TOL = 1e-10    # largest change of log kappa_n under doubled samples
 CHOP = 64 * np.finfo(float).eps  # modes below CHOP * max|mode| are dropped before r^k scaling
 COLLAR_Q = 12           # Gauss-Legendre nodes per radial panel of the collar rule
 COLLAR_HALVINGS = 5     # collar panels past rho2, each half the width of the last
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Nodes and positive weights (area element and weight function included)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    declared_accuracy: float
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def mass(self) -> float:
-        return float(np.sum(self.weights))
-
-    def integrate(self, values: np.ndarray) -> complex:
-        return complex(np.sum(self.weights * values))
 
 
 def _gl_panels(breaks: np.ndarray, q: int):
@@ -92,98 +68,6 @@ def _gl_panels(breaks: np.ndarray, q: int):
         nodes.append(mid + half * x)
         weights.append(half * w)
     return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _radial_breaks(layers: int) -> np.ndarray:
-    """Breakpoints on [0, 1] geometrically refined toward 1."""
-    pts = [0.0]
-    for k in range(layers, 0, -1):
-        pts.append(1.0 - RADIAL_GRADE ** (layers - k + 1))
-    pts.append(1.0)
-    return np.unique(np.array(pts))
-
-
-def build_quadrature(m: ExteriorMap, weight: WeightSpec, degree: int) -> QuadratureRule:
-    """Polar-fan rule over the domain able to integrate polynomial data of the
-    given total degree against the weight.  Its declared accuracy is the larger
-    of the mass difference and the relative difference of the degree-``d``
-    moment ``int |z - center|^d omega dA`` to a finer rule (degree + 12, 1.4
-    times the nodes per direction).
-
-    The rule tessellates a starlike domain by a polar fan from the boundary
-    centroid: equispaced trapezoid nodes in the fan angle times
-    Gauss-Legendre panels in the fan radius, graded geometrically toward the
-    boundary.  Raises :class:`NonStarlikeError` when the boundary is not
-    starlike with respect to its centroid (checked by angle monotonicity on
-    1024 samples) and :class:`PositivityError` when the weight is not
-    positive at a node.
-    """
-    center = _fan_center(m)
-    rule = _build_fan(m, weight, center, degree)
-    finer = _build_fan(m, weight, center, degree + 12, refine=1.4)
-    d = rule.meta["degree"]
-    moment, finer_moment = (r.integrate(np.abs(r.nodes - center) ** d).real for r in (rule, finer))
-    accuracy = max(abs(rule.mass - finer.mass), abs(moment / finer_moment - 1.0))
-    return QuadratureRule(rule.nodes, rule.weights, accuracy, rule.meta)
-
-
-def _fan_center(m: ExteriorMap) -> complex:
-    """Boundary centroid, checked to be a star center on a dense boundary polygon."""
-    tt = 2 * np.pi * np.arange(1024) / 1024
-    bnd = m.psi(np.exp(1j * tt))
-    center = complex(np.mean(bnd))
-    ang = np.unwrap(np.angle(bnd - center))
-    if np.any(np.diff(ang) <= 0):
-        raise NonStarlikeError("boundary is not starlike about its centroid")
-    return center
-
-
-def _build_fan(m: ExteriorMap, weight: WeightSpec, center: complex, degree: int,
-               refine: float = 1.0) -> QuadratureRule:
-    degree = max(8, int(degree))
-    n_ang = 2 * int(math.ceil(refine * (0.6 * degree + 12)))
-    t_nodes = 2 * np.pi * np.arange(n_ang) / n_ang
-    t_weight = 2 * np.pi / n_ang
-
-    layers = max(4, int(math.ceil(math.log2(degree + 2))) - 2)
-    q_rad = max(18, int(math.ceil(refine * 18)))
-    r_nodes, r_weights = _gl_panels(_radial_breaks(layers), q_rad)
-
-    w_b = m.psi(np.exp(1j * t_nodes)) - center          # fan rays
-    w_d = 1j * np.exp(1j * t_nodes) * m.psi_prime(np.exp(1j * t_nodes))  # d(boundary)/dt
-    jac_ang = np.imag(np.conj(w_b) * w_d)               # positive for ccw starlike
-    if np.any(jac_ang <= 0):
-        raise NonStarlikeError("fan Jacobian changes sign; domain not starlike about centroid")
-
-    nodes = center + r_nodes[:, None] * w_b[None, :]
-    jac = r_nodes[:, None] * jac_ang[None, :] / np.pi   # unit-disk-normalized area
-    wts = (r_weights[:, None] * t_weight) * jac
-
-    flat_nodes = nodes.ravel()
-    flat_wts = wts.ravel()
-    om = np.asarray(weight.omega(flat_nodes), dtype=float)
-    if np.any(om <= 0):
-        raise PositivityError("weight is not positive at a quadrature node")
-    meta = {"n_ang": n_ang, "layers": layers, "q_rad": q_rad, "degree": degree,
-            "n_nodes": int(flat_nodes.size)}
-    return QuadratureRule(flat_nodes, flat_wts * om, math.inf, meta)
-
-
-def ring_quadrature(rho_in: float, n_rad: int = 120, n_ang: int = 512) -> QuadratureRule:
-    """Plain-area rule on the ring ``rho_in < |w| < 1`` (no weight),
-    radially graded toward the unit circle, trapezoid in angle."""
-    if not (0 < rho_in < 1.0):
-        raise DomainError("need 0 < rho_in < 1")
-    layers = max(4, int(math.ceil(math.log2(n_rad))))
-    pts = 1.0 - (1.0 - rho_in) * 0.5 ** np.arange(1, layers + 1)
-    breaks = np.unique(np.concatenate([[rho_in], pts, [1.0]]))
-    q = max(10, n_rad // max(1, len(breaks) - 1))
-    r_nodes, r_weights = _gl_panels(breaks, q)
-    t = 2 * np.pi * np.arange(n_ang) / n_ang
-    nodes = (r_nodes[:, None] * np.exp(1j * t)[None, :]).ravel()
-    wts = (r_weights[:, None] * np.full(n_ang, 2 * np.pi / n_ang)[None, :]
-           * r_nodes[:, None] / np.pi).ravel()
-    return QuadratureRule(nodes, wts, math.inf, {"kind": "ring", "rho_in": rho_in})
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,18 +141,18 @@ class OraclePolynomials:
     ``gram_residuals[n]`` is the largest deviation from the identity in row
     and column ``n`` of the leading ``(n+1) x (n+1)`` block of the discrete
     Gram matrix; ``gram_residual`` is their maximum.  ``basis[:, n]`` holds
-    ``P_n`` at ``rule.nodes``; a boundary oracle also keeps the primitive
-    ``B_n`` (``B_n' = P_n e^P``) there in ``primitive[:, n]``.  ``health``
-    describes the rule and its accuracy figures, as ``oracle.json`` reports them.
+    ``P_n`` at ``rule.nodes`` and ``primitive[:, n]`` the primitive ``B_n``
+    (``B_n' = P_n e^P``) there.  ``health`` describes the rule and its
+    accuracy figures, as ``oracle.json`` reports them.
     """
 
     degree: int
     hess: np.ndarray
     log_kappa: np.ndarray
     gram_residuals: np.ndarray
-    rule: QuadratureRule | BoundaryRule = field(repr=False)
+    rule: BoundaryRule = field(repr=False)
     basis: np.ndarray = field(repr=False)
-    primitive: np.ndarray | None = field(default=None, repr=False)
+    primitive: np.ndarray = field(repr=False)
     health: dict = field(default_factory=dict)
 
     @property
@@ -311,7 +195,7 @@ class OraclePolynomials:
         return self.eval_single(z, n) / self.kappa[n]
 
 
-def _gram_residuals(gram: np.ndarray) -> np.ndarray:
+def _gram_residuals(gram: np.ndarray, L: int) -> np.ndarray:
     """Column ``n`` of the upper triangle of ``max(dev, dev^T)``, ``dev = |gram - I|``:
     the largest deviation in row and column ``n`` of the leading block ``n``;
     refused above ``GRAM_TOL``."""
@@ -319,65 +203,9 @@ def _gram_residuals(gram: np.ndarray) -> np.ndarray:
     residuals = np.max(np.triu(np.maximum(dev, dev.T)), axis=0)
     if np.max(residuals) > GRAM_TOL:
         raise DegreeTooHighError(
-            f"Gram residual {np.max(residuals):.3e} above {GRAM_TOL:.1e}; "
-            "increase quadrature resolution or lower the degree")
+            f"Gram residual {np.max(residuals):.3e} above {GRAM_TOL:.1e} in the boundary "
+            f"oracle at degree {gram.shape[0] - 1} on L = {L} circle samples")
     return residuals
-
-
-def _weighted_norm(w: np.ndarray, v: np.ndarray) -> float:
-    return math.sqrt(abs(float(w @ (v.real ** 2 + v.imag ** 2))))
-
-
-def oracle_onps(rule: QuadratureRule, N: int) -> OraclePolynomials:
-    """Orthonormalize ``1, z, z^2, ...`` up to degree ``N`` over an area rule
-    (the small-``N`` reference for :func:`boundary_onps`).
-
-    The Gram check sums ``Q^H W Q`` over blocks of ``GRAM_BLOCK`` nodes, so it
-    never holds a weighted copy of the whole basis.  Raises
-    :class:`DegreeTooHighError` when the discrete Gram matrix deviates from
-    the identity by more than ``GRAM_TOL`` (the rule then cannot resolve
-    degree-``2N`` products).
-    """
-    ndeg = rule.meta.get("degree")
-    if ndeg is not None and ndeg < 2 * N:
-        raise DegreeTooHighError(
-            f"rule sized for degree {ndeg} cannot orthogonalize to degree {N}")
-    z = rule.nodes
-    w = rule.weights
-    Q = np.empty((z.size, N + 1), dtype=np.complex128, order="F")
-    hess = np.zeros((N + 1, N), dtype=np.complex128)
-    log_kappa = np.empty(N + 1, dtype=float)
-    mass = float(np.sum(w))
-    Q[:, 0] = 1.0 / math.sqrt(mass)
-    log_kappa[0] = -0.5 * math.log(mass)
-    for n in range(1, N + 1):
-        v = z * Q[:, n - 1]
-        h = np.zeros(n, dtype=np.complex128)
-        nrm = _weighted_norm(w, v)
-        for _ in range(2):  # classical Gram-Schmidt, repeated once on heavy cancellation
-            before = nrm
-            proj = ((w * v).conj() @ Q[:, :n]).conj()
-            v = v - Q[:, :n] @ proj
-            h += proj
-            nrm = _weighted_norm(w, v)
-            if nrm > before / math.sqrt(2):
-                break
-        if nrm <= 0 or not np.isfinite(nrm):
-            raise DegreeTooHighError(f"breakdown at degree {n}: zero residual norm")
-        Q[:, n] = v / nrm
-        hess[:n, n - 1] = h
-        hess[n, n - 1] = nrm
-        log_kappa[n] = log_kappa[n - 1] - math.log(nrm)
-
-    gram = np.zeros((N + 1, N + 1), dtype=np.complex128)
-    for s in range(0, z.size, GRAM_BLOCK):
-        rows = Q[s:s + GRAM_BLOCK]
-        wq = w[s:s + GRAM_BLOCK, None] * rows
-        gram += np.conj(wq, out=wq).T @ rows
-    health = {"kind": "fan", "declared_accuracy": rule.declared_accuracy, **rule.meta}
-    return OraclePolynomials(degree=N, hess=hess, log_kappa=log_kappa,
-                             gram_residuals=_gram_residuals(gram), rule=rule, basis=Q,
-                             health=health)
 
 
 def _circle_arnoldi(rule: BoundaryRule, N: int) -> OraclePolynomials:
@@ -418,7 +246,7 @@ def _circle_arnoldi(rule: BoundaryRule, N: int) -> OraclePolynomials:
         hess[n, n - 1] = nrm
         log_kappa[n] = log_kappa[n - 1] - math.log(nrm)
     gram = (np.conj(B).T @ (Q * rule._e_p_dz[:, None])) / L
-    residuals = _gram_residuals(gram)
+    residuals = _gram_residuals(gram, L)
     health = {"kind": "boundary", "L": L, "residue": float(residue),
               "gram_deviation": float(np.max(residuals))}
     return OraclePolynomials(degree=N, hess=hess, log_kappa=log_kappa,
@@ -538,8 +366,6 @@ def _collar(model: ExpansionModel, polys: OraclePolynomials, rho1, rho2) -> _Col
     """The collar rule of a boundary oracle for the cutoff rising on
     ``[rho1, rho2]`` (defaults ``rho + 0.05``, ``rho + 0.15``)."""
     rule = polys.rule
-    if not isinstance(rule, BoundaryRule):
-        raise DomainError("collar integrals need a boundary oracle (boundary_onps)")
     rho = model.inner_radius
     rho1 = rho + 0.05 if rho1 is None else rho1
     rho2 = rho + 0.15 if rho2 is None else rho2
@@ -576,10 +402,9 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs,
 
     ``chi0`` is the quintic smoothstep in ``|phi(z)|`` rising on
     ``[rho1, rho2]`` (defaults ``rho + 0.05``, ``rho + 0.15``); the expansion
-    is extended by zero where ``chi0`` vanishes.  ``polys`` is a boundary
-    oracle.  The collar ``|phi| > rho1`` takes the collar rule, on which
-    ``X_j``, ``phi' e^V`` and each degree's ``P_N`` are evaluated once; the
-    rest is a Stokes integral per degree.
+    is extended by zero where ``chi0`` vanishes.  The collar ``|phi| > rho1``
+    takes the collar rule, on which ``X_j``, ``phi' e^V`` and each degree's
+    ``P_N`` are evaluated once; the rest is a Stokes integral per degree.
     """
     pairs = list(pairs)
     scales = [normalized_scale(model, N, order) for N, order in pairs]  # degrees checked
@@ -620,8 +445,7 @@ def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, g, deg
     globally smooth test function ``G(z) = chi0(|phi(z)|) g(phi(z))``: the
     annulus test data tapered to zero deep inside the domain by the
     smoothstep on ``[rho1, rho2]``, so the integral lives on the collar rule.
-    ``G`` is evaluated once; each degree adds its ``P_N`` and one weighted sum.
-    ``polys`` is a boundary oracle."""
+    ``G`` is evaluated once; each degree adds its ``P_N`` and one weighted sum."""
     collar = _collar(model, polys, rho1, rho2)
     wg = (collar.weights * collar.chi[:, None]
           * _annulus_on_circles(g, collar.radii, polys.rule.L))
@@ -637,17 +461,3 @@ def berezin_expectation(model: ExpansionModel, polys: OraclePolynomials, g, N: i
     """:func:`berezin_expectations` for one degree.  Near the boundary ``G``
     agrees with ``g o phi``."""
     return complex(berezin_expectations(model, polys, g, [N], rho1, rho2)[0])
-
-
-def holomorphic_pairing(model: ExpansionModel, polys: OraclePolynomials, g: CircleSeries,
-                        N: int, rho_ring: float = 0.75) -> complex:
-    """Annulus pairing of an exterior-holomorphic test function against the
-    pulled-back oracle polynomial:
-    ``int_ring g(w) conj(p_N(w)) |w|^{2N} Omega(w) dA(w)`` where
-    ``p_N = P_N(psi(w)) psi'(w) w^{-N} e^{-V(psi(w))}`` and ``Omega = |E|^2``."""
-    ring = ring_quadrature(rho_ring, n_rad=PAIRING_N_RAD, n_ang=PAIRING_N_ANG)
-    w = ring.nodes
-    pN = polys.eval_single(model.map.psi(w), N) / positioning_factor(model, N, w)
-    omega_flat = np.abs(model.szego.E.evaluate(w)) ** 2
-    vals = g.evaluate(w) * np.conj(pN) * np.abs(w) ** (2 * N) * omega_flat
-    return ring.integrate(vals)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from numpy.polynomial.legendre import leggauss
 
 import planorth as po
 from planorth.presets import preset_model
@@ -66,29 +67,34 @@ def ellipse_exp_oracle(ellipse_exp_model):
     return boundary_oracle(ellipse_exp_model, 32)
 
 
-# the polar-fan area rule and its Arnoldi: the independent small-N reference
-@pytest.fixture(scope="session")
-def disk_alpha_fan(disk_alpha_model):
-    rule = po.build_quadrature(disk_alpha_model.map, disk_alpha_model.weight, degree=82)
-    return rule, po.oracle_onps(rule, 40)
+def polar_rule(boundary, breaks, q, n_ang):
+    """Area rule ``dA / pi`` on ``{r b(t)}``, ``b(t) = boundary.psi(e^{it})``,
+    for ``r`` from ``breaks[0]`` to ``breaks[-1]``: ``q`` Gauss-Legendre nodes
+    per panel in ``r`` times ``n_ang`` trapezoid nodes in ``t``, weights
+    ``r Im(conj(b) db/dt) dr dt / pi``: a polar fan of rays from 0 to the
+    boundary, the independent reference for the boundary oracle on domains
+    starlike about 0.  Returns flat nodes and weights."""
+    x, w = leggauss(q)
+    a, b = np.asarray(breaks[:-1])[:, None], np.asarray(breaks[1:])[:, None]
+    r, dr = ((a + b) / 2 + (b - a) / 2 * x).ravel(), ((b - a) / 2 * w).ravel()
+    zeta = np.exp(2j * np.pi * np.arange(n_ang) / n_ang)
+    bt, dpsi = boundary.psi_and_prime(zeta)
+    jac = np.imag(np.conj(bt) * 1j * zeta * dpsi)
+    nodes = r[:, None] * bt[None, :]
+    weights = (r * dr)[:, None] * jac[None, :] * (2.0 / n_ang)
+    return nodes.ravel(), weights.ravel()
 
 
-@pytest.fixture(scope="session")
-def disk_const_fan(disk_const_model):
-    rule = po.build_quadrature(disk_const_model.map, disk_const_model.weight, degree=44)
-    return rule, po.oracle_onps(rule, 20)
+def halving_breaks(start, panels):
+    """Breaks of ``panels`` radial panels from ``start`` to 1, each half the
+    width of the last."""
+    return np.append(1.0 - (1.0 - start) * 0.5 ** np.arange(panels), 1.0)
 
 
-@pytest.fixture(scope="session")
-def ellipse_const_fan(ellipse_const_model):
-    rule = po.build_quadrature(ellipse_const_model.map, ellipse_const_model.weight, degree=64)
-    return rule, po.oracle_onps(rule, 30)
-
-
-@pytest.fixture(scope="session")
-def ellipse_exp_fan(ellipse_exp_model):
-    rule = po.build_quadrature(ellipse_exp_model.map, ellipse_exp_model.weight, degree=68)
-    return rule, po.oracle_onps(rule, 32)
+def ring_rule(rho_in, n_ang):
+    """:func:`polar_rule` on the ring ``rho_in < |w| < 1``: nine halving panels
+    of 17 nodes."""
+    return polar_rule(po.disk_map(), halving_breaks(rho_in, 9), 17, n_ang)
 
 
 def random_annulus(rng, bidegree, inner_radius, scale=1.0):

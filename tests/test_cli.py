@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import planorth
-from planorth import cli, geometry, oracle
+from planorth import cli, geometry
 from planorth.errors import ConfigError, NonFiniteError
 from planorth.kernels import off_spectral_point, offspectral_leading
 from planorth.oracle import OraclePolynomials, boundary_onps
@@ -76,7 +76,7 @@ def test_malformed_field_is_config_error(tmp_path, capsys, command, extra):
 
 @pytest.mark.parametrize("command", ["oracle", "verify", "distributional", "kernel"])
 def test_oracle_degree_is_retired(tmp_path, capsys, command):
-    # it sized the fan rule; the boundary oracle sizes itself from the degree
+    # the boundary oracle sizes itself from the degree, so the key is refused
     cfg = write_config(tmp_path, oracle_degree=64)
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert "oracle_degree" in capsys.readouterr().err
@@ -160,6 +160,9 @@ def test_verify_rates_and_summary(tmp_path):
     assert len(rates) == 1 + 4 * 3
     dat = (out / "rates.dat").read_text().splitlines()
     assert dat[0].startswith("#")
+    # the summary names its oracle: the rule block of oracle.json for the same config
+    assert run(["oracle", "--config", cfg, "--out", out]) == 0
+    assert summary["oracle"] == json.loads((out / "oracle.json").read_text())["rule"]
 
 
 def test_verify_carleman_steep_slope(tmp_path):
@@ -358,13 +361,8 @@ def test_oracle_commands_map_only_the_evaluation_point(tmp_path, monkeypatch, ma
         evaluated.append(np.ravel(z).copy())
         return evaluate(self, z, upto)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the fan rule is not on the oracle path")
-
     monkeypatch.setattr(cli, "build_model", build_then_clear)
     monkeypatch.setattr(OraclePolynomials, "evaluate", watch_evaluate)
-    monkeypatch.setattr(oracle, "build_quadrature", refuse)
-    monkeypatch.setattr(oracle, "oracle_onps", refuse)
     cfg = write_config(tmp_path, "ellipse-expre", N=[8, 12, 16, 24], points=[[2.5, 0.5]],
                        test_function={"terms": [[0, 0, 0.5, 0.0], [1, 1, 0.2, 0.0]]})
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 0

@@ -7,6 +7,8 @@ from planorth.geometry import (FIT_TOL, NEWTON_MAXITER, NEWTON_TOL, ExteriorMap,
                                map_forward_many, phi_prime)
 from planorth.presets import PRESETS, preset_parts
 
+from conftest import halving_breaks, polar_rule
+
 
 def test_map_forward_identity():
     m = po.disk_map()
@@ -107,8 +109,8 @@ def test_map_forward_many_matches_full_batch_newton(all_preset_models, monkeypat
     model = all_preset_models[preset]
     m = model.map
     sizes = _counting_map(monkeypatch)
-    # the degree-88 rule's deep-interior nodes never converge: the set shrinks
-    nodes = po.build_quadrature(m, model.weight, 88).nodes
+    # 14,040 area-rule nodes: the deep-interior ones never converge, so the set shrinks
+    nodes = polar_rule(m, halving_breaks(0.0, 6), 18, 130)[0]
     batches = [nodes]
     # 256 points at |phi| = 1 + t log N / N converge together: the set never shrinks
     N = 1000
@@ -145,11 +147,11 @@ def test_newton_work_budget(all_preset_models, monkeypatch, preset):
     # each node costs a few map evaluations, not one per step of the slowest node
     model = all_preset_models[preset]
     sizes = _counting_map(monkeypatch)
-    for degree in (88, 168):
-        nodes = po.build_quadrature(model.map, model.weight, degree).nodes
+    for panels, n_ang in ((6, 130), (7, 226)):    # 14,040 and 28,476 nodes
+        nodes = polar_rule(model.map, halving_breaks(0.0, panels), 18, n_ang)[0]
         sizes.clear()
         map_forward_many(model.map, nodes)
-        assert sum(sizes) <= 10 * nodes.size, (preset, degree, sum(sizes) / nodes.size)
+        assert sum(sizes) <= 10 * nodes.size, (preset, nodes.size, sum(sizes) / nodes.size)
 
 
 def test_capacity_values():
