@@ -347,6 +347,8 @@ def _test_function(cfg: dict, model):
         if not isinstance(row, list) or len(row) != 4:
             raise ConfigError(f"test_function.terms rows are [m, n, re, im], got {row!r}")
         mn = parse_integer(row[0], "term m"), parse_integer(row[1], "term n")
+        if mn in terms:
+            raise ConfigError(f"test_function.terms repeats the term (m, n) = {mn}")
         terms[mn] = _pair(row[2:], "term")
     # the grid holds exactly the terms given: a test function has no bidegree cap
     bidegree = max((max(abs(m), abs(n)) for m, n in terms), default=0)

@@ -7,14 +7,18 @@ the corrections are circle integrals of radial derivatives of the part of
 ``G`` vanishing on the boundary against weighted products of the correction
 coefficients.
 
-Test functions enter as annulus series in the exterior coordinate, for which
-the smooth three-way split is an exact Fourier-mode split.
+Test functions enter as annulus term grids in the exterior coordinate, for
+which the smooth three-way split is an exact Fourier-mode split, and reach
+the corrections only through their circle jets ``J[nu, p]``
+(:func:`~planorth.series.terms_jet`).  ``g_+`` and ``g_-`` are harmonic:
+``-(r d/dr)/2`` scales their mode ``p`` by ``|p|/2``, so the jet of ``g_0`` is
+``J[nu, p] - (|p|/2)^nu J[0, p]``, with row 0 exactly 0.
 
 The weighted side of every term, the weighted boundary operator applied to
 ``X_j conj(X_k)``, contracts the model's moment array ``model.norm.moments``
 (``B[j, k, mu, mode]``, built once per model) over ``mu`` with the weights
-``C(nu+mu, nu) N^-mu``, so a request only takes the radial moments of the
-test function and pairs them on the circle.
+``C(nu+mu, nu) N^-mu``, so a request only takes the jet of the test function
+and pairs its rows with those contractions on the circle.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .expansion import ExpansionModel, norm_factor
 from .series import (AnnulusSeries, CircleSeries, SUPPORT_EXTERIOR, SUPPORT_EXTERIOR_VANISHING,
-                     radial_moments, restrict_to_circle)
+                     terms_jet)
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,55 +40,53 @@ class TestFunctionSplit:
     ``plus`` collects circle modes ``k <= 0`` (constant included) as an
     exterior-holomorphic series; ``minus_conj`` holds the conjugate of the
     conjugate-holomorphic part, i.e. ``g_-(z) = conj(minus_conj(z))``;
-    ``zero`` vanishes on the circle.
+    ``g_0`` vanishes on the circle and is read through :meth:`zero_jet`;
+    ``terms`` are those of ``g`` (:meth:`~planorth.series.AnnulusSeries.terms`).
     """
 
     plus: CircleSeries
     minus_conj: CircleSeries
-    zero: AnnulusSeries
     plus_infinity: complex
     minus_infinity: complex
+    terms: tuple
+
+    def zero_jet(self, order: int) -> np.ndarray:
+        """The circle jet of ``g_0`` up to ``order``, at the bandwidth of ``plus``."""
+        K = self.plus.bandwidth
+        jet = terms_jet(self.terms, K, order)
+        half = np.abs(np.arange(-K, K + 1)) / 2.0
+        return jet - half ** np.arange(order + 1)[:, None] * jet[0]
 
 
 def split_test_function(g: AnnulusSeries) -> TestFunctionSplit:
     """Split an annulus test function into exterior-holomorphic,
     conjugate-holomorphic and circle-vanishing parts."""
-    r = restrict_to_circle(g)
-    K = r.bandwidth
-    plus_c = r.coeffs.copy()
-    plus_c[K + 1:] = 0.0
-    plus = CircleSeries(plus_c, SUPPORT_EXTERIOR)
+    r = g.jet(0)[0]
+    k = np.arange(-2 * g.bidegree, 2 * g.bidegree + 1)
+    plus = CircleSeries(np.where(k <= 0, r, 0.0), SUPPORT_EXTERIOR)
     # modes k >= 1 become conj-holomorphic: g_- = sum_{k>=1} r_k conj(z)^{-k},
     # carried as minus_conj(z) = sum_{k>=1} conj(r_k) z^{-k}
-    mc = np.zeros(2 * K + 1, dtype=np.complex128)
-    mc[:K] = np.conj(r.coeffs[K + 1:])[::-1]
-    minus_conj = CircleSeries(mc, SUPPORT_EXTERIOR_VANISHING)
-    # g_0 = g - g_+ - g_-: g_+ sits on the pure-z column (k, 0), g_- on the
-    # pure-conj(z) row (0, k), of a grid padded to bidegree K
-    d = K - g.bidegree
-    zero = np.zeros((2 * K + 1, 2 * K + 1), dtype=np.complex128)
-    zero[d:2 * K + 1 - d, d:2 * K + 1 - d] = g.coeffs
-    zero[:K + 1, K] -= plus_c[:K + 1]
-    zero[K, :K] -= np.conj(mc[:K])
+    minus_conj = CircleSeries(np.where(k < 0, np.conj(r[::-1]), 0.0), SUPPORT_EXTERIOR_VANISHING)
     return TestFunctionSplit(plus=plus, minus_conj=minus_conj,
-                             zero=AnnulusSeries(zero, g.inner_radius),
                              plus_infinity=plus.coeff(0),
-                             minus_infinity=complex(np.conj(minus_conj.coeff(0))))
+                             minus_infinity=complex(np.conj(minus_conj.coeff(0))),
+                             terms=g.terms())
 
 
-def _w_combination(moments: np.ndarray, N: int, nu: int, order: int) -> CircleSeries:
-    """The weighted boundary operator on ``X_j conj(X_k)``:
+def _w_combination(moments: np.ndarray, N: int, nu: int, order: int) -> np.ndarray:
+    """The weighted boundary operator on ``X_j conj(X_k)``, as circle modes:
     ``sum_{mu<=order-nu} N^-mu C(nu+mu, nu) moments[mu]`` with
     ``moments = model.norm.moments[j, k]`` (rows ``mu``, columns circle modes)."""
     w = [math.comb(nu + mu, nu) * float(N) ** (-mu) for mu in range(order - nu + 1)]
-    return CircleSeries(w @ moments[:order - nu + 1])
+    return w @ moments[:order - nu + 1]
 
 
-def _circle_mean(u: CircleSeries, v: CircleSeries) -> complex:
-    """Circle integral of a product against normalized arc length: mode-0 of u*v."""
-    Ku, Kv = u.bandwidth, v.bandwidth
+def _circle_mean(u: np.ndarray, v: np.ndarray) -> complex:
+    """Circle integral of a product against normalized arc length: mode 0 of
+    ``u v``, both centred arrays of circle modes."""
+    Ku, Kv = (u.size - 1) // 2, (v.size - 1) // 2
     K = min(Ku, Kv)
-    return complex(np.dot(u.coeffs[Ku - K:Ku + K + 1], v.coeffs[Kv - K:Kv + K + 1][::-1]))
+    return complex(np.dot(u[Ku - K:Ku + K + 1], v[Kv - K:Kv + K + 1][::-1]))
 
 
 def distributional_terms(model: ExpansionModel, split: TestFunctionSplit, N: int,
@@ -97,13 +99,13 @@ def distributional_terms(model: ExpansionModel, split: TestFunctionSplit, N: int
         raise ValueError("requested order exceeds the model order")
     if order < 1:
         return []
-    gs = radial_moments(split.zero, 0.0, order)
+    jet = split.zero_jet(order)
     terms = []
     for nu in range(1, order + 1):
         for j in range(order - nu + 1):
             for k in range(order - nu - j + 1):
                 wk = _w_combination(model.norm.moments[j, k], N, nu, order)
-                val = float(N) ** (-(nu + j + k)) * _circle_mean(gs[nu], wk)
+                val = float(N) ** (-(nu + j + k)) * _circle_mean(jet[nu], wk)
                 terms.append(((nu, j, k), complex(val)))
     return terms
 

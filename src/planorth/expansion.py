@@ -96,22 +96,15 @@ def leading_coeff(model: ExpansionModel, N: int, order: int | None = None) -> fl
     return float(math.sqrt(N) * norm_factor(model, N, order) / monic_prefactor(model, N))
 
 
-def position_frame(model: ExpansionModel, zeta) -> np.ndarray:
-    """Degree-free part ``phi'(z) e^V(z)`` of the positioning factor at ``z = psi(zeta)``."""
-    return phi_prime(model.map, zeta) * np.exp(model.szego.v_exterior.evaluate(zeta))
-
-
 def positioning_factor(model: ExpansionModel, N: int, zeta) -> np.ndarray:
     """Factor ``phi'(z) phi(z)^N e^V(z)`` at the points ``z = psi(zeta)``."""
-    return position_frame(model, zeta) * zeta ** N
+    return phi_prime(model.map, zeta) * np.exp(model.szego.v_exterior.evaluate(zeta)) * zeta ** N
 
 
-def position_at(model: ExpansionModel, f: CircleSeries, N: int, zeta, frame=None):
+def position_at(model: ExpansionModel, f: CircleSeries, N: int, zeta):
     """The positioning operator at mapped points ``zeta = phi(z)``:
-    ``phi'(z) phi(z)^N e^V(z) f(phi(z))``.  ``frame`` is
-    ``position_frame(model, zeta)`` when the caller already holds it."""
-    frame = position_frame(model, zeta) if frame is None else frame
-    return frame * zeta ** N * f.evaluate(zeta)
+    ``phi'(z) phi(z)^N e^V(z) f(phi(z))``."""
+    return positioning_factor(model, N, zeta) * f.evaluate(zeta)
 
 
 def _check_mapped(N: int, ok) -> None:
@@ -166,12 +159,12 @@ def normalized_scale(model: ExpansionModel, N: int, order: int | None = None) ->
     return math.sqrt(N) * norm_factor(model, N, order)
 
 
-def normalized_at(model: ExpansionModel, N: int, zeta, order: int | None = None, frame=None):
+def normalized_at(model: ExpansionModel, N: int, zeta, order: int | None = None):
     """Asymptotic unit-norm polynomial of degree ``N`` at mapped points
     ``zeta = phi(z)``: the positioned partial sum times :func:`normalized_scale`,
-    so ``C_N`` is never formed.  ``frame`` as in :func:`position_at`."""
+    so ``C_N`` is never formed."""
     return normalized_scale(model, N, order) * position_at(
-        model, neumann_partial_sum(model.coeffs, N, order), N, zeta, frame)
+        model, neumann_partial_sum(model.coeffs, N, order), N, zeta)
 
 
 def monic_eval(model: ExpansionModel, N: int, z, order: int | None = None):

@@ -337,7 +337,7 @@ def pullback_weight(m: ExteriorMap, weight: WeightDef, bidegree: int,
         raise WeightResolutionError(
             f"non-harmonic residual {resid:.3e} of the weight pullback above tolerance "
             f"{FIT_TOL:.1e}: only a log-weight harmonic near the boundary is resolved "
-            "(non-harmonic log-weights are ROADMAP item 5), at bandwidth 2M")
+            "(see the ROADMAP item 'Non-harmonic log-weights'), at bandwidth 2M")
 
     omega_min = float(np.min(weight(m.psi(grid))))
     if omega_min <= 0:

@@ -54,6 +54,7 @@ GRAM_TOL = 1e-8         # largest Gram deviation an oracle accepts
 MIN_SAMPLES = 128       # fewest circle samples of a boundary oracle
 MAX_SAMPLES = 2 ** 16   # most circle samples a boundary oracle doubles to
 DOUBLING_TOL = 1e-10    # largest change of log kappa_n under doubled samples
+ROUNDOFF_RESIDUE = 1e-12  # a residue this small means the samples resolve the integrand
 CHOP = 64 * np.finfo(float).eps  # modes below CHOP * max|mode| are dropped before r^k scaling
 COLLAR_Q = 12           # Gauss-Legendre nodes per radial panel of the collar rule
 COLLAR_HALVINGS = 5     # collar panels past rho2, each half the width of the last
@@ -195,16 +196,23 @@ class OraclePolynomials:
         return self.eval_single(z, n) / self.kappa[n]
 
 
-def _gram_residuals(gram: np.ndarray, L: int) -> np.ndarray:
+class _Unresolvable(DegreeTooHighError):
+    """A boundary-oracle failure that more circle samples cannot mend."""
+
+
+def _gram_residuals(gram: np.ndarray, L: int, residue: float) -> np.ndarray:
     """Column ``n`` of the upper triangle of ``max(dev, dev^T)``, ``dev = |gram - I|``:
     the largest deviation in row and column ``n`` of the leading block ``n``;
-    refused above ``GRAM_TOL``."""
+    refused above ``GRAM_TOL``, for good if the samples resolve the integrand
+    (residue at ``ROUNDOFF_RESIDUE``): then the fault is conditioning, not aliasing."""
     dev = np.abs(gram - np.eye(gram.shape[0]))
     residuals = np.max(np.triu(np.maximum(dev, dev.T)), axis=0)
     if np.max(residuals) > GRAM_TOL:
-        raise DegreeTooHighError(
-            f"Gram residual {np.max(residuals):.3e} above {GRAM_TOL:.1e} in the boundary "
-            f"oracle at degree {gram.shape[0] - 1} on L = {L} circle samples")
+        msg = (f"Gram residual {np.max(residuals):.3e} above {GRAM_TOL:.1e} in the boundary "
+               f"oracle at degree {gram.shape[0] - 1} on L = {L} circle samples")
+        if residue <= ROUNDOFF_RESIDUE:
+            raise _Unresolvable(f"{msg}, whose residue {residue:.1e} is at roundoff")
+        raise DegreeTooHighError(msg)
     return residuals
 
 
@@ -246,7 +254,7 @@ def _circle_arnoldi(rule: BoundaryRule, N: int) -> OraclePolynomials:
         hess[n, n - 1] = nrm
         log_kappa[n] = log_kappa[n - 1] - math.log(nrm)
     gram = (np.conj(B).T @ (Q * rule._e_p_dz[:, None])) / L
-    residuals = _gram_residuals(gram, L)
+    residuals = _gram_residuals(gram, L, residue)
     health = {"kind": "boundary", "L": L, "residue": float(residue),
               "gram_deviation": float(np.max(residuals))}
     return OraclePolynomials(degree=N, hess=hess, log_kappa=log_kappa,
@@ -263,8 +271,9 @@ def boundary_onps(m: ExteriorMap, holo_poly, N: int) -> OraclePolynomials:
     more than ``DOUBLING_TOL``; otherwise the samples double until it does,
     up to ``MAX_SAMPLES``.  ``health`` reports ``L``, the largest residue, the
     Gram deviation and that change (``doubled_L_change``).  Raises
-    :class:`DegreeTooHighError` when no sample count up to the cap passes or
-    the Gram matrix deviates from the identity by more than ``GRAM_TOL``.
+    :class:`DegreeTooHighError` when no sample count up to the cap passes, and
+    at once when the Gram matrix deviates from the identity by more than
+    ``GRAM_TOL`` on samples whose residue is at ``ROUNDOFF_RESIDUE``.
     """
     if holo_poly is None:
         raise DomainError("the boundary oracle needs the weight as |e^P|^2 with a polynomial P")
@@ -283,9 +292,11 @@ def boundary_onps(m: ExteriorMap, holo_poly, N: int) -> OraclePolynomials:
 
 
 def _try_circle_arnoldi(m: ExteriorMap, holo_poly, N: int, L: int):
-    """``(polys, None)``, or ``(None, reason)`` where ``L`` samples do not resolve it."""
+    """``(polys, None)``, or ``(None, reason)`` where more samples may mend it."""
     try:
         return _circle_arnoldi(boundary_rule(m, holo_poly, L), N), None
+    except _Unresolvable:
+        raise
     except DegreeTooHighError as exc:
         return None, str(exc)
 
@@ -341,11 +352,9 @@ def _series_on_circles(f: CircleSeries, radii: np.ndarray, L: int) -> np.ndarray
 
 def _annulus_on_circles(g, radii: np.ndarray, L: int) -> np.ndarray:
     """Annulus data ``sum c[m, n] zeta^m conj(zeta)^n`` on each radius ``r``:
-    mode ``m - n`` gathers ``c[m, n] r^(m + n)``."""
-    e = np.arange(-g.bidegree, g.bidegree + 1)
-    powers = (e[:, None] + e[None, :]).ravel()
-    return _on_circles((e[:, None] - e[None, :]).ravel(),
-                       g.coeffs.ravel()[None, :] * radii[:, None] ** powers[None, :], L)
+    mode ``m - n`` gathers ``c[m, n] r^(m + n)`` over the nonzero terms."""
+    modes, degrees, c = g.terms()
+    return _on_circles(modes, c[None, :] * radii[:, None] ** degrees[None, :], L)
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,7 +420,7 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs,
     collar = _collar(model, polys, rho1, rho2)
     rule, radii = polys.rule, collar.radii
     L = rule.L
-    # phi' e^V, as expansion.position_frame, with V by the same mode scaling
+    # phi' e^V, as in expansion.positioning_factor, with V by the same mode scaling
     frame = np.exp(_series_on_circles(model.szego.v_exterior, radii, L)) / collar.dpsi
     xs = [_series_on_circles(X, radii, L) for X in model.coeffs.X]
     steps = np.arange(L)

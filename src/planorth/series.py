@@ -4,11 +4,12 @@ A :class:`CircleSeries` stores coefficients of ``z**k`` for ``|k| <= K``
 together with a mode-support tag.  Read as a function of ``z`` it is a
 Laurent polynomial, holomorphic on the punctured plane, so it carries every
 holomorphic quantity of the model (``F``, ``E = exp(F)``, ``V``, ``X_j``) on
-the annulus as well as on the circle.  An :class:`AnnulusSeries` stores a
-dense grid of coefficients ``c[m, n]`` of ``z**m * conj(z)**n`` for
-``|m|, |n| <= M``: the genuinely two-dimensional test functions of the
-boundary-distribution expansion.  All values are immutable and every
-operation is a pure function, so instances can be shared freely.
+the annulus as well as on the circle.  An :class:`AnnulusSeries` is a grid
+of coefficients ``c[m, n]`` of ``z**m * conj(z)**n`` for ``|m|, |n| <= M``,
+the test functions of the boundary-distribution expansion, read only at
+points and through its circle jet (:func:`terms_jet`).  All values are
+immutable and every operation is a pure function, so instances can be
+shared freely.
 
 Truncations measure the absolute coefficient mass they discard and raise
 :class:`~planorth.errors.TruncationOverflowError` when it exceeds
@@ -47,15 +48,10 @@ def _as_complex_array(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AnnulusSeries:
-    """Finite sum ``sum_{m,n} c[m,n] z^m conj(z)^n`` near the unit circle.
-
-    Parameters
-    ----------
-    coeffs : ndarray, shape (2M+1, 2M+1)
-        ``coeffs[M+m, M+n]`` is the coefficient of ``z**m * conj(z)**n``.
-    inner_radius : float
-        Inner radius ``rho`` of the annulus of validity, in ``(0, 1)``.
-    """
+    """Finite sum ``sum_{m,n} c[m,n] z^m conj(z)^n`` near the unit circle:
+    ``coeffs[M+m, M+n]``, shape ``(2M+1, 2M+1)``, is the coefficient of
+    ``z**m * conj(z)**n``; ``inner_radius``, in ``(0, 1)``, is the inner radius
+    ``rho`` of the annulus of validity."""
 
     coeffs: np.ndarray
     inner_radius: float
@@ -72,25 +68,6 @@ class AnnulusSeries:
     def bidegree(self) -> int:
         return (self.coeffs.shape[0] - 1) // 2
 
-    def coeff(self, m: int, n: int) -> complex:
-        """Coefficient of ``z**m * conj(z)**n`` (zero outside the grid)."""
-        M = self.bidegree
-        if abs(m) > M or abs(n) > M:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[M + m, M + n])
-
-    def l1(self) -> float:
-        return float(np.sum(np.abs(self.coeffs)))
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        """Whether the represented function is real-valued: c[n,m] == conj(c[m,n])."""
-        dev = np.max(np.abs(self.coeffs.T - np.conj(self.coeffs)))
-        return bool(dev <= tol * max(1.0, self.l1()))
-
-    def conjugate(self) -> "AnnulusSeries":
-        """Series of ``z -> conj(f(z))``."""
-        return AnnulusSeries(np.conj(self.coeffs).T, self.inner_radius)
-
     def evaluate(self, z) -> np.ndarray:
         """Evaluate at points ``z`` (annulus points; vectorized).
 
@@ -105,30 +82,26 @@ class AnnulusSeries:
             vals[lo:lo + EVAL_CHUNK] = np.sum((zp @ self.coeffs) * zp.conj(), axis=1)
         return vals.reshape(np.shape(z)) if np.ndim(z) else vals[0]
 
-    def __add__(self, other):
-        if isinstance(other, AnnulusSeries):
-            a, b = _common_grid(self, other)
-            return AnnulusSeries(a.coeffs + b.coeffs, self.inner_radius)
-        return NotImplemented
+    def terms(self):
+        """The nonzero terms as arrays ``(m - n, m + n, c)``, in grid order."""
+        i, j = np.nonzero(self.coeffs)
+        return i - j, i + j - 2 * self.bidegree, self.coeffs[i, j]
 
-    def __sub__(self, other):
-        return self + (-other) if isinstance(other, AnnulusSeries) else NotImplemented
-
-    def __neg__(self):
-        return AnnulusSeries(-self.coeffs, self.inner_radius)
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return AnnulusSeries(self.coeffs * other, self.inner_radius)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def jet(self, order: int) -> np.ndarray:
+        """:func:`terms_jet` of the terms, at bandwidth ``2M``."""
+        return terms_jet(self.terms(), 2 * self.bidegree, order)
 
 
-def annulus_constant(value: complex, bidegree: int, inner_radius: float) -> AnnulusSeries:
-    grid = np.zeros((2 * bidegree + 1, 2 * bidegree + 1), dtype=np.complex128)
-    grid[bidegree, bidegree] = value
-    return AnnulusSeries(grid, inner_radius)
+def terms_jet(terms, K: int, order: int) -> np.ndarray:
+    """Circle jet ``J[nu, K + p] = sum_{m-n=p} c (-(m+n)/2)^nu``, ``nu <= order``,
+    of terms ``(m - n, m + n, c)``: row ``nu`` restricts ``(-(r d/dr)/2)^nu`` of
+    their sum to the unit circle."""
+    p, d, c = terms
+    jet = np.empty((order + 1, 2 * K + 1), dtype=np.complex128)
+    for nu in range(order + 1):
+        jet[nu] = np.bincount(p + K, c.real, 2 * K + 1) + 1j * np.bincount(p + K, c.imag, 2 * K + 1)
+        c = c * (-d / 2.0)
+    return jet
 
 
 def annulus_from_terms(terms: dict, bidegree: int, inner_radius: float) -> AnnulusSeries:
@@ -139,24 +112,6 @@ def annulus_from_terms(terms: dict, bidegree: int, inner_radius: float) -> Annul
             raise ValueError(f"term ({m},{n}) outside bidegree {bidegree}")
         grid[bidegree + m, bidegree + n] = c
     return AnnulusSeries(grid, inner_radius)
-
-
-def _common_grid(a: AnnulusSeries, b: AnnulusSeries):
-    if abs(a.inner_radius - b.inner_radius) > 1e-12:
-        raise DomainError("annulus series live on different annuli")
-    M = max(a.bidegree, b.bidegree)
-    return _pad(a, M), _pad(b, M)
-
-
-def _pad(a: AnnulusSeries, M: int) -> AnnulusSeries:
-    if a.bidegree == M:
-        return a
-    if a.bidegree > M:
-        raise ValueError("cannot pad to a smaller grid")
-    d = M - a.bidegree
-    grid = np.zeros((2 * M + 1, 2 * M + 1), dtype=np.complex128)
-    grid[d:d + a.coeffs.shape[0], d:d + a.coeffs.shape[1]] = a.coeffs
-    return AnnulusSeries(grid, a.inner_radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,30 +283,6 @@ def circle_exp(f: CircleSeries) -> CircleSeries:
     e = np.fft.fft(np.exp(np.fft.ifft(spec) * n)) / n
     e[np.abs(e) < CHOP_TOL * np.sum(np.abs(e))] = 0.0
     return truncate(CircleSeries(np.fft.fftshift(e)), K, "exp")
-
-
-def restrict_to_circle(a: AnnulusSeries) -> CircleSeries:
-    """Restrict to ``|z| = 1``: mode ``k`` collects ``sum_{m-n=k} c[m, n]``,
-    bandwidth ``K = 2M``."""
-    M = a.bidegree
-    K = 2 * M
-    # coeffs[i, j] holds (m, n) = (i-M, j-M), which lands in mode m - n = i - j
-    i = np.arange(2 * M + 1)
-    idx, c = (K + i[:, None] - i[None, :]).ravel(), a.coeffs.ravel()
-    out = np.bincount(idx, c.real, 2 * K + 1) + 1j * np.bincount(idx, c.imag, 2 * K + 1)
-    return CircleSeries(out)
-
-
-def radial_moments(a: AnnulusSeries, shift: float, mu_max: int) -> list:
-    """Restrictions ``R (-(r d/dr)/2 - shift)^mu a`` for ``mu = 0..mu_max``
-    (``r d/dr`` multiplies ``c[m, n]`` by ``m + n``)."""
-    m = np.arange(-a.bidegree, a.bidegree + 1)
-    f = -(m[:, None] + m[None, :]) / 2.0 - shift
-    out, grid = [], a.coeffs
-    for _ in range(mu_max + 1):
-        out.append(restrict_to_circle(AnnulusSeries(grid, a.inner_radius)))
-        grid = grid * f
-    return out
 
 
 def hardy_project(c: CircleSeries) -> CircleSeries:

@@ -103,6 +103,36 @@ def random_annulus(rng, bidegree, inner_radius, scale=1.0):
     return po.AnnulusSeries(grid, inner_radius)
 
 
+def grid_restrictions(grid, shift, order):
+    """Circle modes of ``(-(r d/dr)/2 - shift)^mu`` applied to a centred
+    bi-Laurent grid (``grid[M+m, M+n]`` the coefficient of ``z^m conj(z)^n``),
+    for ``mu = 0..order``: row ``mu``, column ``2M + m - n``.  A bincount over
+    the whole grid, independent of the package's term lists."""
+    M = (grid.shape[0] - 1) // 2
+    e = np.arange(-M, M + 1)
+    idx = (2 * M + e[:, None] - e[None, :]).ravel()
+    f = (-(e[:, None] + e[None, :]) / 2.0 - shift).ravel()
+    rows, c = [], grid.ravel()
+    for _ in range(order + 1):
+        rows.append(np.bincount(idx, c.real, 4 * M + 1) + 1j * np.bincount(idx, c.imag, 4 * M + 1))
+        c = c * f
+    return np.array(rows)
+
+
+def padded_zero_part(g):
+    """The circle-vanishing part ``g_0 = g - g_+ - g_-`` of an annulus series as
+    a grid padded to bidegree ``K = 2M``: ``g_+`` sits on the pure-``z`` column
+    ``(k, 0)``, ``k <= 0``, and ``g_-`` on the pure-``conj(z)`` row ``(0, -k)``,
+    ``k >= 1``, each carrying the restriction's mode ``k``."""
+    M, K = g.bidegree, 2 * g.bidegree
+    r = grid_restrictions(g.coeffs, 0.0, 0)[0]
+    zero = np.zeros((2 * K + 1, 2 * K + 1), dtype=np.complex128)
+    zero[M:3 * M + 1, M:3 * M + 1] = g.coeffs
+    zero[:K + 1, K] -= r[:K + 1]
+    zero[K, :K] -= r[K + 1:][::-1]
+    return zero
+
+
 def random_circle(rng, bandwidth, scale=1.0):
     arr = scale * (rng.standard_normal(2 * bandwidth + 1)
                    + 1j * rng.standard_normal(2 * bandwidth + 1))

@@ -65,9 +65,10 @@ def test_expand_disk_alpha_table(tmp_path):
     ("expand", {"domain": {**preset_config("disk-expre03"), "M": 16.7}}),
     ("expand", {"domain": {**preset_config("disk-expre03"), "M": 0}}),
     ("eval", {"allow_out_of_validity": "false"}),
+    ("distributional", {"test_function": {"terms": [[1, 1, 0.3, 0.0], [1, 1, 0.2, 0.0]]}}),
 ], ids=["point-one-entry", "point-not-number", "term-row-three-entries", "kernel-w-one-entry",
         "slope-not-number", "oracle-degree-not-number", "alpha-one-entry", "M-not-integer",
-        "M-not-positive", "allow-out-of-validity-string"])
+        "M-not-positive", "allow-out-of-validity-string", "term-repeated"])
 def test_malformed_field_is_config_error(tmp_path, capsys, command, extra):
     cfg = write_config(tmp_path, **extra)
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2

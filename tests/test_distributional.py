@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import planorth as po
 from planorth import laplace
@@ -9,49 +11,86 @@ from planorth.distributional import (_circle_mean, _w_combination, distributiona
                                      distributional_terms, split_test_function)
 from planorth.oracle import berezin_expectation
 
-from conftest import conv2_reference, random_annulus
+from conftest import conv2_reference, grid_restrictions, padded_zero_part, random_annulus
+
+
+def _l1(g):
+    return float(np.sum(np.abs(g.coeffs)))
 
 
 def test_split_constant(disk_alpha_model):
-    g = po.annulus_constant(1.0, 8, disk_alpha_model.inner_radius)
+    g = po.annulus_from_terms({(0, 0): 1.0}, 8, disk_alpha_model.inner_radius)
     sp = split_test_function(g)
     assert sp.plus.coeff(0) == 1.0 and sp.plus_infinity == 1.0
     assert sp.minus_conj.l2() == 0.0 and sp.minus_infinity == 0.0
-    assert np.max(np.abs(sp.zero.coeffs)) == 0.0
+    assert not np.any(sp.zero_jet(4))
 
 
 def test_split_mode_bookkeeping(disk_alpha_model):
+    # g = z + 1/z: g_+ = 1/z, g_- = 1/conj(z), g_0 = z - 1/conj(z)
     rho = disk_alpha_model.inner_radius
     g = po.annulus_from_terms({(1, 0): 1.0, (-1, 0): 1.0}, 6, rho)
     sp = split_test_function(g)
     assert sp.plus.coeff(-1) == 1.0 and sp.plus.coeff(0) == 0.0
     assert sp.minus_conj.coeff(-1) == 1.0
-    assert sp.zero.coeff(1, 0) == 1.0 and sp.zero.coeff(0, -1) == -1.0
-    assert po.restrict_to_circle(sp.zero).linf() == 0.0
+    jet, K = sp.zero_jet(2), 12
+    # mode 1: (-1/2)^nu from z less (1/2)^nu from 1/conj(z); mode -1 cancels
+    assert list(jet[:, K + 1]) == [0.0, -1.0, 0.0]
+    jet[:, K + 1] = 0.0
+    assert not np.any(jet)
 
 
 def test_split_reassembly(disk_alpha_model):
+    # on the circle g = g_+ + g_-, and g_0 has no mode there
     rng = np.random.default_rng(19)
     rho = disk_alpha_model.inner_radius
     g = random_annulus(rng, 8, rho)
     sp = split_test_function(g)
-    zs = np.concatenate([r * np.exp(2j * np.pi * np.arange(12) / 12)
-                         for r in (0.85, 1.0, 1.15)])
-    recon = (sp.plus.evaluate(zs) + np.conj(sp.minus_conj.evaluate(zs))
-             + sp.zero.evaluate(zs))
-    assert np.max(np.abs(recon - g.evaluate(zs))) <= 1e-12 * max(1.0, g.l1())
-    assert po.restrict_to_circle(sp.zero).linf() <= 1e-12 * max(1.0, g.l1())
+    zs = np.exp(2j * np.pi * np.arange(36) / 36)
+    recon = sp.plus.evaluate(zs) + np.conj(sp.minus_conj.evaluate(zs))
+    assert np.max(np.abs(recon - g.evaluate(zs))) <= 1e-12 * max(1.0, _l1(g))
+    assert not np.any(sp.zero_jet(3)[0])
+
+
+def test_zero_jet_hand_values(disk_alpha_model):
+    rho = disk_alpha_model.inner_radius
+    # |z|^2 - 1: m + n = 2 on the one term that survives, so (-1)^nu at mode 0
+    sp = split_test_function(po.annulus_from_terms({(1, 1): 1.0, (0, 0): -1.0}, 1, rho))
+    jet = sp.zero_jet(5)
+    assert list(jet[:, 2]) == [0.0, -1.0, 1.0, -1.0, 1.0, -1.0]
+    jet[:, 2] = 0.0
+    assert not np.any(jet)
+    # an exterior-holomorphic plus a conjugate-holomorphic part: no g_0
+    sp = split_test_function(po.annulus_from_terms({(-1, 0): 1.0, (0, -2): 1.0}, 2, rho))
+    assert not np.any(sp.zero_jet(5))
+
+
+@given(st.integers(0, 5), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0), st.integers(0, 6))
+def test_zero_jet_matches_the_padded_grid(M, seed, density, order):
+    # the jet of g_0 taken from the jet of g, against the jets of g_0 built
+    # as a padded grid; row 0, the restriction of g_0, is exactly zero
+    rng = np.random.default_rng(seed)
+    side = 2 * M + 1
+    grid = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    grid[rng.random((side, side)) > density] = 0.0
+    g = po.AnnulusSeries(grid, 0.5)
+    got = split_test_function(g).zero_jet(order)
+    assert not np.any(got[0])
+    # the padded grid reaches modes |p| <= 4M, of which those beyond 2M are zero
+    want = grid_restrictions(padded_zero_part(g), 0.0, order)[:, 2 * M:6 * M + 1]
+    scale = (1.0 + 2.0 * _l1(g)) * max(1, M) ** order
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 def test_w_operator_hand_value(disk_const_model):
     # W(1) on the flat disk, two terms: identity plus (1/N) * binom(2,1) * (-1)
     w = _w_combination(disk_const_model.norm.moments[0, 0], 10, nu=1, order=2)
-    assert abs(w.coeff(0) - 0.8) < 1e-14
-    assert w.l2() == pytest.approx(0.8)
+    assert abs(w[(w.size - 1) // 2] - 0.8) < 1e-14
+    assert np.linalg.norm(w) == pytest.approx(0.8)
 
 
 def test_expectation_constant_is_one(disk_alpha_model):
-    g = po.annulus_constant(1.0, 8, disk_alpha_model.inner_radius)
+    g = po.annulus_from_terms({(0, 0): 1.0}, 8, disk_alpha_model.inner_radius)
     sp = split_test_function(g)
     for N in (8, 32):
         assert distributional_expectation(disk_alpha_model, sp, N, order=2) == 1.0
@@ -88,7 +127,7 @@ def test_expectation_real_for_real_input(disk_alpha_model):
     rho = disk_alpha_model.inner_radius
     A = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     g = po.AnnulusSeries(A + np.conj(A).T, rho)
-    assert g.is_real()
+    assert np.array_equal(g.coeffs.T, np.conj(g.coeffs))
     sp = split_test_function(g)
     v = distributional_expectation(disk_alpha_model, sp, 16, order=3)
     assert abs(v.imag) <= 1e-10 * max(1.0, abs(v))
@@ -99,7 +138,7 @@ def test_expectation_conjugation_symmetry(disk_alpha_model):
     rho = disk_alpha_model.inner_radius
     g = random_annulus(rng, 6, rho, scale=0.5)
     sp = split_test_function(g)
-    spc = split_test_function(g.conjugate())
+    spc = split_test_function(po.AnnulusSeries(np.conj(g.coeffs).T, rho))
     v = distributional_expectation(disk_alpha_model, sp, 24, order=3)
     vc = distributional_expectation(disk_alpha_model, spc, 24, order=3)
     assert abs(vc - np.conj(v)) <= 1e-12 * max(1.0, abs(v))
@@ -108,32 +147,36 @@ def test_expectation_conjugation_symmetry(disk_alpha_model):
 def test_circle_mean_pairing():
     u = po.circle_from_modes({1: 2.0, -1: 3.0}, 4)
     v = po.circle_from_modes({-1: 5.0, 1: 7.0}, 4)
-    assert _circle_mean(u, v) == 2.0 * 5.0 + 3.0 * 7.0
+    assert _circle_mean(u.coeffs, v.coeffs) == 2.0 * 5.0 + 3.0 * 7.0
 
 
 def _radial(b):
-    """``r d/dr`` on a bi-Laurent grid: ``c[m, n]`` times ``m + n``."""
-    m = np.arange(-b.bidegree, b.bidegree + 1)
-    return po.AnnulusSeries(b.coeffs * (m[:, None] + m[None, :]), b.inner_radius)
+    """``r d/dr`` on a centred bi-Laurent grid: ``c[m, n]`` times ``m + n``."""
+    m = np.arange(b.shape[0]) - (b.shape[0] - 1) // 2
+    return b * (m[:, None] + m[None, :])
 
 
 def _radial_chain_w_operator(sz, N, nu, order, a):
     """The weighted boundary operator as first implemented: multiply by the
     bi-Laurent grid of ``Omega``, then apply ``(-(r d/dr)/2 - 1)`` once per
-    power of ``1/N``."""
-    b = po.AnnulusSeries(conv2_reference(a.coeffs, sz.omega_flat.coeffs), a.inner_radius)
-    acc = None
+    power of ``1/N``; circle modes, centred."""
+    b = conv2_reference(a, sz.omega_flat.coeffs)
+    acc = 0.0
     for mu in range(order - nu + 1):
-        term = po.restrict_to_circle(b) * (math.comb(nu + mu, nu) * float(N) ** (-mu))
-        acc = term if acc is None else acc + term
+        acc = acc + grid_restrictions(b, 0.0, 0)[0] * (math.comb(nu + mu, nu) * float(N) ** (-mu))
         b = _radial(b) * (-0.5) + (-1.0) * b
     return acc
 
 
+def _centred_difference(u, v):
+    """``u - v`` for centred mode arrays of any lengths."""
+    K = max(u.size, v.size)
+    return np.pad(u, (K - u.size) // 2) - np.pad(v, (K - v.size) // 2)
+
+
 def _correction_product(model, j, k):
-    """``X_j conj(X_k)`` as a bi-Laurent grid."""
-    return po.AnnulusSeries(np.outer(model.coeffs.X[j].coeffs, np.conj(model.coeffs.X[k].coeffs)),
-                            model.inner_radius)
+    """``X_j conj(X_k)`` as a centred bi-Laurent grid."""
+    return np.outer(model.coeffs.X[j].coeffs, np.conj(model.coeffs.X[k].coeffs))
 
 
 def test_w_operator_matches_radial_chain(all_preset_models):
@@ -145,7 +188,8 @@ def test_w_operator_matches_radial_chain(all_preset_models):
                 for nu in (1, 2, 4):
                     got = _w_combination(model.norm.moments[j, k], 17, nu, 4)
                     want = _radial_chain_w_operator(model.szego, 17, nu, 4, a)
-                    assert np.max(np.abs((got - want).coeffs)) <= 1e-13 * want.l1(), \
+                    dev = np.max(np.abs(_centred_difference(got, want)))
+                    assert dev <= 1e-13 * np.sum(np.abs(want)), \
                         (name, j, k, nu)
 
 
@@ -158,14 +202,15 @@ def test_terms_match_per_call_form(all_preset_models):
                                             4, bidegree=16, inner_radius=0.5)
     for name, model in models.items():
         sz, rho = model.szego, model.inner_radius
-        split = split_test_function(random_annulus(rng, 6, rho, scale=0.5))
+        g = random_annulus(rng, 6, rho, scale=0.5)
+        split = split_test_function(g)
         order, N = model.order, 13
         want = []
         for nu in range(1, order + 1):
-            b = split.zero
+            b = padded_zero_part(g)
             for _ in range(nu):
                 b = _radial(b) * (-0.5)
-            gnu = po.restrict_to_circle(b)
+            gnu = grid_restrictions(b, 0.0, 0)[0]
             for j in range(order - nu + 1):
                 for k in range(order - nu - j + 1):
                     a = _correction_product(model, j, k)

@@ -319,7 +319,8 @@ def test_omega_flat_is_the_outer_product_of_E(disk_alpha_model):
     sz = disk_alpha_model.szego
     grid = sz.omega_flat
     assert grid.bidegree == sz.E.bandwidth == 2 * 16
-    assert grid.coeff(1, -2) == sz.E.coeff(1) * np.conj(sz.E.coeff(-2))
+    K = grid.bidegree
+    assert grid.coeffs[K + 1, K - 2] == sz.E.coeff(1) * np.conj(sz.E.coeff(-2))
 
 
 def test_phi_prime_matches_difference_quotient():

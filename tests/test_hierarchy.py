@@ -90,7 +90,7 @@ def test_exterior_projection_cases(disk_const_model):
     rho = disk_const_model.inner_radius
 
     def project(terms):
-        return po.hardy_project(po.restrict_to_circle(po.annulus_from_terms(terms, 4, rho)))
+        return po.hardy_project(po.CircleSeries(po.annulus_from_terms(terms, 4, rho).jet(0)[0]))
 
     assert project({(0, 0): 1.0}).l2() == 0.0
     assert project({(2, 1): 1.0}).l2() == 0.0

@@ -159,11 +159,30 @@ def test_kernel_reproducing_property(disk_alpha_model, disk_alpha_oracle):
 
 
 def test_degree_guard(monkeypatch):
-    # the doubling gives up at MAX_SAMPLES and names the last failure
+    # the doubling gives up at MAX_SAMPLES and names the last failure:
+    # omega = exp(40 Re z) at degree 40 moves log kappa by ~1e-10 at every L
     monkeypatch.setattr(oracle, "MAX_SAMPLES", 1024)
-    with pytest.raises(DegreeTooHighError, match="not settled at 1024 circle samples: "
-                       "Gram residual"):
+    with pytest.raises(DegreeTooHighError, match=r"not settled at 1024 circle samples: "
+                       r"log kappa moved by 1\.245e-10"):
+        po.boundary_onps(po.disk_map(), np.array([0.0, 20.0]), 40)
+
+
+def test_gram_gate_at_roundoff_residue_refuses_at_once(monkeypatch):
+    # omega = exp(80 Re z) at degree 40: the samples resolve the integrand
+    # (residue ~5e-15) and the Gram gate fails on conditioning, so doubling
+    # the samples cannot help and the first failure raises
+    runs = []
+    arnoldi = oracle._circle_arnoldi
+
+    def counted(rule, N):
+        runs.append(rule.L)
+        return arnoldi(rule, N)
+
+    monkeypatch.setattr(oracle, "_circle_arnoldi", counted)
+    with pytest.raises(DegreeTooHighError, match=r"Gram residual .* on L = 256 circle "
+                       r"samples, whose residue \d\.\de-1\d is at roundoff"):
         po.boundary_onps(po.disk_map(), np.array([0.0, 40.0]), 40)
+    assert runs == [256]
 
 
 def test_smoothstep_profile():
@@ -236,7 +255,7 @@ def test_ring_pairing_constant_value(disk_alpha_model, disk_alpha_oracle):
 
 def test_berezin_constant_function(disk_alpha_model, disk_alpha_oracle):
     polys = disk_alpha_oracle
-    one = po.annulus_constant(1.0, 8, disk_alpha_model.inner_radius)
+    one = po.annulus_from_terms({(0, 0): 1.0}, 8, disk_alpha_model.inner_radius)
     for N in (16, 32):
         v = berezin_expectation(disk_alpha_model, polys, one, N)
         # the taper removes only exponentially little of the unit mass

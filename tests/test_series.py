@@ -7,9 +7,9 @@ import pytest
 import planorth as po
 from planorth.errors import DomainError, TruncationOverflowError
 from planorth.hierarchy import weighted_derivative
-from planorth.series import EVAL_CHUNK, SUPPORT_EXTERIOR_VANISHING, radial_moments
+from planorth.series import EVAL_CHUNK, SUPPORT_EXTERIOR_VANISHING
 
-from conftest import random_annulus, random_circle
+from conftest import grid_restrictions, random_annulus, random_circle
 
 RHO = 0.7
 
@@ -91,23 +91,32 @@ def test_wirtinger_and_radial():
     sz = po.szego(po.pullback_weight(po.disk_map(), po.constant_weight(), 4, RHO))
     t = weighted_derivative(po.circle_from_modes({2: 1.0, -3: 1.0}, 8), sz)
     assert t.coeff(2) == 3.0 and t.coeff(-3) == -2.0 and t.l1() == 5.0
-    # r d/dr multiplies c[m, n] by m + n
-    moms = radial_moments(po.annulus_from_terms({(2, 1): 1.0}, 4, RHO), 0.0, 2)
-    assert [m.coeff(1) for m in moms] == [1.0, -1.5, 2.25]
-    assert radial_moments(po.annulus_constant(3.0, 4, RHO), 0.0, 1)[1].l1() == 0.0
+    # r d/dr multiplies c[m, n] by m + n; the jet's column 2M + p holds mode p
+    jet = po.annulus_from_terms({(2, 1): 1.0}, 4, RHO).jet(2)
+    assert list(jet[:, 8 + 1]) == [1.0, -1.5, 2.25]
+    assert not np.any(po.annulus_from_terms({(0, 0): 3.0}, 4, RHO).jet(1)[1])
 
 
 def test_restrict_modes():
-    assert po.restrict_to_circle(po.annulus_from_terms({(1, 1): 1.0}, 4, RHO)).coeff(0) == 1.0
-    assert po.restrict_to_circle(po.annulus_from_terms({(2, 1): 1.0}, 4, RHO)).coeff(1) == 1.0
+    assert po.annulus_from_terms({(1, 1): 1.0}, 4, RHO).jet(0)[0, 8] == 1.0
+    assert po.annulus_from_terms({(2, 1): 1.0}, 4, RHO).jet(0)[0, 8 + 1] == 1.0
 
 
 def test_restrict_pointwise_oracle():
     rng = np.random.default_rng(3)
     a = random_annulus(rng, 8, RHO)
-    c = po.restrict_to_circle(a)
+    c = po.CircleSeries(a.jet(0)[0])
     ts = np.exp(2j * np.pi * np.arange(64) / 64)
-    assert np.max(np.abs(a.evaluate(ts) - c.evaluate(ts))) <= 1e-12 * max(1.0, a.l1())
+    l1 = float(np.sum(np.abs(a.coeffs)))
+    assert np.max(np.abs(a.evaluate(ts) - c.evaluate(ts))) <= 1e-12 * max(1.0, l1)
+
+
+def test_terms_list_the_nonzero_grid_entries():
+    a = po.annulus_from_terms({(2, -1): 0.5, (-1, 0): 2.0 - 1.0j, (0, 0): 0.0}, 2, RHO)
+    modes, degrees, c = a.terms()
+    # grid order: m ascending, then n
+    assert list(modes) == [-1, 3] and list(degrees) == [-1, 1]
+    assert list(c) == [2.0 - 1.0j, 0.5]
 
 
 def test_hardy_mode_selection():
@@ -201,18 +210,20 @@ def test_exp_inverse_on_circle():
 
 
 def test_real_tag_invariant():
+    # c[n, m] = conj(c[m, n]) makes the sum real-valued
     a = po.annulus_from_terms({(1, 0): 0.4 + 0.2j, (0, 1): 0.4 - 0.2j}, 4, RHO)
-    assert a.is_real()
-    assert not po.annulus_from_terms({(1, 0): 1.0}, 4, RHO).is_real()
+    assert np.array_equal(a.coeffs.T, np.conj(a.coeffs))
     ts = 0.9 * np.exp(1j * np.linspace(0, 6, 7))
     assert np.max(np.abs(np.imag(a.evaluate(ts)))) < 1e-15
+    one_sided = po.annulus_from_terms({(1, 0): 1.0}, 4, RHO)
+    assert np.max(np.abs(np.imag(one_sided.evaluate(ts)))) > 0.1
 
 
 def test_annulus_evaluation_matches_coefficientwise():
     rng = np.random.default_rng(31)
     a = random_annulus(rng, 5, RHO)
     z = 1.02 * np.exp(0.3j)
-    direct = sum(a.coeff(m, n) * z ** m * np.conj(z) ** n
+    direct = sum(a.coeffs[5 + m, 5 + n] * z ** m * np.conj(z) ** n
                  for m in range(-5, 6) for n in range(-5, 6))
     assert np.isfinite(a.evaluate(z)).all() if np.ndim(a.evaluate(z)) else np.isfinite(a.evaluate(z))
     assert abs(a.evaluate(z) - direct) <= 1e-12 * max(1.0, abs(direct))
@@ -223,16 +234,16 @@ def test_support_tag_validation():
         po.CircleSeries(np.array([0.0, 0.0, 1.0]), SUPPORT_EXTERIOR_VANISHING)
 
 
-def test_radial_moments_match_repeated_radial():
+def test_jet_matches_repeated_radial():
+    # row mu of the jet restricts (-(r d/dr)/2)^mu a, r d/dr applied to the grid
     rng = np.random.default_rng(41)
     a = random_annulus(rng, 5, RHO)
-    for shift in (0.0, 1.0):
-        b = a
-        for mu, got in enumerate(radial_moments(a, shift, 3)):
-            want = po.restrict_to_circle(b)
-            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12 * max(1.0, want.l1()), mu
-            m = np.arange(-b.bidegree, b.bidegree + 1)
-            b = po.AnnulusSeries(b.coeffs * (m[:, None] + m[None, :]), RHO) * (-0.5) + (-shift) * b
+    m = np.arange(-5, 6)
+    b = a.coeffs
+    for mu, got in enumerate(a.jet(3)):
+        want = grid_restrictions(b, 0.0, 0)[0]
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.sum(np.abs(want))), mu
+        b = b * (m[:, None] + m[None, :]) * (-0.5)
 
 
 @pytest.mark.parametrize("K", [0, 1, 7, 48])
