@@ -16,7 +16,7 @@ rho = model.inner_radius
 g = po.annulus_from_terms({(1, 1): 1.0, (0, 0): -1.0}, 1, rho)   # |z|^2 - 1
 split = split_test_function(g)
 print("test data g = |z|^2 - 1 (vanishes on the circle):")
-print("  g_+(inf) =", split.plus_infinity, " g_-(inf) =", split.minus_infinity)
+print("  g(inf) = g_+(inf) =", split.plus_infinity, "(g_- vanishes at infinity)")
 # row nu of the jet: (-(r d/dr)/2)^nu g_0 on the circle; column 2 is mode 0
 print("  circle jet of g_0 at mode 0, nu = 0..3:", split.zero_jet(3)[:, 2].real)
 

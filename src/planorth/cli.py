@@ -21,9 +21,10 @@ from .distributional import (distributional_expectation, distributional_terms,
                              split_test_function)
 from .errors import (ConfigError, NonFiniteError, OffSpectralError, OutOfValidityError,
                      PlanorthError, stage)
-from .expansion import (build_model, check_valid, leading_coeff, monic_at, monic_prefactor,
-                        normalized_at, positioning_factor, validity_radius)
-from .geometry import load_domain_config, map_forward_many, parse_integer, parse_number
+from .expansion import (_require_degree, build_model, check_valid, leading_coeff, monic_at,
+                        monic_prefactor, normalized_at, positioning_factor, validity_radius)
+from .geometry import (load_domain_config, map_forward_many, parse_integer, parse_number,
+                       parse_pair)
 from .hierarchy import hierarchy_residuals
 from .kernels import bw_kernel_diag, off_spectral_point, offspectral_leading
 from .oracle import berezin_expectations, boundary_onps, l2_discrepancies, oracle_kernel
@@ -104,13 +105,6 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-def _pair(value, what: str) -> complex:
-    """A JSON ``[re, im]`` pair as a complex number."""
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError(f"{what} must be an [re, im] pair, got {value!r}")
-    return complex(parse_number(value[0], what), parse_number(value[1], what))
-
-
 def _experiment(cfg: dict, args) -> dict:
     if "domain" not in cfg:
         raise ConfigError("config must contain a 'domain' object (map/weight/rho/M/K)")
@@ -124,7 +118,9 @@ def _experiment(cfg: dict, args) -> dict:
         ns = [parse_integer(x, "degree N") for x in cfg.get("N", [])]
     if ns != sorted(ns):
         raise ConfigError("N list must be sorted ascending")
-    points = [_pair(p, "points entry") for p in cfg.get("points", [])]
+    if ns and ns[0] < 0:
+        raise ConfigError(f"degree N must be nonnegative, got {ns[0]}")
+    points = [parse_pair(p, "points entry") for p in cfg.get("points", [])]
     tols = cfg.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ConfigError("tolerances must be an object, e.g. {\"slope\": 0.35}")
@@ -223,6 +219,7 @@ def cmd_eval(cfg: dict, exp: dict, outdir: Path) -> int:
         raise ConfigError("eval needs a nonempty N list")
     if not exp["points"]:
         raise ConfigError("eval needs evaluation points")
+    _require_degree(min(exp["N"]))
     model = _build(cfg, exp["kappa"])
     results = []
     rows = []
@@ -349,7 +346,7 @@ def _test_function(cfg: dict, model):
         mn = parse_integer(row[0], "term m"), parse_integer(row[1], "term n")
         if mn in terms:
             raise ConfigError(f"test_function.terms repeats the term (m, n) = {mn}")
-        terms[mn] = _pair(row[2:], "term")
+        terms[mn] = parse_pair(row[2:], "term")
     # the grid holds exactly the terms given: a test function has no bidegree cap
     bidegree = max((max(abs(m), abs(n)) for m, n in terms), default=0)
     return annulus_from_terms(terms, bidegree, model.inner_radius)
@@ -361,11 +358,11 @@ def cmd_distributional(cfg: dict, exp: dict, outdir: Path) -> int:
     model = _build(cfg, exp["kappa"])
     g = _test_function(cfg, model)
     split = split_test_function(g)
+    vals = [distributional_expectation(model, split, N, order=exp["kappa"]) for N in exp["N"]]
     N_max = max(exp["N"])
     polys = _oracle_for(model, N_max)
     rows = []
-    for N, ov in zip(exp["N"], berezin_expectations(model, polys, g, exp["N"])):
-        val = distributional_expectation(model, split, N, order=exp["kappa"])
+    for N, val, ov in zip(exp["N"], vals, berezin_expectations(model, polys, g, exp["N"])):
         ov = complex(ov)
         rows.append([N, val.real, val.imag, ov.real, ov.imag, abs(val - ov)])
     term_table = [{"nu": idx[0], "j": idx[1], "k": idx[2], "value": _c2l(v)}
@@ -374,8 +371,7 @@ def cmd_distributional(cfg: dict, exp: dict, outdir: Path) -> int:
     payload = {
         "schema": "planorth/distributional-v1",
         "kappa": exp["kappa"],
-        "leading": {"plus_infinity": _c2l(split.plus_infinity),
-                    "minus_infinity": _c2l(split.minus_infinity)},
+        "leading": {"plus_infinity": _c2l(split.plus_infinity)},
         "terms_at_max_degree": term_table,
         "rows": [{"N": int(r[0]), "expansion": [r[1], r[2]],
                   "oracle": [r[3], r[4]], "abs_error": r[5]} for r in rows],
@@ -394,9 +390,10 @@ def cmd_kernel(cfg: dict, exp: dict, outdir: Path) -> int:
     kc = cfg.get("kernel", {})
     if "w" not in kc or "z" not in kc:
         raise ConfigError("kernel needs kernel.w and kernel.z points")
+    _require_degree(min(exp["N"]))
     model = _build(cfg, exp["kappa"])
-    w = _pair(kc["w"], "kernel.w")
-    z = _pair(kc["z"], "kernel.z")
+    w = parse_pair(kc["w"], "kernel.w")
+    z = parse_pair(kc["z"], "kernel.z")
     rho = parse_number(kc.get("rho", 0.5), "kernel.rho")
     rho1 = parse_number(kc.get("rho1", 0.7), "kernel.rho1")
     pt = off_spectral_point(model.map, w)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expansion import ExpansionModel, norm_factor
+from .expansion import ExpansionModel, _require_degree, norm_factor
 from .series import (AnnulusSeries, CircleSeries, SUPPORT_EXTERIOR, SUPPORT_EXTERIOR_VANISHING,
                      terms_jet)
 
@@ -39,15 +39,16 @@ class TestFunctionSplit:
 
     ``plus`` collects circle modes ``k <= 0`` (constant included) as an
     exterior-holomorphic series; ``minus_conj`` holds the conjugate of the
-    conjugate-holomorphic part, i.e. ``g_-(z) = conj(minus_conj(z))``;
-    ``g_0`` vanishes on the circle and is read through :meth:`zero_jet`;
+    conjugate-holomorphic part, i.e. ``g_-(z) = conj(minus_conj(z))``, which
+    has no constant mode, so ``plus_infinity = g_+(inf)`` is the value at
+    infinity of the whole harmonic part; ``g_0`` vanishes on the circle and is
+    read through :meth:`zero_jet`;
     ``terms`` are those of ``g`` (:meth:`~planorth.series.AnnulusSeries.terms`).
     """
 
     plus: CircleSeries
     minus_conj: CircleSeries
     plus_infinity: complex
-    minus_infinity: complex
     terms: tuple
 
     def zero_jet(self, order: int) -> np.ndarray:
@@ -69,7 +70,6 @@ def split_test_function(g: AnnulusSeries) -> TestFunctionSplit:
     minus_conj = CircleSeries(np.where(k < 0, np.conj(r[::-1]), 0.0), SUPPORT_EXTERIOR_VANISHING)
     return TestFunctionSplit(plus=plus, minus_conj=minus_conj,
                              plus_infinity=plus.coeff(0),
-                             minus_infinity=complex(np.conj(minus_conj.coeff(0))),
                              terms=g.terms())
 
 
@@ -114,13 +114,15 @@ def distributional_expectation(model: ExpansionModel, split: TestFunctionSplit, 
                                order: int | None = None) -> complex:
     """Boundary expansion of ``int G |P_N|^2 omega dA``.
 
-    Returns ``g_+(inf) + g_-(inf) + D_N^2 * sum over (nu, j, k) with nu >= 1,
+    Returns ``g_+(inf) + D_N^2 * sum over (nu, j, k) with nu >= 1,
     nu+j+k <= order`` of ``N^-(nu+j+k)`` times the circle integral of
     ``(-(r d/dr)/2)^nu g_0`` against the weighted boundary operator applied to
-    ``X_j conj(X_k)``.
+    ``X_j conj(X_k)``; ``g_-`` has no constant mode, so it vanishes at
+    infinity.  Raises :class:`OutOfValidityError` below ``N_MIN``.
     """
+    _require_degree(N)
     order = model.order if order is None else order
-    total = split.plus_infinity + split.minus_infinity
+    total = split.plus_infinity
     terms = distributional_terms(model, split, N, order)
     if not terms:
         return complex(total)

@@ -458,6 +458,13 @@ def parse_integer(value, what: str) -> int:
     return int(x)
 
 
+def parse_pair(value, what: str) -> complex:
+    """A JSON ``[re, im]`` pair of finite numbers as a complex number."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{what} must be an [re, im] pair, got {value!r}")
+    return complex(parse_number(value[0], what), parse_number(value[1], what))
+
+
 def load_domain_config(cfg: dict):
     """Parse the JSON domain/weight config into ``(map, weight_def, rho, M, K)``.
 
@@ -471,26 +478,30 @@ def load_domain_config(cfg: dict):
     Laurent series; ``K`` is accepted and has no effect.
     """
     try:
-        mp = cfg["map"]
-        cap = float(mp["cap"])
-        tail = [complex(re, im) for re, im in mp.get("tail", [])]
-        wcfg = cfg.get("weight", {"kind": "const", "value": 1.0})
+        mp, wcfg = cfg["map"], cfg.get("weight", {"kind": "const", "value": 1.0})
+        for key, value in (("map", mp), ("weight", wcfg)):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key} must be an object, got {value!r}")
+        cap = parse_number(mp["cap"], "map.cap")
+        tail = [parse_pair(a, "map.tail entry") for a in mp.get("tail", [])]
         kind = wcfg.get("kind", "const")
         if kind == "const":
-            wd = constant_weight(float(wcfg.get("value", 1.0)))
+            wd = constant_weight(parse_number(wcfg.get("value", 1.0), "weight.value"))
         elif kind == "exp-re-linear":
             a = wcfg["alpha"]
-            alpha = complex(a[0], a[1]) if isinstance(a, (list, tuple)) else complex(a)
+            alpha = (parse_pair(a, "weight.alpha") if isinstance(a, list)
+                     else parse_number(a, "weight.alpha"))
             wd = exp_re_linear_weight(alpha)
         elif kind == "exp-re-poly":
-            coeffs = [complex(re, im) for re, im in wcfg["coeffs"]]
-            wd = exp_re_poly_weight(coeffs)
+            wd = exp_re_poly_weight([parse_pair(a, "weight.coeffs entry")
+                                     for a in wcfg["coeffs"]])
         elif kind == "custom-samples":
-            pts = [complex(re, im) for re, im in wcfg["points"]]
-            wd = sampled_weight(pts, wcfg["values"], int(wcfg.get("degree", 4)))
+            pts = [parse_pair(a, "weight.points entry") for a in wcfg["points"]]
+            vals = [parse_number(v, "weight.values entry") for v in wcfg["values"]]
+            wd = sampled_weight(pts, vals, int(wcfg.get("degree", 4)))
         else:
             raise ConfigError(f"unknown weight kind {kind!r}")
-        rho = float(cfg.get("rho", 0.7))
+        rho = parse_number(cfg.get("rho", 0.7), "rho")
         M = parse_integer(cfg.get("M", 24), "M")
         if M < 1:
             raise ConfigError(f"M must be a positive integer, got {M}")

@@ -14,15 +14,19 @@ a conj(g e^P)``, so on ``z = psi(zeta)``, ``zeta = e^{i theta}``::
 samples of its primitive ``B_n o psi``, and both are updated by the same
 Gram-Schmidt coefficients.  ``B_v o psi`` is the termwise primitive of the
 Laurent series ``(v e^P o psi) psi'``: mode ``k`` of ``(v e^P o psi) psi' zeta``
-divided by ``k``, one FFT pair per degree.  Mode 0, the residue of the entire
-function ``v e^P`` along the boundary, vanishes exactly and measures the
-aliasing.  A degree takes one pass of classical Gram-Schmidt, and a second
-only where the first cancels more than a factor ``1/sqrt(2)`` of its norm
-(the test of Daniel, Gragg, Kaufman and Stewart).  No 2-D rule is built and
-no point is mapped by Newton's method.  Arnoldi from boundary data is
-standard for Bergman polynomials (Gustafsson, Putinar, Saff and
-Stylianopoulos 2009); its stability is that of Vandermonde with Arnoldi
-(Brubeck, Nakatsukasa and Trefethen 2021).
+divided by ``k``, one FFT pair per degree.  The same FFT checks the samples:
+the integrand's modes decay fast, so on samples that resolve it the outer
+modes ``|k| >= 3L/8`` sit at the rounding floor of the largest (the test by
+which Aurentz and Trefethen chop a Chebyshev series).  Their share is the
+degree's ``tail``; the first degree whose tail exceeds ``TAIL_TOL`` stops the
+run as unresolved, and only then are the samples doubled.  A degree takes
+one pass of classical Gram-Schmidt, and a second only where the first
+cancels more than a factor ``1/sqrt(2)`` of its norm (the test of Daniel,
+Gragg, Kaufman and Stewart).  No 2-D rule is built and no point is mapped
+by Newton's method.  Arnoldi from boundary data is standard for Bergman
+polynomials (Gustafsson, Putinar, Saff and Stylianopoulos 2009); its
+stability is that of Vandermonde with Arnoldi (Brubeck, Nakatsukasa and
+Trefethen 2021).
 
 Comparisons against the expansion (:func:`l2_discrepancies`,
 :func:`berezin_expectations`) integrate over a collar rule in ``zeta``:
@@ -39,7 +43,7 @@ the primitive's modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -48,13 +52,12 @@ from numpy.polynomial.legendre import leggauss
 from .errors import DegreeTooHighError, DomainError
 from .expansion import ExpansionModel, normalized_scale
 from .geometry import ExteriorMap
-from .series import CircleSeries, _horner
+from .series import _horner
 
 GRAM_TOL = 1e-8         # largest Gram deviation an oracle accepts
 MIN_SAMPLES = 128       # fewest circle samples of a boundary oracle
 MAX_SAMPLES = 2 ** 16   # most circle samples a boundary oracle doubles to
-DOUBLING_TOL = 1e-10    # largest change of log kappa_n under doubled samples
-ROUNDOFF_RESIDUE = 1e-12  # a residue this small means the samples resolve the integrand
+TAIL_TOL = 1e-12        # largest outer-mode share of a resolved sample spectrum
 CHOP = 64 * np.finfo(float).eps  # modes below CHOP * max|mode| are dropped before r^k scaling
 COLLAR_Q = 12           # Gauss-Legendre nodes per radial panel of the collar rule
 COLLAR_HALVINGS = 5     # collar panels past rho2, each half the width of the last
@@ -101,11 +104,15 @@ class BoundaryRule:
 
     def primitive(self, v: np.ndarray):
         """Samples of ``B o psi`` with ``B' = v e^P`` for the polynomial sampled as
-        ``v`` (its constant mode set to zero), and the residue: ``|mode 0|`` of
-        ``(v e^P o psi) psi' zeta`` over its largest mode, 0 up to aliasing."""
+        ``v`` (its constant mode set to zero), and the tail: the largest ``|c_k|``
+        with ``|k| >= 3L/8`` over the largest ``|c_k|``, ``c`` the modes of
+        ``(v e^P o psi) psi' zeta``; at the rounding floor when the samples
+        resolve it."""
         c = np.fft.fft(v * self._e_p_dz, norm="forward")
-        residue = abs(c[0]) / np.max(np.abs(c))
-        return np.fft.ifft(c * self._inverse_modes, norm="forward"), residue
+        a = np.abs(c)
+        L = self.L
+        tail = np.max(a[3 * L // 8:L - 3 * L // 8 + 1]) / np.max(a)
+        return np.fft.ifft(c * self._inverse_modes, norm="forward"), float(tail)
 
     def inner(self, v: np.ndarray, primitives: np.ndarray) -> np.ndarray:
         """``<v, g>`` for the polynomial sampled as ``v`` against every ``g``
@@ -196,36 +203,34 @@ class OraclePolynomials:
         return self.eval_single(z, n) / self.kappa[n]
 
 
-class _Unresolvable(DegreeTooHighError):
-    """A boundary-oracle failure that more circle samples cannot mend."""
-
-
-def _gram_residuals(gram: np.ndarray, L: int, residue: float) -> np.ndarray:
+def _gram_residuals(gram: np.ndarray, L: int) -> np.ndarray:
     """Column ``n`` of the upper triangle of ``max(dev, dev^T)``, ``dev = |gram - I|``:
     the largest deviation in row and column ``n`` of the leading block ``n``;
-    refused above ``GRAM_TOL``, for good if the samples resolve the integrand
-    (residue at ``ROUNDOFF_RESIDUE``): then the fault is conditioning, not aliasing."""
+    refused above ``GRAM_TOL``.  The samples resolve every integrand by then,
+    so the fault is conditioning, which more samples cannot mend."""
     dev = np.abs(gram - np.eye(gram.shape[0]))
     residuals = np.max(np.triu(np.maximum(dev, dev.T)), axis=0)
     if np.max(residuals) > GRAM_TOL:
-        msg = (f"Gram residual {np.max(residuals):.3e} above {GRAM_TOL:.1e} in the boundary "
-               f"oracle at degree {gram.shape[0] - 1} on L = {L} circle samples")
-        if residue <= ROUNDOFF_RESIDUE:
-            raise _Unresolvable(f"{msg}, whose residue {residue:.1e} is at roundoff")
-        raise DegreeTooHighError(msg)
+        raise DegreeTooHighError(
+            f"Gram residual {np.max(residuals):.3e} above {GRAM_TOL:.1e} in the boundary "
+            f"oracle at degree {gram.shape[0] - 1} on L = {L} resolved circle samples")
     return residuals
 
 
-def _circle_arnoldi(rule: BoundaryRule, N: int) -> OraclePolynomials:
-    """Arnoldi in the boundary form of the inner product on one set of samples.
-    ``health`` holds ``L``, the largest residue and the Gram deviation."""
+def _circle_arnoldi(rule: BoundaryRule, N: int) -> OraclePolynomials | str:
+    """Arnoldi in the boundary form of the inner product on one set of samples:
+    the polynomials, whose ``health`` holds ``L``, the largest tail and the Gram
+    deviation, or the reason the samples do not resolve the integrand, from the
+    first degree whose tail exceeds ``TAIL_TOL``."""
     L = rule.L
     Q = np.empty((L, N + 1), dtype=np.complex128, order="F")
     B = np.empty((L, N + 1), dtype=np.complex128, order="F")
     hess = np.zeros((N + 1, N), dtype=np.complex128)
     log_kappa = np.empty(N + 1, dtype=float)
     one = np.ones(L, dtype=np.complex128)
-    b, residue = rule.primitive(one)
+    b, worst = rule.primitive(one)
+    if worst > TAIL_TOL:
+        return f"tail {worst:.1e} above {TAIL_TOL:.0e} at degree 0"
     mass = float(rule.inner(one, b[:, None])[0].real)
     if not mass > 0:
         raise DegreeTooHighError(f"boundary mass {mass:.3e} is not positive")
@@ -233,8 +238,10 @@ def _circle_arnoldi(rule: BoundaryRule, N: int) -> OraclePolynomials:
     log_kappa[0] = -0.5 * math.log(mass)
     for n in range(1, N + 1):
         v = rule.nodes * Q[:, n - 1]
-        b, res = rule.primitive(v)
-        residue = max(residue, res)
+        b, tail = rule.primitive(v)
+        if tail > TAIL_TOL:
+            return f"tail {tail:.1e} above {TAIL_TOL:.0e} at degree {n}"
+        worst = max(worst, tail)
         h = np.zeros(n, dtype=np.complex128)
         sq = rule.inner(v, b[:, None])[0].real
         for _ in range(2):  # classical Gram-Schmidt, repeated once on heavy cancellation
@@ -254,8 +261,8 @@ def _circle_arnoldi(rule: BoundaryRule, N: int) -> OraclePolynomials:
         hess[n, n - 1] = nrm
         log_kappa[n] = log_kappa[n - 1] - math.log(nrm)
     gram = (np.conj(B).T @ (Q * rule._e_p_dz[:, None])) / L
-    residuals = _gram_residuals(gram, L, residue)
-    health = {"kind": "boundary", "L": L, "residue": float(residue),
+    residuals = _gram_residuals(gram, L)
+    health = {"kind": "boundary", "L": L, "tail": worst,
               "gram_deviation": float(np.max(residuals))}
     return OraclePolynomials(degree=N, hess=hess, log_kappa=log_kappa,
                              gram_residuals=residuals, rule=rule, basis=Q, primitive=B,
@@ -265,40 +272,24 @@ def _circle_arnoldi(rule: BoundaryRule, N: int) -> OraclePolynomials:
 def boundary_onps(m: ExteriorMap, holo_poly, N: int) -> OraclePolynomials:
     """Orthonormalize ``1, z, ..., z^N`` for the weight ``|e^P|^2`` on the
     domain of ``m``, ``P = holo_poly`` (ascending coefficients), from
-    ``boundary_samples(m, N)`` circle samples.
-
-    The same Arnoldi on twice the samples must move no ``log kappa_n`` by
-    more than ``DOUBLING_TOL``; otherwise the samples double until it does,
-    up to ``MAX_SAMPLES``.  ``health`` reports ``L``, the largest residue, the
-    Gram deviation and that change (``doubled_L_change``).  Raises
-    :class:`DegreeTooHighError` when no sample count up to the cap passes, and
-    at once when the Gram matrix deviates from the identity by more than
-    ``GRAM_TOL`` on samples whose residue is at ``ROUNDOFF_RESIDUE``.
+    ``boundary_samples(m, N)`` circle samples, doubled while some degree's
+    tail exceeds ``TAIL_TOL``, up to ``MAX_SAMPLES``.  ``health`` reports
+    ``L``, the largest tail and the Gram deviation.  Raises
+    :class:`DegreeTooHighError` when no sample count up to the cap resolves
+    the integrands, and at once on a breakdown or a Gram deviation from the
+    identity above ``GRAM_TOL`` on resolved samples.
     """
     if holo_poly is None:
         raise DomainError("the boundary oracle needs the weight as |e^P|^2 with a polynomial P")
     L = boundary_samples(m, N)
-    polys, failure = _try_circle_arnoldi(m, holo_poly, N, L)
-    while 2 * L <= MAX_SAMPLES:
-        twin, twin_failure = _try_circle_arnoldi(m, holo_poly, N, 2 * L)
-        if polys is not None and twin is not None:
-            change = float(np.max(np.abs(twin.log_kappa - polys.log_kappa)))
-            if change <= DOUBLING_TOL:
-                return replace(polys, health={**polys.health, "doubled_L_change": change})
-            failure = f"log kappa moved by {change:.3e} from {L} to {2 * L} samples"
-        L, polys, failure = 2 * L, twin, twin_failure or failure
-    raise DegreeTooHighError(f"boundary oracle at degree {N} not settled at {L} circle "
-                             f"samples: {failure}")
-
-
-def _try_circle_arnoldi(m: ExteriorMap, holo_poly, N: int, L: int):
-    """``(polys, None)``, or ``(None, reason)`` where more samples may mend it."""
-    try:
-        return _circle_arnoldi(boundary_rule(m, holo_poly, L), N), None
-    except _Unresolvable:
-        raise
-    except DegreeTooHighError as exc:
-        return None, str(exc)
+    while True:
+        polys = _circle_arnoldi(boundary_rule(m, holo_poly, L), N)
+        if not isinstance(polys, str):
+            return polys
+        if 2 * L > MAX_SAMPLES:
+            raise DegreeTooHighError(f"boundary oracle at degree {N} not resolved at {L} "
+                                     f"circle samples: {polys}")
+        L *= 2
 
 
 def oracle_kernel(polys: OraclePolynomials, z, w, upto: int | None = None) -> complex:
@@ -325,36 +316,21 @@ def _modes(samples: np.ndarray):
     return k, c[keep]
 
 
-def _on_circles(k: np.ndarray, scaled: np.ndarray, L: int) -> np.ndarray:
-    """``sum_i scaled[:, i] zeta_l^k[i]`` at the ``L`` circle angles ``zeta_l``,
-    one row per radius: column ``i`` lands in bin ``k[i] mod L``, exact at the
-    sample angles for any number of modes."""
-    spec = np.zeros((scaled.shape[0], L), dtype=np.complex128)
-    np.add.at(spec, (slice(None), k % L), scaled)
+def _on_circles(k: np.ndarray, d: np.ndarray, c: np.ndarray, radii: np.ndarray,
+                L: int) -> np.ndarray:
+    """``sum_i c[i] r^d[i] zeta_l^k[i]`` at the ``L`` circle angles ``zeta_l``, one
+    row per radius ``r``: term ``i`` lands in bin ``k[i] mod L``, exact at the
+    sample angles for any number of terms.  ``d = k`` for a Laurent polynomial;
+    annulus terms ``c zeta^m conj(zeta)^n`` have ``(k, d) = (m - n, m + n)``."""
+    spec = np.zeros((radii.size, L), dtype=np.complex128)
+    np.add.at(spec, (slice(None), k % L), c[None, :] * radii[:, None] ** d[None, :])
     return np.fft.ifft(spec, axis=1, norm="forward")
-
-
-def _laurent_on_circles(k: np.ndarray, c: np.ndarray, radii: np.ndarray, L: int) -> np.ndarray:
-    """``sum_k c_k (r zeta_l)^k`` on each radius ``r``: mode ``k`` scaled by ``r^k``."""
-    return _on_circles(k, c[None, :] * radii[:, None] ** k[None, :], L)
 
 
 def _sampled_on_circles(samples: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """A Laurent polynomial sampled at the circle points, on each radius."""
-    return _laurent_on_circles(*_modes(samples), radii, samples.size)
-
-
-def _series_on_circles(f: CircleSeries, radii: np.ndarray, L: int) -> np.ndarray:
-    """A circle series at the collar nodes by the same mode scaling."""
-    nz = np.flatnonzero(f.coeffs)
-    return _laurent_on_circles(nz - f.bandwidth, f.coeffs[nz], radii, L)
-
-
-def _annulus_on_circles(g, radii: np.ndarray, L: int) -> np.ndarray:
-    """Annulus data ``sum c[m, n] zeta^m conj(zeta)^n`` on each radius ``r``:
-    mode ``m - n`` gathers ``c[m, n] r^(m + n)`` over the nonzero terms."""
-    modes, degrees, c = g.terms()
-    return _on_circles(modes, c[None, :] * radii[:, None] ** degrees[None, :], L)
+    k, c = _modes(samples)
+    return _on_circles(k, k, c, radii, samples.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,9 +396,12 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs,
     collar = _collar(model, polys, rho1, rho2)
     rule, radii = polys.rule, collar.radii
     L = rule.L
-    # phi' e^V, as in expansion.positioning_factor, with V by the same mode scaling
-    frame = np.exp(_series_on_circles(model.szego.v_exterior, radii, L)) / collar.dpsi
-    xs = [_series_on_circles(X, radii, L) for X in model.coeffs.X]
+    # V and the X_j by the same mode scaling, over their nonzero modes
+    series = [model.szego.v_exterior, *model.coeffs.X]
+    modes = [np.flatnonzero(f.coeffs) - f.bandwidth for f in series]
+    v, *xs = [_on_circles(k, k, f.coeffs[k + f.bandwidth], radii, L)
+              for f, k in zip(series, modes)]
+    frame = np.exp(v) / collar.dpsi   # phi' e^V, as in expansion.positioning_factor
     steps = np.arange(L)
     cache = {}
     out = np.empty(len(pairs))
@@ -457,7 +436,7 @@ def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, g, deg
     ``G`` is evaluated once; each degree adds its ``P_N`` and one weighted sum."""
     collar = _collar(model, polys, rho1, rho2)
     wg = (collar.weights * collar.chi[:, None]
-          * _annulus_on_circles(g, collar.radii, polys.rule.L))
+          * _on_circles(*g.terms(), collar.radii, polys.rule.L))
     out = []
     for N in degrees:
         p = _sampled_on_circles(polys.basis[:, N], collar.radii)

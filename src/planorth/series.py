@@ -35,9 +35,8 @@ EVAL_CHUNK = 4096        # points per block in AnnulusSeries.evaluate
 SUPPORT_GENERAL = "general"
 SUPPORT_EXTERIOR = "exterior"                      # modes k <= 0
 SUPPORT_EXTERIOR_VANISHING = "exterior-vanishing"  # modes k <= -1
-SUPPORT_INTERIOR = "interior"                      # modes k >= 0
 
-_SUPPORTS = (SUPPORT_GENERAL, SUPPORT_EXTERIOR, SUPPORT_EXTERIOR_VANISHING, SUPPORT_INTERIOR)
+_SUPPORTS = (SUPPORT_GENERAL, SUPPORT_EXTERIOR, SUPPORT_EXTERIOR_VANISHING)
 
 
 def _as_complex_array(a) -> np.ndarray:
@@ -138,8 +137,6 @@ class CircleSeries:
             bad = np.abs(arr[k > 0])
         elif self.support == SUPPORT_EXTERIOR_VANISHING:
             bad = np.abs(arr[k > -1])
-        elif self.support == SUPPORT_INTERIOR:
-            bad = np.abs(arr[k < 0])
         else:
             bad = np.zeros(0)
         if bad.size and np.max(bad) > 0.0:

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 import sys
@@ -66,13 +67,40 @@ def test_expand_disk_alpha_table(tmp_path):
     ("expand", {"domain": {**preset_config("disk-expre03"), "M": 0}}),
     ("eval", {"allow_out_of_validity": "false"}),
     ("distributional", {"test_function": {"terms": [[1, 1, 0.3, 0.0], [1, 1, 0.2, 0.0]]}}),
+    ("oracle", {"domain": {**preset_config("disk-expre03"), "weight": []}}),
+    ("expand", {"domain": {**preset_config("disk-expre03"), "map": [1.0, []]}}),
+    ("eval", {"domain": {**preset_config("perturbed-expre"),
+                         "map": {"cap": 1.0, "tail": [[0.0, 0.0], [math.nan, 0.0]]}}}),
+    ("oracle", {"domain": {**preset_config("disk-expre03"),
+                           "map": {"cap": math.inf, "tail": []}}}),
+    ("expand", {"domain": {**preset_config("disk-expre03"), "rho": math.nan}}),
 ], ids=["point-one-entry", "point-not-number", "term-row-three-entries", "kernel-w-one-entry",
         "slope-not-number", "oracle-degree-not-number", "alpha-one-entry", "M-not-integer",
-        "M-not-positive", "allow-out-of-validity-string", "term-repeated"])
+        "M-not-positive", "allow-out-of-validity-string", "term-repeated", "weight-not-object",
+        "map-not-object", "tail-nan", "cap-infinite", "rho-nan"])
 def test_malformed_field_is_config_error(tmp_path, capsys, command, extra):
     cfg = write_config(tmp_path, **extra)
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "verify", "distributional", "kernel", "oracle"])
+@pytest.mark.parametrize("low", [-3, 0, 2])
+def test_degree_out_of_range_is_refused(tmp_path, capsys, command, low):
+    # a negative degree is a config error (exit 2); the expansion refuses degrees
+    # below N_MIN (exit 4), while the oracle serves every degree from 0
+    cfg = write_config(tmp_path, "ellipse-expre", N=[low, 8], points=[[2.5, 0.0]],
+                       test_function={"terms": [[1, 1, 0.3, 0.0]]},
+                       kernel={"w": [3.0, 0.0], "z": [3.5, 0.0]})
+    out = tmp_path / "o"
+    code = 2 if low < 0 else 0 if command == "oracle" else 4
+    assert run([command, "--config", cfg, "--out", out]) == code
+    if code:
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert ("config error" if code == 2 else "below the asymptotic threshold 4") in err
+    else:
+        assert (out / "oracle.json").exists()
 
 
 @pytest.mark.parametrize("command", ["oracle", "verify", "distributional", "kernel"])
@@ -143,8 +171,8 @@ def test_oracle_artifacts(tmp_path, disk_alpha_model):
     assert np.max(np.abs(np.array(column) - direct)) <= 1e-14
     assert payload["rule"] == {"kind": "boundary", "L": rule.L, **{
         key: pytest.approx(polys.health[key], abs=1e-15)
-        for key in ("residue", "gram_deviation", "doubled_L_change")}}
-    assert payload["rule"]["residue"] <= 1e-13 and payload["rule"]["doubled_L_change"] <= 1e-13
+        for key in ("tail", "gram_deviation")}}
+    assert payload["rule"]["tail"] <= 1e-13
     assert max(column) == payload["gram_residual"]
 
 
