@@ -12,6 +12,11 @@ with ``C_N = cap^(N+1) exp(-V(inf))``, and the unit-norm polynomial by
 sum times ``kappa_N C_N = N^(1/2) D_N``, which never forms ``C_N`` (a float
 overflow for ``cap > 1`` at large ``N``).
 
+The factor ``phi'(z) phi(z)^N e^V(z)`` is formed in log-polar form, one
+complex exponential of ``(Re V + N log|phi|) + i (Im V + N arg phi)``
+(:func:`positioning_factor`); its relative error is of order ``N eps``, the
+condition of ``phi^N`` itself.
+
 Evaluation is restricted to the region ``|phi(z)| >= 1 - A log(N)/N`` (points
 deeper inside the domain are refused rather than silently extrapolated).
 """
@@ -97,8 +102,17 @@ def leading_coeff(model: ExpansionModel, N: int, order: int | None = None) -> fl
 
 
 def positioning_factor(model: ExpansionModel, N: int, zeta) -> np.ndarray:
-    """Factor ``phi'(z) phi(z)^N e^V(z)`` at the points ``z = psi(zeta)``."""
-    return phi_prime(model.map, zeta) * np.exp(model.szego.v_exterior.evaluate(zeta)) * zeta ** N
+    """Factor ``phi'(z) phi(z)^N e^V(z)`` at the points ``z = psi(zeta)``, in
+    log-polar form ``phi'(z) exp((Re V + N log|zeta|) + i (Im V + N arg zeta))``.
+
+    Real logs and angles and one complex exp replace ``exp(V) * zeta**N``
+    (numpy takes a complex power with ``|N| >= 100``, like a complex
+    ``np.log``, through costlier complex routines).  The relative error is of
+    order ``N eps``, the condition of ``zeta^N``."""
+    v = model.szego.v_exterior.evaluate(zeta)
+    log_modulus = v.real + N * np.log(np.abs(zeta))
+    phase = v.imag + N * np.angle(zeta)
+    return phi_prime(model.map, zeta) * np.exp(log_modulus + 1j * phase)
 
 
 def position_at(model: ExpansionModel, f: CircleSeries, N: int, zeta):

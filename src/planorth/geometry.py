@@ -165,10 +165,16 @@ def map_forward_many(m: ExteriorMap, zs: np.ndarray):
     residual is not finite (a non-finite input, say) drops out too.  The
     iteration runs on the whole batch while more than half of it is live;
     once at most half is, it carries on with the live points only, so the
-    slow few do not make every point pay for their steps.  ``ok`` is false
-    where ``psi'`` nearly vanished at a step, where the final residual
-    exceeds ``1e-10 * max(1, |z|)`` or where ``|zeta|`` is not above the
-    univalence margin.
+    slow few do not make every point pay for their steps.  Two safeguards
+    guard a step, and each runs only when some point of the working set trips
+    it: where ``|psi'| < 1e-14`` the step divides by one instead (and the point
+    is marked failed), and a step longer than ``0.5 * max(1, |zeta|)`` is cut
+    to that length (looked at only when some step exceeds 0.5, the least such
+    cap).  The gates compare and test ``.any()``, so a NaN point in the batch
+    does not hide the others, and the iterates are those of safeguards applied
+    at every step.  ``ok`` is false where ``psi'`` nearly vanished at a step,
+    where the final residual exceeds ``1e-10 * max(1, |z|)`` or where
+    ``|zeta|`` is not above the univalence margin.
     """
     zs = np.asarray(zs, dtype=np.complex128)
     z = zs.ravel()
@@ -197,13 +203,17 @@ def map_forward_many(m: ExteriorMap, zs: np.ndarray):
             keep = np.flatnonzero(live)
             at = keep if isinstance(at, slice) else at[keep]
             zw, zt, tol, r, dp = zw[keep], zt[keep], tol[keep], r[keep], dp[keep]
+        # gate by comparison and .any(): a NaN in min/max would hide every other point
         bad = np.abs(dp) < 1e-14
-        ok[at] &= ~bad
-        dp = np.where(bad, 1.0, dp)
+        if bad.any():
+            ok[at] &= ~bad
+            dp = np.where(bad, 1.0, dp)
         step = r / dp
-        cap_len = 0.5 * np.maximum(1.0, np.abs(zw))
-        slen = np.maximum(np.abs(step), 1e-300)
-        step = np.where(slen > cap_len, step * cap_len / slen, step)
+        slen = np.abs(step)
+        if (slen > 0.5).any():          # 0.5 is the least cap_len there is
+            cap_len = 0.5 * np.maximum(1.0, np.abs(zw))
+            slen = np.maximum(slen, 1e-300)
+            step = np.where(slen > cap_len, step * cap_len / slen, step)
         if n_live < step.size:
             step[~live] = 0.0   # converged points keep their iterate
         zw = zw - step
@@ -498,7 +508,10 @@ def load_domain_config(cfg: dict):
         elif kind == "custom-samples":
             pts = [parse_pair(a, "weight.points entry") for a in wcfg["points"]]
             vals = [parse_number(v, "weight.values entry") for v in wcfg["values"]]
-            wd = sampled_weight(pts, vals, int(wcfg.get("degree", 4)))
+            degree = parse_integer(wcfg.get("degree", 4), "weight.degree")
+            if degree < 0:
+                raise ConfigError(f"weight.degree must be non-negative, got {degree}")
+            wd = sampled_weight(pts, vals, degree)
         else:
             raise ConfigError(f"unknown weight kind {kind!r}")
         rho = parse_number(cfg.get("rho", 0.7), "rho")

@@ -34,7 +34,9 @@ from .series import CircleSeries, circle_from_modes, hardy_project, truncate
 @dataclass(frozen=True, eq=False)
 class HierarchyCoeffs:
     """Solved corrections ``X[0..order]``; ``X[0]`` is the constant one and
-    every later entry is tagged exterior-vanishing."""
+    every later entry is tagged exterior-vanishing.  All share one bandwidth
+    (that of ``F``), so :func:`neumann_partial_sum` is one weighted sum of
+    their stacked coefficients."""
 
     order: int
     X: tuple
@@ -42,6 +44,9 @@ class HierarchyCoeffs:
     def __post_init__(self):
         if len(self.X) != self.order + 1:
             raise ConsistencyError("correction list length does not match order")
+        widths = {x.bandwidth for x in self.X}
+        if len(widths) > 1:
+            raise ConsistencyError(f"corrections differ in bandwidth: {sorted(widths)}")
 
 
 def weighted_derivative(f: CircleSeries, szego: SzegoData) -> CircleSeries:
@@ -140,9 +145,7 @@ def neumann_partial_sum(coeffs: HierarchyCoeffs, N: float, order: int | None = N
     if N < 1:
         raise ValueError("N must be >= 1")
     order = coeffs.order if order is None else order
-    if order > coeffs.order:
-        raise ValueError("requested order exceeds solved order")
-    acc = coeffs.X[0]
-    for j in range(1, order + 1):
-        acc = acc + coeffs.X[j] * (float(N) ** (-j))
-    return acc
+    if not 0 <= order <= coeffs.order:
+        raise ValueError("requested order must lie in [0, solved order]")
+    weights = float(N) ** -np.arange(order + 1)
+    return CircleSeries(weights @ np.stack([x.coeffs for x in coeffs.X[:order + 1]]))

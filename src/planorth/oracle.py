@@ -184,9 +184,15 @@ class OraclePolynomials:
             coeff[:, n] = shifted / self.hess[n, n - 1]
         return coeff
 
+    def check_degree(self, n: int) -> None:
+        """Raise :class:`DomainError` unless ``0 <= n <= degree``."""
+        if not 0 <= n <= self.degree:
+            raise DomainError(f"degree {n} outside the oracle's degrees 0..{self.degree}")
+
     def evaluate(self, z, upto: int | None = None) -> np.ndarray:
         """Values ``P_0(z) .. P_upto(z)``, shape ``(len(z), upto+1)``."""
         upto = self.degree if upto is None else upto
+        self.check_degree(upto)
         zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
         out = np.empty((zs.size, upto + 1), dtype=np.complex128, order="F")
         out[:, 0] = self.kappa[0]
@@ -392,6 +398,8 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs,
     ``P_N`` are evaluated once; the rest is a Stokes integral per degree.
     """
     pairs = list(pairs)
+    for N, _ in pairs:
+        polys.check_degree(N)
     scales = [normalized_scale(model, N, order) for N, order in pairs]  # degrees checked
     collar = _collar(model, polys, rho1, rho2)
     rule, radii = polys.rule, collar.radii
@@ -434,6 +442,9 @@ def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, g, deg
     annulus test data tapered to zero deep inside the domain by the
     smoothstep on ``[rho1, rho2]``, so the integral lives on the collar rule.
     ``G`` is evaluated once; each degree adds its ``P_N`` and one weighted sum."""
+    degrees = list(degrees)
+    for N in degrees:
+        polys.check_degree(N)
     collar = _collar(model, polys, rho1, rho2)
     wg = (collar.weights * collar.chi[:, None]
           * _on_circles(*g.terms(), collar.radii, polys.rule.L))

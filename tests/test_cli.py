@@ -17,6 +17,9 @@ from planorth.oracle import OraclePolynomials, boundary_onps
 from planorth.presets import preset_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+_RING = 1.05 * np.exp(2j * np.pi * np.arange(24) / 24)
+SAMPLED = {"kind": "custom-samples", "points": [[z.real, z.imag] for z in _RING],
+           "values": list(np.exp(0.6 * _RING.real)), "degree": 2}
 
 
 def write_config(tmp_path, name="disk-expre03", **extra):
@@ -74,10 +77,13 @@ def test_expand_disk_alpha_table(tmp_path):
     ("oracle", {"domain": {**preset_config("disk-expre03"),
                            "map": {"cap": math.inf, "tail": []}}}),
     ("expand", {"domain": {**preset_config("disk-expre03"), "rho": math.nan}}),
+    ("expand", {"domain": {**preset_config("disk-expre03"), "weight": SAMPLED | {"degree": 2.7}}}),
+    ("expand", {"domain": {**preset_config("disk-expre03"), "weight": SAMPLED | {"degree": -1}}}),
 ], ids=["point-one-entry", "point-not-number", "term-row-three-entries", "kernel-w-one-entry",
         "slope-not-number", "oracle-degree-not-number", "alpha-one-entry", "M-not-integer",
         "M-not-positive", "allow-out-of-validity-string", "term-repeated", "weight-not-object",
-        "map-not-object", "tail-nan", "cap-infinite", "rho-nan"])
+        "map-not-object", "tail-nan", "cap-infinite", "rho-nan", "sample-degree-not-integer",
+        "sample-degree-negative"])
 def test_malformed_field_is_config_error(tmp_path, capsys, command, extra):
     cfg = write_config(tmp_path, **extra)
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2

@@ -5,8 +5,12 @@ import pytest
 
 import planorth as po
 from planorth.errors import NonFiniteError, OutOfValidityError
+from planorth.expansion import positioning_factor
+from planorth.geometry import phi_prime
 
 from conftest import ring_rule
+
+EPS = np.finfo(float).eps
 
 
 def test_canonical_position_unweighted_disk(disk_const_model):
@@ -158,6 +162,20 @@ def test_normalized_is_leading_coeff_times_monic(all_preset_models):
             want = po.leading_coeff(model, N) * po.monic_eval(model, N, z)
             got = po.normalized_eval(model, N, z)
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13, (name, N)
+
+
+@pytest.mark.parametrize("N", [4, 99, 100, 3000, 10 ** 4])
+def test_positioning_factor_log_polar_form(all_preset_models, N):
+    # exp((Re V + N log|zeta|) + i (Im V + N arg zeta)) against exp(V) zeta^N:
+    # the same value to the N eps condition of zeta^N (numpy's complex power
+    # switches from repeated products to log/exp at N = 100)
+    t = np.linspace(-1.0, 6.0, 29)
+    zeta = (1.0 + t * math.log(N) / N) * np.exp(1j * np.linspace(0.05, 6.2, 29))
+    for name, model in all_preset_models.items():
+        want = (phi_prime(model.map, zeta) * np.exp(model.szego.v_exterior.evaluate(zeta))
+                * zeta ** N)
+        got = positioning_factor(model, N, zeta)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 4 * (N + 1) * math.pi * EPS, name
 
 
 def test_normalized_large_degree_log_domain(ellipse_exp_model):

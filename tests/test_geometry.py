@@ -131,6 +131,45 @@ def test_map_forward_many_matches_full_batch_newton(all_preset_models, monkeypat
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_map_forward_many_safeguards_beside_nonfinite_points(all_preset_models, monkeypatch,
+                                                             preset):
+    # the step cap and the |psi'| < 1e-14 guard run only when some point trips
+    # them; NaN points in the same working set must not hide those points
+    m = all_preset_models[preset].map
+    a0 = m.tail[0] if len(m.tail) else 0.0
+    capped, flat = a0 + 0.05, a0 + 0.01j       # both seeded on the unit circle
+    flat_seed = np.exp(1j * np.angle(flat - a0))
+    original = ExteriorMap._evaluate
+    flattened = []
+
+    def evaluate(self, zeta, value, prime):
+        val, der = original(self, zeta, value, prime)
+        hit = np.asarray(zeta) == flat_seed
+        if prime and np.any(hit):
+            flattened.append(int(np.count_nonzero(hit)))
+            der = np.where(hit, 0.0, der)
+        return val, der
+
+    monkeypatch.setattr(ExteriorMap, "_evaluate", evaluate)
+    seed = np.exp(1j * np.angle(capped - a0))
+    first_step = abs((m.psi(seed) - capped) / m.psi_prime(seed))
+    assert first_step > 0.5 * max(1.0, abs(seed))
+    rng = np.random.default_rng(5)
+    near = m.psi((1.0 + 0.05 * rng.random(6)) * np.exp(2j * np.pi * rng.random(6)))
+    nonfinite = [np.nan, np.inf, complex(np.nan, 1.0), complex(-np.inf, 2.0)]
+    zs = np.concatenate([nonfinite, [capped, flat], near])
+    zeta, ok = map_forward_many(m, zs)
+    assert flattened and flattened[0] == 1
+    want, want_ok = _full_batch_newton(m, zs)
+    assert np.array_equal(ok, want_ok)
+    assert not ok[:len(nonfinite)].any() and not ok[len(nonfinite) + 1] and ok[-near.size:].all()
+    fin = np.isfinite(want)
+    assert np.array_equal(fin[len(nonfinite):], np.ones(zs.size - len(nonfinite), dtype=bool))
+    assert np.max(np.abs(zeta[fin] - want[fin]) / np.abs(want[fin])) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_map_forward_many_nonfinite_and_empty_input():
     for m in (po.disk_map(), po.ellipse_map(2, 1), preset_parts("perturbed-expre")[0]):
         bad = np.array([np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(0.0, np.nan)])

@@ -1,11 +1,14 @@
 import numpy as np
+import pytest
 
 import planorth as po
+from planorth.errors import ConsistencyError
 from planorth.hierarchy import weighted_derivative
 
 from conftest import random_circle
 
 ALPHA = 0.3
+EPS = np.finfo(float).eps
 
 
 def circle_one(model):
@@ -146,6 +149,27 @@ def test_residual_sensitivity(disk_alpha_model):
     X[2] = po.hardy_project(X[2] + bump)
     corrupted = po.HierarchyCoeffs(order=disk_alpha_model.order, X=tuple(X))
     assert po.hierarchy_residual(corrupted, disk_alpha_model.szego, 2) > 1e-4
+
+
+def test_neumann_partial_sum_is_the_sequential_sum(all_preset_models):
+    for name, model in all_preset_models.items():
+        X = model.coeffs.X
+        for N in (4, 37, 10 ** 4):
+            for order in range(model.order + 1):
+                want, mass = X[0].coeffs, np.abs(X[0].coeffs)
+                for j in range(1, order + 1):
+                    want = want + X[j].coeffs * float(N) ** -j
+                    mass = mass + np.abs(X[j].coeffs) * float(N) ** -j
+                got = po.neumann_partial_sum(model.coeffs, N, order).coeffs
+                # a few ulps of the summed magnitudes, mode by mode
+                assert np.all(np.abs(got - want) <= 4 * EPS * mass), (name, N, order)
+
+
+def test_corrections_share_one_bandwidth(disk_alpha_model):
+    X = list(disk_alpha_model.coeffs.X)
+    X[1] = po.truncate(X[1], X[1].bandwidth + 1, "test")
+    with pytest.raises(ConsistencyError, match="bandwidth"):
+        po.HierarchyCoeffs(order=disk_alpha_model.order, X=tuple(X))
 
 
 def test_neumann_partial_sum(disk_const_model, disk_alpha_model):

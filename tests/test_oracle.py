@@ -6,7 +6,7 @@ import pytest
 
 import planorth as po
 from planorth import oracle
-from planorth.errors import DegreeTooHighError, OutOfValidityError
+from planorth.errors import DegreeTooHighError, DomainError, OutOfValidityError
 from planorth.expansion import positioning_factor
 from planorth.oracle import (berezin_expectation, berezin_expectations, l2_discrepancies,
                              smoothstep)
@@ -356,6 +356,25 @@ def test_basis_is_the_recurrence_at_the_nodes(disk_alpha_oracle):
 def test_batch_l2_checks_the_degree(disk_alpha_model, disk_alpha_oracle):
     with pytest.raises(OutOfValidityError):
         l2_discrepancies(disk_alpha_model, disk_alpha_oracle, [(8, 1), (3, 1)])
+
+
+def test_readers_refuse_degrees_outside_the_oracle(disk_alpha_model, disk_alpha_oracle):
+    # a negative degree would read a column from the other end; one past the
+    # oracle's degree would index past it
+    model, polys = disk_alpha_model, disk_alpha_oracle
+    top = polys.degree
+    g = po.annulus_from_terms({(1, 1): 1.0}, 2, model.inner_radius)
+    calls = [lambda n: berezin_expectations(model, polys, g, [8, n]),
+             lambda n: berezin_expectation(model, polys, g, n),
+             lambda n: l2_discrepancies(model, polys, [(8, 1), (n, 1)]),
+             lambda n: po.oracle_kernel(polys, 1.2, 1.3j, upto=n),
+             lambda n: polys.eval_single(1.2, n)]
+    for call in calls:
+        for n in (-3, -2, top + 1):
+            with pytest.raises(DomainError, match=rf"degree {n} outside .* 0\.\.{top}"):
+                call(n)
+    assert po.oracle_kernel(polys, 1.2, 1.3j, upto=0) == pytest.approx(polys.kappa[0] ** 2)
+    assert np.isfinite(po.oracle_kernel(polys, 1.2, 1.3j, upto=top))
 
 
 def _gram_schmidt_reference(z, w, N):
