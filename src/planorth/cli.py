@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -295,8 +296,10 @@ def cmd_verify(cfg: dict, exp: dict, outdir: Path) -> int:
     p0 = polys.evaluate(np.array([z0]))[0]
 
     pairs = [(N, kappa) for kappa in range(exp["kappa"] + 1) for N in exp["N"]]
+    with stage("oracle-collar"):
+        l2s = l2_discrepancies(model, polys, pairs)
     rows = []
-    for (N, kappa), l2 in zip(pairs, l2_discrepancies(model, polys, pairs)):
+    for (N, kappa), l2 in zip(pairs, l2s):
         check_valid(model, N, zeta, ok)
         scale = monic_prefactor(model, N) * abs(positioning_factor(model, N, zeta0))
         perr = abs(p0[N] / polys.kappa[N] - monic_at(model, N, zeta, order=kappa)[0]) / scale
@@ -361,8 +364,10 @@ def cmd_distributional(cfg: dict, exp: dict, outdir: Path) -> int:
     vals = [distributional_expectation(model, split, N, order=exp["kappa"]) for N in exp["N"]]
     N_max = max(exp["N"])
     polys = _oracle_for(model, N_max)
+    with stage("oracle-collar"):
+        ovs = berezin_expectations(model, polys, g, exp["N"])
     rows = []
-    for N, val, ov in zip(exp["N"], vals, berezin_expectations(model, polys, g, exp["N"])):
+    for N, val, ov in zip(exp["N"], vals, ovs):
         ov = complex(ov)
         rows.append([N, val.real, val.imag, ov.real, ov.imag, abs(val - ov)])
     term_table = [{"nu": idx[0], "j": idx[1], "k": idx[2], "value": _c2l(v)}
@@ -435,7 +440,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     p = argparse.ArgumentParser(prog="planorth",
                                 description="Planar orthogonal polynomial expansions")
     p.add_argument("--version", action="version", version=__version__)

@@ -16,9 +16,10 @@ the corrections only through their circle jets ``J[nu, p]``
 
 The weighted side of every term, the weighted boundary operator applied to
 ``X_j conj(X_k)``, contracts the model's moment array ``model.norm.moments``
-(``B[j, k, mu, mode]``, built once per model) over ``mu`` with the weights
-``C(nu+mu, nu) N^-mu``, so a request only takes the jet of the test function
-and pairs its rows with those contractions on the circle.
+(``B[j, k, mu, mode]``, computed on the first request and kept with the model)
+over ``mu`` with the weights ``C(nu+mu, nu) N^-mu``, so a request only takes
+the jet of the test function and pairs its rows with those contractions on the
+circle.
 """
 
 from __future__ import annotations

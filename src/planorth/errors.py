@@ -36,8 +36,9 @@ class PositivityError(PlanorthError):
 
 
 class DegreeTooHighError(PlanorthError):
-    """The boundary oracle cannot orthonormalize to the requested degree: its Gram
-    matrix or ``log kappa_n`` does not settle at any circle sample count it tries."""
+    """The boundary oracle cannot serve the requested degree: its Gram matrix or
+    ``log kappa_n`` does not settle at any circle sample count it tries, or its
+    collar rule does not reproduce the unit norm of ``P_N``."""
 
 
 class ConsistencyError(PlanorthError):

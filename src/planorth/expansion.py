@@ -160,10 +160,17 @@ def canonical_position(model: ExpansionModel, f: CircleSeries, N: int, z):
 
 def monic_at(model: ExpansionModel, N: int, zeta, order: int | None = None):
     """Asymptotic monic polynomial of degree ``N`` at mapped points ``zeta = phi(z)``
-    (the degree is checked, the validity region is the caller's)."""
+    (the degree is checked, the validity region is the caller's).  Raises
+    :class:`NonFiniteError` where a value leaves the float range."""
     _require_degree(N)
-    return monic_prefactor(model, N) * position_at(
-        model, neumann_partial_sum(model.coeffs, N, order), N, zeta)
+    # an overflowed factor makes the product inf or nan; both are caught below
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = monic_prefactor(model, N) * position_at(
+            model, neumann_partial_sum(model.coeffs, N, order), N, zeta)
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteError(f"monic polynomial out of float range at degree {N} "
+                             f"(|phi(z)| up to {np.max(np.abs(zeta)):.4g})")
+    return vals
 
 
 def normalized_scale(model: ExpansionModel, N: int, order: int | None = None) -> float:

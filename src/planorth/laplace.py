@@ -17,14 +17,17 @@ root of that series.
 
 ``Omega = E conj(E)``, so ``X_j conj(X_k) Omega = A_j conj(A_k)`` with the
 1-D products ``A_j = X_j E``, and each row of the table is a weighted 1-D
-correlation of ``A_j`` with ``A_k``.  The table is one complex array, built
-once per model and shared with the boundary-distribution terms, which
-contract it over ``mu`` into the weighted boundary operator.
+correlation of ``A_j`` with ``A_k``.  The stack of the ``A_j`` is built once
+per model; the norm constants read only circle mode 0 of the table, so
+``norm_expansion`` computes that column alone.  The full table, which the
+boundary-distribution terms contract over ``mu`` into the weighted boundary
+operator, is computed by the same kernel on its first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,39 +91,50 @@ def _ps_exp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _moment_table(szego: SzegoData, coeffs: HierarchyCoeffs, order: int) -> np.ndarray:
-    """``B[j, k, mu, 2S + p] = R L^mu (X_j conj(X_k) Omega)`` at mode ``p``,
-    for ``j + k <= order`` and ``mu <= order`` (zero where ``j + k > order``).
-
-    With ``A_j = X_j E`` (one circle product per ``j``, each ``X_j`` at the
-    least bandwidth that holds it) and ``S`` the largest bandwidth of the
-    ``A_j``, mode ``p`` of the restriction sums one diagonal ``m - n = p`` of
-    the outer product ``A_j conj(A_k)``, where ``L`` multiplies by
-    ``-(m+n)/2 - 1 = -(2n+p)/2 - 1``:
-    ``B[j,k,mu,p] = sum_n A_j[n+p] conj(A_k[n]) (-(2n+p)/2 - 1)^mu``.
-    So each row is a weighted 1-D correlation: the ``(4S+1) x (2S+1)``
-    sliding window ``A_j[n+p]`` of the zero-padded ``A_j``, times the
-    ``mu``-th power of the weight, contracted with ``conj(A_k)``.  No product
-    is truncated, and every mode beyond ``bw(A_j) + bw(A_k)`` is exactly 0."""
+def _product_stack(szego: SzegoData, coeffs: HierarchyCoeffs, order: int) -> np.ndarray:
+    """``A[j, S + n] = A_j[n]`` for ``A_j = X_j E``, ``j <= order``: one circle
+    product per ``j``, each ``X_j`` at the least bandwidth that holds it, all
+    zero-padded to the largest bandwidth ``S`` of the ``A_j``."""
     E = szego.E.trimmed().coeffs
     A = [np.convolve(x.trimmed().coeffs, E) for x in coeffs.X[:order + 1]]
     S = max((a.size - 1) // 2 for a in A)
-    # padded[j, 3S + n] = A_j[n], zero for |n| > bw(A_j)
-    padded = np.zeros((order + 1, 6 * S + 1), dtype=np.complex128)
+    stack = np.zeros((order + 1, 2 * S + 1), dtype=np.complex128)
     for j, a in enumerate(A):
-        padded[j, 3 * S - (a.size - 1) // 2:3 * S + (a.size + 1) // 2] = a
-    conjA = np.conj(padded[:, 2 * S:4 * S + 1])
-    p = np.arange(-2 * S, 2 * S + 1)[:, None]
+        stack[j, S - (a.size - 1) // 2:S + (a.size + 1) // 2] = a
+    return stack
+
+
+def _moment_table(A: np.ndarray, P: int) -> np.ndarray:
+    """``B[j, k, mu, P + p] = R L^mu (X_j conj(X_k) Omega)`` at circle mode
+    ``p``, ``|p| <= P``, for ``j + k <= order`` and ``mu <= order`` (zero where
+    ``j + k > order``), from the stack ``A`` of :func:`_product_stack`, whose
+    ``order + 1`` rows hold the ``A_j``.
+
+    Mode ``p`` of the restriction sums one diagonal ``m - n = p`` of the outer
+    product ``A_j conj(A_k)``, where ``L`` multiplies by
+    ``-(m+n)/2 - 1 = -(2n+p)/2 - 1``:
+    ``B[j,k,mu,p] = sum_n A_j[n+p] conj(A_k[n]) (-(2n+p)/2 - 1)^mu``.
+    So each row is a weighted 1-D correlation: one copy of the
+    ``(2P+1) x (2S+1)`` sliding windows ``A_j[n+p]`` of every zero-padded
+    ``A_j``, times the ``mu``-th power of the weight, contracted with
+    ``conj(A_k)`` in one batched product per ``mu``.  No product is
+    truncated, and every mode beyond ``bw(A_j) + bw(A_k)`` is exactly 0;
+    ``P = 2S`` holds them all."""
+    J, S = A.shape[0], (A.shape[1] - 1) // 2
+    padded = np.zeros((J, 2 * (S + P) + 1), dtype=np.complex128)
+    padded[:, P:P + 2 * S + 1] = A
+    # window[j, P + p, S + n] = A_j[n + p], weighted in place
+    window = np.lib.stride_tricks.sliding_window_view(padded, 2 * S + 1, axis=1).copy()
+    p = np.arange(-P, P + 1)[:, None]
     n = np.arange(-S, S + 1)[None, :]
     weight = -(2 * n + p) / 2.0 - 1.0
-    table = np.zeros((order + 1, order + 1, order + 1, 4 * S + 1), dtype=np.complex128)
-    for j in range(order + 1):
-        rows = conjA[:order + 1 - j]
-        # window[2S + p, S + n] = A_j[n + p], one copy per j, weighted in place
-        window = np.lib.stride_tricks.sliding_window_view(padded[j], 2 * S + 1).copy()
-        for mu in range(order + 1):
-            table[j, :order + 1 - j, mu] = rows @ window.T
-            window *= weight
+    rows = np.conj(A)
+    table = np.empty((J, J, J, 2 * P + 1), dtype=np.complex128)
+    for mu in range(J):
+        table[:, :, mu] = rows @ window.transpose(0, 2, 1)
+        window *= weight
+    for j in range(1, J):
+        table[j, J - j:] = 0.0
     return table
 
 
@@ -128,12 +142,18 @@ def _moment_table(szego: SzegoData, coeffs: HierarchyCoeffs, order: int) -> np.n
 class NormExpansion:
     """Norm-constant data: ``raw[p-1] = c_p`` with
     ``N ||.||^2 = 1 + sum c_p N^-p`` and ``d[j-1] = d_j`` from the inverse
-    square root (all real); ``moments`` is the table ``B[j, k, mu, 2S + p]``
-    they are read from (see ``_moment_table``)."""
+    square root (all real), both read off circle mode 0 of the moment table;
+    ``stack`` holds the products ``A_j = X_j E`` (see ``_product_stack``).
+    The whole table ``moments``, ``B[j, k, mu, 2S + p]`` (see
+    ``_moment_table``), is computed from the stack on first use."""
 
     d: np.ndarray
     raw: np.ndarray
-    moments: np.ndarray
+    stack: np.ndarray
+
+    @cached_property
+    def moments(self) -> np.ndarray:
+        return _moment_table(self.stack, self.stack.shape[1] - 1)
 
     def factor(self, N: float, order: int | None = None) -> float:
         """Truncated norm correction ``1 + sum_{j<=order} d_j N^-j``."""
@@ -155,8 +175,8 @@ def norm_expansion(szego: SzegoData, coeffs: HierarchyCoeffs, order: int) -> Nor
         raise ValueError("order must be >= 0")
     if order > coeffs.order:
         raise ValueError("hierarchy not solved to the requested order")
-    table = _moment_table(szego, coeffs, order)
-    mode0 = table[..., (table.shape[-1] - 1) // 2]
+    stack = _product_stack(szego, coeffs, order)
+    mode0 = _moment_table(stack, 0)[..., 0]
     c = np.zeros(order + 1, dtype=np.complex128)
     for j in range(order + 1):
         for k in range(order + 1 - j):
@@ -171,4 +191,4 @@ def norm_expansion(szego: SzegoData, coeffs: HierarchyCoeffs, order: int) -> Nor
     d_series = _ps_exp(-0.5 * _ps_log(cr.astype(np.complex128)))
     if float(np.max(np.abs(d_series.imag))) > NORM_IMAG_TOL:
         raise ConsistencyError("norm factor series must be real")
-    return NormExpansion(d=d_series.real[1:].copy(), raw=cr[1:].copy(), moments=table)
+    return NormExpansion(d=d_series.real[1:].copy(), raw=cr[1:].copy(), stack=stack)

@@ -37,7 +37,11 @@ its boundary samples, mode ``k`` scaled by ``r^k``; the expansion's ``X_j``
 and ``V`` are evaluated there once by the same scaling, so each further
 degree or order costs ``O(nodes)``.  The part of the L2 distance inside
 ``|phi| < rho1`` is itself a Stokes integral on ``psi(rho1 S^1)``, read from
-the primitive's modes.
+the primitive's modes.  Each degree is checked before use: that inner part
+plus the collar sum of ``|P_N|^2`` is ``||P_N||^2 = 1`` to ``COLLAR_TOL``.
+Where it is not (``r^k`` amplifies the noise modes of high degrees, from
+``N`` near 300 on the presets), :class:`DegreeTooHighError` is raised rather
+than a wrong integral returned.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ MIN_SAMPLES = 128       # fewest circle samples of a boundary oracle
 MAX_SAMPLES = 2 ** 16   # most circle samples a boundary oracle doubles to
 TAIL_TOL = 1e-12        # largest outer-mode share of a resolved sample spectrum
 CHOP = 64 * np.finfo(float).eps  # modes below CHOP * max|mode| are dropped before r^k scaling
+COLLAR_TOL = 1e-8       # largest deviation from 1 of ||P_N||^2 on the collar rule
 COLLAR_Q = 12           # Gauss-Legendre nodes per radial panel of the collar rule
 COLLAR_HALVINGS = 5     # collar panels past rho2, each half the width of the last
 
@@ -343,7 +348,8 @@ def _sampled_on_circles(samples: np.ndarray, radii: np.ndarray) -> np.ndarray:
 class _Collar:
     """Collar rule ``rho1 < |zeta| < 1`` at a boundary oracle's angles:
     ``weights`` hold ``omega dA / pi`` pulled back by ``psi``, ``dpsi`` is
-    ``psi'(zeta)`` and ``chi`` the cutoff on each radius."""
+    ``psi'(zeta)`` and ``chi`` the cutoff on each radius; ``rim`` is the
+    Stokes factor ``e^P psi'(zeta) zeta`` on ``|zeta| = rho1``."""
 
     rho1: float
     radii: np.ndarray
@@ -351,6 +357,7 @@ class _Collar:
     dpsi: np.ndarray
     chi: np.ndarray
     weights: np.ndarray
+    rim: np.ndarray
 
 
 def _collar(model: ExpansionModel, polys: OraclePolynomials, rho1, rho2) -> _Collar:
@@ -370,19 +377,34 @@ def _collar(model: ExpansionModel, polys: OraclePolynomials, rho1, rho2) -> _Col
     z, dpsi = rule.map.psi_and_prime(zeta)
     weights = ((2.0 / rule.L) * (wr * r)[:, None] * (dpsi.real ** 2 + dpsi.imag ** 2)
                * np.exp(2.0 * _horner(rule.holo_poly, z).real))
-    return _Collar(rho1, r, zeta, dpsi, smoothstep(r, rho1, rho2), weights)
+    z1, dpsi1 = rule.map.psi_and_prime(rho1 * rule.zeta)
+    rim = np.exp(_horner(rule.holo_poly, z1)) * dpsi1 * rho1 * rule.zeta
+    return _Collar(rho1, r, zeta, dpsi, smoothstep(r, rho1, rho2), weights, rim)
 
 
-def _inner_part(polys: OraclePolynomials, N: int, rho1: float) -> float:
+def _inner_part(polys: OraclePolynomials, collar: _Collar, N: int) -> float:
     """``int |P_N|^2 omega dA / pi`` over ``|phi| < rho1`` by Stokes on
     ``psi(rho1 S^1)``: ``P_N`` and its primitive ``B_N`` from their modes."""
-    rule = polys.rule
-    r = np.array([rho1])
+    r = np.array([collar.rho1])
     p = _sampled_on_circles(polys.basis[:, N], r)[0]
     b = _sampled_on_circles(polys.primitive[:, N], r)[0]
-    z, dpsi = rule.map.psi_and_prime(rho1 * rule.zeta)
-    return float(np.mean(p * np.exp(_horner(rule.holo_poly, z)) * np.conj(b)
-                         * dpsi * rho1 * rule.zeta).real)
+    return float(np.mean(p * collar.rim * np.conj(b)).real)
+
+
+def _on_collar(polys: OraclePolynomials, collar: _Collar, N: int):
+    """``P_N`` on the collar radii and :func:`_inner_part`, once their sum
+    ``||P_N||^2`` is 1 to ``COLLAR_TOL``: else the samples' modes, scaled by
+    ``r^k``, have lost ``P_N`` and :class:`DegreeTooHighError` is raised."""
+    with np.errstate(over="ignore", invalid="ignore"):   # lost samples may overflow
+        p = _sampled_on_circles(polys.basis[:, N], collar.radii)
+        inner = _inner_part(polys, collar, N)
+        deviation = abs(inner + float(np.sum(collar.weights * (p.real ** 2 + p.imag ** 2)))
+                        - 1.0)
+    if not deviation <= COLLAR_TOL:   # NaN fails too
+        raise DegreeTooHighError(
+            f"collar rule reads ||P_N||^2 - 1 = {deviation:.3e} at N = {N} "
+            f"(L = {polys.rule.L}), above {COLLAR_TOL:.0e}")
+    return p, inner
 
 
 def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs,
@@ -396,6 +418,8 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs,
     is extended by zero where ``chi0`` vanishes.  The collar ``|phi| > rho1``
     takes the collar rule, on which ``X_j``, ``phi' e^V`` and each degree's
     ``P_N`` are evaluated once; the rest is a Stokes integral per degree.
+    Raises :class:`DegreeTooHighError` for a degree the collar rule cannot
+    hold (:func:`_on_collar`).
     """
     pairs = list(pairs)
     for N, _ in pairs:
@@ -415,10 +439,9 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs,
     out = np.empty(len(pairs))
     for i, (N, order) in enumerate(pairs):
         if N not in cache:
-            p = _sampled_on_circles(polys.basis[:, N], radii)
+            p, inner = _on_collar(polys, collar, N)
             zeta_n = radii[:, None] ** N * rule.zeta[(N * steps) % L][None, :]
-            cache[N] = (p, collar.chi[:, None] * frame * zeta_n,
-                        _inner_part(polys, N, collar.rho1))
+            cache[N] = (p, collar.chi[:, None] * frame * zeta_n, inner)
         p, positioned, inner = cache[N]
         order = model.order if order is None else order
         partial = sum(xs[j] * float(N) ** -j for j in range(1, order + 1)) + xs[0]
@@ -441,7 +464,9 @@ def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, g, deg
     globally smooth test function ``G(z) = chi0(|phi(z)|) g(phi(z))``: the
     annulus test data tapered to zero deep inside the domain by the
     smoothstep on ``[rho1, rho2]``, so the integral lives on the collar rule.
-    ``G`` is evaluated once; each degree adds its ``P_N`` and one weighted sum."""
+    ``G`` is evaluated once; each degree adds its ``P_N`` and one weighted sum.
+    Raises :class:`DegreeTooHighError` for a degree the collar rule cannot
+    hold (:func:`_on_collar`)."""
     degrees = list(degrees)
     for N in degrees:
         polys.check_degree(N)
@@ -450,7 +475,7 @@ def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, g, deg
           * _on_circles(*g.terms(), collar.radii, polys.rule.L))
     out = []
     for N in degrees:
-        p = _sampled_on_circles(polys.basis[:, N], collar.radii)
+        p, _ = _on_collar(polys, collar, N)
         out.append(np.sum(wg * (p.real ** 2 + p.imag ** 2)))
     return np.array(out, dtype=np.complex128)
 

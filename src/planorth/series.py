@@ -118,8 +118,8 @@ class CircleSeries:
     """Laurent polynomial ``sum_k c[k] z^k`` on the unit circle.
 
     ``coeffs[K + k]`` is the coefficient of ``z**k``, ``|k| <= K``.  The
-    ``support`` tag declares which modes may be nonzero; construction checks
-    the tag against the actual coefficient range.
+    ``support`` tag declares which modes may be nonzero; construction refuses
+    a coefficient outside it that is nonzero or NaN.
     """
 
     coeffs: np.ndarray
@@ -132,14 +132,13 @@ class CircleSeries:
         if self.support not in _SUPPORTS:
             raise ValueError(f"unknown support tag {self.support!r}")
         K = (arr.shape[0] - 1) // 2
-        k = np.arange(-K, K + 1)
         if self.support == SUPPORT_EXTERIOR:
-            bad = np.abs(arr[k > 0])
+            outside = arr[K + 1:]
         elif self.support == SUPPORT_EXTERIOR_VANISHING:
-            bad = np.abs(arr[k > -1])
+            outside = arr[K:]
         else:
-            bad = np.zeros(0)
-        if bad.size and np.max(bad) > 0.0:
+            outside = arr[:0]
+        if outside.any():   # NaN counts as nonzero
             raise ValueError(f"nonzero coefficients outside declared support {self.support!r}")
         object.__setattr__(self, "coeffs", arr)
 

@@ -494,3 +494,43 @@ def test_model_payload_modes_match_per_mode_listing(all_preset_models):
         vmodes = [k for k in range(-v.bandwidth, 1) if abs(v.coeff(k)) > 1e-15]
         vwant = {"modes": vmodes, "coeffs": [[v.coeff(k).real, v.coeff(k).imag] for k in vmodes]}
         assert json.dumps(payload["szego"]["v_exterior"]) == json.dumps(vwant), name
+
+
+def test_expand_builds_no_moment_table(tmp_path, monkeypatch):
+    # model.json holds the norm constants only, which read mode 0 of the table
+    built = []
+
+    def capture(*args, **kwargs):
+        built.append(planorth.expansion.build_model(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_model", capture)
+    assert run(["expand", "--config", write_config(tmp_path), "--out", tmp_path / "o"]) == 0
+    assert len(built) == 1 and "moments" not in built[0].norm.__dict__
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path):
+    # the cached parser: overrides of one call reach neither the next call
+    # nor the parser's defaults
+    assert cli.make_parser() is cli.make_parser()
+    cfg = write_config(tmp_path, "disk-expre03", kappa=2, N=[8, 12])
+    assert run(["expand", "--config", cfg, "--out", tmp_path / "a", "--kappa", "1",
+                "--n", "16,20"]) == 0
+    assert run(["expand", "--config", cfg, "--out", tmp_path / "b"]) == 0
+    assert json.loads((tmp_path / "a" / "model.json").read_text())["kappa"] == 1
+    assert json.loads((tmp_path / "b" / "model.json").read_text())["kappa"] == 2
+    args = cli.make_parser().parse_args(["expand", "--config", str(cfg)])
+    assert args.kappa is None and args.n is None and args.out is None
+
+
+@pytest.mark.parametrize("command", ["verify", "distributional"])
+def test_collar_rule_past_its_degrees_is_typed(tmp_path, capsys, command):
+    # ellipse-expre at N = 300: the collar rule loses P_N, so the comparison
+    # exits 3 with the stage named instead of writing a value near 1e19
+    cfg = write_config(tmp_path, "ellipse-expre", N=[100, 200, 300], points=[[2.0, 0.0]],
+                       test_function={"terms": [[1, 1, 1.0, 0.0]]})
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "[stage: oracle-collar]" in err and "N = 300" in err
+    assert not out.exists()

@@ -224,12 +224,16 @@ def test_terms_match_per_call_form(all_preset_models):
 
 
 def test_expectation_forms_no_products(disk_alpha_model, monkeypatch):
-    # the weighted side comes from the model's moment table, built once
+    # the weighted side comes from the model's moment table, computed on the
+    # first read and kept, so no later request forms a product with Omega
     rng = np.random.default_rng(31)
     split = split_test_function(random_annulus(rng, 6, disk_alpha_model.inner_radius))
+    table = disk_alpha_model.norm.moments
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a product with Omega formed inside a request")
 
     monkeypatch.setattr(laplace, "_moment_table", forbidden)
+    monkeypatch.setattr(laplace, "_product_stack", forbidden)
     assert np.isfinite(distributional_expectation(disk_alpha_model, split, 20))
+    assert disk_alpha_model.norm.moments is table

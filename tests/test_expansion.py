@@ -198,6 +198,15 @@ def test_normalized_large_degree_log_domain(ellipse_exp_model):
             po.monic_eval(model, N, z)
 
 
+def test_monic_overflow_is_typed(ellipse_exp_model):
+    # ellipse-expre at z = 3, N = 1000: C_N is finite but the monic value
+    # leaves the float range; the unit-norm value stays finite
+    with pytest.raises(NonFiniteError, match="degree 1000"):
+        po.monic_eval(ellipse_exp_model, 1000, 3.0)
+    assert np.isfinite(po.normalized_eval(ellipse_exp_model, 1000, 3.0))
+    assert np.isfinite(po.monic_eval(ellipse_exp_model, 100, 3.0))
+
+
 def test_degree_checked_before_overflow(ellipse_exp_model):
     for f in (po.monic_eval, po.normalized_eval):
         with pytest.raises(OutOfValidityError):

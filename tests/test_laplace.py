@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import planorth as po
-from planorth.laplace import _ps_exp, _ps_log
+from planorth.laplace import _moment_table, _ps_exp, _ps_log
 from planorth.presets import preset_model
 
 from conftest import conv2_reference, grid_restrictions
@@ -190,3 +190,62 @@ def test_moment_table_matches_outer_product_radial_moments(name):
                         (name, order, j, k, mu)
                     assert not np.any(got[:centre - K]) and not np.any(got[centre + K + 1:]), \
                         (name, order, j, k, mu)
+
+
+def _direct_correlation(model):
+    """``sum_n A_j[n+p] conj(A_k[n]) (-(2n+p)/2 - 1)^mu`` term by term, with
+    ``A_j = X_j E`` from the trimmed factors, for ``j + k <= order``, ``mu <= order``:
+    ``{(j, k): (modes p, rows [mu, p])}``."""
+    order = model.order
+    A = [(x.trimmed() * model.szego.E.trimmed()).coeffs for x in model.coeffs.X[:order + 1]]
+    out = {}
+    for j in range(order + 1):
+        for k in range(order + 1 - j):
+            a, b = A[j], A[k]
+            Ka, Kb = (a.size - 1) // 2, (b.size - 1) // 2
+            ps = np.arange(-(Ka + Kb), Ka + Kb + 1)
+            rows = np.zeros((order + 1, ps.size), dtype=np.complex128)
+            for i, p in enumerate(ps):
+                n = np.arange(max(-Kb, -Ka - p), min(Kb, Ka - p) + 1)
+                terms = a[Ka + n + p] * np.conj(b[Kb + n])
+                for mu in range(order + 1):
+                    rows[mu, i] = np.sum(terms * (-(2 * n + p) / 2.0 - 1.0) ** mu)
+            out[j, k] = ps, rows
+    return out
+
+
+def test_expand_builds_no_moment_table():
+    # the norm constants read mode 0 alone; the whole table waits for a read
+    model = preset_model("ellipse-expre", 4)
+    assert "moments" not in model.norm.__dict__
+    B = model.norm.moments
+    assert "moments" in model.norm.__dict__ and model.norm.moments is B
+
+
+def test_lazy_moment_table_matches_direct_correlation(all_preset_models):
+    models = dict(all_preset_models)
+    models["perturbed-expre"] = preset_model("perturbed-expre", 4)
+    models["disk-complex"] = po.build_model(po.disk_map(), po.exp_re_linear_weight(0.2 + 0.2j),
+                                            4, bidegree=16, inner_radius=0.5)
+    for name, model in models.items():
+        B = model.norm.moments
+        centre = (B.shape[-1] - 1) // 2
+        for (j, k), (ps, want) in _direct_correlation(model).items():
+            inside = np.abs(ps) <= centre
+            # modes beyond the table's span are exactly zero in the direct sum
+            assert not np.any(want[:, ~inside]), (name, j, k)
+            got = B[j, k][:, ps[inside] + centre]
+            for mu in range(model.order + 1):
+                scale = max(np.max(np.abs(want[mu])), 1e-300)
+                assert np.max(np.abs(got[mu] - want[mu, inside])) <= 1e-13 * scale, \
+                    (name, j, k, mu)
+
+
+def test_mode0_kernel_is_the_table_centre(all_preset_models):
+    # norm_expansion's P = 0 call and the full table are one formula
+    for name, model in all_preset_models.items():
+        B = model.norm.moments
+        mode0 = _moment_table(model.norm.stack, 0)
+        assert mode0.shape == B.shape[:3] + (1,), name
+        centre = B[..., (B.shape[-1] - 1) // 2]
+        assert np.max(np.abs(mode0[..., 0] - centre)) <= 1e-15 * np.max(np.abs(centre)), name

@@ -314,7 +314,7 @@ def _l2_per_degree(model, polys, N, order):
     collar, P = _collar_direct(model, polys, N)
     F = po.normalized_at(model, N, collar.zeta, order)
     diff = P - collar.chi[:, None] * F
-    return math.sqrt(oracle._inner_part(polys, N, collar.rho1)
+    return math.sqrt(oracle._inner_part(polys, collar, N)
                      + np.sum(collar.weights * np.abs(diff) ** 2))
 
 
@@ -558,3 +558,24 @@ def test_collar_refuses_a_cutoff_outside_the_collar(ellipse_exp_model, ellipse_e
     # the ellipse's psi' vanishes at |zeta| = 3^-1/2, inside its margin 0.606
     with pytest.raises(po.DomainError):
         l2_discrepancies(ellipse_exp_model, ellipse_exp_oracle, [(8, 1)], rho1, rho2)
+
+
+def test_collar_guard_refuses_degrees_it_cannot_hold(ellipse_exp_model):
+    # degree-400 oracle on ellipse-expre: ||P_N||^2 on the collar rule is 1 to
+    # roundoff through N = 250 and off by ~1e23 at N = 300, where the r^k
+    # scaling of the sample modes has lost P_N
+    model = ellipse_exp_model
+    polys = po.boundary_onps(model.map, model.weight.holo_poly, 400)
+    collar = oracle._collar(model, polys, None, None)
+    for N in (100, 200, 250):
+        p, inner = oracle._on_collar(polys, collar, N)
+        assert abs(inner + np.sum(collar.weights * np.abs(p) ** 2) - 1.0) <= 1e-12, N
+    good = [100, 200, 250]
+    assert np.all(np.isfinite(l2_discrepancies(model, polys, [(N, 2) for N in good])))
+    g = po.annulus_from_terms({(1, 1): 1.0}, 1, model.inner_radius)
+    assert np.all(np.isfinite(berezin_expectations(model, polys, g, good)))
+    msg = rf"N = 300 \(L = {polys.rule.L}\), above 1e-08"
+    with pytest.raises(DegreeTooHighError, match=msg):
+        l2_discrepancies(model, polys, [(N, 2) for N in good + [300]])
+    with pytest.raises(DegreeTooHighError, match=msg):
+        berezin_expectations(model, polys, g, good + [300])

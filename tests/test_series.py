@@ -7,7 +7,7 @@ import pytest
 import planorth as po
 from planorth.errors import DomainError, TruncationOverflowError
 from planorth.hierarchy import weighted_derivative
-from planorth.series import EVAL_CHUNK, SUPPORT_EXTERIOR_VANISHING
+from planorth.series import EVAL_CHUNK, SUPPORT_EXTERIOR, SUPPORT_EXTERIOR_VANISHING
 
 from conftest import grid_restrictions, random_annulus, random_circle
 
@@ -232,6 +232,23 @@ def test_annulus_evaluation_matches_coefficientwise():
 def test_support_tag_validation():
     with pytest.raises(ValueError):
         po.CircleSeries(np.array([0.0, 0.0, 1.0]), SUPPORT_EXTERIOR_VANISHING)
+
+
+@pytest.mark.parametrize("support, first_outside", [(SUPPORT_EXTERIOR, 1),
+                                                    (SUPPORT_EXTERIOR_VANISHING, 0)])
+def test_support_tag_refuses_nonzero_and_nan_outside(support, first_outside):
+    # K = 3: modes k >= first_outside lie outside the tag; NaN there is refused
+    # too (inside it is the caller's), and -0.0 is zero
+    ok = np.full(7, -0.0, dtype=np.complex128)
+    ok[:3 + first_outside] = 1.0
+    ok[0] = np.nan
+    assert po.CircleSeries(ok, support).support == support
+    for k in range(first_outside, 4):
+        for bad in (1e-300, np.nan, complex(0.0, np.nan)):
+            arr = np.zeros(7, dtype=np.complex128)
+            arr[3 + k] = bad
+            with pytest.raises(ValueError, match="outside declared support"):
+                po.CircleSeries(arr, support)
 
 
 def test_jet_matches_repeated_radial():
