@@ -30,9 +30,7 @@ print("\nexact disk value: kappa_24 =", po.leading_coeff(disk, 24, order=2),
       " vs sqrt(25) = 5")
 
 print("\n== L2 discrepancy of the cut-off expansion ==")
-for N in (12, 24):
-    d = po.l2_discrepancy(alpha, polys, N, order=1)
+d12, d24 = po.l2_discrepancies(alpha, polys, [(12, 1), (24, 1)])
+for N, d in ((12, d12), (24, d24)):
     print(f"  N={N:<3} order=1: ||P_N - chi0 F_N|| = {d:.3e}")
-d12 = po.l2_discrepancy(alpha, polys, 12, order=1)
-d24 = po.l2_discrepancy(alpha, polys, 24, order=1)
 print("  ratio 24/12 =", round(d24 / d12, 4), " (one extra correction order: ~ 1/4)")

@@ -6,7 +6,7 @@ radial derivatives of the circle-vanishing part."""
 import planorth as po
 from planorth.distributional import (distributional_expectation, distributional_terms,
                                      split_test_function)
-from planorth.oracle import berezin_expectation
+from planorth.oracle import berezin_expectations
 from planorth.presets import preset_model
 
 model = preset_model("disk-expre03", 3)
@@ -21,9 +21,8 @@ print("  g(inf) = g_+(inf) =", split.plus_infinity, "(g_- vanishes at infinity)"
 print("  circle jet of g_0 at mode 0, nu = 0..3:", split.zero_jet(3)[:, 2].real)
 
 print("\n  N    boundary expansion   oracle integral      |difference|")
-for N in (8, 16, 32):
+for N, o in zip((8, 16, 32), berezin_expectations(model, polys, g, [8, 16, 32])):
     v = distributional_expectation(model, split, N, order=2)
-    o = berezin_expectation(model, polys, g, N)
     print(f"  {N:<4} {v.real:+.8f}        {o.real:+.8f}        {abs(v - o):.2e}")
 
 print("\nper-index contributions at N = 32 (nu, j, k):")
@@ -33,7 +32,6 @@ for idx, val in distributional_terms(model, split, 32, order=2):
 gp = po.annulus_from_terms({(-1, 0): 1.0}, 1, rho)               # 1/z: no boundary-vanishing part
 sp = split_test_function(gp)
 print("\nharmonic-measure limit for g = 1/z (value at infinity 0):")
-for N in (16, 32):
-    o = berezin_expectation(model, polys, gp, N)
+for N, o in zip((16, 32), berezin_expectations(model, polys, gp, [16, 32])):
     print(f"  N={N:<3} expansion = {distributional_expectation(model, sp, N, order=2)}"
           f"  oracle = {abs(o):.2e}")

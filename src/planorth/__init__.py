@@ -20,12 +20,10 @@ from .hierarchy import (HierarchyCoeffs, hierarchy_residual, hierarchy_residuals
                         neumann_partial_sum, solve_hierarchy, solve_hierarchy_triangular,
                         weighted_derivative)
 from .laplace import JetAtZero, NormExpansion, norm_expansion, watson_sum
-from .expansion import (ExpansionModel, build_model, canonical_position, leading_coeff,
-                        monic_at, monic_eval, monic_prefactor, norm_factor, normalized_at,
-                        normalized_eval, validity_radius)
-from .oracle import (BoundaryRule, OraclePolynomials, berezin_expectation,
-                     berezin_expectations, boundary_onps, boundary_rule, l2_discrepancies,
-                     l2_discrepancy, oracle_kernel, smoothstep)
+from .expansion import (ExpansionModel, build_model, leading_coeff, monic_at, monic_eval,
+                        monic_prefactor, normalized_at, normalized_eval, validity_radius)
+from .oracle import (BoundaryRule, OraclePolynomials, berezin_expectations, boundary_onps,
+                     boundary_rule, l2_discrepancies, oracle_kernel, smoothstep)
 from .distributional import (TestFunctionSplit, distributional_expectation,
                              distributional_terms, split_test_function)
 from .kernels import (OffSpectralPoint, bw_kernel_diag, off_spectral_point,

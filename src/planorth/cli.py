@@ -24,8 +24,8 @@ from .errors import (ConfigError, NonFiniteError, OffSpectralError, OutOfValidit
                      PlanorthError, stage)
 from .expansion import (_require_degree, build_model, check_valid, leading_coeff, monic_at,
                         monic_prefactor, normalized_at, positioning_factor, validity_radius)
-from .geometry import (load_domain_config, map_forward_many, parse_integer, parse_number,
-                       parse_pair)
+from .geometry import (load_domain_config, map_forward_many, parse_integer, parse_list,
+                       parse_number, parse_object, parse_pair)
 from .hierarchy import hierarchy_residuals
 from .kernels import bw_kernel_diag, off_spectral_point, offspectral_leading
 from .oracle import berezin_expectations, boundary_onps, l2_discrepancies, oracle_kernel
@@ -99,11 +99,12 @@ def _c2l(z: complex) -> list:
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    return parse_object(cfg, "config")
 
 
 def _experiment(cfg: dict, args) -> dict:
@@ -116,15 +117,14 @@ def _experiment(cfg: dict, args) -> dict:
     if args.n is not None:
         ns = [parse_integer(x, "degree N") for x in args.n.split(",") if x.strip()]
     else:
-        ns = [parse_integer(x, "degree N") for x in cfg.get("N", [])]
+        ns = [parse_integer(x, "degree N") for x in parse_list(cfg.get("N", []), "N")]
     if ns != sorted(ns):
         raise ConfigError("N list must be sorted ascending")
     if ns and ns[0] < 0:
         raise ConfigError(f"degree N must be nonnegative, got {ns[0]}")
-    points = [parse_pair(p, "points entry") for p in cfg.get("points", [])]
-    tols = cfg.get("tolerances", {})
-    if not isinstance(tols, dict):
-        raise ConfigError("tolerances must be an object, e.g. {\"slope\": 0.35}")
+    points = [parse_pair(p, "points entry")
+              for p in parse_list(cfg.get("points", []), "points")]
+    tols = parse_object(cfg.get("tolerances", {}), "tolerances")
     tol = args.tol if args.tol is not None else tols.get("slope", 0.35)
     if "oracle_degree" in cfg:
         raise ConfigError("oracle_degree is no longer a config key: the boundary oracle "
@@ -183,7 +183,7 @@ def _model_payload(model, cfg: dict) -> dict:
 
 def _write_json(outdir: Path, name: str, payload: dict) -> None:
     try:
-        text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteError(f"{name} would hold a non-finite number: {exc}") from exc
     outdir.mkdir(parents=True, exist_ok=True)
@@ -339,11 +339,11 @@ def cmd_verify(cfg: dict, exp: dict, outdir: Path) -> int:
 
 
 def _test_function(cfg: dict, model):
-    tf = cfg.get("test_function")
-    if not tf or "terms" not in tf:
+    tf = parse_object(cfg.get("test_function", {}), "test_function")
+    if "terms" not in tf:
         raise ConfigError("distributional needs test_function.terms = [[m, n, re, im], ...]")
     terms = {}
-    for row in tf["terms"]:
+    for row in parse_list(tf["terms"], "test_function.terms"):
         if not isinstance(row, list) or len(row) != 4:
             raise ConfigError(f"test_function.terms rows are [m, n, re, im], got {row!r}")
         mn = parse_integer(row[0], "term m"), parse_integer(row[1], "term n")
@@ -392,7 +392,7 @@ def cmd_distributional(cfg: dict, exp: dict, outdir: Path) -> int:
 def cmd_kernel(cfg: dict, exp: dict, outdir: Path) -> int:
     if not exp["N"]:
         raise ConfigError("kernel needs a nonempty N list")
-    kc = cfg.get("kernel", {})
+    kc = parse_object(cfg.get("kernel", {}), "kernel")
     if "w" not in kc or "z" not in kc:
         raise ConfigError("kernel needs kernel.w and kernel.z points")
     _require_degree(min(exp["N"]))
@@ -401,6 +401,11 @@ def cmd_kernel(cfg: dict, exp: dict, outdir: Path) -> int:
     z = parse_pair(kc["z"], "kernel.z")
     rho = parse_number(kc.get("rho", 0.5), "kernel.rho")
     rho1 = parse_number(kc.get("rho1", 0.7), "kernel.rho1")
+    margin = model.map.univalence_margin
+    if not (0.0 < rho < rho1 < 1.0 and rho1 > margin):
+        raise ConfigError(f"kernel band needs 0 < kernel.rho < kernel.rho1 < 1 with kernel.rho1 "
+                          f"above the univalence margin {margin:.4g}, got rho = {rho}, "
+                          f"rho1 = {rho1}")
     pt = off_spectral_point(model.map, w)
     N_max = max(exp["N"])
     polys = _oracle_for(model, N_max)

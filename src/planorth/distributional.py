@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expansion import ExpansionModel, _require_degree, norm_factor
+from .expansion import ExpansionModel, _require_degree
 from .series import (AnnulusSeries, CircleSeries, SUPPORT_EXTERIOR, SUPPORT_EXTERIOR_VANISHING,
                      terms_jet)
 
@@ -127,5 +127,5 @@ def distributional_expectation(model: ExpansionModel, split: TestFunctionSplit, 
     terms = distributional_terms(model, split, N, order)
     if not terms:
         return complex(total)
-    D2 = norm_factor(model, N, order) ** 2
+    D2 = model.norm.factor(N, order) ** 2
     return complex(total + D2 * sum(v for _, v in terms))

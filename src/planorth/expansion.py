@@ -90,15 +90,10 @@ def monic_prefactor(model: ExpansionModel, N: int) -> float:
     return float(model.map.cap ** (N + 1) * math.exp(-model.szego.v_infinity))
 
 
-def norm_factor(model: ExpansionModel, N: int, order: int | None = None) -> float:
-    """Truncated norm correction ``D_N``."""
-    return model.norm.factor(N, order)
-
-
 def leading_coeff(model: ExpansionModel, N: int, order: int | None = None) -> float:
     """Leading coefficient ``kappa_N = C_N^-1 N^(1/2) D_N`` of the unit-norm polynomial."""
     _require_degree(N)
-    return float(math.sqrt(N) * norm_factor(model, N, order) / monic_prefactor(model, N))
+    return float(math.sqrt(N) * model.norm.factor(N, order) / monic_prefactor(model, N))
 
 
 def positioning_factor(model: ExpansionModel, N: int, zeta) -> np.ndarray:
@@ -121,24 +116,13 @@ def position_at(model: ExpansionModel, f: CircleSeries, N: int, zeta):
     return positioning_factor(model, N, zeta) * f.evaluate(zeta)
 
 
-def _check_mapped(N: int, ok) -> None:
-    _require_degree(N)
-    if not np.all(ok):
-        raise OutOfValidityError("point could not be mapped into the analytic collar")
-
-
-def _map_checked(model: ExpansionModel, N: int, z) -> np.ndarray:
-    """``phi(z)``; the degree and the mapping into the collar are checked."""
-    zeta, ok = map_forward_many(model.map, np.atleast_1d(np.asarray(z, dtype=np.complex128)))
-    _check_mapped(N, ok)
-    return zeta
-
-
 def check_valid(model: ExpansionModel, N: int, zeta, ok) -> None:
     """Raise :class:`OutOfValidityError` unless the degree is at least
     ``N_MIN`` and every point was mapped (``ok``, as from ``map_forward_many``)
     to ``zeta`` inside the validity region."""
-    _check_mapped(N, ok)
+    _require_degree(N)
+    if not np.all(ok):
+        raise OutOfValidityError("point could not be mapped into the analytic collar")
     r = validity_radius(N, model.validity_constant)
     if np.any(np.abs(zeta) < r):
         raise OutOfValidityError(f"|phi(z)| = {np.min(np.abs(zeta)):.4f} below the "
@@ -150,12 +134,6 @@ def _map_valid(model: ExpansionModel, N: int, z) -> np.ndarray:
     zeta, ok = map_forward_many(model.map, np.atleast_1d(np.asarray(z, dtype=np.complex128)))
     check_valid(model, N, zeta, ok)
     return zeta
-
-
-def canonical_position(model: ExpansionModel, f: CircleSeries, N: int, z):
-    """Apply the positioning operator: ``phi'(z) phi(z)^N e^V(z) f(phi(z))``."""
-    vals = position_at(model, f, N, _map_checked(model, N, z))
-    return vals if np.ndim(z) else complex(vals[0])
 
 
 def monic_at(model: ExpansionModel, N: int, zeta, order: int | None = None):
@@ -177,7 +155,7 @@ def normalized_scale(model: ExpansionModel, N: int, order: int | None = None) ->
     """``kappa_N C_N = N^(1/2) D_N``: the factor taking the positioned partial
     sum to the unit-norm polynomial (the degree is checked)."""
     _require_degree(N)
-    return math.sqrt(N) * norm_factor(model, N, order)
+    return math.sqrt(N) * model.norm.factor(N, order)
 
 
 def normalized_at(model: ExpansionModel, N: int, zeta, order: int | None = None):

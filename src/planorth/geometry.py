@@ -86,17 +86,10 @@ class ExteriorMap:
         return val, der
 
 
-def exterior_map(cap: float, tail=(), univalence_margin: float | None = None) -> ExteriorMap:
+def exterior_map(cap: float, tail=()) -> ExteriorMap:
     """Construct a map, estimating the univalence margin from the zeros of psi'."""
     tail = np.asarray(list(tail), dtype=np.complex128)
-    estimated = _estimate_margin(cap, tail)
-    if univalence_margin is None:
-        univalence_margin = estimated
-    elif univalence_margin < estimated / 1.05 - 1e-12:
-        raise ConfigError(
-            f"declared univalence margin {univalence_margin} lies inside the zero set of "
-            f"psi' (largest zero modulus ~ {estimated / 1.05:.4f})")
-    m = ExteriorMap(cap, tail, univalence_margin)
+    m = ExteriorMap(cap, tail, _estimate_margin(cap, tail))
     _check_margin(m)
     return m
 
@@ -475,6 +468,20 @@ def parse_pair(value, what: str) -> complex:
     return complex(parse_number(value[0], what), parse_number(value[1], what))
 
 
+def parse_list(value, what: str) -> list:
+    """A JSON array, as given."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def parse_object(value, what: str) -> dict:
+    """A JSON object, as given."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    return value
+
+
 def load_domain_config(cfg: dict):
     """Parse the JSON domain/weight config into ``(map, weight_def, rho, M, K)``.
 
@@ -488,12 +495,11 @@ def load_domain_config(cfg: dict):
     Laurent series; ``K`` is accepted and has no effect.
     """
     try:
-        mp, wcfg = cfg["map"], cfg.get("weight", {"kind": "const", "value": 1.0})
-        for key, value in (("map", mp), ("weight", wcfg)):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{key} must be an object, got {value!r}")
+        mp = parse_object(cfg["map"], "map")
+        wcfg = parse_object(cfg.get("weight", {"kind": "const", "value": 1.0}), "weight")
         cap = parse_number(mp["cap"], "map.cap")
-        tail = [parse_pair(a, "map.tail entry") for a in mp.get("tail", [])]
+        tail = [parse_pair(a, "map.tail entry")
+                for a in parse_list(mp.get("tail", []), "map.tail")]
         kind = wcfg.get("kind", "const")
         if kind == "const":
             wd = constant_weight(parse_number(wcfg.get("value", 1.0), "weight.value"))

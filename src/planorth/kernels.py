@@ -32,21 +32,16 @@ def off_spectral_point(m: ExteriorMap, w: complex) -> OffSpectralPoint:
     return OffSpectralPoint(w=complex(w), image=complex(a))
 
 
-def outer_rho(m: ExteriorMap, point: OffSpectralPoint, z):
-    """Outer factor of the normalized kernel rooted at ``w``:
-    ``sqrt(|a|^2 - 1) * conj(a) phi(z) / (|a| (conj(a) phi(z) - 1))`` with
+def outer_rho(point: OffSpectralPoint, zeta):
+    """Outer factor of the normalized kernel rooted at ``w``, at mapped points
+    ``zeta = phi(z)``:
+    ``sqrt(|a|^2 - 1) * conj(a) zeta / (|a| (conj(a) zeta - 1))`` with
     ``a = phi(w)``.
 
-    On the boundary its modulus squared is ``(|a|^2 - 1)/|phi(z) - a|^2``; it
+    On the boundary its modulus squared is ``(|a|^2 - 1)/|zeta - a|^2``; it
     is zero-free and nonvanishing at infinity (hence outer on the exterior),
-    and at ``z = w`` takes the positive value ``|a| (|a|^2 - 1)^(-1/2)``.
+    and at ``zeta = a`` takes the positive value ``|a| (|a|^2 - 1)^(-1/2)``.
     """
-    vals = _outer_rho_at(point, np.asarray(map_forward(m, z), dtype=np.complex128))
-    return vals if np.ndim(z) else complex(vals)
-
-
-def _outer_rho_at(point: OffSpectralPoint, zeta: np.ndarray) -> np.ndarray:
-    """:func:`outer_rho` at mapped points ``zeta = phi(z)``."""
     a = point.image
     return (math.sqrt(abs(a) ** 2 - 1.0) * np.conj(a) * zeta
             / (abs(a) * (np.conj(a) * zeta - 1.0)))
@@ -57,8 +52,7 @@ def offspectral_leading(model: ExpansionModel, point: OffSpectralPoint, N: int, 
     unimodular phase: ``N^(1/2) rho_w(z) phi'(z) phi(z)^N e^V(z)``."""
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     zeta = np.asarray(map_forward(model.map, zs), dtype=np.complex128)
-    vals = (math.sqrt(N) * _outer_rho_at(point, zeta)
-            * positioning_factor(model, N, zeta))
+    vals = math.sqrt(N) * outer_rho(point, zeta) * positioning_factor(model, N, zeta)
     return vals if np.ndim(z) else complex(vals[0])
 
 

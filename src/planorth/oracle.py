@@ -31,11 +31,11 @@ Trefethen 2021).
 Comparisons against the expansion (:func:`l2_discrepancies`,
 :func:`berezin_expectations`) integrate over a collar rule in ``zeta``:
 trapezoid in the angle at the oracle's ``L`` samples times Gauss-Legendre
-panels in the radius, with breaks at the cutoff's ``rho1`` and ``rho2`` and
-then graded toward 1.  ``P_N o psi`` on every radius comes from the modes of
-its boundary samples, mode ``k`` scaled by ``r^k``; the expansion's ``X_j``
-and ``V`` are evaluated there once by the same scaling, so each further
-degree or order costs ``O(nodes)``.  The part of the L2 distance inside
+panels in the radius, with breaks at the cutoff's ``rho1`` and ``rho2``
+(``rho + CUTOFF``) and then graded toward 1.  ``P_N o psi`` on every radius
+comes from the modes of its boundary samples, mode ``k`` scaled by ``r^k``;
+the expansion's ``X_j`` and ``V`` are evaluated there once by the same
+scaling, so each further degree or order costs ``O(nodes)``.  The part of the L2 distance inside
 ``|phi| < rho1`` is itself a Stokes integral on ``psi(rho1 S^1)``, read from
 the primitive's modes.  Each degree is checked before use: that inner part
 plus the collar sum of ``|P_N|^2`` is ``||P_N||^2 = 1`` to ``COLLAR_TOL``.
@@ -64,6 +64,7 @@ MAX_SAMPLES = 2 ** 16   # most circle samples a boundary oracle doubles to
 TAIL_TOL = 1e-12        # largest outer-mode share of a resolved sample spectrum
 CHOP = 64 * np.finfo(float).eps  # modes below CHOP * max|mode| are dropped before r^k scaling
 COLLAR_TOL = 1e-8       # largest deviation from 1 of ||P_N||^2 on the collar rule
+CUTOFF = (0.05, 0.15)   # the cutoff chi0 rises on rho + CUTOFF, rho the model's inner radius
 COLLAR_Q = 12           # Gauss-Legendre nodes per radial panel of the collar rule
 COLLAR_HALVINGS = 5     # collar panels past rho2, each half the width of the last
 
@@ -360,16 +361,14 @@ class _Collar:
     rim: np.ndarray
 
 
-def _collar(model: ExpansionModel, polys: OraclePolynomials, rho1, rho2) -> _Collar:
+def _collar(model: ExpansionModel, polys: OraclePolynomials) -> _Collar:
     """The collar rule of a boundary oracle for the cutoff rising on
-    ``[rho1, rho2]`` (defaults ``rho + 0.05``, ``rho + 0.15``)."""
+    ``[rho1, rho2] = rho + CUTOFF``; a model whose ``rho1`` is not inside the
+    domain (``rho1 >= 1``) is refused with :class:`DomainError`."""
     rule = polys.rule
-    rho = model.inner_radius
-    rho1 = rho + 0.05 if rho1 is None else rho1
-    rho2 = rho + 0.15 if rho2 is None else rho2
-    if not (rule.map.univalence_margin < rho1 < 1.0 and rho1 < rho2):
-        raise DomainError(f"cutoff needs univalence margin < rho1 < 1 and rho1 < rho2, "
-                          f"got {rho1}, {rho2}")
+    rho1, rho2 = (model.inner_radius + c for c in CUTOFF)
+    if not rho1 < 1.0:
+        raise DomainError(f"cutoff needs rho1 = inner radius + {CUTOFF[0]} < 1, got {rho1}")
     top = min(rho2, 1.0)
     grade = 1.0 - (1.0 - top) * 0.5 ** np.arange(1, COLLAR_HALVINGS + 1)
     r, wr = _gl_panels(np.unique(np.concatenate([[rho1, top], grade, [1.0]])), COLLAR_Q)
@@ -407,17 +406,17 @@ def _on_collar(polys: OraclePolynomials, collar: _Collar, N: int):
     return p, inner
 
 
-def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs,
-                     rho1: float | None = None, rho2: float | None = None) -> np.ndarray:
+def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs) -> np.ndarray:
     """Weighted L2 distance ``|| P_N - chi0 F_N ||`` between the oracle
     polynomial and the cut-off expansion of order ``order``, for each
     ``(N, order)`` in ``pairs`` (``order`` None: the model's).
 
     ``chi0`` is the quintic smoothstep in ``|phi(z)|`` rising on
-    ``[rho1, rho2]`` (defaults ``rho + 0.05``, ``rho + 0.15``); the expansion
-    is extended by zero where ``chi0`` vanishes.  The collar ``|phi| > rho1``
-    takes the collar rule, on which ``X_j``, ``phi' e^V`` and each degree's
-    ``P_N`` are evaluated once; the rest is a Stokes integral per degree.
+    ``[rho1, rho2] = rho + CUTOFF``; the expansion, evaluated at the mapped
+    collar points ``zeta = phi(z)``, is extended by zero where ``chi0``
+    vanishes.  The collar ``|phi| > rho1`` takes the collar rule, on which
+    ``X_j``, ``phi' e^V`` and each degree's ``P_N`` are evaluated once; the
+    rest is a Stokes integral per degree.
     Raises :class:`DegreeTooHighError` for a degree the collar rule cannot
     hold (:func:`_on_collar`).
     """
@@ -425,7 +424,7 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs,
     for N, _ in pairs:
         polys.check_degree(N)
     scales = [normalized_scale(model, N, order) for N, order in pairs]  # degrees checked
-    collar = _collar(model, polys, rho1, rho2)
+    collar = _collar(model, polys)
     rule, radii = polys.rule, collar.radii
     L = rule.L
     # V and the X_j by the same mode scaling, over their nonzero modes
@@ -451,26 +450,21 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs,
     return out
 
 
-def l2_discrepancy(model: ExpansionModel, polys: OraclePolynomials, N: int,
-                   order: int | None = None, rho1: float | None = None,
-                   rho2: float | None = None) -> float:
-    """:func:`l2_discrepancies` for one ``(N, order)``."""
-    return float(l2_discrepancies(model, polys, [(N, order)], rho1, rho2)[0])
-
-
-def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, g, degrees,
-                         rho1: float | None = None, rho2: float | None = None) -> np.ndarray:
+def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, g,
+                         degrees) -> np.ndarray:
     """``int G |P_N|^2 omega dA / pi`` for each ``N`` in ``degrees``, for the
     globally smooth test function ``G(z) = chi0(|phi(z)|) g(phi(z))``: the
-    annulus test data tapered to zero deep inside the domain by the
-    smoothstep on ``[rho1, rho2]``, so the integral lives on the collar rule.
+    annulus test data, read at the mapped collar points ``zeta = phi(z)``,
+    tapered to zero deep inside the domain by the smoothstep on
+    ``[rho1, rho2] = rho + CUTOFF``, so the integral lives on the collar rule;
+    near the boundary ``G`` agrees with ``g o phi``.
     ``G`` is evaluated once; each degree adds its ``P_N`` and one weighted sum.
     Raises :class:`DegreeTooHighError` for a degree the collar rule cannot
     hold (:func:`_on_collar`)."""
     degrees = list(degrees)
     for N in degrees:
         polys.check_degree(N)
-    collar = _collar(model, polys, rho1, rho2)
+    collar = _collar(model, polys)
     wg = (collar.weights * collar.chi[:, None]
           * _on_circles(*g.terms(), collar.radii, polys.rule.L))
     out = []
@@ -478,10 +472,3 @@ def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, g, deg
         p, _ = _on_collar(polys, collar, N)
         out.append(np.sum(wg * (p.real ** 2 + p.imag ** 2)))
     return np.array(out, dtype=np.complex128)
-
-
-def berezin_expectation(model: ExpansionModel, polys: OraclePolynomials, g, N: int,
-                        rho1: float | None = None, rho2: float | None = None) -> complex:
-    """:func:`berezin_expectations` for one degree.  Near the boundary ``G``
-    agrees with ``g o phi``."""
-    return complex(berezin_expectations(model, polys, g, [N], rho1, rho2)[0])

@@ -11,7 +11,7 @@ import numpy as np
 import planorth as po
 from planorth.distributional import distributional_expectation, split_test_function
 from planorth.kernels import bw_kernel_diag, off_spectral_point, offspectral_leading
-from planorth.oracle import berezin_expectation
+from planorth.oracle import berezin_expectations
 from planorth.presets import preset_model
 
 
@@ -77,8 +77,7 @@ def test_criterion_03_pointwise_rate_law():
 def test_criterion_04_l2_discrepancy_rate(disk_alpha_model, disk_alpha_oracle):
     t0 = time.monotonic()
     polys = disk_alpha_oracle
-    d12 = po.l2_discrepancy(disk_alpha_model, polys, 12, order=1)
-    d24 = po.l2_discrepancy(disk_alpha_model, polys, 24, order=1)
+    d12, d24 = po.l2_discrepancies(disk_alpha_model, polys, [(12, 1), (24, 1)])
     ratio = d24 / d12
     elapsed = time.monotonic() - t0
     ok = 0.25 / 1.6 <= ratio <= 0.25 * 1.6 and elapsed < 120.0
@@ -122,7 +121,7 @@ def test_criterion_08_distributional(disk_alpha_model, disk_alpha_oracle):
     g = po.annulus_from_terms({(1, 1): 1.0, (0, 0): -1.0},
                               model.szego.omega_flat.bidegree, model.inner_radius)
     sp = split_test_function(g)
-    oracle = {N: berezin_expectation(model, polys, g, N) for N in (16, 32)}
+    oracle = dict(zip((16, 32), berezin_expectations(model, polys, g, [16, 32])))
     drop = abs(oracle[16]) / abs(oracle[32])      # both leading values' limit is 0
     ok = 2 / 1.6 <= drop <= 2 * 1.6
     errs = {N: abs(distributional_expectation(model, sp, N, order=1) - oracle[N])

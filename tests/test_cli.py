@@ -8,6 +8,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import planorth
 from planorth import cli, geometry
@@ -20,6 +22,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 _RING = 1.05 * np.exp(2j * np.pi * np.arange(24) / 24)
 SAMPLED = {"kind": "custom-samples", "points": [[z.real, z.imag] for z in _RING],
            "values": list(np.exp(0.6 * _RING.real)), "degree": 2}
+KERNEL = {"w": [2.0, 0.0], "z": [2.5, 0.0], "rho": 0.5, "rho1": 0.7}
 
 
 def write_config(tmp_path, name="disk-expre03", **extra):
@@ -79,15 +82,61 @@ def test_expand_disk_alpha_table(tmp_path):
     ("expand", {"domain": {**preset_config("disk-expre03"), "rho": math.nan}}),
     ("expand", {"domain": {**preset_config("disk-expre03"), "weight": SAMPLED | {"degree": 2.7}}}),
     ("expand", {"domain": {**preset_config("disk-expre03"), "weight": SAMPLED | {"degree": -1}}}),
+    ("expand", {"N": 5}),
+    ("expand", {"N": "816"}),
+    ("eval", {"points": 3}),
+    ("kernel", {"kernel": "wz"}),
+    ("distributional", {"test_function": {"terms": 7}}),
+    ("distributional", {"test_function": ["terms"]}),
+    ("kernel", {"kernel": KERNEL | {"rho1": 1.2}}),
+    ("kernel", {"kernel": KERNEL | {"rho": 1.0, "rho1": 1.1}}),
+    ("kernel", {"kernel": KERNEL | {"rho": 0.7, "rho1": 0.7}}),
+    ("kernel", {"kernel": KERNEL | {"rho": 0.0}}),
+    # rho1 = 0.55 lies inside the ellipse's univalence margin 0.606
+    ("kernel", {"domain": preset_config("ellipse-expre"),
+                "kernel": {"w": [3.0, 0.0], "z": [3.5, 0.0], "rho": 0.3, "rho1": 0.55}}),
 ], ids=["point-one-entry", "point-not-number", "term-row-three-entries", "kernel-w-one-entry",
         "slope-not-number", "oracle-degree-not-number", "alpha-one-entry", "M-not-integer",
         "M-not-positive", "allow-out-of-validity-string", "term-repeated", "weight-not-object",
         "map-not-object", "tail-nan", "cap-infinite", "rho-nan", "sample-degree-not-integer",
-        "sample-degree-negative"])
+        "sample-degree-negative", "N-not-list", "N-string", "points-not-list",
+        "kernel-not-object", "terms-not-list", "test-function-not-object",
+        "kernel-rho1-exterior", "kernel-rho-not-below-one", "kernel-rho1-not-above-rho",
+        "kernel-rho-not-positive", "kernel-rho1-inside-margin"])
 def test_malformed_field_is_config_error(tmp_path, capsys, command, extra):
     cfg = write_config(tmp_path, **extra)
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_degree_string_is_not_read_by_character(tmp_path, capsys):
+    # a string is not a list: "816" is not the degrees 8, 1, 6 (refused as unsorted)
+    cfg = write_config(tmp_path, N="816")
+    assert run(["expand", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "N must be a list, got '816'" in capsys.readouterr().err
+
+
+# JSON values of the wrong type for every experiment field: no digits in the
+# strings, so none parses to a degree large enough to exhaust memory
+_SCALARS = st.none() | st.booleans() | st.text(
+    st.characters(blacklist_categories=("Nd", "Cs")), max_size=5)
+_WRONG = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+    st.sampled_from(["w", "z", "rho", "rho1", "terms", "slope"]), inner, max_size=3),
+    max_leaves=6)
+_FIELDS = ["N", "points", "tolerances", "allow_out_of_validity", "kernel", "test_function"]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@settings(max_examples=25, deadline=None)
+@given(field=st.sampled_from(_FIELDS), value=_WRONG)
+def test_wrong_json_type_is_refused_not_raised(tmp_path_factory, command, field, value):
+    # a typed exit code whatever the value: 2 for the refused ones, and a
+    # command that ignores the field runs as usual (verify fits no slope at one N)
+    tmp = tmp_path_factory.mktemp("wrong")
+    fields = {"kappa": 1, "N": [8], "test_function": {"terms": [[1, 1, 0.3, 0.0]]},
+              "kernel": KERNEL}
+    cfg = write_config(tmp, **(fields | {field: value}))
+    assert run([command, "--config", cfg, "--out", tmp / "o"]) in (0, 2, 3, 4)
 
 
 @pytest.mark.parametrize("command", ["eval", "verify", "distributional", "kernel", "oracle"])
@@ -123,6 +172,14 @@ def test_malformed_config_exit_code(tmp_path):
                                            "weight": {"kind": "const"}},
                                 "N": [4], "points": [[2.0, 0.0]]}))
     assert run(["expand", "--config", path, "--out", tmp_path / "o"]) == 2
+
+
+@pytest.mark.parametrize("text", ["5", '["domain"]'])
+def test_config_that_is_not_an_object(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert run(["expand", "--config", path, "--out", tmp_path / "o"]) == 2
+    assert "config must be an object" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 import planorth as po
 from planorth.errors import NonFiniteError, OutOfValidityError
-from planorth.expansion import positioning_factor
+from planorth.expansion import position_at, positioning_factor
 from planorth.geometry import phi_prime
 
 from conftest import ring_rule
@@ -13,23 +13,25 @@ from conftest import ring_rule
 EPS = np.finfo(float).eps
 
 
-def test_canonical_position_unweighted_disk(disk_const_model):
+def test_position_at_unweighted_disk(disk_const_model):
     one = po.circle_from_modes({0: 1.0}, 4)
+    z = 1.4 + 0.3j
+    zeta = po.map_forward(disk_const_model.map, z)
     for N in (5, 12):
-        z = 1.4 + 0.3j
-        assert abs(po.canonical_position(disk_const_model, one, N, z) - z ** N) < 1e-12 * abs(z) ** N
+        assert abs(position_at(disk_const_model, one, N, zeta) - z ** N) < 1e-12 * abs(z) ** N
 
 
-def test_canonical_position_far_field(disk_alpha_model):
+def test_position_at_far_field(disk_alpha_model):
     f = po.circle_from_modes({0: 1.0, -1: 0.4}, 4)
     N = 6
     for R in (50.0, 500.0):
         z = R * np.exp(0.7j)
-        ratio = abs(po.canonical_position(disk_alpha_model, f, N, z)) / abs(z ** N * f.evaluate(z))
+        lam = position_at(disk_alpha_model, f, N, po.map_forward(disk_alpha_model.map, z))
+        ratio = abs(lam) / abs(z ** N * f.evaluate(z))
         assert abs(ratio - 1.0) < 5.0 / R
 
 
-def test_canonical_position_isometry(disk_alpha_model):
+def test_position_at_isometry(disk_alpha_model):
     # push the ring rule through the map and compare the two sides of the
     # weighted change of variables; the domain side goes through Newton
     # inversion, the exterior-map derivative and the outer-function series
@@ -41,7 +43,7 @@ def test_canonical_position_isometry(disk_alpha_model):
                           * model.szego.omega_flat.evaluate(w))
     z = model.map.psi(w)
     jac = np.abs(model.map.psi_prime(w)) ** 2
-    lam = po.canonical_position(model, f, N, z)
+    lam = position_at(model, f, N, po.map_forward(model.map, z))
     domain_side = np.sum(wts * np.abs(lam) ** 2 * model.weight.omega(z) * jac)
     assert abs(annulus_side - domain_side) <= 1e-8 * abs(annulus_side)
 
@@ -188,7 +190,7 @@ def test_normalized_large_degree_log_domain(ellipse_exp_model):
         zeta = po.map_forward(model.map, z)
         partial = sum(float(N) ** -j * model.coeffs.X[j].evaluate(zeta)
                       for j in range(model.order + 1))
-        log_val = (0.5 * math.log(N) + math.log(po.norm_factor(model, N)) + N * np.log(zeta)
+        log_val = (0.5 * math.log(N) + math.log(model.norm.factor(N)) + N * np.log(zeta)
                    + model.szego.v_exterior.evaluate(zeta)
                    - np.log(model.map.psi_prime(zeta)) + np.log(partial))
         got = po.normalized_eval(model, N, z)

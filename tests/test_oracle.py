@@ -8,8 +8,7 @@ import planorth as po
 from planorth import oracle
 from planorth.errors import DegreeTooHighError, DomainError, OutOfValidityError
 from planorth.expansion import positioning_factor
-from planorth.oracle import (berezin_expectation, berezin_expectations, l2_discrepancies,
-                             smoothstep)
+from planorth.oracle import berezin_expectations, l2_discrepancies, smoothstep
 from planorth.presets import preset_parts
 
 from conftest import halving_breaks, polar_rule, ring_rule
@@ -237,27 +236,23 @@ def test_l2_discrepancy_flat_disk_matches_prediction(disk_const_model, disk_cons
     # 1/sqrt(N+1)) and the cutoff region; the high-order run isolates the latter
     polys = disk_const_oracle
     N = 20
-    cutoff = po.l2_discrepancy(disk_const_model, polys, N, order=4)
+    cutoff, d0 = l2_discrepancies(disk_const_model, polys, [(N, 4), (N, 0)])
     assert cutoff <= 0.02
-    d0 = po.l2_discrepancy(disk_const_model, polys, N, order=0)
-    norm_err = abs(math.sqrt(N + 1) - math.sqrt(N) * po.norm_factor(disk_const_model, N, 0))
+    norm_err = abs(math.sqrt(N + 1) - math.sqrt(N) * disk_const_model.norm.factor(N, 0))
     predicted = math.hypot(norm_err / math.sqrt(N + 1), cutoff)
     assert abs(d0 - predicted) <= 0.1 * predicted
 
 
 def test_l2_discrepancy_rate(disk_alpha_model, disk_alpha_oracle):
     polys = disk_alpha_oracle
-    d12 = po.l2_discrepancy(disk_alpha_model, polys, 12, order=1)
-    d24 = po.l2_discrepancy(disk_alpha_model, polys, 24, order=1)
+    d12, d24 = l2_discrepancies(disk_alpha_model, polys, [(12, 1), (24, 1)])
     assert 0.25 / 1.6 <= d24 / d12 <= 0.25 * 1.6
 
 
 def test_l2_discrepancy_ellipse_exp_rate(ellipse_exp_model, ellipse_exp_oracle):
     polys = ellipse_exp_oracle
-    consts = []
-    for N in (16, 32):
-        d = po.l2_discrepancy(ellipse_exp_model, polys, N, order=0)
-        consts.append(d * N)
+    consts = [d * N for N, d in
+              zip((16, 32), l2_discrepancies(ellipse_exp_model, polys, [(16, 0), (32, 0)]))]
     assert 0.4 <= consts[1] / consts[0] <= 2.5
 
 
@@ -286,7 +281,7 @@ def test_ring_pairing_constant_value(disk_alpha_model, disk_alpha_oracle):
     rels = {}
     for N in (16, 32):
         v = _ring_pairing(disk_alpha_model, polys, one, N, rho_ring=0.5)
-        pred = 1.0 / (po.norm_factor(disk_alpha_model, N) * math.sqrt(N))
+        pred = 1.0 / (disk_alpha_model.norm.factor(N) * math.sqrt(N))
         rels[N] = abs(v / pred - 1.0)
     assert rels[16] <= 1e-5 and rels[32] <= 1e-6
     assert rels[16] / rels[32] >= 2 ** 3.5
@@ -295,8 +290,7 @@ def test_ring_pairing_constant_value(disk_alpha_model, disk_alpha_oracle):
 def test_berezin_constant_function(disk_alpha_model, disk_alpha_oracle):
     polys = disk_alpha_oracle
     one = po.annulus_from_terms({(0, 0): 1.0}, 8, disk_alpha_model.inner_radius)
-    for N in (16, 32):
-        v = berezin_expectation(disk_alpha_model, polys, one, N)
+    for v in berezin_expectations(disk_alpha_model, polys, one, [16, 32]):
         # the taper removes only exponentially little of the unit mass
         assert abs(v - 1.0) <= 5e-4
 
@@ -304,7 +298,7 @@ def test_berezin_constant_function(disk_alpha_model, disk_alpha_oracle):
 def _collar_direct(model, polys, N):
     """The collar rule's nodes with ``P_N`` by the recurrence at ``psi(zeta)``,
     the weights and the cutoff: no mode scaling."""
-    collar = oracle._collar(model, polys, None, None)
+    collar = oracle._collar(model, polys)
     P = polys.evaluate(model.map.psi(collar.zeta).ravel(), upto=N)[:, N]
     return collar, P.reshape(collar.zeta.shape)
 
@@ -334,7 +328,7 @@ def test_batch_forms_match_per_degree_forms(request, fixture):
         # P_N and X_j by mode scaling against the recurrence and Horner's scheme:
         # relative, down to the roundoff of the unit-norm P_N
         assert abs(got - want) <= 1e-13 * want + 1e-14, (N, order)
-        assert po.l2_discrepancy(model, polys, N, order=order) == got
+        assert l2_discrepancies(model, polys, [(N, order)])[0] == got
     g = po.annulus_from_terms({(0, 0): 0.2, (1, 1): 0.3, (1, 0): 0.1 - 0.2j, (0, 1): 0.1 + 0.2j,
                                (2, -1): 0.05j, (-1, 2): -0.05j}, 8, model.inner_radius)
     degrees = [8, 16, 32]
@@ -342,7 +336,7 @@ def test_batch_forms_match_per_degree_forms(request, fixture):
     for N, got in zip(degrees, batch):
         want = _berezin_per_degree(model, polys, g, N)
         assert abs(got - want) <= 1e-13 * abs(want), N
-        assert berezin_expectation(model, polys, g, N) == got
+        assert berezin_expectations(model, polys, g, [N])[0] == got
 
 
 def test_basis_is_the_recurrence_at_the_nodes(disk_alpha_oracle):
@@ -365,7 +359,6 @@ def test_readers_refuse_degrees_outside_the_oracle(disk_alpha_model, disk_alpha_
     top = polys.degree
     g = po.annulus_from_terms({(1, 1): 1.0}, 2, model.inner_radius)
     calls = [lambda n: berezin_expectations(model, polys, g, [8, n]),
-             lambda n: berezin_expectation(model, polys, g, n),
              lambda n: l2_discrepancies(model, polys, [(8, 1), (n, 1)]),
              lambda n: po.oracle_kernel(polys, 1.2, 1.3j, upto=n),
              lambda n: polys.eval_single(1.2, n)]
@@ -478,10 +471,10 @@ def _polar_l2(model, polys, N, order, q=24, n_ang=512):
 
 def test_collar_l2_matches_a_polar_tensor_rule_on_the_disk(disk_alpha_model, disk_alpha_oracle):
     for N, order in ((16, 2), (24, 1), (32, 0)):
-        got = po.l2_discrepancy(disk_alpha_model, disk_alpha_oracle, N, order)
+        got = l2_discrepancies(disk_alpha_model, disk_alpha_oracle, [(N, order)])[0]
         want = _polar_l2(disk_alpha_model, disk_alpha_oracle, N, order)
         assert abs(got / want - 1.0) <= 1e-10, (N, order, got, want)
-    assert po.l2_discrepancy(disk_alpha_model, disk_alpha_oracle, 16, 2) == pytest.approx(
+    assert l2_discrepancies(disk_alpha_model, disk_alpha_oracle, [(16, 2)])[0] == pytest.approx(
         1.7957109916e-4, rel=1e-10)
 
 
@@ -552,12 +545,17 @@ def test_boundary_oracle_needs_a_polynomial_weight():
         po.boundary_onps(po.disk_map(), None, 8)
 
 
-@pytest.mark.parametrize("rho1, rho2", [(0.5, 0.9), (0.8, 0.8), (1.0, 1.1)])
-def test_collar_refuses_a_cutoff_outside_the_collar(ellipse_exp_model, ellipse_exp_oracle,
-                                                    rho1, rho2):
-    # the ellipse's psi' vanishes at |zeta| = 3^-1/2, inside its margin 0.606
-    with pytest.raises(po.DomainError):
-        l2_discrepancies(ellipse_exp_model, ellipse_exp_oracle, [(8, 1)], rho1, rho2)
+@pytest.mark.parametrize("inner_radius", [0.95, 0.97, 0.99])
+def test_collar_refuses_a_cutoff_outside_the_collar(inner_radius):
+    # the cutoff rises from rho1 = inner_radius + 0.05 >= 1, outside the domain
+    model = po.build_model(po.disk_map(), po.exp_re_linear_weight(0.3), 1,
+                           inner_radius=inner_radius)
+    polys = po.boundary_onps(model.map, model.weight.holo_poly, 8)
+    g = po.annulus_from_terms({(1, 1): 1.0}, 1, model.inner_radius)
+    with pytest.raises(po.DomainError, match="rho1"):
+        l2_discrepancies(model, polys, [(8, 1)])
+    with pytest.raises(po.DomainError, match="rho1"):
+        berezin_expectations(model, polys, g, [8])
 
 
 def test_collar_guard_refuses_degrees_it_cannot_hold(ellipse_exp_model):
@@ -566,7 +564,7 @@ def test_collar_guard_refuses_degrees_it_cannot_hold(ellipse_exp_model):
     # scaling of the sample modes has lost P_N
     model = ellipse_exp_model
     polys = po.boundary_onps(model.map, model.weight.holo_poly, 400)
-    collar = oracle._collar(model, polys, None, None)
+    collar = oracle._collar(model, polys)
     for N in (100, 200, 250):
         p, inner = oracle._on_collar(polys, collar, N)
         assert abs(inner + np.sum(collar.weights * np.abs(p) ** 2) - 1.0) <= 1e-12, N
