@@ -1,6 +1,6 @@
 """Tour of the one-dimensional series algebra behind the model: Laurent series
 on the circle, the outer factor E = exp(F) by an oversampled FFT, the weighted
-operator T, the Hardy-type projection and the exterior Herglotz transform."""
+operator T, the Hardy-type projection and the outer function V."""
 
 import numpy as np
 
@@ -33,15 +33,15 @@ t1 = po.weighted_derivative(po.circle_from_modes({0: 1.0}, 16), model.szego)
 print("T 1 on the disk with omega = exp(2 Re(0.3 z)):",
       {k: round(t1.coeff(k).real, 12) for k in (-1, 0, 1)})
 
-print("\n== projection onto exterior-vanishing boundary data ==")
+print("\n== projection onto boundary data vanishing at infinity ==")
 proj = po.hardy_project(t1)
 print("Q T 1 = X_1:", {k: round(proj.coeff(k).real, 12) for k in (-1, 0, 1)},
-      " (tag:", proj.support + ")")
+      f" (modes k >= 0 all zero: {not proj.coeffs[proj.bandwidth:].any()})")
 
-print("\n== Herglotz transform ==")
-u = po.circle_from_modes({1: 0.5, -1: 0.5}, 8)                   # cos t
-h = po.herglotz(u)
-print("herglotz(cos t) = 1/z: mode -1 coefficient:", h.coeff(-1))
+print("\n== the outer function V, in closed form from the modes of h ==")
+sz = model.szego
 ts = np.exp(1j * np.linspace(0, 6.2, 13))
-print("real part on the circle reproduces the input:",
-      np.max(np.abs(np.real(h.evaluate(ts)) - np.cos(np.angle(ts)))))
+log_omega = np.log(model.weight.omega(model.map.psi(ts)))
+print("V = -0.3/z: mode -1 coefficient:", sz.v_exterior.coeff(-1))
+print("Re V = -log(omega)/2 on the circle:",
+      np.max(np.abs(sz.v_exterior.evaluate(ts).real + log_omega / 2)))

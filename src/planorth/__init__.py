@@ -11,7 +11,7 @@ from .errors import (ConfigError, ConsistencyError, ConvergenceError, DegreeTooH
                      PlanorthError, PositivityError, TruncationOverflowError,
                      WeightResolutionError)
 from .series import (AnnulusSeries, CircleSeries, annulus_from_terms, circle_exp,
-                     circle_from_modes, circle_zeros, hardy_project, herglotz, truncate)
+                     circle_from_modes, circle_zeros, hardy_project, truncate)
 from .geometry import (ExteriorMap, SzegoData, WeightDef, WeightSpec, capacity,
                        constant_weight, disk_map, ellipse_map, exp_re_linear_weight,
                        exp_re_poly_weight, exterior_map, load_domain_config, map_forward,

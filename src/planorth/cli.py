@@ -235,8 +235,6 @@ def cmd_eval(cfg: dict, exp: dict, outdir: Path) -> int:
             if valid:
                 mv = complex(monic_at(model, N, zz))
                 nv = complex(normalized_at(model, N, zz))
-                if not (np.isfinite(mv) and np.isfinite(nv)):
-                    raise NonFiniteError(f"eval at N={N}, point {z}: monic {mv}, normalized {nv}")
                 results.append({"N": N, "point": _c2l(z), "valid": True,
                                 "monic": _c2l(mv), "normalized": _c2l(nv)})
                 rows.append([N, z.real, z.imag, 1, mv.real, mv.imag, nv.real, nv.imag])
@@ -466,7 +464,10 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         exp = _experiment(cfg, args)
-        outdir = Path(args.out if args.out is not None else cfg.get("out", "out"))
+        out = args.out if args.out is not None else cfg.get("out", "out")
+        if not isinstance(out, str):
+            raise ConfigError(f"out must be a directory path string, got {out!r}")
+        outdir = Path(out)
         return _COMMANDS[args.command](cfg, exp, outdir)
     except ConfigError as exc:
         print(f"config error [{args.command}]: {exc}", file=sys.stderr)

@@ -30,31 +30,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expansion import ExpansionModel, _require_degree
-from .series import (AnnulusSeries, CircleSeries, SUPPORT_EXTERIOR, SUPPORT_EXTERIOR_VANISHING,
-                     terms_jet)
+from .series import AnnulusSeries, terms_jet
 
 
 @dataclass(frozen=True, eq=False)
 class TestFunctionSplit:
     """Exact mode split ``g = g_+ + g_- + g_0``.
 
-    ``plus`` collects circle modes ``k <= 0`` (constant included) as an
-    exterior-holomorphic series; ``minus_conj`` holds the conjugate of the
-    conjugate-holomorphic part, i.e. ``g_-(z) = conj(minus_conj(z))``, which
-    has no constant mode, so ``plus_infinity = g_+(inf)`` is the value at
-    infinity of the whole harmonic part; ``g_0`` vanishes on the circle and is
-    read through :meth:`zero_jet`;
-    ``terms`` are those of ``g`` (:meth:`~planorth.series.AnnulusSeries.terms`).
+    ``g_+`` collects the circle modes ``k <= 0`` of ``g`` as an
+    exterior-holomorphic function, and ``g_-`` the modes ``k >= 1`` as a
+    conjugate-holomorphic one with no constant mode, so ``plus_infinity =
+    g_+(inf)`` (circle mode 0) is the value at infinity of the whole harmonic
+    part; ``g_0`` vanishes on the circle and is read through :meth:`zero_jet`;
+    ``terms`` are those of ``g`` (:meth:`~planorth.series.AnnulusSeries.terms`)
+    and ``bandwidth`` is the largest circle mode ``|m - n|`` they may reach.
     """
 
-    plus: CircleSeries
-    minus_conj: CircleSeries
     plus_infinity: complex
     terms: tuple
+    bandwidth: int
 
     def zero_jet(self, order: int) -> np.ndarray:
-        """The circle jet of ``g_0`` up to ``order``, at the bandwidth of ``plus``."""
-        K = self.plus.bandwidth
+        """The circle jet of ``g_0`` up to ``order``, at :attr:`bandwidth`."""
+        K = self.bandwidth
         jet = terms_jet(self.terms, K, order)
         half = np.abs(np.arange(-K, K + 1)) / 2.0
         return jet - half ** np.arange(order + 1)[:, None] * jet[0]
@@ -63,15 +61,9 @@ class TestFunctionSplit:
 def split_test_function(g: AnnulusSeries) -> TestFunctionSplit:
     """Split an annulus test function into exterior-holomorphic,
     conjugate-holomorphic and circle-vanishing parts."""
-    r = g.jet(0)[0]
-    k = np.arange(-2 * g.bidegree, 2 * g.bidegree + 1)
-    plus = CircleSeries(np.where(k <= 0, r, 0.0), SUPPORT_EXTERIOR)
-    # modes k >= 1 become conj-holomorphic: g_- = sum_{k>=1} r_k conj(z)^{-k},
-    # carried as minus_conj(z) = sum_{k>=1} conj(r_k) z^{-k}
-    minus_conj = CircleSeries(np.where(k < 0, np.conj(r[::-1]), 0.0), SUPPORT_EXTERIOR_VANISHING)
-    return TestFunctionSplit(plus=plus, minus_conj=minus_conj,
-                             plus_infinity=plus.coeff(0),
-                             terms=g.terms())
+    K = 2 * g.bidegree
+    return TestFunctionSplit(plus_infinity=complex(g.jet(0)[0, K]), terms=g.terms(),
+                             bandwidth=K)
 
 
 def _w_combination(moments: np.ndarray, N: int, nu: int, order: int) -> np.ndarray:

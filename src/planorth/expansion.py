@@ -136,19 +136,25 @@ def _map_valid(model: ExpansionModel, N: int, z) -> np.ndarray:
     return zeta
 
 
+def _require_finite(vals, what: str, N: int, zeta):
+    """``vals`` at mapped points ``zeta``, or :class:`NonFiniteError`, naming
+    ``what``, where one of them is not finite."""
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteError(f"{what} out of float range at degree {N} "
+                             f"(|phi(z)| up to {np.max(np.abs(zeta)):.4g})")
+    return vals
+
+
 def monic_at(model: ExpansionModel, N: int, zeta, order: int | None = None):
     """Asymptotic monic polynomial of degree ``N`` at mapped points ``zeta = phi(z)``
     (the degree is checked, the validity region is the caller's).  Raises
     :class:`NonFiniteError` where a value leaves the float range."""
     _require_degree(N)
-    # an overflowed factor makes the product inf or nan; both are caught below
+    # an overflowed factor makes the product inf or nan; both are refused
     with np.errstate(over="ignore", invalid="ignore"):
         vals = monic_prefactor(model, N) * position_at(
             model, neumann_partial_sum(model.coeffs, N, order), N, zeta)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteError(f"monic polynomial out of float range at degree {N} "
-                             f"(|phi(z)| up to {np.max(np.abs(zeta)):.4g})")
-    return vals
+    return _require_finite(vals, "monic polynomial", N, zeta)
 
 
 def normalized_scale(model: ExpansionModel, N: int, order: int | None = None) -> float:
@@ -161,9 +167,12 @@ def normalized_scale(model: ExpansionModel, N: int, order: int | None = None) ->
 def normalized_at(model: ExpansionModel, N: int, zeta, order: int | None = None):
     """Asymptotic unit-norm polynomial of degree ``N`` at mapped points
     ``zeta = phi(z)``: the positioned partial sum times :func:`normalized_scale`,
-    so ``C_N`` is never formed."""
-    return normalized_scale(model, N, order) * position_at(
-        model, neumann_partial_sum(model.coeffs, N, order), N, zeta)
+    so ``C_N`` is never formed.  Raises :class:`NonFiniteError` where a value
+    leaves the float range."""
+    scale = normalized_scale(model, N, order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = scale * position_at(model, neumann_partial_sum(model.coeffs, N, order), N, zeta)
+    return _require_finite(vals, "normalized polynomial", N, zeta)
 
 
 def monic_eval(model: ExpansionModel, N: int, z, order: int | None = None):

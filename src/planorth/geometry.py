@@ -16,6 +16,8 @@ the exterior, real at infinity, with ``2 Re V = -log omega`` on the boundary)
 and the flattened weight ``Omega = exp(2 Re V o psi) * omega o psi``, which is
 identically one on the unit circle.  It factors as ``Omega = E conj(E)`` with
 ``E = exp(F)`` and ``F = V o psi + h``, so the whole model lives on the circle.
+Both ``V o psi`` and ``F`` are explicit maps of the modes of ``h``
+(:func:`szego`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .errors import (ConfigError, ConsistencyError, ConvergenceError,
                      PositivityError, WeightResolutionError)
 from .series import (OVERSAMPLE, AnnulusSeries, CircleSeries, _horner, circle_exp,
-                     circle_from_modes, herglotz, truncate)
+                     circle_from_modes, truncate)
 
 NEWTON_TOL = 1e-13     # map_forward stops at |psi(zeta) - z| <= NEWTON_TOL max(1, |z|)
 NEWTON_MAXITER = 50    # Newton steps before map_forward gives up
@@ -314,7 +316,9 @@ def pullback_weight(m: ExteriorMap, weight: WeightDef, bidegree: int,
     their harmonic part from two circles.  The residual on a staggered
     validation grid is recorded and must stay below ``FIT_TOL``: a
     black-box log-weight that is not harmonic near the boundary fails here
-    with :class:`WeightResolutionError`.
+    with :class:`WeightResolutionError`.  A declared polynomial is checked
+    against ``log omega = 2 Re P(psi)`` itself, which stays finite where
+    ``omega`` leaves the float range; a black box must be positive there.
     """
     rho = float(inner_radius)
     if not (0 < rho < 1):
@@ -334,17 +338,24 @@ def pullback_weight(m: ExteriorMap, weight: WeightDef, bidegree: int,
     radii = np.linspace(rho + 0.01, 1.0 / rho - 0.01, 7)
     angles = np.exp(1j * (2 * np.pi * (np.arange(33) + 0.37) / 33))
     grid = (radii[:, None] * angles[None, :]).ravel()
-    direct = np.log(weight(m.psi(grid)))
-    resid = float(np.max(np.abs(2.0 * h.evaluate(grid).real - direct)))
+    pts = m.psi(grid)
+    if weight.holo_poly is not None:
+        # log omega = 2 Re P, finite where exp(2 Re P) leaves the float range
+        log_omega = 2.0 * _horner(weight.holo_poly, pts).real
+        with np.errstate(over="ignore"):
+            omega_min = float(np.exp(np.min(log_omega)))
+    else:
+        omega = weight(pts)
+        omega_min = float(np.min(omega))
+        if not omega_min > 0:
+            raise PositivityError("weight is not strictly positive on the collar")
+        log_omega = np.log(omega)
+    resid = float(np.max(np.abs(2.0 * h.evaluate(grid).real - log_omega)))
     if resid > FIT_TOL:
         raise WeightResolutionError(
             f"non-harmonic residual {resid:.3e} of the weight pullback above tolerance "
             f"{FIT_TOL:.1e}: only a log-weight harmonic near the boundary is resolved "
             "(see the ROADMAP item 'Non-harmonic log-weights'), at bandwidth 2M")
-
-    omega_min = float(np.min(weight(m.psi(grid))))
-    if omega_min <= 0:
-        raise PositivityError("weight is not strictly positive on the collar")
     return WeightSpec(weight, h, rho, floor=omega_min, fit_residual=resid,
                       holo_poly=weight.holo_poly)
 
@@ -388,12 +399,13 @@ def _fit_harmonic(m: ExteriorMap, weight: WeightDef, K: int, rho: float) -> Circ
 class SzegoData:
     """Boundary outer-function data for one (domain, weight) pair.
 
-    ``v_exterior`` holds ``V o psi`` as an exterior circle series and
-    ``v_infinity`` its (real) value at infinity.  ``F = V o psi + h`` is the
-    Laurent series whose real part is half the flattened log-weight,
-    ``U = F + conj(F)``, and ``E = exp(F)``, so the flattened weight is
-    ``Omega = E conj(E)`` and ``|E| = 1`` on the circle.  ``F`` and ``E``
-    carry bandwidth ``2M``.
+    ``v_exterior`` holds ``V o psi``, a circle series supported on modes
+    ``k <= 0``, and ``v_infinity`` its mode 0, the (real) value at infinity.
+    ``F = V o psi + h`` is the Laurent series whose real part is half the
+    flattened log-weight, ``U = F + conj(F)``, which is 0 on the circle, and
+    ``E = exp(F)``, so the flattened weight is ``Omega = E conj(E)`` and
+    ``|E| = 1`` on the circle.  ``v_exterior``, ``F`` and ``E`` carry
+    bandwidth ``2M``.
     """
 
     v_exterior: CircleSeries
@@ -417,28 +429,27 @@ class SzegoData:
 
 
 def szego(weight: WeightSpec) -> SzegoData:
-    """Build the outer function and ``E`` from a pullback.
+    """Build the outer function and ``E`` from the modes of the pullback ``h``.
 
-    ``u = -(h + conj(h))`` on the circle is real; ``V o psi`` is half its
-    Herglotz transform; ``F = V o psi + h`` is then purely imaginary on the
-    circle, so ``|E| = |exp(F)| = 1`` there (checked on 256 samples).
+    ``V o psi`` has no mode ``k >= 1``, ``V_0 = -Re h_0`` and
+    ``V_-k = -(h_-k + conj(h_k))``, so ``2 Re V = -(h + conj(h))`` on the
+    circle.  ``F = V o psi + h`` then has ``F_k = h_k`` for ``k >= 1``,
+    ``F_0 = i Im h_0`` and ``F_-k = -conj(h_k)``: it is purely imaginary on
+    the circle, so ``|E| = |exp(F)| = 1`` there (checked on 256 samples).
     """
-    h = weight.pullback
-    u = -(h + h.conjugate_on_circle())
-    if not u.is_real(1e-9):
-        raise ConsistencyError("restricted log-weight is not real on the circle")
-    v = 0.5 * herglotz(u)
-    v_inf = v.coeff(0)
-    if abs(v_inf.imag) > 1e-10 * max(1.0, abs(v_inf)):
-        raise ConsistencyError("outer function is not real at infinity")
-    F = v + h
+    h, K = weight.pullback.coeffs, weight.pullback.bandwidth
+    if not np.isfinite(h).all():
+        raise ConsistencyError("log-weight pullback has non-finite modes")
+    h_bar = np.conj(h[:K:-1])   # conj(h_k), k = K..1, aligned with the modes -K..-1
+    v = np.concatenate([-(h[:K] + h_bar), [-h[K].real], np.zeros(K)])
+    F = CircleSeries(np.concatenate([-h_bar, [1j * h[K].imag], h[K + 1:]]))
     E = circle_exp(F)
     ts = np.exp(2j * np.pi * np.arange(256) / 256)
     residual = float(np.max(np.abs(np.abs(E.evaluate(ts)) ** 2 - 1.0)))
-    if residual > 1e-8:
+    if not residual <= 1e-8:
         raise ConsistencyError(
             f"flattened weight deviates from 1 on the circle by {residual:.3e}")
-    return SzegoData(v_exterior=v, v_infinity=float(v_inf.real), F=F, E=E,
+    return SzegoData(v_exterior=CircleSeries(v), v_infinity=float(v[K].real), F=F, E=E,
                      inner_radius=weight.inner_radius, circle_residual=residual)
 
 

@@ -34,7 +34,7 @@ from .series import CircleSeries, circle_from_modes, hardy_project, truncate
 @dataclass(frozen=True, eq=False)
 class HierarchyCoeffs:
     """Solved corrections ``X[0..order]``; ``X[0]`` is the constant one and
-    every later entry is tagged exterior-vanishing.  All share one bandwidth
+    every later entry is supported on modes ``k <= -1``.  All share one bandwidth
     (that of ``F``), so :func:`neumann_partial_sum` is one weighted sum of
     their stacked coefficients."""
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonFiniteError, OffSpectralError
-from .expansion import ExpansionModel, positioning_factor
+from .expansion import ExpansionModel, _require_finite, positioning_factor
 from .geometry import ExteriorMap, map_forward
 
 OFFSPECTRAL_MARGIN = 1e-6   # least separation |phi(w)| - 1 of a root point
@@ -49,10 +49,13 @@ def outer_rho(point: OffSpectralPoint, zeta):
 
 def offspectral_leading(model: ExpansionModel, point: OffSpectralPoint, N: int, z):
     """Leading-order normalized kernel rooted off-spectrally, up to a
-    unimodular phase: ``N^(1/2) rho_w(z) phi'(z) phi(z)^N e^V(z)``."""
+    unimodular phase: ``N^(1/2) rho_w(z) phi'(z) phi(z)^N e^V(z)``.  Raises
+    :class:`NonFiniteError` where a value leaves the float range."""
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     zeta = np.asarray(map_forward(model.map, zs), dtype=np.complex128)
-    vals = math.sqrt(N) * outer_rho(point, zeta) * positioning_factor(model, N, zeta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = math.sqrt(N) * outer_rho(point, zeta) * positioning_factor(model, N, zeta)
+    _require_finite(vals, "off-spectral kernel", N, zeta)
     return vals if np.ndim(z) else complex(vals[0])
 
 
@@ -93,7 +96,8 @@ def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z) -> float:
     dphi2 = abs(1.0 / m.psi_prime(zeta)) ** 2
     n = np.arange(N + 1)
     acc = r ** (-2.0) / -log_rho2
-    acc += float(np.sum((n + 1) * r ** (2 * n) / (1.0 - rho ** (2 * n + 2))))
+    with np.errstate(over="ignore"):   # an overflowed power makes acc inf, refused below
+        acc += float(np.sum((n + 1) * r ** (2 * n) / (1.0 - rho ** (2 * n + 2))))
     if not math.isfinite(acc):
         raise NonFiniteError(f"K_N(z, z) overflows a float at N = {N}, |phi(z)| = {r:.4f}")
     x = (rho / r) ** 2 * rho2 ** np.arange(L)

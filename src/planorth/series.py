@@ -1,15 +1,14 @@
 """Laurent series on the unit circle, and bi-Laurent test functions on an annulus.
 
-A :class:`CircleSeries` stores coefficients of ``z**k`` for ``|k| <= K``
-together with a mode-support tag.  Read as a function of ``z`` it is a
-Laurent polynomial, holomorphic on the punctured plane, so it carries every
-holomorphic quantity of the model (``F``, ``E = exp(F)``, ``V``, ``X_j``) on
-the annulus as well as on the circle.  An :class:`AnnulusSeries` is a grid
-of coefficients ``c[m, n]`` of ``z**m * conj(z)**n`` for ``|m|, |n| <= M``,
-the test functions of the boundary-distribution expansion, read only at
-points and through its circle jet (:func:`terms_jet`).  All values are
-immutable and every operation is a pure function, so instances can be
-shared freely.
+A :class:`CircleSeries` stores coefficients of ``z**k`` for ``|k| <= K``.
+Read as a function of ``z`` it is a Laurent polynomial, holomorphic on the
+punctured plane, so it carries every holomorphic quantity of the model
+(``F``, ``E = exp(F)``, ``V``, ``X_j``) on the annulus as well as on the
+circle.  An :class:`AnnulusSeries` is a grid of coefficients ``c[m, n]`` of
+``z**m * conj(z)**n`` for ``|m|, |n| <= M``, the test functions of the
+boundary-distribution expansion, read only at points and through its circle
+jet (:func:`terms_jet`).  All values are immutable and every operation is a
+pure function, so instances can be shared freely.
 
 Truncations measure the absolute coefficient mass they discard and raise
 :class:`~planorth.errors.TruncationOverflowError` when it exceeds
@@ -23,20 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TruncationOverflowError
+from .errors import TruncationOverflowError
 
 TRUNC_TOL = 1e-13        # largest discarded coefficient mass of a truncation
 OVERSAMPLE = 9           # circle_exp samples OVERSAMPLE * (2K+1) points (odd)
 CHOP_TOL = 1e-16         # circle_exp coefficients below CHOP_TOL * l1 are FFT rounding
-HERGLOTZ_REAL_TOL = 1e-11  # realness tolerance of the herglotz argument
 EVAL_CHUNK = 4096        # points per block in AnnulusSeries.evaluate
-
-# Mode-support tags for CircleSeries.
-SUPPORT_GENERAL = "general"
-SUPPORT_EXTERIOR = "exterior"                      # modes k <= 0
-SUPPORT_EXTERIOR_VANISHING = "exterior-vanishing"  # modes k <= -1
-
-_SUPPORTS = (SUPPORT_GENERAL, SUPPORT_EXTERIOR, SUPPORT_EXTERIOR_VANISHING)
 
 
 def _as_complex_array(a) -> np.ndarray:
@@ -117,29 +108,15 @@ def annulus_from_terms(terms: dict, bidegree: int, inner_radius: float) -> Annul
 class CircleSeries:
     """Laurent polynomial ``sum_k c[k] z^k`` on the unit circle.
 
-    ``coeffs[K + k]`` is the coefficient of ``z**k``, ``|k| <= K``.  The
-    ``support`` tag declares which modes may be nonzero; construction refuses
-    a coefficient outside it that is nonzero or NaN.
+    ``coeffs[K + k]`` is the coefficient of ``z**k``, ``|k| <= K``.
     """
 
     coeffs: np.ndarray
-    support: str = SUPPORT_GENERAL
 
     def __post_init__(self):
         arr = _as_complex_array(self.coeffs)
         if arr.ndim != 1 or arr.shape[0] % 2 != 1:
             raise ValueError("coefficient vector must have odd length")
-        if self.support not in _SUPPORTS:
-            raise ValueError(f"unknown support tag {self.support!r}")
-        K = (arr.shape[0] - 1) // 2
-        if self.support == SUPPORT_EXTERIOR:
-            outside = arr[K + 1:]
-        elif self.support == SUPPORT_EXTERIOR_VANISHING:
-            outside = arr[K:]
-        else:
-            outside = arr[:0]
-        if outside.any():   # NaN counts as nonzero
-            raise ValueError(f"nonzero coefficients outside declared support {self.support!r}")
         object.__setattr__(self, "coeffs", arr)
 
     @property
@@ -161,21 +138,16 @@ class CircleSeries:
     def l2(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        """Real-valued on the circle: ``c[-k] == conj(c[k])``."""
-        dev = np.max(np.abs(self.coeffs[::-1] - np.conj(self.coeffs)))
-        return bool(dev <= tol * max(1.0, self.l1()))
-
     def trimmed(self) -> "CircleSeries":
         """The same series at the least bandwidth that holds its nonzero modes."""
         K = self.bandwidth
         nz = np.flatnonzero(self.coeffs)
         S = int(np.max(np.abs(nz - K))) if nz.size else 0
-        return CircleSeries(self.coeffs[K - S:K + S + 1], self.support)
+        return CircleSeries(self.coeffs[K - S:K + S + 1])
 
     def conjugate_on_circle(self) -> "CircleSeries":
         """Series of ``zeta -> conj(f(zeta))`` restricted to ``|zeta| = 1``."""
-        return CircleSeries(np.conj(self.coeffs)[::-1], SUPPORT_GENERAL)
+        return CircleSeries(np.conj(self.coeffs)[::-1])
 
     def evaluate(self, z) -> np.ndarray:
         """Evaluate at points ``z`` by Horner's scheme in ``z`` (modes
@@ -202,13 +174,13 @@ class CircleSeries:
         return self + (-other) if isinstance(other, CircleSeries) else NotImplemented
 
     def __neg__(self):
-        return CircleSeries(-self.coeffs, self.support)
+        return CircleSeries(-self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, CircleSeries):
             return CircleSeries(np.convolve(self.coeffs, other.coeffs))
         if np.isscalar(other):
-            return CircleSeries(self.coeffs * other, self.support)
+            return CircleSeries(self.coeffs * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -227,13 +199,13 @@ def circle_zeros(bandwidth: int) -> CircleSeries:
     return CircleSeries(np.zeros(2 * bandwidth + 1, dtype=np.complex128))
 
 
-def circle_from_modes(modes: dict, bandwidth: int, support: str = SUPPORT_GENERAL) -> CircleSeries:
+def circle_from_modes(modes: dict, bandwidth: int) -> CircleSeries:
     arr = np.zeros(2 * bandwidth + 1, dtype=np.complex128)
     for k, c in modes.items():
         if abs(k) > bandwidth:
             raise ValueError(f"mode {k} outside bandwidth {bandwidth}")
         arr[bandwidth + k] = c
-    return CircleSeries(arr, support)
+    return CircleSeries(arr)
 
 
 def _pad_circle(c: CircleSeries, K: int) -> np.ndarray:
@@ -252,14 +224,14 @@ def truncate(c: CircleSeries, bandwidth: int, what: str) -> CircleSeries:
     absolute mass of the discarded modes exceeds ``TRUNC_TOL``."""
     K = c.bandwidth
     if K <= bandwidth:
-        return CircleSeries(_pad_circle(c, bandwidth), c.support)
+        return CircleSeries(_pad_circle(c, bandwidth))
     d = K - bandwidth
     discarded = float(np.sum(np.abs(c.coeffs[:d])) + np.sum(np.abs(c.coeffs[-d:])))
     if discarded > TRUNC_TOL:
         raise TruncationOverflowError(
             f"{what} has mass {discarded:.3e} beyond bandwidth {bandwidth}, above "
             f"tolerance {TRUNC_TOL:.1e}; increase M")
-    return CircleSeries(c.coeffs[d:K + bandwidth + 1], c.support)
+    return CircleSeries(c.coeffs[d:K + bandwidth + 1])
 
 
 def circle_exp(f: CircleSeries) -> CircleSeries:
@@ -290,20 +262,5 @@ def hardy_project(c: CircleSeries) -> CircleSeries:
     K = c.bandwidth
     out = c.coeffs.copy()
     out[K:] = 0.0
-    return CircleSeries(out, SUPPORT_EXTERIOR_VANISHING)
+    return CircleSeries(out)
 
-
-def herglotz(u: CircleSeries) -> CircleSeries:
-    """Exterior Herglotz transform of a real-valued circle function.
-
-    Returns ``H[u](z) = u_hat(0) + 2 sum_{k>=1} u_hat(-k) z^{-k}``, the unique
-    holomorphic function on the exterior disk, real at infinity, whose real
-    part on the circle equals ``u`` (real to ``HERGLOTZ_REAL_TOL``).
-    """
-    if not u.is_real(HERGLOTZ_REAL_TOL):
-        raise DomainError("herglotz transform requires a real-valued circle function")
-    K = u.bandwidth
-    out = np.zeros(2 * K + 1, dtype=np.complex128)
-    out[K] = u.coeffs[K].real
-    out[:K] = 2.0 * u.coeffs[:K]
-    return CircleSeries(out, SUPPORT_EXTERIOR)

@@ -139,6 +139,11 @@ def random_circle(rng, bandwidth, scale=1.0):
     return po.CircleSeries(arr)
 
 
+def szego_of(h):
+    """:func:`planorth.szego` of a bare pullback ``h``, a circle series."""
+    return po.szego(po.WeightSpec(None, h, 0.7, 1.0, 0.0, None))
+
+
 def conv2_reference(A, B):
     """Full 2-D convolution of two centred coefficient grids by shifted
     accumulation over the nonzeros of ``A``: the bi-Laurent product as first

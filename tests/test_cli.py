@@ -116,6 +116,16 @@ def test_degree_string_is_not_read_by_character(tmp_path, capsys):
     assert "N must be a list, got '816'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", [5, None, ["o"], {}, True], ids=repr)
+def test_out_that_is_not_a_string_is_refused(tmp_path, monkeypatch, capsys, out):
+    # without --out the directory comes from the config's 'out' field
+    cfg = write_config(tmp_path, out=out)
+    monkeypatch.chdir(tmp_path)
+    assert run(["expand", "--config", cfg]) == 2
+    assert f"out must be a directory path string, got {out!r}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 # JSON values of the wrong type for every experiment field: no digits in the
 # strings, so none parses to a degree large enough to exhaust memory
 _SCALARS = st.none() | st.booleans() | st.text(
@@ -365,8 +375,6 @@ def test_custom_samples_weight_end_to_end(tmp_path):
     assert abs(got.get(-1, 0.0) - truth) < 1e-8
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_eval_nonfinite_is_typed(tmp_path):
     # ellipse-expre at z=3: monic overflows to inf at N=1000, and C_N itself
     # leaves the float range at N=2000; neither may reach an artifact

@@ -209,6 +209,13 @@ def test_monic_overflow_is_typed(ellipse_exp_model):
     assert np.isfinite(po.monic_eval(ellipse_exp_model, 100, 3.0))
 
 
+def test_normalized_overflow_is_typed(ellipse_exp_model):
+    # ellipse-expre at z = 3, N = 2000: the unit-norm value leaves the float
+    # range too, and is refused without a numpy warning
+    with pytest.raises(NonFiniteError, match="normalized polynomial .* degree 2000"):
+        po.normalized_eval(ellipse_exp_model, 2000, 3.0)
+
+
 def test_degree_checked_before_overflow(ellipse_exp_model):
     for f in (po.monic_eval, po.normalized_eval):
         with pytest.raises(OutOfValidityError):

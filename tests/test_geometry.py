@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import planorth as po
-from planorth.errors import ConfigError, ConvergenceError, PositivityError
+from planorth.errors import ConfigError, ConsistencyError, ConvergenceError, PositivityError
 from planorth.geometry import (FIT_TOL, NEWTON_MAXITER, NEWTON_TOL, ExteriorMap, WeightDef,
                                map_forward_many, phi_prime)
 from planorth.presets import PRESETS, preset_parts
 
-from conftest import halving_breaks, polar_rule
+from conftest import halving_breaks, polar_rule, random_circle, szego_of
 
 
 def test_map_forward_identity():
@@ -286,6 +286,15 @@ def test_nonharmonic_blackbox_weight_is_refused():
         po.pullback_weight(po.disk_map(), radial, 12, 0.7)
 
 
+@pytest.mark.parametrize("a", [200.0, 300.0])
+def test_large_harmonic_weight_asks_for_a_wider_band(a):
+    # exp(2 Re P) overflows on the validation grid at P = 300 z, its log
+    # 2 Re P does not: the weight is harmonic, and E is too wide for M = 24
+    with pytest.raises(po.TruncationOverflowError, match="stage: outer-function.*increase M"):
+        po.build_model(po.disk_map(), po.exp_re_poly_weight([0.0, a]), 2, bidegree=24,
+                       inner_radius=0.7)
+
+
 def test_sampled_weight_fit():
     rng = np.random.default_rng(4)
     pts = 1.1 * np.exp(2j * np.pi * rng.random(40))
@@ -330,6 +339,42 @@ def test_szego_infinity_value_is_mean(ellipse_exp_model):
     ts = np.exp(2j * np.pi * np.arange(512) / 512)
     mean = np.mean(-np.log(wd.omega(m.psi(ts)))) / 2.0
     assert abs(sz.v_infinity - mean) < 1e-12
+
+
+def _decaying_pullback(seed, K=32, ratio=0.2):
+    """A random pullback ``h`` with modes of order ``0.5 ratio^|k|``, narrow
+    enough for ``E`` to fit bandwidth ``K``."""
+    h = random_circle(np.random.default_rng(seed), K, 0.5)
+    return po.CircleSeries(h.coeffs * ratio ** np.abs(np.arange(-K, K + 1)))
+
+
+def test_outer_function_contour_quadrature_oracle():
+    # V is the Schwarz integral of its boundary real part -Re h
+    h = _decaying_pullback(17)
+    sz = szego_of(h)
+    n = 512
+    zeta = np.exp(2j * np.pi * np.arange(n) / n)
+    z = 2.0
+    quad = np.mean((z + zeta) / (z - zeta) * -h.evaluate(zeta).real)
+    assert abs(sz.v_exterior.evaluate(z) - quad) <= 1e-13
+
+
+def test_outer_function_real_part_is_minus_half_log_weight():
+    h = _decaying_pullback(29)
+    sz = szego_of(h)
+    v = sz.v_exterior
+    re_v = 0.5 * (v + v.conjugate_on_circle())
+    assert np.max(np.abs((re_v + 0.5 * (h + h.conjugate_on_circle())).coeffs)) < 1e-15
+    # F = V + h is purely imaginary on the circle, mode by mode
+    assert not (sz.F + sz.F.conjugate_on_circle()).coeffs.any()
+
+
+@pytest.mark.parametrize("mode, bad", [(-1, np.nan), (0, complex(0.0, np.nan)), (3, np.inf)])
+def test_szego_refuses_a_nonfinite_pullback(mode, bad):
+    h = _decaying_pullback(3).coeffs.copy()
+    h[h.size // 2 + mode] = bad
+    with pytest.raises(ConsistencyError, match="non-finite"):
+        szego_of(po.CircleSeries(h))
 
 
 def test_szego_circle_normalization(all_preset_models):

@@ -145,7 +145,7 @@ def test_residuals(disk_const_model, disk_alpha_model):
 def test_residual_sensitivity(disk_alpha_model):
     X = list(disk_alpha_model.coeffs.X)
     K = X[2].bandwidth
-    bump = po.circle_from_modes({-1: 1e-3}, K, "exterior-vanishing")
+    bump = po.circle_from_modes({-1: 1e-3}, K)
     X[2] = po.hardy_project(X[2] + bump)
     corrupted = po.HierarchyCoeffs(order=disk_alpha_model.order, X=tuple(X))
     assert po.hierarchy_residual(corrupted, disk_alpha_model.szego, 2) > 1e-4

@@ -149,11 +149,20 @@ def test_bw_diag_matches_the_term_loop(N):
         assert abs(bw_kernel_diag(0.5, m, N, z) / want - 1.0) <= 1e-13, r
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_bw_diag_overflow_is_typed():
-    # |phi(z)|^(2N) = 1.2^20000 overflows a float
+def test_bw_diag_overflow_is_typed(ellipse_exp_model):
+    # |phi(z)|^(2N) = 1.2^20000 overflows a float, as does ellipse-expre at
+    # z = 3, N = 2000; neither lets a numpy warning out
     with pytest.raises(NonFiniteError, match="overflows"):
         bw_kernel_diag(0.5, po.disk_map(), 10 ** 4, 1.2)
+    with pytest.raises(NonFiniteError, match="overflows"):
+        bw_kernel_diag(0.5, ellipse_exp_model.map, 2000, 3.0)
+
+
+def test_offspectral_overflow_is_typed(ellipse_exp_model):
+    point = off_spectral_point(ellipse_exp_model.map, 3.0)
+    assert np.isfinite(offspectral_leading(ellipse_exp_model, point, 100, 3.5))
+    with pytest.raises(NonFiniteError, match="off-spectral kernel .* degree 2000"):
+        offspectral_leading(ellipse_exp_model, point, 2000, 3.5)
 
 
 @pytest.mark.parametrize("r", [0.505, 0.5001])

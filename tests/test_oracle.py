@@ -268,7 +268,7 @@ def _ring_pairing(model, polys, g, N, rho_ring):
 
 def test_ring_pairing_decays(disk_alpha_model, disk_alpha_oracle):
     polys = disk_alpha_oracle
-    g = po.circle_from_modes({-1: 1.0}, 4, "exterior-vanishing")
+    g = po.circle_from_modes({-1: 1.0}, 4)
     v16 = abs(_ring_pairing(disk_alpha_model, polys, g, 16, rho_ring=0.75))
     v32 = abs(_ring_pairing(disk_alpha_model, polys, g, 32, rho_ring=0.75))
     assert v16 / max(v32, 1e-300) >= 2 ** 2.5

@@ -1,15 +1,18 @@
 """Hypothesis properties of the one-dimensional model over random admissible
-maps (a disk with one small tail mode) and ``exp(2 Re P)`` weights."""
+maps (a disk with one small tail mode) and ``exp(2 Re P)`` weights, and of the
+outer function over random decaying pullbacks."""
 
 import cmath
 import math
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import planorth as po
-from planorth.series import SUPPORT_EXTERIOR_VANISHING, TRUNC_TOL
+from planorth.series import TRUNC_TOL
+
+from conftest import szego_of
 
 ORDER = 4
 
@@ -55,10 +58,38 @@ def test_outer_factor_norm_series_and_residuals(mp, weight, M):
             for mu in range(ORDER - j - k + 1):
                 c[j + k + mu] += B[j, k, mu, centre]
     assert np.max(np.abs(c.imag)) <= 1e-13 * max(1.0, np.max(np.abs(c)))
-    # every correction is exterior-vanishing and every jump condition holds
+    # every correction has no mode k >= 0 and every jump condition holds
     for p in range(1, ORDER + 1):
-        assert model.coeffs.X[p].support == SUPPORT_EXTERIOR_VANISHING
+        X = model.coeffs.X[p]
+        assert not X.coeffs[X.bandwidth:].any()
         assert po.hierarchy_residual(model.coeffs, sz, p) <= 1e-9
+
+
+@st.composite
+def decaying_pullbacks(draw):
+    """Pullbacks ``h`` at bandwidth 32 whose mode ``k`` has modulus at most
+    ``0.5 ratio^|k|``, ``ratio <= 0.25``, so ``E`` fits the bandwidth; mode 0
+    is any moderate complex number."""
+    K = 32
+    ratio = draw(st.floats(0.0, 0.25))
+    modes = draw(st.lists(st.complex_numbers(max_magnitude=0.5), min_size=2 * K + 1,
+                          max_size=2 * K + 1))
+    h = np.array(modes) * ratio ** np.abs(np.arange(-K, K + 1))
+    h[K] = draw(st.complex_numbers(max_magnitude=5.0))
+    return po.CircleSeries(h)
+
+
+@settings(max_examples=50)
+@given(decaying_pullbacks())
+def test_outer_function_is_the_mode_map_of_the_pullback(h):
+    sz = szego_of(h)
+    K, V, F = h.bandwidth, sz.v_exterior, sz.F
+    # F is purely imaginary on the circle, exactly
+    assert not (F + F.conjugate_on_circle()).coeffs.any()
+    # V is exterior-holomorphic and v_infinity is its mode 0
+    assert not V.coeffs[K + 1:].any()
+    assert sz.v_infinity == V.coeff(0)
+    assert np.max(np.abs((F - (V + h)).coeffs)) <= 1e-15 * max(1.0, h.linf())
 
 
 @given(admissible_maps(), st.floats(0.1, 10.0))

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import planorth as po
-from planorth.errors import DomainError, TruncationOverflowError
+from planorth.errors import TruncationOverflowError
 from planorth.hierarchy import weighted_derivative
-from planorth.series import EVAL_CHUNK, SUPPORT_EXTERIOR, SUPPORT_EXTERIOR_VANISHING
+from planorth.series import EVAL_CHUNK
 
 from conftest import grid_restrictions, random_annulus, random_circle
 
@@ -123,7 +123,7 @@ def test_hardy_mode_selection():
     c = po.circle_from_modes({0: 3.0, -1: 2.0, 1: 5.0}, 4)
     h = po.hardy_project(c)
     assert h.coeff(-1) == 2.0 and h.coeff(0) == 0.0 and h.coeff(1) == 0.0
-    assert h.support == SUPPORT_EXTERIOR_VANISHING
+    assert not h.coeffs[4:].any()
 
 
 def test_hardy_idempotent_and_contractive():
@@ -143,38 +143,6 @@ def test_hardy_on_first_correction_block():
     assert h.l2() == abs(alpha)
 
 
-def test_herglotz_constant_and_cosine():
-    one = po.circle_from_modes({0: 1.0}, 4)
-    assert po.herglotz(one).coeff(0) == 1.0
-    u = po.circle_from_modes({1: 0.5, -1: 0.5}, 4)
-    h = po.herglotz(u)
-    assert h.coeff(-1) == 1.0 and h.coeff(0) == 0.0 and h.coeff(1) == 0.0
-    ts = np.exp(1j * np.linspace(0, 6, 9))
-    assert np.max(np.abs(np.real(h.evaluate(ts)) - np.cos(np.angle(ts)))) < 1e-14
-
-
-def test_herglotz_contour_quadrature_oracle():
-    rng = np.random.default_rng(17)
-    half = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    modes = {0: rng.standard_normal()}
-    for k, v in enumerate(half, start=1):
-        modes[k] = v
-        modes[-k] = np.conj(v)
-    u = po.circle_from_modes(modes, 16)
-    h = po.herglotz(u)
-    n = 512
-    zeta = np.exp(2j * np.pi * np.arange(n) / n)
-    z = 2.0
-    quad = np.mean((z + zeta) / (z - zeta) * u.evaluate(zeta))
-    assert abs(h.evaluate(z) - quad) <= 1e-10
-
-
-def test_herglotz_rejects_non_real():
-    c = po.circle_from_modes({1: 1.0}, 4)
-    with pytest.raises(DomainError):
-        po.herglotz(c)
-
-
 def test_restrict_of_product_is_circle_convolution(disk_alpha_model):
     # the moment table's mu = 0 row restricts X_j conj(X_k) Omega, which on
     # the circle is the product of X_j E and the conjugate of X_k E
@@ -185,19 +153,6 @@ def test_restrict_of_product_is_circle_convolution(disk_alpha_model):
             lhs = po.CircleSeries(disk_alpha_model.norm.moments[j, k, 0])
             rhs = (X[j] * sz.E) * (X[k] * sz.E).conjugate_on_circle()
             assert np.max(np.abs((lhs - rhs).coeffs)) <= 1e-12 * max(1.0, lhs.l1()), (j, k)
-
-
-def test_herglotz_real_part_reproduces_input():
-    rng = np.random.default_rng(29)
-    half = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    modes = {0: 1.3}
-    for k, v in enumerate(half, start=1):
-        modes[k] = v
-        modes[-k] = np.conj(v)
-    u = po.circle_from_modes(modes, 8)
-    h = po.herglotz(u)
-    re_h = 0.5 * (h + h.conjugate_on_circle())
-    assert np.max(np.abs((re_h - u).coeffs)) < 1e-14
 
 
 def test_exp_inverse_on_circle():
@@ -227,28 +182,6 @@ def test_annulus_evaluation_matches_coefficientwise():
                  for m in range(-5, 6) for n in range(-5, 6))
     assert np.isfinite(a.evaluate(z)).all() if np.ndim(a.evaluate(z)) else np.isfinite(a.evaluate(z))
     assert abs(a.evaluate(z) - direct) <= 1e-12 * max(1.0, abs(direct))
-
-
-def test_support_tag_validation():
-    with pytest.raises(ValueError):
-        po.CircleSeries(np.array([0.0, 0.0, 1.0]), SUPPORT_EXTERIOR_VANISHING)
-
-
-@pytest.mark.parametrize("support, first_outside", [(SUPPORT_EXTERIOR, 1),
-                                                    (SUPPORT_EXTERIOR_VANISHING, 0)])
-def test_support_tag_refuses_nonzero_and_nan_outside(support, first_outside):
-    # K = 3: modes k >= first_outside lie outside the tag; NaN there is refused
-    # too (inside it is the caller's), and -0.0 is zero
-    ok = np.full(7, -0.0, dtype=np.complex128)
-    ok[:3 + first_outside] = 1.0
-    ok[0] = np.nan
-    assert po.CircleSeries(ok, support).support == support
-    for k in range(first_outside, 4):
-        for bad in (1e-300, np.nan, complex(0.0, np.nan)):
-            arr = np.zeros(7, dtype=np.complex128)
-            arr[3 + k] = bad
-            with pytest.raises(ValueError, match="outside declared support"):
-                po.CircleSeries(arr, support)
 
 
 def test_jet_matches_repeated_radial():
@@ -308,5 +241,5 @@ def test_trimmed_keeps_values_and_tag():
     c = po.circle_from_modes({-2: 0.5, 1: 1.0}, 9)
     t = c.trimmed()
     assert t.bandwidth == 2 and t.coeff(-2) == 0.5 and t.coeff(1) == 1.0
-    assert po.hardy_project(c).trimmed().support == SUPPORT_EXTERIOR_VANISHING
+    assert not po.hardy_project(c).trimmed().coeffs[2:].any()
     assert po.circle_zeros(5).trimmed().bandwidth == 0
