@@ -16,7 +16,7 @@ print("phi(3) =", zeta, "  defining residual:", abs(1.5 * zeta + 0.5 / zeta - z)
 print("\n== weight pullback ==")
 wd = po.exp_re_linear_weight(0.5)                 # omega = exp(Re z)
 ws = po.pullback_weight(ell, wd, 24, 0.75)
-print("fit residual:", ws.fit_residual, " positivity floor:", round(ws.floor, 4))
+print("fit residual:", ws.fit_residual)
 
 print("\n== outer function and flattened weight Omega = |E|^2 ==")
 sz = po.szego(ws)

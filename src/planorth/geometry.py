@@ -4,8 +4,7 @@ A domain is specified through the inverse exterior map ``psi(zeta) =
 cap*zeta + a_0 + a_1/zeta + ...`` with ``cap > 0`` (so infinity is fixed and
 the derivative there is positive); ``psi`` and ``psi'`` are evaluated by
 Horner's scheme in ``1/zeta``.  The forward map ``phi`` is obtained by Newton
-inversion, in which a point freezes once it has converged and the batch
-shrinks to its unconverged points once at most half of it is left.  A weight
+inversion, in which a point freezes once it has converged.  A weight
 is a strictly positive function on the closure of the domain whose logarithm
 is harmonic near the boundary; its pullback is
 ``log(omega(psi(zeta))) = h + conj(h)`` with a Laurent series ``h``, carried as
@@ -157,19 +156,18 @@ def map_forward_many(m: ExteriorMap, zs: np.ndarray):
     Each Newton step takes ``psi`` and ``psi'`` from one Horner pass in
     ``1/zeta``.  A point freezes at the first iterate whose residual
     ``|psi(zeta) - z|`` is at most ``NEWTON_TOL * max(1, |z|)``; a point whose
-    residual is not finite (a non-finite input, say) drops out too.  The
-    iteration runs on the whole batch while more than half of it is live;
-    once at most half is, it carries on with the live points only, so the
-    slow few do not make every point pay for their steps.  Two safeguards
-    guard a step, and each runs only when some point of the working set trips
-    it: where ``|psi'| < 1e-14`` the step divides by one instead (and the point
-    is marked failed), and a step longer than ``0.5 * max(1, |zeta|)`` is cut
-    to that length (looked at only when some step exceeds 0.5, the least such
-    cap).  The gates compare and test ``.any()``, so a NaN point in the batch
-    does not hide the others, and the iterates are those of safeguards applied
-    at every step.  ``ok`` is false where ``psi'`` nearly vanished at a step,
-    where the final residual exceeds ``1e-10 * max(1, |z|)`` or where
-    ``|zeta|`` is not above the univalence margin.
+    residual is not finite (a non-finite input, say) drops out too; every
+    step runs on the whole batch, whose points converge together for the
+    batches the evaluators map.  Two safeguards guard a step, and each runs
+    only when some point of the batch trips it: where ``|psi'| < 1e-14`` the
+    step divides by one instead (and the point is marked failed), and a step
+    longer than ``0.5 * max(1, |zeta|)`` is cut to that length (looked at only
+    when some step exceeds 0.5, the least such cap).  The gates compare and
+    test ``.any()``, so a NaN point in the batch does not hide the others, and
+    the iterates are those of safeguards applied at every step.  ``ok`` is
+    false where ``psi'`` nearly vanished at a step, where the final residual
+    exceeds ``1e-10 * max(1, |z|)`` or where ``|zeta|`` is not above the
+    univalence margin.
     """
     zs = np.asarray(zs, dtype=np.complex128)
     z = zs.ravel()
@@ -180,40 +178,30 @@ def map_forward_many(m: ExteriorMap, zs: np.ndarray):
         ang = np.angle(z - (m.tail[0] if len(m.tail) else 0.0))
         zeta = np.where(small, np.exp(1j * ang), zeta)
     scale = np.maximum(1.0, np.abs(z))
-    resid = np.empty(z.shape)
     ok = np.ones(z.shape, dtype=bool)
-    at = slice(None)                      # the working set: all points, then indices
-    zw, zt, tol = zeta, z, NEWTON_TOL * scale
+    tol = NEWTON_TOL * scale
     for it in range(NEWTON_MAXITER + 1):
-        p, dp = m.psi_and_prime(zw)
-        r = p - zt
+        p, dp = m.psi_and_prime(zeta)
+        r = p - z
         ar = np.abs(r)
         # a NaN residual compares false and freezes; an infinite one turns NaN at its step
         live = ar > tol
-        n_live = np.count_nonzero(live)
-        if n_live == 0 or it == NEWTON_MAXITER:
+        if not live.any() or it == NEWTON_MAXITER:
             break
-        if 2 * n_live <= live.size:
-            zeta[at], resid[at] = zw, ar
-            keep = np.flatnonzero(live)
-            at = keep if isinstance(at, slice) else at[keep]
-            zw, zt, tol, r, dp = zw[keep], zt[keep], tol[keep], r[keep], dp[keep]
         # gate by comparison and .any(): a NaN in min/max would hide every other point
         bad = np.abs(dp) < 1e-14
         if bad.any():
-            ok[at] &= ~bad
+            ok &= ~bad
             dp = np.where(bad, 1.0, dp)
         step = r / dp
         slen = np.abs(step)
         if (slen > 0.5).any():          # 0.5 is the least cap_len there is
-            cap_len = 0.5 * np.maximum(1.0, np.abs(zw))
+            cap_len = 0.5 * np.maximum(1.0, np.abs(zeta))
             slen = np.maximum(slen, 1e-300)
             step = np.where(slen > cap_len, step * cap_len / slen, step)
-        if n_live < step.size:
-            step[~live] = 0.0   # converged points keep their iterate
-        zw = zw - step
-    zeta[at], resid[at] = zw, ar
-    ok &= resid <= 1e-10 * scale
+        step[~live] = 0.0   # converged points keep their iterate
+        zeta = zeta - step
+    ok &= ar <= 1e-10 * scale
     ok &= np.abs(zeta) > m.univalence_margin
     return zeta.reshape(zs.shape), ok.reshape(zs.shape)
 
@@ -224,24 +212,28 @@ def phi_prime(m: ExteriorMap, zeta) -> np.ndarray:
 
 
 class WeightDef:
-    """Weight declaration: a global evaluator plus, when available, the
-    holomorphic polynomial ``P`` with ``omega = exp(2 Re P)``."""
+    """Weight declaration: the holomorphic polynomial ``P`` with
+    ``omega = exp(2 Re P)`` or, for a black box, a global evaluator."""
 
-    def __init__(self, kind: str, evaluator: Callable, holo_poly: np.ndarray | None = None):
-        self.kind = kind
+    def __init__(self, evaluator: Callable | None, holo_poly: np.ndarray | None = None):
+        if evaluator is None and holo_poly is None:
+            raise ConfigError("a weight needs an evaluator or a polynomial P")
         self.evaluator = evaluator
         self.holo_poly = None if holo_poly is None else np.asarray(holo_poly, dtype=np.complex128)
 
     def __call__(self, z):
-        return self.evaluator(np.asarray(z, dtype=np.complex128))
+        z = np.asarray(z, dtype=np.complex128)
+        if self.holo_poly is None:
+            return self.evaluator(z)
+        acc = np.zeros(z.shape, dtype=np.complex128)   # a constant P gives a bare scalar
+        acc += _horner(self.holo_poly, z)
+        return np.exp(2.0 * acc.real)
 
 
 def constant_weight(value: float = 1.0) -> WeightDef:
     if value <= 0:
         raise ConfigError("constant weight must be positive")
-    c = 0.5 * np.log(value)
-    return WeightDef("const", lambda z: np.full(np.shape(z), float(value)),
-                     holo_poly=np.array([c]))
+    return exp_re_poly_weight([0.5 * np.log(value)])
 
 
 def exp_re_poly_weight(coeffs) -> WeightDef:
@@ -250,24 +242,19 @@ def exp_re_poly_weight(coeffs) -> WeightDef:
     poly = np.asarray(list(coeffs), dtype=np.complex128)
     if poly.size == 0:
         raise ConfigError("exp-re-poly weight needs at least one coefficient")
-
-    def ev(z):
-        acc = np.zeros(np.shape(z), dtype=np.complex128)
-        acc += _horner(poly, np.asarray(z, dtype=np.complex128))
-        return np.exp(2.0 * np.real(acc))
-
-    return WeightDef("exp-re-poly", ev, holo_poly=poly)
+    return WeightDef(None, holo_poly=poly)
 
 
 def exp_re_linear_weight(alpha: complex) -> WeightDef:
     """Weight ``omega(z) = exp(2 Re(alpha z))``."""
-    w = exp_re_poly_weight([0.0, alpha])
-    return WeightDef("exp-re-linear", w.evaluator, holo_poly=w.holo_poly)
+    return exp_re_poly_weight([0.0, alpha])
 
 
 def sampled_weight(points, values, degree: int = 4) -> WeightDef:
     """Weight fitted from positive samples: least-squares ``exp(2 Re P)`` with
-    ``deg P = degree``.  Intended for externally measured weights."""
+    ``deg P = degree``.  Intended for externally measured weights.  The
+    samples must determine all ``2 degree + 1`` real unknowns of ``P``
+    (``Im P(0)`` does not enter ``omega``); fewer raise :class:`ConfigError`."""
     pts = np.asarray(points, dtype=np.complex128)
     vals = np.asarray(values, dtype=float)
     if np.any(vals <= 0):
@@ -279,32 +266,37 @@ def sampled_weight(points, values, degree: int = 4) -> WeightDef:
         cols.append(2.0 * np.real(pts ** j))
         cols.append(-2.0 * np.imag(pts ** j))
     A = np.stack(cols, axis=1)
-    sol, *_ = np.linalg.lstsq(A, target, rcond=None)
+    sol, _, rank, _ = np.linalg.lstsq(A, target, rcond=None)
+    if rank < A.shape[1]:
+        raise ConfigError(
+            f"{pts.size} weight samples determine {rank} of the {A.shape[1]} real "
+            f"unknowns of a degree-{degree} P")
     poly = np.zeros(degree + 1, dtype=np.complex128)
     poly[0] = 0.5 * sol[0]
     for j in range(1, degree + 1):
         poly[j] = sol[2 * j - 1] + 1j * sol[2 * j]
-    w = exp_re_poly_weight(poly)
-    return WeightDef("custom-samples", w.evaluator, holo_poly=poly)
+    return exp_re_poly_weight(poly)
 
 
 @dataclass(frozen=True, eq=False)
 class WeightSpec:
-    """Weight attached to a domain: global evaluator, the pullback of the
-    log-weight, positivity floor, the pullback fit residual and the declared
-    polynomial ``P`` with ``omega = |e^P|^2`` (None for a black box).
+    """Weight attached to a domain: the declared weight, the pullback of the
+    log-weight and the pullback fit residual.
 
     ``pullback`` is the Laurent series ``h`` with
     ``log omega(psi(zeta)) = h(zeta) + conj(h(zeta))`` on the annulus
     ``inner_radius < |zeta| < 1/inner_radius``, at bandwidth ``2M``.
     """
 
-    omega: Callable
+    omega: WeightDef
     pullback: CircleSeries
     inner_radius: float
-    floor: float
     fit_residual: float
-    holo_poly: np.ndarray | None
+
+    @property
+    def holo_poly(self) -> np.ndarray | None:
+        """The polynomial ``P`` with ``omega = |e^P|^2`` (None for a black box)."""
+        return self.omega.holo_poly
 
 
 def pullback_weight(m: ExteriorMap, weight: WeightDef, bidegree: int,
@@ -342,12 +334,9 @@ def pullback_weight(m: ExteriorMap, weight: WeightDef, bidegree: int,
     if weight.holo_poly is not None:
         # log omega = 2 Re P, finite where exp(2 Re P) leaves the float range
         log_omega = 2.0 * _horner(weight.holo_poly, pts).real
-        with np.errstate(over="ignore"):
-            omega_min = float(np.exp(np.min(log_omega)))
     else:
         omega = weight(pts)
-        omega_min = float(np.min(omega))
-        if not omega_min > 0:
+        if not np.min(omega) > 0:
             raise PositivityError("weight is not strictly positive on the collar")
         log_omega = np.log(omega)
     resid = float(np.max(np.abs(2.0 * h.evaluate(grid).real - log_omega)))
@@ -356,8 +345,7 @@ def pullback_weight(m: ExteriorMap, weight: WeightDef, bidegree: int,
             f"non-harmonic residual {resid:.3e} of the weight pullback above tolerance "
             f"{FIT_TOL:.1e}: only a log-weight harmonic near the boundary is resolved "
             "(see the ROADMAP item 'Non-harmonic log-weights'), at bandwidth 2M")
-    return WeightSpec(weight, h, rho, floor=omega_min, fit_residual=resid,
-                      holo_poly=weight.holo_poly)
+    return WeightSpec(weight, h, rho, fit_residual=resid)
 
 
 def _compose_pullback(m: ExteriorMap, poly: np.ndarray, K: int) -> CircleSeries:

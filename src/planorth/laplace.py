@@ -31,11 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConsistencyError
 from .geometry import SzegoData
 from .hierarchy import HierarchyCoeffs
-
-NORM_IMAG_TOL = 1e-10   # largest imaginary part the norm series may carry
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,29 +62,17 @@ def watson_sum(jet: JetAtZero, lam: float) -> tuple[complex, float]:
     return value, bound
 
 
-def _ps_log(c: np.ndarray) -> np.ndarray:
-    """Formal log of a power series with c[0] != 0, to the same order."""
+def _ps_power(c: np.ndarray, alpha: float) -> np.ndarray:
+    """Formal power ``c^alpha`` of a real power series with ``c[0] > 0``, to
+    the same order: ``b = c^alpha`` solves ``c b' = alpha c' b``, so
+    ``k c_0 b_k = sum_{j=1..k} ((alpha+1) j - k) c_j b_{k-j}`` (Knuth, TAOCP
+    vol. 2, 4.7)."""
     n = c.size
-    out = np.zeros(n, dtype=np.complex128)
-    out[0] = np.log(c[0])
+    out = np.zeros(n)
+    out[0] = c[0] ** alpha
     for k in range(1, n):
-        s = 0.0 + 0.0j
-        for j in range(1, k):
-            s += j * out[j] * c[k - j]
-        out[k] = (c[k] - s / k) / c[0]
-    return out
-
-
-def _ps_exp(a: np.ndarray) -> np.ndarray:
-    """Formal exp of a power series, to the same order."""
-    n = a.size
-    out = np.zeros(n, dtype=np.complex128)
-    out[0] = np.exp(a[0])
-    for k in range(1, n):
-        s = 0.0 + 0.0j
-        for j in range(1, k + 1):
-            s += j * a[j] * out[k - j]
-        out[k] = s / k
+        j = np.arange(1, k + 1)
+        out[k] = np.dot(((alpha + 1) * j - k) * c[1:k + 1], out[k - 1::-1]) / (k * c[0])
     return out
 
 
@@ -176,19 +161,14 @@ def norm_expansion(szego: SzegoData, coeffs: HierarchyCoeffs, order: int) -> Nor
     if order > coeffs.order:
         raise ValueError("hierarchy not solved to the requested order")
     stack = _product_stack(szego, coeffs, order)
-    mode0 = _moment_table(stack, 0)[..., 0]
-    c = np.zeros(order + 1, dtype=np.complex128)
+    # n -> n + p leaves the weight -(2n+p)/2 - 1 unchanged, so
+    # B[k, j, mu, -p] = conj B[j, k, mu, p] and each c_p sums real parts
+    mode0 = _moment_table(stack, 0)[..., 0].real
+    c = np.zeros(order + 1)
     for j in range(order + 1):
         for k in range(order + 1 - j):
             for m in range(order + 1 - j - k):
                 c[j + k + m] += mode0[j, k, m]
-    if float(np.max(np.abs(c.imag))) > NORM_IMAG_TOL:
-        raise ConsistencyError(
-            f"norm series has imaginary part {np.max(np.abs(c.imag)):.3e}; "
-            "the squared norm must be real")
-    cr = c.real.copy()
-    # D-series = (c-series)^(-1/2); c[0] is 1 up to roundoff and is kept as computed
-    d_series = _ps_exp(-0.5 * _ps_log(cr.astype(np.complex128)))
-    if float(np.max(np.abs(d_series.imag))) > NORM_IMAG_TOL:
-        raise ConsistencyError("norm factor series must be real")
-    return NormExpansion(d=d_series.real[1:].copy(), raw=cr[1:].copy(), stack=stack)
+    # D-series = (c-series)^(-1/2); c_0 = sum |E_n|^2 > 0 is 1 up to roundoff
+    # and is kept as computed
+    return NormExpansion(d=_ps_power(c, -0.5)[1:], raw=c[1:], stack=stack)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationOverflowError
+from .errors import NonFiniteError, TruncationOverflowError
 
 TRUNC_TOL = 1e-13        # largest discarded coefficient mass of a truncation
 OVERSAMPLE = 9           # circle_exp samples OVERSAMPLE * (2K+1) points (odd)
@@ -243,12 +243,19 @@ def circle_exp(f: CircleSeries) -> CircleSeries:
     rather than bounded.  Coefficients below ``CHOP_TOL`` times the l1 norm
     are the flat rounding floor of the FFT and are set to zero (a chop in the
     sense of Aurentz & Trefethen, ACM TOMS 2017); the rest is cut to ``K`` by
-    :func:`truncate`, so a tail above ``TRUNC_TOL`` raises.
+    :func:`truncate`, so a tail above ``TRUNC_TOL`` raises.  A sample of
+    ``exp(f)`` beyond the float range raises :class:`NonFiniteError` before the
+    transform back.
     """
     K = f.bandwidth
     n = OVERSAMPLE * (2 * K + 1)
     spec = np.fft.ifftshift(np.pad(f.coeffs, (n - 2 * K - 1) // 2))
-    e = np.fft.fft(np.exp(np.fft.ifft(spec) * n)) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = np.exp(np.fft.ifft(spec) * n)
+    if not np.isfinite(samples).all():
+        raise NonFiniteError(f"exp of a series at bandwidth {K} has samples beyond the "
+                             "float range")
+    e = np.fft.fft(samples) / n
     e[np.abs(e) < CHOP_TOL * np.sum(np.abs(e))] = 0.0
     return truncate(CircleSeries(np.fft.fftshift(e)), K, "exp")
 

@@ -141,7 +141,7 @@ def random_circle(rng, bandwidth, scale=1.0):
 
 def szego_of(h):
     """:func:`planorth.szego` of a bare pullback ``h``, a circle series."""
-    return po.szego(po.WeightSpec(None, h, 0.7, 1.0, 0.0, None))
+    return po.szego(po.WeightSpec(None, h, 0.7, 0.0))
 
 
 def conv2_reference(A, B):

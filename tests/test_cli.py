@@ -543,6 +543,36 @@ def test_exp_re_poly_coefficient_count(tmp_path, capsys, coeffs, code):
             geometry.exp_re_poly_weight([])
 
 
+def test_weight_beyond_the_float_range_is_typed(tmp_path, capsys):
+    # exp(F) for P = 1e200 z leaves the float range on the circle samples:
+    # a typed refusal before the FFT, under the suite's RuntimeWarning filter
+    domain = {"map": {"cap": 1.0, "tail": []},
+              "weight": {"kind": "exp-re-poly", "coeffs": [[0.0, 0.0], [1e200, 0.0]]},
+              "rho": 0.7, "M": 24}
+    cfg = write_config(tmp_path, domain=domain)
+    assert run(["expand", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert "exp of a series at bandwidth 48" in capsys.readouterr().err
+    m, wd, rho, M, _ = geometry.load_domain_config(domain)
+    with pytest.raises(NonFiniteError, match="stage: outer-function"):
+        planorth.build_model(m, wd, 2, bidegree=M, inner_radius=rho)
+
+
+@pytest.mark.parametrize("weight, message", [
+    ({"points": [], "values": []}, "0 weight samples determine 0 of the 9"),
+    ({"points": [[1.1, 0.0]], "values": [2.0]}, "1 weight samples determine 1 of the 9"),
+    ({"points": [[1.1 + 0.1 * k, 0.0] for k in range(10)],
+      "values": [1.0 + 0.1 * k for k in range(10)], "degree": 2},
+     "10 weight samples determine 3 of the 5"),
+], ids=["no-samples", "one-sample", "real-axis"])
+def test_custom_samples_must_determine_the_polynomial(tmp_path, capsys, weight, message):
+    domain = {**preset_config("disk-const"), "weight": {"kind": "custom-samples", **weight}}
+    cfg = write_config(tmp_path, domain=domain)
+    assert run(["expand", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "config error [expand]" in err and message in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_model_payload_modes_match_per_mode_listing(all_preset_models):
     # the mode lists of model.json against the per-mode comprehension they
     # replace, compared as serialized text

@@ -1,4 +1,4 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script runs to completion without a numpy RuntimeWarning."""
 
 import os
 import subprocess
@@ -16,6 +16,8 @@ def test_demo_runs(demo):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    # a subprocess does not inherit pytest's filterwarnings: pass the rule on
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -69,7 +69,7 @@ def test_horner_maps_match_power_sums():
 
 def _full_batch_newton(m, zs):
     """Newton inversion that steps every point until all have converged:
-    the reference for ``map_forward_many``'s shrinking working set."""
+    the reference for ``map_forward_many``, which freezes converged points."""
     zeta = zs / m.cap
     small = np.abs(zeta) < 1.0
     zeta = np.where(small, np.exp(1j * np.angle(zs - (m.tail[0] if len(m.tail) else 0.0))), zeta)
@@ -109,10 +109,10 @@ def test_map_forward_many_matches_full_batch_newton(all_preset_models, monkeypat
     model = all_preset_models[preset]
     m = model.map
     sizes = _counting_map(monkeypatch)
-    # 14,040 area-rule nodes: the deep-interior ones never converge, so the set shrinks
+    # 14,040 area-rule nodes: the deep-interior ones never converge
     nodes = polar_rule(m, halving_breaks(0.0, 6), 18, 130)[0]
     batches = [nodes]
-    # 256 points at |phi| = 1 + t log N / N converge together: the set never shrinks
+    # 256 points at |phi| = 1 + t log N / N converge together
     N = 1000
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -124,10 +124,8 @@ def test_map_forward_many_matches_full_batch_newton(all_preset_models, monkeypat
         want, want_ok = _full_batch_newton(m, zs)
         assert np.array_equal(ok, want_ok), (preset, i)
         assert np.max(np.abs(zeta - want) / np.abs(want)) <= 1e-12, (preset, i)
-        if i == 0:
-            assert min(sizes) < zs.size
-        else:
-            assert ok.all() and set(sizes) == {256}
+        assert set(sizes) == {zs.size}, (preset, i)   # every step maps the whole batch
+        assert i == 0 or ok.all()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -183,14 +181,20 @@ def test_map_forward_many_nonfinite_and_empty_input():
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_newton_work_budget(all_preset_models, monkeypatch, preset):
-    # each node costs a few map evaluations, not one per step of the slowest node
-    model = all_preset_models[preset]
+    # the batches the evaluators map (256 points at |phi| = 1 + t log N / N,
+    # and config points) converge together within a few steps, so stepping
+    # the whole batch costs each point a few map evaluations
+    m = all_preset_models[preset].map
     sizes = _counting_map(monkeypatch)
-    for panels, n_ang in ((6, 130), (7, 226)):    # 14,040 and 28,476 nodes
-        nodes = polar_rule(model.map, halving_breaks(0.0, panels), 18, n_ang)[0]
+    rng = np.random.default_rng(3)
+    batches = [np.array([3.0, 0.5 + 2.0j, 3.5])]
+    for N in (100, 1000, 10000):
+        t = rng.uniform(0.0, 6.0, 256)
+        batches.append(m.psi((1.0 + t * np.log(N) / N) * np.exp(2j * np.pi * rng.random(256))))
+    for zs in batches:
         sizes.clear()
-        map_forward_many(model.map, nodes)
-        assert sum(sizes) <= 10 * nodes.size, (preset, nodes.size, sum(sizes) / nodes.size)
+        _, ok = map_forward_many(m, zs)
+        assert ok.all() and sum(sizes) <= 6 * zs.size, (preset, zs.size, len(sizes))
 
 
 def test_capacity_values():
@@ -255,7 +259,7 @@ def test_pullback_ellipse_fit_residual():
 def test_pullback_sampled_path_matches_exact():
     # black-box evaluator forces the Fourier + radial least-squares route
     target = po.exp_re_linear_weight(0.3)
-    blackbox = WeightDef("custom", target.evaluator)
+    blackbox = WeightDef(target)
     m = po.disk_map()
     ws = po.pullback_weight(m, blackbox, 6, 0.7)
     exact = po.pullback_weight(m, target, 6, 0.7)
@@ -264,7 +268,7 @@ def test_pullback_sampled_path_matches_exact():
 
 
 def test_pullback_positivity_guard():
-    bad = WeightDef("custom", lambda z: np.real(z))  # negative on part of the collar
+    bad = WeightDef(lambda z: np.real(z))  # negative on part of the collar
     with pytest.raises((PositivityError, po.WeightResolutionError)):
         po.pullback_weight(po.disk_map(), bad, 6, 0.7)
 
@@ -274,14 +278,14 @@ def test_blackbox_harmonic_weight_reproduces_F():
     target = po.exp_re_linear_weight(0.3)
     for m in (po.disk_map(), po.ellipse_map(2, 1)):
         exact = po.szego(po.pullback_weight(m, target, 12, 0.75))
-        fitted = po.szego(po.pullback_weight(m, WeightDef("custom", target.evaluator), 12, 0.75))
+        fitted = po.szego(po.pullback_weight(m, WeightDef(target), 12, 0.75))
         assert (fitted.F - exact.F).linf() <= FIT_TOL
         assert abs(fitted.v_infinity - exact.v_infinity) <= FIT_TOL
 
 
 def test_nonharmonic_blackbox_weight_is_refused():
     # log omega = 0.01 |z|^2 is not harmonic: no (F, E) pair represents it
-    radial = WeightDef("custom", lambda z: np.exp(0.01 * np.abs(z) ** 2))
+    radial = WeightDef(lambda z: np.exp(0.01 * np.abs(z) ** 2))
     with pytest.raises(po.WeightResolutionError, match=r"non-harmonic residual \d\.\d{3}e-0\d"):
         po.pullback_weight(po.disk_map(), radial, 12, 0.7)
 
@@ -293,6 +297,16 @@ def test_large_harmonic_weight_asks_for_a_wider_band(a):
     with pytest.raises(po.TruncationOverflowError, match="stage: outer-function.*increase M"):
         po.build_model(po.disk_map(), po.exp_re_poly_weight([0.0, a]), 2, bidegree=24,
                        inner_radius=0.7)
+
+
+def test_weight_needs_an_evaluator_or_a_polynomial():
+    with pytest.raises(ConfigError, match="evaluator or a polynomial"):
+        WeightDef(None)
+    wd = po.exp_re_poly_weight([0.1, 0.2 - 0.3j])
+    z = np.array([0.5 + 0.2j, -1.0, 2.0j])
+    want = np.exp(2.0 * np.real(0.1 + (0.2 - 0.3j) * z))
+    assert np.max(np.abs(wd(z) / want - 1.0)) <= 1e-15
+    assert po.constant_weight(2.5)(z).shape == z.shape
 
 
 def test_sampled_weight_fit():
@@ -420,7 +434,7 @@ def test_load_domain_config_roundtrip():
            "rho": 0.75, "M": 20, "K": 40}
     m, wd, rho, M, K = po.load_domain_config(cfg)
     assert m.cap == 1.5 and rho == 0.75 and M == 20 and K == 40
-    assert wd.kind == "exp-re-linear"
+    assert wd.evaluator is None and wd.holo_poly.tolist() == [0.0, 0.5]
     with pytest.raises(ConfigError):
         po.load_domain_config({"map": {"cap": 1.0}, "weight": {"kind": "nope"}})
     for bad in (16.7, 0, -4, "x", True):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import planorth as po
-from planorth.laplace import _moment_table, _ps_exp, _ps_log
+from planorth.laplace import _moment_table, _ps_power
 from planorth.presets import preset_model
 
 from conftest import conv2_reference, grid_restrictions
@@ -32,10 +32,30 @@ def test_watson_exponential_family_bound(lam):
         assert bound == pytest.approx(10.0 ** -8, rel=1e-12)
 
 
-def test_power_series_log_exp_roundtrip():
+def _binomial_power(c, alpha):
+    """``c^alpha`` to the order of ``c`` by the binomial series
+    ``c_0^alpha sum_k binom(alpha, k) u^k`` in ``u = c/c_0 - 1``, whose
+    ``k``-th power starts at ``x^k``: truncated products only."""
+    u = c / c[0]
+    u[0] = 0.0
+    out, power, binom = np.zeros(c.size), np.eye(1, c.size)[0], 1.0
+    for k in range(c.size):
+        out += binom * power
+        power = np.convolve(power, u)[:c.size]
+        binom *= (alpha - k) / (k + 1)
+    return c[0] ** alpha * out
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.5, -2.0])
+def test_power_series_power_matches_binomial_series(alpha):
     rng = np.random.default_rng(12)
-    c = np.concatenate([[1.0 + 0j], 0.3 * (rng.standard_normal(5) + 0j)])
-    assert np.max(np.abs(_ps_exp(_ps_log(c)) - c)) < 1e-14
+    for c0 in (1.0, 0.7, 1.8):
+        c = np.concatenate([[c0], 0.3 * rng.standard_normal(6)])
+        want = _binomial_power(c, alpha)
+        assert np.max(np.abs(_ps_power(c, alpha) - want)) <= 1e-14 * np.max(np.abs(want))
+    # (1 + x)^alpha: the binomial coefficients themselves
+    binoms = np.cumprod([1.0] + [(alpha - k) / (k + 1) for k in range(5)])
+    assert np.max(np.abs(_ps_power(np.array([1.0, 1.0, 0, 0, 0, 0]), alpha) - binoms)) <= 1e-15
 
 
 def test_norm_expansion_flat_disk(disk_const_model):
@@ -126,7 +146,7 @@ def _product_form_norm_series(model):
         for k in range(order - q + 1):
             c[q + k] += (0.5 ** k) * np.trace(a)  # mode 0 of the restriction
             a = a * (-(m[:, None] + m[None, :]) - 2.0)
-    return c.real, _ps_exp(-0.5 * _ps_log(c.real.astype(np.complex128))).real
+    return c.real, _binomial_power(c.real, -0.5)
 
 
 def test_norm_expansion_matches_product_form(all_preset_models):

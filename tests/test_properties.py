@@ -1,6 +1,8 @@
 """Hypothesis properties of the one-dimensional model over random admissible
-maps (a disk with one small tail mode) and ``exp(2 Re P)`` weights, and of the
-outer function over random decaying pullbacks."""
+maps (a disk with one small tail mode) and ``exp(2 Re P)`` weights, of the
+outer function over random decaying pullbacks, and of the norm-constant
+algebra (the moment table's symmetry and the power-series inverse square
+root) over random inputs."""
 
 import cmath
 import math
@@ -10,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import planorth as po
+from planorth.laplace import _moment_table, _ps_power
 from planorth.series import TRUNC_TOL
 
 from conftest import szego_of
@@ -114,3 +117,43 @@ def test_truncation_guard_trips_on_genuine_tail(r, t, M):
         assert "stage: outer-function" in str(exc)
         tripped = True
     assert tripped == (genuine > TRUNC_TOL)
+
+
+@st.composite
+def real_power_series(draw):
+    """Real ``c`` of length at most 9 with ``c_0`` in ``[0.5, 2]`` and
+    ``|c_j| <= c_0 / 2``."""
+    c0 = draw(st.floats(0.5, 2.0))
+    rest = draw(st.lists(st.floats(-0.5, 0.5), max_size=8))
+    return np.array([c0] + [c0 * x for x in rest])
+
+
+@settings(max_examples=50)
+@given(real_power_series())
+def test_inverse_square_root_series(c):
+    # d = c^(-1/2) as a power series: d^2 c = 1 + O(x^n)
+    n = c.size
+    d = _ps_power(c, -0.5)
+    prod = np.convolve(np.convolve(d, d)[:n], c)[:n]
+    assert np.max(np.abs(prod - np.eye(1, n)[0])) <= 1e-13
+
+
+@st.composite
+def product_stacks(draw):
+    """A random complex stack ``A`` of ``J <= 4`` rows at bandwidth ``S <= 6``
+    and a mode range ``P <= 2S``."""
+    J, S = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.standard_normal((J, 2 * S + 1)) + 1j * rng.standard_normal((J, 2 * S + 1))
+    return A, draw(st.integers(0, 2 * S))
+
+
+@settings(max_examples=50)
+@given(product_stacks())
+def test_moment_table_is_hermitian(stack):
+    # B[k, j, mu, P - p] = conj B[j, k, mu, P + p]: n -> n + p leaves the
+    # weight -(2n+p)/2 - 1 unchanged, so circle mode 0 of the norm series is real
+    A, P = stack
+    B = _moment_table(A, P)
+    flipped = np.conj(B.transpose(1, 0, 2, 3)[..., ::-1])
+    assert np.max(np.abs(B - flipped)) <= 1e-13 * np.max(np.abs(B))
