@@ -25,7 +25,7 @@ from .expansion import (ExpansionModel, build_model, leading_coeff, monic_at, mo
 from .oracle import (BoundaryRule, OraclePolynomials, berezin_expectations, boundary_onps,
                      boundary_rule, l2_discrepancies, oracle_kernel, smoothstep)
 from .distributional import (TestFunctionSplit, distributional_expectation,
-                             distributional_terms, split_test_function)
+                             distributional_terms, split_terms, split_test_function)
 from .kernels import (OffSpectralPoint, bw_kernel_diag, off_spectral_point,
                       offspectral_leading, offspectral_phase, outer_rho)
 

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .distributional import (distributional_expectation, distributional_terms,
-                             split_test_function)
+from .distributional import (TestFunctionSplit, distributional_expectation,
+                             distributional_terms, split_terms)
 from .errors import (ConfigError, NonFiniteError, OffSpectralError, OutOfValidityError,
                      PlanorthError, stage)
 from .expansion import (_require_degree, build_model, check_valid, leading_coeff, monic_at,
@@ -29,7 +29,6 @@ from .geometry import (load_domain_config, map_forward_many, parse_integer, pars
 from .hierarchy import hierarchy_residuals
 from .kernels import bw_kernel_diag, off_spectral_point, offspectral_leading
 from .oracle import berezin_expectations, boundary_onps, l2_discrepancies, oracle_kernel
-from .series import annulus_from_terms
 
 MAX_ORDER = 8
 EXACT_FLOOR = 1e-13   # verify: an order whose every pointwise error is at most this is exact
@@ -336,7 +335,10 @@ def cmd_verify(cfg: dict, exp: dict, outdir: Path) -> int:
     return 0 if passed else 3
 
 
-def _test_function(cfg: dict, model):
+def _test_function(cfg: dict) -> TestFunctionSplit:
+    """The config's test function as its terms ``(m - n, m + n, c)``: any
+    integers ``m, n`` below ``2^62`` in modulus (so ``m + n`` fits an int64),
+    each pair once."""
     tf = parse_object(cfg.get("test_function", {}), "test_function")
     if "terms" not in tf:
         raise ConfigError("distributional needs test_function.terms = [[m, n, re, im], ...]")
@@ -347,23 +349,22 @@ def _test_function(cfg: dict, model):
         mn = parse_integer(row[0], "term m"), parse_integer(row[1], "term n")
         if mn in terms:
             raise ConfigError(f"test_function.terms repeats the term (m, n) = {mn}")
+        if max(map(abs, mn)) >= 2 ** 62:
+            raise ConfigError(f"test_function.terms index (m, n) = {mn} is not below 2^62")
         terms[mn] = parse_pair(row[2:], "term")
-    # the grid holds exactly the terms given: a test function has no bidegree cap
-    bidegree = max((max(abs(m), abs(n)) for m, n in terms), default=0)
-    return annulus_from_terms(terms, bidegree, model.inner_radius)
+    return split_terms(terms)
 
 
 def cmd_distributional(cfg: dict, exp: dict, outdir: Path) -> int:
     if not exp["N"]:
         raise ConfigError("distributional needs a nonempty N list")
     model = _build(cfg, exp["kappa"])
-    g = _test_function(cfg, model)
-    split = split_test_function(g)
+    split = _test_function(cfg)
     vals = [distributional_expectation(model, split, N, order=exp["kappa"]) for N in exp["N"]]
     N_max = max(exp["N"])
     polys = _oracle_for(model, N_max)
     with stage("oracle-collar"):
-        ovs = berezin_expectations(model, polys, g, exp["N"])
+        ovs = berezin_expectations(model, polys, split.terms, exp["N"])
     rows = []
     for N, val, ov in zip(exp["N"], vals, ovs):
         ov = complex(ov)

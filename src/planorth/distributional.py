@@ -7,19 +7,20 @@ the corrections are circle integrals of radial derivatives of the part of
 ``G`` vanishing on the boundary against weighted products of the correction
 coefficients.
 
-Test functions enter as annulus term grids in the exterior coordinate, for
-which the smooth three-way split is an exact Fourier-mode split, and reach
-the corrections only through their circle jets ``J[nu, p]``
-(:func:`~planorth.series.terms_jet`).  ``g_+`` and ``g_-`` are harmonic:
-``-(r d/dr)/2`` scales their mode ``p`` by ``|p|/2``, so the jet of ``g_0`` is
-``J[nu, p] - (|p|/2)^nu J[0, p]``, with row 0 exactly 0.
+A test function ``g = sum c z^m conj(z)^n`` in the exterior coordinate is
+its terms, the arrays ``(m - n, m + n, c)``; for these the smooth three-way
+split is an exact Fourier-mode split, and the terms reach the corrections
+only through their circle jets ``J[nu, p]`` (:func:`~planorth.series.terms_jet`).
+``g_+`` and ``g_-`` are harmonic: ``-(r d/dr)/2`` scales their mode ``p`` by
+``|p|/2``, so the jet of ``g_0`` is ``J[nu, p] - (|p|/2)^nu J[0, p]``, with
+row 0 exactly 0.
 
 The weighted side of every term, the weighted boundary operator applied to
-``X_j conj(X_k)``, contracts the model's moment array ``model.norm.moments``
-(``B[j, k, mu, mode]``, computed on the first request and kept with the model)
-over ``mu`` with the weights ``C(nu+mu, nu) N^-mu``, so a request only takes
-the jet of the test function and pairs its rows with those contractions on the
-circle.
+``X_j conj(X_k)``, is the model's moment array ``model.norm.moments``
+(``B[j, k, mu, mode]``, computed on the first request and kept with the
+model) summed over ``mu`` with the weights ``C(nu+mu, nu) N^-mu``.  Its modes
+beyond the table's bandwidth are exactly 0, so a request takes the jet of
+``g_0`` at that bandwidth and pairs it with the table in one contraction.
 """
 
 from __future__ import annotations
@@ -29,76 +30,77 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .expansion import ExpansionModel, _require_degree
 from .series import AnnulusSeries, terms_jet
 
 
 @dataclass(frozen=True, eq=False)
 class TestFunctionSplit:
-    """Exact mode split ``g = g_+ + g_- + g_0``.
+    """Exact mode split ``g = g_+ + g_- + g_0`` of the test function whose
+    ``terms`` are the arrays ``(m - n, m + n, c)``.
 
     ``g_+`` collects the circle modes ``k <= 0`` of ``g`` as an
     exterior-holomorphic function, and ``g_-`` the modes ``k >= 1`` as a
-    conjugate-holomorphic one with no constant mode, so ``plus_infinity =
-    g_+(inf)`` (circle mode 0) is the value at infinity of the whole harmonic
-    part; ``g_0`` vanishes on the circle and is read through :meth:`zero_jet`;
-    ``terms`` are those of ``g`` (:meth:`~planorth.series.AnnulusSeries.terms`)
-    and ``bandwidth`` is the largest circle mode ``|m - n|`` they may reach.
+    conjugate-holomorphic one with no constant mode, so :attr:`plus_infinity`
+    ``= g_+(inf)`` (circle mode 0) is the value at infinity of the whole
+    harmonic part; ``g_0`` vanishes on the circle and is read through
+    :meth:`zero_jet`.
     """
 
-    plus_infinity: complex
     terms: tuple
-    bandwidth: int
 
-    def zero_jet(self, order: int) -> np.ndarray:
-        """The circle jet of ``g_0`` up to ``order``, at :attr:`bandwidth`."""
-        K = self.bandwidth
-        jet = terms_jet(self.terms, K, order)
+    @property
+    def plus_infinity(self) -> complex:
+        """Circle mode 0 of ``g``: the sum of ``c`` over the terms with ``m = n``."""
+        p, _, c = self.terms
+        return complex(np.sum(c[p == 0]))
+
+    def zero_jet(self, order: int, K: int) -> np.ndarray:
+        """The circle jet of ``g_0`` up to ``order`` at bandwidth ``K``, from the
+        terms with ``|m - n| <= K``."""
+        p, d, c = self.terms
+        near = np.abs(p) <= K
+        jet = terms_jet((p[near], d[near], c[near]), K, order)
         half = np.abs(np.arange(-K, K + 1)) / 2.0
         return jet - half ** np.arange(order + 1)[:, None] * jet[0]
 
 
+def split_terms(terms: dict) -> TestFunctionSplit:
+    """The split of ``sum c z^m conj(z)^n`` given as ``{(m, n): c}``."""
+    m, n = np.array(list(terms), dtype=np.int64).reshape(-1, 2).T
+    return TestFunctionSplit((m - n, m + n, np.array(list(terms.values()), dtype=np.complex128)))
+
+
 def split_test_function(g: AnnulusSeries) -> TestFunctionSplit:
-    """Split an annulus test function into exterior-holomorphic,
-    conjugate-holomorphic and circle-vanishing parts."""
-    K = 2 * g.bidegree
-    return TestFunctionSplit(plus_infinity=complex(g.jet(0)[0, K]), terms=g.terms(),
-                             bandwidth=K)
-
-
-def _w_combination(moments: np.ndarray, N: int, nu: int, order: int) -> np.ndarray:
-    """The weighted boundary operator on ``X_j conj(X_k)``, as circle modes:
-    ``sum_{mu<=order-nu} N^-mu C(nu+mu, nu) moments[mu]`` with
-    ``moments = model.norm.moments[j, k]`` (rows ``mu``, columns circle modes)."""
-    w = [math.comb(nu + mu, nu) * float(N) ** (-mu) for mu in range(order - nu + 1)]
-    return w @ moments[:order - nu + 1]
-
-
-def _circle_mean(u: np.ndarray, v: np.ndarray) -> complex:
-    """Circle integral of a product against normalized arc length: mode 0 of
-    ``u v``, both centred arrays of circle modes."""
-    Ku, Kv = (u.size - 1) // 2, (v.size - 1) // 2
-    K = min(Ku, Kv)
-    return complex(np.dot(u[Ku - K:Ku + K + 1], v[Kv - K:Kv + K + 1][::-1]))
+    """The split of a test function given as a term grid."""
+    return TestFunctionSplit(g.terms())
 
 
 def distributional_terms(model: ExpansionModel, split: TestFunctionSplit, N: int,
                          order: int | None = None) -> list:
     """Per-index contributions ``((nu, j, k), value)`` of the boundary sum,
     already carrying their ``N^-(nu+j+k)`` factors but not the squared norm
-    correction."""
+    correction: ``N^-(nu+j+k) sum_{mu <= order-nu} C(nu+mu, nu) N^-mu
+    pair[nu, j, k, mu]``, where ``pair[nu, j, k, mu] = sum_p jet[nu, p]
+    B[j, k, mu, -p]`` pairs the jet of ``g_0`` with the moment table ``B`` at
+    the table's bandwidth."""
     order = model.order if order is None else order
     if order > model.order:
         raise ValueError("requested order exceeds the model order")
     if order < 1:
         return []
-    jet = split.zero_jet(order)
+    B = model.norm.moments
+    C = (B.shape[-1] - 1) // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        jet = split.zero_jet(order, C)
+        pair = np.einsum("vp,jkmp->vjkm", jet[1:, ::-1], B)
     terms = []
     for nu in range(1, order + 1):
+        w = [math.comb(nu + mu, nu) * float(N) ** (-mu) for mu in range(order - nu + 1)]
         for j in range(order - nu + 1):
             for k in range(order - nu - j + 1):
-                wk = _w_combination(model.norm.moments[j, k], N, nu, order)
-                val = float(N) ** (-(nu + j + k)) * _circle_mean(jet[nu], wk)
+                val = float(N) ** (-(nu + j + k)) * (pair[nu - 1, j, k, :order - nu + 1] @ w)
                 terms.append(((nu, j, k), complex(val)))
     return terms
 
@@ -111,13 +113,16 @@ def distributional_expectation(model: ExpansionModel, split: TestFunctionSplit, 
     nu+j+k <= order`` of ``N^-(nu+j+k)`` times the circle integral of
     ``(-(r d/dr)/2)^nu g_0`` against the weighted boundary operator applied to
     ``X_j conj(X_k)``; ``g_-`` has no constant mode, so it vanishes at
-    infinity.  Raises :class:`OutOfValidityError` below ``N_MIN``.
+    infinity.  Raises :class:`OutOfValidityError` below ``N_MIN`` and
+    :class:`NonFiniteError` where the sum leaves the float range.
     """
     _require_degree(N)
     order = model.order if order is None else order
-    total = split.plus_infinity
     terms = distributional_terms(model, split, N, order)
-    if not terms:
-        return complex(total)
-    D2 = model.norm.factor(N, order) ** 2
-    return complex(total + D2 * sum(v for _, v in terms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = (split.plus_infinity
+                 + model.norm.factor(N, order) ** 2 * sum(v for _, v in terms))
+    if not np.isfinite(total):
+        raise NonFiniteError(f"boundary expansion of the test function out of float range "
+                             f"at degree {N}")
+    return complex(total)

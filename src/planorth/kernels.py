@@ -35,16 +35,15 @@ def off_spectral_point(m: ExteriorMap, w: complex) -> OffSpectralPoint:
 def outer_rho(point: OffSpectralPoint, zeta):
     """Outer factor of the normalized kernel rooted at ``w``, at mapped points
     ``zeta = phi(z)``:
-    ``sqrt(|a|^2 - 1) * conj(a) zeta / (|a| (conj(a) zeta - 1))`` with
-    ``a = phi(w)``.
+    ``sqrt(1 - |a|^-2) conj(a) zeta / (conj(a) zeta - 1)`` with ``a = phi(w)``
+    (``sqrt(|a|^2 - 1) / |a|`` without the ``|a|^2`` that overflows for large ``a``).
 
     On the boundary its modulus squared is ``(|a|^2 - 1)/|zeta - a|^2``; it
     is zero-free and nonvanishing at infinity (hence outer on the exterior),
     and at ``zeta = a`` takes the positive value ``|a| (|a|^2 - 1)^(-1/2)``.
     """
     a = point.image
-    return (math.sqrt(abs(a) ** 2 - 1.0) * np.conj(a) * zeta
-            / (abs(a) * (np.conj(a) * zeta - 1.0)))
+    return math.sqrt(1.0 - abs(a) ** -2) * np.conj(a) * zeta / (np.conj(a) * zeta - 1.0)
 
 
 def offspectral_leading(model: ExpansionModel, point: OffSpectralPoint, N: int, z):

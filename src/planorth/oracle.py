@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DegreeTooHighError, DomainError
+from .errors import DegreeTooHighError, DomainError, NonFiniteError
 from .expansion import ExpansionModel, normalized_scale
 from .geometry import ExteriorMap
 from .series import _horner
@@ -196,15 +196,22 @@ class OraclePolynomials:
             raise DomainError(f"degree {n} outside the oracle's degrees 0..{self.degree}")
 
     def evaluate(self, z, upto: int | None = None) -> np.ndarray:
-        """Values ``P_0(z) .. P_upto(z)``, shape ``(len(z), upto+1)``."""
+        """Values ``P_0(z) .. P_upto(z)``, shape ``(len(z), upto+1)``.  Raises
+        :class:`NonFiniteError`, naming the first degree and the largest
+        ``|z|``, where a value leaves the float range."""
         upto = self.degree if upto is None else upto
         self.check_degree(upto)
         zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
         out = np.empty((zs.size, upto + 1), dtype=np.complex128, order="F")
         out[:, 0] = self.kappa[0]
-        for n in range(1, upto + 1):
-            out[:, n] = ((zs * out[:, n - 1] - out[:, :n] @ self.hess[:n, n - 1])
-                         / self.hess[n, n - 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(1, upto + 1):
+                out[:, n] = ((zs * out[:, n - 1] - out[:, :n] @ self.hess[:n, n - 1])
+                             / self.hess[n, n - 1])
+        finite = np.isfinite(out).all(axis=0)
+        if not finite.all():
+            raise NonFiniteError(f"oracle polynomial of degree {np.argmin(finite)} out of "
+                                 f"float range (|z| up to {np.max(np.abs(zs)):.4g})")
         return out
 
     def eval_single(self, z, n: int) -> np.ndarray:
@@ -289,11 +296,15 @@ def boundary_onps(m: ExteriorMap, holo_poly, N: int) -> OraclePolynomials:
     ``L``, the largest tail and the Gram deviation.  Raises
     :class:`DegreeTooHighError` when no sample count up to the cap resolves
     the integrands, and at once on a breakdown or a Gram deviation from the
-    identity above ``GRAM_TOL`` on resolved samples.
+    identity above ``GRAM_TOL`` on resolved samples; before any run when
+    ``boundary_samples`` already exceeds the cap.
     """
     if holo_poly is None:
         raise DomainError("the boundary oracle needs the weight as |e^P|^2 with a polynomial P")
     L = boundary_samples(m, N)
+    if L > MAX_SAMPLES:
+        raise DegreeTooHighError(f"boundary oracle at degree {N} needs L = {L} circle "
+                                 f"samples, above the cap of {MAX_SAMPLES}")
     while True:
         polys = _circle_arnoldi(boundary_rule(m, holo_poly, L), N)
         if not isinstance(polys, str):
@@ -450,25 +461,30 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs) -> 
     return out
 
 
-def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, g,
+def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, terms,
                          degrees) -> np.ndarray:
     """``int G |P_N|^2 omega dA / pi`` for each ``N`` in ``degrees``, for the
-    globally smooth test function ``G(z) = chi0(|phi(z)|) g(phi(z))``: the
-    annulus test data, read at the mapped collar points ``zeta = phi(z)``,
-    tapered to zero deep inside the domain by the smoothstep on
-    ``[rho1, rho2] = rho + CUTOFF``, so the integral lives on the collar rule;
-    near the boundary ``G`` agrees with ``g o phi``.
-    ``G`` is evaluated once; each degree adds its ``P_N`` and one weighted sum.
-    Raises :class:`DegreeTooHighError` for a degree the collar rule cannot
-    hold (:func:`_on_collar`)."""
+    globally smooth test function ``G(z) = chi0(|phi(z)|) g(phi(z))``: ``g``
+    has the terms ``(m - n, m + n, c)`` of ``c zeta^m conj(zeta)^n``, read at
+    the mapped collar points ``zeta = phi(z)`` and tapered to zero deep inside
+    the domain by the smoothstep on ``[rho1, rho2] = rho + CUTOFF``, so the
+    integral lives on the collar rule; near the boundary ``G`` agrees with
+    ``g o phi``.  ``G`` is evaluated once; each degree adds its ``P_N`` and
+    one weighted sum.  Raises :class:`NonFiniteError` where ``G`` or a sum
+    leaves the float range on the collar, and :class:`DegreeTooHighError` for
+    a degree the collar rule cannot hold (:func:`_on_collar`)."""
     degrees = list(degrees)
     for N in degrees:
         polys.check_degree(N)
     collar = _collar(model, polys)
-    wg = (collar.weights * collar.chi[:, None]
-          * _on_circles(*g.terms(), collar.radii, polys.rule.L))
-    out = []
-    for N in degrees:
-        p, _ = _on_collar(polys, collar, N)
-        out.append(np.sum(wg * (p.real ** 2 + p.imag ** 2)))
-    return np.array(out, dtype=np.complex128)
+    out = np.empty(len(degrees), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wg = (collar.weights * collar.chi[:, None]
+              * _on_circles(*terms, collar.radii, polys.rule.L))
+        for i, N in enumerate(degrees):
+            p, _ = _on_collar(polys, collar, N)
+            out[i] = np.sum(wg * (p.real ** 2 + p.imag ** 2))
+    if not np.isfinite(out).all():
+        raise NonFiniteError(f"test function out of float range on the collar rule "
+                             f"(radii from {collar.radii[0]:.4g}, L = {polys.rule.L})")
+    return out

@@ -4,11 +4,13 @@ A :class:`CircleSeries` stores coefficients of ``z**k`` for ``|k| <= K``.
 Read as a function of ``z`` it is a Laurent polynomial, holomorphic on the
 punctured plane, so it carries every holomorphic quantity of the model
 (``F``, ``E = exp(F)``, ``V``, ``X_j``) on the annulus as well as on the
-circle.  An :class:`AnnulusSeries` is a grid of coefficients ``c[m, n]`` of
-``z**m * conj(z)**n`` for ``|m|, |n| <= M``, the test functions of the
-boundary-distribution expansion, read only at points and through its circle
-jet (:func:`terms_jet`).  All values are immutable and every operation is a
-pure function, so instances can be shared freely.
+circle.  A test function of the boundary-distribution expansion,
+``sum c z^m conj(z)^n``, is its terms ``(m - n, m + n, c)``, read through
+their circle jet (:func:`terms_jet`).  An :class:`AnnulusSeries` holds such a
+function as a dense grid of coefficients ``c[m, n]`` for ``|m|, |n| <= M``;
+the pipeline never builds one: it and :func:`annulus_from_terms` remain for
+the benchmark's reference values.  All values are immutable and every
+operation is a pure function, so instances can be shared freely.
 
 Truncations measure the absolute coefficient mass they discard and raise
 :class:`~planorth.errors.TruncationOverflowError` when it exceeds
@@ -27,7 +29,7 @@ from .errors import NonFiniteError, TruncationOverflowError
 TRUNC_TOL = 1e-13        # largest discarded coefficient mass of a truncation
 OVERSAMPLE = 9           # circle_exp samples OVERSAMPLE * (2K+1) points (odd)
 CHOP_TOL = 1e-16         # circle_exp coefficients below CHOP_TOL * l1 are FFT rounding
-EVAL_CHUNK = 4096        # points per block in AnnulusSeries.evaluate
+EVAL_CHUNK = 4096        # points per block in AnnulusSeries.evaluate (benchmark only)
 
 
 def _as_complex_array(a) -> np.ndarray:
@@ -41,7 +43,8 @@ class AnnulusSeries:
     """Finite sum ``sum_{m,n} c[m,n] z^m conj(z)^n`` near the unit circle:
     ``coeffs[M+m, M+n]``, shape ``(2M+1, 2M+1)``, is the coefficient of
     ``z**m * conj(z)**n``; ``inner_radius``, in ``(0, 1)``, is the inner radius
-    ``rho`` of the annulus of validity."""
+    ``rho`` of the annulus of validity.  Kept for the benchmark's eval-sweep;
+    the pipeline keeps a test function as its :meth:`terms`."""
 
     coeffs: np.ndarray
     inner_radius: float
@@ -77,15 +80,11 @@ class AnnulusSeries:
         i, j = np.nonzero(self.coeffs)
         return i - j, i + j - 2 * self.bidegree, self.coeffs[i, j]
 
-    def jet(self, order: int) -> np.ndarray:
-        """:func:`terms_jet` of the terms, at bandwidth ``2M``."""
-        return terms_jet(self.terms(), 2 * self.bidegree, order)
-
 
 def terms_jet(terms, K: int, order: int) -> np.ndarray:
     """Circle jet ``J[nu, K + p] = sum_{m-n=p} c (-(m+n)/2)^nu``, ``nu <= order``,
-    of terms ``(m - n, m + n, c)``: row ``nu`` restricts ``(-(r d/dr)/2)^nu`` of
-    their sum to the unit circle."""
+    of terms ``(m - n, m + n, c)`` with every ``|m - n| <= K``: row ``nu``
+    restricts ``(-(r d/dr)/2)^nu`` of their sum to the unit circle."""
     p, d, c = terms
     jet = np.empty((order + 1, 2 * K + 1), dtype=np.complex128)
     for nu in range(order + 1):
@@ -95,7 +94,8 @@ def terms_jet(terms, K: int, order: int) -> np.ndarray:
 
 
 def annulus_from_terms(terms: dict, bidegree: int, inner_radius: float) -> AnnulusSeries:
-    """Build a series from ``{(m, n): coefficient}``."""
+    """Build a series from ``{(m, n): coefficient}`` (the benchmark's test
+    functions; the pipeline keeps the terms)."""
     grid = np.zeros((2 * bidegree + 1, 2 * bidegree + 1), dtype=np.complex128)
     for (m, n), c in terms.items():
         if abs(m) > bidegree or abs(n) > bidegree:

@@ -121,7 +121,7 @@ def test_criterion_08_distributional(disk_alpha_model, disk_alpha_oracle):
     g = po.annulus_from_terms({(1, 1): 1.0, (0, 0): -1.0},
                               model.szego.omega_flat.bidegree, model.inner_radius)
     sp = split_test_function(g)
-    oracle = dict(zip((16, 32), berezin_expectations(model, polys, g, [16, 32])))
+    oracle = dict(zip((16, 32), berezin_expectations(model, polys, g.terms(), [16, 32])))
     drop = abs(oracle[16]) / abs(oracle[32])      # both leading values' limit is 0
     ok = 2 / 1.6 <= drop <= 2 * 1.6
     errs = {N: abs(distributional_expectation(model, sp, N, order=1) - oracle[N])

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -629,3 +631,63 @@ def test_collar_rule_past_its_degrees_is_typed(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "[stage: oracle-collar]" in err and "N = 300" in err
     assert not out.exists()
+
+
+# configs past the float range or the oracle's sample cap: each ends with its
+# typed exit code and a message naming what tripped, under the suite's
+# RuntimeWarning filter (no numpy warning on the way)
+ROBUSTNESS = [
+    ("distributional", "ellipse-expre",
+     {"N": [8, 16, 100000], "test_function": {"terms": [[1, 1, 1.0, 0.0]]}}, 3,
+     "[stage: oracle] boundary oracle at degree 100000 needs L = 524288 circle samples"),
+    ("verify", "ellipse-expre", {"points": [[1e200, 0.0]]}, 3,
+     "out of float range (|z| up to 1e+200)"),
+    ("kernel", "ellipse-expre", {"kernel": {**KERNEL, "w": [3.0, 0.0], "z": [1e200, 0.0]}}, 3,
+     "out of float range (|z| up to 1e+200)"),
+    ("kernel", "ellipse-expre", {"kernel": {**KERNEL, "w": [1e200, 0.0]}}, 3,
+     "out of float range (|z| up to 1e+200)"),
+    ("distributional", "disk-expre03", {"test_function": {"terms": [[-1200, 0, 1.0, 0.0]]}}, 3,
+     "[stage: oracle-collar] test function out of float range on the collar rule"),
+    ("distributional", "ellipse-expre",
+     {"test_function": {"terms": [[0, 0, 1e308, 0.0], [1, 1, 1e308, 0.0]]}}, 3,
+     "boundary expansion of the test function out of float range at degree 8"),
+    ("distributional", "ellipse-expre", {"test_function": {"terms": [[1e20, 0, 1.0, 0.0]]}}, 2,
+     "(m, n) = (100000000000000000000, 0) is not below 2^62"),
+]
+
+
+@pytest.mark.parametrize("command, preset, extra, code, message", ROBUSTNESS,
+                         ids=["oracle-cap", "far-point", "far-kernel-z", "far-kernel-w",
+                              "collar-overflow", "expansion-overflow", "index-range"])
+def test_robustness_table(tmp_path, capsys, command, preset, extra, code, message):
+    cfg = write_config(tmp_path, preset, **extra)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", out]) == code
+    err = capsys.readouterr().err
+    assert message in err, err
+    assert not out.exists()
+
+
+def test_far_term_index_runs_in_bounded_memory(tmp_path):
+    # the term z^1000000 meets no mode of the moment table, and the collar
+    # reads it term by term: no (2 10^6 + 1)^2 grid, so 1 GiB of address
+    # space is ample
+    cfg = write_config(tmp_path, "ellipse-expre",
+                       test_function={"terms": [[1000000, 0, 1.0, 0.0], [1, 1, 1.0, 0.0]]})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
+               OPENBLAS_NUM_THREADS="1")
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30)); "
+            "from planorth import cli; sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
+                           "distributional", "--config", str(cfg), "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    near = json.loads((tmp_path / "o" / "distributional.json").read_text())
+    cfg = write_config(tmp_path, "ellipse-expre", test_function={"terms": [[1, 1, 1.0, 0.0]]})
+    assert run(["distributional", "--config", cfg, "--out", tmp_path / "p"]) == 0
+    alone = json.loads((tmp_path / "p" / "distributional.json").read_text())
+    # the expansion side is bit-identical without the far term
+    assert [r["expansion"] for r in near["rows"]] == [r["expansion"] for r in alone["rows"]]
+    assert near["terms_at_max_degree"] == alone["terms_at_max_degree"]

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planorth as po
 from planorth import laplace
-from planorth.distributional import (_circle_mean, _w_combination, distributional_expectation,
-                                     distributional_terms, split_test_function)
+from planorth.distributional import (distributional_expectation, distributional_terms,
+                                     split_terms, split_test_function)
 from planorth.oracle import berezin_expectations
 
 from conftest import conv2_reference, grid_restrictions, padded_zero_part, random_annulus
@@ -21,8 +21,8 @@ def _l1(g):
 def test_split_constant(disk_alpha_model):
     g = po.annulus_from_terms({(0, 0): 1.0}, 8, disk_alpha_model.inner_radius)
     sp = split_test_function(g)
-    assert sp.plus_infinity == 1.0 and sp.bandwidth == 16
-    assert not np.any(sp.zero_jet(4))
+    assert sp.plus_infinity == 1.0
+    assert not np.any(sp.zero_jet(4, 16))
 
 
 def test_split_mode_bookkeeping(disk_alpha_model):
@@ -30,8 +30,8 @@ def test_split_mode_bookkeeping(disk_alpha_model):
     rho = disk_alpha_model.inner_radius
     g = po.annulus_from_terms({(1, 0): 1.0, (-1, 0): 1.0}, 6, rho)
     sp = split_test_function(g)
-    assert sp.plus_infinity == 0.0 and sp.bandwidth == 12
-    jet, K = sp.zero_jet(2), 12
+    assert sp.plus_infinity == 0.0
+    jet, K = sp.zero_jet(2, 12), 12
     # mode 1: (-1/2)^nu from z less (1/2)^nu from 1/conj(z); mode -1 cancels
     assert list(jet[:, K + 1]) == [0.0, -1.0, 0.0]
     jet[:, K + 1] = 0.0
@@ -47,20 +47,20 @@ def test_split_reassembly(disk_alpha_model):
     sp = split_test_function(g)
     zs = np.exp(2j * np.pi * np.arange(36) / 36)
     assert abs(np.mean(g.evaluate(zs)) - sp.plus_infinity) <= 1e-12 * max(1.0, _l1(g))
-    assert not np.any(sp.zero_jet(3)[0])
+    assert not np.any(sp.zero_jet(3, 16)[0])
 
 
 def test_zero_jet_hand_values(disk_alpha_model):
     rho = disk_alpha_model.inner_radius
     # |z|^2 - 1: m + n = 2 on the one term that survives, so (-1)^nu at mode 0
     sp = split_test_function(po.annulus_from_terms({(1, 1): 1.0, (0, 0): -1.0}, 1, rho))
-    jet = sp.zero_jet(5)
+    jet = sp.zero_jet(5, 2)
     assert list(jet[:, 2]) == [0.0, -1.0, 1.0, -1.0, 1.0, -1.0]
     jet[:, 2] = 0.0
     assert not np.any(jet)
     # an exterior-holomorphic plus a conjugate-holomorphic part: no g_0
     sp = split_test_function(po.annulus_from_terms({(-1, 0): 1.0, (0, -2): 1.0}, 2, rho))
-    assert not np.any(sp.zero_jet(5))
+    assert not np.any(sp.zero_jet(5, 4))
 
 
 @given(st.integers(0, 5), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0), st.integers(0, 6))
@@ -72,7 +72,7 @@ def test_zero_jet_matches_the_padded_grid(M, seed, density, order):
     grid = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     grid[rng.random((side, side)) > density] = 0.0
     g = po.AnnulusSeries(grid, 0.5)
-    got = split_test_function(g).zero_jet(order)
+    got = split_test_function(g).zero_jet(order, 2 * M)
     assert not np.any(got[0])
     # the padded grid reaches modes |p| <= 4M, of which those beyond 2M are zero
     want = grid_restrictions(padded_zero_part(g), 0.0, order)[:, 2 * M:6 * M + 1]
@@ -81,10 +81,15 @@ def test_zero_jet_matches_the_padded_grid(M, seed, density, order):
 
 
 def test_w_operator_hand_value(disk_const_model):
-    # W(1) on the flat disk, two terms: identity plus (1/N) * binom(2,1) * (-1)
-    w = _w_combination(disk_const_model.norm.moments[0, 0], 10, nu=1, order=2)
-    assert abs(w[(w.size - 1) // 2] - 0.8) < 1e-14
-    assert np.linalg.norm(w) == pytest.approx(0.8)
+    # the flat disk: X_j = 0 for j >= 1 and B[0, 0, mu] = (-1)^mu at mode 0, so
+    # W(1) at order 2 is 1 + (1/N) * binom(2,1) * (-1) = 0.8 at N = 10; with the
+    # jet (-1)^nu of |z|^2 - 1 the terms are -0.8/N and 1/N^2
+    terms = dict(distributional_terms(disk_const_model, split_terms({(1, 1): 1.0, (0, 0): -1.0}),
+                                      10, order=2))
+    assert list(terms) == [(1, 0, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
+    assert terms[(1, 0, 0)] == pytest.approx(-0.08, abs=1e-16)
+    assert terms[(2, 0, 0)] == pytest.approx(0.01, abs=1e-16)
+    assert terms[(1, 0, 1)] == terms[(1, 1, 0)] == 0.0
 
 
 def test_expectation_constant_is_one(disk_alpha_model):
@@ -100,7 +105,7 @@ def test_expectation_zero_part_rate(disk_alpha_model, disk_alpha_oracle):
     g = po.annulus_from_terms({(1, 1): 1.0, (0, 0): -1.0},
                               model.szego.omega_flat.bidegree, model.inner_radius)
     sp = split_test_function(g)
-    oracle = dict(zip((16, 32), berezin_expectations(model, polys, g, [16, 32])))
+    oracle = dict(zip((16, 32), berezin_expectations(model, polys, g.terms(), [16, 32])))
     # leading behavior ~ c/N: the boundary value halves within factor 1.6
     drop = abs(oracle[16]) / abs(oracle[32])
     assert 2 / 1.6 <= drop <= 2 * 1.6
@@ -115,7 +120,7 @@ def test_harmonic_measure_limit(disk_alpha_model, disk_alpha_oracle):
     g = po.annulus_from_terms({(-1, 0): 1.0}, 8, model.inner_radius)
     sp = split_test_function(g)
     assert sp.plus_infinity == 0.0
-    for N, o in zip((16, 32), berezin_expectations(model, polys, g, [16, 32])):
+    for N, o in zip((16, 32), berezin_expectations(model, polys, g.terms(), [16, 32])):
         assert distributional_expectation(model, sp, N, order=2) == 0.0
         assert abs(o) <= 0.5 / N
 
@@ -142,7 +147,23 @@ def test_expectation_conjugation_symmetry(disk_alpha_model):
     assert abs(vc - np.conj(v)) <= 1e-12 * max(1.0, abs(v))
 
 
+def _circle_mean(u, v):
+    """Circle integral of a product against normalized arc length: mode 0 of
+    ``u v``, both centred arrays of circle modes."""
+    Ku, Kv = (u.size - 1) // 2, (v.size - 1) // 2
+    K = min(Ku, Kv)
+    return complex(np.dot(u[Ku - K:Ku + K + 1], v[Kv - K:Kv + K + 1][::-1]))
+
+
+def _w_combination(moments, N, nu, order):
+    """``sum_{mu<=order-nu} N^-mu C(nu+mu, nu) moments[mu]``: the weighted
+    boundary operator on ``X_j conj(X_k)`` from ``moments = B[j, k]``."""
+    w = [math.comb(nu + mu, nu) * float(N) ** (-mu) for mu in range(order - nu + 1)]
+    return w @ moments[:order - nu + 1]
+
+
 def test_circle_mean_pairing():
+    # the reference pairing of test_terms_match_per_call_form
     u = po.circle_from_modes({1: 2.0, -1: 3.0}, 4)
     v = po.circle_from_modes({-1: 5.0, 1: 7.0}, 4)
     assert _circle_mean(u.coeffs, v.coeffs) == 2.0 * 5.0 + 3.0 * 7.0
@@ -178,7 +199,8 @@ def _correction_product(model, j, k):
 
 
 def test_w_operator_matches_radial_chain(all_preset_models):
-    # every row of the moment table, combined into W, against the radial chain
+    # every row of the moment table, combined into W, against the radial chain:
+    # the table the contraction reads, checked apart from it
     for name, model in all_preset_models.items():
         for j in range(model.order + 1):
             for k in range(model.order + 1 - j):
@@ -235,3 +257,38 @@ def test_expectation_forms_no_products(disk_alpha_model, monkeypatch):
     monkeypatch.setattr(laplace, "_product_stack", forbidden)
     assert np.isfinite(distributional_expectation(disk_alpha_model, split, 20))
     assert disk_alpha_model.norm.moments is table
+
+
+@st.composite
+def term_rows(draw):
+    """``{(m, n): c}`` over a few indices near the circle, the pairs in draw order."""
+    pairs = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                          min_size=1, max_size=8, unique=True))
+    coeff = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    return {mn: draw(coeff) for mn in pairs}
+
+
+@settings(max_examples=50)
+@given(st.sampled_from(["disk-expre03", "ellipse-expre", "perturbed-expre"]), term_rows(),
+       st.randoms(use_true_random=False), st.integers(0, 3), st.integers(8, 1000),
+       st.integers(1, 10 ** 6), st.integers(-4, 4), st.booleans())
+def test_expectation_ignores_row_order_zero_rows_and_far_terms(all_preset_models, name, rows,
+                                                               rnd, zeros, N, reach, n, below):
+    model = all_preset_models[name]
+    want = distributional_expectation(model, split_terms(rows), N)
+    l1 = sum(abs(c) for c in rows.values())
+    # the rows shuffled, with zero-coefficient rows among them
+    items = list(rows.items()) + [((5 + i, -5 - i), 0.0) for i in range(zeros)]
+    rnd.shuffle(items)
+    got = distributional_expectation(model, split_terms(dict(items)), N)
+    assert abs(got - want) <= 1e-14 * l1
+    # a term past the moment table's bandwidth C meets only modes of B that are 0
+    C = (model.norm.moments.shape[-1] - 1) // 2
+    far = {**rows, (n + (-1) ** below * (C + reach), n): 1e6}
+    assert distributional_expectation(model, split_terms(far), N) == want
+
+
+def test_expectation_beyond_the_float_range_is_typed(ellipse_exp_model):
+    big = split_terms({(0, 0): 1e308, (1, 1): 1e308})
+    with pytest.raises(po.NonFiniteError, match="out of float range at degree 16"):
+        distributional_expectation(ellipse_exp_model, big, 16)

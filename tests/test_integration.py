@@ -60,7 +60,7 @@ def test_ellipse_distributional_rates(ellipse_exp_model, ellipse_exp_oracle):
     # evaluation there is exact; for a polynomial weight only the inner radius changes)
     m, wd, _rho, M = preset_parts("ellipse-expre")
     tapered = po.build_model(m, wd, model.order, bidegree=M, inner_radius=0.65)
-    oracle = dict(zip((16, 32), berezin_expectations(tapered, polys, g, [16, 32])))
+    oracle = dict(zip((16, 32), berezin_expectations(tapered, polys, g.terms(), [16, 32])))
     for order, want in ((1, 2 ** 1.5), (2, 2 ** 2.5)):
         errs = {N: abs(distributional_expectation(model, sp, N, order=order) - oracle[N])
                 for N in (16, 32)}

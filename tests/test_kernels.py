@@ -40,6 +40,12 @@ def test_outer_value_identity_map():
     assert outer_rho(pt, po.map_forward(m, 3.0)) == pytest.approx(3.0 * math.sqrt(3.0) / 5.0)
 
 
+def test_outer_value_far_root():
+    # |phi(w)| = 1e200: |a|^2 is beyond the float range, sqrt(1 - |a|^-2) is 1
+    pt = po.OffSpectralPoint(w=1e200, image=1e200 + 0j)
+    assert outer_rho(pt, 3.0) == pytest.approx(1.0)
+
+
 def test_off_spectral_guard(disk_alpha_model):
     with pytest.raises(OffSpectralError):
         off_spectral_point(disk_alpha_model.map, 0.9)

@@ -290,7 +290,7 @@ def test_ring_pairing_constant_value(disk_alpha_model, disk_alpha_oracle):
 def test_berezin_constant_function(disk_alpha_model, disk_alpha_oracle):
     polys = disk_alpha_oracle
     one = po.annulus_from_terms({(0, 0): 1.0}, 8, disk_alpha_model.inner_radius)
-    for v in berezin_expectations(disk_alpha_model, polys, one, [16, 32]):
+    for v in berezin_expectations(disk_alpha_model, polys, one.terms(), [16, 32]):
         # the taper removes only exponentially little of the unit mass
         assert abs(v - 1.0) <= 5e-4
 
@@ -332,11 +332,11 @@ def test_batch_forms_match_per_degree_forms(request, fixture):
     g = po.annulus_from_terms({(0, 0): 0.2, (1, 1): 0.3, (1, 0): 0.1 - 0.2j, (0, 1): 0.1 + 0.2j,
                                (2, -1): 0.05j, (-1, 2): -0.05j}, 8, model.inner_radius)
     degrees = [8, 16, 32]
-    batch = berezin_expectations(model, polys, g, degrees)
+    batch = berezin_expectations(model, polys, g.terms(), degrees)
     for N, got in zip(degrees, batch):
         want = _berezin_per_degree(model, polys, g, N)
         assert abs(got - want) <= 1e-13 * abs(want), N
-        assert berezin_expectations(model, polys, g, [N])[0] == got
+        assert berezin_expectations(model, polys, g.terms(), [N])[0] == got
 
 
 def test_basis_is_the_recurrence_at_the_nodes(disk_alpha_oracle):
@@ -358,7 +358,7 @@ def test_readers_refuse_degrees_outside_the_oracle(disk_alpha_model, disk_alpha_
     model, polys = disk_alpha_model, disk_alpha_oracle
     top = polys.degree
     g = po.annulus_from_terms({(1, 1): 1.0}, 2, model.inner_radius)
-    calls = [lambda n: berezin_expectations(model, polys, g, [8, n]),
+    calls = [lambda n: berezin_expectations(model, polys, g.terms(), [8, n]),
              lambda n: l2_discrepancies(model, polys, [(8, 1), (n, 1)]),
              lambda n: po.oracle_kernel(polys, 1.2, 1.3j, upto=n),
              lambda n: polys.eval_single(1.2, n)]
@@ -490,12 +490,12 @@ def test_collar_stable_under_doubled_samples_and_panel_nodes(all_preset_models, 
     g = po.annulus_from_terms({(0, 0): 0.2, (1, 1): 0.3, (1, 0): 0.1 - 0.2j,
                                (0, 1): 0.1 + 0.2j}, 8, model.inner_radius)
     l2 = l2_discrepancies(model, polys, pairs)
-    be = berezin_expectations(model, polys, g, [8, 16, 32])
+    be = berezin_expectations(model, polys, g.terms(), [8, 16, 32])
     runs = [(l2_discrepancies(model, doubled, pairs),
-             berezin_expectations(model, doubled, g, [8, 16, 32]))]
+             berezin_expectations(model, doubled, g.terms(), [8, 16, 32]))]
     monkeypatch.setattr(oracle, "COLLAR_Q", 2 * oracle.COLLAR_Q)
     runs.append((l2_discrepancies(model, polys, pairs),
-                 berezin_expectations(model, polys, g, [8, 16, 32])))
+                 berezin_expectations(model, polys, g.terms(), [8, 16, 32])))
     for l2_again, be_again in runs:
         # relative, down to the roundoff of the unit-norm P_N
         assert np.all(np.abs(l2_again - l2) <= 1e-10 * l2 + 1e-15)
@@ -555,7 +555,7 @@ def test_collar_refuses_a_cutoff_outside_the_collar(inner_radius):
     with pytest.raises(po.DomainError, match="rho1"):
         l2_discrepancies(model, polys, [(8, 1)])
     with pytest.raises(po.DomainError, match="rho1"):
-        berezin_expectations(model, polys, g, [8])
+        berezin_expectations(model, polys, g.terms(), [8])
 
 
 def test_collar_guard_refuses_degrees_it_cannot_hold(ellipse_exp_model):
@@ -571,9 +571,34 @@ def test_collar_guard_refuses_degrees_it_cannot_hold(ellipse_exp_model):
     good = [100, 200, 250]
     assert np.all(np.isfinite(l2_discrepancies(model, polys, [(N, 2) for N in good])))
     g = po.annulus_from_terms({(1, 1): 1.0}, 1, model.inner_radius)
-    assert np.all(np.isfinite(berezin_expectations(model, polys, g, good)))
+    assert np.all(np.isfinite(berezin_expectations(model, polys, g.terms(), good)))
     msg = rf"N = 300 \(L = {polys.rule.L}\), above 1e-08"
     with pytest.raises(DegreeTooHighError, match=msg):
         l2_discrepancies(model, polys, [(N, 2) for N in good + [300]])
     with pytest.raises(DegreeTooHighError, match=msg):
-        berezin_expectations(model, polys, g, good + [300])
+        berezin_expectations(model, polys, g.terms(), good + [300])
+
+
+def test_boundary_oracle_refuses_samples_above_the_cap_before_running(monkeypatch):
+    # degree 60 on the disk takes L = 512 samples: above a cap of 128 the
+    # oracle refuses at once instead of running Arnoldi on them
+    monkeypatch.setattr(oracle, "MAX_SAMPLES", 128)
+    with pytest.raises(DegreeTooHighError, match="degree 60 needs L = 512 circle samples, "
+                                                 "above the cap of 128"):
+        po.boundary_onps(po.disk_map(), [0.0], 60)
+
+
+def test_oracle_evaluation_beyond_the_float_range_is_typed(disk_alpha_oracle):
+    polys = disk_alpha_oracle
+    with pytest.raises(po.NonFiniteError, match=r"degree \d+ out of float range "
+                                                r"\(\|z\| up to 1e\+200\)"):
+        polys.evaluate(np.array([2.0, 1e200]))
+    assert np.all(np.isfinite(polys.evaluate(np.array([2.0, 3.0j]))))
+
+
+def test_berezin_test_function_beyond_the_float_range_is_typed(disk_alpha_model,
+                                                               disk_alpha_oracle):
+    # zeta^-1200 overflows on the inner collar radii (rho1 = 0.55)
+    g = po.split_terms({(-1200, 0): 1.0})
+    with pytest.raises(po.NonFiniteError, match="test function out of float range"):
+        berezin_expectations(disk_alpha_model, disk_alpha_oracle, g.terms, [8, 16])
