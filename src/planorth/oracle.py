@@ -29,26 +29,26 @@ stability is that of Vandermonde with Arnoldi (Brubeck, Nakatsukasa and
 Trefethen 2021).
 
 Comparisons against the expansion (:func:`l2_discrepancies`,
-:func:`berezin_expectations`) integrate over a collar rule in ``zeta``:
-trapezoid in the angle at the oracle's ``L`` samples times Gauss-Legendre
-panels in the radius, with breaks at the cutoff's ``rho1`` and ``rho2``
-(``rho + CUTOFF``) and then graded toward 1.  ``P_N o psi`` on every radius
-comes from the modes of its boundary samples, mode ``k`` scaled by ``r^k``;
-the expansion's ``X_j`` and ``V`` are evaluated there once by the same
-scaling, so each further degree or order costs ``O(nodes)``.  The part of the L2 distance inside
-``|phi| < rho1`` is itself a Stokes integral on ``psi(rho1 S^1)``, read from
-the primitive's modes.  Each degree is checked before use: that inner part
-plus the collar sum of ``|P_N|^2`` is ``||P_N||^2 = 1`` to ``COLLAR_TOL``.
-Where it is not (``r^k`` amplifies the noise modes of high degrees, from
-``N`` near 300 on the presets), :class:`DegreeTooHighError` is raised rather
-than a wrong integral returned.
+:func:`berezin_expectations`) integrate over the collar ``rho1 < |zeta| < 1``
+in Laurent modes, with no grid: Gauss-Legendre panels in the radius, broken
+at the cutoff's ``rho1``, ``rho2`` (``rho + CUTOFF``) and graded toward 1,
+and Parseval in the angle, the sum the trapezoid rule at the oracle's ``L``
+samples takes for integrands holomorphic on ``0 < |zeta| < inf`` (Trefethen
+and Weideman, SIAM Rev. 2014).  The weight ``|G|^2``, ``G = psi' e^(P o
+psi)``, folds into ``G P_N``, the exact convolution of the kept modes of
+``P_N o psi`` and ``G``, so a degree or order costs ``O(modes)``.  Inside
+``|phi| < rho1`` a Stokes integral on ``psi(rho1 S^1)`` takes over.  Each
+degree is checked before use: that inner part plus the collar's
+``||P_N||^2`` is 1 to ``COLLAR_TOL``; where it is not (``r^k`` amplifies the
+noise modes of high degrees, from ``N`` near 300 on the presets),
+:class:`DegreeTooHighError` is raised rather than a wrong integral returned.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -68,16 +68,7 @@ CUTOFF = (0.05, 0.15)   # the cutoff chi0 rises on rho + CUTOFF, rho the model's
 COLLAR_Q = 12           # Gauss-Legendre nodes per radial panel of the collar rule
 COLLAR_HALVINGS = 5     # collar panels past rho2, each half the width of the last
 
-
-def _gl_panels(breaks: np.ndarray, q: int):
-    """Gauss-Legendre nodes/weights composited over consecutive panels."""
-    x, w = leggauss(q)
-    nodes, weights = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+_leggauss = cache(leggauss)   # Gauss-Legendre nodes and weights, once per node count
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +91,12 @@ class BoundaryRule:
     @cached_property
     def _e_p_dz(self) -> np.ndarray:
         return self.e_p * self.dz
+
+    @cached_property
+    def _frame_modes(self):
+        """Lowest mode and modes of ``G = psi' e^(P o psi)`` (:func:`_modes`)."""
+        k0, g = _modes(self._e_p_dz)
+        return k0 - 1, g
 
     @cached_property
     def _inverse_modes(self) -> np.ndarray:
@@ -316,11 +313,9 @@ def boundary_onps(m: ExteriorMap, holo_poly, N: int) -> OraclePolynomials:
 
 
 def oracle_kernel(polys: OraclePolynomials, z, w, upto: int | None = None) -> complex:
-    """Reproducing kernel ``sum_{j<=N} P_j(z) conj(P_j(w))``."""
-    upto = polys.degree if upto is None else upto
-    pz = polys.evaluate(np.atleast_1d(z), upto=upto)
-    pw = polys.evaluate(np.atleast_1d(w), upto=upto)
-    return complex(np.sum(pz[0] * np.conj(pw[0])))
+    """Reproducing kernel ``sum_{j<=N} P_j(z) conj(P_j(w))``, from one evaluation."""
+    p = polys.evaluate(np.array([z, w], dtype=np.complex128), upto=upto)
+    return complex(np.sum(p[0] * np.conj(p[1])))
 
 
 def smoothstep(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -330,46 +325,36 @@ def smoothstep(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def _modes(samples: np.ndarray):
-    """Signed modes ``k`` and coefficients of a Laurent polynomial sampled at
-    the equispaced circle points, without those below ``CHOP`` times the
-    largest: scaled by ``r^k`` with ``r < 1``, their roundoff would grow."""
+    """Lowest mode ``k0`` and modes ``k0, k0 + 1, ...`` (in ``(-L/2, L/2]``) of Laurent
+    polynomials sampled along the last axis at the circle points, with those below
+    ``CHOP`` times their row's largest zeroed: scaled by ``r^k``, their roundoff would grow."""
+    L = samples.shape[-1]
     c = np.fft.fft(samples, norm="forward")
-    keep = np.flatnonzero(np.abs(c) >= CHOP * np.max(np.abs(c)))
-    k = np.where(keep > samples.size // 2, keep - samples.size, keep)
-    return k, c[keep]
-
-
-def _on_circles(k: np.ndarray, d: np.ndarray, c: np.ndarray, radii: np.ndarray,
-                L: int) -> np.ndarray:
-    """``sum_i c[i] r^d[i] zeta_l^k[i]`` at the ``L`` circle angles ``zeta_l``, one
-    row per radius ``r``: term ``i`` lands in bin ``k[i] mod L``, exact at the
-    sample angles for any number of terms.  ``d = k`` for a Laurent polynomial;
-    annulus terms ``c zeta^m conj(zeta)^n`` have ``(k, d) = (m - n, m + n)``."""
-    spec = np.zeros((radii.size, L), dtype=np.complex128)
-    np.add.at(spec, (slice(None), k % L), c[None, :] * radii[:, None] ** d[None, :])
-    return np.fft.ifft(spec, axis=1, norm="forward")
-
-
-def _sampled_on_circles(samples: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """A Laurent polynomial sampled at the circle points, on each radius."""
-    k, c = _modes(samples)
-    return _on_circles(k, k, c, radii, samples.size)
+    c = np.concatenate((c[..., L // 2 + 1:], c[..., :L // 2 + 1]), axis=-1)
+    c[np.abs(c) < CHOP * np.max(np.abs(c), axis=-1, keepdims=True)] = 0.0
+    kept = np.flatnonzero(np.any(c.reshape(-1, L), axis=0))
+    return int(kept[0]) + 1 - L // 2, c[..., kept[0]:kept[-1] + 1]
 
 
 @dataclass(frozen=True, eq=False)
 class _Collar:
-    """Collar rule ``rho1 < |zeta| < 1`` at a boundary oracle's angles:
-    ``weights`` hold ``omega dA / pi`` pulled back by ``psi``, ``dpsi`` is
-    ``psi'(zeta)`` and ``chi`` the cutoff on each radius; ``rim`` is the
-    Stokes factor ``e^P psi'(zeta) zeta`` on ``|zeta| = rho1``."""
+    """Radial rule of the collar ``rho1 < |zeta| < 1``: Gauss-Legendre ``radii``, their
+    ``weights`` ``2 w r``, the cutoff ``chi`` on them and ``rest = 1 - chi`` (the
+    mirrored smoothstep, exact where ``chi`` is near 1); ``rim`` is the Stokes
+    factor ``e^P psi'(zeta) zeta`` on ``|zeta| = rho1``."""
 
     rho1: float
     radii: np.ndarray
-    zeta: np.ndarray
-    dpsi: np.ndarray
-    chi: np.ndarray
     weights: np.ndarray
+    chi: np.ndarray
+    rest: np.ndarray
     rim: np.ndarray
+
+    def moments(self, k: np.ndarray):
+        """``(s, rows)``: ``weights r^(2 k_i)`` over its largest factor ``e^(s_i)``."""
+        e = np.multiply.outer(2.0 * np.asarray(k, dtype=float), np.log(self.radii))
+        s = np.where(np.asarray(k) < 0, e[:, 0], e[:, -1])   # the largest: the radii ascend
+        return s, self.weights * np.exp(e - s[:, None])
 
 
 def _collar(model: ExpansionModel, polys: OraclePolynomials) -> _Collar:
@@ -382,39 +367,43 @@ def _collar(model: ExpansionModel, polys: OraclePolynomials) -> _Collar:
         raise DomainError(f"cutoff needs rho1 = inner radius + {CUTOFF[0]} < 1, got {rho1}")
     top = min(rho2, 1.0)
     grade = 1.0 - (1.0 - top) * 0.5 ** np.arange(1, COLLAR_HALVINGS + 1)
-    r, wr = _gl_panels(np.unique(np.concatenate([[rho1, top], grade, [1.0]])), COLLAR_Q)
-    zeta = r[:, None] * rule.zeta[None, :]
-    z, dpsi = rule.map.psi_and_prime(zeta)
-    weights = ((2.0 / rule.L) * (wr * r)[:, None] * (dpsi.real ** 2 + dpsi.imag ** 2)
-               * np.exp(2.0 * _horner(rule.holo_poly, z).real))
+    breaks = np.unique(np.concatenate([[rho1, top], grade, [1.0]]))
+    x, w = _leggauss(COLLAR_Q)   # composited over the panels between the breaks
+    mid, half = 0.5 * (breaks[:-1] + breaks[1:])[:, None], 0.5 * np.diff(breaks)[:, None]
+    r, wr = (mid + half * x).ravel(), (half * w).ravel()
     z1, dpsi1 = rule.map.psi_and_prime(rho1 * rule.zeta)
     rim = np.exp(_horner(rule.holo_poly, z1)) * dpsi1 * rho1 * rule.zeta
-    return _Collar(rho1, r, zeta, dpsi, smoothstep(r, rho1, rho2), weights, rim)
+    return _Collar(rho1, r, 2.0 * wr * r, smoothstep(r, rho1, rho2), smoothstep(-r, -rho2, -rho1),
+                   rim)
 
 
 def _inner_part(polys: OraclePolynomials, collar: _Collar, N: int) -> float:
     """``int |P_N|^2 omega dA / pi`` over ``|phi| < rho1`` by Stokes on
     ``psi(rho1 S^1)``: ``P_N`` and its primitive ``B_N`` from their modes."""
-    r = np.array([collar.rho1])
-    p = _sampled_on_circles(polys.basis[:, N], r)[0]
-    b = _sampled_on_circles(polys.primitive[:, N], r)[0]
+    k0, c = _modes(np.array([polys.basis[:, N], polys.primitive[:, N]]))
+    k = np.arange(k0, k0 + c.shape[1])
+    spec = np.zeros((2, polys.rule.L), dtype=np.complex128)
+    spec[:, k] = c * collar.rho1 ** k   # mode k on the circle of radius rho1
+    p, b = np.fft.ifft(spec, norm="forward")
     return float(np.mean(p * collar.rim * np.conj(b)).real)
 
 
 def _on_collar(polys: OraclePolynomials, collar: _Collar, N: int):
-    """``P_N`` on the collar radii and :func:`_inner_part`, once their sum
-    ``||P_N||^2`` is 1 to ``COLLAR_TOL``: else the samples' modes, scaled by
-    ``r^k``, have lost ``P_N`` and :class:`DegreeTooHighError` is raised."""
-    with np.errstate(over="ignore", invalid="ignore"):   # lost samples may overflow
-        p = _sampled_on_circles(polys.basis[:, N], collar.radii)
+    """Lowest mode ``k0`` and modes ``alpha`` of ``G (P_N o psi)`` by exact convolution,
+    and :func:`_inner_part`, once ``||P_N||^2 = inner + sum_k |alpha_k|^2 sum_i w_i
+    r_i^(2k)`` is 1 to ``COLLAR_TOL``: else the modes, scaled by ``r^k``, have
+    lost ``P_N`` and :class:`DegreeTooHighError` is raised."""
+    (k0, p), (g0, g) = _modes(polys.basis[:, N]), polys.rule._frame_modes
+    alpha = np.convolve(p, g)
+    with np.errstate(over="ignore", invalid="ignore"):   # lost modes may overflow
         inner = _inner_part(polys, collar, N)
-        deviation = abs(inner + float(np.sum(collar.weights * (p.real ** 2 + p.imag ** 2)))
-                        - 1.0)
+        s, m = collar.moments(np.arange(k0 + g0, k0 + g0 + alpha.size))
+        deviation = abs(inner + float(np.exp(s) * np.sum(m, axis=1) @ np.abs(alpha) ** 2) - 1.0)
     if not deviation <= COLLAR_TOL:   # NaN fails too
         raise DegreeTooHighError(
             f"collar rule reads ||P_N||^2 - 1 = {deviation:.3e} at N = {N} "
             f"(L = {polys.rule.L}), above {COLLAR_TOL:.0e}")
-    return p, inner
+    return k0 + g0, alpha, inner
 
 
 def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs) -> np.ndarray:
@@ -422,42 +411,40 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs) -> 
     polynomial and the cut-off expansion of order ``order``, for each
     ``(N, order)`` in ``pairs`` (``order`` None: the model's).
 
-    ``chi0`` is the quintic smoothstep in ``|phi(z)|`` rising on
-    ``[rho1, rho2] = rho + CUTOFF``; the expansion, evaluated at the mapped
-    collar points ``zeta = phi(z)``, is extended by zero where ``chi0``
-    vanishes.  The collar ``|phi| > rho1`` takes the collar rule, on which
-    ``X_j``, ``phi' e^V`` and each degree's ``P_N`` are evaluated once; the
-    rest is a Stokes integral per degree.
-    Raises :class:`DegreeTooHighError` for a degree the collar rule cannot
-    hold (:func:`_on_collar`).
-    """
+    ``chi0`` is the quintic smoothstep in ``|phi(z)|`` rising on ``rho + CUTOFF``.
+    ``B = G F_N = scale e^(P o psi) e^V zeta^N sum_j N^-j X_j`` has the modes
+    ``beta`` of ``e^(P o psi) e^V X_j`` on the circle shifted by ``N``; the
+    collar part ``sum_k sum_i w_i r_i^(2k) |alpha_k - chi_i beta_k|^2`` is
+    ``sum_k M_k |alpha_k - beta_k + u_k beta_k|^2 + S_k |beta_k|^2``, free of
+    cancellation, with ``u_k`` the ``w r^(2k)``-weighted mean of ``1 - chi``
+    and ``S_k`` the weighted sum of squares of ``chi`` about its mean.  Raises
+    :class:`DegreeTooHighError` for a degree the collar cannot hold."""
     pairs = list(pairs)
     for N, _ in pairs:
         polys.check_degree(N)
     scales = [normalized_scale(model, N, order) for N, order in pairs]  # degrees checked
     collar = _collar(model, polys)
-    rule, radii = polys.rule, collar.radii
-    L = rule.L
-    # V and the X_j by the same mode scaling, over their nonzero modes
-    series = [model.szego.v_exterior, *model.coeffs.X]
-    modes = [np.flatnonzero(f.coeffs) - f.bandwidth for f in series]
-    v, *xs = [_on_circles(k, k, f.coeffs[k + f.bandwidth], radii, L)
-              for f, k in zip(series, modes)]
-    frame = np.exp(v) / collar.dpsi   # phi' e^V, as in expansion.positioning_factor
-    steps = np.arange(L)
-    cache = {}
+    zeta, rest = polys.rule.zeta, collar.rest
+    frame = polys.rule.e_p * np.exp(model.szego.v_exterior.evaluate(zeta))
+    b0, beta = _modes(frame * np.array([x.evaluate(zeta) for x in model.coeffs.X]))
+    per_degree = {}
     out = np.empty(len(pairs))
     for i, (N, order) in enumerate(pairs):
-        if N not in cache:
-            p, inner = _on_collar(polys, collar, N)
-            zeta_n = radii[:, None] ** N * rule.zeta[(N * steps) % L][None, :]
-            cache[N] = (p, collar.chi[:, None] * frame * zeta_n, inner)
-        p, positioned, inner = cache[N]
+        if N not in per_degree:   # the degree's modes and the moments on their span
+            a0, alpha, inner = _on_collar(polys, collar, N)
+            lo, hi = min(a0, b0 + N), max(a0 + alpha.size, b0 + N + beta.shape[1])
+            s, m = collar.moments(np.arange(lo, hi))
+            m1 = np.sum(m, axis=1)
+            u = m @ rest / m1
+            a = np.concatenate((np.zeros(a0 - lo), alpha, np.zeros(hi - a0 - alpha.size)))
+            per_degree[N] = (lo, hi, a, np.exp(s), m1, u,
+                             np.sum(m * (rest - u[:, None]) ** 2, axis=1), inner)
+        lo, hi, a, scale_k, m1, u, spread, inner = per_degree[N]
         order = model.order if order is None else order
-        partial = sum(xs[j] * float(N) ** -j for j in range(1, order + 1)) + xs[0]
-        diff = p - scales[i] * positioned * partial
-        collar_part = float(np.sum(collar.weights * (diff.real ** 2 + diff.imag ** 2)))
-        out[i] = math.sqrt(abs(inner + collar_part))
+        b = scales[i] * (float(N) ** -np.arange(order + 1.0)) @ beta[:order + 1]
+        b = np.concatenate((np.zeros(b0 + N - lo), b, np.zeros(hi - b0 - N - b.size)))
+        q = m1 * np.abs(a - b + u * b) ** 2 + spread * np.abs(b) ** 2
+        out[i] = math.sqrt(abs(inner + float(scale_k @ q)))
     return out
 
 
@@ -465,25 +452,35 @@ def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, terms,
                          degrees) -> np.ndarray:
     """``int G |P_N|^2 omega dA / pi`` for each ``N`` in ``degrees``, for the
     globally smooth test function ``G(z) = chi0(|phi(z)|) g(phi(z))``: ``g``
-    has the terms ``(m - n, m + n, c)`` of ``c zeta^m conj(zeta)^n``, read at
-    the mapped collar points ``zeta = phi(z)`` and tapered to zero deep inside
-    the domain by the smoothstep on ``[rho1, rho2] = rho + CUTOFF``, so the
-    integral lives on the collar rule; near the boundary ``G`` agrees with
-    ``g o phi``.  ``G`` is evaluated once; each degree adds its ``P_N`` and
-    one weighted sum.  Raises :class:`NonFiniteError` where ``G`` or a sum
-    leaves the float range on the collar, and :class:`DegreeTooHighError` for
-    a degree the collar rule cannot hold (:func:`_on_collar`)."""
+    has the terms ``(m - n, m + n, c)`` of ``c zeta^m conj(zeta)^n`` and the
+    cutoff tapers it to zero deep inside the domain, so the integral lives on
+    the collar.  With the modes ``alpha`` of ``G P_N`` (:func:`_on_collar`) it
+    is ``sum_t c_t sum_k alpha_k conj(alpha_(k + m - n)) M(k + m)``, ``M(j) =
+    sum_i w_i chi_i r_i^(2j)`` from one table per call; a term whose ``|m -
+    n|`` reaches the span of ``alpha`` gives exactly 0.  Raises
+    :class:`NonFiniteError` where a moment or a sum leaves the float range,
+    and :class:`DegreeTooHighError` for a degree the collar rule cannot hold."""
     degrees = list(degrees)
     for N in degrees:
         polys.check_degree(N)
     collar = _collar(model, polys)
-    out = np.empty(len(degrees), dtype=np.complex128)
+    diff, total, c = terms
+    m_t = (total + diff) // 2   # the products alpha_k conj(alpha_(k + m - n)) take M(k + m)
+    live = []   # (degree, term, its modes, offset of its first product, products, first j)
+    for i, N in enumerate(degrees):
+        k0, alpha, _ = _on_collar(polys, collar, N)
+        for t in np.flatnonzero(np.abs(diff) < alpha.size):
+            lo = max(0, -diff[t])
+            live.append((i, t, alpha, lo, alpha.size - abs(diff[t]), k0 + lo + m_t[t]))
+    js = np.unique(np.concatenate([np.arange(j, j + n) for *_, n, j in live] or [[]]))
+    out = np.zeros(len(degrees), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        wg = (collar.weights * collar.chi[:, None]
-              * _on_circles(*terms, collar.radii, polys.rule.L))
-        for i, N in enumerate(degrees):
-            p, _ = _on_collar(polys, collar, N)
-            out[i] = np.sum(wg * (p.real ** 2 + p.imag ** 2))
+        s, m = collar.moments(js)
+        moment = np.exp(s + np.log(m @ collar.chi))
+        for i, t, alpha, lo, n, j in live:
+            pair = alpha[lo:lo + n] * np.conj(alpha[lo + diff[t]:lo + diff[t] + n])
+            j = np.searchsorted(js, j)
+            out[i] += c[t] * np.sum(pair * moment[j:j + n])
     if not np.isfinite(out).all():
         raise NonFiniteError(f"test function out of float range on the collar rule "
                              f"(radii from {collar.radii[0]:.4g}, L = {polys.rule.L})")

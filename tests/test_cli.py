@@ -269,6 +269,16 @@ def test_verify_rates_and_summary(tmp_path):
     assert summary["oracle"] == json.loads((out / "oracle.json").read_text())["rule"]
 
 
+def test_verify_refuses_more_than_one_point(tmp_path, capsys):
+    # verify checks the pointwise error at one point; a longer list used to
+    # pass on its first entry, here (2, 0), leaving 0 and 1e300 unchecked
+    cfg = write_config(tmp_path, N=[8, 12, 16, 24], points=[[2, 0], [0, 0], [1e300, 0]])
+    out = tmp_path / "o"
+    assert run(["verify", "--config", cfg, "--out", out]) == 2
+    assert "points has 3 entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_carleman_steep_slope(tmp_path):
     cfg = write_config(tmp_path, "ellipse-const", N=[8, 12, 16], points=[[3.0, 0.0]])
     out = tmp_path / "o"
@@ -300,6 +310,37 @@ def test_kernel_command(tmp_path):
     jsonschema.validate(payload, cli.KERNEL_SCHEMA)
     errs = [r["ratio_error"] for r in payload["offspectral"]]
     assert errs[-1] < errs[0]
+
+
+def test_kernel_evaluates_the_oracle_once(tmp_path, monkeypatch):
+    # P_0 .. P_Nmax at z and w in one evaluation, every N read from one
+    # cumulative sum; the reference evaluates each point on its own
+    calls = []
+    evaluate = OraclePolynomials.evaluate
+
+    def counted(self, z, upto=None):
+        calls.append(np.size(z))
+        return evaluate(self, z, upto)
+
+    def kernel(polys, z, w, N):
+        pz, pw = (evaluate(polys, np.array([x]), N) for x in (z, w))
+        return np.sum(pz * np.conj(pw))
+
+    cfg = write_config(tmp_path, N=[8, 16, 32], kernel=KERNEL)
+    domain = geometry.load_domain_config(preset_config("disk-expre03"))
+    polys = boundary_onps(domain[0], domain[1].holo_poly, 32)
+    monkeypatch.setattr(OraclePolynomials, "evaluate", counted)
+    z, w = complex(*KERNEL["z"]), complex(*KERNEL["w"])
+    assert planorth.oracle_kernel(polys, z, w, 20) == pytest.approx(kernel(polys, z, w, 20),
+                                                                     rel=1e-14)
+    assert calls == [2]
+    calls.clear()
+    assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert calls == [2]
+    for row in json.loads((tmp_path / "o" / "kernel.json").read_text())["offspectral"]:
+        N = row["N"]
+        want = abs(kernel(polys, z, w, N)) / math.sqrt(kernel(polys, w, w, N).real)
+        assert abs(row["oracle_modulus"] / want - 1.0) <= 1e-13, N
 
 
 def test_kernel_band_next_to_rho(tmp_path):
@@ -646,7 +687,8 @@ ROBUSTNESS = [
      "out of float range (|z| up to 1e+200)"),
     ("kernel", "ellipse-expre", {"kernel": {**KERNEL, "w": [1e200, 0.0]}}, 3,
      "out of float range (|z| up to 1e+200)"),
-    ("distributional", "disk-expre03", {"test_function": {"terms": [[-1200, 0, 1.0, 0.0]]}}, 3,
+    ("distributional", "disk-expre03",
+     {"test_function": {"terms": [[-1200, -1200, 1.0, 0.0]]}}, 3,
      "[stage: oracle-collar] test function out of float range on the collar rule"),
     ("distributional", "ellipse-expre",
      {"test_function": {"terms": [[0, 0, 1e308, 0.0], [1, 1, 1e308, 0.0]]}}, 3,

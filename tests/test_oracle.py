@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,25 +297,28 @@ def test_berezin_constant_function(disk_alpha_model, disk_alpha_oracle):
 
 
 def _collar_direct(model, polys, N):
-    """The collar rule's nodes with ``P_N`` by the recurrence at ``psi(zeta)``,
-    the weights and the cutoff: no mode scaling."""
+    """The collar rule's radii at the oracle's angles, built here: ``P_N`` by the
+    recurrence at ``psi(zeta)``, the weights ``omega dA / pi`` from ``psi'`` and
+    the weight's evaluator, and the cutoff; no modes."""
     collar = oracle._collar(model, polys)
-    P = polys.evaluate(model.map.psi(collar.zeta).ravel(), upto=N)[:, N]
-    return collar, P.reshape(collar.zeta.shape)
+    zeta = collar.radii[:, None] * polys.rule.zeta[None, :]
+    z, dpsi = model.map.psi_and_prime(zeta)
+    weights = collar.weights[:, None] / polys.rule.L * np.abs(dpsi) ** 2 * model.weight.omega(z)
+    P = polys.evaluate(z.ravel(), upto=N)[:, N].reshape(zeta.shape)
+    return collar, zeta, weights, P
 
 
 def _l2_per_degree(model, polys, N, order):
     """The per-degree form: the expansion by ``normalized_at`` at this N only."""
-    collar, P = _collar_direct(model, polys, N)
-    F = po.normalized_at(model, N, collar.zeta, order)
+    collar, zeta, weights, P = _collar_direct(model, polys, N)
+    F = po.normalized_at(model, N, zeta, order)
     diff = P - collar.chi[:, None] * F
-    return math.sqrt(oracle._inner_part(polys, collar, N)
-                     + np.sum(collar.weights * np.abs(diff) ** 2))
+    return math.sqrt(oracle._inner_part(polys, collar, N) + np.sum(weights * np.abs(diff) ** 2))
 
 
 def _berezin_per_degree(model, polys, g, N):
-    collar, P = _collar_direct(model, polys, N)
-    return np.sum(collar.weights * collar.chi[:, None] * g.evaluate(collar.zeta) * np.abs(P) ** 2)
+    collar, zeta, weights, P = _collar_direct(model, polys, N)
+    return np.sum(weights * collar.chi[:, None] * g.evaluate(zeta) * np.abs(P) ** 2)
 
 
 @pytest.mark.parametrize("fixture", ["disk_alpha", "ellipse_exp"])
@@ -559,15 +563,17 @@ def test_collar_refuses_a_cutoff_outside_the_collar(inner_radius):
 
 
 def test_collar_guard_refuses_degrees_it_cannot_hold(ellipse_exp_model):
-    # degree-400 oracle on ellipse-expre: ||P_N||^2 on the collar rule is 1 to
-    # roundoff through N = 250 and off by ~1e23 at N = 300, where the r^k
+    # degree-400 oracle on ellipse-expre: ||P_N||^2 = inner + sum_k M_k |alpha_k|^2
+    # is 1 to roundoff through N = 250 and far off at N = 300, where the r^k
     # scaling of the sample modes has lost P_N
     model = ellipse_exp_model
     polys = po.boundary_onps(model.map, model.weight.holo_poly, 400)
     collar = oracle._collar(model, polys)
     for N in (100, 200, 250):
-        p, inner = oracle._on_collar(polys, collar, N)
-        assert abs(inner + np.sum(collar.weights * np.abs(p) ** 2) - 1.0) <= 1e-12, N
+        k0, alpha, inner = oracle._on_collar(polys, collar, N)
+        s, rows = collar.moments(np.arange(k0, k0 + alpha.size))
+        norm = inner + np.sum(np.exp(s) * np.sum(rows, axis=1) * np.abs(alpha) ** 2)
+        assert abs(norm - 1.0) <= 1e-12, N
     good = [100, 200, 250]
     assert np.all(np.isfinite(l2_discrepancies(model, polys, [(N, 2) for N in good])))
     g = po.annulus_from_terms({(1, 1): 1.0}, 1, model.inner_radius)
@@ -598,7 +604,47 @@ def test_oracle_evaluation_beyond_the_float_range_is_typed(disk_alpha_oracle):
 
 def test_berezin_test_function_beyond_the_float_range_is_typed(disk_alpha_model,
                                                                disk_alpha_oracle):
-    # zeta^-1200 overflows on the inner collar radii (rho1 = 0.55)
-    g = po.split_terms({(-1200, 0): 1.0})
+    # |zeta|^-2400 overflows on the inner collar radii (rho1 = 0.55); zeta^-1200
+    # pairs modes 1200 apart, beyond the span of G P_N, so its value is exactly 0
+    model, polys = disk_alpha_model, disk_alpha_oracle
+    far = berezin_expectations(model, polys, po.split_terms({(-1200, 0): 1.0}).terms, [8, 16])
+    assert np.all(far == 0.0)
+    g = po.split_terms({(-1200, -1200): 1.0})
     with pytest.raises(po.NonFiniteError, match="test function out of float range"):
-        berezin_expectations(disk_alpha_model, disk_alpha_oracle, g.terms, [8, 16])
+        berezin_expectations(model, polys, g.terms, [8, 16])
+
+
+@pytest.mark.parametrize("preset, degrees", [("ellipse-expre", [100, 200]),
+                                             ("perturbed-expre", [100, 200, 250])])
+def test_collar_at_large_degree_is_stable_under_doubled_samples(all_preset_models, preset,
+                                                                degrees):
+    # kappa = 4 at the large degrees the mode-space collar reaches: a degree-
+    # max(degrees) oracle against one on twice its samples (on ellipse-expre,
+    # N = 250 at L = 4096 is refused by the collar guard, so it stays out)
+    model = all_preset_models[preset]
+    m, P = model.map, model.weight.holo_poly
+    polys = po.boundary_onps(m, P, degrees[-1])
+    twin = oracle._circle_arnoldi(po.boundary_rule(m, P, 2 * polys.rule.L), degrees[-1])
+    pairs = [(N, k) for k in range(5) for N in degrees]
+    l2, l2_twin = (l2_discrepancies(model, p, pairs) for p in (polys, twin))
+    assert np.all(np.abs(l2_twin - l2) <= 1e-10 * l2 + 1e-15)
+    terms = po.split_terms({(0, 0): 0.2, (1, 1): 0.3, (1, 0): 0.1 - 0.2j,
+                            (0, 1): 0.1 + 0.2j}).terms
+    be, be_twin = (berezin_expectations(model, p, terms, degrees) for p in (polys, twin))
+    assert np.max(np.abs(be_twin / be - 1.0)) <= 1e-13
+
+
+def test_collar_builds_no_radius_by_angle_grid(ellipse_exp_model):
+    # a degree-250 oracle holds L = 2048 samples: a grid over the collar's
+    # 84 radii would take 2.75 MB per complex array, and the mode-space
+    # collar peaks near 0.6 MB
+    model = ellipse_exp_model
+    polys = po.boundary_onps(model.map, model.weight.holo_poly, 250)
+    pairs = [(N, k) for k in range(5) for N in (100, 200)]
+    tracemalloc.start()
+    try:
+        l2_discrepancies(model, polys, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20, peak
