@@ -125,8 +125,9 @@ def check_valid(model: ExpansionModel, N: int, zeta, ok) -> None:
         raise OutOfValidityError("point could not be mapped into the analytic collar")
     r = validity_radius(N, model.validity_constant)
     if np.any(np.abs(zeta) < r):
-        raise OutOfValidityError(f"|phi(z)| = {np.min(np.abs(zeta)):.4f} below the "
-                                 f"validity radius {r:.4f} at degree {N}")
+        # shortest round-trip digits: a refused point never reads equal to r
+        raise OutOfValidityError(f"|phi(z)| = {float(np.min(np.abs(zeta)))!r} below the "
+                                 f"validity radius {r!r} at degree {N}")
 
 
 def _map_valid(model: ExpansionModel, N: int, z) -> np.ndarray:

@@ -4,7 +4,10 @@ A domain is specified through the inverse exterior map ``psi(zeta) =
 cap*zeta + a_0 + a_1/zeta + ...`` with ``cap > 0`` (so infinity is fixed and
 the derivative there is positive); ``psi`` and ``psi'`` are evaluated by
 Horner's scheme in ``1/zeta``.  The forward map ``phi`` is obtained by Newton
-inversion, in which a point freezes once it has converged.  A weight
+inversion seeded at the exterior root of the Joukowski part
+``cap*zeta + a_0 + a_1/zeta`` (the exact inverse of a disk or an ellipse),
+or on the unit circle where that root lies below the univalence margin or is
+not finite; a point freezes once it has converged.  A weight
 is a strictly positive function on the closure of the domain whose logarithm
 is harmonic near the boundary; its pullback is
 ``log(omega(psi(zeta))) = h + conj(h)`` with a Laurent series ``h``, carried as
@@ -153,7 +156,11 @@ def map_forward(m: ExteriorMap, z):
 def map_forward_many(m: ExteriorMap, zs: np.ndarray):
     """Vectorized :func:`map_forward`; returns ``(zeta, ok_mask)`` without raising.
 
-    Each Newton step takes ``psi`` and ``psi'`` from one Horner pass in
+    Newton starts at :func:`_newton_seed`: the exterior root of the Joukowski
+    part ``cap zeta + a_0 + a_1 / zeta``, so a disk or an ellipse passes the
+    first residual test, or the unit circle at angle ``arg(z - a_0)`` where
+    that root lies below the univalence margin or is not finite for a finite
+    ``z``.  Each Newton step takes ``psi`` and ``psi'`` from one Horner pass in
     ``1/zeta``.  A point freezes at the first iterate whose residual
     ``|psi(zeta) - z|`` is at most ``NEWTON_TOL * max(1, |z|)``; a point whose
     residual is not finite (a non-finite input, say) drops out too; every
@@ -171,12 +178,7 @@ def map_forward_many(m: ExteriorMap, zs: np.ndarray):
     """
     zs = np.asarray(zs, dtype=np.complex128)
     z = zs.ravel()
-    zeta = z / m.cap
-    small = np.abs(zeta) < 1.0
-    if np.any(small):
-        # points near or inside the boundary: seed on the unit circle at the same angle
-        ang = np.angle(z - (m.tail[0] if len(m.tail) else 0.0))
-        zeta = np.where(small, np.exp(1j * ang), zeta)
+    zeta = _newton_seed(m, z)
     scale = np.maximum(1.0, np.abs(z))
     ok = np.ones(z.shape, dtype=bool)
     tol = NEWTON_TOL * scale
@@ -204,6 +206,35 @@ def map_forward_many(m: ExteriorMap, zs: np.ndarray):
     ok &= ar <= 1e-10 * scale
     ok &= np.abs(zeta) > m.univalence_margin
     return zeta.reshape(zs.shape), ok.reshape(zs.shape)
+
+
+def _newton_seed(m: ExteriorMap, z: np.ndarray) -> np.ndarray:
+    """Starting iterates of :func:`map_forward_many` at the points ``z``.
+
+    The seed is the exterior root of the map's Joukowski part
+    ``cap zeta + a_0 + a_1 / zeta = z``: with ``w = z - a_0`` it is
+    ``w / (2 cap) * (1 + sqrt(1 - 4 cap a_1 / w / w))``, or ``w / cap`` when
+    ``a_1 = 0``.  The principal square root has a non-negative real part, so
+    this is the root of larger modulus, and no ``w * w`` is formed that could
+    overflow.  It is the exact inverse of every disk and ellipse.  Where the
+    seed lies below the univalence margin, or is not finite for a finite
+    ``z`` (the centre ``z = a_0``), it is replaced by the point of the unit
+    circle at angle ``arg w``.
+    """
+    a0 = m.tail[0] if len(m.tail) else 0.0
+    a1 = m.tail[1] if len(m.tail) > 1 else 0.0
+    w = z - a0
+    # w = 0, or a tiny w that sends 4 cap a_1 / w / w past the float range,
+    # gives a non-finite seed, which the fallback replaces
+    with np.errstate(all="ignore"):
+        if a1 == 0:
+            seed = w / m.cap
+        else:
+            seed = w / (2.0 * m.cap) * (1.0 + np.sqrt(1.0 - 4.0 * m.cap * a1 / w / w))
+        low = (np.abs(seed) < m.univalence_margin) | (~np.isfinite(seed) & np.isfinite(z))
+    if low.any():
+        seed = np.where(low, np.exp(1j * np.angle(w)), seed)
+    return seed
 
 
 def phi_prime(m: ExteriorMap, zeta) -> np.ndarray:
@@ -491,7 +522,7 @@ def load_domain_config(cfg: dict):
          "rho": float, "M": int, "K": int}
 
     ``M`` (a positive integer) sets the circle bandwidth ``2M`` of the model's
-    Laurent series; ``K`` is accepted and has no effect.
+    Laurent series; ``K`` is accepted as an integer and has no effect.
     """
     try:
         mp = parse_object(cfg["map"], "map")
@@ -523,7 +554,7 @@ def load_domain_config(cfg: dict):
         M = parse_integer(cfg.get("M", 24), "M")
         if M < 1:
             raise ConfigError(f"M must be a positive integer, got {M}")
-        K = int(cfg.get("K", 2 * M))
+        K = parse_integer(cfg.get("K", 2 * M), "K")
     except KeyError as exc:
         raise ConfigError(f"missing config field: {exc}") from exc
     except (IndexError, TypeError, ValueError) as exc:

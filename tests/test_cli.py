@@ -111,6 +111,14 @@ def test_malformed_field_is_config_error(tmp_path, capsys, command, extra):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("K, code", [(2.7, 2), (True, 2), (32, 0), (48, 0)])
+def test_K_is_parsed_as_an_integer(tmp_path, capsys, K, code):
+    # a fractional or boolean K is refused and named, not truncated to 2 or 1
+    cfg = write_config(tmp_path, domain={**preset_config("disk-expre03"), "K": K})
+    assert run(["expand", "--config", cfg, "--out", tmp_path / "o"]) == code
+    assert ("[stage: config] K must be" in capsys.readouterr().err) == (code == 2)
+
+
 def test_degree_string_is_not_read_by_character(tmp_path, capsys):
     # a string is not a list: "816" is not the degrees 8, 1, 6 (refused as unsorted)
     cfg = write_config(tmp_path, N="816")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,20 @@ def test_validity_enforcement(disk_alpha_model):
     assert np.isfinite(val)
 
 
+def test_validity_refusal_reads_below_the_radius(ellipse_exp_model):
+    # a point 1e-12 inside the validity circle at N = 2000 is refused, and the
+    # message's two numbers differ; a point 1e-9 outside it is accepted
+    model, N = ellipse_exp_model, 2000
+    r = po.validity_radius(N)
+    angle = np.exp(0.7j)
+    with pytest.raises(OutOfValidityError) as info:
+        po.normalized_eval(model, N, model.map.psi((r - 1e-12) * angle))
+    got, radius = (float(x) for x in re.findall(r"= (\S+) below the validity radius (\S+) ",
+                                                 str(info.value))[0])
+    assert got < radius == r
+    assert np.isfinite(po.normalized_eval(model, N, model.map.psi((r + 1e-9) * angle)))
+
+
 def test_validity_radius_shape():
     assert po.validity_radius(10) == pytest.approx(1 - math.log(10) / 10)
     assert po.validity_radius(40, 2.0) == pytest.approx(1 - 2 * math.log(40) / 40)
@@ -185,7 +200,10 @@ def test_normalized_large_degree_log_domain(ellipse_exp_model):
     # unit-norm value does not need it, since kappa_N C_N = N^(1/2) D_N
     model = ellipse_exp_model
     for N in (2000, 10 ** 4):
+        # strictly inside: on the validity circle itself (t = -1) the last bit
+        # of the mapped point decides whether it is accepted
         t = np.linspace(-1.0, 2.0, 9)
+        t[0] = -0.999
         z = model.map.psi((1.0 + t * math.log(N) / N) * np.exp(1j * np.linspace(0.2, 6.1, 9)))
         zeta = po.map_forward(model.map, z)
         partial = sum(float(N) ** -j * model.coeffs.X[j].evaluate(zeta)

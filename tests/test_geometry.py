@@ -4,7 +4,7 @@ import pytest
 import planorth as po
 from planorth.errors import ConfigError, ConsistencyError, ConvergenceError, PositivityError
 from planorth.geometry import (FIT_TOL, NEWTON_MAXITER, NEWTON_TOL, ExteriorMap, WeightDef,
-                               map_forward_many, phi_prime)
+                               _newton_seed, map_forward_many, phi_prime)
 from planorth.presets import PRESETS, preset_parts
 
 from conftest import halving_breaks, polar_rule, random_circle, szego_of
@@ -70,9 +70,7 @@ def test_horner_maps_match_power_sums():
 def _full_batch_newton(m, zs):
     """Newton inversion that steps every point until all have converged:
     the reference for ``map_forward_many``, which freezes converged points."""
-    zeta = zs / m.cap
-    small = np.abs(zeta) < 1.0
-    zeta = np.where(small, np.exp(1j * np.angle(zs - (m.tail[0] if len(m.tail) else 0.0))), zeta)
+    zeta = _newton_seed(m, zs)
     scale = np.maximum(1.0, np.abs(zs))
     ok = np.ones(zs.shape, dtype=bool)
     for _ in range(NEWTON_MAXITER):
@@ -136,8 +134,12 @@ def test_map_forward_many_safeguards_beside_nonfinite_points(all_preset_models, 
     # them; NaN points in the same working set must not hide those points
     m = all_preset_models[preset].map
     a0 = m.tail[0] if len(m.tail) else 0.0
-    capped, flat = a0 + 0.05, a0 + 0.01j       # both seeded on the unit circle
-    flat_seed = np.exp(1j * np.angle(flat - a0))
+    # both lie below the margin, where the Joukowski root is, so both are
+    # seeded on the unit circle
+    capped, flat = a0 + 0.01, a0 + 0.01j
+    seeds = _newton_seed(m, np.array([capped, flat]))
+    assert np.array_equal(seeds, np.exp(1j * np.angle(np.array([capped, flat]) - a0)))
+    flat_seed = seeds[1]
     original = ExteriorMap._evaluate
     flattened = []
 
@@ -150,7 +152,7 @@ def test_map_forward_many_safeguards_beside_nonfinite_points(all_preset_models, 
         return val, der
 
     monkeypatch.setattr(ExteriorMap, "_evaluate", evaluate)
-    seed = np.exp(1j * np.angle(capped - a0))
+    seed = seeds[0]
     first_step = abs((m.psi(seed) - capped) / m.psi_prime(seed))
     assert first_step > 0.5 * max(1.0, abs(seed))
     rng = np.random.default_rng(5)
@@ -181,20 +183,27 @@ def test_map_forward_many_nonfinite_and_empty_input():
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_newton_work_budget(all_preset_models, monkeypatch, preset):
-    # the batches the evaluators map (256 points at |phi| = 1 + t log N / N,
-    # and config points) converge together within a few steps, so stepping
-    # the whole batch costs each point a few map evaluations
+    # the batches the evaluators map (points at |phi| = 1 + t log N / N, and
+    # config points) converge together within a few steps, so stepping the
+    # whole batch costs each point a few map evaluations, inside the boundary
+    # (t < 0) too.  A disk or an ellipse is inverted exactly by its seed: one
+    # evaluation per batch
     m = all_preset_models[preset].map
     sizes = _counting_map(monkeypatch)
     rng = np.random.default_rng(3)
-    batches = [np.array([3.0, 0.5 + 2.0j, 3.5])]
+    circle = np.exp(2j * np.pi * np.arange(8) / 8)
+    batches = [np.concatenate([[3.0, 0.5 + 2.0j, 3.5], m.psi(0.95 * circle)])]
     for N in (100, 1000, 10000):
-        t = rng.uniform(0.0, 6.0, 256)
-        batches.append(m.psi((1.0 + t * np.log(N) / N) * np.exp(2j * np.pi * rng.random(256))))
+        t = np.concatenate([rng.uniform(0.0, 6.0, 256), rng.uniform(-1.0, 0.0, 64)])
+        batches.append(m.psi((1.0 + t * np.log(N) / N) * np.exp(2j * np.pi * rng.random(t.size))))
     for zs in batches:
         sizes.clear()
         _, ok = map_forward_many(m, zs)
-        assert ok.all() and sum(sizes) <= 6 * zs.size, (preset, zs.size, len(sizes))
+        assert ok.all(), preset
+        if len(m.tail) <= 2:
+            assert sizes == [zs.size], (preset, len(sizes))
+        else:
+            assert sum(sizes) <= 6 * zs.size, (preset, zs.size, len(sizes))
 
 
 def test_capacity_values():
