@@ -18,12 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .distributional import (TestFunctionSplit, distributional_expectation,
+from .distributional import (TestFunctionSplit, distributional_expectations,
                              distributional_terms, split_terms)
 from .errors import (ConfigError, NonFiniteError, OffSpectralError, OutOfValidityError,
                      PlanorthError, stage)
-from .expansion import (_require_degree, build_model, check_valid, leading_coeff, monic_at,
-                        monic_prefactor, normalized_at, positioning_factor, validity_radius)
+from .expansion import (_require_degree, _require_finite, build_model, check_valid, monic_at,
+                        monic_prefactor, normalized_at, normalized_scale, positioning_factor,
+                        validity_radius)
 from .geometry import (load_domain_config, map_forward_many, parse_integer, parse_list,
                        parse_number, parse_object, parse_pair)
 from .hierarchy import hierarchy_residuals
@@ -225,15 +226,16 @@ def cmd_eval(cfg: dict, exp: dict, outdir: Path) -> int:
     rows = []
     zeta, ok = map_forward_many(model.map, np.array(exp["points"], dtype=complex))
     for N in exp["N"]:
-        for z, zz, k in zip(exp["points"], zeta, ok):
-            valid = bool(k and abs(zz) >= validity_radius(N, model.validity_constant))
-            if not valid and not exp["allow_out_of_validity"]:
-                raise OutOfValidityError(
-                    f"point {z} outside the validity region at degree {N} "
-                    "(set allow_out_of_validity to flag instead)")
-            if valid:
-                mv = complex(monic_at(model, N, zz))
-                nv = complex(normalized_at(model, N, zz))
+        valid = ok & (np.abs(zeta) >= validity_radius(N, model.validity_constant))
+        if not (valid.all() or exp["allow_out_of_validity"]):
+            raise OutOfValidityError(
+                f"point {exp['points'][np.argmin(valid)]} outside the validity region at "
+                f"degree {N} (set allow_out_of_validity to flag instead)")
+        if valid.any():   # every valid point at once, read in the order of the points
+            vals = zip(monic_at(model, N, zeta[valid]), normalized_at(model, N, zeta[valid]))
+        for z, v in zip(exp["points"], valid):
+            if v:
+                mv, nv = map(complex, next(vals))
                 results.append({"N": N, "point": _c2l(z), "valid": True,
                                 "monic": _c2l(mv), "normalized": _c2l(nv)})
                 rows.append([N, z.real, z.imag, 1, mv.real, mv.imag, nv.real, nv.imag])
@@ -295,13 +297,22 @@ def cmd_verify(cfg: dict, exp: dict, outdir: Path) -> int:
     pairs = [(N, kappa) for kappa in range(exp["kappa"] + 1) for N in exp["N"]]
     with stage("oracle-collar"):
         l2s = l2_discrepancies(model, polys, pairs)
-    rows = []
-    for (N, kappa), l2 in zip(pairs, l2s):
+    xs = model.coeffs.at(zeta0)[:exp["kappa"] + 1]   # X_0 .. X_kappa at the point
+    errors = {}
+    for N in exp["N"]:   # every order's pointwise and leading-coefficient errors
         check_valid(model, N, zeta, ok)
-        scale = monic_prefactor(model, N) * abs(positioning_factor(model, N, zeta0))
-        perr = abs(p0[N] / polys.kappa[N] - monic_at(model, N, zeta, order=kappa)[0]) / scale
-        krel = abs(leading_coeff(model, N, kappa) / polys.kappa[N] - 1.0)
-        rows.append([N, kappa, perr, float(l2), krel])
+        prefactor = monic_prefactor(model, N)
+        factor = positioning_factor(model, N, zeta)[0]
+        with np.errstate(over="ignore", invalid="ignore"):   # monic_at's formula, all orders
+            monic = prefactor * (factor * np.cumsum(float(N) ** -np.arange(xs.size) * xs))
+        _require_finite(monic, "monic polynomial", N, zeta)
+        perr = np.abs(p0[N] / polys.kappa[N] - monic) / (prefactor * abs(factor))
+        for kappa in range(exp["kappa"] + 1):
+            kappa_N = normalized_scale(model, N, kappa) / prefactor   # leading_coeff's formula
+            krel = abs(kappa_N / polys.kappa[N] - 1.0)
+            errors[N, kappa] = (float(perr[kappa]), krel)
+    rows = [[N, kappa, errors[N, kappa][0], float(l2), errors[N, kappa][1]]
+            for (N, kappa), l2 in zip(pairs, l2s)]
 
     slopes = {}
     passed = True
@@ -360,14 +371,14 @@ def cmd_distributional(cfg: dict, exp: dict, outdir: Path) -> int:
         raise ConfigError("distributional needs a nonempty N list")
     model = _build(cfg, exp["kappa"])
     split = _test_function(cfg)
-    vals = [distributional_expectation(model, split, N, order=exp["kappa"]) for N in exp["N"]]
+    vals = distributional_expectations(model, split, exp["N"], order=exp["kappa"])
     N_max = max(exp["N"])
     polys = _oracle_for(model, N_max)
     with stage("oracle-collar"):
         ovs = berezin_expectations(model, polys, split.terms, exp["N"])
     rows = []
     for N, val, ov in zip(exp["N"], vals, ovs):
-        ov = complex(ov)
+        val, ov = complex(val), complex(ov)
         rows.append([N, val.real, val.imag, ov.real, ov.imag, abs(val - ov)])
     term_table = [{"nu": idx[0], "j": idx[1], "k": idx[2], "value": _c2l(v)}
                   for idx, v in distributional_terms(model, split, max(exp["N"]),

@@ -25,6 +25,7 @@ beyond the table's bandwidth are exactly 0, so a request takes the jet of
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -77,6 +78,33 @@ def split_test_function(g: AnnulusSeries) -> TestFunctionSplit:
     return TestFunctionSplit(g.terms())
 
 
+def _boundary_terms(model: ExpansionModel, split: TestFunctionSplit, degrees: list,
+                    order: int) -> list:
+    """For each of ``degrees``, the per-index contributions of
+    :func:`distributional_terms`, from one contraction of the jet of ``g_0``
+    with the moment table."""
+    if order > model.order:
+        raise ValueError("requested order exceeds the model order")
+    if order < 1:
+        return [[] for _ in degrees]
+    B = model.norm.moments
+    C = (B.shape[-1] - 1) // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        jet = split.zero_jet(order, C)
+        pair = np.einsum("vp,jkmp->vjkm", jet[1:, ::-1], B)
+    out = []
+    for N in degrees:
+        terms = []
+        for nu in range(1, order + 1):
+            w = [math.comb(nu + mu, nu) * float(N) ** (-mu) for mu in range(order - nu + 1)]
+            for j in range(order - nu + 1):
+                for k in range(order - nu - j + 1):
+                    val = float(N) ** (-(nu + j + k)) * (pair[nu - 1, j, k, :order - nu + 1] @ w)
+                    terms.append(((nu, j, k), complex(val)))
+        out.append(terms)
+    return out
+
+
 def distributional_terms(model: ExpansionModel, split: TestFunctionSplit, N: int,
                          order: int | None = None) -> list:
     """Per-index contributions ``((nu, j, k), value)`` of the boundary sum,
@@ -85,44 +113,43 @@ def distributional_terms(model: ExpansionModel, split: TestFunctionSplit, N: int
     pair[nu, j, k, mu]``, where ``pair[nu, j, k, mu] = sum_p jet[nu, p]
     B[j, k, mu, -p]`` pairs the jet of ``g_0`` with the moment table ``B`` at
     the table's bandwidth."""
-    order = model.order if order is None else order
-    if order > model.order:
-        raise ValueError("requested order exceeds the model order")
-    if order < 1:
-        return []
-    B = model.norm.moments
-    C = (B.shape[-1] - 1) // 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        jet = split.zero_jet(order, C)
-        pair = np.einsum("vp,jkmp->vjkm", jet[1:, ::-1], B)
-    terms = []
-    for nu in range(1, order + 1):
-        w = [math.comb(nu + mu, nu) * float(N) ** (-mu) for mu in range(order - nu + 1)]
-        for j in range(order - nu + 1):
-            for k in range(order - nu - j + 1):
-                val = float(N) ** (-(nu + j + k)) * (pair[nu - 1, j, k, :order - nu + 1] @ w)
-                terms.append(((nu, j, k), complex(val)))
-    return terms
+    return _boundary_terms(model, split, [N], model.order if order is None else order)[0]
 
 
-def distributional_expectation(model: ExpansionModel, split: TestFunctionSplit, N: int,
-                               order: int | None = None) -> complex:
-    """Boundary expansion of ``int G |P_N|^2 omega dA``.
+def distributional_expectations(model: ExpansionModel, split: TestFunctionSplit, degrees,
+                                order: int | None = None) -> np.ndarray:
+    """Boundary expansion of ``int G |P_N|^2 omega dA`` for each ``N`` in
+    ``degrees``, from one contraction of the jet with the moment table.
 
     Returns ``g_+(inf) + D_N^2 * sum over (nu, j, k) with nu >= 1,
     nu+j+k <= order`` of ``N^-(nu+j+k)`` times the circle integral of
     ``(-(r d/dr)/2)^nu g_0`` against the weighted boundary operator applied to
     ``X_j conj(X_k)``; ``g_-`` has no constant mode, so it vanishes at
-    infinity.  Raises :class:`OutOfValidityError` below ``N_MIN`` and
-    :class:`NonFiniteError` where the sum leaves the float range.
+    infinity.  Raises :class:`OutOfValidityError` for a degree below ``N_MIN``
+    and :class:`NonFiniteError`, naming the first such degree, where the sum
+    leaves the float range.
     """
-    _require_degree(N)
+    return np.array(_expectations(model, split, list(degrees), order), dtype=np.complex128)
+
+
+def distributional_expectation(model: ExpansionModel, split: TestFunctionSplit, N: int,
+                               order: int | None = None) -> complex:
+    """:func:`distributional_expectations` at the one degree ``N``."""
+    return _expectations(model, split, [N], order)[0]
+
+
+def _expectations(model: ExpansionModel, split: TestFunctionSplit, degrees: list,
+                  order: int | None) -> list:
+    for N in degrees:
+        _require_degree(N)
     order = model.order if order is None else order
-    terms = distributional_terms(model, split, N, order)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = (split.plus_infinity
-                 + model.norm.factor(N, order) ** 2 * sum(v for _, v in terms))
-    if not np.isfinite(total):
-        raise NonFiniteError(f"boundary expansion of the test function out of float range "
-                             f"at degree {N}")
-    return complex(total)
+    out = []
+    for N, terms in zip(degrees, _boundary_terms(model, split, degrees, order)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = (split.plus_infinity
+                     + model.norm.factor(N, order) ** 2 * sum(v for _, v in terms))
+        if not cmath.isfinite(total):
+            raise NonFiniteError(f"boundary expansion of the test function out of float "
+                                 f"range at degree {N}")
+        out.append(complex(total))
+    return out

@@ -7,11 +7,12 @@ Horner's scheme in ``1/zeta``.  The forward map ``phi`` is obtained by Newton
 inversion seeded at the exterior root of the Joukowski part
 ``cap*zeta + a_0 + a_1/zeta`` (the exact inverse of a disk or an ellipse),
 or on the unit circle where that root lies below the univalence margin or is
-not finite; a point freezes once it has converged.  A weight
-is a strictly positive function on the closure of the domain whose logarithm
-is harmonic near the boundary; its pullback is
-``log(omega(psi(zeta))) = h + conj(h)`` with a Laurent series ``h``, carried as
-a :class:`~planorth.series.CircleSeries`.
+not finite (on a longer tail, a point seeded there that fails is run again
+from that root); a point freezes once it has converged.  A weight is a
+strictly positive function on the closure of the domain whose logarithm is
+harmonic near the boundary; its pullback is ``log(omega(psi(zeta))) = h +
+conj(h)`` with a Laurent series ``h``, carried as a
+:class:`~planorth.series.CircleSeries`.
 
 From the pullback we build the boundary outer function ``V`` (holomorphic on
 the exterior, real at infinity, with ``2 Re V = -log omega`` on the boundary)
@@ -156,32 +157,61 @@ def map_forward(m: ExteriorMap, z):
 def map_forward_many(m: ExteriorMap, zs: np.ndarray):
     """Vectorized :func:`map_forward`; returns ``(zeta, ok_mask)`` without raising.
 
-    Newton starts at :func:`_newton_seed`: the exterior root of the Joukowski
-    part ``cap zeta + a_0 + a_1 / zeta``, so a disk or an ellipse passes the
-    first residual test, or the unit circle at angle ``arg(z - a_0)`` where
-    that root lies below the univalence margin or is not finite for a finite
-    ``z``.  Each Newton step takes ``psi`` and ``psi'`` from one Horner pass in
-    ``1/zeta``.  A point freezes at the first iterate whose residual
-    ``|psi(zeta) - z|`` is at most ``NEWTON_TOL * max(1, |z|)``; a point whose
-    residual is not finite (a non-finite input, say) drops out too; every
-    step runs on the whole batch, whose points converge together for the
-    batches the evaluators map.  Two safeguards guard a step, and each runs
-    only when some point of the batch trips it: where ``|psi'| < 1e-14`` the
-    step divides by one instead (and the point is marked failed), and a step
-    longer than ``0.5 * max(1, |zeta|)`` is cut to that length (looked at only
-    when some step exceeds 0.5, the least such cap).  The gates compare and
-    test ``.any()``, so a NaN point in the batch does not hide the others, and
-    the iterates are those of safeguards applied at every step.  ``ok`` is
-    false where ``psi'`` nearly vanished at a step, where the final residual
-    exceeds ``1e-10 * max(1, |z|)`` or where ``|zeta|`` is not above the
-    univalence margin.
+    A non-finite point drops out at once (``zeta`` NaN, ``ok`` false).  Newton
+    starts at :func:`_newton_seed`: the exterior root of the Joukowski part
+    ``cap zeta + a_0 + a_1 / zeta``, so a disk or an ellipse passes the first
+    residual test, or the unit circle at angle ``arg(z - a_0)`` where that
+    root lies below the univalence margin or is not finite.  On a map whose
+    tail goes past ``1/zeta``, a point seeded on the circle that ends not
+    ``ok`` is run again from its Joukowski root and takes that run's result
+    where it is ``ok``: from the circle, Newton can reach a second preimage
+    below the margin.  A batch whose every point is ``ok`` after the first run
+    is not run again.  See :func:`_newton` for the iteration, its safeguards
+    and ``ok``.
     """
     zs = np.asarray(zs, dtype=np.complex128)
     z = zs.ravel()
-    zeta = _newton_seed(m, z)
+    finite = np.isfinite(z)
+    if finite.all():
+        zeta, ok = _newton(m, z, _newton_seed(m, z))
+    else:
+        zeta, ok = np.full(z.shape, np.nan, dtype=np.complex128), finite.copy()
+        zeta[finite], ok[finite] = _newton(m, z[finite], _newton_seed(m, z[finite]))
+    # the Joukowski root is the exact inverse of a map whose tail stops at
+    # 1/zeta, so only a longer tail can have a point worth the second run
+    if len(m.tail) > 2 and not ok.all():
+        again = np.flatnonzero(~ok & finite)
+        root = _joukowski_root(m, z[again])
+        circle = np.isfinite(root) & (np.abs(root) < m.univalence_margin)
+        again, root = again[circle], root[circle]
+        if again.size:
+            retry, fine = _newton(m, z[again], root)
+            zeta[again[fine]], ok[again[fine]] = retry[fine], True
+    return zeta.reshape(zs.shape), ok.reshape(zs.shape)
+
+
+def _newton(m: ExteriorMap, z: np.ndarray, zeta: np.ndarray):
+    """Newton's method for ``psi(zeta) = z`` from the iterates ``zeta``:
+    ``(zeta, ok)``.
+
+    Each step takes ``psi`` and ``psi'`` from one Horner pass in ``1/zeta``.
+    A point freezes at the first iterate whose residual ``|psi(zeta) - z|``
+    is at most ``NEWTON_TOL * max(1, |z|)``; every step runs on the whole
+    batch, whose points converge together for the batches the evaluators
+    map.  Two safeguards guard a step, and each runs only when some point of
+    the batch trips it: where ``|psi'| < 1e-14`` the step divides by one
+    instead (and the point is marked failed), and a step longer than ``0.5 *
+    max(1, |zeta|)`` is cut to that length (looked at only when some step
+    exceeds 0.5, the least such cap).  The gates compare and test ``.any()``,
+    so a NaN iterate in the batch does not hide the others, and the iterates
+    are those of safeguards applied at every step.  ``ok`` is false where
+    ``psi'`` nearly vanished at a step, where the final residual exceeds
+    ``1e-10 * max(1, |z|)`` or where ``|zeta|`` is not above the univalence
+    margin.
+    """
     scale = np.maximum(1.0, np.abs(z))
-    ok = np.ones(z.shape, dtype=bool)
     tol = NEWTON_TOL * scale
+    flat = None   # where psi' nearly vanished at some step
     for it in range(NEWTON_MAXITER + 1):
         p, dp = m.psi_and_prime(zeta)
         r = p - z
@@ -193,7 +223,7 @@ def map_forward_many(m: ExteriorMap, zs: np.ndarray):
         # gate by comparison and .any(): a NaN in min/max would hide every other point
         bad = np.abs(dp) < 1e-14
         if bad.any():
-            ok &= ~bad
+            flat = bad if flat is None else flat | bad
             dp = np.where(bad, 1.0, dp)
         step = r / dp
         slen = np.abs(step)
@@ -203,37 +233,39 @@ def map_forward_many(m: ExteriorMap, zs: np.ndarray):
             step = np.where(slen > cap_len, step * cap_len / slen, step)
         step[~live] = 0.0   # converged points keep their iterate
         zeta = zeta - step
-    ok &= ar <= 1e-10 * scale
-    ok &= np.abs(zeta) > m.univalence_margin
-    return zeta.reshape(zs.shape), ok.reshape(zs.shape)
+    ok = (ar <= 1e-10 * scale) & (np.abs(zeta) > m.univalence_margin)
+    if flat is not None:
+        ok &= ~flat
+    return zeta, ok
 
 
-def _newton_seed(m: ExteriorMap, z: np.ndarray) -> np.ndarray:
-    """Starting iterates of :func:`map_forward_many` at the points ``z``.
-
-    The seed is the exterior root of the map's Joukowski part
-    ``cap zeta + a_0 + a_1 / zeta = z``: with ``w = z - a_0`` it is
-    ``w / (2 cap) * (1 + sqrt(1 - 4 cap a_1 / w / w))``, or ``w / cap`` when
-    ``a_1 = 0``.  The principal square root has a non-negative real part, so
-    this is the root of larger modulus, and no ``w * w`` is formed that could
-    overflow.  It is the exact inverse of every disk and ellipse.  Where the
-    seed lies below the univalence margin, or is not finite for a finite
-    ``z`` (the centre ``z = a_0``), it is replaced by the point of the unit
-    circle at angle ``arg w``.
-    """
+def _joukowski_root(m: ExteriorMap, z: np.ndarray) -> np.ndarray:
+    """The exterior root of the map's Joukowski part ``cap zeta + a_0 + a_1 /
+    zeta = z``: with ``w = z - a_0`` it is ``w / (2 cap) * (1 + sqrt(1 - 4 cap
+    a_1 / w / w))``, or ``w / cap`` when ``a_1 = 0``.  The principal square
+    root has a non-negative real part, so this is the root of larger modulus,
+    and no ``w * w`` is formed that could overflow.  It is the exact inverse of
+    every disk and ellipse; ``w = 0``, or a tiny ``w`` that sends ``4 cap a_1 /
+    w / w`` past the float range, gives a non-finite root."""
     a0 = m.tail[0] if len(m.tail) else 0.0
     a1 = m.tail[1] if len(m.tail) > 1 else 0.0
     w = z - a0
-    # w = 0, or a tiny w that sends 4 cap a_1 / w / w past the float range,
-    # gives a non-finite seed, which the fallback replaces
     with np.errstate(all="ignore"):
         if a1 == 0:
-            seed = w / m.cap
-        else:
-            seed = w / (2.0 * m.cap) * (1.0 + np.sqrt(1.0 - 4.0 * m.cap * a1 / w / w))
-        low = (np.abs(seed) < m.univalence_margin) | (~np.isfinite(seed) & np.isfinite(z))
+            return w / m.cap
+        return w / (2.0 * m.cap) * (1.0 + np.sqrt(1.0 - 4.0 * m.cap * a1 / w / w))
+
+
+def _newton_seed(m: ExteriorMap, z: np.ndarray) -> np.ndarray:
+    """Starting iterates of :func:`map_forward_many` at the points ``z``: the
+    :func:`_joukowski_root`, replaced by the point of the unit circle at angle
+    ``arg(z - a_0)`` where it lies below the univalence margin or is not
+    finite (the centre ``z = a_0``)."""
+    seed = _joukowski_root(m, z)
+    low = (np.abs(seed) < m.univalence_margin) | ~np.isfinite(seed)
     if low.any():
-        seed = np.where(low, np.exp(1j * np.angle(w)), seed)
+        a0 = m.tail[0] if len(m.tail) else 0.0
+        seed = np.where(low, np.exp(1j * np.angle(z - a0)), seed)
     return seed
 
 

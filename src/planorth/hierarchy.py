@@ -22,24 +22,25 @@ included, is one-dimensional convolution at the circle bandwidth ``2M``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConsistencyError
 from .geometry import SzegoData
-from .series import CircleSeries, circle_from_modes, hardy_project, truncate
+from .series import CircleSeries, _horner, circle_from_modes, hardy_project, truncate
 
 
 @dataclass(frozen=True, eq=False)
 class HierarchyCoeffs:
     """Solved corrections ``X[0..order]``; ``X[0]`` is the constant one and
     every later entry is supported on modes ``k <= -1``.  All share one bandwidth
-    (that of ``F``), so :func:`neumann_partial_sum` is one weighted sum of
-    their stacked coefficients."""
+    (that of ``F``), so their coefficients are stored once as the rows of
+    ``stack`` and :func:`neumann_partial_sum` is one weighted sum of its rows."""
 
     order: int
     X: tuple
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.X) != self.order + 1:
@@ -47,6 +48,19 @@ class HierarchyCoeffs:
         widths = {x.bandwidth for x in self.X}
         if len(widths) > 1:
             raise ConsistencyError(f"corrections differ in bandwidth: {sorted(widths)}")
+        stack = np.stack([x.coeffs for x in self.X])
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+
+    def at(self, zeta: complex) -> np.ndarray:
+        """``X_0(zeta) .. X_order(zeta)`` at one point, each by Horner's scheme
+        in ``zeta`` (modes ``k >= 0``) and in ``1/zeta`` (modes ``k < 0``)."""
+        K = self.stack.shape[1] // 2
+        vals = _horner(self.stack[:, K:].T, zeta)
+        if K:
+            w = 1.0 / zeta
+            vals = vals + _horner(self.stack[:, K - 1::-1].T, w) * w
+        return vals
 
 
 def weighted_derivative(f: CircleSeries, szego: SzegoData) -> CircleSeries:
@@ -148,4 +162,4 @@ def neumann_partial_sum(coeffs: HierarchyCoeffs, N: float, order: int | None = N
     if not 0 <= order <= coeffs.order:
         raise ValueError("requested order must lie in [0, solved order]")
     weights = float(N) ** -np.arange(order + 1)
-    return CircleSeries(weights @ np.stack([x.coeffs for x in coeffs.X[:order + 1]]))
+    return CircleSeries(weights @ coeffs.stack[:order + 1])

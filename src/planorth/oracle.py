@@ -11,11 +11,14 @@ a conj(g e^P)``, so on ``z = psi(zeta)``, ``zeta = e^{i theta}``::
 
 :func:`boundary_onps` runs Arnoldi on ``L`` equispaced samples of
 ``|zeta| = 1``: each basis vector keeps its samples ``P_n o psi`` and the
-samples of its primitive ``B_n o psi``, and both are updated by the same
-Gram-Schmidt coefficients.  ``B_v o psi`` is the termwise primitive of the
-Laurent series ``(v e^P o psi) psi'``: mode ``k`` of ``(v e^P o psi) psi' zeta``
-divided by ``k``, one FFT pair per degree.  The same FFT checks the samples:
-the integrand's modes decay fast, so on samples that resolve it the outer
+modes ``c`` of ``(P_n e^P o psi) psi' zeta``, one forward FFT per degree, and
+both are updated by the same Gram-Schmidt coefficients in one stacked
+product.  ``B_v o psi`` is the termwise primitive of the Laurent series
+``(v e^P o psi) psi'``, whose mode ``k`` is ``c_k / k``, so by Parseval
+``<f, g> = sum_k c_k(f) conj(c_k(g)) / k``; the samples of the primitives,
+which the Gram gate and the collar rule read, come from one batched inverse
+FFT after the last degree.  The same FFT checks the samples: the
+integrand's modes decay fast, so on samples that resolve it the outer
 modes ``|k| >= 3L/8`` sit at the rounding floor of the largest (the test by
 which Aurentz and Trefethen chop a Chebyshev series).  Their share is the
 degree's ``tail``; the first degree whose tail exceeds ``TAIL_TOL`` stops the
@@ -36,12 +39,14 @@ and Parseval in the angle, the sum the trapezoid rule at the oracle's ``L``
 samples takes for integrands holomorphic on ``0 < |zeta| < inf`` (Trefethen
 and Weideman, SIAM Rev. 2014).  The weight ``|G|^2``, ``G = psi' e^(P o
 psi)``, folds into ``G P_N``, the exact convolution of the kept modes of
-``P_N o psi`` and ``G``, so a degree or order costs ``O(modes)``.  Inside
-``|phi| < rho1`` a Stokes integral on ``psi(rho1 S^1)`` takes over.  Each
-degree is checked before use: that inner part plus the collar's
-``||P_N||^2`` is 1 to ``COLLAR_TOL``; where it is not (``r^k`` amplifies the
-noise modes of high degrees, from ``N`` near 300 on the presets),
-:class:`DegreeTooHighError` is raised rather than a wrong integral returned.
+``P_N o psi`` and ``G``, so a degree or order costs ``O(modes)``; the
+degrees of a request share one forward FFT, one inverse FFT and one table of
+radial moments.  Inside ``|phi| < rho1`` a Stokes integral on ``psi(rho1
+S^1)`` takes over.  Each degree is checked before use: that inner part plus
+the collar's ``||P_N||^2`` is 1 to ``COLLAR_TOL``; where it is not (``r^k``
+amplifies the noise modes of high degrees, from ``N`` near 300 on the
+presets), :class:`DegreeTooHighError` is raised rather than a wrong integral
+returned.
 """
 
 from __future__ import annotations
@@ -100,27 +105,40 @@ class BoundaryRule:
 
     @cached_property
     def _inverse_modes(self) -> np.ndarray:
-        """``1/k`` at the FFT bin of each signed mode ``k``, 0 at ``k = 0``."""
+        """``1/k`` at the FFT bin of each signed mode ``k``, 0 at ``k = 0``, as
+        complex numbers (a product with complex modes then needs no cast)."""
         k = np.fft.fftfreq(self.L, 1.0 / self.L)
         k[0] = np.inf
-        return 1.0 / k
+        return (1.0 / k).astype(np.complex128)
 
-    def primitive(self, v: np.ndarray):
-        """Samples of ``B o psi`` with ``B' = v e^P`` for the polynomial sampled as
-        ``v`` (its constant mode set to zero), and the tail: the largest ``|c_k|``
-        with ``|k| >= 3L/8`` over the largest ``|c_k|``, ``c`` the modes of
-        ``(v e^P o psi) psi' zeta``; at the rounding floor when the samples
-        resolve it."""
-        c = np.fft.fft(v * self._e_p_dz, norm="forward")
+    @cached_property
+    def _e_p_dz_mean(self) -> np.ndarray:
+        """``e_p dz / L``: the forward FFT of its product with samples is their
+        modes, the normalization folded in."""
+        return self._e_p_dz / self.L
+
+    def modes(self, v: np.ndarray, c: np.ndarray) -> float:
+        """Write into ``c`` the modes of ``(v e^P o psi) psi' zeta`` for the
+        polynomial sampled as ``v`` (in place: no array is allocated), and return
+        the tail: the largest ``|c_k|`` with ``|k| >= 3L/8`` over the largest
+        ``|c_k|``; at the rounding floor when the samples resolve it."""
+        np.multiply(v, self._e_p_dz_mean, out=c)
+        np.fft.fft(c, out=c)
         a = np.abs(c)
         L = self.L
-        tail = np.max(a[3 * L // 8:L - 3 * L // 8 + 1]) / np.max(a)
-        return np.fft.ifft(c * self._inverse_modes, norm="forward"), float(tail)
+        return float(a[3 * L // 8:L - 3 * L // 8 + 1].max() / a.max())
 
-    def inner(self, v: np.ndarray, primitives: np.ndarray) -> np.ndarray:
-        """``<v, g>`` for the polynomial sampled as ``v`` against every ``g``
-        whose primitive is sampled in a column of ``primitives``."""
-        return np.conj(np.conj(v * self._e_p_dz) @ primitives) / self.L
+    def inner(self, c: np.ndarray, modes: np.ndarray) -> np.ndarray:
+        """``<v, g>`` for the polynomial ``v`` whose :meth:`modes` are ``c`` against
+        every ``g`` whose modes are a column of ``modes``: by Parseval,
+        ``sum_k c_k conj(c'_k) / k``, as mode ``k`` of the primitive ``B_g o psi``
+        is ``c'_k / k``."""
+        return ((c * self._inverse_modes).conj() @ modes).conj()
+
+    def primitives(self, modes: np.ndarray) -> np.ndarray:
+        """Samples of ``B o psi``, ``B' = v e^P``, for the polynomials ``v`` whose
+        modes are the columns of ``modes`` (the constant mode of ``B`` zero)."""
+        return np.fft.ifft(modes * self._inverse_modes[:, None], axis=0, norm="forward")
 
 
 def boundary_rule(m: ExteriorMap, holo_poly, L: int) -> BoundaryRule:
@@ -239,43 +257,42 @@ def _circle_arnoldi(rule: BoundaryRule, N: int) -> OraclePolynomials | str:
     deviation, or the reason the samples do not resolve the integrand, from the
     first degree whose tail exceeds ``TAIL_TOL``."""
     L = rule.L
-    Q = np.empty((L, N + 1), dtype=np.complex128, order="F")
-    B = np.empty((L, N + 1), dtype=np.complex128, order="F")
+    QC = np.empty((2 * L, N + 1), dtype=np.complex128, order="F")  # Q_n samples over modes
     hess = np.zeros((N + 1, N), dtype=np.complex128)
     log_kappa = np.empty(N + 1, dtype=float)
-    one = np.ones(L, dtype=np.complex128)
-    b, worst = rule.primitive(one)
+    QC[:L, 0] = 1.0
+    worst = rule.modes(QC[:L, 0], QC[L:, 0])
     if worst > TAIL_TOL:
         return f"tail {worst:.1e} above {TAIL_TOL:.0e} at degree 0"
-    mass = float(rule.inner(one, b[:, None])[0].real)
+    mass = float(rule.inner(QC[L:, 0], QC[L:, :1])[0].real)
     if not mass > 0:
         raise DegreeTooHighError(f"boundary mass {mass:.3e} is not positive")
-    Q[:, 0], B[:, 0] = one / math.sqrt(mass), b / math.sqrt(mass)
+    QC[:, 0] /= math.sqrt(mass)
     log_kappa[0] = -0.5 * math.log(mass)
     for n in range(1, N + 1):
-        v = rule.nodes * Q[:, n - 1]
-        b, tail = rule.primitive(v)
+        qc = QC[:, n]   # z Q_{n-1} and its modes, orthogonalized in place
+        np.multiply(rule.nodes, QC[:L, n - 1], out=qc[:L])
+        tail = rule.modes(qc[:L], qc[L:])
         if tail > TAIL_TOL:
             return f"tail {tail:.1e} above {TAIL_TOL:.0e} at degree {n}"
         worst = max(worst, tail)
-        h = np.zeros(n, dtype=np.complex128)
-        sq = rule.inner(v, b[:, None])[0].real
-        for _ in range(2):  # classical Gram-Schmidt, repeated once on heavy cancellation
+        sq = rule.inner(qc[L:], qc[L:, None])[0].real
+        for again in range(2):  # classical Gram-Schmidt, repeated once on heavy cancellation
             before = sq
-            proj = rule.inner(v, B[:, :n])
-            v = v - Q[:, :n] @ proj
-            b = b - B[:, :n] @ proj
-            h += proj
-            sq = rule.inner(v, b[:, None])[0].real
+            proj = rule.inner(qc[L:], QC[L:, :n])
+            qc -= QC[:, :n] @ proj
+            h = h + proj if again else proj
+            sq = rule.inner(qc[L:], qc[L:, None])[0].real
             if sq > before / 2:
                 break
-        if not (sq > 0 and np.isfinite(sq)):
+        if not (sq > 0 and math.isfinite(sq)):
             raise DegreeTooHighError(f"breakdown at degree {n}: residual norm^2 {sq:.3e}")
         nrm = math.sqrt(sq)
-        Q[:, n], B[:, n] = v / nrm, b / nrm
+        qc /= nrm
         hess[:n, n - 1] = h
         hess[n, n - 1] = nrm
         log_kappa[n] = log_kappa[n - 1] - math.log(nrm)
+    Q, B = QC[:L], rule.primitives(QC[L:])
     gram = (np.conj(B).T @ (Q * rule._e_p_dz[:, None])) / L
     residuals = _gram_residuals(gram, L)
     health = {"kind": "boundary", "L": L, "tail": worst,
@@ -324,14 +341,21 @@ def smoothstep(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def _modes(samples: np.ndarray):
-    """Lowest mode ``k0`` and modes ``k0, k0 + 1, ...`` (in ``(-L/2, L/2]``) of Laurent
-    polynomials sampled along the last axis at the circle points, with those below
-    ``CHOP`` times their row's largest zeroed: scaled by ``r^k``, their roundoff would grow."""
-    L = samples.shape[-1]
+def _chopped(samples: np.ndarray) -> np.ndarray:
+    """Modes, in FFT order, of Laurent polynomials sampled along the last axis
+    at the circle points, with those below ``CHOP`` times their row's largest
+    zeroed: scaled by ``r^k``, their roundoff would grow."""
     c = np.fft.fft(samples, norm="forward")
-    c = np.concatenate((c[..., L // 2 + 1:], c[..., :L // 2 + 1]), axis=-1)
     c[np.abs(c) < CHOP * np.max(np.abs(c), axis=-1, keepdims=True)] = 0.0
+    return c
+
+
+def _modes(samples: np.ndarray):
+    """Lowest mode ``k0`` and modes ``k0, k0 + 1, ...`` (in ``(-L/2, L/2]``) of
+    :func:`_chopped`, over the span of the modes it keeps."""
+    L = samples.shape[-1]
+    c = _chopped(samples)
+    c = np.concatenate((c[..., L // 2 + 1:], c[..., :L // 2 + 1]), axis=-1)
     kept = np.flatnonzero(np.any(c.reshape(-1, L), axis=0))
     return int(kept[0]) + 1 - L // 2, c[..., kept[0]:kept[-1] + 1]
 
@@ -377,33 +401,53 @@ def _collar(model: ExpansionModel, polys: OraclePolynomials) -> _Collar:
                    rim)
 
 
-def _inner_part(polys: OraclePolynomials, collar: _Collar, N: int) -> float:
-    """``int |P_N|^2 omega dA / pi`` over ``|phi| < rho1`` by Stokes on
-    ``psi(rho1 S^1)``: ``P_N`` and its primitive ``B_N`` from their modes."""
-    k0, c = _modes(np.array([polys.basis[:, N], polys.primitive[:, N]]))
-    k = np.arange(k0, k0 + c.shape[1])
-    spec = np.zeros((2, polys.rule.L), dtype=np.complex128)
-    spec[:, k] = c * collar.rho1 ** k   # mode k on the circle of radius rho1
-    p, b = np.fft.ifft(spec, norm="forward")
-    return float(np.mean(p * collar.rim * np.conj(b)).real)
+def _on_collar(polys: OraclePolynomials, collar: _Collar, Ns: list, reach):
+    """What the collar rule needs of the distinct degrees ``Ns``, from one
+    forward FFT of the stacked samples of every ``P_N`` and ``B_N``.
 
-
-def _on_collar(polys: OraclePolynomials, collar: _Collar, N: int):
-    """Lowest mode ``k0`` and modes ``alpha`` of ``G (P_N o psi)`` by exact convolution,
-    and :func:`_inner_part`, once ``||P_N||^2 = inner + sum_k |alpha_k|^2 sum_i w_i
-    r_i^(2k)`` is 1 to ``COLLAR_TOL``: else the modes, scaled by ``r^k``, have
-    lost ``P_N`` and :class:`DegreeTooHighError` is raised."""
-    (k0, p), (g0, g) = _modes(polys.basis[:, N]), polys.rule._frame_modes
-    alpha = np.convolve(p, g)
+    The lowest mode ``k0`` and modes ``alpha`` of ``G (P_N o psi)`` are the
+    exact convolution of the chopped modes of ``P_N o psi`` and ``G``.  The
+    inner part ``int |P_N|^2 omega dA / pi`` over ``|phi| < rho1`` is Stokes
+    on ``psi(rho1 S^1)`` from the modes of ``P_N`` and ``B_N`` scaled to that
+    circle, one inverse FFT for every degree.  One table ``(ks, s, m, m1)``,
+    :meth:`_Collar.moments` over the sorted union ``ks`` of the modes of every
+    ``alpha`` and of the ranges ``reach(N, k0, alpha.size)`` the caller reads,
+    with its row sums ``m1``, serves every degree.  Each degree, in order, is
+    checked: unless ``||P_N||^2 = inner + sum_k |alpha_k|^2 sum_i w_i
+    r_i^(2k)`` is 1 to ``COLLAR_TOL``, the modes, scaled by ``r^k``, have lost
+    ``P_N`` and :class:`DegreeTooHighError` names the first such degree.
+    Returns ``{N: (k0, alpha, inner)}`` and the table."""
+    rule = polys.rule
+    L, n = rule.L, len(Ns)
+    g0, g = rule._frame_modes
+    f = _chopped(np.concatenate((polys.basis[:, Ns], polys.primitive[:, Ns]), axis=1).T)
+    degrees, ranges = {}, []
     with np.errstate(over="ignore", invalid="ignore"):   # lost modes may overflow
-        inner = _inner_part(polys, collar, N)
-        s, m = collar.moments(np.arange(k0 + g0, k0 + g0 + alpha.size))
-        deviation = abs(inner + float(np.exp(s) * np.sum(m, axis=1) @ np.abs(alpha) ** 2) - 1.0)
-    if not deviation <= COLLAR_TOL:   # NaN fails too
-        raise DegreeTooHighError(
-            f"collar rule reads ||P_N||^2 - 1 = {deviation:.3e} at N = {N} "
-            f"(L = {polys.rule.L}), above {COLLAR_TOL:.0e}")
-    return k0 + g0, alpha, inner
+        # mode k on the circle |zeta| = rho1, where it is kept
+        pb = np.fft.ifft(np.where(f != 0, f * collar.rho1 ** np.fft.fftfreq(L, 1.0 / L), 0.0),
+                         norm="forward")
+        inner = np.mean(pb[:n] * collar.rim * np.conj(pb[n:]), axis=1).real
+        p = np.concatenate((f[:n, L // 2 + 1:], f[:n, :L // 2 + 1]), axis=1)   # from -L/2 + 1
+        kept = p != 0
+        first, last = kept.argmax(axis=1), L - kept[:, ::-1].argmax(axis=1)
+        for i, N in enumerate(Ns):
+            alpha = np.convolve(p[i, first[i]:last[i]], g)
+            k0 = int(first[i]) + 1 - L // 2 + g0
+            degrees[N] = (k0, alpha)
+            ranges += [(k0, k0 + alpha.size), *reach(N, k0, alpha.size)]
+        ks = np.unique(np.concatenate([np.arange(lo, hi) for lo, hi in ranges] or [[]]))
+        s, m = collar.moments(ks)
+        m1 = np.sum(m, axis=1)
+        for i, (N, (k0, alpha)) in enumerate(degrees.items()):
+            j = np.searchsorted(ks, k0)
+            norm = inner[i] + float(np.exp(s[j:j + alpha.size]) * m1[j:j + alpha.size]
+                                    @ np.abs(alpha) ** 2)
+            if not abs(norm - 1.0) <= COLLAR_TOL:   # NaN fails too
+                raise DegreeTooHighError(
+                    f"collar rule reads ||P_N||^2 - 1 = {abs(norm - 1.0):.3e} at N = {N} "
+                    f"(L = {L}), above {COLLAR_TOL:.0e}")
+            degrees[N] += (float(inner[i]),)
+    return degrees, (ks, s, m, m1)
 
 
 def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs) -> np.ndarray:
@@ -427,24 +471,30 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs) -> 
     zeta, rest = polys.rule.zeta, collar.rest
     frame = polys.rule.e_p * np.exp(model.szego.v_exterior.evaluate(zeta))
     b0, beta = _modes(frame * np.array([x.evaluate(zeta) for x in model.coeffs.X]))
+
+    def span(N, a0, n):   # the modes of alpha and of the shifted beta
+        return [(min(a0, b0 + N), max(a0 + n, b0 + N + beta.shape[1]))]
+
+    degrees, (ks, s, m, m1) = _on_collar(polys, collar, list(dict.fromkeys(N for N, _ in pairs)),
+                                         span)
+    scale_k, u = np.exp(s), np.sum(m * rest, axis=1) / m1
+    spread = np.sum(m * (rest - u[:, None]) ** 2, axis=1)
     per_degree = {}
+    for N, (a0, alpha, inner) in degrees.items():   # alpha and every order's sum of beta
+        (lo, hi), = span(N, a0, alpha.size)
+        a = np.zeros(hi - lo, dtype=np.complex128)
+        a[a0 - lo:a0 - lo + alpha.size] = alpha
+        sums = np.zeros((beta.shape[0], hi - lo), dtype=np.complex128)
+        sums[:, b0 + N - lo:b0 + N - lo + beta.shape[1]] = np.cumsum(
+            float(N) ** -np.arange(beta.shape[0])[:, None] * beta, axis=0)
+        j = np.searchsorted(ks, lo)
+        per_degree[N] = (slice(j, j + hi - lo), a, sums, inner)
     out = np.empty(len(pairs))
     for i, (N, order) in enumerate(pairs):
-        if N not in per_degree:   # the degree's modes and the moments on their span
-            a0, alpha, inner = _on_collar(polys, collar, N)
-            lo, hi = min(a0, b0 + N), max(a0 + alpha.size, b0 + N + beta.shape[1])
-            s, m = collar.moments(np.arange(lo, hi))
-            m1 = np.sum(m, axis=1)
-            u = m @ rest / m1
-            a = np.concatenate((np.zeros(a0 - lo), alpha, np.zeros(hi - a0 - alpha.size)))
-            per_degree[N] = (lo, hi, a, np.exp(s), m1, u,
-                             np.sum(m * (rest - u[:, None]) ** 2, axis=1), inner)
-        lo, hi, a, scale_k, m1, u, spread, inner = per_degree[N]
-        order = model.order if order is None else order
-        b = scales[i] * (float(N) ** -np.arange(order + 1.0)) @ beta[:order + 1]
-        b = np.concatenate((np.zeros(b0 + N - lo), b, np.zeros(hi - b0 - N - b.size)))
-        q = m1 * np.abs(a - b + u * b) ** 2 + spread * np.abs(b) ** 2
-        out[i] = math.sqrt(abs(inner + float(scale_k @ q)))
+        at, a, sums, inner = per_degree[N]
+        b = scales[i] * sums[model.order if order is None else order]
+        q = m1[at] * np.abs(a - b + u[at] * b) ** 2 + spread[at] * np.abs(b) ** 2
+        out[i] = math.sqrt(abs(inner + float(scale_k[at] @ q)))
     return out
 
 
@@ -456,7 +506,7 @@ def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, terms,
     cutoff tapers it to zero deep inside the domain, so the integral lives on
     the collar.  With the modes ``alpha`` of ``G P_N`` (:func:`_on_collar`) it
     is ``sum_t c_t sum_k alpha_k conj(alpha_(k + m - n)) M(k + m)``, ``M(j) =
-    sum_i w_i chi_i r_i^(2j)`` from one table per call; a term whose ``|m -
+    sum_i w_i chi_i r_i^(2j)`` from the one table of the call; a term whose ``|m -
     n|`` reaches the span of ``alpha`` gives exactly 0.  Raises
     :class:`NonFiniteError` where a moment or a sum leaves the float range,
     and :class:`DegreeTooHighError` for a degree the collar rule cannot hold."""
@@ -466,21 +516,31 @@ def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, terms,
     collar = _collar(model, polys)
     diff, total, c = terms
     m_t = (total + diff) // 2   # the products alpha_k conj(alpha_(k + m - n)) take M(k + m)
-    live = []   # (degree, term, its modes, offset of its first product, products, first j)
-    for i, N in enumerate(degrees):
-        k0, alpha, _ = _on_collar(polys, collar, N)
-        for t in np.flatnonzero(np.abs(diff) < alpha.size):
-            lo = max(0, -diff[t])
-            live.append((i, t, alpha, lo, alpha.size - abs(diff[t]), k0 + lo + m_t[t]))
-    js = np.unique(np.concatenate([np.arange(j, j + n) for *_, n, j in live] or [[]]))
+
+    def live(k0, n):   # terms, offsets of their first products, products, first j
+        t = np.flatnonzero(np.abs(diff) < n)
+        lo = np.maximum(0, -diff[t])
+        return t, lo, n - np.abs(diff[t]), k0 + lo + m_t[t]
+
+    def reach(N, k0, n):   # the moments the live terms read
+        _, _, size, j = live(k0, n)
+        return zip(j, j + size)
+
+    per_degree, (js, s, m, _) = _on_collar(polys, collar, list(dict.fromkeys(degrees)), reach)
     out = np.zeros(len(degrees), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        s, m = collar.moments(js)
-        moment = np.exp(s + np.log(m @ collar.chi))
-        for i, t, alpha, lo, n, j in live:
-            pair = alpha[lo:lo + n] * np.conj(alpha[lo + diff[t]:lo + diff[t] + n])
-            j = np.searchsorted(js, j)
-            out[i] += c[t] * np.sum(pair * moment[j:j + n])
+        moment = np.exp(s + np.log(np.sum(m * collar.chi, axis=1)))
+        for i, N in enumerate(degrees):   # every product of every live term at once
+            k0, alpha, _ = per_degree[N]
+            t, lo, n, j = live(k0, alpha.size)
+            if not t.size:
+                continue
+            start = np.cumsum(n) - n
+            at = np.arange(n.sum()) - np.repeat(start, n)   # place within its term
+            k = np.repeat(lo, n) + at
+            pairs = alpha[k] * np.conj(alpha[k + np.repeat(diff[t], n)])
+            pairs *= moment[np.searchsorted(js, np.repeat(j, n) + at)]
+            out[i] = np.sum(c[t] * np.add.reduceat(pairs, start))
     if not np.isfinite(out).all():
         raise NonFiniteError(f"test function out of float range on the collar rule "
                              f"(radii from {collar.radii[0]:.4g}, L = {polys.rule.L})")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import planorth
 from planorth import cli, geometry
 from planorth.errors import ConfigError, NonFiniteError
+from planorth.expansion import positioning_factor
 from planorth.kernels import off_spectral_point, offspectral_leading
 from planorth.oracle import OraclePolynomials, boundary_onps
 from planorth.presets import preset_config
@@ -544,6 +545,93 @@ def test_eval_maps_each_point_once(tmp_path, monkeypatch, mapped_points):
                        points=[[2.0, 0.0], [0.3, 1.6]])
     assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == 0
     assert sum(c.size for c in mapped_points) == 2
+
+
+def _captured(monkeypatch, name):
+    """The return values of ``cli.<name>`` from now on."""
+    seen = []
+    original = getattr(cli, name)
+
+    def capture(*args, **kwargs):
+        seen.append(original(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, name, capture)
+    return seen
+
+
+def test_verify_rows_match_the_per_row_formulas(tmp_path, monkeypatch):
+    # every (N, kappa) row against monic_at and leading_coeff at that row alone;
+    # the pointwise error is a difference of two values of size 1 in units of
+    # its scale, so it agrees to 1e-12 absolute, the leading coefficient exactly
+    models = _captured(monkeypatch, "build_model")
+    oracles = _captured(monkeypatch, "boundary_onps")
+    cfg = write_config(tmp_path, "ellipse-expre", kappa=3, N=[8, 12, 16, 24, 32],
+                       points=[[1.9, 0.7]])
+    assert run(["verify", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    model, polys = models[0], oracles[0]
+    z0 = np.array([1.9 + 0.7j])
+    zeta, _ = geometry.map_forward_many(model.map, z0)
+    p0 = polys.evaluate(z0)[0]
+    lines = (tmp_path / "o" / "rates.csv").read_text().splitlines()[1:]
+    rows = [[float(x) for x in line.split(",")] for line in lines]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(N, k) for k in range(4)
+                                                     for N in (8, 12, 16, 24, 32)]
+    for N, k, perr, _, krel in rows:
+        N, k = int(N), int(k)
+        scale = planorth.monic_prefactor(model, N) * abs(positioning_factor(model, N, zeta[0]))
+        want = abs(p0[N] / polys.kappa[N] - planorth.monic_at(model, N, zeta, order=k)[0]) / scale
+        assert abs(perr - want) <= 1e-12, (N, k, perr, want)
+        assert krel == abs(planorth.leading_coeff(model, N, k) / polys.kappa[N] - 1.0), (N, k)
+
+
+def test_verify_evaluates_each_correction_once(tmp_path, monkeypatch):
+    # X_0 .. X_kappa at the point once per command, V once per degree, and no
+    # partial sum formed as a series
+    models = _captured(monkeypatch, "build_model")
+    at, evaluate = planorth.HierarchyCoeffs.at, planorth.CircleSeries.evaluate
+    calls = {"at": 0, "V": 0, "other": 0}
+
+    def counted_at(self, zeta):
+        calls["at"] += 1
+        return at(self, zeta)
+
+    def counted_evaluate(self, z):
+        if np.size(z) == 1:
+            calls["V" if self is models[0].szego.v_exterior else "other"] += 1
+        return evaluate(self, z)
+
+    monkeypatch.setattr(planorth.HierarchyCoeffs, "at", counted_at)
+    monkeypatch.setattr(planorth.CircleSeries, "evaluate", counted_evaluate)
+    cfg = write_config(tmp_path, "perturbed-expre", kappa=3, N=[8, 12, 16, 24])
+    assert run(["verify", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert calls == {"at": 1, "V": 4, "other": 0}
+
+
+def test_eval_rows_match_the_per_point_values(tmp_path, monkeypatch):
+    # one monic_at and one normalized_at call per degree over its valid points,
+    # read back in the order of the points: each row is the per-point value
+    models = _captured(monkeypatch, "build_model")
+    points = [[2.0, 0.0], [0.3, 1.02], [-1.1, -1.0], [0.0, 0.0], [1.7, 0.4]]
+    cfg = write_config(tmp_path, "ellipse-expre", N=[8, 64, 500], points=points,
+                       allow_out_of_validity=True)
+    assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    model = models[0]
+    results = json.loads((tmp_path / "o" / "eval.json").read_text())["results"]
+    assert [(r["N"], r["point"]) for r in results] == [(N, p) for N in (8, 64, 500)
+                                                       for p in points]
+    flags = [r["valid"] for r in results]
+    assert any(flags) and not all(flags)
+    for r in results:
+        z = complex(*r["point"])
+        zeta, ok = geometry.map_forward_many(model.map, np.array([z]))
+        valid = bool(ok[0]) and abs(zeta[0]) >= planorth.validity_radius(r["N"])
+        assert r["valid"] == valid, r
+        if valid:   # to the last bits of the mapped point, which a batch may round apart
+            for key, f in (("monic", planorth.monic_eval),
+                           ("normalized", planorth.normalized_eval)):
+                want = f(model, r["N"], z)
+                assert abs(complex(*r[key]) - want) <= 1e-14 * abs(want), r
 
 
 def test_parser_needs_a_known_command(tmp_path, capsys):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import planorth as po
 from planorth import laplace
-from planorth.distributional import (distributional_expectation, distributional_terms,
-                                     split_terms, split_test_function)
+from planorth.distributional import (distributional_expectation, distributional_expectations,
+                                     distributional_terms, split_terms, split_test_function)
 from planorth.oracle import berezin_expectations
 
 from conftest import conv2_reference, grid_restrictions, padded_zero_part, random_annulus
@@ -292,3 +292,28 @@ def test_expectation_beyond_the_float_range_is_typed(ellipse_exp_model):
     big = split_terms({(0, 0): 1e308, (1, 1): 1e308})
     with pytest.raises(po.NonFiniteError, match="out of float range at degree 16"):
         distributional_expectation(ellipse_exp_model, big, 16)
+
+
+def test_expectations_contract_the_jet_once(disk_alpha_model, monkeypatch):
+    # a batch of degrees pairs the jet with the moment table in one einsum, and
+    # each degree reads as the single-degree form
+    model = disk_alpha_model
+    model.norm.moments   # built on the first request, not counted here
+    split = split_terms({(1, 1): 0.3, (2, 0): 0.2, (0, 1): 0.1j, (0, 0): 0.4, (-1, 2): 0.05})
+    degrees = [8, 16, 24, 32, 64]
+    calls = []
+    einsum = np.einsum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    vals = distributional_expectations(model, split, degrees, order=3)
+    assert len(calls) == 1
+    monkeypatch.setattr(np, "einsum", einsum)
+    for N, v in zip(degrees, vals):
+        assert v == distributional_expectation(model, split, N, order=3)
+        terms = distributional_terms(model, split, N, order=3)
+        want = split.plus_infinity + model.norm.factor(N, 3) ** 2 * sum(v for _, v in terms)
+        assert v == want

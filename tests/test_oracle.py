@@ -313,12 +313,21 @@ def _l2_per_degree(model, polys, N, order):
     collar, zeta, weights, P = _collar_direct(model, polys, N)
     F = po.normalized_at(model, N, zeta, order)
     diff = P - collar.chi[:, None] * F
-    return math.sqrt(oracle._inner_part(polys, collar, N) + np.sum(weights * np.abs(diff) ** 2))
+    inner = oracle._on_collar(polys, collar, [N], lambda *_: [])[0][N][2]
+    return math.sqrt(inner + np.sum(weights * np.abs(diff) ** 2))
 
 
 def _berezin_per_degree(model, polys, g, N):
     collar, zeta, weights, P = _collar_direct(model, polys, N)
     return np.sum(weights * collar.chi[:, None] * g.evaluate(zeta) * np.abs(P) ** 2)
+
+
+@pytest.fixture(scope="module")
+def ellipse_exp_oracle_400(ellipse_exp_model):
+    """A degree-400 oracle on ellipse-expre, past the collar rule's degrees
+    (its guard refuses N = 300)."""
+    model = ellipse_exp_model
+    return po.boundary_onps(model.map, model.weight.holo_poly, 400)
 
 
 @pytest.mark.parametrize("fixture", ["disk_alpha", "ellipse_exp"])
@@ -341,6 +350,55 @@ def test_batch_forms_match_per_degree_forms(request, fixture):
         want = _berezin_per_degree(model, polys, g, N)
         assert abs(got - want) <= 1e-13 * abs(want), N
         assert berezin_expectations(model, polys, g.terms(), [N])[0] == got
+    if fixture == "ellipse_exp":   # degree lists through the collar guard's refusal
+        big = request.getfixturevalue("ellipse_exp_oracle_400")
+        good = [100, 200, 250]
+        l2 = l2_discrepancies(model, big, [(N, 2) for N in good])
+        be = berezin_expectations(model, big, g.terms(), good)
+        for i, N in enumerate(good):
+            assert l2_discrepancies(model, big, [(N, 2)])[0] == l2[i]
+            assert berezin_expectations(model, big, g.terms(), [N])[0] == be[i]
+        # 300 and 350 are both refused: the message names the first in the list
+        for degrees, first in (([100, 300, 250, 350], 300), ([350, 300], 350)):
+            msg = rf"at N = {first} \(L = {big.rule.L}\), above 1e-08"
+            with pytest.raises(DegreeTooHighError, match=msg):
+                l2_discrepancies(model, big, [(N, k) for k in (0, 2) for N in degrees])
+            with pytest.raises(DegreeTooHighError, match=msg):
+                berezin_expectations(model, big, g.terms(), degrees)
+
+
+def test_collar_work_does_not_grow_with_the_degrees(disk_alpha_model, disk_alpha_oracle,
+                                                   monkeypatch):
+    # one forward FFT of every degree's stacked samples and one moment table per
+    # call, however many degrees it asks about
+    model, polys = disk_alpha_model, disk_alpha_oracle
+    g = po.split_terms({(1, 1): 0.3, (2, 0): 0.2, (0, 1): 0.1j, (0, 0): 0.4})
+    degrees = [8, 16, 24, 32, 40]
+    calls = {"l2": lambda Ns: l2_discrepancies(model, polys, [(N, k) for k in range(5)
+                                                              for N in Ns]),
+             "berezin": lambda Ns: berezin_expectations(model, polys, g.terms, Ns)}
+    for call in calls.values():
+        call(degrees)   # the rule's cached frame modes, once per oracle
+    counts = {"fft": 0, "moments": 0}
+    fft, moments = np.fft.fft, oracle._Collar.moments
+
+    def counted_fft(*args, **kwargs):
+        counts["fft"] += 1
+        return fft(*args, **kwargs)
+
+    def counted_moments(self, k):
+        counts["moments"] += 1
+        return moments(self, k)
+
+    monkeypatch.setattr(np.fft, "fft", counted_fft)
+    monkeypatch.setattr(oracle._Collar, "moments", counted_moments)
+    for name, call in calls.items():
+        work = []
+        for Ns in (degrees[:1], degrees):
+            counts.update(fft=0, moments=0)
+            call(Ns)
+            work.append(dict(counts))
+        assert work[0] == work[1] and work[0]["moments"] == 1, (name, work)
 
 
 def test_basis_is_the_recurrence_at_the_nodes(disk_alpha_oracle):
@@ -562,15 +620,15 @@ def test_collar_refuses_a_cutoff_outside_the_collar(inner_radius):
         berezin_expectations(model, polys, g.terms(), [8])
 
 
-def test_collar_guard_refuses_degrees_it_cannot_hold(ellipse_exp_model):
+def test_collar_guard_refuses_degrees_it_cannot_hold(ellipse_exp_model, ellipse_exp_oracle_400):
     # degree-400 oracle on ellipse-expre: ||P_N||^2 = inner + sum_k M_k |alpha_k|^2
     # is 1 to roundoff through N = 250 and far off at N = 300, where the r^k
     # scaling of the sample modes has lost P_N
-    model = ellipse_exp_model
-    polys = po.boundary_onps(model.map, model.weight.holo_poly, 400)
+    model, polys = ellipse_exp_model, ellipse_exp_oracle_400
     collar = oracle._collar(model, polys)
+    degrees = oracle._on_collar(polys, collar, [100, 200, 250], lambda *_: [])[0]
     for N in (100, 200, 250):
-        k0, alpha, inner = oracle._on_collar(polys, collar, N)
+        k0, alpha, inner = degrees[N]
         s, rows = collar.moments(np.arange(k0, k0 + alpha.size))
         norm = inner + np.sum(np.exp(s) * np.sum(rows, axis=1) * np.abs(alpha) ** 2)
         assert abs(norm - 1.0) <= 1e-12, N
