@@ -21,7 +21,8 @@ from .hierarchy import (HierarchyCoeffs, hierarchy_residual, hierarchy_residuals
                         weighted_derivative)
 from .laplace import JetAtZero, NormExpansion, norm_expansion, watson_sum
 from .expansion import (ExpansionModel, build_model, leading_coeff, monic_at, monic_eval,
-                        monic_prefactor, normalized_at, normalized_eval, validity_radius)
+                        monic_orders_at, monic_prefactor, normalized_at, normalized_eval,
+                        validity_radius)
 from .oracle import (BoundaryRule, OraclePolynomials, berezin_expectations, boundary_onps,
                      boundary_rule, l2_discrepancies, oracle_kernel, smoothstep)
 from .distributional import (TestFunctionSplit, distributional_expectation,

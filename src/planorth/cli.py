@@ -22,9 +22,8 @@ from .distributional import (TestFunctionSplit, distributional_expectations,
                              distributional_terms, split_terms)
 from .errors import (ConfigError, NonFiniteError, OffSpectralError, OutOfValidityError,
                      PlanorthError, stage)
-from .expansion import (_require_degree, _require_finite, build_model, check_valid, monic_at,
-                        monic_prefactor, normalized_at, normalized_scale, positioning_factor,
-                        validity_radius)
+from .expansion import (_require_degree, build_model, check_valid, leading_coeff, monic_at,
+                        monic_orders_at, normalized_at, validity_radius)
 from .geometry import (load_domain_config, map_forward_many, parse_integer, parse_list,
                        parse_number, parse_object, parse_pair)
 from .hierarchy import hierarchy_residuals
@@ -297,19 +296,16 @@ def cmd_verify(cfg: dict, exp: dict, outdir: Path) -> int:
     pairs = [(N, kappa) for kappa in range(exp["kappa"] + 1) for N in exp["N"]]
     with stage("oracle-collar"):
         l2s = l2_discrepancies(model, polys, pairs)
-    xs = model.coeffs.at(zeta0)[:exp["kappa"] + 1]   # X_0 .. X_kappa at the point
+    check_valid(model, exp["N"][0], zeta, ok)   # in the collar before X_j is read there
+    xs = np.array([x.evaluate(zeta0) for x in model.coeffs.X[:exp["kappa"] + 1]])
     errors = {}
     for N in exp["N"]:   # every order's pointwise and leading-coefficient errors
         check_valid(model, N, zeta, ok)
-        prefactor = monic_prefactor(model, N)
-        factor = positioning_factor(model, N, zeta)[0]
-        with np.errstate(over="ignore", invalid="ignore"):   # monic_at's formula, all orders
-            monic = prefactor * (factor * np.cumsum(float(N) ** -np.arange(xs.size) * xs))
-        _require_finite(monic, "monic polynomial", N, zeta)
-        perr = np.abs(p0[N] / polys.kappa[N] - monic) / (prefactor * abs(factor))
+        monic = monic_orders_at(model, N, zeta, xs)
+        # X_0 = 1: the order-0 value is C_N times the positioning factor, the error's scale
+        perr = np.abs(p0[N] / polys.kappa[N] - monic) / abs(monic[0])
         for kappa in range(exp["kappa"] + 1):
-            kappa_N = normalized_scale(model, N, kappa) / prefactor   # leading_coeff's formula
-            krel = abs(kappa_N / polys.kappa[N] - 1.0)
+            krel = abs(leading_coeff(model, N, kappa) / polys.kappa[N] - 1.0)
             errors[N, kappa] = (float(perr[kappa]), krel)
     rows = [[N, kappa, errors[N, kappa][0], float(l2), errors[N, kappa][1]]
             for (N, kappa), l2 in zip(pairs, l2s)]

@@ -129,27 +129,23 @@ def distributional_expectations(model: ExpansionModel, split: TestFunctionSplit,
     and :class:`NonFiniteError`, naming the first such degree, where the sum
     leaves the float range.
     """
-    return np.array(_expectations(model, split, list(degrees), order), dtype=np.complex128)
-
-
-def distributional_expectation(model: ExpansionModel, split: TestFunctionSplit, N: int,
-                               order: int | None = None) -> complex:
-    """:func:`distributional_expectations` at the one degree ``N``."""
-    return _expectations(model, split, [N], order)[0]
-
-
-def _expectations(model: ExpansionModel, split: TestFunctionSplit, degrees: list,
-                  order: int | None) -> list:
+    degrees = list(degrees)
     for N in degrees:
         _require_degree(N)
     order = model.order if order is None else order
-    out = []
-    for N, terms in zip(degrees, _boundary_terms(model, split, degrees, order)):
+    out = np.empty(len(degrees), dtype=np.complex128)
+    for i, (N, terms) in enumerate(zip(degrees, _boundary_terms(model, split, degrees, order))):
         with np.errstate(over="ignore", invalid="ignore"):
             total = (split.plus_infinity
                      + model.norm.factor(N, order) ** 2 * sum(v for _, v in terms))
         if not cmath.isfinite(total):
             raise NonFiniteError(f"boundary expansion of the test function out of float "
                                  f"range at degree {N}")
-        out.append(complex(total))
+        out[i] = total
     return out
+
+
+def distributional_expectation(model: ExpansionModel, split: TestFunctionSplit, N: int,
+                               order: int | None = None) -> complex:
+    """:func:`distributional_expectations` at the one degree ``N``."""
+    return complex(distributional_expectations(model, split, [N], order)[0])

@@ -158,6 +158,17 @@ def monic_at(model: ExpansionModel, N: int, zeta, order: int | None = None):
     return _require_finite(vals, "monic polynomial", N, zeta)
 
 
+def monic_orders_at(model: ExpansionModel, N: int, zeta, xs: np.ndarray) -> np.ndarray:
+    """:func:`monic_at` at one mapped point ``zeta`` (an array of one) for every
+    order ``0 .. len(xs) - 1`` at once, from ``xs = X_0(zeta) .. X_order(zeta)``:
+    the partial sums are the cumulative sums of ``N^-j X_j(zeta)``."""
+    _require_degree(N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = monic_prefactor(model, N) * (positioning_factor(model, N, zeta)
+                                            * np.cumsum(float(N) ** -np.arange(len(xs)) * xs))
+    return _require_finite(vals, "monic polynomial", N, zeta)
+
+
 def normalized_scale(model: ExpansionModel, N: int, order: int | None = None) -> float:
     """``kappa_N C_N = N^(1/2) D_N``: the factor taking the positioned partial
     sum to the unit-norm polynomial (the degree is checked)."""

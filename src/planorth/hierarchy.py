@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .geometry import SzegoData
-from .series import CircleSeries, _horner, circle_from_modes, hardy_project, truncate
+from .series import CircleSeries, circle_from_modes, hardy_project, truncate
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,16 +51,6 @@ class HierarchyCoeffs:
         stack = np.stack([x.coeffs for x in self.X])
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
-
-    def at(self, zeta: complex) -> np.ndarray:
-        """``X_0(zeta) .. X_order(zeta)`` at one point, each by Horner's scheme
-        in ``zeta`` (modes ``k >= 0``) and in ``1/zeta`` (modes ``k < 0``)."""
-        K = self.stack.shape[1] // 2
-        vals = _horner(self.stack[:, K:].T, zeta)
-        if K:
-            w = 1.0 / zeta
-            vals = vals + _horner(self.stack[:, K - 1::-1].T, w) * w
-        return vals
 
 
 def weighted_derivative(f: CircleSeries, szego: SzegoData) -> CircleSeries:

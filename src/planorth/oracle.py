@@ -123,7 +123,7 @@ class BoundaryRule:
         the tail: the largest ``|c_k|`` with ``|k| >= 3L/8`` over the largest
         ``|c_k|``; at the rounding floor when the samples resolve it."""
         np.multiply(v, self._e_p_dz_mean, out=c)
-        np.fft.fft(c, out=c)
+        np.fft.fft(c, out=c)   # out= needs numpy 2.0, the declared floor
         a = np.abs(c)
         L = self.L
         return float(a[3 * L // 8:L - 3 * L // 8 + 1].max() / a.max())

@@ -589,23 +589,23 @@ def test_verify_evaluates_each_correction_once(tmp_path, monkeypatch):
     # X_0 .. X_kappa at the point once per command, V once per degree, and no
     # partial sum formed as a series
     models = _captured(monkeypatch, "build_model")
-    at, evaluate = planorth.HierarchyCoeffs.at, planorth.CircleSeries.evaluate
-    calls = {"at": 0, "V": 0, "other": 0}
-
-    def counted_at(self, zeta):
-        calls["at"] += 1
-        return at(self, zeta)
+    evaluate = planorth.CircleSeries.evaluate
+    calls = {"X": [], "V": 0, "other": 0}
 
     def counted_evaluate(self, z):
         if np.size(z) == 1:
-            calls["V" if self is models[0].szego.v_exterior else "other"] += 1
+            model = models[0]
+            j = next((j for j, x in enumerate(model.coeffs.X) if x is self), None)
+            if j is not None:
+                calls["X"].append(j)
+            else:
+                calls["V" if self is model.szego.v_exterior else "other"] += 1
         return evaluate(self, z)
 
-    monkeypatch.setattr(planorth.HierarchyCoeffs, "at", counted_at)
     monkeypatch.setattr(planorth.CircleSeries, "evaluate", counted_evaluate)
     cfg = write_config(tmp_path, "perturbed-expre", kappa=3, N=[8, 12, 16, 24])
     assert run(["verify", "--config", cfg, "--out", tmp_path / "o"]) == 0
-    assert calls == {"at": 1, "V": 4, "other": 0}
+    assert calls == {"X": [0, 1, 2, 3], "V": 4, "other": 0}
 
 
 def test_eval_rows_match_the_per_point_values(tmp_path, monkeypatch):
@@ -779,6 +779,8 @@ ROBUSTNESS = [
      "[stage: oracle] boundary oracle at degree 100000 needs L = 524288 circle samples"),
     ("verify", "ellipse-expre", {"points": [[1e200, 0.0]]}, 3,
      "out of float range (|z| up to 1e+200)"),
+    ("verify", "disk-expre03", {"points": [[0.0, 0.0]]}, 4,
+     "point could not be mapped into the analytic collar"),
     ("kernel", "ellipse-expre", {"kernel": {**KERNEL, "w": [3.0, 0.0], "z": [1e200, 0.0]}}, 3,
      "out of float range (|z| up to 1e+200)"),
     ("kernel", "ellipse-expre", {"kernel": {**KERNEL, "w": [1e200, 0.0]}}, 3,
@@ -795,8 +797,8 @@ ROBUSTNESS = [
 
 
 @pytest.mark.parametrize("command, preset, extra, code, message", ROBUSTNESS,
-                         ids=["oracle-cap", "far-point", "far-kernel-z", "far-kernel-w",
-                              "collar-overflow", "expansion-overflow", "index-range"])
+                         ids=["oracle-cap", "far-point", "centre-point", "far-kernel-z",
+                              "far-kernel-w", "collar-overflow", "expansion-overflow", "index-range"])
 def test_robustness_table(tmp_path, capsys, command, preset, extra, code, message):
     cfg = write_config(tmp_path, preset, **extra)
     out = tmp_path / "o"

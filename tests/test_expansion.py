@@ -171,6 +171,18 @@ def test_validity_radius_shape():
     assert po.validity_radius(40, 2.0) == pytest.approx(1 - 2 * math.log(40) / 40)
 
 
+def test_monic_orders_match_monic_at(all_preset_models):
+    # every order from one set of correction values: the cumulative sums are
+    # monic_at's partial sums, to the rounding of a differently ordered sum
+    for name, model in all_preset_models.items():
+        zeta = np.array([1.1 * np.exp(0.4j)])
+        xs = np.array([x.evaluate(zeta[0]) for x in model.coeffs.X])
+        for N in (8, 40, 300):
+            got = po.monic_orders_at(model, N, zeta, xs)
+            want = [po.monic_at(model, N, zeta, order=k)[0] for k in range(model.order + 1)]
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13, (name, N)
+
+
 def test_normalized_is_leading_coeff_times_monic(all_preset_models):
     for name, model in all_preset_models.items():
         zeta = 1.3 * np.exp(1j * np.linspace(0.1, 6.0, 7))
