@@ -215,8 +215,6 @@ def cmd_expand(cfg: dict, exp: dict, outdir: Path) -> int:
 
 
 def cmd_eval(cfg: dict, exp: dict, outdir: Path) -> int:
-    if not exp["N"]:
-        raise ConfigError("eval needs a nonempty N list")
     if not exp["points"]:
         raise ConfigError("eval needs evaluation points")
     _require_degree(min(exp["N"]))
@@ -257,8 +255,6 @@ def _oracle_for(model, N_max: int):
 
 
 def cmd_oracle(cfg: dict, exp: dict, outdir: Path) -> int:
-    if not exp["N"]:
-        raise ConfigError("oracle needs a nonempty N list")
     model = _build(cfg, exp["kappa"])
     N_max = max(exp["N"])
     polys = _oracle_for(model, N_max)
@@ -281,8 +277,6 @@ def cmd_oracle(cfg: dict, exp: dict, outdir: Path) -> int:
 
 
 def cmd_verify(cfg: dict, exp: dict, outdir: Path) -> int:
-    if not exp["N"]:
-        raise ConfigError("verify needs a nonempty N list")
     if len(exp["points"]) != 1:
         raise ConfigError(f"verify checks one point: points has {len(exp['points'])} entries")
     model = _build(cfg, exp["kappa"])
@@ -363,8 +357,6 @@ def _test_function(cfg: dict) -> TestFunctionSplit:
 
 
 def cmd_distributional(cfg: dict, exp: dict, outdir: Path) -> int:
-    if not exp["N"]:
-        raise ConfigError("distributional needs a nonempty N list")
     model = _build(cfg, exp["kappa"])
     split = _test_function(cfg)
     vals = distributional_expectations(model, split, exp["N"], order=exp["kappa"])
@@ -396,8 +388,6 @@ def cmd_distributional(cfg: dict, exp: dict, outdir: Path) -> int:
 
 
 def cmd_kernel(cfg: dict, exp: dict, outdir: Path) -> int:
-    if not exp["N"]:
-        raise ConfigError("kernel needs a nonempty N list")
     kc = parse_object(cfg.get("kernel", {}), "kernel")
     if "w" not in kc or "z" not in kc:
         raise ConfigError("kernel needs kernel.w and kernel.z points")
@@ -476,8 +466,9 @@ def main(argv=None) -> int:
         out = args.out if args.out is not None else cfg.get("out", "out")
         if not isinstance(out, str):
             raise ConfigError(f"out must be a directory path string, got {out!r}")
-        outdir = Path(out)
-        return _COMMANDS[args.command](cfg, exp, outdir)
+        if not exp["N"] and args.command != "expand":
+            raise ConfigError(f"{args.command} needs a nonempty N list")
+        return _COMMANDS[args.command](cfg, exp, Path(out))
     except ConfigError as exc:
         print(f"config error [{args.command}]: {exc}", file=sys.stderr)
         return 2

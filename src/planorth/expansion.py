@@ -92,8 +92,7 @@ def monic_prefactor(model: ExpansionModel, N: int) -> float:
 
 def leading_coeff(model: ExpansionModel, N: int, order: int | None = None) -> float:
     """Leading coefficient ``kappa_N = C_N^-1 N^(1/2) D_N`` of the unit-norm polynomial."""
-    _require_degree(N)
-    return float(math.sqrt(N) * model.norm.factor(N, order) / monic_prefactor(model, N))
+    return normalized_scale(model, N, order) / monic_prefactor(model, N)
 
 
 def positioning_factor(model: ExpansionModel, N: int, zeta) -> np.ndarray:

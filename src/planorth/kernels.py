@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DomainError, NonFiniteError, OffSpectralError
 from .expansion import ExpansionModel, _require_finite, positioning_factor
-from .geometry import ExteriorMap, map_forward
+from .geometry import ExteriorMap, map_forward, phi_prime
 
 OFFSPECTRAL_MARGIN = 1e-6   # least separation |phi(w)| - 1 of a root point
 BW_TAIL_TOL = 1e-14         # relative size of what bw_kernel_diag's tail sum leaves out
@@ -61,9 +61,8 @@ def offspectral_leading(model: ExpansionModel, point: OffSpectralPoint, N: int, 
 def offspectral_phase(model: ExpansionModel, point: OffSpectralPoint, N: int) -> float:
     """Leading phase ``-(N arg phi(w) + arg phi'(w) + Im V(w))`` of the kernel."""
     a = point.image
-    dphi = 1.0 / model.map.psi_prime(a)
     v = model.szego.v_exterior.evaluate(a)
-    return float(-(N * np.angle(a) + np.angle(dphi) + np.imag(v)))
+    return float(-(N * np.angle(a) + np.angle(phi_prime(model.map, a)) + np.imag(v)))
 
 
 def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z) -> float:
@@ -92,7 +91,7 @@ def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z) -> float:
     r = abs(zeta)
     if r <= rho:
         raise DomainError(f"|phi(z)| = {r:.4f} must exceed rho = {rho}")
-    dphi2 = abs(1.0 / m.psi_prime(zeta)) ** 2
+    dphi2 = abs(phi_prime(m, zeta)) ** 2
     n = np.arange(N + 1)
     acc = r ** (-2.0) / -log_rho2
     with np.errstate(over="ignore"):   # an overflowed power makes acc inf, refused below

@@ -39,14 +39,15 @@ and Parseval in the angle, the sum the trapezoid rule at the oracle's ``L``
 samples takes for integrands holomorphic on ``0 < |zeta| < inf`` (Trefethen
 and Weideman, SIAM Rev. 2014).  The weight ``|G|^2``, ``G = psi' e^(P o
 psi)``, folds into ``G P_N``, the exact convolution of the kept modes of
-``P_N o psi`` and ``G``, so a degree or order costs ``O(modes)``; the
-degrees of a request share one forward FFT, one inverse FFT and one table of
-radial moments.  Inside ``|phi| < rho1`` a Stokes integral on ``psi(rho1
-S^1)`` takes over.  Each degree is checked before use: that inner part plus
-the collar's ``||P_N||^2`` is 1 to ``COLLAR_TOL``; where it is not (``r^k``
-amplifies the noise modes of high degrees, from ``N`` near 300 on the
-presets), :class:`DegreeTooHighError` is raised rather than a wrong integral
-returned.
+``P_N o psi`` and ``G``; the expansion's side of the L2 comparison is the
+modes of the model's products ``A_j = X_j E`` (``model.norm.stack``), not
+sampled.  So a degree or order costs ``O(modes)``; the degrees of a request
+share one forward FFT, one inverse FFT and one table of radial moments.
+Inside ``|phi| < rho1`` a Stokes integral on ``psi(rho1 S^1)`` takes over.
+Each degree is checked before use: that inner part plus the collar's
+``||P_N||^2`` is 1 to ``COLLAR_TOL``; where it is not (``r^k`` amplifies the
+noise modes of high degrees, from ``N`` near 300 on the presets),
+:class:`DegreeTooHighError` is raised rather than a wrong integral returned.
 """
 
 from __future__ import annotations
@@ -99,9 +100,14 @@ class BoundaryRule:
 
     @cached_property
     def _frame_modes(self):
-        """Lowest mode and modes of ``G = psi' e^(P o psi)`` (:func:`_modes`)."""
-        k0, g = _modes(self._e_p_dz)
-        return k0 - 1, g
+        """Lowest mode and modes of ``G = psi' e^(P o psi)``: the modes that
+        :func:`_chopped` keeps of ``G zeta``, shifted down by one, over their
+        span."""
+        L = self.L
+        c = _chopped(self._e_p_dz)
+        c = np.concatenate((c[L // 2 + 1:], c[:L // 2 + 1]))   # modes -L/2 + 1 .. L/2
+        kept = np.flatnonzero(c)
+        return int(kept[0]) - L // 2, c[kept[0]:kept[-1] + 1]
 
     @cached_property
     def _inverse_modes(self) -> np.ndarray:
@@ -350,16 +356,6 @@ def _chopped(samples: np.ndarray) -> np.ndarray:
     return c
 
 
-def _modes(samples: np.ndarray):
-    """Lowest mode ``k0`` and modes ``k0, k0 + 1, ...`` (in ``(-L/2, L/2]``) of
-    :func:`_chopped`, over the span of the modes it keeps."""
-    L = samples.shape[-1]
-    c = _chopped(samples)
-    c = np.concatenate((c[..., L // 2 + 1:], c[..., :L // 2 + 1]), axis=-1)
-    kept = np.flatnonzero(np.any(c.reshape(-1, L), axis=0))
-    return int(kept[0]) + 1 - L // 2, c[..., kept[0]:kept[-1] + 1]
-
-
 @dataclass(frozen=True, eq=False)
 class _Collar:
     """Radial rule of the collar ``rho1 < |zeta| < 1``: Gauss-Legendre ``radii``, their
@@ -456,9 +452,11 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs) -> 
     ``(N, order)`` in ``pairs`` (``order`` None: the model's).
 
     ``chi0`` is the quintic smoothstep in ``|phi(z)|`` rising on ``rho + CUTOFF``.
-    ``B = G F_N = scale e^(P o psi) e^V zeta^N sum_j N^-j X_j`` has the modes
-    ``beta`` of ``e^(P o psi) e^V X_j`` on the circle shifted by ``N``; the
-    collar part ``sum_k sum_i w_i r_i^(2k) |alpha_k - chi_i beta_k|^2`` is
+    ``B = G F_N = scale E zeta^N sum_j N^-j X_j``, with the model's outer
+    factor ``E = e^(V o psi + h)`` at bandwidth ``2M``, has the modes ``beta``
+    of the products ``A_j = X_j E`` shifted by ``N``: the rows of
+    ``model.norm.stack``, which the norm constants also read.  The collar
+    part ``sum_k sum_i w_i r_i^(2k) |alpha_k - chi_i beta_k|^2`` is
     ``sum_k M_k |alpha_k - beta_k + u_k beta_k|^2 + S_k |beta_k|^2``, free of
     cancellation, with ``u_k`` the ``w r^(2k)``-weighted mean of ``1 - chi``
     and ``S_k`` the weighted sum of squares of ``chi`` about its mean.  Raises
@@ -468,17 +466,16 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs) -> 
         polys.check_degree(N)
     scales = [normalized_scale(model, N, order) for N, order in pairs]  # degrees checked
     collar = _collar(model, polys)
-    zeta, rest = polys.rule.zeta, collar.rest
-    frame = polys.rule.e_p * np.exp(model.szego.v_exterior.evaluate(zeta))
-    b0, beta = _modes(frame * np.array([x.evaluate(zeta) for x in model.coeffs.X]))
+    beta = model.norm.stack   # modes -S .. S of every A_j
+    b0 = -(beta.shape[1] // 2)
 
     def span(N, a0, n):   # the modes of alpha and of the shifted beta
         return [(min(a0, b0 + N), max(a0 + n, b0 + N + beta.shape[1]))]
 
     degrees, (ks, s, m, m1) = _on_collar(polys, collar, list(dict.fromkeys(N for N, _ in pairs)),
                                          span)
-    scale_k, u = np.exp(s), np.sum(m * rest, axis=1) / m1
-    spread = np.sum(m * (rest - u[:, None]) ** 2, axis=1)
+    scale_k, u = np.exp(s), np.sum(m * collar.rest, axis=1) / m1
+    spread = np.sum(m * (collar.rest - u[:, None]) ** 2, axis=1)
     per_degree = {}
     for N, (a0, alpha, inner) in degrees.items():   # alpha and every order's sum of beta
         (lo, hi), = span(N, a0, alpha.size)

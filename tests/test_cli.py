@@ -773,6 +773,10 @@ def test_collar_rule_past_its_degrees_is_typed(tmp_path, capsys, command):
 # configs past the float range or the oracle's sample cap: each ends with its
 # typed exit code and a message naming what tripped, under the suite's
 # RuntimeWarning filter (no numpy warning on the way)
+# psi = zeta + 1.44/zeta: psi' vanishes at +-1.2, outside the unit circle, so
+# psi is no exterior map and every command refuses it as a config error
+FOLDED = {"map": {"cap": 1.0, "tail": [[0.0, 0.0], [1.44, 0.0]]},
+          "weight": {"kind": "exp-re-linear", "alpha": [0.3, 0.0]}, "rho": 0.99, "M": 16}
 ROBUSTNESS = [
     ("distributional", "ellipse-expre",
      {"N": [8, 16, 100000], "test_function": {"terms": [[1, 1, 1.0, 0.0]]}}, 3,
@@ -793,12 +797,16 @@ ROBUSTNESS = [
      "boundary expansion of the test function out of float range at degree 8"),
     ("distributional", "ellipse-expre", {"test_function": {"terms": [[1e20, 0, 1.0, 0.0]]}}, 2,
      "(m, n) = (100000000000000000000, 0) is not below 2^62"),
+    *[(command, "disk-expre03", {"domain": FOLDED}, 2,
+       "psi' vanishes at |zeta| = 1.2, not below the univalence margin 0.98")
+      for command in ("expand", "eval", "verify")],
 ]
 
 
 @pytest.mark.parametrize("command, preset, extra, code, message", ROBUSTNESS,
                          ids=["oracle-cap", "far-point", "centre-point", "far-kernel-z",
-                              "far-kernel-w", "collar-overflow", "expansion-overflow", "index-range"])
+                              "far-kernel-w", "collar-overflow", "expansion-overflow",
+                              "index-range", "folded-expand", "folded-eval", "folded-verify"])
 def test_robustness_table(tmp_path, capsys, command, preset, extra, code, message):
     cfg = write_config(tmp_path, preset, **extra)
     out = tmp_path / "o"

@@ -253,6 +253,23 @@ def test_univalence_margin_guard():
     assert m.univalence_margin > 1 / np.sqrt(3)
 
 
+@pytest.mark.parametrize("make, modulus", [
+    (lambda: po.exterior_map(1.0, [0, 1.44]), "1.2"),      # zeros of psi' at +-1.2
+    (lambda: po.exterior_map(1.0, [0, 3.0]), "1.732"),     # at +-sqrt(3)
+    (lambda: po.ellipse_map(1, 0.015), "0.9851"),          # flatter than 50:1
+], ids=["zeta+1.44/zeta", "zeta+3/zeta", "flat-ellipse"])
+def test_zero_of_psi_prime_at_or_above_the_margin_is_refused(make, modulus):
+    # the margin is capped at 0.98, so a zero of psi' there lies in the collar
+    with pytest.raises(ConfigError, match=rf"\|zeta\| = {modulus}, not below the univalence "
+                                          r"margin 0\.98"):
+        make()
+
+
+def test_zero_of_psi_prime_below_the_cap_keeps_the_capped_margin():
+    # zeros at +-sqrt(0.95) = 0.975: 1.05 times that is capped to 0.98, above it
+    assert po.exterior_map(1.0, [0, 0.95]).univalence_margin == 0.98
+
+
 def test_pullback_constant_weight():
     ws = po.pullback_weight(po.disk_map(), po.constant_weight(1.0), 8, 0.7)
     assert np.max(np.abs(ws.pullback.coeffs)) == 0.0

@@ -401,6 +401,22 @@ def test_collar_work_does_not_grow_with_the_degrees(disk_alpha_model, disk_alpha
         assert work[0] == work[1] and work[0]["moments"] == 1, (name, work)
 
 
+def test_l2_reads_the_model_products_without_sampling(ellipse_exp_model, ellipse_exp_oracle,
+                                                      monkeypatch):
+    # the expansion's side is model.norm.stack, the products A_j = X_j E:
+    # no circle series is evaluated on the oracle's samples
+    calls = []
+    evaluate = po.CircleSeries.evaluate
+
+    def counted(self, zeta):
+        calls.append(np.size(zeta))
+        return evaluate(self, zeta)
+
+    monkeypatch.setattr(po.CircleSeries, "evaluate", counted)
+    l2_discrepancies(ellipse_exp_model, ellipse_exp_oracle, [(N, 2) for N in (16, 32)])
+    assert calls == []
+
+
 def test_basis_is_the_recurrence_at_the_nodes(disk_alpha_oracle):
     polys = disk_alpha_oracle
     rule = polys.rule

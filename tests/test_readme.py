@@ -1,5 +1,5 @@
 """README examples run as written: the Python quick start, and the example
-config through ``planorth expand`` and ``planorth eval``."""
+config through each of the six commands the README lists."""
 
 import re
 from pathlib import Path
@@ -9,6 +9,7 @@ import pytest
 from planorth import cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+COMMANDS = re.findall(r"^planorth (\w+) +--config", README, flags=re.M)
 
 
 def _block(lang: str) -> str:
@@ -21,7 +22,11 @@ def test_python_quick_start():
     exec(compile(_block("python"), "README.md", "exec"), {})
 
 
-@pytest.mark.parametrize("command", ["expand", "eval"])
+def test_readme_lists_every_command():
+    assert sorted(COMMANDS) == sorted(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_example_config(tmp_path, command):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(_block("json"))
