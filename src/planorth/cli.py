@@ -284,18 +284,15 @@ def cmd_verify(cfg: dict, exp: dict, outdir: Path) -> int:
     N_max = max(exp["N"])
     polys = _oracle_for(model, N_max)
     zeta, ok = map_forward_many(model.map, np.array([z0]))   # the one mapped point
-    zeta0 = zeta[0]
     p0 = polys.evaluate(np.array([z0]))[0]
 
     pairs = [(N, kappa) for kappa in range(exp["kappa"] + 1) for N in exp["N"]]
     with stage("oracle-collar"):
         l2s = l2_discrepancies(model, polys, pairs)
-    check_valid(model, exp["N"][0], zeta, ok)   # in the collar before X_j is read there
-    xs = np.array([x.evaluate(zeta0) for x in model.coeffs.X[:exp["kappa"] + 1]])
     errors = {}
     for N in exp["N"]:   # every order's pointwise and leading-coefficient errors
         check_valid(model, N, zeta, ok)
-        monic = monic_orders_at(model, N, zeta, xs)
+        monic = monic_orders_at(model, N, zeta, exp["kappa"])[:, 0]
         # X_0 = 1: the order-0 value is C_N times the positioning factor, the error's scale
         perr = np.abs(p0[N] / polys.kappa[N] - monic) / abs(monic[0])
         for kappa in range(exp["kappa"] + 1):

@@ -79,30 +79,32 @@ def split_test_function(g: AnnulusSeries) -> TestFunctionSplit:
 
 
 def _boundary_terms(model: ExpansionModel, split: TestFunctionSplit, degrees: list,
-                    order: int) -> list:
-    """For each of ``degrees``, the per-index contributions of
-    :func:`distributional_terms`, from one contraction of the jet of ``g_0``
-    with the moment table."""
+                    order: int):
+    """``(index, values)``: the indices ``(nu, j, k)`` of the terms with
+    ``nu >= 1`` and ``nu + j + k <= order``, in the order of
+    :func:`distributional_terms`, and ``values[i, t]``, the contribution of
+    ``index[t]`` at degree ``degrees[i]``: ``sum_mu weight[i, t, mu]
+    pair[nu, j, k, mu]`` with ``weight = C(nu+mu, nu) N^-(nu+j+k+mu)`` for
+    ``mu <= order - nu`` and 0 beyond, from one contraction of the jet of
+    ``g_0`` with the moment table and one product with that weight."""
     if order > model.order:
         raise ValueError("requested order exceeds the model order")
+    index = [(nu, j, k) for nu in range(1, order + 1) for j in range(order - nu + 1)
+             for k in range(order - nu - j + 1)]
     if order < 1:
-        return [[] for _ in degrees]
+        return index, np.zeros((len(degrees), 0), dtype=np.complex128)
     B = model.norm.moments
-    C = (B.shape[-1] - 1) // 2
+    nu, j, k = np.array(index).T
+    # comb[nu - 1, mu] = C(nu+mu, nu) for mu <= order - nu, else 0
+    comb = np.array([[math.comb(n + mu, n) if n + mu <= order else 0 for mu in range(order)]
+                     for n in range(1, order + 1)], dtype=float)
+    Ns = np.array(degrees, dtype=float)[:, None, None]
+    weight = comb[nu - 1] * Ns ** -((nu + j + k)[:, None] + np.arange(order))
     with np.errstate(over="ignore", invalid="ignore"):
-        jet = split.zero_jet(order, C)
-        pair = np.einsum("vp,jkmp->vjkm", jet[1:, ::-1], B)
-    out = []
-    for N in degrees:
-        terms = []
-        for nu in range(1, order + 1):
-            w = [math.comb(nu + mu, nu) * float(N) ** (-mu) for mu in range(order - nu + 1)]
-            for j in range(order - nu + 1):
-                for k in range(order - nu - j + 1):
-                    val = float(N) ** (-(nu + j + k)) * (pair[nu - 1, j, k, :order - nu + 1] @ w)
-                    terms.append(((nu, j, k), complex(val)))
-        out.append(terms)
-    return out
+        jet = split.zero_jet(order, (B.shape[-1] - 1) // 2)
+        # j, k and mu never exceed order - 1 where nu >= 1
+        pair = np.einsum("vp,jkmp->vjkm", jet[1:, ::-1], B[:order, :order, :order])
+        return index, (pair[nu - 1, j, k] * weight).sum(axis=-1)
 
 
 def distributional_terms(model: ExpansionModel, split: TestFunctionSplit, N: int,
@@ -113,7 +115,8 @@ def distributional_terms(model: ExpansionModel, split: TestFunctionSplit, N: int
     pair[nu, j, k, mu]``, where ``pair[nu, j, k, mu] = sum_p jet[nu, p]
     B[j, k, mu, -p]`` pairs the jet of ``g_0`` with the moment table ``B`` at
     the table's bandwidth."""
-    return _boundary_terms(model, split, [N], model.order if order is None else order)[0]
+    index, values = _boundary_terms(model, split, [N], model.order if order is None else order)
+    return list(zip(index, values[0].tolist()))
 
 
 def distributional_expectations(model: ExpansionModel, split: TestFunctionSplit, degrees,
@@ -134,10 +137,10 @@ def distributional_expectations(model: ExpansionModel, split: TestFunctionSplit,
         _require_degree(N)
     order = model.order if order is None else order
     out = np.empty(len(degrees), dtype=np.complex128)
-    for i, (N, terms) in enumerate(zip(degrees, _boundary_terms(model, split, degrees, order))):
+    _, values = _boundary_terms(model, split, degrees, order)
+    for i, (N, row) in enumerate(zip(degrees, values.tolist())):
         with np.errstate(over="ignore", invalid="ignore"):
-            total = (split.plus_infinity
-                     + model.norm.factor(N, order) ** 2 * sum(v for _, v in terms))
+            total = split.plus_infinity + model.norm.factor(N, order) ** 2 * sum(row)
         if not cmath.isfinite(total):
             raise NonFiniteError(f"boundary expansion of the test function out of float "
                                  f"range at degree {N}")

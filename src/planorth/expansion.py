@@ -17,6 +17,13 @@ complex exponential of ``(Re V + N log|phi|) + i (Im V + N arg phi)``
 (:func:`positioning_factor`); its relative error is of order ``N eps``, the
 condition of ``phi^N`` itself.
 
+``V o psi`` and every ``X_j`` have only modes ``k <= 0``, so each is a
+polynomial in ``w = 1/zeta``; the model keeps them once as such
+(:attr:`ExpansionModel.point_table`, built on the first pointwise request).
+Every pointwise evaluator reads one pass over its mapped points: one
+reciprocal ``w``, and short Horner loops in ``w`` for ``V``, the weighted
+row sum ``sum_j N^-j X_j`` and ``psi' = cap - w^2 p'(w)``.
+
 Evaluation is restricted to the region ``|phi(z)| >= 1 - A log(N)/N`` (points
 deeper inside the domain are refused rather than silently extrapolated).
 """
@@ -25,15 +32,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NonFiniteError, OutOfValidityError, stage
 from .geometry import (ExteriorMap, SzegoData, WeightDef, WeightSpec, map_forward_many,
-                       phi_prime, pullback_weight, szego)
-from .hierarchy import HierarchyCoeffs, neumann_partial_sum, solve_hierarchy
+                       pullback_weight, szego)
+from .hierarchy import HierarchyCoeffs, solve_hierarchy
 from .laplace import NormExpansion, norm_expansion
-from .series import CircleSeries
+from .series import CircleSeries, _horner
 
 N_MIN = 4
 
@@ -51,6 +59,24 @@ class ExpansionModel:
     @property
     def inner_radius(self) -> float:
         return self.szego.inner_radius
+
+    @cached_property
+    def point_table(self) -> tuple:
+        """``(v, x)``: ``v[n]`` is mode ``-n`` of ``V o psi`` and ``x[n, j]``
+        mode ``-n`` of ``X_j``, cut after the last nonzero mode.  Neither has a
+        mode ``k >= 1``, so ``V`` and the ``X_j`` at ``zeta`` are polynomials
+        in ``w = 1/zeta`` with these coefficients.  Built on the first
+        pointwise request and kept with the model."""
+        return _in_w(self.szego.v_exterior.coeffs), _in_w(self.coeffs.stack.T)
+
+
+def _in_w(c: np.ndarray) -> np.ndarray:
+    """Modes ``0, -1, -2, ...`` of the centred series ``c`` (along axis 0),
+    up to the last mode that is nonzero in some column."""
+    K = (c.shape[0] - 1) // 2
+    a = c[K::-1]
+    nz = np.flatnonzero(np.any(a.reshape(K + 1, -1) != 0, axis=1))
+    return a[:nz[-1] + 1 if nz.size else 1].copy()
 
 
 def build_model(m: ExteriorMap, weight_def: WeightDef, order: int,
@@ -95,18 +121,46 @@ def leading_coeff(model: ExpansionModel, N: int, order: int | None = None) -> fl
     return normalized_scale(model, N, order) / monic_prefactor(model, N)
 
 
-def positioning_factor(model: ExpansionModel, N: int, zeta) -> np.ndarray:
-    """Factor ``phi'(z) phi(z)^N e^V(z)`` at the points ``z = psi(zeta)``, in
-    log-polar form ``phi'(z) exp((Re V + N log|zeta|) + i (Im V + N arg zeta))``.
+def _pointwise(model: ExpansionModel, N: int, zeta, weights=None):
+    """One pass over mapped points ``zeta``: ``(factor, sums)`` with the
+    positioning factor ``phi'(z) phi(z)^N e^V(z)`` at ``z = psi(zeta)``, in
+    log-polar form ``exp((Re V + N log|zeta|) + i (Im V + N arg zeta)) /
+    psi'(zeta)``, and the row sums ``sum_j weights[j, ...] X_j(zeta)`` (None
+    without ``weights``).  ``w = 1/zeta`` is formed once; ``V``, the sums and
+    ``psi'`` are Horner loops in it over :attr:`ExpansionModel.point_table`.
 
     Real logs and angles and one complex exp replace ``exp(V) * zeta**N``
     (numpy takes a complex power with ``|N| >= 100``, like a complex
     ``np.log``, through costlier complex routines).  The relative error is of
     order ``N eps``, the condition of ``zeta^N``."""
-    v = model.szego.v_exterior.evaluate(zeta)
+    v_in_w, x_in_w = model.point_table
+    zeta = np.asarray(zeta, dtype=np.complex128)
+    w = np.reciprocal(zeta)
+    v = _horner(v_in_w, w)
     log_modulus = v.real + N * np.log(np.abs(zeta))
     phase = v.imag + N * np.angle(zeta)
-    return phi_prime(model.map, zeta) * np.exp(log_modulus + 1j * phase)
+    factor = np.exp(log_modulus + 1j * phase) / model.map.prime_at_reciprocal(w)
+    if weights is None:
+        return factor, None
+    c = x_in_w[:, :len(weights)] @ weights
+    if c.ndim > 1:   # one sum per column of weights, each over every point
+        c = c.reshape(c.shape + (1,) * zeta.ndim)
+    return factor, _horner(c, w)
+
+
+def _neumann_weights(model: ExpansionModel, N: int, order: int | None) -> np.ndarray:
+    """``N^-j``, ``j = 0 .. order``: the weights of the partial sum
+    ``sum_j N^-j X_j``."""
+    order = model.order if order is None else order
+    if not 0 <= order <= model.order:
+        raise ValueError("requested order must lie in [0, solved order]")
+    return float(N) ** -np.arange(order + 1)
+
+
+def positioning_factor(model: ExpansionModel, N: int, zeta) -> np.ndarray:
+    """Factor ``phi'(z) phi(z)^N e^V(z)`` at the points ``z = psi(zeta)``
+    (see :func:`_pointwise`)."""
+    return _pointwise(model, N, zeta)[0]
 
 
 def position_at(model: ExpansionModel, f: CircleSeries, N: int, zeta):
@@ -150,21 +204,27 @@ def monic_at(model: ExpansionModel, N: int, zeta, order: int | None = None):
     (the degree is checked, the validity region is the caller's).  Raises
     :class:`NonFiniteError` where a value leaves the float range."""
     _require_degree(N)
+    prefactor = monic_prefactor(model, N)
+    weights = _neumann_weights(model, N, order)
     # an overflowed factor makes the product inf or nan; both are refused
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = monic_prefactor(model, N) * position_at(
-            model, neumann_partial_sum(model.coeffs, N, order), N, zeta)
+        factor, partial = _pointwise(model, N, zeta, weights)
+        vals = prefactor * (factor * partial)
     return _require_finite(vals, "monic polynomial", N, zeta)
 
 
-def monic_orders_at(model: ExpansionModel, N: int, zeta, xs: np.ndarray) -> np.ndarray:
-    """:func:`monic_at` at one mapped point ``zeta`` (an array of one) for every
-    order ``0 .. len(xs) - 1`` at once, from ``xs = X_0(zeta) .. X_order(zeta)``:
-    the partial sums are the cumulative sums of ``N^-j X_j(zeta)``."""
+def monic_orders_at(model: ExpansionModel, N: int, zeta, order: int | None = None) -> np.ndarray:
+    """:func:`monic_at` at mapped points ``zeta`` for every order ``0 ..
+    order`` at once: row ``k`` holds the order-``k`` values, read in the same
+    pass from the partial sums ``sum_{j<=k} N^-j X_j``."""
     _require_degree(N)
+    prefactor = monic_prefactor(model, N)
+    powers = _neumann_weights(model, N, order)
+    # column k holds N^-j for j <= k, so sum k is the order-k partial sum
+    weights = np.triu(np.broadcast_to(powers[:, None], (powers.size, powers.size)))
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = monic_prefactor(model, N) * (positioning_factor(model, N, zeta)
-                                            * np.cumsum(float(N) ** -np.arange(len(xs)) * xs))
+        factor, partials = _pointwise(model, N, zeta, weights)
+        vals = prefactor * (factor * partials)
     return _require_finite(vals, "monic polynomial", N, zeta)
 
 
@@ -181,8 +241,10 @@ def normalized_at(model: ExpansionModel, N: int, zeta, order: int | None = None)
     so ``C_N`` is never formed.  Raises :class:`NonFiniteError` where a value
     leaves the float range."""
     scale = normalized_scale(model, N, order)
+    weights = _neumann_weights(model, N, order)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = scale * position_at(model, neumann_partial_sum(model.coeffs, N, order), N, zeta)
+        factor, partial = _pointwise(model, N, zeta, weights)
+        vals = scale * (factor * partial)
     return _require_finite(vals, "normalized polynomial", N, zeta)
 
 

@@ -26,7 +26,7 @@ Both ``V o psi`` and ``F`` are explicit maps of the modes of ``h``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -48,15 +48,16 @@ class ExteriorMap:
     ``tail[j]`` is the coefficient of ``zeta**-j`` for ``j = 0, 1, ...``.
     ``psi`` and ``psi'`` are polynomials in ``w = 1/zeta`` past the linear
     term and are evaluated by Horner's scheme.
-    ``univalence_margin`` is a radius ``rho_u < 1`` above every zero of
-    ``psi'`` (:func:`exterior_map`), so ``psi'`` is zero-free on ``|zeta| >
-    rho_u``: that holds exactly, but it does not certify that ``psi`` is
-    injective there.
+    ``univalence_margin`` is derived, not given: ``min(0.98, max(0.05, 1.05
+    r))`` with ``r`` the largest modulus of a zero of ``psi'``, so ``psi'``
+    is zero-free on ``|zeta| > rho_u``; that holds exactly, but it does not
+    certify that ``psi`` is injective there.  A map with ``r >= 0.98``, not
+    below its margin, is refused with :class:`ConfigError`.
     """
 
     cap: float
     tail: np.ndarray
-    univalence_margin: float
+    univalence_margin: float = field(init=False)
 
     def __post_init__(self):
         if not (self.cap > 0):
@@ -66,6 +67,14 @@ class ExteriorMap:
         object.__setattr__(self, "tail", arr)
         # coefficients of p'(w) for p(w) = sum_j tail[j] w^j
         object.__setattr__(self, "_dtail", np.arange(1, len(arr)) * arr[1:])
+        # psi'(zeta) zeta^(L+1) = cap zeta^(L+1) - sum_{j=1..L} j a_j zeta^(L-j), L = len(tail) - 1
+        roots = np.roots(np.concatenate([[self.cap, 0.0], -self._dtail]))
+        r = float(np.max(np.abs(roots), initial=0.0))
+        margin = min(0.98, max(0.05, 1.05 * r))
+        if not r < margin:
+            raise ConfigError(f"psi' vanishes at |zeta| = {r:.4g}, not below the univalence "
+                              f"margin {margin}")
+        object.__setattr__(self, "univalence_margin", margin)
 
     def psi(self, zeta) -> np.ndarray:
         return self._evaluate(zeta, value=True, prime=False)[0]
@@ -76,6 +85,13 @@ class ExteriorMap:
     def psi_and_prime(self, zeta):
         """``(psi(zeta), psi'(zeta))`` sharing one reciprocal ``w = 1/zeta``."""
         return self._evaluate(zeta, value=True, prime=True)
+
+    def prime_at_reciprocal(self, w):
+        """``psi'(1/w) = cap - w^2 p'(w)``, ``p(w) = sum_j tail[j] w^j``: the
+        constant ``cap`` where the tail stops at ``zeta^0``."""
+        if not self._dtail.size:
+            return self.cap
+        return self.cap - w * w * _horner(self._dtail, w)
 
     def _evaluate(self, zeta, value: bool, prime: bool):
         # psi = cap zeta + p(w) and psi' = cap - w^2 p'(w) with
@@ -88,23 +104,14 @@ class ExteriorMap:
         else:
             w = np.reciprocal(zs)
             val = self.cap * zs + _horner(self.tail, w) if value else None
-            der = self.cap - w * w * _horner(self._dtail, w) if prime else None
+            der = self.prime_at_reciprocal(w) if prime else None
         return val, der
 
 
 def exterior_map(cap: float, tail=()) -> ExteriorMap:
-    """Construct a map with univalence margin ``min(0.98, max(0.05, 1.05 r))``,
-    ``r`` the largest modulus of a zero of ``psi'``; a map with ``r >= 0.98``,
-    not below its margin, is refused with :class:`ConfigError`."""
-    tail = np.asarray(list(tail), dtype=np.complex128)
-    # psi'(zeta) zeta^(L+1) = cap zeta^(L+1) - sum_{j=1..L} j a_j zeta^(L-j), L = len(tail) - 1
-    roots = np.roots(np.concatenate([[cap, 0.0], -np.arange(1, len(tail)) * tail[1:]]))
-    r = float(np.max(np.abs(roots), initial=0.0))
-    m = ExteriorMap(cap, tail, min(0.98, max(0.05, 1.05 * r)))
-    if not r < m.univalence_margin:
-        raise ConfigError(f"psi' vanishes at |zeta| = {r:.4g}, not below the univalence "
-                          f"margin {m.univalence_margin}")
-    return m
+    """The map ``cap zeta + sum_j tail[j] zeta^-j``; see :class:`ExteriorMap`
+    for its univalence margin and the maps it refuses."""
+    return ExteriorMap(cap, tail)
 
 
 def disk_map(radius: float = 1.0, center: complex = 0.0) -> ExteriorMap:

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, OffSpectralError
-from .expansion import ExpansionModel, _require_finite, positioning_factor
-from .geometry import ExteriorMap, map_forward, phi_prime
+from .errors import DomainError, NonFiniteError, OffSpectralError, OutOfValidityError
+from .expansion import ExpansionModel, _require_degree, _require_finite, positioning_factor
+from .geometry import ExteriorMap, map_forward, map_forward_many, phi_prime
 
 OFFSPECTRAL_MARGIN = 1e-6   # least separation |phi(w)| - 1 of a root point
 BW_TAIL_TOL = 1e-14         # relative size of what bw_kernel_diag's tail sum leaves out
@@ -25,11 +25,18 @@ class OffSpectralPoint:
 
 
 def off_spectral_point(m: ExteriorMap, w: complex) -> OffSpectralPoint:
-    a = map_forward(m, complex(w))
+    """The root point ``w``, or :class:`OffSpectralError` where ``phi(w)`` is
+    not separated from the closed domain or cannot be computed (Newton's
+    inversion fails for a point deep inside the domain)."""
+    zeta, ok = map_forward_many(m, np.array([complex(w)]))
+    if not ok[0]:
+        raise OffSpectralError(f"w = {complex(w)} could not be mapped into the analytic "
+                               "collar: it is not separated from the closed domain")
+    a = complex(zeta[0])
     if abs(a) <= 1.0 + OFFSPECTRAL_MARGIN:
         raise OffSpectralError(
             f"|phi(w)| = {abs(a):.6f} is not separated from the closed domain")
-    return OffSpectralPoint(w=complex(w), image=complex(a))
+    return OffSpectralPoint(w=complex(w), image=a)
 
 
 def outer_rho(point: OffSpectralPoint, zeta):
@@ -49,9 +56,13 @@ def outer_rho(point: OffSpectralPoint, zeta):
 def offspectral_leading(model: ExpansionModel, point: OffSpectralPoint, N: int, z):
     """Leading-order normalized kernel rooted off-spectrally, up to a
     unimodular phase: ``N^(1/2) rho_w(z) phi'(z) phi(z)^N e^V(z)``.  Raises
-    :class:`NonFiniteError` where a value leaves the float range."""
-    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    zeta = np.asarray(map_forward(model.map, zs), dtype=np.complex128)
+    :class:`OutOfValidityError` for a degree below ``N_MIN`` or a point that
+    cannot be mapped into the analytic collar, and :class:`NonFiniteError`
+    where a value leaves the float range."""
+    _require_degree(N)
+    zeta, ok = map_forward_many(model.map, np.atleast_1d(np.asarray(z, dtype=np.complex128)))
+    if not np.all(ok):
+        raise OutOfValidityError("point could not be mapped into the analytic collar")
     with np.errstate(over="ignore", invalid="ignore"):
         vals = math.sqrt(N) * outer_rho(point, zeta) * positioning_factor(model, N, zeta)
     _require_finite(vals, "off-spectral kernel", N, zeta)
@@ -81,6 +92,8 @@ def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z) -> float:
     """
     if not (0 < rho < 1):
         raise DomainError("need 0 < rho < 1")
+    if N < 0:
+        raise DomainError(f"degree {N} is negative")
     rho2 = rho * rho
     log_rho2 = 2.0 * math.log(rho)   # rho * rho underflows for rho below 1e-162
     L = math.ceil(math.log(BW_TAIL_TOL * (1.0 - rho2) ** 3) / log_rho2)

@@ -86,11 +86,16 @@ def terms_jet(terms, K: int, order: int) -> np.ndarray:
     of terms ``(m - n, m + n, c)`` with every ``|m - n| <= K``: row ``nu``
     restricts ``(-(r d/dr)/2)^nu`` of their sum to the unit circle."""
     p, d, c = terms
-    jet = np.empty((order + 1, 2 * K + 1), dtype=np.complex128)
-    for nu in range(order + 1):
-        jet[nu] = np.bincount(p + K, c.real, 2 * K + 1) + 1j * np.bincount(p + K, c.imag, 2 * K + 1)
-        c = c * (-d / 2.0)
-    return jet
+    # row nu of the weights is c (-(m+n)/2)^nu, as repeated products
+    weights = np.empty((order + 1, len(c)), dtype=np.complex128)
+    weights[0] = c
+    weights[1:] = -d / 2.0
+    weights = np.cumprod(weights, axis=0).ravel()
+    # one bincount over every row: bin (nu, p) sums its terms in their order
+    bins = (np.arange(order + 1)[:, None] * (2 * K + 1) + (p + K)).ravel()
+    size = (order + 1) * (2 * K + 1)
+    jet = np.bincount(bins, weights.real, size) + 1j * np.bincount(bins, weights.imag, size)
+    return jet.reshape(order + 1, 2 * K + 1)
 
 
 def annulus_from_terms(terms: dict, bidegree: int, inner_radius: float) -> AnnulusSeries:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planorth
-from planorth import cli, geometry
+from planorth import cli, expansion, geometry
 from planorth.errors import ConfigError, NonFiniteError
 from planorth.expansion import positioning_factor
 from planorth.kernels import off_spectral_point, offspectral_leading
@@ -585,27 +585,26 @@ def test_verify_rows_match_the_per_row_formulas(tmp_path, monkeypatch):
         assert krel == abs(planorth.leading_coeff(model, N, k) / polys.kappa[N] - 1.0), (N, k)
 
 
-def test_verify_evaluates_each_correction_once(tmp_path, monkeypatch):
-    # X_0 .. X_kappa at the point once per command, V once per degree, and no
-    # partial sum formed as a series
-    models = _captured(monkeypatch, "build_model")
-    evaluate = planorth.CircleSeries.evaluate
-    calls = {"X": [], "V": 0, "other": 0}
+def test_verify_reads_the_point_in_one_pass_per_degree(tmp_path, monkeypatch):
+    # every order at a degree from one pass over the mapped point, and no
+    # circle series evaluated there: V and the X_j come from the point table
+    passes, evaluated = [], []
+    pointwise, evaluate = expansion._pointwise, planorth.CircleSeries.evaluate
+
+    def counted_pointwise(model, N, zeta, weights=None):
+        passes.append((N, np.shape(zeta), np.shape(weights)))
+        return pointwise(model, N, zeta, weights)
 
     def counted_evaluate(self, z):
-        if np.size(z) == 1:
-            model = models[0]
-            j = next((j for j, x in enumerate(model.coeffs.X) if x is self), None)
-            if j is not None:
-                calls["X"].append(j)
-            else:
-                calls["V" if self is model.szego.v_exterior else "other"] += 1
+        evaluated.append(np.size(z))
         return evaluate(self, z)
 
+    monkeypatch.setattr(expansion, "_pointwise", counted_pointwise)
     monkeypatch.setattr(planorth.CircleSeries, "evaluate", counted_evaluate)
     cfg = write_config(tmp_path, "perturbed-expre", kappa=3, N=[8, 12, 16, 24])
     assert run(["verify", "--config", cfg, "--out", tmp_path / "o"]) == 0
-    assert calls == {"X": [0, 1, 2, 3], "V": 4, "other": 0}
+    assert passes == [(N, (1,), (4, 4)) for N in (8, 12, 16, 24)]
+    assert 1 not in evaluated
 
 
 def test_eval_rows_match_the_per_point_values(tmp_path, monkeypatch):
@@ -800,13 +799,20 @@ ROBUSTNESS = [
     *[(command, "disk-expre03", {"domain": FOLDED}, 2,
        "psi' vanishes at |zeta| = 1.2, not below the univalence margin 0.98")
       for command in ("expand", "eval", "verify")],
+    # inside the 2x1 ellipse, with phi below the univalence margin: Newton's
+    # inversion cannot reach them, so neither is a point of the expansion
+    ("kernel", "ellipse-expre", {"kernel": {**KERNEL, "w": [3.0, 0.0], "z": [0.1, 0.0]}}, 4,
+     "point could not be mapped into the analytic collar"),
+    ("kernel", "ellipse-expre", {"kernel": {**KERNEL, "w": [0.1, 0.0]}}, 4,
+     "w = (0.1+0j) could not be mapped into the analytic collar"),
 ]
 
 
 @pytest.mark.parametrize("command, preset, extra, code, message", ROBUSTNESS,
                          ids=["oracle-cap", "far-point", "centre-point", "far-kernel-z",
                               "far-kernel-w", "collar-overflow", "expansion-overflow",
-                              "index-range", "folded-expand", "folded-eval", "folded-verify"])
+                              "index-range", "folded-expand", "folded-eval", "folded-verify",
+                              "inner-kernel-z", "inner-kernel-w"])
 def test_robustness_table(tmp_path, capsys, command, preset, extra, code, message):
     cfg = write_config(tmp_path, preset, **extra)
     out = tmp_path / "o"

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 import planorth as po
+from planorth import expansion
 from planorth.errors import NonFiniteError, OutOfValidityError
 from planorth.expansion import position_at, positioning_factor
-from planorth.geometry import phi_prime
+from planorth.geometry import ExteriorMap, map_forward_many, phi_prime
+from planorth.hierarchy import neumann_partial_sum
+from planorth.kernels import off_spectral_point, offspectral_leading
 
 from conftest import ring_rule
 
@@ -172,14 +175,13 @@ def test_validity_radius_shape():
 
 
 def test_monic_orders_match_monic_at(all_preset_models):
-    # every order from one set of correction values: the cumulative sums are
-    # monic_at's partial sums, to the rounding of a differently ordered sum
+    # every order from one pass: row k is monic_at's order-k partial sum, to
+    # the rounding of a differently ordered sum
     for name, model in all_preset_models.items():
-        zeta = np.array([1.1 * np.exp(0.4j)])
-        xs = np.array([x.evaluate(zeta[0]) for x in model.coeffs.X])
+        zeta = np.array([1.1 * np.exp(0.4j), 0.97 * np.exp(2.0j)])
         for N in (8, 40, 300):
-            got = po.monic_orders_at(model, N, zeta, xs)
-            want = [po.monic_at(model, N, zeta, order=k)[0] for k in range(model.order + 1)]
+            got = po.monic_orders_at(model, N, zeta)
+            want = [po.monic_at(model, N, zeta, order=k) for k in range(model.order + 1)]
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13, (name, N)
 
 
@@ -205,6 +207,64 @@ def test_positioning_factor_log_polar_form(all_preset_models, N):
                 * zeta ** N)
         got = positioning_factor(model, N, zeta)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 4 * (N + 1) * math.pi * EPS, name
+
+
+def _series_position(model, N, zeta):
+    """The positioning factor from the model's circle series: ``V`` by its own
+    ``evaluate`` and ``phi'`` by :func:`phi_prime`, each with its reciprocal."""
+    v = model.szego.v_exterior.evaluate(zeta)
+    return phi_prime(model.map, zeta) * np.exp(v.real + N * np.log(np.abs(zeta))
+                                               + 1j * (v.imag + N * np.angle(zeta)))
+
+
+@pytest.mark.parametrize("N", [8, 300, 10 ** 4])
+def test_one_pass_matches_the_series_formulas(all_preset_models, N):
+    # the one-pass evaluators against the formulas evaluated series by series,
+    # on every preset and a complex weight (complex X_j), at mapped points
+    # from the validity circle to twice its distance outside
+    models = dict(all_preset_models)
+    models["disk-complex"] = po.build_model(po.disk_map(), po.exp_re_linear_weight(0.2 + 0.2j),
+                                            3, bidegree=16, inner_radius=0.5)
+    t = np.linspace(-0.999, 2.0, 37)
+    for name, model in models.items():
+        z = model.map.psi((1.0 + t * math.log(N) / N) * np.exp(1j * np.linspace(0.1, 6.2, 37)))
+        zeta, ok = map_forward_many(model.map, z)
+        assert ok.all()
+        position = _series_position(model, N, zeta)
+        partial = neumann_partial_sum(model.coeffs, N).evaluate(zeta)
+        point = off_spectral_point(model.map, model.map.psi(1.7 + 0.4j))
+        pairs = [(po.normalized_eval(model, N, z),
+                  math.sqrt(N) * model.norm.factor(N) * position * partial),
+                 (offspectral_leading(model, point, N, z),
+                  math.sqrt(N) * po.outer_rho(point, zeta) * position)]
+        if N < 1000:   # C_N overflows a float beyond
+            pairs.append((po.monic_eval(model, N, z),
+                          po.monic_prefactor(model, N) * position * partial))
+        for got, want in pairs:
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 4 * N * EPS, name
+
+
+def test_pointwise_evaluators_build_no_series(ellipse_exp_model, monkeypatch):
+    # one pass over the model's table: no circle series is built or evaluated,
+    # psi' is not called, and the table is built once and kept
+    model = ellipse_exp_model
+    point = off_spectral_point(model.map, 3.0)
+    z = model.map.psi(1.1 * np.exp(2j * np.pi * np.arange(16) / 16))
+    po.normalized_eval(model, 16, z)
+    table = model.point_table
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the one-pass evaluators called this")
+
+    monkeypatch.setattr(po.CircleSeries, "__post_init__", forbidden)
+    monkeypatch.setattr(po.CircleSeries, "evaluate", forbidden)
+    monkeypatch.setattr(ExteriorMap, "psi_prime", forbidden)
+    monkeypatch.setattr(expansion, "_in_w", forbidden)
+    for N in (16, 64, 300):
+        assert np.isfinite(po.normalized_eval(model, N, z)).all()
+        assert np.isfinite(po.monic_eval(model, N, z)).all()
+        assert np.isfinite(offspectral_leading(model, point, N, z)).all()
+    assert model.point_table is table
 
 
 def test_normalized_large_degree_log_domain(ellipse_exp_model):

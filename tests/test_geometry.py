@@ -257,12 +257,20 @@ def test_univalence_margin_guard():
     (lambda: po.exterior_map(1.0, [0, 1.44]), "1.2"),      # zeros of psi' at +-1.2
     (lambda: po.exterior_map(1.0, [0, 3.0]), "1.732"),     # at +-sqrt(3)
     (lambda: po.ellipse_map(1, 0.015), "0.9851"),          # flatter than 50:1
-], ids=["zeta+1.44/zeta", "zeta+3/zeta", "flat-ellipse"])
+    (lambda: po.ExteriorMap(1.0, [0, 1.44]), "1.2"),       # the class itself derives it
+], ids=["zeta+1.44/zeta", "zeta+3/zeta", "flat-ellipse", "constructor"])
 def test_zero_of_psi_prime_at_or_above_the_margin_is_refused(make, modulus):
     # the margin is capped at 0.98, so a zero of psi' there lies in the collar
     with pytest.raises(ConfigError, match=rf"\|zeta\| = {modulus}, not below the univalence "
                                           r"margin 0\.98"):
         make()
+
+
+def test_univalence_margin_is_derived_not_given():
+    # a margin passed in would bypass the refusal above
+    with pytest.raises(TypeError):
+        po.ExteriorMap(1.0, [0, 1.44], 0.5)
+    assert po.ExteriorMap(1.5, [0, 0.5]).univalence_margin == po.ellipse_map(2, 1).univalence_margin
 
 
 def test_zero_of_psi_prime_below_the_cap_keeps_the_capped_margin():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import planorth as po
-from planorth.errors import DomainError, NonFiniteError, OffSpectralError
+from planorth.errors import DomainError, NonFiniteError, OffSpectralError, OutOfValidityError
 from planorth.kernels import (BW_TAIL_TOL, bw_kernel_diag, off_spectral_point,
                               offspectral_leading, offspectral_phase, outer_rho)
 
@@ -49,6 +49,26 @@ def test_outer_value_far_root():
 def test_off_spectral_guard(disk_alpha_model):
     with pytest.raises(OffSpectralError):
         off_spectral_point(disk_alpha_model.map, 0.9)
+
+
+@pytest.mark.parametrize("w", [0.1, 1.45])
+def test_off_spectral_guard_for_a_root_it_cannot_map(ellipse_exp_model, w):
+    # inside the 2x1 ellipse with phi(w) below the univalence margin
+    with pytest.raises(OffSpectralError, match="could not be mapped into the analytic collar"):
+        off_spectral_point(ellipse_exp_model.map, w)
+
+
+@pytest.mark.parametrize("N", [-3, 0, 2, 3])
+def test_offspectral_leading_refuses_a_degree_below_the_threshold(ellipse_exp_model, N):
+    point = off_spectral_point(ellipse_exp_model.map, 3.0)
+    with pytest.raises(OutOfValidityError, match=f"degree {N} below the asymptotic threshold"):
+        offspectral_leading(ellipse_exp_model, point, N, 3.5)
+
+
+def test_offspectral_leading_refuses_a_point_it_cannot_map(ellipse_exp_model):
+    point = off_spectral_point(ellipse_exp_model.map, 3.0)
+    with pytest.raises(OutOfValidityError, match="could not be mapped into the analytic collar"):
+        offspectral_leading(ellipse_exp_model, point, 16, np.array([3.5, 0.1]))
 
 
 def test_offspectral_leading_vs_oracle(disk_alpha_model, disk_alpha_oracle):
@@ -183,6 +203,12 @@ def test_bw_diag_next_to_rho(r):
     head = r ** -2 / math.log(1.0 / rho ** 2) + np.sum((n + 1) * r ** (2 * n)
                                                        / (1.0 - rho ** (2 * n + 2)))
     assert abs(bw_kernel_diag(rho, po.disk_map(), N, r) / (head + tail) - 1.0) <= 1e-13
+
+
+def test_bw_diag_refuses_a_negative_degree():
+    with pytest.raises(DomainError, match="degree -5 is negative"):
+        bw_kernel_diag(0.5, po.disk_map(), -5, 1.2)
+    assert bw_kernel_diag(0.5, po.disk_map(), 0, 1.2) > 0.0
 
 
 def test_bw_diag_refuses_a_ring_too_thin_to_sum():
