@@ -7,7 +7,7 @@ import planorth as po
 
 print("== exterior maps ==")
 ell = po.ellipse_map(2, 1)
-print("ellipse 2x1: capacity =", po.capacity(ell),
+print("ellipse 2x1: capacity =", ell.cap,
       " univalence margin =", round(ell.univalence_margin, 4))
 z = 3.0
 zeta = po.map_forward(ell, z)

@@ -1,5 +1,5 @@
 """Solving the recursive family of circle jump problems for the correction
-coefficients, with residual diagnostics and the cross-validation solver."""
+coefficients, with residual diagnostics and the partial sums they build."""
 
 import numpy as np
 
@@ -18,12 +18,10 @@ for name in ("disk-const", "disk-expre03", "ellipse-expre"):
         print(f"  X_{j}: {nz if nz else 'all zero'}")
     res = [po.hierarchy_residual(model.coeffs, model.szego, p) for p in range(1, ORDER + 1)]
     print("  jump residuals:", ["%.1e" % r for r in res])
-    alt = po.solve_hierarchy_triangular(model.szego, ORDER)
-    agree = max((model.coeffs.X[j] - alt.X[j]).linf() for j in range(ORDER + 1))
-    print("  product-form vs triangular solver agreement: %.1e" % agree)
 
 model = preset_model("disk-expre03", ORDER)
 print("\npartial sums at N = 10 (disk, alpha = 0.3):")
 for order in (0, 1, 2):
-    s = po.neumann_partial_sum(model.coeffs, 10, order=order)
+    # sum_j 10^-j X_j over j <= order: a weighted sum of the rows of the stack
+    s = po.CircleSeries(10.0 ** -np.arange(order + 1) @ model.coeffs.stack[:order + 1])
     print(f"  order {order}: mode 0 = {s.coeff(0):.6f}, mode -1 = {s.coeff(-1):.6f}")

@@ -11,14 +11,12 @@ from .errors import (ConfigError, ConsistencyError, ConvergenceError, DegreeTooH
                      PlanorthError, PositivityError, TruncationOverflowError,
                      WeightResolutionError)
 from .series import (AnnulusSeries, CircleSeries, annulus_from_terms, circle_exp,
-                     circle_from_modes, circle_zeros, hardy_project, truncate)
-from .geometry import (ExteriorMap, SzegoData, WeightDef, WeightSpec, capacity,
-                       constant_weight, disk_map, ellipse_map, exp_re_linear_weight,
-                       exp_re_poly_weight, exterior_map, load_domain_config, map_forward,
-                       pullback_weight, sampled_weight, szego)
+                     circle_from_modes, hardy_project, truncate)
+from .geometry import (ExteriorMap, SzegoData, WeightDef, WeightSpec, constant_weight,
+                       disk_map, ellipse_map, exp_re_linear_weight, exp_re_poly_weight,
+                       load_domain_config, map_forward, pullback_weight, sampled_weight, szego)
 from .hierarchy import (HierarchyCoeffs, hierarchy_residual, hierarchy_residuals,
-                        neumann_partial_sum, solve_hierarchy, solve_hierarchy_triangular,
-                        weighted_derivative)
+                        solve_hierarchy, weighted_derivative)
 from .laplace import JetAtZero, NormExpansion, norm_expansion, watson_sum
 from .expansion import (ExpansionModel, build_model, leading_coeff, monic_at, monic_eval,
                         monic_orders_at, monic_prefactor, normalized_at, normalized_eval,

@@ -400,14 +400,15 @@ def cmd_kernel(cfg: dict, exp: dict, outdir: Path) -> int:
                           f"above the univalence margin {margin:.4g}, got rho = {rho}, "
                           f"rho1 = {rho1}")
     pt = off_spectral_point(model.map, w)
+    # the formula column maps z, so an unmappable z is refused before the oracle is built
+    kforms = [abs(offspectral_leading(model, pt, N, z)) for N in exp["N"]]
     N_max = max(exp["N"])
     polys = _oracle_for(model, N_max)
     p = polys.evaluate(np.array([z, w]))   # P_0 .. P_Nmax at z and w: K_N(., w) for every N
     kzw, kww = np.cumsum(p * np.conj(p[1]), axis=1)
     off_rows = []
-    for N in exp["N"]:
+    for N, kform in zip(exp["N"], kforms):
         knum = abs(kzw[N]) / math.sqrt(kww[N].real)
-        kform = abs(offspectral_leading(model, pt, N, z))
         off_rows.append([N, knum, kform, abs(knum / kform - 1.0)])
     band = np.linspace(rho1, 1.0, 17)
     diag_rows = []

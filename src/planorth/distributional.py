@@ -87,8 +87,8 @@ def _boundary_terms(model: ExpansionModel, split: TestFunctionSplit, degrees: li
     pair[nu, j, k, mu]`` with ``weight = C(nu+mu, nu) N^-(nu+j+k+mu)`` for
     ``mu <= order - nu`` and 0 beyond, from one contraction of the jet of
     ``g_0`` with the moment table and one product with that weight."""
-    if order > model.order:
-        raise ValueError("requested order exceeds the model order")
+    if not 0 <= order <= model.order:
+        raise ValueError("requested order must lie in [0, solved order]")
     index = [(nu, j, k) for nu in range(1, order + 1) for j in range(order - nu + 1)
              for k in range(order - nu - j + 1)]
     if order < 1:

@@ -13,9 +13,8 @@ sum times ``kappa_N C_N = N^(1/2) D_N``, which never forms ``C_N`` (a float
 overflow for ``cap > 1`` at large ``N``).
 
 The factor ``phi'(z) phi(z)^N e^V(z)`` is formed in log-polar form, one
-complex exponential of ``(Re V + N log|phi|) + i (Im V + N arg phi)``
-(:func:`positioning_factor`); its relative error is of order ``N eps``, the
-condition of ``phi^N`` itself.
+complex exponential of ``(Re V + N log|phi|) + i (Im V + N arg phi)``; its
+relative error is of order ``N eps``, the condition of ``phi^N`` itself.
 
 ``V o psi`` and every ``X_j`` have only modes ``k <= 0``, so each is a
 polynomial in ``w = 1/zeta``; the model keeps them once as such
@@ -41,7 +40,7 @@ from .geometry import (ExteriorMap, SzegoData, WeightDef, WeightSpec, map_forwar
                        pullback_weight, szego)
 from .hierarchy import HierarchyCoeffs, solve_hierarchy
 from .laplace import NormExpansion, norm_expansion
-from .series import CircleSeries, _horner
+from .series import _horner
 
 N_MIN = 4
 
@@ -157,18 +156,6 @@ def _neumann_weights(model: ExpansionModel, N: int, order: int | None) -> np.nda
     return float(N) ** -np.arange(order + 1)
 
 
-def positioning_factor(model: ExpansionModel, N: int, zeta) -> np.ndarray:
-    """Factor ``phi'(z) phi(z)^N e^V(z)`` at the points ``z = psi(zeta)``
-    (see :func:`_pointwise`)."""
-    return _pointwise(model, N, zeta)[0]
-
-
-def position_at(model: ExpansionModel, f: CircleSeries, N: int, zeta):
-    """The positioning operator at mapped points ``zeta = phi(z)``:
-    ``phi'(z) phi(z)^N e^V(z) f(phi(z))``."""
-    return positioning_factor(model, N, zeta) * f.evaluate(zeta)
-
-
 def check_valid(model: ExpansionModel, N: int, zeta, ok) -> None:
     """Raise :class:`OutOfValidityError` unless the degree is at least
     ``N_MIN`` and every point was mapped (``ok``, as from ``map_forward_many``)
@@ -190,9 +177,15 @@ def _map_valid(model: ExpansionModel, N: int, z) -> np.ndarray:
     return zeta
 
 
-def _require_finite(vals, what: str, N: int, zeta):
-    """``vals`` at mapped points ``zeta``, or :class:`NonFiniteError`, naming
-    ``what``, where one of them is not finite."""
+def _positioned(model: ExpansionModel, N: int, zeta, scale, weights, what: str):
+    """``scale`` times the positioning factor times the row sums over
+    ``weights`` (the factor alone without them) at mapped points ``zeta``, from
+    one :func:`_pointwise` pass.  Raises :class:`NonFiniteError`, naming
+    ``what``, where a value leaves the float range."""
+    # an overflowed factor makes the product inf or nan; both are refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor, sums = _pointwise(model, N, zeta, weights)
+        vals = scale * factor if sums is None else scale * (factor * sums)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteError(f"{what} out of float range at degree {N} "
                              f"(|phi(z)| up to {np.max(np.abs(zeta)):.4g})")
@@ -204,13 +197,8 @@ def monic_at(model: ExpansionModel, N: int, zeta, order: int | None = None):
     (the degree is checked, the validity region is the caller's).  Raises
     :class:`NonFiniteError` where a value leaves the float range."""
     _require_degree(N)
-    prefactor = monic_prefactor(model, N)
-    weights = _neumann_weights(model, N, order)
-    # an overflowed factor makes the product inf or nan; both are refused
-    with np.errstate(over="ignore", invalid="ignore"):
-        factor, partial = _pointwise(model, N, zeta, weights)
-        vals = prefactor * (factor * partial)
-    return _require_finite(vals, "monic polynomial", N, zeta)
+    return _positioned(model, N, zeta, monic_prefactor(model, N),
+                       _neumann_weights(model, N, order), "monic polynomial")
 
 
 def monic_orders_at(model: ExpansionModel, N: int, zeta, order: int | None = None) -> np.ndarray:
@@ -218,14 +206,10 @@ def monic_orders_at(model: ExpansionModel, N: int, zeta, order: int | None = Non
     order`` at once: row ``k`` holds the order-``k`` values, read in the same
     pass from the partial sums ``sum_{j<=k} N^-j X_j``."""
     _require_degree(N)
-    prefactor = monic_prefactor(model, N)
     powers = _neumann_weights(model, N, order)
     # column k holds N^-j for j <= k, so sum k is the order-k partial sum
     weights = np.triu(np.broadcast_to(powers[:, None], (powers.size, powers.size)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        factor, partials = _pointwise(model, N, zeta, weights)
-        vals = prefactor * (factor * partials)
-    return _require_finite(vals, "monic polynomial", N, zeta)
+    return _positioned(model, N, zeta, monic_prefactor(model, N), weights, "monic polynomial")
 
 
 def normalized_scale(model: ExpansionModel, N: int, order: int | None = None) -> float:
@@ -240,12 +224,8 @@ def normalized_at(model: ExpansionModel, N: int, zeta, order: int | None = None)
     ``zeta = phi(z)``: the positioned partial sum times :func:`normalized_scale`,
     so ``C_N`` is never formed.  Raises :class:`NonFiniteError` where a value
     leaves the float range."""
-    scale = normalized_scale(model, N, order)
-    weights = _neumann_weights(model, N, order)
-    with np.errstate(over="ignore", invalid="ignore"):
-        factor, partial = _pointwise(model, N, zeta, weights)
-        vals = scale * (factor * partial)
-    return _require_finite(vals, "normalized polynomial", N, zeta)
+    return _positioned(model, N, zeta, normalized_scale(model, N, order),
+                       _neumann_weights(model, N, order), "normalized polynomial")
 
 
 def monic_eval(model: ExpansionModel, N: int, z, order: int | None = None):

@@ -108,26 +108,15 @@ class ExteriorMap:
         return val, der
 
 
-def exterior_map(cap: float, tail=()) -> ExteriorMap:
-    """The map ``cap zeta + sum_j tail[j] zeta^-j``; see :class:`ExteriorMap`
-    for its univalence margin and the maps it refuses."""
-    return ExteriorMap(cap, tail)
-
-
 def disk_map(radius: float = 1.0, center: complex = 0.0) -> ExteriorMap:
-    return exterior_map(radius, [center])
+    return ExteriorMap(radius, [center])
 
 
 def ellipse_map(a: float, b: float) -> ExteriorMap:
     """Ellipse with semi-axes ``a >= b > 0``: ``psi(zeta) = (a+b)/2 zeta + (a-b)/2 / zeta``."""
     if not (a >= b > 0):
         raise ConfigError("ellipse needs a >= b > 0")
-    return exterior_map((a + b) / 2.0, [0.0, (a - b) / 2.0])
-
-
-def capacity(m: ExteriorMap) -> float:
-    """Logarithmic capacity of the domain: the leading coefficient of psi."""
-    return float(m.cap)
+    return ExteriorMap((a + b) / 2.0, [0.0, (a - b) / 2.0])
 
 
 def map_forward(m: ExteriorMap, z):
@@ -581,5 +570,4 @@ def load_domain_config(cfg: dict):
         raise ConfigError(f"missing config field: {exc}") from exc
     except (IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
-    m = exterior_map(cap, tail)
-    return m, wd, rho, M, K
+    return ExteriorMap(cap, tail), wd, rho, M, K

@@ -9,10 +9,6 @@ operators:
   (:func:`weighted_derivative`), and
 * the projection onto modes ``k <= -1`` (:func:`~planorth.series.hardy_project`).
 
-``solve_hierarchy`` evaluates the product form of the solution,
-``solve_hierarchy_triangular`` the equivalent triangular sum; they are kept
-separate purely for cross-validation.
-
 With ``Omega = E conj(E)`` and ``E = exp(F)`` (``SzegoData``), ``T`` is the
 exact identity ``T f = z df/dz + f + f z dF/dz`` for holomorphic ``f``: the
 factor ``conj(E)`` is anti-holomorphic and commutes with ``z d/dz``.  So ``T``
@@ -36,7 +32,7 @@ class HierarchyCoeffs:
     """Solved corrections ``X[0..order]``; ``X[0]`` is the constant one and
     every later entry is supported on modes ``k <= -1``.  All share one bandwidth
     (that of ``F``), so their coefficients are stored once as the rows of
-    ``stack`` and :func:`neumann_partial_sum` is one weighted sum of its rows."""
+    ``stack``, and a weighted sum of the ``X_j`` is one weighted sum of its rows."""
 
     order: int
     X: tuple
@@ -65,10 +61,6 @@ def weighted_derivative(f: CircleSeries, szego: SzegoData) -> CircleSeries:
     return truncate(CircleSeries(out), K, "weighted derivative")
 
 
-def _one(szego: SzegoData) -> CircleSeries:
-    return circle_from_modes({0: 1.0}, szego.F.bandwidth)
-
-
 def solve_hierarchy(szego: SzegoData, order: int) -> HierarchyCoeffs:
     """Corrections from the product form of the recursion.
 
@@ -79,35 +71,13 @@ def solve_hierarchy(szego: SzegoData, order: int) -> HierarchyCoeffs:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    xs = [_one(szego)]
+    xs = [circle_from_modes({0: 1.0}, szego.F.bandwidth)]
     W = xs[0]
     for _ in range(1, order + 1):
         A = weighted_derivative(W, szego)
         Xp = hardy_project(A)
         xs.append(Xp)
         W = Xp - A
-    return HierarchyCoeffs(order=order, X=tuple(xs))
-
-
-def solve_hierarchy_triangular(szego: SzegoData, order: int) -> HierarchyCoeffs:
-    """Corrections from the triangular sum
-    ``X_p = sum_{l<p} (-1)^{p-l+1} Q T^{p-l} X_l``; cross-validation only."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    xs = [_one(szego)]
-    iterates = {0: [xs[0]]}  # iterates[l][i] = T^i X_l
-    for p in range(1, order + 1):
-        for l in range(p):
-            seq = iterates[l]
-            while len(seq) < p - l + 1:
-                seq.append(weighted_derivative(seq[-1], szego))
-        acc = None
-        for l in range(p):
-            term = hardy_project(iterates[l][p - l]) * ((-1.0) ** (p - l + 1))
-            acc = term if acc is None else acc + term
-        Xp = hardy_project(acc)
-        xs.append(Xp)
-        iterates[p] = [Xp]
     return HierarchyCoeffs(order=order, X=tuple(xs))
 
 
@@ -143,13 +113,3 @@ def hierarchy_residual(coeffs: HierarchyCoeffs, szego: SzegoData, p: int) -> flo
         raise ValueError("need 1 <= p <= order")
     return hierarchy_residuals(coeffs, szego, p)[-1]
 
-
-def neumann_partial_sum(coeffs: HierarchyCoeffs, N: float, order: int | None = None) -> CircleSeries:
-    """Partial sum ``sum_{j<=order} N^{-j} X_j`` as a circle series."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    order = coeffs.order if order is None else order
-    if not 0 <= order <= coeffs.order:
-        raise ValueError("requested order must lie in [0, solved order]")
-    weights = float(N) ** -np.arange(order + 1)
-    return CircleSeries(weights @ coeffs.stack[:order + 1])

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonFiniteError, OffSpectralError, OutOfValidityError
-from .expansion import ExpansionModel, _require_degree, _require_finite, positioning_factor
-from .geometry import ExteriorMap, map_forward, map_forward_many, phi_prime
+from .expansion import ExpansionModel, _positioned, _require_degree
+from .geometry import ExteriorMap, map_forward_many, phi_prime
 
 OFFSPECTRAL_MARGIN = 1e-6   # least separation |phi(w)| - 1 of a root point
 BW_TAIL_TOL = 1e-14         # relative size of what bw_kernel_diag's tail sum leaves out
@@ -63,9 +63,10 @@ def offspectral_leading(model: ExpansionModel, point: OffSpectralPoint, N: int, 
     zeta, ok = map_forward_many(model.map, np.atleast_1d(np.asarray(z, dtype=np.complex128)))
     if not np.all(ok):
         raise OutOfValidityError("point could not be mapped into the analytic collar")
+    # conj(a) zeta overflows for a far pair; the inf or nan scale is refused with the values
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = math.sqrt(N) * outer_rho(point, zeta) * positioning_factor(model, N, zeta)
-    _require_finite(vals, "off-spectral kernel", N, zeta)
+        scale = math.sqrt(N) * outer_rho(point, zeta)
+    vals = _positioned(model, N, zeta, scale, None, "off-spectral kernel")
     return vals if np.ndim(z) else complex(vals[0])
 
 
@@ -88,7 +89,8 @@ def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z) -> float:
     ``l`` is at most ``rho^{2l} / (1 - rho^2)^2`` times term 0 whatever ``r``
     is, so the first ``L`` terms, ``rho^{2L} <= BW_TAIL_TOL (1 - rho^2)^3``,
     leave out less than ``BW_TAIL_TOL`` of the sum.  A ``rho`` that needs more
-    than ``BW_TAIL_TERMS`` of them raises :class:`DomainError`.
+    than ``BW_TAIL_TERMS`` of them raises :class:`DomainError`, as does a point
+    ``z`` that cannot be mapped or that has ``|phi(z)| <= rho``.
     """
     if not (0 < rho < 1):
         raise DomainError("need 0 < rho < 1")
@@ -100,7 +102,10 @@ def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z) -> float:
     if L > BW_TAIL_TERMS:
         raise DomainError(f"rho = {rho} is too close to 1: the kernel's tail sum "
                           f"needs {L} terms, more than {BW_TAIL_TERMS}")
-    zeta = map_forward(m, complex(z))
+    zeta, ok = map_forward_many(m, np.array([complex(z)]))
+    if not ok[0]:
+        raise DomainError(f"z = {complex(z)} could not be mapped into the analytic collar")
+    zeta = complex(zeta[0])
     r = abs(zeta)
     if r <= rho:
         raise DomainError(f"|phi(z)| = {r:.4f} must exceed rho = {rho}")

@@ -143,8 +143,8 @@ class NormExpansion:
     def factor(self, N: float, order: int | None = None) -> float:
         """Truncated norm correction ``1 + sum_{j<=order} d_j N^-j``."""
         order = self.d.size if order is None else order
-        if order > self.d.size:
-            raise ValueError("requested order exceeds computed order")
+        if not 0 <= order <= self.d.size:
+            raise ValueError("requested order must lie in [0, solved order]")
         return float(1.0 + sum(self.d[j - 1] * float(N) ** (-j) for j in range(1, order + 1)))
 
 

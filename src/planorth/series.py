@@ -150,10 +150,6 @@ class CircleSeries:
         S = int(np.max(np.abs(nz - K))) if nz.size else 0
         return CircleSeries(self.coeffs[K - S:K + S + 1])
 
-    def conjugate_on_circle(self) -> "CircleSeries":
-        """Series of ``zeta -> conj(f(zeta))`` restricted to ``|zeta| = 1``."""
-        return CircleSeries(np.conj(self.coeffs)[::-1])
-
     def evaluate(self, z) -> np.ndarray:
         """Evaluate at points ``z`` by Horner's scheme in ``z`` (modes
         ``k >= 0``) and in ``1/z`` (modes ``k < 0``), over the nonzero modes."""
@@ -198,10 +194,6 @@ def _horner(coeffs: np.ndarray, w: np.ndarray):
     for c in coeffs[-2::-1]:
         acc = acc * w + c
     return acc
-
-
-def circle_zeros(bandwidth: int) -> CircleSeries:
-    return CircleSeries(np.zeros(2 * bandwidth + 1, dtype=np.complex128))
 
 
 def circle_from_modes(modes: dict, bandwidth: int) -> CircleSeries:

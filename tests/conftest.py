@@ -139,6 +139,32 @@ def random_circle(rng, bandwidth, scale=1.0):
     return po.CircleSeries(arr)
 
 
+def conjugate_on_circle(f):
+    """Series of ``zeta -> conj(f(zeta))`` restricted to ``|zeta| = 1``."""
+    return po.CircleSeries(np.conj(f.coeffs)[::-1])
+
+
+def solve_hierarchy_triangular(szego, order):
+    """Corrections from the triangular sum
+    ``X_p = sum_{l<p} (-1)^{p-l+1} Q T^{p-l} X_l``: the reference that
+    :func:`planorth.solve_hierarchy`'s product form is checked against."""
+    xs = [po.circle_from_modes({0: 1.0}, szego.F.bandwidth)]
+    iterates = {0: [xs[0]]}  # iterates[l][i] = T^i X_l
+    for p in range(1, order + 1):
+        for l in range(p):
+            seq = iterates[l]
+            while len(seq) < p - l + 1:
+                seq.append(po.weighted_derivative(seq[-1], szego))
+        acc = None
+        for l in range(p):
+            term = po.hardy_project(iterates[l][p - l]) * ((-1.0) ** (p - l + 1))
+            acc = term if acc is None else acc + term
+        Xp = po.hardy_project(acc)
+        xs.append(Xp)
+        iterates[p] = [Xp]
+    return po.HierarchyCoeffs(order=order, X=tuple(xs))
+
+
 def szego_of(h):
     """:func:`planorth.szego` of a bare pullback ``h``, a circle series."""
     return po.szego(po.WeightSpec(None, h, 0.7, 0.0))

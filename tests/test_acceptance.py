@@ -14,6 +14,8 @@ from planorth.kernels import bw_kernel_diag, off_spectral_point, offspectral_lea
 from planorth.oracle import berezin_expectations
 from planorth.presets import preset_model
 
+from conftest import solve_hierarchy_triangular
+
 
 def report(num, name, ok):
     print(f"\nACCEPTANCE {num:>2} {name}: {'PASS' if ok else 'FAIL'}")
@@ -88,7 +90,7 @@ def test_criterion_05_hierarchy_residuals(all_preset_models):
     ok = True
     worst_res, worst_agree = 0.0, 0.0
     for name, model in all_preset_models.items():
-        alt = po.solve_hierarchy_triangular(model.szego, 4)
+        alt = solve_hierarchy_triangular(model.szego, 4)
         for p in range(1, 5):
             worst_res = max(worst_res, po.hierarchy_residual(model.coeffs, model.szego, p))
         worst_agree = max(worst_agree,

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import planorth
 from planorth import cli, expansion, geometry
 from planorth.errors import ConfigError, NonFiniteError
-from planorth.expansion import positioning_factor
 from planorth.kernels import off_spectral_point, offspectral_leading
 from planorth.oracle import OraclePolynomials, boundary_onps
 from planorth.presets import preset_config
@@ -579,7 +578,8 @@ def test_verify_rows_match_the_per_row_formulas(tmp_path, monkeypatch):
                                                      for N in (8, 12, 16, 24, 32)]
     for N, k, perr, _, krel in rows:
         N, k = int(N), int(k)
-        scale = planorth.monic_prefactor(model, N) * abs(positioning_factor(model, N, zeta[0]))
+        factor = expansion._pointwise(model, N, zeta[0])[0]
+        scale = planorth.monic_prefactor(model, N) * abs(factor)
         want = abs(p0[N] / polys.kappa[N] - planorth.monic_at(model, N, zeta, order=k)[0]) / scale
         assert abs(perr - want) <= 1e-12, (N, k, perr, want)
         assert krel == abs(planorth.leading_coeff(model, N, k) / polys.kappa[N] - 1.0), (N, k)
@@ -785,7 +785,7 @@ ROBUSTNESS = [
     ("verify", "disk-expre03", {"points": [[0.0, 0.0]]}, 4,
      "point could not be mapped into the analytic collar"),
     ("kernel", "ellipse-expre", {"kernel": {**KERNEL, "w": [3.0, 0.0], "z": [1e200, 0.0]}}, 3,
-     "out of float range (|z| up to 1e+200)"),
+     "off-spectral kernel out of float range at degree 8"),
     ("kernel", "ellipse-expre", {"kernel": {**KERNEL, "w": [1e200, 0.0]}}, 3,
      "out of float range (|z| up to 1e+200)"),
     ("distributional", "disk-expre03",
@@ -820,6 +820,19 @@ def test_robustness_table(tmp_path, capsys, command, preset, extra, code, messag
     err = capsys.readouterr().err
     assert message in err, err
     assert not out.exists()
+
+
+def test_kernel_maps_z_before_it_builds_the_oracle(tmp_path, capsys, monkeypatch):
+    # the formula column maps kernel.z, so a z inside the ellipse is refused
+    # before a degree-120 oracle is built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle was built before kernel.z was mapped")
+
+    monkeypatch.setattr(cli, "boundary_onps", forbidden)
+    cfg = write_config(tmp_path, "ellipse-expre", N=[8, 16, 120],
+                       kernel={**KERNEL, "w": [3.0, 0.0], "z": [0.1, 0.0]})
+    assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 4
+    assert "point could not be mapped into the analytic collar" in capsys.readouterr().err
 
 
 def test_far_term_index_runs_in_bounded_memory(tmp_path):

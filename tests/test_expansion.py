@@ -7,9 +7,8 @@ import pytest
 import planorth as po
 from planorth import expansion
 from planorth.errors import NonFiniteError, OutOfValidityError
-from planorth.expansion import position_at, positioning_factor
+from planorth.expansion import _pointwise
 from planorth.geometry import ExteriorMap, map_forward_many, phi_prime
-from planorth.hierarchy import neumann_partial_sum
 from planorth.kernels import off_spectral_point, offspectral_leading
 
 from conftest import ring_rule
@@ -22,7 +21,8 @@ def test_position_at_unweighted_disk(disk_const_model):
     z = 1.4 + 0.3j
     zeta = po.map_forward(disk_const_model.map, z)
     for N in (5, 12):
-        assert abs(position_at(disk_const_model, one, N, zeta) - z ** N) < 1e-12 * abs(z) ** N
+        lam = _pointwise(disk_const_model, N, zeta)[0] * one.evaluate(zeta)
+        assert abs(lam - z ** N) < 1e-12 * abs(z) ** N
 
 
 def test_position_at_far_field(disk_alpha_model):
@@ -30,7 +30,8 @@ def test_position_at_far_field(disk_alpha_model):
     N = 6
     for R in (50.0, 500.0):
         z = R * np.exp(0.7j)
-        lam = position_at(disk_alpha_model, f, N, po.map_forward(disk_alpha_model.map, z))
+        zeta = po.map_forward(disk_alpha_model.map, z)
+        lam = _pointwise(disk_alpha_model, N, zeta)[0] * f.evaluate(zeta)
         ratio = abs(lam) / abs(z ** N * f.evaluate(z))
         assert abs(ratio - 1.0) < 5.0 / R
 
@@ -47,9 +48,24 @@ def test_position_at_isometry(disk_alpha_model):
                           * model.szego.omega_flat.evaluate(w))
     z = model.map.psi(w)
     jac = np.abs(model.map.psi_prime(w)) ** 2
-    lam = position_at(model, f, N, po.map_forward(model.map, z))
+    zeta = po.map_forward(model.map, z)
+    lam = _pointwise(model, N, zeta)[0] * f.evaluate(zeta)
     domain_side = np.sum(wts * np.abs(lam) ** 2 * model.weight.omega(z) * jac)
     assert abs(annulus_side - domain_side) <= 1e-8 * abs(annulus_side)
+
+
+@pytest.mark.parametrize("call", [
+    lambda model, polys: po.leading_coeff(model, 30, -1),
+    lambda model, polys: po.normalized_eval(model, 30, 3.0, order=-1),
+    lambda model, polys: po.distributional_expectation(model, po.split_terms({(1, 1): 1.0}),
+                                                       30, -1),
+    lambda model, polys: po.l2_discrepancies(model, polys, [(16, -1)]),
+], ids=["leading_coeff", "normalized_eval", "distributional_expectation", "l2_discrepancies"])
+def test_a_negative_order_is_refused(ellipse_exp_model, ellipse_exp_oracle, call):
+    # a negative order is no order-0 request: each entry point refuses it
+    message = re.escape("requested order must lie in [0, solved order]")
+    with pytest.raises(ValueError, match=message):
+        call(ellipse_exp_model, ellipse_exp_oracle)
 
 
 def test_monic_prefactor_values(disk_const_model, ellipse_const_model):
@@ -205,7 +221,7 @@ def test_positioning_factor_log_polar_form(all_preset_models, N):
     for name, model in all_preset_models.items():
         want = (phi_prime(model.map, zeta) * np.exp(model.szego.v_exterior.evaluate(zeta))
                 * zeta ** N)
-        got = positioning_factor(model, N, zeta)
+        got = _pointwise(model, N, zeta)[0]
         assert np.max(np.abs(got - want) / np.abs(want)) <= 4 * (N + 1) * math.pi * EPS, name
 
 
@@ -231,7 +247,9 @@ def test_one_pass_matches_the_series_formulas(all_preset_models, N):
         zeta, ok = map_forward_many(model.map, z)
         assert ok.all()
         position = _series_position(model, N, zeta)
-        partial = neumann_partial_sum(model.coeffs, N).evaluate(zeta)
+        # the partial sum sum_j N^-j X_j summed term by term from the stack
+        partial = po.CircleSeries(sum(float(N) ** -j * x for j, x in
+                                      enumerate(model.coeffs.stack))).evaluate(zeta)
         point = off_spectral_point(model.map, model.map.psi(1.7 + 0.4j))
         pairs = [(po.normalized_eval(model, N, z),
                   math.sqrt(N) * model.norm.factor(N) * position * partial),

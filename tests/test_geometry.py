@@ -7,7 +7,7 @@ from planorth.geometry import (FIT_TOL, NEWTON_MAXITER, NEWTON_TOL, ExteriorMap,
                                _newton_seed, map_forward_many, phi_prime)
 from planorth.presets import PRESETS, preset_parts
 
-from conftest import halving_breaks, polar_rule, random_circle, szego_of
+from conftest import conjugate_on_circle, halving_breaks, polar_rule, random_circle, szego_of
 
 
 def test_map_forward_identity():
@@ -56,7 +56,7 @@ def _power_sums(m, zeta):
 
 def test_horner_maps_match_power_sums():
     maps = {name: preset_parts(name)[0] for name in PRESETS}
-    maps["six-term tail"] = po.exterior_map(1.2, [0.05, 0.0, 0.08j, 0.0, 0.0, 0.01 - 0.02j])
+    maps["six-term tail"] = ExteriorMap(1.2, [0.05, 0.0, 0.08j, 0.0, 0.0, 0.01 - 0.02j])
     for name, m in maps.items():
         radii = np.linspace(m.univalence_margin + 0.05, 2.0, 9)
         zeta = (radii[:, None] * np.exp(2j * np.pi * (np.arange(37) + 0.3) / 37)).ravel()
@@ -190,7 +190,7 @@ def test_second_preimage_below_the_margin_is_run_again(monkeypatch):
     # preimage, 0.0452 + 0.5691j, below the margin 0.6967; its Joukowski root
     # lies just below the margin too (|.| = 0.687), and from there Newton
     # returns the point itself.  Only the failed point is run again
-    m = po.exterior_map(1.0, [0.0, 0.0272 + 0.3837j, 0.0260 + 0.0405j, 0.0064])
+    m = ExteriorMap(1.0, [0.0, 0.0272 + 0.3837j, 0.0260 + 0.0405j, 0.0064])
     zeta0 = 0.7043 - 0.1564j
     zs = m.psi(np.array([zeta0, 1.3 + 0.2j]))
     first, first_ok = _full_batch_newton(m, zs)   # one run from the seeds
@@ -228,23 +228,23 @@ def test_newton_work_budget(all_preset_models, monkeypatch, preset):
 
 
 def test_capacity_values():
-    assert po.capacity(po.disk_map()) == 1.0
-    assert po.capacity(po.disk_map(radius=2.5)) == 2.5
-    assert po.capacity(po.ellipse_map(2, 1)) == 1.5
+    assert po.disk_map().cap == 1.0
+    assert po.disk_map(radius=2.5).cap == 2.5
+    assert po.ellipse_map(2, 1).cap == 1.5
 
 
 def test_capacity_scaling_law():
     m = po.ellipse_map(2, 1)
     lam = 3.7
-    scaled = po.exterior_map(lam * m.cap, lam * m.tail)
-    assert po.capacity(scaled) == pytest.approx(lam * po.capacity(m))
+    scaled = ExteriorMap(lam * m.cap, lam * m.tail)
+    assert scaled.cap == pytest.approx(lam * m.cap)
 
 
 def test_orthostaticity_validation():
     with pytest.raises(ConfigError):
-        po.exterior_map(-1.0, [])
+        ExteriorMap(-1.0, [])
     with pytest.raises(ConfigError):
-        po.exterior_map(0.0, [])
+        ExteriorMap(0.0, [])
 
 
 def test_univalence_margin_guard():
@@ -254,8 +254,8 @@ def test_univalence_margin_guard():
 
 
 @pytest.mark.parametrize("make, modulus", [
-    (lambda: po.exterior_map(1.0, [0, 1.44]), "1.2"),      # zeros of psi' at +-1.2
-    (lambda: po.exterior_map(1.0, [0, 3.0]), "1.732"),     # at +-sqrt(3)
+    (lambda: ExteriorMap(1.0, [0, 1.44]), "1.2"),      # zeros of psi' at +-1.2
+    (lambda: ExteriorMap(1.0, [0, 3.0]), "1.732"),     # at +-sqrt(3)
     (lambda: po.ellipse_map(1, 0.015), "0.9851"),          # flatter than 50:1
     (lambda: po.ExteriorMap(1.0, [0, 1.44]), "1.2"),       # the class itself derives it
 ], ids=["zeta+1.44/zeta", "zeta+3/zeta", "flat-ellipse", "constructor"])
@@ -275,7 +275,7 @@ def test_univalence_margin_is_derived_not_given():
 
 def test_zero_of_psi_prime_below_the_cap_keeps_the_capped_margin():
     # zeros at +-sqrt(0.95) = 0.975: 1.05 times that is capped to 0.98, above it
-    assert po.exterior_map(1.0, [0, 0.95]).univalence_margin == 0.98
+    assert ExteriorMap(1.0, [0, 0.95]).univalence_margin == 0.98
 
 
 def test_pullback_constant_weight():
@@ -297,7 +297,7 @@ def test_pullback_disk_linear_weight():
 
 def test_pullback_is_the_laurent_composition():
     # P(psi) for a cubic P and a tail with a gap, against P evaluated at psi(zeta)
-    m = po.exterior_map(1.2, [0.1j, 0.2, 0.0, -0.05 + 0.02j])
+    m = ExteriorMap(1.2, [0.1j, 0.2, 0.0, -0.05 + 0.02j])
     poly = np.array([0.3, -0.2 + 0.1j, 0.15, 0.05j])
     h = po.pullback_weight(m, po.exp_re_poly_weight(poly), 12, 0.8).pullback
     zeta = np.array([r * np.exp(2j * np.pi * t) for r in (0.85, 1.0, 1.2) for t in (0.1, 0.45, 0.8)])
@@ -432,10 +432,10 @@ def test_outer_function_real_part_is_minus_half_log_weight():
     h = _decaying_pullback(29)
     sz = szego_of(h)
     v = sz.v_exterior
-    re_v = 0.5 * (v + v.conjugate_on_circle())
-    assert np.max(np.abs((re_v + 0.5 * (h + h.conjugate_on_circle())).coeffs)) < 1e-15
+    re_v = 0.5 * (v + conjugate_on_circle(v))
+    assert np.max(np.abs((re_v + 0.5 * (h + conjugate_on_circle(h))).coeffs)) < 1e-15
     # F = V + h is purely imaginary on the circle, mode by mode
-    assert not (sz.F + sz.F.conjugate_on_circle()).coeffs.any()
+    assert not (sz.F + conjugate_on_circle(sz.F)).coeffs.any()
 
 
 @pytest.mark.parametrize("mode, bad", [(-1, np.nan), (0, complex(0.0, np.nan)), (3, np.inf)])

@@ -6,7 +6,7 @@ from planorth.errors import ConsistencyError
 from planorth.hierarchy import weighted_derivative
 from planorth.series import terms_jet
 
-from conftest import random_circle
+from conftest import random_circle, solve_hierarchy_triangular
 
 ALPHA = 0.3
 EPS = np.finfo(float).eps
@@ -130,10 +130,10 @@ def test_first_correction_is_projected_log_derivative(all_preset_models):
 
 
 def test_solver_agreement(disk_alpha_model, ellipse_exp_model):
-    alt = po.solve_hierarchy_triangular(disk_alpha_model.szego, 4)
+    alt = solve_hierarchy_triangular(disk_alpha_model.szego, 4)
     for j in range(5):
         assert (disk_alpha_model.coeffs.X[j] - alt.X[j]).linf() <= 1e-12
-    alt_e = po.solve_hierarchy_triangular(ellipse_exp_model.szego, 3)
+    alt_e = solve_hierarchy_triangular(ellipse_exp_model.szego, 3)
     for j in range(4):
         assert (ellipse_exp_model.coeffs.X[j] - alt_e.X[j]).linf() <= 1e-10
 
@@ -153,35 +153,11 @@ def test_residual_sensitivity(disk_alpha_model):
     assert po.hierarchy_residual(corrupted, disk_alpha_model.szego, 2) > 1e-4
 
 
-def test_neumann_partial_sum_is_the_sequential_sum(all_preset_models):
-    for name, model in all_preset_models.items():
-        X = model.coeffs.X
-        for N in (4, 37, 10 ** 4):
-            for order in range(model.order + 1):
-                want, mass = X[0].coeffs, np.abs(X[0].coeffs)
-                for j in range(1, order + 1):
-                    want = want + X[j].coeffs * float(N) ** -j
-                    mass = mass + np.abs(X[j].coeffs) * float(N) ** -j
-                got = po.neumann_partial_sum(model.coeffs, N, order).coeffs
-                # a few ulps of the summed magnitudes, mode by mode
-                assert np.all(np.abs(got - want) <= 4 * EPS * mass), (name, N, order)
-
-
 def test_corrections_share_one_bandwidth(disk_alpha_model):
     X = list(disk_alpha_model.coeffs.X)
     X[1] = po.truncate(X[1], X[1].bandwidth + 1, "test")
     with pytest.raises(ConsistencyError, match="bandwidth"):
         po.HierarchyCoeffs(order=disk_alpha_model.order, X=tuple(X))
-
-
-def test_neumann_partial_sum(disk_const_model, disk_alpha_model):
-    s0 = po.neumann_partial_sum(disk_alpha_model.coeffs, 10, order=0)
-    assert s0.coeff(0) == 1.0 and s0.l2() == 1.0
-    sc = po.neumann_partial_sum(disk_const_model.coeffs, 17, order=4)
-    assert sc.coeff(0) == 1.0 and sc.l2() == 1.0
-    s1 = po.neumann_partial_sum(disk_alpha_model.coeffs, 10, order=1)
-    assert abs(s1.coeff(-1) - ALPHA / 10) < 1e-14
-    assert abs(s1.coeff(0) - 1.0) < 1e-14
 
 
 def test_residuals_at_reference_caps():

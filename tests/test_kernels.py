@@ -146,6 +146,9 @@ def test_bw_band_bound():
 def test_bw_domain_guard():
     with pytest.raises(DomainError):
         bw_kernel_diag(0.5, po.disk_map(), 10, 0.4)
+    # inside the 2x1 ellipse, below the univalence margin: Newton cannot map it
+    with pytest.raises(DomainError, match="could not be mapped"):
+        bw_kernel_diag(0.5, po.ellipse_map(2, 1), 10, 0.1)
 
 
 def _bw_diag_loop(rho, m, N, z):
@@ -189,6 +192,10 @@ def test_offspectral_overflow_is_typed(ellipse_exp_model):
     assert np.isfinite(offspectral_leading(ellipse_exp_model, point, 100, 3.5))
     with pytest.raises(NonFiniteError, match="off-spectral kernel .* degree 2000"):
         offspectral_leading(ellipse_exp_model, point, 2000, 3.5)
+    # phi(w) phi(z) = 4.4e349 overflows inside the outer factor, with no numpy warning
+    far = off_spectral_point(ellipse_exp_model.map, 1e200)
+    with pytest.raises(NonFiniteError, match="off-spectral kernel .* degree 8"):
+        offspectral_leading(ellipse_exp_model, far, 8, 1e150)
 
 
 @pytest.mark.parametrize("r", [0.505, 0.5001])

@@ -164,7 +164,7 @@ def test_moment_table_drops_no_mass():
     # X_1 conj(X_0) Omega carries 1.3e-13 beyond bidegree 24 here; the table
     # keeps the whole product (only its restriction is stored), so the build
     # neither trips the truncation guard nor loses that mass
-    m = po.exterior_map(1.0, [0.0, 0.0, 0.0, complex(-0.0765155848155947, 0.08851194992952947)])
+    m = po.ExteriorMap(1.0, [0.0, 0.0, 0.0, complex(-0.0765155848155947, 0.08851194992952947)])
     w = po.exp_re_poly_weight([0.0, complex(0.003318991724478022, 0.4895720831212811),
                                complex(-0.3231695246045201, 0.24617173043809984)])
     model = po.build_model(m, w, 1, bidegree=24, inner_radius=0.8682)

@@ -8,7 +8,7 @@ import pytest
 import planorth as po
 from planorth import oracle
 from planorth.errors import DegreeTooHighError, DomainError, OutOfValidityError
-from planorth.expansion import positioning_factor
+from planorth.expansion import _pointwise
 from planorth.oracle import berezin_expectations, l2_discrepancies, smoothstep
 from planorth.presets import preset_parts
 
@@ -34,7 +34,7 @@ def test_ellipse_mass(ellipse_const_model):
 
 
 # univalent (margin 0.918) but starlike neither about 0 nor about its centroid
-NON_STARLIKE = po.exterior_map(1.0, [0.0, -0.458, 0.2178, -0.0427, 0.0854])
+NON_STARLIKE = po.ExteriorMap(1.0, [0.0, -0.458, 0.2178, -0.0427, 0.0854])
 
 
 def _exact_log_kappa(m, n):
@@ -262,7 +262,7 @@ def _ring_pairing(model, polys, g, N, rho_ring):
     ``p_N = P_N(psi(w)) psi'(w) w^{-N} e^{-V(psi(w))}`` and ``Omega = |E|^2``:
     an exterior-holomorphic test function against the pulled-back oracle polynomial."""
     w, wts = ring_rule(rho_ring, 768)
-    pN = polys.eval_single(model.map.psi(w), N) / positioning_factor(model, N, w)
+    pN = polys.eval_single(model.map.psi(w), N) / _pointwise(model, N, w)[0]
     omega_flat = np.abs(model.szego.E.evaluate(w)) ** 2
     return np.sum(wts * g.evaluate(w) * np.conj(pN) * np.abs(w) ** (2 * N) * omega_flat)
 
