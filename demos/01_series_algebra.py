@@ -1,6 +1,7 @@
 """Tour of the one-dimensional series algebra behind the model: Laurent series
-on the circle, the outer factor E = exp(F) by an oversampled FFT, the weighted
-operator T, the Hardy-type projection and the outer function V."""
+on the circle, the outer factor E = exp(F) by an FFT whose size its spectrum
+sets, the weighted operator T, the Hardy-type projection and the outer
+function V."""
 
 import numpy as np
 

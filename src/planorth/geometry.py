@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (ConfigError, ConsistencyError, ConvergenceError,
                      PositivityError, WeightResolutionError)
-from .series import (OVERSAMPLE, AnnulusSeries, CircleSeries, _horner, circle_exp,
+from .series import (OVERSAMPLE, AnnulusSeries, CircleSeries, _fold, _horner, circle_exp,
                      circle_from_modes, truncate)
 
 NEWTON_TOL = 1e-13     # map_forward stops at |psi(zeta) - z| <= NEWTON_TOL max(1, |z|)
@@ -465,7 +465,8 @@ def szego(weight: WeightSpec) -> SzegoData:
     ``V_-k = -(h_-k + conj(h_k))``, so ``2 Re V = -(h + conj(h))`` on the
     circle.  ``F = V o psi + h`` then has ``F_k = h_k`` for ``k >= 1``,
     ``F_0 = i Im h_0`` and ``F_-k = -conj(h_k)``: it is purely imaginary on
-    the circle, so ``|E| = |exp(F)| = 1`` there (checked on 256 samples).
+    the circle, so ``|E| = |exp(F)| = 1`` there (checked at the 256th roots of
+    unity, where ``E`` is one inverse FFT of its modes folded mod 256).
     """
     h, K = weight.pullback.coeffs, weight.pullback.bandwidth
     if not np.isfinite(h).all():
@@ -474,8 +475,8 @@ def szego(weight: WeightSpec) -> SzegoData:
     v = np.concatenate([-(h[:K] + h_bar), [-h[K].real], np.zeros(K)])
     F = CircleSeries(np.concatenate([-h_bar, [1j * h[K].imag], h[K + 1:]]))
     E = circle_exp(F)
-    ts = np.exp(2j * np.pi * np.arange(256) / 256)
-    residual = float(np.max(np.abs(np.abs(E.evaluate(ts)) ** 2 - 1.0)))
+    on_circle = np.fft.ifft(_fold(E.coeffs, 256), norm="forward")
+    residual = float(np.max(np.abs(np.abs(on_circle) ** 2 - 1.0)))
     if not residual <= 1e-8:
         raise ConsistencyError(
             f"flattened weight deviates from 1 on the circle by {residual:.3e}")

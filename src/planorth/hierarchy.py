@@ -12,8 +12,10 @@ operators:
 With ``Omega = E conj(E)`` and ``E = exp(F)`` (``SzegoData``), ``T`` is the
 exact identity ``T f = z df/dz + f + f z dF/dz`` for holomorphic ``f``: the
 factor ``conj(E)`` is anti-holomorphic and commutes with ``z d/dz``.  So ``T``
-maps Laurent series to Laurent series and the whole recursion, residuals
-included, is one-dimensional convolution at the circle bandwidth ``2M``.
+maps Laurent series to Laurent series at the circle bandwidth ``2M``: one
+stencil over the few nonzero modes of ``F``, applied at once to a stack of
+rows.  The solver and the residual check each take one stacked application
+per order.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .geometry import SzegoData
-from .series import CircleSeries, circle_from_modes, hardy_project, truncate
+from .series import CircleSeries, _pad_circle, _refuse_discarded
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,16 +51,43 @@ class HierarchyCoeffs:
         object.__setattr__(self, "stack", stack)
 
 
+def _stencil(szego: SzegoData) -> tuple:
+    """``(K, modes, weights)``: the bandwidth ``K`` of ``F``, the nonzero modes
+    ``m`` of ``z dF/dz`` and their coefficients ``m F_m``."""
+    F, K = szego.F.coeffs, szego.F.bandwidth
+    modes = [int(m) for m in np.flatnonzero(F) - K if m]
+    return K, modes, [m * F[K + m] for m in modes]
+
+
+def _apply_T(rows: np.ndarray, stencil: tuple) -> np.ndarray:
+    """``T`` on every row of ``rows`` (a stack of Laurent coefficients at one
+    bandwidth ``B``, at least the bandwidth ``K`` of ``F``), cut to ``K``.
+
+    ``T f = z df/dz + f + f z dF/dz`` is a stencil over the nonzero modes of
+    ``z dF/dz`` (:func:`_stencil`): mode ``k`` of a row is ``(k + 1) f_k`` plus
+    ``m F_m f_(k-m)`` for each nonzero ``F_m``.  Raises
+    :class:`TruncationOverflowError` when a row's mass beyond ``K`` exceeds
+    ``TRUNC_TOL``."""
+    K, modes, weights = stencil
+    B = (rows.shape[1] - 1) // 2
+    S = max(map(abs, modes), default=0)
+    out = np.zeros((rows.shape[0], 2 * (B + S) + 1), dtype=np.complex128)
+    np.multiply(rows, np.arange(1 - B, B + 2), out=out[:, S:S + 2 * B + 1])
+    for m, w in zip(modes, weights):
+        out[:, S + m:S + m + 2 * B + 1] += w * rows
+    cut = B + S - K
+    if cut:
+        discarded = np.abs(out[:, :cut]).sum(axis=1) + np.abs(out[:, -cut:]).sum(axis=1)
+        _refuse_discarded(float(discarded.max()), K, "weighted derivative")
+    return out[:, cut:cut + 2 * K + 1]
+
+
 def weighted_derivative(f: CircleSeries, szego: SzegoData) -> CircleSeries:
     """Apply ``T f = (1/Omega)(z d/dz + 1)(f Omega)`` to a Laurent series as
     ``z df/dz + f + f z dF/dz``, cut to the bandwidth of ``F`` (the discarded
     mass is guarded by ``TRUNC_TOL``)."""
-    K, Kf = szego.F.bandwidth, f.bandwidth
-    dF = szego.F.coeffs * np.arange(-K, K + 1)
-    out = np.zeros(2 * (K + Kf) + 1, dtype=np.complex128)
-    out[K:K + 2 * Kf + 1] = f.coeffs * np.arange(-Kf, Kf + 1) + f.coeffs
-    out = out + np.convolve(f.coeffs, dF)
-    return truncate(CircleSeries(out), K, "weighted derivative")
+    rows = _pad_circle(f, max(f.bandwidth, szego.F.bandwidth))[None]
+    return CircleSeries(_apply_T(rows, _stencil(szego))[0])
 
 
 def solve_hierarchy(szego: SzegoData, order: int) -> HierarchyCoeffs:
@@ -71,14 +100,17 @@ def solve_hierarchy(szego: SzegoData, order: int) -> HierarchyCoeffs:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    xs = [circle_from_modes({0: 1.0}, szego.F.bandwidth)]
-    W = xs[0]
-    for _ in range(1, order + 1):
-        A = weighted_derivative(W, szego)
-        Xp = hardy_project(A)
-        xs.append(Xp)
-        W = Xp - A
-    return HierarchyCoeffs(order=order, X=tuple(xs))
+    stencil = _stencil(szego)
+    K = stencil[0]
+    stack = np.zeros((order + 1, 2 * K + 1), dtype=np.complex128)
+    stack[0, K] = 1.0
+    W = stack[:1]
+    for p in range(1, order + 1):
+        A = _apply_T(W, stencil)
+        stack[p, :K] = A[0, :K]  # X_p: the projection of T W onto modes k <= -1
+        W = -A                  # X_p - T W: zero on modes k <= -1
+        W[:, :K] = 0.0
+    return HierarchyCoeffs(order=order, X=tuple(CircleSeries(x) for x in stack))
 
 
 def hierarchy_residuals(coeffs: HierarchyCoeffs, szego: SzegoData, upto: int) -> list:
@@ -87,23 +119,21 @@ def hierarchy_residuals(coeffs: HierarchyCoeffs, szego: SzegoData, upto: int) ->
     Order ``p`` forms ``sum_{l<=p} (-1)^{p-l} T^{p-l} X_l`` on the circle and
     reports the largest absolute coefficient over modes ``k <= -1``; the exact
     solution leaves only modes ``k >= 0`` (the combined jump data extends
-    holomorphically into the disk).  Each ``T^{p-l} X_l`` is carried to
-    ``p + 1`` by one more ``T``, so ``upto (upto + 1) / 2`` applications serve
-    every order.  This is not the solver's own iterate ``X_p - T W``, so it
-    checks the solution independently.
+    holomorphically into the disk).  The iterates ``T^{p-l} X_l`` are the rows
+    of one stack, carried to ``p + 1`` by one stacked application of ``T``, so
+    ``upto`` passes serve every order.  This is not the solver's own iterate
+    ``X_p - T W``, so it checks the solution independently.
     """
     if not (0 <= upto <= coeffs.order):
         raise ValueError("need 0 <= upto <= order")
-    iterates = [coeffs.X[0]]          # iterates[l] = T^(p-l) X_l
+    stencil, X = _stencil(szego), coeffs.stack
+    K = stencil[0]
+    terms = X[:1]             # row l is (-1)^(p-l) T^(p-l) X_l
     out = []
     for p in range(1, upto + 1):
-        iterates = [weighted_derivative(a, szego) for a in iterates] + [coeffs.X[p]]
-        total = None
-        for l, a in enumerate(iterates):
-            term = a * ((-1.0) ** (p - l))
-            total = term if total is None else total + term
-        K = total.bandwidth
-        out.append(float(np.max(np.abs(total.coeffs[:K]))) if K else 0.0)
+        terms = np.concatenate([-_apply_T(terms, stencil), X[p:p + 1]])
+        total = terms.sum(axis=0)
+        out.append(float(np.abs(total[:K]).max()) if K else 0.0)
     return out
 
 

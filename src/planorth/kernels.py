@@ -42,15 +42,17 @@ def off_spectral_point(m: ExteriorMap, w: complex) -> OffSpectralPoint:
 def outer_rho(point: OffSpectralPoint, zeta):
     """Outer factor of the normalized kernel rooted at ``w``, at mapped points
     ``zeta = phi(z)``:
-    ``sqrt(1 - |a|^-2) conj(a) zeta / (conj(a) zeta - 1)`` with ``a = phi(w)``
-    (``sqrt(|a|^2 - 1) / |a|`` without the ``|a|^2`` that overflows for large ``a``).
+    ``sqrt(1 - |a|^-2) zeta / (zeta - 1/conj(a))`` with ``a = phi(w)``, which
+    is ``sqrt(|a|^2 - 1) / |a|`` times ``conj(a) zeta / (conj(a) zeta - 1)``
+    without the products ``|a|^2`` and ``conj(a) zeta`` that overflow for a far
+    pair.
 
     On the boundary its modulus squared is ``(|a|^2 - 1)/|zeta - a|^2``; it
     is zero-free and nonvanishing at infinity (hence outer on the exterior),
     and at ``zeta = a`` takes the positive value ``|a| (|a|^2 - 1)^(-1/2)``.
     """
     a = point.image
-    return math.sqrt(1.0 - abs(a) ** -2) * np.conj(a) * zeta / (np.conj(a) * zeta - 1.0)
+    return math.sqrt(1.0 - abs(a) ** -2) * zeta / (zeta - 1.0 / np.conj(a))
 
 
 def offspectral_leading(model: ExpansionModel, point: OffSpectralPoint, N: int, z):
@@ -63,10 +65,8 @@ def offspectral_leading(model: ExpansionModel, point: OffSpectralPoint, N: int, 
     zeta, ok = map_forward_many(model.map, np.atleast_1d(np.asarray(z, dtype=np.complex128)))
     if not np.all(ok):
         raise OutOfValidityError("point could not be mapped into the analytic collar")
-    # conj(a) zeta overflows for a far pair; the inf or nan scale is refused with the values
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = math.sqrt(N) * outer_rho(point, zeta)
-    vals = _positioned(model, N, zeta, scale, None, "off-spectral kernel")
+    vals = _positioned(model, N, zeta, math.sqrt(N) * outer_rho(point, zeta), None,
+                       "off-spectral kernel")
     return vals if np.ndim(z) else complex(vals[0])
 
 

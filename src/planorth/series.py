@@ -27,7 +27,8 @@ import numpy as np
 from .errors import NonFiniteError, TruncationOverflowError
 
 TRUNC_TOL = 1e-13        # largest discarded coefficient mass of a truncation
-OVERSAMPLE = 9           # circle_exp samples OVERSAMPLE * (2K+1) points (odd)
+OVERSAMPLE = 9           # the harmonic fit samples OVERSAMPLE * (2K+1) points; circle_exp
+                         # at most that many, rounded up to a power of two
 CHOP_TOL = 1e-16         # circle_exp coefficients below CHOP_TOL * l1 are FFT rounding
 EVAL_CHUNK = 4096        # points per block in AnnulusSeries.evaluate (benchmark only)
 
@@ -223,38 +224,66 @@ def truncate(c: CircleSeries, bandwidth: int, what: str) -> CircleSeries:
     if K <= bandwidth:
         return CircleSeries(_pad_circle(c, bandwidth))
     d = K - bandwidth
-    discarded = float(np.sum(np.abs(c.coeffs[:d])) + np.sum(np.abs(c.coeffs[-d:])))
+    _refuse_discarded(float(np.sum(np.abs(c.coeffs[:d])) + np.sum(np.abs(c.coeffs[-d:]))),
+                      bandwidth, what)
+    return CircleSeries(c.coeffs[d:K + bandwidth + 1])
+
+
+def _refuse_discarded(discarded: float, bandwidth: int, what: str) -> None:
+    """Raise :class:`TruncationOverflowError`, naming ``what``, when the mass
+    ``discarded`` beyond ``bandwidth`` exceeds ``TRUNC_TOL``."""
     if discarded > TRUNC_TOL:
         raise TruncationOverflowError(
             f"{what} has mass {discarded:.3e} beyond bandwidth {bandwidth}, above "
             f"tolerance {TRUNC_TOL:.1e}; increase M")
-    return CircleSeries(c.coeffs[d:K + bandwidth + 1])
 
 
 def circle_exp(f: CircleSeries) -> CircleSeries:
     """``exp(f)`` at the bandwidth ``K`` of ``f``.
 
-    ``f`` is sampled at ``n = OVERSAMPLE (2K+1)`` points of the unit circle
-    (an inverse FFT of its modes), exponentiated pointwise and transformed
-    back, so every mode ``|k| < n/2`` of ``exp(f)`` is measured directly
-    rather than bounded.  Coefficients below ``CHOP_TOL`` times the l1 norm
-    are the flat rounding floor of the FFT and are set to zero (a chop in the
-    sense of Aurentz & Trefethen, ACM TOMS 2017); the rest is cut to ``K`` by
-    :func:`truncate`, so a tail above ``TRUNC_TOL`` raises.  A sample of
-    ``exp(f)`` beyond the float range raises :class:`NonFiniteError` before the
-    transform back.
+    ``f`` is sampled at ``n`` points of the unit circle (an inverse FFT of its
+    modes), exponentiated pointwise and transformed back, so every mode
+    ``|k| < n/2`` of ``exp(f)`` is measured directly rather than bounded.
+    ``n`` is the least power of two ``>= 2 (2K+1)`` whose outer modes
+    ``|k| >= 3n/8`` lie below ``CHOP_TOL`` times the l1 norm; it doubles while
+    they do not, up to the first power of two ``>= OVERSAMPLE (2K+1)``.
+    Coefficients below ``CHOP_TOL`` times the l1 norm are the flat rounding
+    floor of the FFT and are set to zero (a chop in the sense of Aurentz &
+    Trefethen, ACM TOMS 2017); the rest is cut to ``K``, and a discarded mass
+    (every mode up to ``n/2``) above ``TRUNC_TOL`` raises as in
+    :func:`truncate`.  A sample of ``exp(f)`` beyond the float range raises
+    :class:`NonFiniteError` before the transform back.
     """
     K = f.bandwidth
-    n = OVERSAMPLE * (2 * K + 1)
-    spec = np.fft.ifftshift(np.pad(f.coeffs, (n - 2 * K - 1) // 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        samples = np.exp(np.fft.ifft(spec) * n)
-    if not np.isfinite(samples).all():
-        raise NonFiniteError(f"exp of a series at bandwidth {K} has samples beyond the "
-                             "float range")
-    e = np.fft.fft(samples) / n
-    e[np.abs(e) < CHOP_TOL * np.sum(np.abs(e))] = 0.0
-    return truncate(CircleSeries(np.fft.fftshift(e)), K, "exp")
+    n, cap = 1 << (4 * K + 1).bit_length(), 1 << (OVERSAMPLE * (2 * K + 1) - 1).bit_length()
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = np.exp(np.fft.ifft(_fold(f.coeffs, n), norm="forward"))
+        if not np.isfinite(samples).all():
+            raise NonFiniteError(f"exp of a series at bandwidth {K} has samples beyond the "
+                                 "float range")
+        e = np.fft.fft(samples, norm="forward")
+        modulus = np.abs(e)
+        floor = CHOP_TOL * modulus.sum()
+        outer = (3 * n + 7) // 8          # modes |k| >= 3n/8 sit at e[outer : n - outer + 1]
+        if n >= cap or (modulus[outer:n - outer + 1] < floor).all():
+            break
+        n *= 2
+    e[modulus < floor] = 0.0
+    # e[K + 1 : n - K] holds the modes K < |k| <= n/2 that the cut to K discards
+    _refuse_discarded(float(np.abs(e[K + 1:n - K]).sum()), K, "exp")
+    return CircleSeries(np.concatenate([e[n - K:], e[:K + 1]]))
+
+
+def _fold(c: np.ndarray, n: int) -> np.ndarray:
+    """The centred coefficients ``c`` (modes ``|k| <= K``) folded mod ``n``:
+    entry ``j`` sums the modes ``k = j (mod n)``, so the inverse FFT of the
+    result holds the series at the ``n``-th roots of unity."""
+    K = (c.size - 1) // 2
+    q = -(-K // n) * n                    # least multiple of n at or above K
+    padded = np.zeros(-(-(q + K + 1) // n) * n, dtype=np.complex128)
+    padded[q - K:q + K + 1] = c           # padded[i] holds mode i - q
+    return padded.reshape(-1, n).sum(axis=0)
 
 
 def hardy_project(c: CircleSeries) -> CircleSeries:

@@ -5,6 +5,7 @@ from numpy.polynomial.legendre import leggauss
 
 import planorth as po
 from planorth.presets import preset_model
+from planorth.series import CHOP_TOL, OVERSAMPLE
 
 # property tests stay deterministic and cheap inside the tier-1 run
 settings.register_profile("planorth", derandomize=True, max_examples=20, deadline=None)
@@ -142,6 +143,30 @@ def random_circle(rng, bandwidth, scale=1.0):
 def conjugate_on_circle(f):
     """Series of ``zeta -> conj(f(zeta))`` restricted to ``|zeta| = 1``."""
     return po.CircleSeries(np.conj(f.coeffs)[::-1])
+
+
+def weighted_derivative_convolved(f, szego):
+    """``T f = z df/dz + f + f z dF/dz`` as one full-width convolution with
+    ``z dF/dz``, cut to the bandwidth of ``F`` by :func:`planorth.truncate`:
+    the reference for the package's stencil."""
+    K, Kf = szego.F.bandwidth, f.bandwidth
+    dF = szego.F.coeffs * np.arange(-K, K + 1)
+    out = np.zeros(2 * (K + Kf) + 1, dtype=np.complex128)
+    out[K:K + 2 * Kf + 1] = f.coeffs * np.arange(-Kf, Kf + 1) + f.coeffs
+    out = out + np.convolve(f.coeffs, dF)
+    return po.truncate(po.CircleSeries(out), K, "weighted derivative")
+
+
+def circle_exp_fixed(f):
+    """``exp(f)`` from a fixed ``OVERSAMPLE (2K+1)``-point transform, chopped
+    at ``CHOP_TOL`` and cut to ``K``: the reference for
+    :func:`planorth.circle_exp`'s sized transform."""
+    K = f.bandwidth
+    n = OVERSAMPLE * (2 * K + 1)
+    spec = np.fft.ifftshift(np.pad(f.coeffs, (n - 2 * K - 1) // 2))
+    e = np.fft.fft(np.exp(np.fft.ifft(spec) * n)) / n
+    e[np.abs(e) < CHOP_TOL * np.sum(np.abs(e))] = 0.0
+    return po.truncate(po.CircleSeries(np.fft.fftshift(e)), K, "exp")
 
 
 def solve_hierarchy_triangular(szego, order):

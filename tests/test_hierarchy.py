@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import planorth as po
-from planorth.errors import ConsistencyError
+from planorth.errors import ConsistencyError, TruncationOverflowError
 from planorth.hierarchy import weighted_derivative
 from planorth.series import terms_jet
 
-from conftest import random_circle, solve_hierarchy_triangular
+from conftest import random_circle, solve_hierarchy_triangular, weighted_derivative_convolved
 
 ALPHA = 0.3
 EPS = np.finfo(float).eps
@@ -214,16 +214,73 @@ def test_one_pass_residuals_are_the_per_order_ones(all_preset_models, monkeypatc
     from planorth import hierarchy
     for name, model in all_preset_models.items():
         want = [_residual_per_order(model.coeffs, model.szego, p) for p in range(1, 5)]
-        calls = []
-        original = hierarchy.weighted_derivative
+        rows = []
+        original = hierarchy._apply_T
 
-        def counting(f, szego):
-            calls.append(1)
-            return original(f, szego)
+        def counting(stack, stencil):
+            rows.append(stack.shape[0])
+            return original(stack, stencil)
 
-        monkeypatch.setattr(hierarchy, "weighted_derivative", counting)
+        monkeypatch.setattr(hierarchy, "_apply_T", counting)
         got = po.hierarchy_residuals(model.coeffs, model.szego, 4)
         monkeypatch.undo()
         assert got == want, name                 # bit-identical
-        assert len(calls) == 4 * 5 // 2          # kappa (kappa + 1) / 2, not ... (kappa + 2) / 6
+        assert rows == [1, 2, 3, 4]              # kappa stacked passes, one more row each
     assert po.hierarchy_residuals(model.coeffs, model.szego, 0) == []
+
+
+def _stencil_inputs(sz, rng):
+    """Series at the bandwidth ``K`` of ``F`` whose image under ``T`` stays
+    inside ``K``, and one of them given at a narrower and a wider bandwidth."""
+    K = sz.F.bandwidth
+    f = sparse_circle(rng, K)
+    return [sparse_circle(rng, K), f, po.truncate(f, K - 5, "narrow"), po.truncate(f, K + 7, "wide")]
+
+
+def test_stencil_matches_the_convolution(all_preset_models):
+    rng = np.random.default_rng(13)
+    for name, model in all_preset_models.items():
+        sz = model.szego
+        fs = list(model.coeffs.X) + [weighted_derivative(model.coeffs.X[-1], sz)]
+        for f in fs + _stencil_inputs(sz, rng):
+            want = weighted_derivative_convolved(f, sz)
+            got = weighted_derivative(f, sz)
+            assert got.bandwidth == sz.F.bandwidth
+            assert np.max(np.abs((got - want).coeffs)) <= 1e-15 * want.l1(), name
+
+
+def test_stencil_matches_the_convolution_for_modes_at_the_bandwidth():
+    # a random F with modes at +-K: T of a constant reaches the edge without passing it
+    rng = np.random.default_rng(17)
+    K = 12
+    F = random_circle(rng, K, scale=0.3)
+    sz = po.SzegoData(v_exterior=F, v_infinity=0.0, F=F, E=F, inner_radius=0.7,
+                      circle_residual=0.0)
+    assert F.coeff(K) != 0 and F.coeff(-K) != 0
+    for f in (po.circle_from_modes({0: 1.5 - 0.5j}, K), po.circle_from_modes({0: 2.0}, 3)):
+        want = weighted_derivative_convolved(f, sz)
+        got = weighted_derivative(f, sz)
+        assert got.coeff(K) != 0 and got.coeff(-K) != 0
+        assert np.max(np.abs((got - want).coeffs)) <= 1e-15 * want.l1()
+
+
+def test_stencil_refuses_mass_beyond_the_bandwidth(disk_alpha_model):
+    from planorth import hierarchy
+    sz = disk_alpha_model.szego
+    K = sz.F.bandwidth
+    message = f"weighted derivative has mass .* beyond bandwidth {K}, above tolerance"
+    # F has modes +-1, so z dF/dz carries mode K of f to K + 1
+    with pytest.raises(TruncationOverflowError, match=message):
+        weighted_derivative(po.circle_from_modes({K: 1.0}, K), sz)
+    # a wider input whose own modes lie beyond K
+    with pytest.raises(TruncationOverflowError, match=message):
+        weighted_derivative(po.circle_from_modes({0: 1.0, -K - 2: 1e-6}, K + 2), sz)
+    # in a stack, the one row that overflows is found
+    stack = np.zeros((3, 2 * K + 1), dtype=np.complex128)
+    stack[:, K] = 1.0
+    stack[1, 0] = 1e-3
+    with pytest.raises(TruncationOverflowError, match=message):
+        hierarchy._apply_T(stack, hierarchy._stencil(sz))
+    # mass below TRUNC_TOL is cut silently, as by truncate
+    tiny = weighted_derivative(po.circle_from_modes({0: 1.0, K: 1e-16}, K), sz)
+    assert tiny.bandwidth == K

@@ -46,6 +46,18 @@ def test_outer_value_far_root():
     assert outer_rho(pt, 3.0) == pytest.approx(1.0)
 
 
+def test_offspectral_leading_for_a_far_root_and_a_far_point(ellipse_exp_model):
+    # conj(a) zeta would be ~1e310 here; the identity forms no such product,
+    # so the kernel is finite and outer_rho is 1, as for a root at 1e250
+    far = off_spectral_point(ellipse_exp_model.map, 1e300)
+    assert outer_rho(far, po.map_forward(ellipse_exp_model.map, 1e10)) == 1.0
+    got = offspectral_leading(ellipse_exp_model, far, 8, 1e10)
+    near = offspectral_leading(ellipse_exp_model, off_spectral_point(ellipse_exp_model.map, 1e250),
+                               8, 1e10)
+    assert np.isfinite(got) and got == near
+    assert abs(got) == pytest.approx(7.36e78, rel=1e-3)
+
+
 def test_off_spectral_guard(disk_alpha_model):
     with pytest.raises(OffSpectralError):
         off_spectral_point(disk_alpha_model.map, 0.9)

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 import planorth as po
-from planorth.errors import TruncationOverflowError
+from planorth import series
+from planorth.errors import NonFiniteError, TruncationOverflowError
 from planorth.hierarchy import weighted_derivative
 from planorth.series import EVAL_CHUNK, terms_jet
 
-from conftest import conjugate_on_circle, grid_restrictions, random_annulus, random_circle
+from conftest import (circle_exp_fixed, conjugate_on_circle, grid_restrictions, random_annulus,
+                      random_circle, szego_of)
 
 RHO = 0.7
 
@@ -84,6 +86,73 @@ def test_exp_tail_is_measured():
     reported = float(re.search(r"mass ([0-9.e+-]+)", str(info.value)).group(1))
     exact = sum(alpha ** k / math.factorial(k) for k in range(K + 1, 40))
     assert abs(reported / exact - 1.0) < 1e-3
+
+
+def _exp_test_series(all_preset_models):
+    """The presets' ``F`` and the oracle test's ``f``."""
+    fs = {name: model.szego.F for name, model in all_preset_models.items()}
+    fs["oracle"] = po.circle_from_modes({1: 0.2, -1: -0.2, 2: 0.1j, -3: 0.05}, 30)
+    return fs
+
+
+def _record_fft_sizes(monkeypatch) -> list:
+    """The list that the sizes of every forward FFT go to until ``monkeypatch.undo()``."""
+    sizes, forward = [], np.fft.fft
+
+    def recording(a, *args, **kwargs):
+        sizes.append(len(a))
+        return forward(a, *args, **kwargs)
+
+    monkeypatch.setattr(series.np.fft, "fft", recording)
+    return sizes
+
+
+def test_exp_matches_the_fixed_transform(all_preset_models):
+    for name, f in _exp_test_series(all_preset_models).items():
+        want = circle_exp_fixed(f)
+        got = po.circle_exp(f)
+        assert np.max(np.abs((got - want).coeffs)) <= 1e-15 * want.l1(), name
+
+
+def test_exp_samples_what_its_spectrum_needs(all_preset_models, monkeypatch):
+    for name, f in _exp_test_series(all_preset_models).items():
+        sizes = _record_fft_sizes(monkeypatch)
+        po.circle_exp(f)
+        monkeypatch.undo()
+        assert sizes[0] >= 2 * (2 * f.bandwidth + 1) and max(sizes) <= 256, (name, sizes)
+    # a spectrum too wide for its bandwidth doubles the count up to the cap,
+    # the first power of two >= OVERSAMPLE (2K+1) = 81, and is then refused
+    sizes = _record_fft_sizes(monkeypatch)
+    with pytest.raises(TruncationOverflowError, match="beyond bandwidth 4"):
+        po.circle_exp(po.circle_from_modes({1: 100.0}, 4))
+    monkeypatch.undo()
+    assert sizes == [32, 64, 128]
+
+
+def test_exp_refuses_samples_beyond_the_float_range():
+    with pytest.raises(NonFiniteError, match="bandwidth 4 has samples beyond the float range"):
+        po.circle_exp(po.circle_from_modes({1: 800.0}, 4))
+
+
+def test_circle_residual_is_the_evaluation_at_the_roots_of_unity(all_preset_models):
+    ts = np.exp(2j * np.pi * np.arange(256) / 256)
+    # modes +-129 of E fold onto -+127 at 256 samples
+    h_wide = po.circle_from_modes({0: 0.3j, 129: 1e-7 + 5e-8j}, 130)
+    szs = [model.szego for model in all_preset_models.values()] + [szego_of(h_wide)]
+    assert szs[-1].E.coeff(129) != 0 and szs[-1].E.coeff(-129) != 0
+    for sz in szs:
+        want = float(np.max(np.abs(np.abs(sz.E.evaluate(ts)) ** 2 - 1.0)))
+        assert abs(sz.circle_residual - want) <= 1e-15
+
+
+@pytest.mark.parametrize("K, n", [(0, 2), (3, 16), (8, 16), (130, 256), (300, 256)])
+def test_fold_gives_the_values_at_the_roots_of_unity(K, n):
+    # an inverse FFT of the modes folded mod n is the series at the n-th roots
+    # of unity, also where modes beyond n/2 alias onto lower ones
+    c = random_circle(np.random.default_rng(71 + K), K)
+    ts = np.exp(2j * np.pi * np.arange(n) / n)
+    got = np.fft.ifft(series._fold(c.coeffs, n), norm="forward")
+    assert np.max(np.abs(got - c.evaluate(ts))) <= 1e-13 * c.l1()
 
 
 def _jet(g, order):
