@@ -152,10 +152,10 @@ def _modes(coeffs: np.ndarray, K: int) -> tuple[list, list]:
 
 
 def _model_payload(model, cfg: dict) -> dict:
+    X = model.coeffs.stack
     corrections = []
     for j in range(1, model.order + 1):
-        X = model.coeffs.X[j]
-        modes, coeffs = _modes(X.coeffs, X.bandwidth)
+        modes, coeffs = _modes(X[j], (X.shape[1] - 1) // 2)
         corrections.append({"order": j, "modes": modes, "coeffs": coeffs})
     v = model.szego.v_exterior
     vmodes, vcoeffs = _modes(v.coeffs[:v.bandwidth + 1], v.bandwidth)

@@ -86,7 +86,10 @@ def _boundary_terms(model: ExpansionModel, split: TestFunctionSplit, degrees: li
     ``index[t]`` at degree ``degrees[i]``: ``sum_mu weight[i, t, mu]
     pair[nu, j, k, mu]`` with ``weight = C(nu+mu, nu) N^-(nu+j+k+mu)`` for
     ``mu <= order - nu`` and 0 beyond, from one contraction of the jet of
-    ``g_0`` with the moment table and one product with that weight."""
+    ``g_0`` with the moment table and one product with that weight.  Raises
+    :class:`OutOfValidityError` for a degree below ``N_MIN``."""
+    for N in degrees:
+        _require_degree(N)
     if not 0 <= order <= model.order:
         raise ValueError("requested order must lie in [0, solved order]")
     index = [(nu, j, k) for nu in range(1, order + 1) for j in range(order - nu + 1)
@@ -114,7 +117,8 @@ def distributional_terms(model: ExpansionModel, split: TestFunctionSplit, N: int
     correction: ``N^-(nu+j+k) sum_{mu <= order-nu} C(nu+mu, nu) N^-mu
     pair[nu, j, k, mu]``, where ``pair[nu, j, k, mu] = sum_p jet[nu, p]
     B[j, k, mu, -p]`` pairs the jet of ``g_0`` with the moment table ``B`` at
-    the table's bandwidth."""
+    the table's bandwidth.  Raises :class:`OutOfValidityError` for a degree
+    below ``N_MIN``."""
     index, values = _boundary_terms(model, split, [N], model.order if order is None else order)
     return list(zip(index, values[0].tolist()))
 
@@ -133,8 +137,6 @@ def distributional_expectations(model: ExpansionModel, split: TestFunctionSplit,
     leaves the float range.
     """
     degrees = list(degrees)
-    for N in degrees:
-        _require_degree(N)
     order = model.order if order is None else order
     out = np.empty(len(degrees), dtype=np.complex128)
     _, values = _boundary_terms(model, split, degrees, order)

@@ -52,8 +52,11 @@ class ExpansionModel:
     szego: SzegoData
     coeffs: HierarchyCoeffs
     norm: NormExpansion
-    order: int
     validity_constant: float = 1.0
+
+    @property
+    def order(self) -> int:
+        return self.coeffs.order
 
     @property
     def inner_radius(self) -> float:
@@ -93,7 +96,7 @@ def build_model(m: ExteriorMap, weight_def: WeightDef, order: int,
     with stage("norm-expansion"):
         norm = norm_expansion(sz, coeffs, order)
     return ExpansionModel(map=m, weight=ws, szego=sz, coeffs=coeffs, norm=norm,
-                          order=order, validity_constant=validity_constant)
+                          validity_constant=validity_constant)
 
 
 def validity_radius(N: int, constant: float = 1.0) -> float:

@@ -20,35 +20,31 @@ per order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError
 from .geometry import SzegoData
 from .series import CircleSeries, _pad_circle, _refuse_discarded
 
 
 @dataclass(frozen=True, eq=False)
 class HierarchyCoeffs:
-    """Solved corrections ``X[0..order]``; ``X[0]`` is the constant one and
-    every later entry is supported on modes ``k <= -1``.  All share one bandwidth
-    (that of ``F``), so their coefficients are stored once as the rows of
-    ``stack``, and a weighted sum of the ``X_j`` is one weighted sum of its rows."""
+    """Solved corrections ``X_0 .. X_order`` as the rows of ``stack``, the
+    centred Laurent coefficients at the bandwidth of ``F``: row 0 is the
+    constant one and every later row is supported on modes ``k <= -1``.  A
+    weighted sum of the ``X_j`` is one weighted sum of the rows."""
 
-    order: int
-    X: tuple
-    stack: np.ndarray = field(init=False, repr=False)
+    stack: np.ndarray
 
-    def __post_init__(self):
-        if len(self.X) != self.order + 1:
-            raise ConsistencyError("correction list length does not match order")
-        widths = {x.bandwidth for x in self.X}
-        if len(widths) > 1:
-            raise ConsistencyError(f"corrections differ in bandwidth: {sorted(widths)}")
-        stack = np.stack([x.coeffs for x in self.X])
-        stack.setflags(write=False)
-        object.__setattr__(self, "stack", stack)
+    @property
+    def order(self) -> int:
+        return self.stack.shape[0] - 1
+
+    @property
+    def X(self) -> tuple:
+        """The rows of ``stack`` as circle series, built on each access."""
+        return tuple(CircleSeries(x) for x in self.stack)
 
 
 def _stencil(szego: SzegoData) -> tuple:
@@ -110,7 +106,8 @@ def solve_hierarchy(szego: SzegoData, order: int) -> HierarchyCoeffs:
         stack[p, :K] = A[0, :K]  # X_p: the projection of T W onto modes k <= -1
         W = -A                  # X_p - T W: zero on modes k <= -1
         W[:, :K] = 0.0
-    return HierarchyCoeffs(order=order, X=tuple(CircleSeries(x) for x in stack))
+    stack.setflags(write=False)
+    return HierarchyCoeffs(stack)
 
 
 def hierarchy_residuals(coeffs: HierarchyCoeffs, szego: SzegoData, upto: int) -> list:

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, OffSpectralError, OutOfValidityError
-from .expansion import ExpansionModel, _positioned, _require_degree
+from .errors import DomainError, NonFiniteError, OffSpectralError
+from .expansion import ExpansionModel, _map_valid, _positioned
 from .geometry import ExteriorMap, map_forward_many, phi_prime
 
 OFFSPECTRAL_MARGIN = 1e-6   # least separation |phi(w)| - 1 of a root point
@@ -59,12 +59,9 @@ def offspectral_leading(model: ExpansionModel, point: OffSpectralPoint, N: int, 
     """Leading-order normalized kernel rooted off-spectrally, up to a
     unimodular phase: ``N^(1/2) rho_w(z) phi'(z) phi(z)^N e^V(z)``.  Raises
     :class:`OutOfValidityError` for a degree below ``N_MIN`` or a point that
-    cannot be mapped into the analytic collar, and :class:`NonFiniteError`
-    where a value leaves the float range."""
-    _require_degree(N)
-    zeta, ok = map_forward_many(model.map, np.atleast_1d(np.asarray(z, dtype=np.complex128)))
-    if not np.all(ok):
-        raise OutOfValidityError("point could not be mapped into the analytic collar")
+    cannot be mapped inside the validity region, as the other evaluators do,
+    and :class:`NonFiniteError` where a value leaves the float range."""
+    zeta = _map_valid(model, N, z)
     vals = _positioned(model, N, zeta, math.sqrt(N) * outer_rho(point, zeta), None,
                        "off-spectral kernel")
     return vals if np.ndim(z) else complex(vals[0])

@@ -77,16 +77,15 @@ def _ps_power(c: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _product_stack(szego: SzegoData, coeffs: HierarchyCoeffs, order: int) -> np.ndarray:
-    """``A[j, S + n] = A_j[n]`` for ``A_j = X_j E``, ``j <= order``: one circle
-    product per ``j``, each ``X_j`` at the least bandwidth that holds it, all
-    zero-padded to the largest bandwidth ``S`` of the ``A_j``."""
+    """``A[j, S + n] = A_j[n]`` for ``A_j = X_j E``, ``j <= order``.  No
+    ``X_j`` has a mode ``k >= 1``, so the rows are cut once, to the deepest
+    nonzero mode ``D`` of any of them, and each is one circle product with
+    ``E``, all at the bandwidth ``S = D + bw(E)``."""
+    X = coeffs.stack[:order + 1]
+    K = (X.shape[1] - 1) // 2
+    D = K - int(np.flatnonzero(X.any(axis=0))[0])   # X_0 = 1 is nonzero at mode 0
     E = szego.E.trimmed().coeffs
-    A = [np.convolve(x.trimmed().coeffs, E) for x in coeffs.X[:order + 1]]
-    S = max((a.size - 1) // 2 for a in A)
-    stack = np.zeros((order + 1, 2 * S + 1), dtype=np.complex128)
-    for j, a in enumerate(A):
-        stack[j, S - (a.size - 1) // 2:S + (a.size + 1) // 2] = a
-    return stack
+    return np.array([np.convolve(x, E) for x in X[:, K - D:K + D + 1]])
 
 
 def _moment_table(A: np.ndarray, P: int) -> np.ndarray:

@@ -187,7 +187,7 @@ def solve_hierarchy_triangular(szego, order):
         Xp = po.hardy_project(acc)
         xs.append(Xp)
         iterates[p] = [Xp]
-    return po.HierarchyCoeffs(order=order, X=tuple(xs))
+    return po.HierarchyCoeffs(np.stack([x.coeffs for x in xs]))
 
 
 def szego_of(h):

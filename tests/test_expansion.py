@@ -185,6 +185,35 @@ def test_validity_refusal_reads_below_the_radius(ellipse_exp_model):
     assert np.isfinite(po.normalized_eval(model, N, model.map.psi((r + 1e-9) * angle)))
 
 
+_SPLIT = po.split_terms({(1, 1): 0.3, (2, 0): 0.1})
+
+
+@pytest.mark.parametrize("call, takes_points", [
+    (lambda model, N, z: po.normalized_eval(model, N, z), True),
+    (lambda model, N, z: po.monic_eval(model, N, z), True),
+    (lambda model, N, z: offspectral_leading(model, off_spectral_point(model.map, 3.0), N, z),
+     True),
+    (lambda model, N, z: po.distributional_expectation(model, _SPLIT, N), False),
+    (lambda model, N, z: po.distributional_expectations(model, _SPLIT, [16, N]), False),
+    (lambda model, N, z: [v for _, v in po.distributional_terms(model, _SPLIT, N)], False),
+    (lambda model, N, z: po.leading_coeff(model, N), False),
+], ids=["normalized_eval", "monic_eval", "offspectral_leading", "distributional_expectation",
+        "distributional_expectations", "distributional_terms", "leading_coeff"])
+def test_every_evaluator_refuses_what_lies_outside_its_validity(ellipse_exp_model, call,
+                                                                 takes_points):
+    # one rule for every entry point: a degree below N_MIN, and a point whose
+    # |phi(z)| = 0.85 lies below the validity radius 0.954 at N = 100, are
+    # refused; the same request at N = 100 and |phi(z)| = 1.2 is answered
+    model = ellipse_exp_model
+    inside, outside = (model.map.psi(r * np.exp(0.4j)) for r in (0.85, 1.2))
+    with pytest.raises(OutOfValidityError, match="degree 3 below the asymptotic threshold"):
+        call(model, 3, outside)
+    if takes_points:
+        with pytest.raises(OutOfValidityError, match="below the validity radius"):
+            call(model, 100, inside)
+    assert np.all(np.isfinite(call(model, 100, outside)))
+
+
 def test_validity_radius_shape():
     assert po.validity_radius(10) == pytest.approx(1 - math.log(10) / 10)
     assert po.validity_radius(40, 2.0) == pytest.approx(1 - 2 * math.log(40) / 40)

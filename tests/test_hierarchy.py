@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import planorth as po
-from planorth.errors import ConsistencyError, TruncationOverflowError
+from planorth.errors import TruncationOverflowError
 from planorth.hierarchy import weighted_derivative
+from planorth.presets import preset_model
 from planorth.series import terms_jet
 
 from conftest import random_circle, solve_hierarchy_triangular, weighted_derivative_convolved
@@ -145,19 +146,42 @@ def test_residuals(disk_const_model, disk_alpha_model):
 
 
 def test_residual_sensitivity(disk_alpha_model):
-    X = list(disk_alpha_model.coeffs.X)
-    K = X[2].bandwidth
-    bump = po.circle_from_modes({-1: 1e-3}, K)
-    X[2] = po.hardy_project(X[2] + bump)
-    corrupted = po.HierarchyCoeffs(order=disk_alpha_model.order, X=tuple(X))
+    X = disk_alpha_model.coeffs.stack.copy()
+    K = (X.shape[1] - 1) // 2
+    X[2, K - 1] += 1e-3
+    corrupted = po.HierarchyCoeffs(X)
     assert po.hierarchy_residual(corrupted, disk_alpha_model.szego, 2) > 1e-4
 
 
-def test_corrections_share_one_bandwidth(disk_alpha_model):
-    X = list(disk_alpha_model.coeffs.X)
-    X[1] = po.truncate(X[1], X[1].bandwidth + 1, "test")
-    with pytest.raises(ConsistencyError, match="bandwidth"):
-        po.HierarchyCoeffs(order=disk_alpha_model.order, X=tuple(X))
+def test_solver_builds_no_series_and_keeps_one_read_only_stack(monkeypatch):
+    # the corrections stay one stack from the solver to every reader: the
+    # solve builds no circle series, the norm constants build as many at any
+    # order, and X is the stack's rows
+    sz = preset_model("ellipse-expre", 0).szego
+    built = []
+    post_init = po.CircleSeries.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(po.CircleSeries, "__post_init__", counting)
+    counts = []
+    for order in (0, 2, 4, 6):
+        built.clear()
+        coeffs = po.solve_hierarchy(sz, order)
+        assert not built, order
+        po.norm_expansion(sz, coeffs, order)
+        counts.append(len(built))
+    assert len(set(counts)) == 1, counts
+    stack = coeffs.stack
+    assert coeffs.order == 6 and not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[1, 0] = 1.0
+    X = coeffs.X
+    assert len(X) == 7
+    for j, x in enumerate(X):
+        assert np.array_equal(x.coeffs, stack[j]), j
 
 
 def test_residuals_at_reference_caps():

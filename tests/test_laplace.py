@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import planorth as po
-from planorth.laplace import _moment_table, _ps_power
-from planorth.presets import preset_model
+from planorth.laplace import _moment_table, _product_stack, _ps_power
+from planorth.presets import PRESETS, preset_model
 
 from conftest import conv2_reference, grid_restrictions
 
@@ -170,6 +170,21 @@ def test_moment_table_drops_no_mass():
     model = po.build_model(m, w, 1, bidegree=24, inner_radius=0.8682)
     assert abs(model.norm.d[0] - 0.5) <= 1e-14
 
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_product_stack_is_the_per_row_products(name):
+    # reference: each X_j at its own least bandwidth times E, centred in the
+    # widest product; the stack cut once must give the same bits
+    model = preset_model(name, 6)
+    E = model.szego.E.trimmed().coeffs
+    for order in range(7):
+        A = [np.convolve(x.trimmed().coeffs, E) for x in model.coeffs.X[:order + 1]]
+        S = max((a.size - 1) // 2 for a in A)
+        want = np.zeros((order + 1, 2 * S + 1), dtype=np.complex128)
+        for j, a in enumerate(A):
+            want[j, S - (a.size - 1) // 2:S + (a.size + 1) // 2] = a
+        got = _product_stack(model.szego, model.coeffs, order)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, order)
 
 
 def _outer_product_moments(model, j, k, order):
