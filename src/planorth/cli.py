@@ -255,9 +255,12 @@ def _oracle_for(model, N_max: int):
 
 
 def cmd_oracle(cfg: dict, exp: dict, outdir: Path) -> int:
-    model = _build(cfg, exp["kappa"])
+    # the oracle reads the map and P alone: no expansion model is built
+    with stage("config"):
+        m, wd, _rho, _M, _K = load_domain_config(cfg["domain"])
     N_max = max(exp["N"])
-    polys = _oracle_for(model, N_max)
+    with stage("oracle"):
+        polys = boundary_onps(m, wd.holo_poly, N_max)
     payload = {
         "schema": "planorth/oracle-v1",
         "degree": N_max,
@@ -279,11 +282,14 @@ def cmd_oracle(cfg: dict, exp: dict, outdir: Path) -> int:
 def cmd_verify(cfg: dict, exp: dict, outdir: Path) -> int:
     if len(exp["points"]) != 1:
         raise ConfigError(f"verify checks one point: points has {len(exp['points'])} entries")
+    _require_degree(min(exp["N"]))
     model = _build(cfg, exp["kappa"])
     z0 = exp["points"][0]
+    zeta, ok = map_forward_many(model.map, np.array([z0]))   # the one mapped point
+    for N in exp["N"]:   # the request is checked before the oracle is built
+        check_valid(model, N, zeta, ok)
     N_max = max(exp["N"])
     polys = _oracle_for(model, N_max)
-    zeta, ok = map_forward_many(model.map, np.array([z0]))   # the one mapped point
     p0 = polys.evaluate(np.array([z0]))[0]
 
     pairs = [(N, kappa) for kappa in range(exp["kappa"] + 1) for N in exp["N"]]
@@ -291,7 +297,6 @@ def cmd_verify(cfg: dict, exp: dict, outdir: Path) -> int:
         l2s = l2_discrepancies(model, polys, pairs)
     errors = {}
     for N in exp["N"]:   # every order's pointwise and leading-coefficient errors
-        check_valid(model, N, zeta, ok)
         monic = monic_orders_at(model, N, zeta, exp["kappa"])[:, 0]
         # X_0 = 1: the order-0 value is C_N times the positioning factor, the error's scale
         perr = np.abs(p0[N] / polys.kappa[N] - monic) / abs(monic[0])
@@ -410,11 +415,10 @@ def cmd_kernel(cfg: dict, exp: dict, outdir: Path) -> int:
     for N, kform in zip(exp["N"], kforms):
         knum = abs(kzw[N]) / math.sqrt(kww[N].real)
         off_rows.append([N, knum, kform, abs(knum / kform - 1.0)])
-    band = np.linspace(rho1, 1.0, 17)
+    band = model.map.psi(np.linspace(rho1, 1.0, 17) * np.exp(0.37j))
     diag_rows = []
     for N in exp["N"]:
-        sup = max(bw_kernel_diag(rho, model.map, N, model.map.psi(r * np.exp(0.37j)))
-                  for r in band)
+        sup = float(np.max(bw_kernel_diag(rho, model.map, N, band)))
         diag_rows.append([N, sup, sup / N ** 2])
     payload = {
         "schema": "planorth/kernel-v1",

@@ -556,6 +556,12 @@ def load_domain_config(cfg: dict):
         elif kind == "custom-samples":
             pts = [parse_pair(a, "weight.points entry") for a in wcfg["points"]]
             vals = [parse_number(v, "weight.values entry") for v in wcfg["values"]]
+            if len(vals) != len(pts):
+                raise ConfigError(f"weight.values has {len(vals)} entries for "
+                                  f"{len(pts)} weight.points")
+            if any(v <= 0 for v in vals):
+                raise ConfigError(f"weight.values entries must be positive, "
+                                  f"got {min(vals)!r}")
             degree = parse_integer(wcfg.get("degree", 4), "weight.degree")
             if degree < 0:
                 raise ConfigError(f"weight.degree must be non-negative, got {degree}")

@@ -33,9 +33,14 @@ class HierarchyCoeffs:
     """Solved corrections ``X_0 .. X_order`` as the rows of ``stack``, the
     centred Laurent coefficients at the bandwidth of ``F``: row 0 is the
     constant one and every later row is supported on modes ``k <= -1``.  A
-    weighted sum of the ``X_j`` is one weighted sum of the rows."""
+    weighted sum of the ``X_j`` is one weighted sum of the rows.
+    ``at_origin[p-1]`` is ``W_p(0)``, the value at the origin of the solver's
+    iterate ``W_p = X_p - T W_(p-1)`` (holomorphic in the disk), for
+    ``p = 1..order``: the norm constants' ``c_p``
+    (:func:`~planorth.laplace.norm_expansion`)."""
 
     stack: np.ndarray
+    at_origin: np.ndarray
 
     @property
     def order(self) -> int:
@@ -90,9 +95,9 @@ def solve_hierarchy(szego: SzegoData, order: int) -> HierarchyCoeffs:
     """Corrections from the product form of the recursion.
 
     Iterates ``W -> X_p - T W``, harvesting ``X_p`` as the projection of
-    ``T W`` at each step.  Projecting before the next application would
-    destroy the recursion: the weighted derivative of an iterate carries
-    modes of both signs.
+    ``T W`` at each step and keeping ``W_p(0)``, its mode 0.  Projecting
+    before the next application would destroy the recursion: the weighted
+    derivative of an iterate carries modes of both signs.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -100,14 +105,17 @@ def solve_hierarchy(szego: SzegoData, order: int) -> HierarchyCoeffs:
     K = stencil[0]
     stack = np.zeros((order + 1, 2 * K + 1), dtype=np.complex128)
     stack[0, K] = 1.0
+    at_origin = np.zeros(order)
     W = stack[:1]
     for p in range(1, order + 1):
         A = _apply_T(W, stencil)
         stack[p, :K] = A[0, :K]  # X_p: the projection of T W onto modes k <= -1
         W = -A                  # X_p - T W: zero on modes k <= -1
         W[:, :K] = 0.0
+        at_origin[p - 1] = W[0, K].real
     stack.setflags(write=False)
-    return HierarchyCoeffs(stack)
+    at_origin.setflags(write=False)
+    return HierarchyCoeffs(stack, at_origin)
 
 
 def hierarchy_residuals(coeffs: HierarchyCoeffs, szego: SzegoData, upto: int) -> list:

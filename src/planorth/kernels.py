@@ -74,10 +74,12 @@ def offspectral_phase(model: ExpansionModel, point: OffSpectralPoint, N: int) ->
     return float(-(N * np.angle(a) + np.angle(phi_prime(model.map, a)) + np.imag(v)))
 
 
-def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z) -> float:
+def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z):
     """Diagonal of the reproducing kernel for holomorphic functions of growth
     ``O(|z|^N)`` on the exterior of the level curve ``|phi| = rho``, with the
-    ring ``rho < |phi| < 1`` as the inner-product region.
+    ring ``rho < |phi| < 1`` as the inner-product region: a float at one
+    point ``z``, an array at a 1-D array of points (one map call and one head
+    sum for all of them).
 
     ``K_N(z, z) = |phi'(z)|^2 [ |phi(z)|^-2 / log(1/rho^2)
     + sum_{n <= N, n != -1} (n+1) |phi(z)|^{2n} / (1 - rho^{2n+2}) ]``.
@@ -87,7 +89,7 @@ def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z) -> float:
     is, so the first ``L`` terms, ``rho^{2L} <= BW_TAIL_TOL (1 - rho^2)^3``,
     leave out less than ``BW_TAIL_TOL`` of the sum.  A ``rho`` that needs more
     than ``BW_TAIL_TERMS`` of them raises :class:`DomainError`, as does a point
-    ``z`` that cannot be mapped or that has ``|phi(z)| <= rho``.
+    that cannot be mapped or that has ``|phi(z)| <= rho``.
     """
     if not (0 < rho < 1):
         raise DomainError("need 0 < rho < 1")
@@ -99,20 +101,23 @@ def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z) -> float:
     if L > BW_TAIL_TERMS:
         raise DomainError(f"rho = {rho} is too close to 1: the kernel's tail sum "
                           f"needs {L} terms, more than {BW_TAIL_TERMS}")
-    zeta, ok = map_forward_many(m, np.array([complex(z)]))
-    if not ok[0]:
-        raise DomainError(f"z = {complex(z)} could not be mapped into the analytic collar")
-    zeta = complex(zeta[0])
-    r = abs(zeta)
-    if r <= rho:
-        raise DomainError(f"|phi(z)| = {r:.4f} must exceed rho = {rho}")
-    dphi2 = abs(phi_prime(m, zeta)) ** 2
+    pts = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    zeta, ok = map_forward_many(m, pts)
+    if not ok.all():
+        raise DomainError(f"z = {complex(pts[np.argmin(ok)])} could not be mapped into "
+                          "the analytic collar")
+    r = np.abs(zeta)
+    if np.any(r <= rho):
+        raise DomainError(f"|phi(z)| = {float(r.min()):.4f} must exceed rho = {rho}")
+    dphi2 = np.abs(phi_prime(m, zeta)) ** 2
     n = np.arange(N + 1)
     acc = r ** (-2.0) / -log_rho2
     with np.errstate(over="ignore"):   # an overflowed power makes acc inf, refused below
-        acc += float(np.sum((n + 1) * r ** (2 * n) / (1.0 - rho ** (2 * n + 2))))
-    if not math.isfinite(acc):
-        raise NonFiniteError(f"K_N(z, z) overflows a float at N = {N}, |phi(z)| = {r:.4f}")
-    x = (rho / r) ** 2 * rho2 ** np.arange(L)
-    acc += float(np.sum(x / (1.0 - x) ** 2)) / r ** 2
-    return float(acc * dphi2)
+        acc += np.sum((n + 1) * r[:, None] ** (2 * n) / (1.0 - rho ** (2 * n + 2)), axis=1)
+    if not np.all(np.isfinite(acc)):
+        raise NonFiniteError(f"K_N(z, z) overflows a float at N = {N}, "
+                             f"|phi(z)| = {float(r.max()):.4f}")
+    x = (rho / r[:, None]) ** 2 * rho2 ** np.arange(L)
+    acc += np.sum(x / (1.0 - x) ** 2, axis=1) / r ** 2
+    out = acc * dphi2
+    return out if np.ndim(z) else float(out[0])

@@ -4,24 +4,21 @@
 of ``int_0^inf G(s) e^{-lambda s} ds`` with the standard remainder bound
 ``sup|G^(kappa+1)| / lambda^(kappa+2)``.
 
-``norm_expansion`` expands, in powers of ``1/N``, the squared weighted norm
-of the positioned partial sum: the Laplace integral with ``lambda = 2N`` of
-the angular mean of ``|sum_j N^-j X_j|^2 * Omega * e^{-2s}`` at ``r = e^{-s}``.
-Every ``s``-derivative at 0 of that mean is a coefficient operation (the
-radial Euler operator plus the explicit ``-2`` from the Jacobian factor), so
-Watson's coefficients are read exactly off the moment table
-``B[j, k, mu, p] = R L^mu (X_j conj(X_k) Omega)`` at circle mode ``p``,
-``L = -(r d/dr)/2 - 1``, and ``N * ||.||^2 = 1 + sum_p c_p N^-p``.  The
-unit-norm constants ``d_j`` are the coefficients of the formal inverse square
-root of that series.
+``norm_expansion`` expands the squared weighted norm of the positioned
+partial sum ``S = sum_j N^-j X_j`` in powers of ``1/N``,
+``N ||S||^2 = 1 + sum_p c_p N^-p``, and takes the formal inverse square root
+for the unit-norm constants ``d_j``.  ``c_0 = 1`` (``X_0 = 1``, ``|E| = 1`` on
+the circle) and ``c_p = W_p(0)``, read off the solver
+(``HierarchyCoeffs.at_origin``): ``S`` is orthogonal to all below its leading
+term, and each Watson derivative of its pairing with that term applies one
+more ``T``, so ``c_p = sum_{m+j=p} (-1)^m [T^m X_j]_0 = W_p(0)``.
 
-``Omega = E conj(E)``, so ``X_j conj(X_k) Omega = A_j conj(A_k)`` with the
-1-D products ``A_j = X_j E``, and each row of the table is a weighted 1-D
-correlation of ``A_j`` with ``A_k``.  The stack of the ``A_j`` is built once
-per model; the norm constants read only circle mode 0 of the table, so
-``norm_expansion`` computes that column alone.  The full table, which the
-boundary-distribution terms contract over ``mu`` into the weighted boundary
-operator, is computed by the same kernel on its first use.
+The boundary-distribution terms contract over ``mu`` the moment table
+``B[j, k, mu, p] = R L^mu (X_j conj(X_k) Omega)`` at circle mode ``p``,
+``L = -(r d/dr)/2 - 1``.  ``Omega = E conj(E)``, so
+``X_j conj(X_k) Omega = A_j conj(A_k)`` with ``A_j = X_j E``, and each row of
+the table is a weighted 1-D correlation of ``A_j`` with ``A_k``.  The stack
+of the ``A_j`` is built with the norm constants, the table on its first use.
 """
 
 from __future__ import annotations
@@ -103,7 +100,9 @@ def _moment_table(A: np.ndarray, P: int) -> np.ndarray:
     ``A_j``, times the ``mu``-th power of the weight, contracted with
     ``conj(A_k)`` in one batched product per ``mu``.  No product is
     truncated, and every mode beyond ``bw(A_j) + bw(A_k)`` is exactly 0;
-    ``P = 2S`` holds them all."""
+    ``P = 2S`` holds them all.  Watson's sum ``sum_{j+k+m=p} B[j, k, m]`` at
+    mode 0 is ``c_p`` once more, by the area integral rather than the
+    solver's ``W_p(0)`` (the pairing identity of the module docstring)."""
     J, S = A.shape[0], (A.shape[1] - 1) // 2
     padded = np.zeros((J, 2 * (S + P) + 1), dtype=np.complex128)
     padded[:, P:P + 2 * S + 1] = A
@@ -126,10 +125,10 @@ def _moment_table(A: np.ndarray, P: int) -> np.ndarray:
 class NormExpansion:
     """Norm-constant data: ``raw[p-1] = c_p`` with
     ``N ||.||^2 = 1 + sum c_p N^-p`` and ``d[j-1] = d_j`` from the inverse
-    square root (all real), both read off circle mode 0 of the moment table;
-    ``stack`` holds the products ``A_j = X_j E`` (see ``_product_stack``).
-    The whole table ``moments``, ``B[j, k, mu, 2S + p]`` (see
-    ``_moment_table``), is computed from the stack on first use."""
+    square root (all real); ``stack`` holds the products ``A_j = X_j E`` (see
+    ``_product_stack``).  The whole table ``moments``,
+    ``B[j, k, mu, 2S + p]`` (see ``_moment_table``), is computed from the
+    stack on first use."""
 
     d: np.ndarray
     raw: np.ndarray
@@ -150,24 +149,15 @@ class NormExpansion:
 def norm_expansion(szego: SzegoData, coeffs: HierarchyCoeffs, order: int) -> NormExpansion:
     """Expand the squared norm of the positioned partial sum and invert.
 
-    The ``m``-th ``s``-derivative at the circle of the angular mean of
-    ``X_j conj(X_k) Omega e^{-2s}`` is ``2^m`` times the mean of
-    ``B[j, k, m]`` (the ``-1`` in ``L`` carries the area Jacobian), so Watson's
-    sum with ``lambda = 2N`` yields ``c_p = sum_{j+k+m=p} B[j, k, m]`` at mode 0.
+    ``c_0 = 1`` and ``c_p = W_p(0)`` from the solver (``coeffs.at_origin``):
+    each Watson derivative of the norm applies one more ``T`` to the leading
+    term's pairing.  ``d`` is the ``-1/2`` power of that series; the product
+    stack is kept for the moment table of the distributional terms.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     if order > coeffs.order:
         raise ValueError("hierarchy not solved to the requested order")
-    stack = _product_stack(szego, coeffs, order)
-    # n -> n + p leaves the weight -(2n+p)/2 - 1 unchanged, so
-    # B[k, j, mu, -p] = conj B[j, k, mu, p] and each c_p sums real parts
-    mode0 = _moment_table(stack, 0)[..., 0].real
-    c = np.zeros(order + 1)
-    for j in range(order + 1):
-        for k in range(order + 1 - j):
-            for m in range(order + 1 - j - k):
-                c[j + k + m] += mode0[j, k, m]
-    # D-series = (c-series)^(-1/2); c_0 = sum |E_n|^2 > 0 is 1 up to roundoff
-    # and is kept as computed
-    return NormExpansion(d=_ps_power(c, -0.5)[1:], raw=c[1:], stack=stack)
+    c = np.array([1.0, *coeffs.at_origin[:order]])
+    return NormExpansion(d=_ps_power(c, -0.5)[1:], raw=c[1:],
+                         stack=_product_stack(szego, coeffs, order))

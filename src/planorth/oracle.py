@@ -455,7 +455,7 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs) -> 
     ``B = G F_N = scale E zeta^N sum_j N^-j X_j``, with the model's outer
     factor ``E = e^(V o psi + h)`` at bandwidth ``2M``, has the modes ``beta``
     of the products ``A_j = X_j E`` shifted by ``N``: the rows of
-    ``model.norm.stack``, which the norm constants also read.  The collar
+    ``model.norm.stack``, which the moment table also reads.  The collar
     part ``sum_k sum_i w_i r_i^(2k) |alpha_k - chi_i beta_k|^2`` is
     ``sum_k M_k |alpha_k - beta_k + u_k beta_k|^2 + S_k |beta_k|^2``, free of
     cancellation, with ``u_k`` the ``w r^(2k)``-weighted mean of ``1 - chi``

@@ -171,10 +171,13 @@ def circle_exp_fixed(f):
 
 def solve_hierarchy_triangular(szego, order):
     """Corrections from the triangular sum
-    ``X_p = sum_{l<p} (-1)^{p-l+1} Q T^{p-l} X_l``: the reference that
-    :func:`planorth.solve_hierarchy`'s product form is checked against."""
+    ``X_p = sum_{l<p} (-1)^{p-l+1} Q T^{p-l} X_l``, with the norm constants
+    ``c_p = sum_{l<=p} (-1)^{p-l} [T^{p-l} X_l]_0`` from the same iterates: the
+    reference that :func:`planorth.solve_hierarchy`'s product form and its
+    ``W_p(0)`` are checked against."""
     xs = [po.circle_from_modes({0: 1.0}, szego.F.bandwidth)]
     iterates = {0: [xs[0]]}  # iterates[l][i] = T^i X_l
+    c = []
     for p in range(1, order + 1):
         for l in range(p):
             seq = iterates[l]
@@ -187,7 +190,9 @@ def solve_hierarchy_triangular(szego, order):
         Xp = po.hardy_project(acc)
         xs.append(Xp)
         iterates[p] = [Xp]
-    return po.HierarchyCoeffs(np.stack([x.coeffs for x in xs]))
+        c.append(sum((-1.0) ** (p - l) * iterates[l][p - l].coeff(0).real
+                     for l in range(p + 1)))
+    return po.HierarchyCoeffs(np.stack([x.coeffs for x in xs]), np.array(c))
 
 
 def szego_of(h):

@@ -18,7 +18,7 @@ from planorth import cli, expansion, geometry
 from planorth.errors import ConfigError, NonFiniteError
 from planorth.kernels import off_spectral_point, offspectral_leading
 from planorth.oracle import OraclePolynomials, boundary_onps
-from planorth.presets import preset_config
+from planorth.presets import PRESETS, preset_config, preset_model
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 _RING = 1.05 * np.exp(2j * np.pi * np.arange(24) / 24)
@@ -84,6 +84,11 @@ def test_expand_disk_alpha_table(tmp_path):
     ("expand", {"domain": {**preset_config("disk-expre03"), "rho": math.nan}}),
     ("expand", {"domain": {**preset_config("disk-expre03"), "weight": SAMPLED | {"degree": 2.7}}}),
     ("expand", {"domain": {**preset_config("disk-expre03"), "weight": SAMPLED | {"degree": -1}}}),
+    ("expand", {"domain": {**preset_config("disk-expre03"),
+                           "weight": SAMPLED | {"values": [0.0] + SAMPLED["values"][1:]}}}),
+    ("expand", {"domain": {**preset_config("disk-expre03"),
+                           "weight": SAMPLED | {"points": SAMPLED["points"][:3],
+                                                "values": [1.0]}}}),
     ("expand", {"N": 5}),
     ("expand", {"N": "816"}),
     ("eval", {"points": 3}),
@@ -101,7 +106,7 @@ def test_expand_disk_alpha_table(tmp_path):
         "slope-not-number", "oracle-degree-not-number", "alpha-one-entry", "M-not-integer",
         "M-not-positive", "allow-out-of-validity-string", "term-repeated", "weight-not-object",
         "map-not-object", "tail-nan", "cap-infinite", "rho-nan", "sample-degree-not-integer",
-        "sample-degree-negative", "N-not-list", "N-string", "points-not-list",
+        "sample-degree-negative", "sample-value-not-positive", "sample-values-count", "N-not-list", "N-string", "points-not-list",
         "kernel-not-object", "terms-not-list", "test-function-not-object",
         "kernel-rho1-exterior", "kernel-rho-not-below-one", "kernel-rho1-not-above-rho",
         "kernel-rho-not-positive", "kernel-rho1-inside-margin"])
@@ -109,6 +114,16 @@ def test_malformed_field_is_config_error(tmp_path, capsys, command, extra):
     cfg = write_config(tmp_path, **extra)
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_sample_values_refusal_names_the_field(tmp_path, capsys):
+    # a non-positive sample and a count that does not match the points are
+    # refused while the config is read, not by the fit
+    for weight in (SAMPLED | {"values": [-1.0] + SAMPLED["values"][1:]},
+                   SAMPLED | {"points": SAMPLED["points"][:3], "values": [1.0]}):
+        cfg = write_config(tmp_path, domain={**preset_config("disk-expre03"), "weight": weight})
+        assert run(["expand", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "[stage: config] weight.values" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("K, code", [(2.7, 2), (True, 2), (32, 0), (48, 0)])
@@ -730,7 +745,7 @@ def test_model_payload_modes_match_per_mode_listing(all_preset_models):
 
 
 def test_expand_builds_no_moment_table(tmp_path, monkeypatch):
-    # model.json holds the norm constants only, which read mode 0 of the table
+    # model.json holds the norm constants only, which read no moment table
     built = []
 
     def capture(*args, **kwargs):
@@ -833,6 +848,110 @@ def test_kernel_maps_z_before_it_builds_the_oracle(tmp_path, capsys, monkeypatch
                        kernel={**KERNEL, "w": [3.0, 0.0], "z": [0.1, 0.0]})
     assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 4
     assert "point could not be mapped into the analytic collar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"points": [[0.1, 0.0]]}, "could not be mapped into the analytic collar"),
+    ({"points": [[1.9056, 0.0]]}, "below the validity radius"),   # psi(0.9)
+    ({"N": [3, 8]}, "degree 3 below the asymptotic threshold"),
+], ids=["unmappable-point", "point-below-validity-radius", "degree-below-threshold"])
+def test_verify_checks_its_request_before_the_oracle(tmp_path, capsys, monkeypatch, extra,
+                                                      message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle was built before the request was checked")
+
+    monkeypatch.setattr(cli, "boundary_onps", forbidden)
+    cfg = write_config(tmp_path, "ellipse-expre", **({"N": [8, 16, 32, 64, 128],
+                                                      "points": [[2.5, 0.5]]} | extra))
+    assert run(["verify", "--config", cfg, "--out", tmp_path / "o"]) == 4
+    err = capsys.readouterr().err
+    assert message in err and "stage" not in err, err
+
+
+def test_oracle_reads_the_map_and_P_alone(tmp_path, capsys, monkeypatch):
+    # alpha = 8 needs more than M = 8 for the expansion's outer factor, not
+    # for the boundary oracle, which builds no model
+    domain = {"map": {"cap": 1.0, "tail": []},
+              "weight": {"kind": "exp-re-linear", "alpha": 8}, "M": 8}
+    cfg = write_config(tmp_path, domain=domain, N=[40])
+    assert run(["expand", "--config", cfg, "--out", tmp_path / "e"]) == 3
+    assert "[stage: outer-function]" in capsys.readouterr().err
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("oracle built an expansion model")
+
+    seen = []
+
+    def capture(m, P, N):
+        seen.append((m, P, N))
+        return boundary_onps(m, P, N)
+
+    monkeypatch.setattr(cli, "build_model", forbidden)
+    monkeypatch.setattr(cli, "boundary_onps", capture)
+    assert run(["oracle", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert json.loads((tmp_path / "o" / "oracle.json").read_text())["gram_residual"] <= 1e-12
+    # on every preset the oracle gets the map and P the model would have
+    for name in PRESETS:
+        seen.clear()
+        cfg = write_config(tmp_path, name, N=[8])
+        assert run(["oracle", "--config", cfg, "--out", tmp_path / name]) == 0
+        m, P, N = seen[0]
+        model = preset_model(name, 0)
+        assert m.cap == model.map.cap and np.array_equal(m.tail, model.map.tail), name
+        assert N == 8 and np.array_equal(P, model.weight.holo_poly), name
+        assert np.array_equal(P, model.weight.holo_poly), name
+
+
+def test_kernel_band_maps_each_point_once(tmp_path, monkeypatch):
+    # one map call for w, and per degree one for z and one for the 17 band
+    # points; the band's sup is the largest of the per-point values
+    calls = []
+
+    def counted(m, z):
+        calls.append(np.size(z))
+        return geometry.map_forward_many(m, z)
+
+    for module in (cli, expansion, planorth.kernels):
+        monkeypatch.setattr(module, "map_forward_many", counted)
+    Ns = [8, 16, 32, 64, 128]
+    kc = {"w": [3.0, 0.0], "z": [2.5, 0.5], "rho": 0.5, "rho1": 0.7}
+    cfg = write_config(tmp_path, "ellipse-expre", N=Ns, kernel=kc)
+    assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert len(calls) <= 1 + 2 * len(Ns) and sum(calls) <= 1 + 18 * len(Ns), calls
+    monkeypatch.undo()
+    m = preset_model("ellipse-expre", 0).map
+    band = [m.psi(r * np.exp(0.37j)) for r in np.linspace(0.7, 1.0, 17)]
+    rows = json.loads((tmp_path / "o" / "kernel.json").read_text())["diag_bound"]
+    for row, N in zip(rows, Ns):
+        assert row["sup"] == max(planorth.bw_kernel_diag(0.5, m, N, z) for z in band), N
+
+
+def test_invalid_json_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"domain": ')
+    assert run(["expand", "--config", path, "--out", tmp_path / "o"]) == 2
+    assert "config is not valid JSON" in capsys.readouterr().err
+
+
+def test_config_without_domain_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kappa": 2, "N": [8]}))
+    assert run(["oracle", "--config", path, "--out", tmp_path / "o"]) == 2
+    assert "config must contain a 'domain' object" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_distributional_at_order_zero_is_the_leading_term(tmp_path):
+    # kappa 0 keeps no correction term: every row is g_+(infinity)
+    cfg = write_config(tmp_path, N=[8, 16],
+                       test_function={"terms": [[1, 1, 0.3, 0.0], [2, 0, 0.1, 0.2]]})
+    out = tmp_path / "o"
+    assert run(["distributional", "--config", cfg, "--out", out, "--kappa", "0"]) == 0
+    payload = json.loads((out / "distributional.json").read_text())
+    assert payload["kappa"] == 0 and payload["terms_at_max_degree"] == []
+    lead = payload["leading"]["plus_infinity"]
+    assert lead == [0.3, 0.0]
+    assert [r["expansion"] for r in payload["rows"]] == [lead, lead]
 
 
 def test_far_term_index_runs_in_bounded_memory(tmp_path):

@@ -131,12 +131,16 @@ def test_first_correction_is_projected_log_derivative(all_preset_models):
 
 
 def test_solver_agreement(disk_alpha_model, ellipse_exp_model):
+    # the corrections and the norm constants c_p = W_p(0) of the product form
+    # against the triangular sum's
     alt = solve_hierarchy_triangular(disk_alpha_model.szego, 4)
     for j in range(5):
         assert (disk_alpha_model.coeffs.X[j] - alt.X[j]).linf() <= 1e-12
+    assert np.max(np.abs(disk_alpha_model.coeffs.at_origin - alt.at_origin)) <= 1e-12
     alt_e = solve_hierarchy_triangular(ellipse_exp_model.szego, 3)
     for j in range(4):
         assert (ellipse_exp_model.coeffs.X[j] - alt_e.X[j]).linf() <= 1e-10
+    assert np.max(np.abs(ellipse_exp_model.coeffs.at_origin[:3] - alt_e.at_origin)) <= 1e-10
 
 
 def test_residuals(disk_const_model, disk_alpha_model):
@@ -149,7 +153,7 @@ def test_residual_sensitivity(disk_alpha_model):
     X = disk_alpha_model.coeffs.stack.copy()
     K = (X.shape[1] - 1) // 2
     X[2, K - 1] += 1e-3
-    corrupted = po.HierarchyCoeffs(X)
+    corrupted = po.HierarchyCoeffs(X, disk_alpha_model.coeffs.at_origin)
     assert po.hierarchy_residual(corrupted, disk_alpha_model.szego, 2) > 1e-4
 
 

@@ -163,6 +163,21 @@ def test_bw_domain_guard():
         bw_kernel_diag(0.5, po.ellipse_map(2, 1), 10, 0.1)
 
 
+@pytest.mark.parametrize("N", [8, 128, 10 ** 4])
+def test_bw_diag_takes_an_array_of_points(N):
+    # one map call and one head sum for a band of points, each value bitwise
+    # the scalar call's; a scalar point still gives a float
+    m = po.ellipse_map(2, 1)
+    z = m.psi(np.linspace(0.7, 1.0, 17) * np.exp(0.37j))
+    got = bw_kernel_diag(0.5, m, N, z)
+    assert got.shape == z.shape
+    want = [bw_kernel_diag(0.5, m, N, p) for p in z]
+    assert all(type(v) is float for v in want)
+    assert got.tolist() == want
+    with pytest.raises(DomainError, match="could not be mapped"):
+        bw_kernel_diag(0.5, m, N, np.append(z, 0.1))
+
+
 def _bw_diag_loop(rho, m, N, z):
     """``bw_kernel_diag`` written out term by term: the head ``n = 0..N`` and
     the tail ``n = -2, -3, ...`` down to ``BW_TAIL_TOL`` of the sum."""

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import planorth as po
+from planorth import laplace
 from planorth.laplace import _moment_table, _product_stack, _ps_power
 from planorth.presets import PRESETS, preset_model
 
-from conftest import conv2_reference, grid_restrictions
+from conftest import conv2_reference, grid_restrictions, szego_of
 
 
 def test_watson_constant():
@@ -249,10 +250,17 @@ def _direct_correlation(model):
     return out
 
 
-def test_expand_builds_no_moment_table():
-    # the norm constants read mode 0 alone; the whole table waits for a read
+def test_expand_builds_no_moment_table(monkeypatch):
+    # the norm constants read c_p = W_p(0) off the solver and no part of the
+    # table; the whole table waits for a read
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a moment table formed inside build_model")
+
+    monkeypatch.setattr(laplace, "_moment_table", forbidden)
+    models = [preset_model(name, 8) for name in PRESETS]
+    monkeypatch.undo()
+    assert all("moments" not in m.norm.__dict__ for m in models)
     model = preset_model("ellipse-expre", 4)
-    assert "moments" not in model.norm.__dict__
     B = model.norm.moments
     assert "moments" in model.norm.__dict__ and model.norm.moments is B
 
@@ -277,10 +285,56 @@ def test_lazy_moment_table_matches_direct_correlation(all_preset_models):
 
 
 def test_mode0_kernel_is_the_table_centre(all_preset_models):
-    # norm_expansion's P = 0 call and the full table are one formula
+    # the reference Watson sum's P = 0 call and the full table are one formula
     for name, model in all_preset_models.items():
         B = model.norm.moments
         mode0 = _moment_table(model.norm.stack, 0)
         assert mode0.shape == B.shape[:3] + (1,), name
         centre = B[..., (B.shape[-1] - 1) // 2]
         assert np.max(np.abs(mode0[..., 0] - centre)) <= 1e-15 * np.max(np.abs(centre)), name
+
+
+def _watson_mode0(stack, order):
+    """``c_p = sum_{j+k+m=p} B[j, k, m]`` over circle mode 0 of the moment
+    table of ``stack``: the Watson sum by the area integral, which
+    ``norm_expansion`` took before it read ``c_p = W_p(0)`` off the solver,
+    kept as the reference."""
+    mode0 = _moment_table(stack, 0)[..., 0].real
+    c = np.zeros(order + 1)
+    for j in range(order + 1):
+        for k in range(order + 1 - j):
+            for m in range(order + 1 - j - k):
+                c[j + k + m] += mode0[j, k, m]
+    return c
+
+
+def _assert_solver_c_is_the_watson_sum(sz, coeffs, label):
+    for order in range(coeffs.order + 1):
+        norm = po.norm_expansion(sz, coeffs, order)
+        want = _watson_mode0(norm.stack, order)
+        got = np.concatenate([[1.0], norm.raw])
+        dev = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        assert dev.max() <= 1e-14, (label, order, dev.max())
+        assert np.array_equal(norm.d, _ps_power(got, -0.5)[1:]), (label, order)
+
+
+def test_solver_c_is_the_watson_sum_on_the_presets():
+    for name in PRESETS:
+        model = preset_model(name, 8)
+        _assert_solver_c_is_the_watson_sum(model.szego, model.coeffs, name)
+
+
+def test_solver_c_is_the_watson_sum_on_random_pullbacks():
+    # real log-weight pullbacks with one to three modes, mode k at most 0.5/k
+    # in modulus, so that T^8 stays inside the bandwidth 32
+    K = 32
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        q = int(rng.integers(1, 4))
+        a = 0.5 * rng.random(q) / np.arange(1, q + 1) * np.exp(2j * np.pi * rng.random(q))
+        h = np.zeros(2 * K + 1, dtype=np.complex128)
+        h[K + 1:K + 1 + q] = a
+        h[K - q:K] = np.conj(a)[::-1]
+        h[K] = rng.standard_normal()
+        sz = szego_of(po.CircleSeries(h))
+        _assert_solver_c_is_the_watson_sum(sz, po.solve_hierarchy(sz, 8), seed)
