@@ -534,7 +534,7 @@ def load_domain_config(cfg: dict):
          "rho": float, "M": int, "K": int}
 
     ``M`` (a positive integer) sets the circle bandwidth ``2M`` of the model's
-    Laurent series; ``K`` is accepted as an integer and has no effect.
+    Laurent series; ``K``, if given, must be that bandwidth ``2M``.
     """
     try:
         mp = parse_object(cfg["map"], "map")
@@ -573,6 +573,8 @@ def load_domain_config(cfg: dict):
         if M < 1:
             raise ConfigError(f"M must be a positive integer, got {M}")
         K = parse_integer(cfg.get("K", 2 * M), "K")
+        if K != 2 * M:
+            raise ConfigError(f"K must be the circle bandwidth 2M = {2 * M} (M = {M}), got {K}")
     except KeyError as exc:
         raise ConfigError(f"missing config field: {exc}") from exc
     except (IndexError, TypeError, ValueError) as exc:

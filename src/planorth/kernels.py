@@ -61,10 +61,15 @@ def offspectral_leading(model: ExpansionModel, point: OffSpectralPoint, N: int, 
     :class:`OutOfValidityError` for a degree below ``N_MIN`` or a point that
     cannot be mapped inside the validity region, as the other evaluators do,
     and :class:`NonFiniteError` where a value leaves the float range."""
-    zeta = _map_valid(model, N, z)
-    vals = _positioned(model, N, zeta, math.sqrt(N) * outer_rho(point, zeta), None,
-                       "off-spectral kernel")
+    vals = _offspectral_at(model, point, N, _map_valid(model, N, z))
     return vals if np.ndim(z) else complex(vals[0])
+
+
+def _offspectral_at(model: ExpansionModel, point: OffSpectralPoint, N: int, zeta) -> np.ndarray:
+    """:func:`offspectral_leading` at mapped points ``zeta`` that pass
+    :func:`~planorth.expansion.check_valid` at ``N``."""
+    return _positioned(model, N, zeta, math.sqrt(N) * outer_rho(point, zeta), None,
+                       "off-spectral kernel")
 
 
 def offspectral_phase(model: ExpansionModel, point: OffSpectralPoint, N: int) -> float:
@@ -79,7 +84,7 @@ def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z):
     ``O(|z|^N)`` on the exterior of the level curve ``|phi| = rho``, with the
     ring ``rho < |phi| < 1`` as the inner-product region: a float at one
     point ``z``, an array at a 1-D array of points (one map call and one head
-    sum for all of them).
+    sum for all of them; :func:`_bw_kernel_diag_at` takes mapped points).
 
     ``K_N(z, z) = |phi'(z)|^2 [ |phi(z)|^-2 / log(1/rho^2)
     + sum_{n <= N, n != -1} (n+1) |phi(z)|^{2n} / (1 - rho^{2n+2}) ]``.
@@ -95,17 +100,29 @@ def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z):
         raise DomainError("need 0 < rho < 1")
     if N < 0:
         raise DomainError(f"degree {N} is negative")
+    out = _bw_kernel_diag_at(rho, m, N, _map_points(m, np.atleast_1d(np.asarray(z, complex))))
+    return out if np.ndim(z) else float(out[0])
+
+
+def _map_points(m: ExteriorMap, pts: np.ndarray) -> np.ndarray:
+    """``phi`` at the 1-D array ``pts``, or :class:`DomainError` naming the first
+    point that cannot be mapped into the analytic collar."""
+    zeta, ok = map_forward_many(m, pts)
+    if not ok.all():
+        raise DomainError(f"z = {complex(pts[np.argmin(ok)])} could not be mapped into "
+                          "the analytic collar")
+    return zeta
+
+
+def _bw_kernel_diag_at(rho: float, m: ExteriorMap, N: int, zeta: np.ndarray) -> np.ndarray:
+    """:func:`bw_kernel_diag` at the mapped points ``zeta`` (a 1-D array), for
+    ``0 < rho < 1`` and ``N >= 0``."""
     rho2 = rho * rho
     log_rho2 = 2.0 * math.log(rho)   # rho * rho underflows for rho below 1e-162
     L = math.ceil(math.log(BW_TAIL_TOL * (1.0 - rho2) ** 3) / log_rho2)
     if L > BW_TAIL_TERMS:
         raise DomainError(f"rho = {rho} is too close to 1: the kernel's tail sum "
                           f"needs {L} terms, more than {BW_TAIL_TERMS}")
-    pts = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    zeta, ok = map_forward_many(m, pts)
-    if not ok.all():
-        raise DomainError(f"z = {complex(pts[np.argmin(ok)])} could not be mapped into "
-                          "the analytic collar")
     r = np.abs(zeta)
     if np.any(r <= rho):
         raise DomainError(f"|phi(z)| = {float(r.min()):.4f} must exceed rho = {rho}")
@@ -119,5 +136,4 @@ def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z):
                              f"|phi(z)| = {float(r.max()):.4f}")
     x = (rho / r[:, None]) ** 2 * rho2 ** np.arange(L)
     acc += np.sum(x / (1.0 - x) ** 2, axis=1) / r ** 2
-    out = acc * dphi2
-    return out if np.ndim(z) else float(out[0])
+    return acc * dphi2

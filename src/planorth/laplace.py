@@ -18,12 +18,12 @@ The boundary-distribution terms contract over ``mu`` the moment table
 ``L = -(r d/dr)/2 - 1``.  ``Omega = E conj(E)``, so
 ``X_j conj(X_k) Omega = A_j conj(A_k)`` with ``A_j = X_j E``, and each row of
 the table is a weighted 1-D correlation of ``A_j`` with ``A_k``.  The stack
-of the ``A_j`` is built with the norm constants, the table on its first use.
+of the ``A_j`` and the table are each built on their first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -125,14 +125,19 @@ def _moment_table(A: np.ndarray, P: int) -> np.ndarray:
 class NormExpansion:
     """Norm-constant data: ``raw[p-1] = c_p`` with
     ``N ||.||^2 = 1 + sum c_p N^-p`` and ``d[j-1] = d_j`` from the inverse
-    square root (all real); ``stack`` holds the products ``A_j = X_j E`` (see
-    ``_product_stack``).  The whole table ``moments``,
-    ``B[j, k, mu, 2S + p]`` (see ``_moment_table``), is computed from the
-    stack on first use."""
+    square root (all real).  ``stack``, the products ``A_j = X_j E`` (see
+    ``_product_stack``) of the kept ``szego`` and ``coeffs``, and the whole
+    table ``moments``, ``B[j, k, mu, 2S + p]`` (see ``_moment_table``), are
+    computed on first use."""
 
     d: np.ndarray
     raw: np.ndarray
-    stack: np.ndarray
+    szego: SzegoData = field(repr=False)
+    coeffs: HierarchyCoeffs = field(repr=False)
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        return _product_stack(self.szego, self.coeffs, self.raw.size)
 
     @cached_property
     def moments(self) -> np.ndarray:
@@ -152,12 +157,11 @@ def norm_expansion(szego: SzegoData, coeffs: HierarchyCoeffs, order: int) -> Nor
     ``c_0 = 1`` and ``c_p = W_p(0)`` from the solver (``coeffs.at_origin``):
     each Watson derivative of the norm applies one more ``T`` to the leading
     term's pairing.  ``d`` is the ``-1/2`` power of that series; the product
-    stack is kept for the moment table of the distributional terms.
+    stack waits for its first read (the L2 comparison, the moment table).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     if order > coeffs.order:
         raise ValueError("hierarchy not solved to the requested order")
     c = np.array([1.0, *coeffs.at_origin[:order]])
-    return NormExpansion(d=_ps_power(c, -0.5)[1:], raw=c[1:],
-                         stack=_product_stack(szego, coeffs, order))
+    return NormExpansion(d=_ps_power(c, -0.5)[1:], raw=c[1:], szego=szego, coeffs=coeffs)

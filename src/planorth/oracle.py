@@ -361,7 +361,8 @@ class _Collar:
     """Radial rule of the collar ``rho1 < |zeta| < 1``: Gauss-Legendre ``radii``, their
     ``weights`` ``2 w r``, the cutoff ``chi`` on them and ``rest = 1 - chi`` (the
     mirrored smoothstep, exact where ``chi`` is near 1); ``rim`` is the Stokes
-    factor ``e^P psi'(zeta) zeta`` on ``|zeta| = rho1``."""
+    factor ``e^P psi'(zeta) zeta`` on ``|zeta| = rho1``.  :meth:`moments` is not
+    rescaled: a row out of the float range makes a non-finite sum, which its reader refuses."""
 
     rho1: float
     radii: np.ndarray
@@ -370,11 +371,10 @@ class _Collar:
     rest: np.ndarray
     rim: np.ndarray
 
-    def moments(self, k: np.ndarray):
-        """``(s, rows)``: ``weights r^(2 k_i)`` over its largest factor ``e^(s_i)``."""
-        e = np.multiply.outer(2.0 * np.asarray(k, dtype=float), np.log(self.radii))
-        s = np.where(np.asarray(k) < 0, e[:, 0], e[:, -1])   # the largest: the radii ascend
-        return s, self.weights * np.exp(e - s[:, None])
+    def moments(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``weights r^(2k)`` for ``lo <= k < hi``, mode ``k`` in row ``k - lo``."""
+        e = np.multiply.outer(2.0 * np.arange(lo, hi), np.log(self.radii))
+        return self.weights * np.exp(e)
 
 
 def _collar(model: ExpansionModel, polys: OraclePolynomials) -> _Collar:
@@ -405,14 +405,14 @@ def _on_collar(polys: OraclePolynomials, collar: _Collar, Ns: list, reach):
     exact convolution of the chopped modes of ``P_N o psi`` and ``G``.  The
     inner part ``int |P_N|^2 omega dA / pi`` over ``|phi| < rho1`` is Stokes
     on ``psi(rho1 S^1)`` from the modes of ``P_N`` and ``B_N`` scaled to that
-    circle, one inverse FFT for every degree.  One table ``(ks, s, m, m1)``,
-    :meth:`_Collar.moments` over the sorted union ``ks`` of the modes of every
-    ``alpha`` and of the ranges ``reach(N, k0, alpha.size)`` the caller reads,
-    with its row sums ``m1``, serves every degree.  Each degree, in order, is
-    checked: unless ``||P_N||^2 = inner + sum_k |alpha_k|^2 sum_i w_i
-    r_i^(2k)`` is 1 to ``COLLAR_TOL``, the modes, scaled by ``r^k``, have lost
-    ``P_N`` and :class:`DegreeTooHighError` names the first such degree.
-    Returns ``{N: (k0, alpha, inner)}`` and the table."""
+    circle, one inverse FFT for every degree.  One table ``(lo, m, m1)``, the
+    rows ``m`` of :meth:`_Collar.moments` over the hull from ``lo`` of the
+    modes of every ``alpha`` and of the ranges ``reach(N, k0, alpha.size)`` the
+    caller reads, with their sums ``m1``, serves every degree; mode ``k`` is row
+    ``k - lo``.  Each degree, in order, is checked: unless ``||P_N||^2 = inner
+    + sum_k |alpha_k|^2 sum_i w_i r_i^(2k)`` is 1 to ``COLLAR_TOL``, the modes,
+    scaled by ``r^k``, have lost ``P_N`` and :class:`DegreeTooHighError` names
+    the first such degree.  Returns ``{N: (k0, alpha, inner)}`` and the table."""
     rule = polys.rule
     L, n = rule.L, len(Ns)
     g0, g = rule._frame_modes
@@ -431,19 +431,17 @@ def _on_collar(polys: OraclePolynomials, collar: _Collar, Ns: list, reach):
             k0 = int(first[i]) + 1 - L // 2 + g0
             degrees[N] = (k0, alpha)
             ranges += [(k0, k0 + alpha.size), *reach(N, k0, alpha.size)]
-        ks = np.unique(np.concatenate([np.arange(lo, hi) for lo, hi in ranges] or [[]]))
-        s, m = collar.moments(ks)
+        lo = min((a for a, _ in ranges), default=0)
+        m = collar.moments(lo, max((b for _, b in ranges), default=lo))
         m1 = np.sum(m, axis=1)
         for i, (N, (k0, alpha)) in enumerate(degrees.items()):
-            j = np.searchsorted(ks, k0)
-            norm = inner[i] + float(np.exp(s[j:j + alpha.size]) * m1[j:j + alpha.size]
-                                    @ np.abs(alpha) ** 2)
+            norm = inner[i] + float(m1[k0 - lo:k0 - lo + alpha.size] @ np.abs(alpha) ** 2)
             if not abs(norm - 1.0) <= COLLAR_TOL:   # NaN fails too
                 raise DegreeTooHighError(
                     f"collar rule reads ||P_N||^2 - 1 = {abs(norm - 1.0):.3e} at N = {N} "
                     f"(L = {L}), above {COLLAR_TOL:.0e}")
             degrees[N] += (float(inner[i]),)
-    return degrees, (ks, s, m, m1)
+    return degrees, (lo, m, m1)
 
 
 def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs) -> np.ndarray:
@@ -472,26 +470,25 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs) -> 
     def span(N, a0, n):   # the modes of alpha and of the shifted beta
         return [(min(a0, b0 + N), max(a0 + n, b0 + N + beta.shape[1]))]
 
-    degrees, (ks, s, m, m1) = _on_collar(polys, collar, list(dict.fromkeys(N for N, _ in pairs)),
-                                         span)
-    scale_k, u = np.exp(s), np.sum(m * collar.rest, axis=1) / m1
+    degrees, (lo, m, m1) = _on_collar(polys, collar, list(dict.fromkeys(N for N, _ in pairs)),
+                                      span)
+    u = np.sum(m * collar.rest, axis=1) / m1
     spread = np.sum(m * (collar.rest - u[:, None]) ** 2, axis=1)
     per_degree = {}
     for N, (a0, alpha, inner) in degrees.items():   # alpha and every order's sum of beta
-        (lo, hi), = span(N, a0, alpha.size)
-        a = np.zeros(hi - lo, dtype=np.complex128)
-        a[a0 - lo:a0 - lo + alpha.size] = alpha
-        sums = np.zeros((beta.shape[0], hi - lo), dtype=np.complex128)
-        sums[:, b0 + N - lo:b0 + N - lo + beta.shape[1]] = np.cumsum(
+        (k1, k2), = span(N, a0, alpha.size)
+        a = np.zeros(k2 - k1, dtype=np.complex128)
+        a[a0 - k1:a0 - k1 + alpha.size] = alpha
+        sums = np.zeros((beta.shape[0], k2 - k1), dtype=np.complex128)
+        sums[:, b0 + N - k1:b0 + N - k1 + beta.shape[1]] = np.cumsum(
             float(N) ** -np.arange(beta.shape[0])[:, None] * beta, axis=0)
-        j = np.searchsorted(ks, lo)
-        per_degree[N] = (slice(j, j + hi - lo), a, sums, inner)
+        per_degree[N] = (slice(k1 - lo, k2 - lo), a, sums, inner)
     out = np.empty(len(pairs))
     for i, (N, order) in enumerate(pairs):
         at, a, sums, inner = per_degree[N]
         b = scales[i] * sums[model.order if order is None else order]
         q = m1[at] * np.abs(a - b + u[at] * b) ** 2 + spread[at] * np.abs(b) ** 2
-        out[i] = math.sqrt(abs(inner + float(scale_k[at] @ q)))
+        out[i] = math.sqrt(abs(inner + float(np.sum(q))))
     return out
 
 
@@ -523,10 +520,10 @@ def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, terms,
         _, _, size, j = live(k0, n)
         return zip(j, j + size)
 
-    per_degree, (js, s, m, _) = _on_collar(polys, collar, list(dict.fromkeys(degrees)), reach)
+    per_degree, (k_lo, m, _) = _on_collar(polys, collar, list(dict.fromkeys(degrees)), reach)
     out = np.zeros(len(degrees), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        moment = np.exp(s + np.log(np.sum(m * collar.chi, axis=1)))
+        moment = np.sum(m * collar.chi, axis=1)
         for i, N in enumerate(degrees):   # every product of every live term at once
             k0, alpha, _ = per_degree[N]
             t, lo, n, j = live(k0, alpha.size)
@@ -536,7 +533,7 @@ def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, terms,
             at = np.arange(n.sum()) - np.repeat(start, n)   # place within its term
             k = np.repeat(lo, n) + at
             pairs = alpha[k] * np.conj(alpha[k + np.repeat(diff[t], n)])
-            pairs *= moment[np.searchsorted(js, np.repeat(j, n) + at)]
+            pairs *= moment[np.repeat(j - k_lo, n) + at]
             out[i] = np.sum(c[t] * np.add.reduceat(pairs, start))
     if not np.isfinite(out).all():
         raise NonFiniteError(f"test function out of float range on the collar rule "

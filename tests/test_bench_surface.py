@@ -31,7 +31,10 @@ def test_the_names_the_benchmark_reads_exist():
     assert issubclass(planorth.errors.PlanorthError, Exception)
     assert po.PlanorthError is planorth.errors.PlanorthError
 
-    # anchor.py: the model stages one at a time
+    # anchor.py: the model stages one at a time; workloads.py unpacks five
+    # values from every preset's domain
+    for cfg in PRESETS.values():
+        assert len(po.load_domain_config(cfg)) == 5
     m, wd, rho, M, K = po.load_domain_config(PRESETS["ellipse-expre"])
     sz = po.szego(po.pullback_weight(m, wd, M, rho))
     coeffs = po.solve_hierarchy(sz, 4)

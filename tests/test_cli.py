@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -116,6 +117,47 @@ def test_malformed_field_is_config_error(tmp_path, capsys, command, extra):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, domain, message", [
+    ("expand", {**preset_config("disk-expre03"), "rho": 1.2},
+     "[stage: weight-pullback] inner radius must lie in (0, 1)"),
+    # the ellipse's univalence margin is 0.606
+    ("expand", {**preset_config("ellipse-expre"), "rho": 0.6},
+     "inner radius 0.6 is not inside the analytic collar (univalence margin 0.606)"),
+    ("expand", {"weight": preset_config("disk-expre03")["weight"]},
+     "missing config field: 'map'"),
+    ("expand", {**preset_config("disk-expre03"), "map": {"tail": []}},
+     "missing config field: 'cap'"),
+    ("expand", {**preset_config("disk-expre03"), "weight": {"kind": "exp-re-linear"}},
+     "missing config field: 'alpha'"),
+    ("expand", {**preset_config("disk-const"), "weight": {"kind": "const", "value": 0}},
+     "[stage: config] constant weight must be positive"),
+    ("expand", {**preset_config("disk-const"), "weight": {"kind": "const", "value": -1}},
+     "[stage: config] constant weight must be positive"),
+    ("distributional", preset_config("disk-expre03"),
+     "distributional needs test_function.terms"),
+], ids=["rho-exterior", "rho-inside-margin", "no-map", "no-cap", "no-alpha", "const-zero",
+        "const-negative", "no-terms"])
+def test_refusal_names_what_it_refuses(tmp_path, capsys, command, domain, message):
+    cfg = write_config(tmp_path, domain=domain)
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("extra, code", [
+    ({"N": [3, 8], "test_function": {"terms": [[1, 1, 1.0, 0.0]]}}, 4),
+    ({}, 2),
+], ids=["degree-below-threshold", "no-terms"])
+def test_distributional_checks_the_request_before_the_model(tmp_path, monkeypatch, extra,
+                                                            code):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("distributional built a model for a request it refuses")
+
+    monkeypatch.setattr(cli, "build_model", forbidden)
+    cfg = write_config(tmp_path, **extra)
+    assert run(["distributional", "--config", cfg, "--out", tmp_path / "o"]) == code
+
+
 def test_sample_values_refusal_names_the_field(tmp_path, capsys):
     # a non-positive sample and a count that does not match the points are
     # refused while the config is read, not by the fit
@@ -126,12 +168,15 @@ def test_sample_values_refusal_names_the_field(tmp_path, capsys):
         assert "[stage: config] weight.values" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("K, code", [(2.7, 2), (True, 2), (32, 0), (48, 0)])
+@pytest.mark.parametrize("K, code", [(2.7, 2), (True, 2), (32, 0), (48, 2), (7, 2)])
 def test_K_is_parsed_as_an_integer(tmp_path, capsys, K, code):
-    # a fractional or boolean K is refused and named, not truncated to 2 or 1
+    # a fractional or boolean K is refused and named, not truncated to 2 or 1;
+    # an integral K other than 2M = 32 is refused and names M, not ignored
     cfg = write_config(tmp_path, domain={**preset_config("disk-expre03"), "K": K})
     assert run(["expand", "--config", cfg, "--out", tmp_path / "o"]) == code
-    assert ("[stage: config] K must be" in capsys.readouterr().err) == (code == 2)
+    err = capsys.readouterr().err
+    assert ("[stage: config] K must be" in err) == (code == 2)
+    assert ("(M = 16)" in err) == (type(K) is int and code == 2)
 
 
 def test_degree_string_is_not_read_by_character(tmp_path, capsys):
@@ -467,8 +512,75 @@ def test_verify_exact_model_passes(tmp_path):
     assert summary["passed"] is True
     for entry in summary["slopes"].values():
         assert entry["exact"] is True and entry["slope"] is None and entry["pass"] is True
-    errors = np.loadtxt(out / "rates.csv", delimiter=",", skiprows=1)[:, 2]
-    assert np.all(errors <= cli.EXACT_FLOOR)
+    rates = np.loadtxt(out / "rates.csv", delimiter=",", skiprows=1)
+    assert np.all(rates[:, 2] <= cli.FLOOR_PER_DEGREE * rates[:, 0])
+    assert summary["pointwise_floor_per_degree"] == cli.FLOOR_PER_DEGREE
+
+
+@pytest.mark.parametrize("z", [[3.0, 0.0], [4.0, 1.0]])
+def test_verify_passes_orders_at_the_roundoff_floor(tmp_path, z):
+    # ellipse-const: every order's error is roundoff from N = 16 on, so only
+    # N = 8 lies above the floor 8 N eps; the order agrees, with no slope
+    cfg = write_config(tmp_path, "ellipse-const", kappa=3, N=[8, 16, 32, 64, 128], points=[z])
+    out = tmp_path / "o"
+    assert run(["verify", "--config", cfg, "--out", out]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    for entry in summary["slopes"].values():
+        assert entry["slope"] is None and entry["pass"] is True and "exact" not in entry
+    rates = np.loadtxt(out / "rates.csv", delimiter=",", skiprows=1)
+    floor = summary["pointwise_floor_per_degree"] * rates[:, 0]
+    assert np.array_equal(rates[:, 2] > floor, rates[:, 0] == 8)
+
+
+# oracle-check's verify slots: (preset, kappa, N) with N evenly spaced from 8
+VERIFY_SLOTS = [("disk-expre03", 2, [8, 16, 24, 32, 40]),
+                ("ellipse-expre", 1, [8, 14, 20, 26, 32]),
+                ("perturbed-expre", 2, [8, 12, 16, 20, 24])]
+
+
+@pytest.mark.parametrize("negate", [False, True], ids=["model", "negated-X1"])
+@pytest.mark.parametrize("name, kappa, Ns", VERIFY_SLOTS)
+def test_verify_fits_every_degree_above_the_floor(tmp_path, monkeypatch, name, kappa, Ns,
+                                                   negate):
+    # every degree lies above the floor, so each slope is the fit over all of
+    # them; with X_1 negated the model is wrong from order 1 on and fails
+    def build(*args, **kwargs):
+        model = planorth.expansion.build_model(*args, **kwargs)
+        sign = np.where(np.arange(model.order + 1) == 1, -1.0, 1.0)[:, None]
+        return dataclasses.replace(
+            model, coeffs=dataclasses.replace(model.coeffs, stack=sign * model.coeffs.stack))
+
+    if negate:
+        monkeypatch.setattr(cli, "build_model", build)
+    z = complex(preset_model(name, 0).map.psi(1.5 * np.exp(1j)))
+    cfg = write_config(tmp_path, name, kappa=kappa, N=Ns, points=[[z.real, z.imag]])
+    out = tmp_path / "o"
+    assert run(["verify", "--config", cfg, "--out", out]) == (3 if negate else 0)
+    slopes = json.loads((out / "summary.json").read_text())["slopes"]
+    rates = np.loadtxt(out / "rates.csv", delimiter=",", skiprows=1)
+    for k in range(kappa + 1):
+        rows = rates[rates[:, 1] == k]
+        assert np.all(rows[:, 2] > cli.FLOOR_PER_DEGREE * rows[:, 0]), k
+        fit = np.polyfit(np.log(rows[:, 0]), np.log(rows[:, 2]), 1)[0]
+        assert slopes[str(k)]["slope"] == fit, k
+        assert slopes[str(k)]["pass"] is (k == 0 or not negate), k
+
+
+def test_order_gate_reads_the_floor_per_degree():
+    eps = cli.FLOOR_PER_DEGREE / 8
+    floor = [(N, 4 * N * eps) for N in (8, 16, 32, 64)]   # roundoff at every degree
+    assert cli._order_gate(floor, -2, 0.35)["exact"] is True
+    # above the floor at the smallest degree only: agreement, no slope
+    gate = cli._order_gate([(8, 1e-9)] + floor[1:], -2, 0.35)
+    assert gate["slope"] is None and gate["pass"] is True and "exact" not in gate
+    # one degree alone, or one that rises off the floor after it, fails
+    assert cli._order_gate([(8, 1e-9)], -2, 0.35)["pass"] is False
+    assert cli._order_gate(floor[:3] + [(64, 1e-10)], -2, 0.35)["pass"] is False
+    rising = cli._order_gate(floor[:2] + [(32, 1e-12), (64, 1e-10)], -2, 0.35)
+    assert rising["slope"] > 0 and rising["pass"] is False
+    # the slope is fitted over the degrees above the floor alone
+    gate = cli._order_gate([(8, 8.0 ** -3), (16, 16.0 ** -3), floor[2], floor[3]], -3, 0.35)
+    assert gate["slope"] == pytest.approx(-3.0) and gate["pass"] is True
 
 
 def test_verify_single_degree_has_no_slope(tmp_path):
@@ -745,16 +857,37 @@ def test_model_payload_modes_match_per_mode_listing(all_preset_models):
 
 
 def test_expand_builds_no_moment_table(tmp_path, monkeypatch):
-    # model.json holds the norm constants only, which read no moment table
-    built = []
+    # model.json holds the norm constants only, which read no moment table;
+    # expand, eval and kernel never form the products A_j = X_j E, and verify
+    # and distributional form them once per request
+    built, stacks = [], []
 
     def capture(*args, **kwargs):
         built.append(planorth.expansion.build_model(*args, **kwargs))
         return built[-1]
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a product stack formed where nothing reads it")
+
+    def counted(*args, **kwargs):
+        stacks.append(args)
+        return product_stack(*args, **kwargs)
+
+    product_stack = planorth.laplace._product_stack
     monkeypatch.setattr(cli, "build_model", capture)
+    monkeypatch.setattr(planorth.laplace, "_product_stack", forbidden)
     assert run(["expand", "--config", write_config(tmp_path), "--out", tmp_path / "o"]) == 0
     assert len(built) == 1 and "moments" not in built[0].norm.__dict__
+    for command in ("eval", "kernel"):
+        cfg = write_config(tmp_path, "ellipse-expre", kernel={**KERNEL, "w": [3.0, 0.0]})
+        assert run([command, "--config", cfg, "--out", tmp_path / command]) == 0, command
+    monkeypatch.setattr(planorth.laplace, "_product_stack", counted)
+    for command in ("verify", "distributional"):
+        stacks.clear()
+        cfg = write_config(tmp_path, "ellipse-expre", N=[8, 12, 16, 24],
+                           test_function={"terms": [[1, 1, 0.3, 0.0], [2, 0, 0.1, 0.2]]})
+        assert run([command, "--config", cfg, "--out", tmp_path / command]) == 0, command
+        assert len(stacks) == 1, command
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path):
@@ -903,8 +1036,8 @@ def test_oracle_reads_the_map_and_P_alone(tmp_path, capsys, monkeypatch):
 
 
 def test_kernel_band_maps_each_point_once(tmp_path, monkeypatch):
-    # one map call for w, and per degree one for z and one for the 17 band
-    # points; the band's sup is the largest of the per-point values
+    # one map call each for w, z and the 17 band points, however many degrees;
+    # the band's sup is the largest of the per-point values
     calls = []
 
     def counted(m, z):
@@ -913,11 +1046,12 @@ def test_kernel_band_maps_each_point_once(tmp_path, monkeypatch):
 
     for module in (cli, expansion, planorth.kernels):
         monkeypatch.setattr(module, "map_forward_many", counted)
-    Ns = [8, 16, 32, 64, 128]
     kc = {"w": [3.0, 0.0], "z": [2.5, 0.5], "rho": 0.5, "rho1": 0.7}
-    cfg = write_config(tmp_path, "ellipse-expre", N=Ns, kernel=kc)
-    assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 0
-    assert len(calls) <= 1 + 2 * len(Ns) and sum(calls) <= 1 + 18 * len(Ns), calls
+    for Ns in ([8], [8, 16, 32, 64, 128]):
+        calls.clear()
+        cfg = write_config(tmp_path, "ellipse-expre", N=Ns, kernel=kc)
+        assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        assert len(calls) <= 3 and sum(calls) <= 19, calls
     monkeypatch.undo()
     m = preset_model("ellipse-expre", 0).map
     band = [m.psi(r * np.exp(0.37j)) for r in np.linspace(0.7, 1.0, 17)]

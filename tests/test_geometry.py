@@ -495,4 +495,6 @@ def test_load_domain_config_roundtrip():
     for bad in (16.7, 0, -4, "x", True):
         with pytest.raises(ConfigError, match="M must be"):
             po.load_domain_config({**cfg, "M": bad})
-    assert po.load_domain_config({**cfg, "M": 16.0})[3] == 16
+    assert po.load_domain_config({**cfg, "M": 16.0, "K": 32})[3] == 16
+    with pytest.raises(ConfigError, match=r"K must be the circle bandwidth 2M = 32 \(M = 16\)"):
+        po.load_domain_config({**cfg, "M": 16})

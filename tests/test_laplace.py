@@ -252,17 +252,22 @@ def _direct_correlation(model):
 
 def test_expand_builds_no_moment_table(monkeypatch):
     # the norm constants read c_p = W_p(0) off the solver and no part of the
-    # table; the whole table waits for a read
+    # table; the products A_j = X_j E and the whole table wait for a read
     def forbidden(*args, **kwargs):
-        raise AssertionError("a moment table formed inside build_model")
+        raise AssertionError("a product stack or moment table formed inside build_model")
 
     monkeypatch.setattr(laplace, "_moment_table", forbidden)
+    monkeypatch.setattr(laplace, "_product_stack", forbidden)
     models = [preset_model(name, 8) for name in PRESETS]
     monkeypatch.undo()
-    assert all("moments" not in m.norm.__dict__ for m in models)
+    assert all("moments" not in m.norm.__dict__ and "stack" not in m.norm.__dict__
+               for m in models)
     model = preset_model("ellipse-expre", 4)
     B = model.norm.moments
     assert "moments" in model.norm.__dict__ and model.norm.moments is B
+    A = model.norm.stack
+    assert np.array_equal(A, _product_stack(model.szego, model.coeffs, 4))
+    assert model.norm.stack is A
 
 
 def test_lazy_moment_table_matches_direct_correlation(all_preset_models):
