@@ -329,21 +329,20 @@ def _order_gate(errors: list, target: int, tol: float) -> dict:
     """``summary.json``'s entry for one order from its ``(N, pointwise error)``
     rows, in ascending ``N``.  An error at most ``FLOOR_PER_DEGREE * N`` (the
     ``N eps`` condition of ``zeta^N``) is roundoff: that degree agrees and is
-    no slope sample.  The slope is fitted over the degrees above the floor and
-    passes at most ``target + tol``.  With none above it the order is exact;
-    with one, it passes only as the smallest of several degrees, the error
-    having fallen to the floor after it (one degree alone fits no slope)."""
+    no slope sample.  With no degree above the floor the order is exact.  Else
+    the degrees above it must be the smallest ones, the error falling to the
+    floor and staying there: one that leaves the floor again fails the order.
+    Their slope passes at most ``target + tol``; a single one fits none and
+    passes only as the smallest of several degrees."""
     above = [(N, e) for N, e in errors if e > FLOOR_PER_DEGREE * N]
     if not above:   # the slope of noise means nothing
         return {"slope": None, "exact": True, "target": target, "pass": True,
                 "steeper_than_polynomial": False}
-    if len(above) == 1:
-        ok = len(errors) > 1 and above[0][0] == errors[0][0]
-        return {"slope": None, "target": target, "pass": ok, "steeper_than_polynomial": False}
-    slope = float(np.polyfit(*np.log(above).T, 1)[0])
-    ok = slope <= target + tol
+    slope = float(np.polyfit(*np.log(above).T, 1)[0]) if len(above) > 1 else None
+    ok = above == errors[:len(above)] and (len(errors) > 1 if slope is None
+                                           else slope <= target + tol)
     return {"slope": slope, "target": target, "pass": bool(ok),
-            "steeper_than_polynomial": bool(ok and slope < target - tol)}
+            "steeper_than_polynomial": bool(ok and slope is not None and slope < target - tol)}
 
 
 def _test_function(cfg: dict) -> TestFunctionSplit:

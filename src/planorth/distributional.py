@@ -16,7 +16,7 @@ only through their circle jets ``J[nu, p]`` (:func:`~planorth.series.terms_jet`)
 row 0 exactly 0.
 
 The weighted side of every term, the weighted boundary operator applied to
-``X_j conj(X_k)``, is the model's moment array ``model.norm.moments``
+``X_j conj(X_k)``, is the model's moment array ``model.moments``
 (``B[j, k, mu, mode]``, computed on the first request and kept with the
 model) summed over ``mu`` with the weights ``C(nu+mu, nu) N^-mu``.  Its modes
 beyond the table's bandwidth are exactly 0, so a request takes the jet of
@@ -96,7 +96,7 @@ def _boundary_terms(model: ExpansionModel, split: TestFunctionSplit, degrees: li
              for k in range(order - nu - j + 1)]
     if order < 1:
         return index, np.zeros((len(degrees), 0), dtype=np.complex128)
-    B = model.norm.moments
+    B = model.moments
     nu, j, k = np.array(index).T
     # comb[nu - 1, mu] = C(nu+mu, nu) for mu <= order - nu, else 0
     comb = np.array([[math.comb(n + mu, n) if n + mu <= order else 0 for mu in range(order)]

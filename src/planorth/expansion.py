@@ -35,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import laplace
 from .errors import NonFiniteError, OutOfValidityError, stage
 from .geometry import (ExteriorMap, SzegoData, WeightDef, WeightSpec, map_forward_many,
                        pullback_weight, szego)
@@ -70,6 +71,18 @@ class ExpansionModel:
         in ``w = 1/zeta`` with these coefficients.  Built on the first
         pointwise request and kept with the model."""
         return _in_w(self.szego.v_exterior.coeffs), _in_w(self.coeffs.stack.T)
+
+    @cached_property
+    def products(self) -> np.ndarray:
+        """The products ``A_j = X_j E`` (:func:`~planorth.laplace._product_stack`),
+        built on the first read: the L2 comparison and :attr:`moments` read them."""
+        return laplace._product_stack(self.szego, self.coeffs, self.order)
+
+    @cached_property
+    def moments(self) -> np.ndarray:
+        """The boundary-distribution moment table ``B[j, k, mu, 2S + p]``
+        (:func:`~planorth.laplace._moment_table`), built on its first use."""
+        return laplace._moment_table(self.products, self.products.shape[1] - 1)
 
 
 def _in_w(c: np.ndarray) -> np.ndarray:

@@ -17,14 +17,14 @@ The boundary-distribution terms contract over ``mu`` the moment table
 ``B[j, k, mu, p] = R L^mu (X_j conj(X_k) Omega)`` at circle mode ``p``,
 ``L = -(r d/dr)/2 - 1``.  ``Omega = E conj(E)``, so
 ``X_j conj(X_k) Omega = A_j conj(A_k)`` with ``A_j = X_j E``, and each row of
-the table is a weighted 1-D correlation of ``A_j`` with ``A_k``.  The stack
-of the ``A_j`` and the table are each built on their first use.
+the table is a weighted 1-D correlation of ``A_j`` with ``A_k``.  The model
+(:class:`~planorth.expansion.ExpansionModel`) builds the stack of the ``A_j``
+and the table from its own ``szego`` and ``coeffs``, each on its first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,23 +125,10 @@ def _moment_table(A: np.ndarray, P: int) -> np.ndarray:
 class NormExpansion:
     """Norm-constant data: ``raw[p-1] = c_p`` with
     ``N ||.||^2 = 1 + sum c_p N^-p`` and ``d[j-1] = d_j`` from the inverse
-    square root (all real).  ``stack``, the products ``A_j = X_j E`` (see
-    ``_product_stack``) of the kept ``szego`` and ``coeffs``, and the whole
-    table ``moments``, ``B[j, k, mu, 2S + p]`` (see ``_moment_table``), are
-    computed on first use."""
+    square root (all real)."""
 
     d: np.ndarray
     raw: np.ndarray
-    szego: SzegoData = field(repr=False)
-    coeffs: HierarchyCoeffs = field(repr=False)
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        return _product_stack(self.szego, self.coeffs, self.raw.size)
-
-    @cached_property
-    def moments(self) -> np.ndarray:
-        return _moment_table(self.stack, self.stack.shape[1] - 1)
 
     def factor(self, N: float, order: int | None = None) -> float:
         """Truncated norm correction ``1 + sum_{j<=order} d_j N^-j``."""
@@ -156,12 +143,13 @@ def norm_expansion(szego: SzegoData, coeffs: HierarchyCoeffs, order: int) -> Nor
 
     ``c_0 = 1`` and ``c_p = W_p(0)`` from the solver (``coeffs.at_origin``):
     each Watson derivative of the norm applies one more ``T`` to the leading
-    term's pairing.  ``d`` is the ``-1/2`` power of that series; the product
-    stack waits for its first read (the L2 comparison, the moment table).
+    term's pairing.  ``d`` is the ``-1/2`` power of that series.  ``szego`` is
+    not read: the products ``A_j = X_j E`` belong to the model
+    (:attr:`~planorth.expansion.ExpansionModel.products`).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     if order > coeffs.order:
         raise ValueError("hierarchy not solved to the requested order")
     c = np.array([1.0, *coeffs.at_origin[:order]])
-    return NormExpansion(d=_ps_power(c, -0.5)[1:], raw=c[1:], szego=szego, coeffs=coeffs)
+    return NormExpansion(d=_ps_power(c, -0.5)[1:], raw=c[1:])

@@ -40,7 +40,7 @@ samples takes for integrands holomorphic on ``0 < |zeta| < inf`` (Trefethen
 and Weideman, SIAM Rev. 2014).  The weight ``|G|^2``, ``G = psi' e^(P o
 psi)``, folds into ``G P_N``, the exact convolution of the kept modes of
 ``P_N o psi`` and ``G``; the expansion's side of the L2 comparison is the
-modes of the model's products ``A_j = X_j E`` (``model.norm.stack``), not
+modes of the model's products ``A_j = X_j E`` (``model.products``), not
 sampled.  So a degree or order costs ``O(modes)``; the degrees of a request
 share one forward FFT, one inverse FFT and one table of radial moments.
 Inside ``|phi| < rho1`` a Stokes integral on ``psi(rho1 S^1)`` takes over.
@@ -361,8 +361,7 @@ class _Collar:
     """Radial rule of the collar ``rho1 < |zeta| < 1``: Gauss-Legendre ``radii``, their
     ``weights`` ``2 w r``, the cutoff ``chi`` on them and ``rest = 1 - chi`` (the
     mirrored smoothstep, exact where ``chi`` is near 1); ``rim`` is the Stokes
-    factor ``e^P psi'(zeta) zeta`` on ``|zeta| = rho1``.  :meth:`moments` is not
-    rescaled: a row out of the float range makes a non-finite sum, which its reader refuses."""
+    factor ``e^P psi'(zeta) zeta`` on ``|zeta| = rho1``."""
 
     rho1: float
     radii: np.ndarray
@@ -371,9 +370,10 @@ class _Collar:
     rest: np.ndarray
     rim: np.ndarray
 
-    def moments(self, lo: int, hi: int) -> np.ndarray:
-        """Rows ``weights r^(2k)`` for ``lo <= k < hi``, mode ``k`` in row ``k - lo``."""
-        e = np.multiply.outer(2.0 * np.arange(lo, hi), np.log(self.radii))
+    def moments(self, k: np.ndarray) -> np.ndarray:
+        """Rows ``weights r^(2 k_i)`` of the modes ``k``, not rescaled: a row out of
+        the float range makes a non-finite sum, which its reader refuses."""
+        e = np.multiply.outer(2.0 * np.asarray(k, dtype=float), np.log(self.radii))
         return self.weights * np.exp(e)
 
 
@@ -405,14 +405,15 @@ def _on_collar(polys: OraclePolynomials, collar: _Collar, Ns: list, reach):
     exact convolution of the chopped modes of ``P_N o psi`` and ``G``.  The
     inner part ``int |P_N|^2 omega dA / pi`` over ``|phi| < rho1`` is Stokes
     on ``psi(rho1 S^1)`` from the modes of ``P_N`` and ``B_N`` scaled to that
-    circle, one inverse FFT for every degree.  One table ``(lo, m, m1)``, the
-    rows ``m`` of :meth:`_Collar.moments` over the hull from ``lo`` of the
-    modes of every ``alpha`` and of the ranges ``reach(N, k0, alpha.size)`` the
-    caller reads, with their sums ``m1``, serves every degree; mode ``k`` is row
-    ``k - lo``.  Each degree, in order, is checked: unless ``||P_N||^2 = inner
-    + sum_k |alpha_k|^2 sum_i w_i r_i^(2k)`` is 1 to ``COLLAR_TOL``, the modes,
-    scaled by ``r^k``, have lost ``P_N`` and :class:`DegreeTooHighError` names
-    the first such degree.  Returns ``{N: (k0, alpha, inner)}`` and the table."""
+    circle, one inverse FFT for every degree.  One table ``(shift, m, m1)``,
+    the rows ``m`` of :meth:`_Collar.moments` and their sums ``m1``, serves
+    every degree: each mode of every ``alpha`` and of the ranges ``reach(N, k0,
+    alpha.size)`` the caller reads once, not the gaps between them; mode ``k``
+    of a range ``[a, b)`` is row ``k - shift[a, b]``.  Each degree, in order, is
+    checked: unless ``||P_N||^2 = inner + sum_k |alpha_k|^2 sum_i w_i
+    r_i^(2k)`` is 1 to ``COLLAR_TOL``, the modes, scaled by ``r^k``, have lost
+    ``P_N`` and :class:`DegreeTooHighError` names the first such degree.
+    Returns ``{N: (k0, alpha, inner)}`` and the table."""
     rule = polys.rule
     L, n = rule.L, len(Ns)
     g0, g = rule._frame_modes
@@ -431,17 +432,23 @@ def _on_collar(polys: OraclePolynomials, collar: _Collar, Ns: list, reach):
             k0 = int(first[i]) + 1 - L // 2 + g0
             degrees[N] = (k0, alpha)
             ranges += [(k0, k0 + alpha.size), *reach(N, k0, alpha.size)]
-        lo = min((a for a, _ in ranges), default=0)
-        m = collar.moments(lo, max((b for _, b in ranges), default=lo))
+        blocks, shift = [], {}   # the distinct ranges, merged where they meet, end to end
+        for a, b in sorted(set(ranges)):
+            if not blocks or a > blocks[-1][1]:
+                blocks.append([a, b, a - sum(y - x for x, y, _ in blocks)])
+            blocks[-1][1] = max(blocks[-1][1], b)
+            shift[a, b] = blocks[-1][2]   # mode k of the range [a, b) is row k - shift
+        m = collar.moments(np.concatenate([np.arange(a, b) for a, b, _ in blocks] + [[]]))
         m1 = np.sum(m, axis=1)
         for i, (N, (k0, alpha)) in enumerate(degrees.items()):
-            norm = inner[i] + float(m1[k0 - lo:k0 - lo + alpha.size] @ np.abs(alpha) ** 2)
+            at = k0 - shift[k0, k0 + alpha.size]
+            norm = inner[i] + float(m1[at:at + alpha.size] @ np.abs(alpha) ** 2)
             if not abs(norm - 1.0) <= COLLAR_TOL:   # NaN fails too
                 raise DegreeTooHighError(
                     f"collar rule reads ||P_N||^2 - 1 = {abs(norm - 1.0):.3e} at N = {N} "
                     f"(L = {L}), above {COLLAR_TOL:.0e}")
             degrees[N] += (float(inner[i]),)
-    return degrees, (lo, m, m1)
+    return degrees, (shift, m, m1)
 
 
 def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs) -> np.ndarray:
@@ -453,7 +460,7 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs) -> 
     ``B = G F_N = scale E zeta^N sum_j N^-j X_j``, with the model's outer
     factor ``E = e^(V o psi + h)`` at bandwidth ``2M``, has the modes ``beta``
     of the products ``A_j = X_j E`` shifted by ``N``: the rows of
-    ``model.norm.stack``, which the moment table also reads.  The collar
+    ``model.products``, which the moment table also reads.  The collar
     part ``sum_k sum_i w_i r_i^(2k) |alpha_k - chi_i beta_k|^2`` is
     ``sum_k M_k |alpha_k - beta_k + u_k beta_k|^2 + S_k |beta_k|^2``, free of
     cancellation, with ``u_k`` the ``w r^(2k)``-weighted mean of ``1 - chi``
@@ -464,14 +471,14 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs) -> 
         polys.check_degree(N)
     scales = [normalized_scale(model, N, order) for N, order in pairs]  # degrees checked
     collar = _collar(model, polys)
-    beta = model.norm.stack   # modes -S .. S of every A_j
+    beta = model.products   # modes -S .. S of every A_j
     b0 = -(beta.shape[1] // 2)
 
     def span(N, a0, n):   # the modes of alpha and of the shifted beta
         return [(min(a0, b0 + N), max(a0 + n, b0 + N + beta.shape[1]))]
 
-    degrees, (lo, m, m1) = _on_collar(polys, collar, list(dict.fromkeys(N for N, _ in pairs)),
-                                      span)
+    degrees, (shift, m, m1) = _on_collar(polys, collar, list(dict.fromkeys(N for N, _ in pairs)),
+                                         span)
     u = np.sum(m * collar.rest, axis=1) / m1
     spread = np.sum(m * (collar.rest - u[:, None]) ** 2, axis=1)
     per_degree = {}
@@ -482,7 +489,7 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs) -> 
         sums = np.zeros((beta.shape[0], k2 - k1), dtype=np.complex128)
         sums[:, b0 + N - k1:b0 + N - k1 + beta.shape[1]] = np.cumsum(
             float(N) ** -np.arange(beta.shape[0])[:, None] * beta, axis=0)
-        per_degree[N] = (slice(k1 - lo, k2 - lo), a, sums, inner)
+        per_degree[N] = (slice(k1 - shift[k1, k2], k2 - shift[k1, k2]), a, sums, inner)
     out = np.empty(len(pairs))
     for i, (N, order) in enumerate(pairs):
         at, a, sums, inner = per_degree[N]
@@ -520,7 +527,7 @@ def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, terms,
         _, _, size, j = live(k0, n)
         return zip(j, j + size)
 
-    per_degree, (k_lo, m, _) = _on_collar(polys, collar, list(dict.fromkeys(degrees)), reach)
+    per_degree, (shift, m, _) = _on_collar(polys, collar, list(dict.fromkeys(degrees)), reach)
     out = np.zeros(len(degrees), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         moment = np.sum(m * collar.chi, axis=1)
@@ -533,7 +540,7 @@ def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, terms,
             at = np.arange(n.sum()) - np.repeat(start, n)   # place within its term
             k = np.repeat(lo, n) + at
             pairs = alpha[k] * np.conj(alpha[k + np.repeat(diff[t], n)])
-            pairs *= moment[np.repeat(j - k_lo, n) + at]
+            pairs *= moment[np.repeat(j - [shift[r] for r in zip(j, j + n)], n) + at]
             out[i] = np.sum(c[t] * np.add.reduceat(pairs, start))
     if not np.isfinite(out).all():
         raise NonFiniteError(f"test function out of float range on the collar rule "

@@ -578,6 +578,9 @@ def test_order_gate_reads_the_floor_per_degree():
     assert cli._order_gate(floor[:3] + [(64, 1e-10)], -2, 0.35)["pass"] is False
     rising = cli._order_gate(floor[:2] + [(32, 1e-12), (64, 1e-10)], -2, 0.35)
     assert rising["slope"] > 0 and rising["pass"] is False
+    # a degree that leaves the floor after it has reached it fails, whatever the slope
+    late = cli._order_gate([(8, 1e-6)] + floor[1:] + [(128, 1e-10)], -2, 0.35)
+    assert late["slope"] < -3 and late["pass"] is False
     # the slope is fitted over the degrees above the floor alone
     gate = cli._order_gate([(8, 8.0 ** -3), (16, 16.0 ** -3), floor[2], floor[3]], -3, 0.35)
     assert gate["slope"] == pytest.approx(-3.0) and gate["pass"] is True
@@ -877,7 +880,7 @@ def test_expand_builds_no_moment_table(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_model", capture)
     monkeypatch.setattr(planorth.laplace, "_product_stack", forbidden)
     assert run(["expand", "--config", write_config(tmp_path), "--out", tmp_path / "o"]) == 0
-    assert len(built) == 1 and "moments" not in built[0].norm.__dict__
+    assert len(built) == 1 and not {"products", "moments"} & set(built[0].__dict__)
     for command in ("eval", "kernel"):
         cfg = write_config(tmp_path, "ellipse-expre", kernel={**KERNEL, "w": [3.0, 0.0]})
         assert run([command, "--config", cfg, "--out", tmp_path / command]) == 0, command
@@ -1088,12 +1091,9 @@ def test_distributional_at_order_zero_is_the_leading_term(tmp_path):
     assert [r["expansion"] for r in payload["rows"]] == [lead, lead]
 
 
-def test_far_term_index_runs_in_bounded_memory(tmp_path):
-    # the term z^1000000 meets no mode of the moment table, and the collar
-    # reads it term by term: no (2 10^6 + 1)^2 grid, so 1 GiB of address
-    # space is ample
-    cfg = write_config(tmp_path, "ellipse-expre",
-                       test_function={"terms": [[1000000, 0, 1.0, 0.0], [1, 1, 1.0, 0.0]]})
+def _distributional_in_1_gib(cfg, out):
+    """Exit code of ``planorth distributional`` in a child process held to
+    1 GiB of address space, and its stderr."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
@@ -1101,9 +1101,19 @@ def test_far_term_index_runs_in_bounded_memory(tmp_path):
     code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30)); "
             "from planorth import cli; sys.exit(cli.main(sys.argv[1:]))")
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
-                           "distributional", "--config", str(cfg), "--out", str(tmp_path / "o")],
+                           "distributional", "--config", str(cfg), "--out", str(out)],
                           env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.returncode, proc.stderr[-2000:]
+
+
+def test_far_term_index_runs_in_bounded_memory(tmp_path):
+    # the term z^1000000 meets no mode of the moment table, and the collar
+    # reads it term by term: no (2 10^6 + 1)^2 grid, so 1 GiB of address
+    # space is ample
+    cfg = write_config(tmp_path, "ellipse-expre",
+                       test_function={"terms": [[1000000, 0, 1.0, 0.0], [1, 1, 1.0, 0.0]]})
+    code, err = _distributional_in_1_gib(cfg, tmp_path / "o")
+    assert code == 0, err
     near = json.loads((tmp_path / "o" / "distributional.json").read_text())
     cfg = write_config(tmp_path, "ellipse-expre", test_function={"terms": [[1, 1, 1.0, 0.0]]})
     assert run(["distributional", "--config", cfg, "--out", tmp_path / "p"]) == 0
@@ -1111,3 +1121,17 @@ def test_far_term_index_runs_in_bounded_memory(tmp_path):
     # the expansion side is bit-identical without the far term
     assert [r["expansion"] for r in near["rows"]] == [r["expansion"] for r in alone["rows"]]
     assert near["terms_at_max_degree"] == alone["terms_at_max_degree"]
+
+
+@pytest.mark.parametrize("power, exit_code", [(1000000, 0), (-1000000, 3)])
+def test_live_far_term_reads_its_own_moments(tmp_path, power, exit_code):
+    # |z|^(2 power) is live at every degree: its products read the moments of
+    # the modes from about power on, as many as alpha has, and the table holds
+    # those rows and not the 10^6 between them and alpha's own; the negative
+    # power leaves the float range on the collar and is refused, not a traceback
+    cfg = write_config(tmp_path, "ellipse-expre",
+                       test_function={"terms": [[power, power, 1.0, 0.0]]})
+    code, err = _distributional_in_1_gib(cfg, tmp_path / "o")
+    assert code == exit_code, err
+    if exit_code:
+        assert "out of float range" in err

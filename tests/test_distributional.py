@@ -206,7 +206,7 @@ def test_w_operator_matches_radial_chain(all_preset_models):
             for k in range(model.order + 1 - j):
                 a = _correction_product(model, j, k)
                 for nu in (1, 2, 4):
-                    got = _w_combination(model.norm.moments[j, k], 17, nu, 4)
+                    got = _w_combination(model.moments[j, k], 17, nu, 4)
                     want = _radial_chain_w_operator(model.szego, 17, nu, 4, a)
                     dev = np.max(np.abs(_centred_difference(got, want)))
                     assert dev <= 1e-13 * np.sum(np.abs(want)), \
@@ -248,7 +248,7 @@ def test_expectation_forms_no_products(disk_alpha_model, monkeypatch):
     # first read and kept, so no later request forms a product with Omega
     rng = np.random.default_rng(31)
     split = split_test_function(random_annulus(rng, 6, disk_alpha_model.inner_radius))
-    table = disk_alpha_model.norm.moments
+    table = disk_alpha_model.moments
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a product with Omega formed inside a request")
@@ -256,7 +256,7 @@ def test_expectation_forms_no_products(disk_alpha_model, monkeypatch):
     monkeypatch.setattr(laplace, "_moment_table", forbidden)
     monkeypatch.setattr(laplace, "_product_stack", forbidden)
     assert np.isfinite(distributional_expectation(disk_alpha_model, split, 20))
-    assert disk_alpha_model.norm.moments is table
+    assert disk_alpha_model.moments is table
 
 
 @st.composite
@@ -283,7 +283,7 @@ def test_expectation_ignores_row_order_zero_rows_and_far_terms(all_preset_models
     got = distributional_expectation(model, split_terms(dict(items)), N)
     assert abs(got - want) <= 1e-14 * l1
     # a term past the moment table's bandwidth C meets only modes of B that are 0
-    C = (model.norm.moments.shape[-1] - 1) // 2
+    C = (model.moments.shape[-1] - 1) // 2
     far = {**rows, (n + (-1) ** below * (C + reach), n): 1e6}
     assert distributional_expectation(model, split_terms(far), N) == want
 
@@ -298,7 +298,7 @@ def test_expectations_contract_the_jet_once(disk_alpha_model, monkeypatch):
     # a batch of degrees pairs the jet with the moment table in one einsum, and
     # each degree reads as the single-degree form
     model = disk_alpha_model
-    model.norm.moments   # built on the first request, not counted here
+    model.moments   # built on the first request, not counted here
     split = split_terms({(1, 1): 0.3, (2, 0): 0.2, (0, 1): 0.1j, (0, 0): 0.4, (-1, 2): 0.05})
     degrees = [8, 16, 24, 32, 64]
     calls = []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -157,8 +159,8 @@ def test_norm_expansion_matches_product_form(all_preset_models):
         assert np.max(np.abs(model.norm.raw - c[1:])) <= 1e-13, name
         assert np.max(np.abs(model.norm.d - d[1:])) <= 1e-13, name
         J = model.order + 1
-        assert model.norm.moments.shape[:3] == (J, J, J), name
-        assert model.norm.moments.shape[3] % 2 == 1, name
+        assert model.moments.shape[:3] == (J, J, J), name
+        assert model.moments.shape[3] % 2 == 1, name
 
 
 def test_moment_table_drops_no_mass():
@@ -211,7 +213,7 @@ def test_moment_table_matches_outer_product_radial_moments(name):
                                    order, bidegree=16, inner_radius=0.5)
         else:
             model = preset_model(name, order)
-        B = model.norm.moments
+        B = model.moments
         centre = (B.shape[-1] - 1) // 2
         assert B.shape == (order + 1, order + 1, order + 1, 2 * centre + 1)
         for j in range(order + 1):
@@ -260,14 +262,13 @@ def test_expand_builds_no_moment_table(monkeypatch):
     monkeypatch.setattr(laplace, "_product_stack", forbidden)
     models = [preset_model(name, 8) for name in PRESETS]
     monkeypatch.undo()
-    assert all("moments" not in m.norm.__dict__ and "stack" not in m.norm.__dict__
-               for m in models)
+    assert all(not {"products", "moments"} & set(m.__dict__) for m in models)
     model = preset_model("ellipse-expre", 4)
-    B = model.norm.moments
-    assert "moments" in model.norm.__dict__ and model.norm.moments is B
-    A = model.norm.stack
+    B = model.moments
+    assert "moments" in model.__dict__ and model.moments is B
+    A = model.products
     assert np.array_equal(A, _product_stack(model.szego, model.coeffs, 4))
-    assert model.norm.stack is A
+    assert model.products is A
 
 
 def test_lazy_moment_table_matches_direct_correlation(all_preset_models):
@@ -276,7 +277,7 @@ def test_lazy_moment_table_matches_direct_correlation(all_preset_models):
     models["disk-complex"] = po.build_model(po.disk_map(), po.exp_re_linear_weight(0.2 + 0.2j),
                                             4, bidegree=16, inner_radius=0.5)
     for name, model in models.items():
-        B = model.norm.moments
+        B = model.moments
         centre = (B.shape[-1] - 1) // 2
         for (j, k), (ps, want) in _direct_correlation(model).items():
             inside = np.abs(ps) <= centre
@@ -292,8 +293,8 @@ def test_lazy_moment_table_matches_direct_correlation(all_preset_models):
 def test_mode0_kernel_is_the_table_centre(all_preset_models):
     # the reference Watson sum's P = 0 call and the full table are one formula
     for name, model in all_preset_models.items():
-        B = model.norm.moments
-        mode0 = _moment_table(model.norm.stack, 0)
+        B = model.moments
+        mode0 = _moment_table(model.products, 0)
         assert mode0.shape == B.shape[:3] + (1,), name
         centre = B[..., (B.shape[-1] - 1) // 2]
         assert np.max(np.abs(mode0[..., 0] - centre)) <= 1e-15 * np.max(np.abs(centre)), name
@@ -316,7 +317,7 @@ def _watson_mode0(stack, order):
 def _assert_solver_c_is_the_watson_sum(sz, coeffs, label):
     for order in range(coeffs.order + 1):
         norm = po.norm_expansion(sz, coeffs, order)
-        want = _watson_mode0(norm.stack, order)
+        want = _watson_mode0(_product_stack(sz, coeffs, order), order)
         got = np.concatenate([[1.0], norm.raw])
         dev = np.abs(got - want) / np.maximum(1.0, np.abs(want))
         assert dev.max() <= 1e-14, (label, order, dev.max())
@@ -343,3 +344,14 @@ def test_solver_c_is_the_watson_sum_on_random_pullbacks():
         h[K] = rng.standard_normal()
         sz = szego_of(po.CircleSeries(h))
         _assert_solver_c_is_the_watson_sum(sz, po.solve_hierarchy(sz, 8), seed)
+
+
+def test_products_are_read_from_the_model_coeffs():
+    # the products and the table belong to the model: one whose coefficients
+    # are replaced builds them from the new ones, not from a kept copy
+    model = preset_model("ellipse-expre", 2)
+    A, B = model.products, model.moments
+    other = dataclasses.replace(
+        model, coeffs=dataclasses.replace(model.coeffs, stack=-model.coeffs.stack))
+    assert np.array_equal(other.products, -A)
+    assert other.moments is not B

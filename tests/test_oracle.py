@@ -386,9 +386,9 @@ def test_collar_work_does_not_grow_with_the_degrees(disk_alpha_model, disk_alpha
         counts["fft"] += 1
         return fft(*args, **kwargs)
 
-    def counted_moments(self, lo, hi):
+    def counted_moments(self, k):
         counts["moments"] += 1
-        return moments(self, lo, hi)
+        return moments(self, k)
 
     monkeypatch.setattr(np.fft, "fft", counted_fft)
     monkeypatch.setattr(oracle._Collar, "moments", counted_moments)
@@ -403,7 +403,7 @@ def test_collar_work_does_not_grow_with_the_degrees(disk_alpha_model, disk_alpha
 
 def test_l2_reads_the_model_products_without_sampling(ellipse_exp_model, ellipse_exp_oracle,
                                                       monkeypatch):
-    # the expansion's side is model.norm.stack, the products A_j = X_j E:
+    # the expansion's side is model.products, the products A_j = X_j E:
     # no circle series is evaluated on the oracle's samples
     calls = []
     evaluate = po.CircleSeries.evaluate
@@ -645,7 +645,7 @@ def test_collar_guard_refuses_degrees_it_cannot_hold(ellipse_exp_model, ellipse_
     degrees = oracle._on_collar(polys, collar, [100, 200, 250], lambda *_: [])[0]
     for N in (100, 200, 250):
         k0, alpha, inner = degrees[N]
-        rows = collar.moments(k0, k0 + alpha.size)
+        rows = collar.moments(np.arange(k0, k0 + alpha.size))
         norm = inner + np.sum(np.sum(rows, axis=1) * np.abs(alpha) ** 2)
         assert abs(norm - 1.0) <= 1e-12, N
     good = [100, 200, 250]

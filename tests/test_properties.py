@@ -57,7 +57,7 @@ def test_outer_factor_norm_series_and_residuals(mp, weight, M):
     assert np.max(np.abs(np.abs(sz.E.evaluate(ts)) - 1.0)) <= 1e-13
     # the norm series is real before its imaginary part is dropped
     c = np.zeros(ORDER + 1, dtype=np.complex128)
-    B = model.norm.moments
+    B = model.moments
     centre = (B.shape[-1] - 1) // 2
     for j in range(ORDER + 1):
         for k in range(ORDER + 1 - j):

@@ -224,7 +224,7 @@ def test_restrict_of_product_is_circle_convolution(disk_alpha_model):
     order = disk_alpha_model.order
     for j in range(order + 1):
         for k in range(order + 1 - j):
-            lhs = po.CircleSeries(disk_alpha_model.norm.moments[j, k, 0])
+            lhs = po.CircleSeries(disk_alpha_model.moments[j, k, 0])
             rhs = (X[j] * sz.E) * conjugate_on_circle(X[k] * sz.E)
             assert np.max(np.abs((lhs - rhs).coeffs)) <= 1e-12 * max(1.0, lhs.l1()), (j, k)
 
