@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .distributional import (TestFunctionSplit, distributional_expectations,
-                             distributional_terms, split_terms)
+from .distributional import TestFunctionSplit, _expectations, split_terms
 from .errors import (ConfigError, NonFiniteError, OffSpectralError, OutOfValidityError,
                      PlanorthError, stage)
 from .expansion import (_require_degree, build_model, check_valid, leading_coeff, monic_at,
@@ -27,7 +26,8 @@ from .expansion import (_require_degree, build_model, check_valid, leading_coeff
 from .geometry import (load_domain_config, map_forward_many, parse_integer, parse_list,
                        parse_number, parse_object, parse_pair)
 from .hierarchy import hierarchy_residuals
-from .kernels import _bw_kernel_diag_at, _map_points, _offspectral_at, off_spectral_point
+from .kernels import (_bw_kernel_diag_at, _map_points, _offspectral_at, off_spectral_point,
+                      outer_rho)
 from .oracle import berezin_expectations, boundary_onps, l2_discrepancies
 
 MAX_ORDER = 8
@@ -369,7 +369,8 @@ def cmd_distributional(cfg: dict, exp: dict, outdir: Path) -> int:
     _require_degree(min(exp["N"]))   # the request is checked before the model is built
     split = _test_function(cfg)
     model = _build(cfg, exp["kappa"])
-    vals = distributional_expectations(model, split, exp["N"], order=exp["kappa"])
+    # the rows and the term table at max(N), the last degree, from one contraction
+    vals, index, values = _expectations(model, split, exp["N"], exp["kappa"])
     N_max = max(exp["N"])
     polys = _oracle_for(model, N_max)
     with stage("oracle-collar"):
@@ -379,8 +380,7 @@ def cmd_distributional(cfg: dict, exp: dict, outdir: Path) -> int:
         val, ov = complex(val), complex(ov)
         rows.append([N, val.real, val.imag, ov.real, ov.imag, abs(val - ov)])
     term_table = [{"nu": idx[0], "j": idx[1], "k": idx[2], "value": _c2l(v)}
-                  for idx, v in distributional_terms(model, split, max(exp["N"]),
-                                                     order=exp["kappa"])]
+                  for idx, v in zip(index, values[-1].tolist())]
     payload = {
         "schema": "planorth/distributional-v1",
         "kappa": exp["kappa"],
@@ -416,7 +416,8 @@ def cmd_kernel(cfg: dict, exp: dict, outdir: Path) -> int:
     zeta, ok = map_forward_many(model.map, np.array([z]))   # refused before the oracle is built
     for N in exp["N"]:
         check_valid(model, N, zeta, ok)
-    kforms = [abs(complex(_offspectral_at(model, pt, N, zeta)[0])) for N in exp["N"]]
+    outer = outer_rho(pt, zeta)
+    kforms = [abs(complex(_offspectral_at(model, N, zeta, outer)[0])) for N in exp["N"]]
     N_max = max(exp["N"])
     polys = _oracle_for(model, N_max)
     p = polys.evaluate(np.array([z, w]))   # P_0 .. P_Nmax at z and w: K_N(., w) for every N
@@ -427,8 +428,8 @@ def cmd_kernel(cfg: dict, exp: dict, outdir: Path) -> int:
         off_rows.append([N, knum, kform, abs(knum / kform - 1.0)])
     band = _map_points(model.map, model.map.psi(np.linspace(rho1, 1.0, 17) * np.exp(0.37j)))
     diag_rows = []
-    for N in exp["N"]:
-        sup = float(np.max(_bw_kernel_diag_at(rho, model.map, N, band)))
+    for N, diag in zip(exp["N"], _bw_kernel_diag_at(rho, model.map, exp["N"], band)):
+        sup = float(np.max(diag))
         diag_rows.append([N, sup, sup / N ** 2])
     payload = {
         "schema": "planorth/kernel-v1",

@@ -136,10 +136,18 @@ def distributional_expectations(model: ExpansionModel, split: TestFunctionSplit,
     and :class:`NonFiniteError`, naming the first such degree, where the sum
     leaves the float range.
     """
-    degrees = list(degrees)
+    return _expectations(model, split, list(degrees), order)[0]
+
+
+def _expectations(model: ExpansionModel, split: TestFunctionSplit, degrees: list,
+                  order: int | None):
+    """``(expectations, index, values)``: :func:`distributional_expectations` at
+    ``degrees`` and the ``(index, values)`` of :func:`_boundary_terms` they sum,
+    from one pass; row ``i`` of ``values`` is :func:`distributional_terms` at
+    ``degrees[i]``."""
     order = model.order if order is None else order
     out = np.empty(len(degrees), dtype=np.complex128)
-    _, values = _boundary_terms(model, split, degrees, order)
+    index, values = _boundary_terms(model, split, degrees, order)
     for i, (N, row) in enumerate(zip(degrees, values.tolist())):
         with np.errstate(over="ignore", invalid="ignore"):
             total = split.plus_infinity + model.norm.factor(N, order) ** 2 * sum(row)
@@ -147,7 +155,7 @@ def distributional_expectations(model: ExpansionModel, split: TestFunctionSplit,
             raise NonFiniteError(f"boundary expansion of the test function out of float "
                                  f"range at degree {N}")
         out[i] = total
-    return out
+    return out, index, values
 
 
 def distributional_expectation(model: ExpansionModel, split: TestFunctionSplit, N: int,

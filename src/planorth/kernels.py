@@ -61,15 +61,16 @@ def offspectral_leading(model: ExpansionModel, point: OffSpectralPoint, N: int, 
     :class:`OutOfValidityError` for a degree below ``N_MIN`` or a point that
     cannot be mapped inside the validity region, as the other evaluators do,
     and :class:`NonFiniteError` where a value leaves the float range."""
-    vals = _offspectral_at(model, point, N, _map_valid(model, N, z))
+    zeta = _map_valid(model, N, z)
+    vals = _offspectral_at(model, N, zeta, outer_rho(point, zeta))
     return vals if np.ndim(z) else complex(vals[0])
 
 
-def _offspectral_at(model: ExpansionModel, point: OffSpectralPoint, N: int, zeta) -> np.ndarray:
+def _offspectral_at(model: ExpansionModel, N: int, zeta, outer) -> np.ndarray:
     """:func:`offspectral_leading` at mapped points ``zeta`` that pass
-    :func:`~planorth.expansion.check_valid` at ``N``."""
-    return _positioned(model, N, zeta, math.sqrt(N) * outer_rho(point, zeta), None,
-                       "off-spectral kernel")
+    :func:`~planorth.expansion.check_valid` at ``N``, with ``outer`` the
+    degree-free :func:`outer_rho` there."""
+    return _positioned(model, N, zeta, math.sqrt(N) * outer, None, "off-spectral kernel")
 
 
 def offspectral_phase(model: ExpansionModel, point: OffSpectralPoint, N: int) -> float:
@@ -100,7 +101,7 @@ def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z):
         raise DomainError("need 0 < rho < 1")
     if N < 0:
         raise DomainError(f"degree {N} is negative")
-    out = _bw_kernel_diag_at(rho, m, N, _map_points(m, np.atleast_1d(np.asarray(z, complex))))
+    out, = _bw_kernel_diag_at(rho, m, [N], _map_points(m, np.atleast_1d(np.asarray(z, complex))))
     return out if np.ndim(z) else float(out[0])
 
 
@@ -114,9 +115,11 @@ def _map_points(m: ExteriorMap, pts: np.ndarray) -> np.ndarray:
     return zeta
 
 
-def _bw_kernel_diag_at(rho: float, m: ExteriorMap, N: int, zeta: np.ndarray) -> np.ndarray:
-    """:func:`bw_kernel_diag` at the mapped points ``zeta`` (a 1-D array), for
-    ``0 < rho < 1`` and ``N >= 0``."""
+def _bw_kernel_diag_at(rho: float, m: ExteriorMap, degrees, zeta: np.ndarray) -> np.ndarray:
+    """:func:`bw_kernel_diag` at the mapped points ``zeta`` (a 1-D array), one
+    row for each of the ``degrees``, for ``0 < rho < 1`` and degrees ``>= 0``:
+    ``|phi'|^2`` and the tail, which no degree changes, are computed once, and
+    the head sum once per degree."""
     rho2 = rho * rho
     log_rho2 = 2.0 * math.log(rho)   # rho * rho underflows for rho below 1e-162
     L = math.ceil(math.log(BW_TAIL_TOL * (1.0 - rho2) ** 3) / log_rho2)
@@ -127,13 +130,17 @@ def _bw_kernel_diag_at(rho: float, m: ExteriorMap, N: int, zeta: np.ndarray) -> 
     if np.any(r <= rho):
         raise DomainError(f"|phi(z)| = {float(r.min()):.4f} must exceed rho = {rho}")
     dphi2 = np.abs(phi_prime(m, zeta)) ** 2
-    n = np.arange(N + 1)
-    acc = r ** (-2.0) / -log_rho2
-    with np.errstate(over="ignore"):   # an overflowed power makes acc inf, refused below
-        acc += np.sum((n + 1) * r[:, None] ** (2 * n) / (1.0 - rho ** (2 * n + 2)), axis=1)
-    if not np.all(np.isfinite(acc)):
-        raise NonFiniteError(f"K_N(z, z) overflows a float at N = {N}, "
-                             f"|phi(z)| = {float(r.max()):.4f}")
     x = (rho / r[:, None]) ** 2 * rho2 ** np.arange(L)
-    acc += np.sum(x / (1.0 - x) ** 2, axis=1) / r ** 2
-    return acc * dphi2
+    tail = np.sum(x / (1.0 - x) ** 2, axis=1) / r ** 2
+    lead = r ** (-2.0) / -log_rho2
+    out = np.empty((len(degrees), r.size))
+    for i, N in enumerate(degrees):
+        n = np.arange(N + 1)
+        with np.errstate(over="ignore"):   # an overflowed power makes acc inf, refused below
+            acc = lead + np.sum((n + 1) * r[:, None] ** (2 * n) / (1.0 - rho ** (2 * n + 2)),
+                                axis=1)
+        if not np.all(np.isfinite(acc)):
+            raise NonFiniteError(f"K_N(z, z) overflows a float at N = {N}, "
+                                 f"|phi(z)| = {float(r.max()):.4f}")
+        out[i] = (acc + tail) * dphi2
+    return out

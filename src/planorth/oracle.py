@@ -15,12 +15,11 @@ modes ``c`` of ``(P_n e^P o psi) psi' zeta``, one forward FFT per degree, and
 both are updated by the same Gram-Schmidt coefficients in one stacked
 product.  ``B_v o psi`` is the termwise primitive of the Laurent series
 ``(v e^P o psi) psi'``, whose mode ``k`` is ``c_k / k``, so by Parseval
-``<f, g> = sum_k c_k(f) conj(c_k(g)) / k``; the samples of the primitives,
-which the Gram gate and the collar rule read, come from one batched inverse
-FFT after the last degree.  The same FFT checks the samples: the
-integrand's modes decay fast, so on samples that resolve it the outer
-modes ``|k| >= 3L/8`` sit at the rounding floor of the largest (the test by
-which Aurentz and Trefethen chop a Chebyshev series).  Their share is the
+``<f, g> = sum_k c_k(f) conj(c_k(g)) / k``; the oracle keeps these modes,
+and the Gram gate and the collar rule read the primitives from them.  The
+same FFT checks the samples: the integrand's modes decay fast, so on samples
+that resolve it the outer modes ``|k| >= 3L/8`` sit at the rounding floor of
+the largest (the test by which Aurentz and Trefethen chop a Chebyshev series).  Their share is the
 degree's ``tail``; the first degree whose tail exceeds ``TAIL_TOL`` stops the
 run as unresolved, and only then are the samples doubled.  A degree takes
 one pass of classical Gram-Schmidt, and a second only where the first
@@ -80,23 +79,20 @@ _leggauss = cache(leggauss)   # Gauss-Legendre nodes and weights, once per node 
 @dataclass(frozen=True, eq=False)
 class BoundaryRule:
     """The boundary form of the area inner product on ``L`` equispaced points
-    ``zeta`` of the unit circle: ``nodes = psi(zeta)``, ``dz = psi'(zeta) zeta``
-    and ``e_p = exp(P(nodes))`` for the weight ``|e^P|^2``."""
+    ``zeta`` of the unit circle: ``nodes = psi(zeta)`` and the Stokes weight
+    ``weight = e^P(nodes) psi'(zeta) zeta / L`` for the weight ``|e^P|^2``, the
+    mean's ``1/L`` folded in: the forward FFT of its product with samples is
+    their modes."""
 
     map: ExteriorMap
     holo_poly: np.ndarray
     zeta: np.ndarray
     nodes: np.ndarray
-    dz: np.ndarray
-    e_p: np.ndarray
+    weight: np.ndarray
 
     @property
     def L(self) -> int:
         return self.zeta.size
-
-    @cached_property
-    def _e_p_dz(self) -> np.ndarray:
-        return self.e_p * self.dz
 
     @cached_property
     def _frame_modes(self):
@@ -104,7 +100,7 @@ class BoundaryRule:
         :func:`_chopped` keeps of ``G zeta``, shifted down by one, over their
         span."""
         L = self.L
-        c = _chopped(self._e_p_dz)
+        c = _chopped(np.fft.fft(self.weight))
         c = np.concatenate((c[L // 2 + 1:], c[:L // 2 + 1]))   # modes -L/2 + 1 .. L/2
         kept = np.flatnonzero(c)
         return int(kept[0]) - L // 2, c[kept[0]:kept[-1] + 1]
@@ -117,18 +113,12 @@ class BoundaryRule:
         k[0] = np.inf
         return (1.0 / k).astype(np.complex128)
 
-    @cached_property
-    def _e_p_dz_mean(self) -> np.ndarray:
-        """``e_p dz / L``: the forward FFT of its product with samples is their
-        modes, the normalization folded in."""
-        return self._e_p_dz / self.L
-
     def modes(self, v: np.ndarray, c: np.ndarray) -> float:
         """Write into ``c`` the modes of ``(v e^P o psi) psi' zeta`` for the
         polynomial sampled as ``v`` (in place: no array is allocated), and return
         the tail: the largest ``|c_k|`` with ``|k| >= 3L/8`` over the largest
         ``|c_k|``; at the rounding floor when the samples resolve it."""
-        np.multiply(v, self._e_p_dz_mean, out=c)
+        np.multiply(v, self.weight, out=c)
         np.fft.fft(c, out=c)   # out= needs numpy 2.0, the declared floor
         a = np.abs(c)
         L = self.L
@@ -141,11 +131,6 @@ class BoundaryRule:
         is ``c'_k / k``."""
         return ((c * self._inverse_modes).conj() @ modes).conj()
 
-    def primitives(self, modes: np.ndarray) -> np.ndarray:
-        """Samples of ``B o psi``, ``B' = v e^P``, for the polynomials ``v`` whose
-        modes are the columns of ``modes`` (the constant mode of ``B`` zero)."""
-        return np.fft.ifft(modes * self._inverse_modes[:, None], axis=0, norm="forward")
-
 
 def boundary_rule(m: ExteriorMap, holo_poly, L: int) -> BoundaryRule:
     """:class:`BoundaryRule` of the weight ``|e^P|^2``, ``P = holo_poly``
@@ -153,7 +138,7 @@ def boundary_rule(m: ExteriorMap, holo_poly, L: int) -> BoundaryRule:
     poly = np.asarray(holo_poly, dtype=np.complex128)
     zeta = np.exp(2j * np.pi * np.arange(L) / L)
     z, dpsi = m.psi_and_prime(zeta)
-    return BoundaryRule(m, poly, zeta, z, dpsi * zeta, np.exp(_horner(poly, z)))
+    return BoundaryRule(m, poly, zeta, z, np.exp(_horner(poly, z)) * (dpsi * zeta) / L)
 
 
 def boundary_samples(m: ExteriorMap, N: int) -> int:
@@ -176,9 +161,11 @@ class OraclePolynomials:
     ``gram_residuals[n]`` is the largest deviation from the identity in row
     and column ``n`` of the leading ``(n+1) x (n+1)`` block of the discrete
     Gram matrix; ``gram_residual`` is their maximum.  ``basis[:, n]`` holds
-    ``P_n`` at ``rule.nodes`` and ``primitive[:, n]`` the primitive ``B_n``
-    (``B_n' = P_n e^P``) there.  ``health`` describes the rule and its
-    accuracy figures, as ``oracle.json`` reports them.
+    ``P_n`` at ``rule.nodes`` and ``modes[:, n]``, in FFT order, the modes of
+    ``(P_n e^P o psi) psi' zeta`` (:meth:`BoundaryRule.modes`): mode ``k != 0``
+    of the primitive ``B_n o psi``, ``B_n' = P_n e^P``, is ``modes[k, n] / k``.
+    ``health`` describes the rule and its accuracy figures, as ``oracle.json``
+    reports them.
     """
 
     degree: int
@@ -187,7 +174,7 @@ class OraclePolynomials:
     gram_residuals: np.ndarray
     rule: BoundaryRule = field(repr=False)
     basis: np.ndarray = field(repr=False)
-    primitive: np.ndarray = field(repr=False)
+    modes: np.ndarray = field(repr=False)
     health: dict = field(default_factory=dict)
 
     @property
@@ -198,18 +185,21 @@ class OraclePolynomials:
     def gram_residual(self) -> float:
         return float(np.max(self.gram_residuals))
 
+    def _recurrence(self, out: np.ndarray, times_z) -> np.ndarray:
+        """Columns ``1 ..`` of ``out`` from column 0 by the Hessenberg recurrence
+        ``P_n = (z P_(n-1) - sum_(j<n) hess[j, n-1] P_j) / hess[n, n-1]``, with
+        ``times_z(v)`` the column ``z v``; ``out`` is returned."""
+        for n in range(1, out.shape[1]):
+            out[:, n] = ((times_z(out[:, n - 1]) - out[:, :n] @ self.hess[:n, n - 1])
+                         / self.hess[n, n - 1])
+        return out
+
     @cached_property
     def coeff_table(self) -> np.ndarray:
         """Monomial coefficients: ``coeff_table[:, n]`` is ``P_n``."""
-        N = self.degree
-        coeff = np.zeros((N + 1, N + 1), dtype=np.complex128)
+        coeff = np.zeros((self.degree + 1, self.degree + 1), dtype=np.complex128)
         coeff[0, 0] = self.kappa[0]
-        for n in range(1, N + 1):
-            shifted = np.zeros(N + 1, dtype=np.complex128)
-            shifted[1:n + 1] = coeff[0:n, n - 1]
-            shifted[:n] -= coeff[:n, :n] @ self.hess[:n, n - 1]
-            coeff[:, n] = shifted / self.hess[n, n - 1]
-        return coeff
+        return self._recurrence(coeff, lambda v: np.concatenate(([0.0], v[:-1])))
 
     def check_degree(self, n: int) -> None:
         """Raise :class:`DomainError` unless ``0 <= n <= degree``."""
@@ -226,9 +216,7 @@ class OraclePolynomials:
         out = np.empty((zs.size, upto + 1), dtype=np.complex128, order="F")
         out[:, 0] = self.kappa[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            for n in range(1, upto + 1):
-                out[:, n] = ((zs * out[:, n - 1] - out[:, :n] @ self.hess[:n, n - 1])
-                             / self.hess[n, n - 1])
+            self._recurrence(out, lambda v: zs * v)
         finite = np.isfinite(out).all(axis=0)
         if not finite.all():
             raise NonFiniteError(f"oracle polynomial of degree {np.argmin(finite)} out of "
@@ -298,13 +286,16 @@ def _circle_arnoldi(rule: BoundaryRule, N: int) -> OraclePolynomials | str:
         hess[:n, n - 1] = h
         hess[n, n - 1] = nrm
         log_kappa[n] = log_kappa[n - 1] - math.log(nrm)
-    Q, B = QC[:L], rule.primitives(QC[L:])
-    gram = (np.conj(B).T @ (Q * rule._e_p_dz[:, None])) / L
+    # <Q_m, Q_n> by Parseval, the FFT of the samples Q_m against the modes C_n / k of
+    # the primitives: Gram-Schmidt updated Q and C alike, and this sees where they part
+    Q, C = QC[:L], QC[L:]
+    gram = ((C * rule._inverse_modes[:, None]).conj().T
+            @ np.fft.fft(Q * rule.weight[:, None], axis=0))
     residuals = _gram_residuals(gram, L)
     health = {"kind": "boundary", "L": L, "tail": worst,
               "gram_deviation": float(np.max(residuals))}
     return OraclePolynomials(degree=N, hess=hess, log_kappa=log_kappa,
-                             gram_residuals=residuals, rule=rule, basis=Q, primitive=B,
+                             gram_residuals=residuals, rule=rule, basis=Q, modes=C,
                              health=health)
 
 
@@ -347,11 +338,10 @@ def smoothstep(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def _chopped(samples: np.ndarray) -> np.ndarray:
-    """Modes, in FFT order, of Laurent polynomials sampled along the last axis
-    at the circle points, with those below ``CHOP`` times their row's largest
-    zeroed: scaled by ``r^k``, their roundoff would grow."""
-    c = np.fft.fft(samples, norm="forward")
+def _chopped(c: np.ndarray) -> np.ndarray:
+    """The modes ``c`` of Laurent polynomials, one per row in FFT order, with
+    those below ``CHOP`` times their row's largest zeroed in place: scaled by
+    ``r^k``, their roundoff would grow."""
     c[np.abs(c) < CHOP * np.max(np.abs(c), axis=-1, keepdims=True)] = 0.0
     return c
 
@@ -399,7 +389,8 @@ def _collar(model: ExpansionModel, polys: OraclePolynomials) -> _Collar:
 
 def _on_collar(polys: OraclePolynomials, collar: _Collar, Ns: list, reach):
     """What the collar rule needs of the distinct degrees ``Ns``, from one
-    forward FFT of the stacked samples of every ``P_N`` and ``B_N``.
+    forward FFT of the stacked samples of every ``P_N`` and the oracle's
+    ``modes / k`` of every ``B_N``.
 
     The lowest mode ``k0`` and modes ``alpha`` of ``G (P_N o psi)`` are the
     exact convolution of the chopped modes of ``P_N o psi`` and ``G``.  The
@@ -417,7 +408,8 @@ def _on_collar(polys: OraclePolynomials, collar: _Collar, Ns: list, reach):
     rule = polys.rule
     L, n = rule.L, len(Ns)
     g0, g = rule._frame_modes
-    f = _chopped(np.concatenate((polys.basis[:, Ns], polys.primitive[:, Ns]), axis=1).T)
+    f = np.concatenate((_chopped(np.fft.fft(polys.basis[:, Ns].T, norm="forward")),
+                        _chopped(polys.modes[:, Ns].T * rule._inverse_modes)))
     degrees, ranges = {}, []
     with np.errstate(over="ignore", invalid="ignore"):   # lost modes may overflow
         # mode k on the circle |zeta| = rho1, where it is kept

@@ -303,12 +303,16 @@ def test_oracle_artifacts(tmp_path, disk_alpha_model):
     assert lines[0] == "degree,kappa_n,gram_residual"
     assert len(lines) == payload["degree"] + 2
     column = [float(line.split(",")[2]) for line in lines[1:]]
-    # direct recomputation of the boundary Gram matrix <P_k, P_j> = mean(P_k e^P conj(B_j) dz)
-    # from the samples and primitives: row and column n of the leading (n+1) x (n+1) block
+    # direct recomputation of the boundary Gram matrix <P_k, P_j> = mean(P_k e^P conj(B_j)
+    # psi' zeta) from the samples and the primitives' samples, B_j's mode k being mode k of
+    # (P_j e^P o psi) psi' zeta over k: row and column n of the leading (n+1) x (n+1) block
     polys = boundary_onps(disk_alpha_model.map, disk_alpha_model.weight.holo_poly, 8)
     rule = polys.rule
-    gram = np.array([[np.mean(polys.basis[:, k] * rule.e_p * np.conj(polys.primitive[:, j])
-                              * rule.dz) for k in range(9)] for j in range(9)])
+    freq = np.fft.fftfreq(rule.L, 1.0 / rule.L)
+    freq[0] = np.inf   # the primitives' constant mode is 0
+    primitive = np.fft.ifft(polys.modes / freq[:, None], axis=0, norm="forward")
+    gram = np.array([[np.sum(polys.basis[:, k] * rule.weight * np.conj(primitive[:, j]))
+                      for k in range(9)] for j in range(9)])
     dev = np.abs(gram - np.eye(9))
     direct = [max(dev[:n + 1, n].max(), dev[n, :n + 1].max()) for n in range(9)]
     assert np.max(np.abs(np.array(column) - direct)) <= 1e-14

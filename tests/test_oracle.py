@@ -420,9 +420,12 @@ def test_l2_reads_the_model_products_without_sampling(ellipse_exp_model, ellipse
 def test_basis_is_the_recurrence_at_the_nodes(disk_alpha_oracle):
     polys = disk_alpha_oracle
     rule = polys.rule
-    assert polys.basis.shape == polys.primitive.shape == (rule.L, polys.degree + 1)
+    assert polys.basis.shape == polys.modes.shape == (rule.L, polys.degree + 1)
     want = polys.evaluate(rule.nodes)
     assert np.max(np.abs(polys.basis - want)) <= 1e-12 * np.max(np.abs(want))
+    # the kept modes are those of the samples times the Stokes weight
+    modes = np.fft.fft(polys.basis * rule.weight[:, None], axis=0)
+    assert np.max(np.abs(polys.modes - modes)) <= 1e-14 * np.max(np.abs(modes))
 
 
 def test_batch_l2_checks_the_degree(disk_alpha_model, disk_alpha_oracle):
