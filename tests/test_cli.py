@@ -1139,3 +1139,83 @@ def test_live_far_term_reads_its_own_moments(tmp_path, power, exit_code):
     assert code == exit_code, err
     if exit_code:
         assert "out of float range" in err
+
+
+def test_malformed_weight_coefficients_are_a_config_error(tmp_path, capsys):
+    # a number where the coefficient list belongs: load_domain_config turns the
+    # TypeError of iterating it into a config error, before anything is written
+    domain = dict(preset_config("disk-const"), weight={"kind": "exp-re-poly", "coeffs": 5})
+    cfg = write_config(tmp_path, domain=domain)
+    assert run(["expand", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "malformed config value" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_distributional_contracts_once(tmp_path, monkeypatch):
+    # the rows and the term table at max(N) come from one pass over the jet and
+    # the moment table, and match the single-request functions bit for bit
+    calls = []
+    boundary_terms = planorth.distributional._boundary_terms
+
+    def counted(model, split, degrees, order):
+        calls.append(list(degrees))
+        return boundary_terms(model, split, degrees, order)
+
+    monkeypatch.setattr(planorth.distributional, "_boundary_terms", counted)
+    terms = [[1, 1, 0.3, 0.0], [2, 0, 0.1, 0.2], [0, 3, 0.0, 0.25], [3, 1, 0.1, 0.0]]
+    cfg = write_config(tmp_path, "ellipse-expre", N=[8, 16, 24], kappa=3,
+                       test_function={"terms": terms})
+    assert run(["distributional", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert calls == [[8, 16, 24]]
+    monkeypatch.undo()
+    payload = json.loads((tmp_path / "o" / "distributional.json").read_text())
+    model = preset_model("ellipse-expre", 3)
+    split = planorth.split_terms({(m, n): complex(re, im) for m, n, re, im in terms})
+    want = planorth.distributional_expectations(model, split, [8, 16, 24])
+    assert [r["expansion"] for r in payload["rows"]] == [[v.real, v.imag] for v in want]
+    table = [{"nu": nu, "j": j, "k": k, "value": [v.real, v.imag]}
+             for (nu, j, k), v in planorth.distributional_terms(model, split, 24)]
+    assert payload["terms_at_max_degree"] == table
+
+
+def test_kernel_computes_the_degree_free_parts_once(tmp_path, monkeypatch):
+    # |phi'|^2 at the band and the outer factor at z are taken once per request,
+    # however many degrees; the per-degree values are those of the public functions
+    calls = {"phi_prime": 0, "outer_rho": 0}
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    monkeypatch.setattr(planorth.kernels, "phi_prime",
+                        counting("phi_prime", planorth.kernels.phi_prime))
+    monkeypatch.setattr(cli, "outer_rho", counting("outer_rho", cli.outer_rho))
+    Ns = [8, 16, 32, 64]
+    cfg = write_config(tmp_path, "ellipse-expre", N=Ns, kernel={**KERNEL, "w": [3.0, 0.5],
+                                                                 "z": [2.5, 0.5]})
+    assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert calls == {"phi_prime": 1, "outer_rho": 1}
+    monkeypatch.undo()
+    payload = json.loads((tmp_path / "o" / "kernel.json").read_text())
+    model = preset_model("ellipse-expre", 2)
+    pt = off_spectral_point(model.map, 3.0 + 0.5j)
+    for row, N in zip(payload["offspectral"], Ns):
+        assert row["formula_modulus"] == abs(offspectral_leading(model, pt, N, 2.5 + 0.5j)), N
+
+
+def test_module_entry_point(tmp_path):
+    # python -m planorth.cli runs main() and exits with its code
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+    def entry(*args):
+        return subprocess.run([sys.executable, "-m", "planorth.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    proc = entry("--version")
+    assert proc.returncode == 0 and proc.stdout.strip() == planorth.__version__
+    proc = entry("expand", "--config", str(tmp_path / "missing.json"))
+    assert proc.returncode == 2 and "config error" in proc.stderr

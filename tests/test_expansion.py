@@ -359,3 +359,10 @@ def test_degree_checked_before_overflow(ellipse_exp_model):
             f(ellipse_exp_model, 3, 3.0)
     with pytest.raises(NonFiniteError):
         po.monic_prefactor(ellipse_exp_model, 2000)
+
+
+def test_monic_at_order_guard(disk_alpha_model):
+    zeta = np.array([2.0 + 0.0j])
+    for order in (-1, disk_alpha_model.order + 1):
+        with pytest.raises(ValueError, match=r"requested order must lie in \[0, solved order\]"):
+            expansion.monic_at(disk_alpha_model, 16, zeta, order)

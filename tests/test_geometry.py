@@ -498,3 +498,21 @@ def test_load_domain_config_roundtrip():
     assert po.load_domain_config({**cfg, "M": 16.0, "K": 32})[3] == 16
     with pytest.raises(ConfigError, match=r"K must be the circle bandwidth 2M = 32 \(M = 16\)"):
         po.load_domain_config({**cfg, "M": 16})
+
+
+def test_ellipse_needs_ordered_positive_axes():
+    with pytest.raises(ConfigError, match="ellipse needs a >= b > 0"):
+        po.ellipse_map(1, 2)
+
+
+def test_sampled_weight_refuses_a_nonpositive_sample():
+    pts = 1.1 * np.exp(2j * np.pi * np.arange(8) / 8)
+    with pytest.raises(PositivityError, match="weight samples must be positive"):
+        po.sampled_weight(pts, [1.0] * 7 + [0.0], degree=1)
+
+
+def test_black_box_weight_vanishing_on_the_collar_is_refused():
+    # (|z| - 0.71)^2 vanishes on the first validation circle |zeta| = rho + 0.01
+    weight = WeightDef(lambda z: (np.abs(z) - 0.71) ** 2)
+    with pytest.raises(PositivityError, match="not strictly positive on the collar"):
+        po.pullback_weight(po.disk_map(), weight, 8, 0.7)

@@ -312,3 +312,15 @@ def test_stencil_refuses_mass_beyond_the_bandwidth(disk_alpha_model):
     # mass below TRUNC_TOL is cut silently, as by truncate
     tiny = weighted_derivative(po.circle_from_modes({0: 1.0, K: 1e-16}, K), sz)
     assert tiny.bandwidth == K
+
+
+def test_hierarchy_order_guards(disk_alpha_model):
+    szego, coeffs = disk_alpha_model.szego, disk_alpha_model.coeffs
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        po.solve_hierarchy(szego, -1)
+    for upto in (-1, coeffs.order + 1):
+        with pytest.raises(ValueError, match="need 0 <= upto <= order"):
+            po.hierarchy_residuals(coeffs, szego, upto)
+    for p in (0, coeffs.order + 1):
+        with pytest.raises(ValueError, match="need 1 <= p <= order"):
+            po.hierarchy_residual(coeffs, szego, p)

@@ -254,3 +254,8 @@ def test_bw_diag_tiny_rho():
     # rho^2 underflows to 0: the tail vanishes and the head is 1/log(1/rho^2) + sum (n+1)
     val = bw_kernel_diag(1e-200, po.disk_map(), 10, 1.0)
     assert abs(val - (66.0 + 1.0 / (400.0 * math.log(10.0)))) <= 1e-13 * 66.0
+
+
+def test_bw_kernel_diag_needs_rho_inside_the_unit_interval(disk_const_model):
+    with pytest.raises(DomainError, match="need 0 < rho < 1"):
+        bw_kernel_diag(1.5, disk_const_model.map, 8, 2.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -355,3 +356,24 @@ def test_products_are_read_from_the_model_coeffs():
         model, coeffs=dataclasses.replace(model.coeffs, stack=-model.coeffs.stack))
     assert np.array_equal(other.products, -A)
     assert other.moments is not B
+
+
+def test_norm_expansion_refuses_a_negative_order(disk_alpha_model):
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        po.norm_expansion(disk_alpha_model.szego, disk_alpha_model.coeffs, -1)
+
+
+@pytest.mark.parametrize("derivs, tail, msg", [
+    ([], 0.0, "jet must be a nonempty 1-D sequence"),
+    ([[1.0, 2.0]], 0.0, "jet must be a nonempty 1-D sequence"),
+    ([1.0], -1.0, "tail bound must be finite and nonnegative"),
+    ([1.0], math.inf, "tail bound must be finite and nonnegative")])
+def test_jet_guards(derivs, tail, msg):
+    with pytest.raises(ValueError, match=msg):
+        po.JetAtZero(derivs, tail)
+
+
+def test_watson_sum_needs_a_positive_lambda():
+    for lam in (0.0, -1.0):
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            po.watson_sum(po.JetAtZero([1.0], 0.0), lam)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -725,3 +726,21 @@ def test_collar_builds_no_radius_by_angle_grid(ellipse_exp_model):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2 ** 20, peak
+
+
+def test_arnoldi_refuses_a_clockwise_rule():
+    # the circle run clockwise flips the orientation of the Stokes integral,
+    # so the mass <1, 1> comes out negative
+    rule = po.boundary_rule(po.disk_map(), np.array([0.0]), 128)
+    clockwise = dataclasses.replace(rule, zeta=rule.zeta.conj(), nodes=rule.nodes.conj(),
+                                    weight=rule.weight.conj())
+    with pytest.raises(DegreeTooHighError, match="boundary mass .* is not positive"):
+        oracle._circle_arnoldi(clockwise, 4)
+
+
+def test_arnoldi_refuses_a_rule_with_constant_nodes():
+    # z P_0 is a multiple of P_0 when every node is the same point
+    rule = po.boundary_rule(po.disk_map(), np.array([0.0]), 128)
+    flat = dataclasses.replace(rule, nodes=np.ones(rule.L, dtype=np.complex128))
+    with pytest.raises(DegreeTooHighError, match="breakdown at degree 1"):
+        oracle._circle_arnoldi(flat, 4)
