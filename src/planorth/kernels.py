@@ -118,8 +118,8 @@ def _map_points(m: ExteriorMap, pts: np.ndarray) -> np.ndarray:
 def _bw_kernel_diag_at(rho: float, m: ExteriorMap, degrees, zeta: np.ndarray) -> np.ndarray:
     """:func:`bw_kernel_diag` at the mapped points ``zeta`` (a 1-D array), one
     row for each of the ``degrees``, for ``0 < rho < 1`` and degrees ``>= 0``:
-    ``|phi'|^2`` and the tail, which no degree changes, are computed once, and
-    the head sum once per degree."""
+    the head sum once per degree, ``|phi'|^2`` and the tail, which no degree
+    changes, once."""
     rho2 = rho * rho
     log_rho2 = 2.0 * math.log(rho)   # rho * rho underflows for rho below 1e-162
     L = math.ceil(math.log(BW_TAIL_TOL * (1.0 - rho2) ** 3) / log_rho2)
@@ -130,17 +130,15 @@ def _bw_kernel_diag_at(rho: float, m: ExteriorMap, degrees, zeta: np.ndarray) ->
     if np.any(r <= rho):
         raise DomainError(f"|phi(z)| = {float(r.min()):.4f} must exceed rho = {rho}")
     dphi2 = np.abs(phi_prime(m, zeta)) ** 2
-    x = (rho / r[:, None]) ** 2 * rho2 ** np.arange(L)
-    tail = np.sum(x / (1.0 - x) ** 2, axis=1) / r ** 2
     lead = r ** (-2.0) / -log_rho2
-    out = np.empty((len(degrees), r.size))
+    acc = np.empty((len(degrees), r.size))
     for i, N in enumerate(degrees):
         n = np.arange(N + 1)
         with np.errstate(over="ignore"):   # an overflowed power makes acc inf, refused below
-            acc = lead + np.sum((n + 1) * r[:, None] ** (2 * n) / (1.0 - rho ** (2 * n + 2)),
-                                axis=1)
-        if not np.all(np.isfinite(acc)):
+            acc[i] = lead + np.sum((n + 1) * r[:, None] ** (2 * n) / (1.0 - rho ** (2 * n + 2)),
+                                   axis=1)
+        if not np.all(np.isfinite(acc[i])):
             raise NonFiniteError(f"K_N(z, z) overflows a float at N = {N}, "
                                  f"|phi(z)| = {float(r.max()):.4f}")
-        out[i] = (acc + tail) * dphi2
-    return out
+    x = (rho / r[:, None]) ** 2 * rho2 ** np.arange(L)
+    return (acc + np.sum(x / (1.0 - x) ** 2, axis=1) / r ** 2) * dphi2
