@@ -295,16 +295,18 @@ def cmd_verify(cfg: dict, exp: dict, outdir: Path) -> int:
     pairs = [(N, kappa) for kappa in range(exp["kappa"] + 1) for N in exp["N"]]
     with stage("oracle-collar"):
         l2s = l2_discrepancies(model, polys, pairs)
-    errors = {}
-    for N in exp["N"]:   # every order's pointwise and leading-coefficient errors
-        monic = monic_orders_at(model, N, zeta, exp["kappa"])[:, 0]
-        # X_0 = 1: the order-0 value is C_N times the positioning factor, the error's scale
-        perr = np.abs(p0[N] / polys.kappa[N] - monic) / abs(monic[0])
-        for kappa in range(exp["kappa"] + 1):
-            krel = abs(leading_coeff(model, N, kappa) / polys.kappa[N] - 1.0)
-            errors[N, kappa] = (float(perr[kappa]), krel)
-    rows = [[N, kappa, errors[N, kappa][0], float(l2), errors[N, kappa][1]]
-            for (N, kappa), l2 in zip(pairs, l2s)]
+    # every degree's and order's pointwise and leading-coefficient errors at once:
+    # row d of each table is degree exp["N"][d], column k order k
+    degrees = np.array(exp["N"])
+    monic = monic_orders_at(model, degrees, zeta, exp["kappa"])[..., 0]
+    kappa_n = polys.kappa[degrees][:, None]
+    # X_0 = 1: the order-0 value is C_N times the positioning factor, the error's scale
+    perr = np.abs(p0[degrees][:, None] / kappa_n - monic) / np.abs(monic[:, :1])
+    krel = np.abs(np.array([[leading_coeff(model, N, kappa) for kappa in range(exp["kappa"] + 1)]
+                            for N in exp["N"]]) / kappa_n - 1.0)
+    l2s = l2s.reshape(exp["kappa"] + 1, len(degrees))   # pairs run over N within kappa
+    rows = [[N, kappa, float(perr[d, kappa]), float(l2s[kappa, d]), float(krel[d, kappa])]
+            for kappa in range(exp["kappa"] + 1) for d, N in enumerate(exp["N"])]
 
     slopes = {str(kappa): _order_gate([(r[0], r[2]) for r in rows if r[1] == kappa],
                                       -(kappa + 1), exp["tol"])

@@ -136,13 +136,18 @@ def leading_coeff(model: ExpansionModel, N: int, order: int | None = None) -> fl
     return normalized_scale(model, N, order) / monic_prefactor(model, N)
 
 
-def _pointwise(model: ExpansionModel, N: int, zeta, weights=None):
+def _pointwise(model: ExpansionModel, N, zeta, weights=None):
     """One pass over mapped points ``zeta``: ``(factor, sums)`` with the
     positioning factor ``phi'(z) phi(z)^N e^V(z)`` at ``z = psi(zeta)``, in
     log-polar form ``exp((Re V + N log|zeta|) + i (Im V + N arg zeta)) /
     psi'(zeta)``, and the row sums ``sum_j weights[j, ...] X_j(zeta)`` (None
     without ``weights``).  ``w = 1/zeta`` is formed once; ``V``, the sums and
     ``psi'`` are Horner loops in it over :attr:`ExpansionModel.point_table`.
+
+    ``N`` is a degree or an array of degrees, whose axes lead the factor's
+    ahead of the points' (the degree axis: every degree from the one ``w``,
+    ``V`` and ``psi'``); the sums have the axes ``weights.shape[1:]`` ahead of
+    the points', so the caller shapes both to broadcast.
 
     Real logs and angles and one complex exp replace ``exp(V) * zeta**N``
     (numpy takes a complex power with ``|N| >= 100``, like a complex
@@ -152,12 +157,15 @@ def _pointwise(model: ExpansionModel, N: int, zeta, weights=None):
     zeta = np.asarray(zeta, dtype=np.complex128)
     w = np.reciprocal(zeta)
     v = _horner(v_in_w, w)
+    if isinstance(N, np.ndarray):   # the degrees' axes, then the points'
+        N = N.reshape(N.shape + (1,) * zeta.ndim)
     log_modulus = v.real + N * np.log(np.abs(zeta))
     phase = v.imag + N * np.angle(zeta)
     factor = np.exp(log_modulus + 1j * phase) / model.map.prime_at_reciprocal(w)
     if weights is None:
         return factor, None
-    c = x_in_w[:, :len(weights)] @ weights
+    x = x_in_w[:, :len(weights)]
+    c = x @ weights if weights.ndim < 3 else np.tensordot(x, weights, 1)
     if c.ndim > 1:   # one sum per column of weights, each over every point
         c = c.reshape(c.shape + (1,) * zeta.ndim)
     return factor, _horner(c, w)
@@ -193,16 +201,19 @@ def _map_valid(model: ExpansionModel, N: int, z) -> np.ndarray:
     return zeta
 
 
-def _positioned(model: ExpansionModel, N: int, zeta, scale, weights, what: str):
+def _positioned(model: ExpansionModel, N, zeta, scale, weights, what: str):
     """``scale`` times the positioning factor times the row sums over
     ``weights`` (the factor alone without them) at mapped points ``zeta``, from
-    one :func:`_pointwise` pass.  Raises :class:`NonFiniteError`, naming
-    ``what``, where a value leaves the float range."""
+    one :func:`_pointwise` pass at the degree or degrees ``N``.  Raises
+    :class:`NonFiniteError`, naming ``what`` and the first degree, where a
+    value leaves the float range."""
     # an overflowed factor makes the product inf or nan; both are refused
     with np.errstate(over="ignore", invalid="ignore"):
         factor, sums = _pointwise(model, N, zeta, weights)
         vals = scale * factor if sums is None else scale * (factor * sums)
     if not np.all(np.isfinite(vals)):
+        if isinstance(N, np.ndarray):   # the degrees lead the values' axes
+            N = N.flat[np.argmin(np.isfinite(vals).reshape(N.size, -1).all(axis=1))]
         raise NonFiniteError(f"{what} out of float range at degree {N} "
                              f"(|phi(z)| up to {np.max(np.abs(zeta)):.4g})")
     return vals
@@ -217,15 +228,23 @@ def monic_at(model: ExpansionModel, N: int, zeta, order: int | None = None):
                        _neumann_weights(model, N, order), "monic polynomial")
 
 
-def monic_orders_at(model: ExpansionModel, N: int, zeta, order: int | None = None) -> np.ndarray:
+def monic_orders_at(model: ExpansionModel, N, zeta, order: int | None = None) -> np.ndarray:
     """:func:`monic_at` at mapped points ``zeta`` for every order ``0 ..
-    order`` at once: row ``k`` holds the order-``k`` values, read in the same
-    pass from the partial sums ``sum_{j<=k} N^-j X_j``."""
-    _require_degree(N)
-    powers = _neumann_weights(model, N, order)
-    # column k holds N^-j for j <= k, so sum k is the order-k partial sum
-    weights = np.triu(np.broadcast_to(powers[:, None], (powers.size, powers.size)))
-    return _positioned(model, N, zeta, monic_prefactor(model, N), weights, "monic polynomial")
+    order`` at once: row ``k`` holds the order-``k`` values, read from the
+    partial sums ``sum_{j<=k} N^-j X_j``.  ``N`` is a degree or a 1-D array of
+    degrees; for an array, row ``[d, k]`` holds degree ``N[d]``, and every
+    degree and order comes from one :func:`_pointwise` pass."""
+    degrees = np.atleast_1d(np.asarray(N))
+    for n in degrees:
+        _require_degree(n)
+    prefactor = np.array([monic_prefactor(model, int(n)) for n in degrees])
+    # column k of a degree's block holds N^-j for j <= k: sum k is the order-k partial sum
+    weights = np.stack([np.triu(np.broadcast_to(powers[:, None], (powers.size, powers.size)))
+                        for powers in (_neumann_weights(model, n, order) for n in degrees)],
+                       axis=1)
+    scale = prefactor.reshape((-1,) + (1,) * (1 + np.ndim(zeta)))
+    vals = _positioned(model, degrees[:, None], zeta, scale, weights, "monic polynomial")
+    return vals if np.ndim(N) else vals[0]
 
 
 def normalized_scale(model: ExpansionModel, N: int, order: int | None = None) -> float:

@@ -118,8 +118,12 @@ def _map_points(m: ExteriorMap, pts: np.ndarray) -> np.ndarray:
 def _bw_kernel_diag_at(rho: float, m: ExteriorMap, degrees, zeta: np.ndarray) -> np.ndarray:
     """:func:`bw_kernel_diag` at the mapped points ``zeta`` (a 1-D array), one
     row for each of the ``degrees``, for ``0 < rho < 1`` and degrees ``>= 0``:
-    the head sum once per degree, ``|phi'|^2`` and the tail, which no degree
-    changes, once."""
+    ``|phi'|^2``, the tail and the head's first terms, which no degree changes,
+    once, and the rest of each degree's head in closed form.
+
+    From ``n0``, the first ``n`` with ``rho^(2n+2) <= 2^-54``, ``1 - rho^(2n+2)``
+    rounds to 1, so the head's terms ``n0 .. N`` are ``(n+1) r^(2n)`` exactly,
+    an arithmetico-geometric sum (:func:`_ramp_sum`)."""
     rho2 = rho * rho
     log_rho2 = 2.0 * math.log(rho)   # rho * rho underflows for rho below 1e-162
     L = math.ceil(math.log(BW_TAIL_TOL * (1.0 - rho2) ** 3) / log_rho2)
@@ -131,14 +135,69 @@ def _bw_kernel_diag_at(rho: float, m: ExteriorMap, degrees, zeta: np.ndarray) ->
         raise DomainError(f"|phi(z)| = {float(r.min()):.4f} must exceed rho = {rho}")
     dphi2 = np.abs(phi_prime(m, zeta)) ** 2
     lead = r ** (-2.0) / -log_rho2
+    n0 = max(0, math.ceil(54.0 * math.log(2.0) / -log_rho2) - 1)
+    n = np.arange(min(n0, max(degrees) + 1))
     acc = np.empty((len(degrees), r.size))
-    for i, N in enumerate(degrees):
-        n = np.arange(N + 1)
-        with np.errstate(over="ignore"):   # an overflowed power makes acc inf, refused below
-            acc[i] = lead + np.sum((n + 1) * r[:, None] ** (2 * n) / (1.0 - rho ** (2 * n + 2)),
-                                   axis=1)
-        if not np.all(np.isfinite(acc[i])):
-            raise NonFiniteError(f"K_N(z, z) overflows a float at N = {N}, "
-                                 f"|phi(z)| = {float(r.max()):.4f}")
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow makes acc inf or nan
+        head = np.cumsum((n + 1) * r[:, None] ** (2 * n) / (1.0 - rho ** (2 * n + 2)), axis=1)
+        for i, N in enumerate(degrees):
+            acc[i] = lead + (head[:, min(N, n0 - 1)] if head.size else 0.0)
+            if N >= n0:
+                acc[i] += r ** (2 * n0) * _ramp_sum(n0 + 1, N - n0 + 1, r)
+            if not np.all(np.isfinite(acc[i])):
+                raise NonFiniteError(f"K_N(z, z) overflows a float at N = {N}, "
+                                     f"|phi(z)| = {float(r.max()):.4f}")
     x = (rho / r[:, None]) ** 2 * rho2 ** np.arange(L)
     return (acc + np.sum(x / (1.0 - x) ** 2, axis=1) / r ** 2) * dphi2
+
+
+def _ramp_sum(a: int, u: int, r: np.ndarray) -> np.ndarray:
+    """``sum_{m<u} (m + a) x^m``, ``x = r^2 = e^lam``, for ``u >= 1``: ``a G0 + G1``
+    with ``G0 = sum x^m = (x^u - 1)/(x - 1)`` and ``G1 = sum m x^m = (u x^u - x
+    G0)/(x - 1)``, in the form that keeps each accurate for its ``t = u lam``:
+
+    - ``|t| < 1e-5``: the Taylor series in ``lam`` to second order, with the
+      power sums ``S_k = sum m^k`` (what it leaves out is ``t^3/24``);
+    - ``|t| < 1``: ``G1 = (u h(lam) - h(t))/E^2 + (u - 1) E_u/E``, with ``E =
+      expm1(lam)``, ``E_u = expm1(t)`` and ``h(t) = e^t - 1 - t`` from its
+      series, which takes out the cancellation of ``u E - E_u``;
+    - otherwise the closed forms, with ``x^u`` a power and ``x - 1 = (r - 1)(r +
+      1)``, which cancel by at most a factor ``e``."""
+    lam = 2.0 * np.log(r)
+    t = u * lam
+    kind = np.digitize(np.abs(t), (1e-5, 1.0))   # the form of each point, as listed
+    forms = (_ramp_series, _ramp_expm1, _ramp_closed)
+    kinds = set(kind.tolist())
+    if len(kinds) == 1:   # every point in one form: no masked copies
+        return forms[kinds.pop()](a, u, r, lam, t)
+    out = np.empty_like(r)
+    for k in kinds:
+        at = kind == k
+        out[at] = forms[k](a, u, r[at], lam[at], t[at])
+    return out
+
+
+def _ramp_series(a, u, r, lam, t):
+    s1, s2 = u * (u - 1) / 2, (u - 1) * u * (2 * u - 1) / 6
+    return a * (u + lam * (s1 + lam * s2 / 2)) + s1 + lam * (s2 + lam * s1 * s1 / 2)
+
+
+def _ramp_expm1(a, u, r, lam, t):
+    e = np.expm1(lam)
+    return (a + u - 1) * (np.expm1(t) / e) + (u * _expm1_minus(lam) - _expm1_minus(t)) / e ** 2
+
+
+def _ramp_closed(a, u, r, lam, t):
+    e, y = (r - 1.0) * (r + 1.0), r ** (2 * u)
+    g0 = (y - 1.0) / e
+    return a * g0 + u * (y / e) - ((e + 1.0) / e) * g0
+
+
+def _expm1_minus(t: np.ndarray) -> np.ndarray:
+    """``e^t - 1 - t`` for ``|t| < 1``, from its Taylor series ``sum_{k>=2}
+    t^k / k!`` by Horner's scheme (20 terms: what it leaves out is below
+    ``1e-19`` of the sum)."""
+    acc = np.zeros_like(t)
+    for k in range(21, 1, -1):
+        acc = (acc + 1.0) * t / k
+    return acc * t

@@ -16,19 +16,27 @@ both are updated by the same Gram-Schmidt coefficients in one stacked
 product.  ``B_v o psi`` is the termwise primitive of the Laurent series
 ``(v e^P o psi) psi'``, whose mode ``k`` is ``c_k / k``, so by Parseval
 ``<f, g> = sum_k c_k(f) conj(c_k(g)) / k``; the oracle keeps these modes,
-and the Gram gate and the collar rule read the primitives from them.  The
-same FFT checks the samples: the integrand's modes decay fast, so on samples
-that resolve it the outer modes ``|k| >= 3L/8`` sit at the rounding floor of
-the largest (the test by which Aurentz and Trefethen chop a Chebyshev series).  Their share is the
-degree's ``tail``; the first degree whose tail exceeds ``TAIL_TOL`` stops the
-run as unresolved, and only then are the samples doubled.  A degree takes
-one pass of classical Gram-Schmidt, and a second only where the first
-cancels more than a factor ``1/sqrt(2)`` of its norm (the test of Daniel,
-Gragg, Kaufman and Stewart).  No 2-D rule is built and no point is mapped
-by Newton's method.  Arnoldi from boundary data is standard for Bergman
-polynomials (Gustafsson, Putinar, Saff and Stylianopoulos 2009); its
-stability is that of Vandermonde with Arnoldi (Brubeck, Nakatsukasa and
-Trefethen 2021).
+and the Gram gate and the collar rule read the primitives from them.  A
+degree takes one pass of classical Gram-Schmidt: one product of ``conj(c /
+k)`` with the kept modes gives every projection and, last, the new vector's
+own ``<v, v>`` (the low-synchronization form of Swirydowicz, Langou,
+Ananthan, Yang and Thomas 2021); after the update one explicit re-norm
+reads what is left, and a second pass runs only where the first cancels more
+than a factor ``1/sqrt(2)`` of the norm (the test of Daniel, Gragg, Kaufman
+and Stewart).  The FFT that forms a degree's modes also checks the samples:
+the integrand's modes decay fast, so on samples that resolve it the outer
+modes ``|k| >= 3L/8`` sit at the rounding floor of the largest (the test by
+which Aurentz and Trefethen chop a Chebyshev series).  Their share is the
+degree's ``tail``, read from a copy of the modes of ``z P_(n-1)`` before
+they are orthogonalized (the kept modes, updated in mode space, carry the
+rounding of the updates and would read a conditioning failure as aliasing),
+in one batch at degrees ``1, 2, 4, ..`` and at most ``TAIL_BATCH`` apart.
+The first degree whose tail exceeds ``TAIL_TOL`` stops the run as
+unresolved, and only then are the samples doubled.  No 2-D rule is built and
+no point is mapped by Newton's method.  Arnoldi from boundary data is
+standard for Bergman polynomials (Gustafsson, Putinar, Saff and
+Stylianopoulos 2009); its stability is that of Vandermonde with Arnoldi
+(Brubeck, Nakatsukasa and Trefethen 2021).
 
 Comparisons against the expansion (:func:`l2_discrepancies`,
 :func:`berezin_expectations`) integrate over the collar ``rho1 < |zeta| < 1``
@@ -67,6 +75,7 @@ GRAM_TOL = 1e-8         # largest Gram deviation an oracle accepts
 MIN_SAMPLES = 128       # fewest circle samples of a boundary oracle
 MAX_SAMPLES = 2 ** 16   # most circle samples a boundary oracle doubles to
 TAIL_TOL = 1e-12        # largest outer-mode share of a resolved sample spectrum
+TAIL_BATCH = 64         # most degrees whose tails an Arnoldi run reads in one batch
 CHOP = 64 * np.finfo(float).eps  # modes below CHOP * max|mode| are dropped before r^k scaling
 COLLAR_TOL = 1e-8       # largest deviation from 1 of ||P_N||^2 on the collar rule
 CUTOFF = (0.05, 0.15)   # the cutoff chi0 rises on rho + CUTOFF, rho the model's inner radius
@@ -113,23 +122,23 @@ class BoundaryRule:
         k[0] = np.inf
         return (1.0 / k).astype(np.complex128)
 
-    def modes(self, v: np.ndarray, c: np.ndarray) -> float:
+    def modes(self, v: np.ndarray, c: np.ndarray) -> None:
         """Write into ``c`` the modes of ``(v e^P o psi) psi' zeta`` for the
-        polynomial sampled as ``v`` (in place: no array is allocated), and return
-        the tail: the largest ``|c_k|`` with ``|k| >= 3L/8`` over the largest
-        ``|c_k|``; at the rounding floor when the samples resolve it."""
+        polynomial sampled as ``v`` (in place: no array is allocated)."""
         np.multiply(v, self.weight, out=c)
         np.fft.fft(c, out=c)   # out= needs numpy 2.0, the declared floor
-        a = np.abs(c)
-        L = self.L
-        return float(a[3 * L // 8:L - 3 * L // 8 + 1].max() / a.max())
 
-    def inner(self, c: np.ndarray, modes: np.ndarray) -> np.ndarray:
-        """``<v, g>`` for the polynomial ``v`` whose :meth:`modes` are ``c`` against
+    def pairings(self, c: np.ndarray, modes: np.ndarray) -> np.ndarray:
+        """``<g, v>`` for the polynomial ``v`` whose :meth:`modes` are ``c`` and
         every ``g`` whose modes are a column of ``modes``: by Parseval,
-        ``sum_k c_k conj(c'_k) / k``, as mode ``k`` of the primitive ``B_g o psi``
-        is ``c'_k / k``."""
-        return ((c * self._inverse_modes).conj() @ modes).conj()
+        ``sum_k c'_k conj(c_k) / k``, one product of ``conj(c / k)`` with
+        ``modes``, as mode ``k`` of the primitive ``B_v o psi`` is ``c_k / k``."""
+        primitive = c * self._inverse_modes
+        return np.conjugate(primitive, out=primitive) @ modes
+
+    def sq_norm(self, c: np.ndarray) -> float:
+        """``<v, v> = sum_k |c_k|^2 / k`` for the modes ``c`` of ``v``."""
+        return float(np.vdot(c, c * self._inverse_modes).real)
 
 
 def boundary_rule(m: ExteriorMap, holo_poly, L: int) -> BoundaryRule:
@@ -245,55 +254,96 @@ def _gram_residuals(gram: np.ndarray, L: int) -> np.ndarray:
     return residuals
 
 
+def _tails(C: np.ndarray) -> np.ndarray:
+    """The tail of each column of modes ``C`` (FFT order): the largest ``|c_k|``
+    with ``|k| >= 3L/8`` over the largest ``|c_k|``; at the rounding floor when
+    the samples resolve the integrand."""
+    L = C.shape[0]
+    a = np.abs(C)
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 is a NaN tail, which passes
+        return a[3 * L // 8:L - 3 * L // 8 + 1].max(axis=0) / a.max(axis=0)
+
+
 def _circle_arnoldi(rule: BoundaryRule, N: int) -> OraclePolynomials | str:
     """Arnoldi in the boundary form of the inner product on one set of samples:
-    the polynomials, whose ``health`` holds ``L``, the largest tail and the Gram
-    deviation, or the reason the samples do not resolve the integrand, from the
-    first degree whose tail exceeds ``TAIL_TOL``."""
+    the polynomials, whose ``health`` holds ``L``, the largest tail, the Gram
+    deviation and ``second_passes``, the number of degrees that took a second
+    Gram-Schmidt pass; or the reason the samples do not resolve the integrand,
+    naming the first degree whose tail exceeds ``TAIL_TOL``.
+
+    A pass takes the projections of ``v = z Q_(n-1)`` onto ``Q_0 .. Q_(n-1)``
+    and ``<v, v>`` from one :meth:`BoundaryRule.pairings` with the kept modes,
+    updates the samples and the modes of ``v`` in one stacked product and
+    reads the norm left by one :meth:`BoundaryRule.sq_norm`.  The tails are
+    read in batches from ``pre``, the modes of each ``v`` as its FFT left
+    them: at degrees ``1, 2, 4, ..``, every ``TAIL_BATCH`` degrees, at ``N``
+    and before a breakdown is raised, so a degree ``k`` that is not resolved
+    stops the run by degree ``2k - 1`` and is reported, not a later
+    breakdown."""
     L = rule.L
     QC = np.empty((2 * L, N + 1), dtype=np.complex128, order="F")  # Q_n samples over modes
+    Q, C = QC[:L], QC[L:]
     hess = np.zeros((N + 1, N), dtype=np.complex128)
     log_kappa = np.empty(N + 1, dtype=float)
-    QC[:L, 0] = 1.0
-    worst = rule.modes(QC[:L, 0], QC[L:, 0])
+    Q[:, 0] = 1.0
+    rule.modes(Q[:, 0], C[:, 0])
+    worst = float(_tails(C[:, :1])[0])
     if worst > TAIL_TOL:
         return f"tail {worst:.1e} above {TAIL_TOL:.0e} at degree 0"
-    mass = float(rule.inner(QC[L:, 0], QC[L:, :1])[0].real)
+    mass = rule.sq_norm(C[:, 0])
     if not mass > 0:
         raise DegreeTooHighError(f"boundary mass {mass:.3e} is not positive")
     QC[:, 0] /= math.sqrt(mass)
     log_kappa[0] = -0.5 * math.log(mass)
+    checked, second = 1, 0   # degrees below checked have their tails read
+    pre = np.empty((L, min(N, TAIL_BATCH)), dtype=np.complex128, order="F")
+
+    def unresolved(upto):   # the tails of degrees checked .. upto - 1, kept in pre
+        nonlocal worst, checked
+        tails = _tails(pre[:, :upto - checked])
+        bad = np.flatnonzero(tails > TAIL_TOL)
+        if bad.size:
+            return (f"tail {tails[bad[0]]:.1e} above {TAIL_TOL:.0e} at degree "
+                    f"{checked + bad[0]}")
+        worst, checked = max(worst, float(tails.max())), upto
+        return None
+
     for n in range(1, N + 1):
-        qc = QC[:, n]   # z Q_{n-1} and its modes, orthogonalized in place
-        np.multiply(rule.nodes, QC[:L, n - 1], out=qc[:L])
-        tail = rule.modes(qc[:L], qc[L:])
-        if tail > TAIL_TOL:
-            return f"tail {tail:.1e} above {TAIL_TOL:.0e} at degree {n}"
-        worst = max(worst, tail)
-        sq = rule.inner(qc[L:], qc[L:, None])[0].real
+        qc = QC[:, n]   # v = z Q_{n-1}: its samples over its modes c, orthogonalized in place
+        c = qc[L:]
+        np.multiply(rule.nodes, Q[:, n - 1], out=qc[:L])
+        rule.modes(qc[:L], c)
+        pre[:, n - checked] = c
         for again in range(2):  # classical Gram-Schmidt, repeated once on heavy cancellation
-            before = sq
-            proj = rule.inner(qc[L:], QC[L:, :n])
+            g = rule.pairings(c, C[:, :n + 1])   # <Q_j, v> and, last, <v, v>
+            proj = g[:n].conj()
             qc -= QC[:, :n] @ proj
             h = h + proj if again else proj
-            sq = rule.inner(qc[L:], qc[L:, None])[0].real
-            if sq > before / 2:
+            sq = rule.sq_norm(c)
+            if again or sq > g[n].real / 2:
                 break
+            second += 1
         if not (sq > 0 and math.isfinite(sq)):
+            if reason := unresolved(n + 1):
+                return reason
             raise DegreeTooHighError(f"breakdown at degree {n}: residual norm^2 {sq:.3e}")
         nrm = math.sqrt(sq)
-        qc /= nrm
+        qc *= 1.0 / nrm
         hess[:n, n - 1] = h
         hess[n, n - 1] = nrm
         log_kappa[n] = log_kappa[n - 1] - math.log(nrm)
+        # at a power of 2, at N and when pre is full
+        if ((n == N or not n & (n - 1) or n + 1 - checked == pre.shape[1])
+                and (reason := unresolved(n + 1))):
+            return reason
     # <Q_m, Q_n> by Parseval, the FFT of the samples Q_m against the modes C_n / k of
     # the primitives: Gram-Schmidt updated Q and C alike, and this sees where they part
-    Q, C = QC[:L], QC[L:]
-    gram = ((C * rule._inverse_modes[:, None]).conj().T
-            @ np.fft.fft(Q * rule.weight[:, None], axis=0))
+    primitives = C.T * rule._inverse_modes
+    fresh = Q * rule.weight[:, None]
+    gram = np.conjugate(primitives, out=primitives) @ np.fft.fft(fresh, axis=0, out=fresh)
     residuals = _gram_residuals(gram, L)
     health = {"kind": "boundary", "L": L, "tail": worst,
-              "gram_deviation": float(np.max(residuals))}
+              "gram_deviation": float(np.max(residuals)), "second_passes": second}
     return OraclePolynomials(degree=N, hess=hess, log_kappa=log_kappa,
                              gram_residuals=residuals, rule=rule, basis=Q, modes=C,
                              health=health)
@@ -304,7 +354,8 @@ def boundary_onps(m: ExteriorMap, holo_poly, N: int) -> OraclePolynomials:
     domain of ``m``, ``P = holo_poly`` (ascending coefficients), from
     ``boundary_samples(m, N)`` circle samples, doubled while some degree's
     tail exceeds ``TAIL_TOL``, up to ``MAX_SAMPLES``.  ``health`` reports
-    ``L``, the largest tail and the Gram deviation.  Raises
+    ``L``, the largest tail, the Gram deviation and the number of degrees
+    that took a second Gram-Schmidt pass.  Raises
     :class:`DegreeTooHighError` when no sample count up to the cap resolves
     the integrands, and at once on a breakdown or a Gram deviation from the
     identity above ``GRAM_TOL`` on resolved samples; before any run when

@@ -316,7 +316,7 @@ def test_oracle_artifacts(tmp_path, disk_alpha_model):
     dev = np.abs(gram - np.eye(9))
     direct = [max(dev[:n + 1, n].max(), dev[n, :n + 1].max()) for n in range(9)]
     assert np.max(np.abs(np.array(column) - direct)) <= 1e-14
-    assert payload["rule"] == {"kind": "boundary", "L": rule.L, **{
+    assert payload["rule"] == {"kind": "boundary", "L": rule.L, "second_passes": 0, **{
         key: pytest.approx(polys.health[key], abs=1e-15)
         for key in ("tail", "gram_deviation")}}
     assert payload["rule"]["tail"] <= 1e-13
@@ -719,14 +719,15 @@ def test_verify_rows_match_the_per_row_formulas(tmp_path, monkeypatch):
         assert krel == abs(planorth.leading_coeff(model, N, k) / polys.kappa[N] - 1.0), (N, k)
 
 
-def test_verify_reads_the_point_in_one_pass_per_degree(tmp_path, monkeypatch):
-    # every order at a degree from one pass over the mapped point, and no
-    # circle series evaluated there: V and the X_j come from the point table
+def test_verify_reads_the_point_in_one_pass(tmp_path, monkeypatch):
+    # every degree and order from one pass over the mapped point, the degrees
+    # on a leading axis, and no circle series evaluated there: V and the X_j
+    # come from the point table
     passes, evaluated = [], []
     pointwise, evaluate = expansion._pointwise, planorth.CircleSeries.evaluate
 
     def counted_pointwise(model, N, zeta, weights=None):
-        passes.append((N, np.shape(zeta), np.shape(weights)))
+        passes.append((np.ravel(N).tolist(), np.shape(zeta), np.shape(weights)))
         return pointwise(model, N, zeta, weights)
 
     def counted_evaluate(self, z):
@@ -737,7 +738,7 @@ def test_verify_reads_the_point_in_one_pass_per_degree(tmp_path, monkeypatch):
     monkeypatch.setattr(planorth.CircleSeries, "evaluate", counted_evaluate)
     cfg = write_config(tmp_path, "perturbed-expre", kappa=3, N=[8, 12, 16, 24])
     assert run(["verify", "--config", cfg, "--out", tmp_path / "o"]) == 0
-    assert passes == [(N, (1,), (4, 4)) for N in (8, 12, 16, 24)]
+    assert passes == [([8, 12, 16, 24], (1,), (4, 4, 4))]
     assert 1 not in evaluated
 
 

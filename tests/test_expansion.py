@@ -230,6 +230,57 @@ def test_monic_orders_match_monic_at(all_preset_models):
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13, (name, N)
 
 
+def test_monic_orders_take_a_degree_axis(all_preset_models):
+    # an array of degrees gives each degree's rows from one pass, equal to the
+    # rows of that degree alone up to the rounding of a differently ordered sum
+    zeta = np.array([1.1 * np.exp(0.4j), 0.97 * np.exp(2.0j)])
+    degrees = np.array([8, 12, 40, 300])
+    for name, model in all_preset_models.items():
+        got = po.monic_orders_at(model, degrees, zeta)
+        assert got.shape == (degrees.size, model.order + 1, zeta.size)
+        for d, N in enumerate(degrees):
+            want = po.monic_orders_at(model, int(N), zeta)
+            assert np.max(np.abs(got[d] - want) / np.abs(want)) <= 1e-15, (name, N)
+    # on the disk C_N = e^(-V(inf)) at every N, and 3^700 leaves the float range:
+    # the refusal names the first degree whose values do
+    with pytest.raises(NonFiniteError, match="monic polynomial out of float range at degree 700 "):
+        po.monic_orders_at(all_preset_models["disk-expre03"], np.array([8, 700, 800]),
+                           np.array([3.0]))
+
+
+class _CountingNumpy:
+    """``numpy`` for one module, recording the name of every function it calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+def test_normalized_eval_makes_the_same_numpy_calls(ellipse_exp_model, monkeypatch):
+    # the degree axis costs a scalar degree nothing: normalized_eval at one N
+    # calls numpy as it did before the axis, once per pass over the points
+    model = ellipse_exp_model
+    z = model.map.psi(1.1 * np.exp(2j * np.pi * np.arange(16) / 16))
+    want = po.normalized_eval(model, 300, z)   # the point table is built outside the count
+    counting = _CountingNumpy()
+    monkeypatch.setattr(expansion, "np", counting)
+    got = po.normalized_eval(model, 300, z)
+    assert counting.calls == ["asarray", "atleast_1d", "all", "abs", "any", "arange", "asarray",
+                              "reciprocal", "abs", "log", "angle", "exp", "isfinite", "all",
+                              "ndim"]
+    assert np.array_equal(got, want)
+
+
 def test_normalized_is_leading_coeff_times_monic(all_preset_models):
     for name, model in all_preset_models.items():
         zeta = 1.3 * np.exp(1j * np.linspace(0.1, 6.0, 7))

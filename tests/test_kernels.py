@@ -1,4 +1,5 @@
 import math
+import timeit
 
 import numpy as np
 import pytest
@@ -237,6 +238,66 @@ def test_bw_diag_next_to_rho(r):
     head = r ** -2 / math.log(1.0 / rho ** 2) + np.sum((n + 1) * r ** (2 * n)
                                                        / (1.0 - rho ** (2 * n + 2)))
     assert abs(bw_kernel_diag(rho, po.disk_map(), N, r) / (head + tail) - 1.0) <= 1e-13
+
+
+def _bw_head_start(rho):
+    """The first ``n`` with ``1 - rho^(2n+2) == 1`` in floats: from there on
+    every head term of ``bw_kernel_diag`` is ``(n+1) r^(2n)``."""
+    n = 0
+    while 1.0 - rho ** (2 * n + 2) != 1.0:
+        n += 1
+    return n
+
+
+def _bw_diag_fsum(rho, N, r):
+    """``bw_kernel_diag`` on the unit disk (``phi' = 1``) at ``z = r``: its head
+    and tail terms, each rounded once, summed exactly by ``math.fsum``."""
+    n = np.arange(N + 1)
+    head = (n + 1) * r ** (2.0 * n) / (1.0 - rho ** (2 * n + 2))
+    x = (rho / r) ** 2 * (rho * rho) ** np.arange(400)
+    return math.fsum([r ** -2 / math.log(1.0 / rho ** 2), *head, *(x / (1.0 - x) ** 2 / r ** 2)])
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+def test_bw_head_in_closed_form_matches_the_exact_sum(rho):
+    # past the head start the terms are summed in closed form: series, expm1 and
+    # power forms by the size of (N - n0 + 1) log r^2, each to 1e-13 of the
+    # exactly summed terms, from r = 1 to 1.3 and N = 0 to 10^5
+    n0 = _bw_head_start(rho)
+    for N in (0, n0 - 1, n0, n0 + 1, 10 ** 2, 10 ** 4, 10 ** 5):
+        t = math.log(max(N, 2)) / max(N, 2)
+        radii = [1.0, 1 + 1e-15, 1 - 1e-15, 1 + 1e-9, 1 - 1e-9, 1 + 1e-4, 1 - 1e-4,
+                 1 + t, 1 - t, 0.6, 1.3]
+        radii = [r for r in radii if r > rho and 2 * N * math.log(r) < 700]
+        got = bw_kernel_diag(rho, po.disk_map(), N, np.array(radii, dtype=complex))
+        for r, value in zip(radii, got):   # every form in one batch, as at one point
+            want = _bw_diag_fsum(rho, N, r)
+            assert abs(value / want - 1.0) <= 1e-13, (N, r)
+            assert value == bw_kernel_diag(rho, po.disk_map(), N, r), (N, r)
+
+
+@pytest.mark.parametrize("r", [1.01, 1.2, 1.3, 2.0])
+def test_bw_diag_overflows_at_the_degree_of_the_term_sum(r):
+    # the closed form refuses the first degree at which the terms' running sum
+    # leaves the float range, not one before or after
+    n = np.arange(int(800 / math.log(r)))
+    with np.errstate(over="ignore"):
+        run = np.cumsum((n + 1) * r ** (2.0 * n) / (1.0 - 0.25 ** (n + 1)))
+    first = int(np.argmin(np.isfinite(run)))
+    assert first > 0
+    assert math.isfinite(bw_kernel_diag(0.5, po.disk_map(), first - 1, r))
+    with pytest.raises(NonFiniteError, match=f"overflows a float at N = {first},"):
+        bw_kernel_diag(0.5, po.disk_map(), first, r)
+
+
+def test_bw_diag_time_does_not_grow_with_the_degree():
+    # the head past its first terms is a closed form: N = 10^5 costs what N = 10^2 does
+    m, z = po.disk_map(), np.array([1.0 + 0.01j])
+
+    def best(N):
+        return min(timeit.repeat(lambda: bw_kernel_diag(0.5, m, N, z), number=20, repeat=15))
+
+    assert best(10 ** 5) <= 2.0 * best(10 ** 2)
 
 
 def test_bw_diag_refuses_a_negative_degree():

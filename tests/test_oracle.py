@@ -98,21 +98,11 @@ def test_oracle_gram_residual(disk_alpha_oracle):
     assert polys.gram_residual <= 1e-10
 
 
-def _second_passes(monkeypatch, rule, N):
-    """The oracle on ``rule`` and its number of second Gram-Schmidt passes:
-    ``BoundaryRule.inner`` runs once for the mass and ``1 + 2 passes`` times
-    per degree."""
-    calls = []
-    inner = oracle.BoundaryRule.inner
-
-    def counted(self, v, primitives):
-        calls.append(1)
-        return inner(self, v, primitives)
-
-    monkeypatch.setattr(oracle.BoundaryRule, "inner", counted)
+def _second_passes(rule, N):
+    """The oracle on ``rule`` and its number of second Gram-Schmidt passes, as
+    its ``health`` reports it."""
     polys = oracle._circle_arnoldi(rule, N)
-    monkeypatch.setattr(oracle.BoundaryRule, "inner", inner)
-    return polys, (len(calls) - 1 - N) // 2 - N
+    return polys, polys.health["second_passes"]
 
 
 def test_gram_gate_refuses_an_unresolved_rule():
@@ -473,12 +463,12 @@ def _gram_schmidt_reference(z, w, N):
                                     "perturbed-expre"],
                          ids=["disk_const", "disk_alpha", "ellipse_const", "ellipse_exp",
                               "perturbed_exp"])
-def test_one_pass_gram_schmidt_matches_two_passes(all_preset_models, monkeypatch, preset):
+def test_one_pass_gram_schmidt_matches_two_passes(all_preset_models, preset):
     model = all_preset_models[preset]
     for N in (40, 200):
         rule = po.boundary_rule(model.map, model.weight.holo_poly,
                                 oracle.boundary_samples(model.map, N))
-        polys, second = _second_passes(monkeypatch, rule, N)
+        polys, second = _second_passes(rule, N)
         # the first pass never cancels past a factor 1/sqrt(2), so no degree takes
         # a second one; that pass would subtract the Gram matrix's off-diagonal
         # entries, which are roundoff
@@ -486,15 +476,141 @@ def test_one_pass_gram_schmidt_matches_two_passes(all_preset_models, monkeypatch
         assert polys.gram_residual <= 1e-14, N
 
 
-def test_second_pass_on_near_breakdown(monkeypatch):
+def test_second_pass_on_near_breakdown():
     # omega = exp(40 Re z) on the unit disk: at degrees 1..18 the first pass cancels
     # more than half of z P_{n-1}'s squared norm; one pass alone leaves a Gram
     # deviation of 1.2e-9 to 4.2e-9 at these L, the second brings it below 1e-9
     m, P, N = po.disk_map(), np.array([0.0, 20.0]), 40
     for L in (512, 1024, 2048):
-        polys, second = _second_passes(monkeypatch, po.boundary_rule(m, P, L), N)
+        polys, second = _second_passes(po.boundary_rule(m, P, L), N)
         assert second == 18, (L, second)
         assert polys.gram_residual <= 1e-9, L
+
+
+def _first_unresolved(rule, N):
+    """The first degree ``<= N`` whose tail exceeds ``TAIL_TOL``, or None, by a
+    per-degree loop apart from the oracle's: Arnoldi on the samples alone, the
+    modes of every vector FFT'd afresh, two classical Gram-Schmidt passes per
+    degree, and the tail of degree ``n`` read from the modes of ``z Q_(n-1)``
+    before it is orthogonalized."""
+    L = rule.L
+    k = np.fft.fftfreq(L, 1.0 / L)
+    k[0] = np.inf
+
+    def modes(v):
+        return np.fft.fft(v * rule.weight)
+
+    def tail(c):
+        a = np.abs(c)
+        return a[3 * L // 8:L - 3 * L // 8 + 1].max() / a.max()
+
+    def inner(u, v):   # <u, v> by Parseval
+        return np.sum(modes(u) * np.conj(modes(v)) / k)
+
+    Q = []
+    for n in range(N + 1):
+        v = rule.nodes * Q[-1] if Q else np.ones(L, dtype=complex)
+        if tail(modes(v)) > oracle.TAIL_TOL:
+            return n
+        for _ in range(2):
+            v = v - sum((inner(v, q) * q for q in Q), 0.0)
+        Q.append(v / math.sqrt(inner(v, v).real))
+    return None
+
+
+@pytest.mark.parametrize("m, P, L, N", [(po.disk_map(), [0.0, 40.0], 256, 40),
+                                        (po.disk_map(), [0.0, 20.0], 256, 60),
+                                        (po.ellipse_map(2, 1), [0.0, 5.0], 128, 80),
+                                        (po.disk_map(), [0.0, 3.0], 256, 250)],
+                         ids=["exp80-disk", "exp40-disk", "exp10-ellipse", "exp6-disk"])
+def test_batched_tails_name_the_first_unresolved_degree(m, P, L, N):
+    # the tails are read in batches, yet the message names the degree a
+    # per-degree loop stops at: 0, 25, 10 and 72 here, between checkpoints
+    # (72 past the first full batch of TAIL_BATCH degrees)
+    rule = po.boundary_rule(m, np.array(P), L)
+    k = _first_unresolved(rule, N)
+    assert k is not None
+    assert re.fullmatch(rf"tail \d\.\de-\d\d above 1e-12 at degree {k}",
+                        oracle._circle_arnoldi(rule, N))
+
+
+def _degrees_reached(monkeypatch):
+    """The degree of every Gram-Schmidt pass made from now on, read off the
+    width of the modes :meth:`BoundaryRule.pairings` takes (``n + 1`` at
+    degree ``n``)."""
+    degrees = []
+    pairings = oracle.BoundaryRule.pairings
+
+    def counted(self, c, modes):
+        degrees.append(modes.shape[1] - 1)
+        return pairings(self, c, modes)
+
+    monkeypatch.setattr(oracle.BoundaryRule, "pairings", counted)
+    return degrees
+
+
+@pytest.mark.parametrize("m, P, L, N, k", [(po.disk_map(), [0.0, 20.0], 256, 60, 25),
+                                           (po.ellipse_map(2, 1), [0.0, 5.0], 128, 80, 10),
+                                           (po.disk_map(), [0.0, 3.0], 256, 250, 72)])
+def test_unresolved_run_stops_by_twice_its_degree(monkeypatch, m, P, L, N, k):
+    # degree k is read at the next checkpoint, a power of 2 below 2k or sooner
+    degrees = _degrees_reached(monkeypatch)
+    assert oracle._circle_arnoldi(po.boundary_rule(m, np.array(P), L), N).endswith(
+        f"at degree {k}")
+    assert k < max(degrees) <= 2 * k + 1
+
+
+def test_breakdown_after_an_unresolved_degree_doubles_the_samples(monkeypatch):
+    # omega = exp(40 Re z): on 256 samples degree 25 is unresolved.  A breakdown
+    # forced at degree 28, before the checkpoint at 32, first reads the tails
+    # not yet read, so the run asks for more samples instead of raising; on 512
+    # samples, which resolve degree 25, the same breakdown raises
+    m, P, N = po.disk_map(), np.array([0.0, 20.0]), 60
+    degrees, broken = _degrees_reached(monkeypatch), {256}
+    sq_norm = oracle.BoundaryRule.sq_norm
+
+    def breaking(self, c):
+        if self.L in broken and degrees and degrees[-1] == 28:
+            degrees.clear()   # the next run's mass is not forced
+            return 0.0
+        return sq_norm(self, c)
+
+    monkeypatch.setattr(oracle.BoundaryRule, "sq_norm", breaking)
+    assert re.fullmatch(r"tail \d\.\de-\d\d above 1e-12 at degree 25",
+                        oracle._circle_arnoldi(po.boundary_rule(m, P, 256), N))
+    monkeypatch.setattr(oracle, "boundary_samples", lambda m, N: 256)
+    runs = _counted_runs(monkeypatch)
+    assert po.boundary_onps(m, P, N).health["L"] == 512 and runs == [256, 512]
+    broken.add(512)
+    with pytest.raises(DegreeTooHighError, match="breakdown at degree 28"):
+        oracle._circle_arnoldi(po.boundary_rule(m, P, 512), N)
+
+
+@pytest.mark.parametrize("preset", ["disk-const", "disk-expre03", "ellipse-const",
+                                    "ellipse-expre", "perturbed-expre"])
+def test_arnoldi_work_per_degree(monkeypatch, preset):
+    # one projection product per Gram-Schmidt pass, one re-norm per degree (and
+    # one for the mass), and the tails read at degrees 0, 1, 2, 4, .., 32 and 40
+    m, wd, _, _ = preset_parts(preset)
+    N = 40
+    rule = po.boundary_rule(m, wd.holo_poly, oracle.boundary_samples(m, N))
+    counts = {"pairings": 0, "sq_norm": 0, "_tails": 0}
+
+    def counting(owner, name):
+        f = getattr(owner, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(oracle.BoundaryRule, "pairings")
+    counting(oracle.BoundaryRule, "sq_norm")
+    counting(oracle, "_tails")
+    polys = oracle._circle_arnoldi(rule, N)
+    assert polys.health["second_passes"] == 0
+    assert counts == {"pairings": N, "sq_norm": N + 1, "_tails": 2 + math.ceil(math.log2(N))}
 
 
 def _ellipse_log_kappa(cap, a1, n):
