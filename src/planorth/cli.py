@@ -28,7 +28,7 @@ from .geometry import (load_domain_config, map_forward_many, parse_integer, pars
 from .hierarchy import hierarchy_residuals
 from .kernels import (_bw_kernel_diag_at, _map_points, _offspectral_at, off_spectral_point,
                       outer_rho)
-from .oracle import berezin_expectations, boundary_onps, l2_discrepancies
+from .oracle import CUTOFF, berezin_expectations, boundary_onps, l2_discrepancies
 
 MAX_ORDER = 8
 FLOOR_PER_DEGREE = 8 * np.finfo(float).eps   # verify: a degree-N error <= N times this is roundoff
@@ -249,7 +249,10 @@ def cmd_eval(cfg: dict, exp: dict, outdir: Path) -> int:
     return 0
 
 
-def _oracle_for(model, N_max: int):
+def _collar_oracle(model, N_max: int):
+    if not model.inner_radius + CUTOFF[0] < 1.0:   # refused before the oracle is built
+        raise ConfigError(f"rho = {model.inner_radius} leaves no room for the collar's cutoff, "
+                          f"which rises from rho + {CUTOFF[0]}: rho must be below {1 - CUTOFF[0]}")
     with stage("oracle"):
         return boundary_onps(model.map, model.weight.holo_poly, N_max)
 
@@ -261,19 +264,20 @@ def cmd_oracle(cfg: dict, exp: dict, outdir: Path) -> int:
     N_max = max(exp["N"])
     with stage("oracle"):
         polys = boundary_onps(m, wd.holo_poly, N_max)
+    kappa = polys.kappa
     payload = {
         "schema": "planorth/oracle-v1",
         "degree": N_max,
         "kappa": exp["kappa"],
         "gram_residual": polys.gram_residual,
-        "leading_coeffs": [float(k) for k in polys.kappa],
+        "leading_coeffs": [float(k) for k in kappa],
         "coefficients": [[_c2l(polys.coeff_table[i, n]) for i in range(n + 1)]
                          for n in range(N_max + 1)],
         "rule": polys.health,
     }
     _write_json(outdir, "oracle.json", payload)
     _write_csv(outdir, "gram_residuals.csv", ["degree", "kappa_n", "gram_residual"],
-               [[n, polys.kappa[n], float(polys.gram_residuals[n])] for n in range(N_max + 1)])
+               [[n, kappa[n], float(polys.gram_residuals[n])] for n in range(N_max + 1)])
     print(f"oracle: wrote {outdir / 'oracle.json'} "
           f"(degree {N_max}, gram residual {polys.gram_residual:.2e})")
     return 0
@@ -289,7 +293,7 @@ def cmd_verify(cfg: dict, exp: dict, outdir: Path) -> int:
     for N in exp["N"]:   # the request is checked before the oracle is built
         check_valid(model, N, zeta, ok)
     N_max = max(exp["N"])
-    polys = _oracle_for(model, N_max)
+    polys = _collar_oracle(model, N_max)
     p0 = polys.evaluate(np.array([z0]))[0]
 
     pairs = [(N, kappa) for kappa in range(exp["kappa"] + 1) for N in exp["N"]]
@@ -374,7 +378,7 @@ def cmd_distributional(cfg: dict, exp: dict, outdir: Path) -> int:
     # the rows and the term table at max(N), the last degree, from one contraction
     vals, index, values = _expectations(model, split, exp["N"], exp["kappa"])
     N_max = max(exp["N"])
-    polys = _oracle_for(model, N_max)
+    polys = _collar_oracle(model, N_max)
     with stage("oracle-collar"):
         ovs = berezin_expectations(model, polys, split.terms, exp["N"])
     rows = []
@@ -421,7 +425,8 @@ def cmd_kernel(cfg: dict, exp: dict, outdir: Path) -> int:
     outer = outer_rho(pt, zeta)
     kforms = [abs(complex(_offspectral_at(model, N, zeta, outer)[0])) for N in exp["N"]]
     N_max = max(exp["N"])
-    polys = _oracle_for(model, N_max)
+    with stage("oracle"):
+        polys = boundary_onps(model.map, model.weight.holo_poly, N_max)
     p = polys.evaluate(np.array([z, w]))   # P_0 .. P_Nmax at z and w: K_N(., w) for every N
     kzw, kww = np.cumsum(p * np.conj(p[1]), axis=1)
     off_rows = []

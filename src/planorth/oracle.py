@@ -40,18 +40,18 @@ Stylianopoulos 2009); its stability is that of Vandermonde with Arnoldi
 
 Comparisons against the expansion (:func:`l2_discrepancies`,
 :func:`berezin_expectations`) integrate over the collar ``rho1 < |zeta| < 1``
-in Laurent modes, with no grid: Gauss-Legendre panels in the radius, broken
-at the cutoff's ``rho1``, ``rho2`` (``rho + CUTOFF``) and graded toward 1,
-and Parseval in the angle, the sum the trapezoid rule at the oracle's ``L``
-samples takes for integrands holomorphic on ``0 < |zeta| < inf`` (Trefethen
-and Weideman, SIAM Rev. 2014).  The weight ``|G|^2``, ``G = psi' e^(P o
-psi)``, folds into ``G P_N``, the exact convolution of the kept modes of
-``P_N o psi`` and ``G``; the expansion's side of the L2 comparison is the
-modes of the model's products ``A_j = X_j E`` (``model.products``), not
-sampled.  So a degree or order costs ``O(modes)``; the degrees of a request
-share one forward FFT, one inverse FFT and one table of radial moments.
-Inside ``|phi| < rho1`` a Stokes integral on ``psi(rho1 S^1)`` takes over.
-Each degree is checked before use: that inner part plus the collar's
+in Laurent modes, with no grid: one Gauss-Legendre panel in the radius on the
+cutoff's ramp ``[rho1, rho2]`` (``rho + CUTOFF``) and the flat band ``[rho2,
+1]`` in closed form, and Parseval in the angle, the sum the trapezoid rule at
+the oracle's ``L`` samples takes for integrands holomorphic on ``0 < |zeta| <
+inf`` (Trefethen and Weideman, SIAM Rev. 2014).  The weight ``|G|^2``, ``G =
+psi' e^(P o psi)``, folds into ``G P_N``, the exact convolution of the kept
+modes of ``P_N o psi`` and ``G``; the expansion's side of the L2 comparison
+is the modes of the model's products ``A_j = X_j E`` (``model.products``),
+not sampled.  So a degree or order costs ``O(modes)``; the degrees of a
+request share one forward FFT, one inverse FFT and one table of radial
+moments.  Inside ``|phi| < rho1`` a Stokes integral on ``psi(rho1 S^1)`` takes
+over.  Each degree is checked before use: that inner part plus the collar's
 ``||P_N||^2`` is 1 to ``COLLAR_TOL``; where it is not (``r^k`` amplifies the
 noise modes of high degrees, from ``N`` near 300 on the presets),
 :class:`DegreeTooHighError` is raised rather than a wrong integral returned.
@@ -79,8 +79,7 @@ TAIL_BATCH = 64         # most degrees whose tails an Arnoldi run reads in one b
 CHOP = 64 * np.finfo(float).eps  # modes below CHOP * max|mode| are dropped before r^k scaling
 COLLAR_TOL = 1e-8       # largest deviation from 1 of ||P_N||^2 on the collar rule
 CUTOFF = (0.05, 0.15)   # the cutoff chi0 rises on rho + CUTOFF, rho the model's inner radius
-COLLAR_Q = 12           # Gauss-Legendre nodes per radial panel of the collar rule
-COLLAR_HALVINGS = 5     # collar panels past rho2, each half the width of the last
+COLLAR_Q = 12           # Gauss-Legendre nodes of the collar rule on the cutoff's ramp
 
 _leggauss = cache(leggauss)   # Gauss-Legendre nodes and weights, once per node count
 
@@ -399,12 +398,15 @@ def _chopped(c: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Collar:
-    """Radial rule of the collar ``rho1 < |zeta| < 1``: Gauss-Legendre ``radii``, their
-    ``weights`` ``2 w r``, the cutoff ``chi`` on them and ``rest = 1 - chi`` (the
-    mirrored smoothstep, exact where ``chi`` is near 1); ``rim`` is the Stokes
-    factor ``e^P psi'(zeta) zeta`` on ``|zeta| = rho1``."""
+    """Radial rule of the collar ``rho1 < |zeta| < 1``: a column for each
+    Gauss-Legendre radius of the ramp ``[rho1, top]``, ``top = min(rho2, 1)``,
+    weighted ``2 w r``, and a last for the flat band ``[top, 1]``; the cutoff
+    ``chi`` on each and ``rest = 1 - chi`` (the mirrored smoothstep, exact where
+    ``chi`` is near 1), 1 and 0 on the band.  ``rim`` is the Stokes factor ``e^P
+    psi'(zeta) zeta`` on ``|zeta| = rho1``."""
 
     rho1: float
+    log_top: float
     radii: np.ndarray
     weights: np.ndarray
     chi: np.ndarray
@@ -412,30 +414,28 @@ class _Collar:
     rim: np.ndarray
 
     def moments(self, k: np.ndarray) -> np.ndarray:
-        """Rows ``weights r^(2 k_i)`` of the modes ``k``, not rescaled: a row out of
-        the float range makes a non-finite sum, which its reader refuses."""
-        e = np.multiply.outer(2.0 * np.asarray(k, dtype=float), np.log(self.radii))
-        return self.weights * np.exp(e)
+        """Rows ``weights r^(2 k_i)`` of the modes ``k`` and the band's ``int 2 r^(2k + 1)
+        dr``, not rescaled: a non-finite row makes a non-finite sum, which its reader refuses."""
+        k = np.asarray(k, dtype=float)[:, None]
+        band = np.divide(-np.expm1((2.0 * k + 2.0) * self.log_top), k + 1.0, where=k != -1,
+                         out=np.full(k.shape, -2.0 * self.log_top))   # its limit at k = -1
+        return np.hstack((self.weights * np.exp(2.0 * k * np.log(self.radii)), band))
 
 
 def _collar(model: ExpansionModel, polys: OraclePolynomials) -> _Collar:
-    """The collar rule of a boundary oracle for the cutoff rising on
-    ``[rho1, rho2] = rho + CUTOFF``; a model whose ``rho1`` is not inside the
-    domain (``rho1 >= 1``) is refused with :class:`DomainError`."""
+    """The collar rule of a boundary oracle for the cutoff rising on ``[rho1, rho2]
+    = rho + CUTOFF``; a ``rho1 >= 1``, outside the domain, is refused with :class:`DomainError`."""
     rule = polys.rule
     rho1, rho2 = (model.inner_radius + c for c in CUTOFF)
     if not rho1 < 1.0:
         raise DomainError(f"cutoff needs rho1 = inner radius + {CUTOFF[0]} < 1, got {rho1}")
     top = min(rho2, 1.0)
-    grade = 1.0 - (1.0 - top) * 0.5 ** np.arange(1, COLLAR_HALVINGS + 1)
-    breaks = np.unique(np.concatenate([[rho1, top], grade, [1.0]]))
-    x, w = _leggauss(COLLAR_Q)   # composited over the panels between the breaks
-    mid, half = 0.5 * (breaks[:-1] + breaks[1:])[:, None], 0.5 * np.diff(breaks)[:, None]
-    r, wr = (mid + half * x).ravel(), (half * w).ravel()
+    x, w = 0.5 * (top - rho1) * np.array(_leggauss(COLLAR_Q))   # scaled to the ramp
+    r = 0.5 * (rho1 + top) + x
     z1, dpsi1 = rule.map.psi_and_prime(rho1 * rule.zeta)
     rim = np.exp(_horner(rule.holo_poly, z1)) * dpsi1 * rho1 * rule.zeta
-    return _Collar(rho1, r, 2.0 * wr * r, smoothstep(r, rho1, rho2), smoothstep(-r, -rho2, -rho1),
-                   rim)
+    return _Collar(rho1, math.log(top), r, 2.0 * w * r, np.append(smoothstep(r, rho1, rho2), 1.0),
+                   np.append(smoothstep(-r, -rho2, -rho1), 0.0), rim)
 
 
 def _on_collar(polys: OraclePolynomials, collar: _Collar, Ns: list, reach):
@@ -504,9 +504,9 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs) -> 
     factor ``E = e^(V o psi + h)`` at bandwidth ``2M``, has the modes ``beta``
     of the products ``A_j = X_j E`` shifted by ``N``: the rows of
     ``model.products``, which the moment table also reads.  The collar
-    part ``sum_k sum_i w_i r_i^(2k) |alpha_k - chi_i beta_k|^2`` is
-    ``sum_k M_k |alpha_k - beta_k + u_k beta_k|^2 + S_k |beta_k|^2``, free of
-    cancellation, with ``u_k`` the ``w r^(2k)``-weighted mean of ``1 - chi``
+    part ``sum_k sum_i m_ik |alpha_k - chi_i beta_k|^2``, ``m_ik`` the moment
+    table, is ``sum_k M_k |alpha_k - beta_k + u_k beta_k|^2 + S_k |beta_k|^2``,
+    free of cancellation, with ``u_k`` the ``m_k``-weighted mean of ``1 - chi``
     and ``S_k`` the weighted sum of squares of ``chi`` about its mean.  Raises
     :class:`DegreeTooHighError` for a degree the collar cannot hold."""
     pairs = list(pairs)
@@ -550,8 +550,8 @@ def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, terms,
     cutoff tapers it to zero deep inside the domain, so the integral lives on
     the collar.  With the modes ``alpha`` of ``G P_N`` (:func:`_on_collar`) it
     is ``sum_t c_t sum_k alpha_k conj(alpha_(k + m - n)) M(k + m)``, ``M(j) =
-    sum_i w_i chi_i r_i^(2j)`` from the one table of the call; a term whose ``|m -
-    n|`` reaches the span of ``alpha`` gives exactly 0.  Raises
+    sum_i chi_i m_ij`` over the columns of the call's one moment table; a term
+    whose ``|m - n|`` reaches the span of ``alpha`` gives exactly 0.  Raises
     :class:`NonFiniteError` where a moment or a sum leaves the float range,
     and :class:`DegreeTooHighError` for a degree the collar rule cannot hold."""
     degrees = list(degrees)

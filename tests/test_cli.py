@@ -932,6 +932,10 @@ def test_collar_rule_past_its_degrees_is_typed(tmp_path, capsys, command):
 # psi is no exterior map and every command refuses it as a config error
 FOLDED = {"map": {"cap": 1.0, "tail": [[0.0, 0.0], [1.44, 0.0]]},
           "weight": {"kind": "exp-re-linear", "alpha": [0.3, 0.0]}, "rho": 0.99, "M": 16}
+# rho = 0.96 on the unit disk: the collar's cutoff would rise from 1.01, outside
+# the domain, so the commands that compare on the collar refuse it as config
+NO_CUTOFF = {"domain": {**preset_config("disk-expre03"), "rho": 0.96},
+             "test_function": {"terms": [[1, 1, 1.0, 0.0]]}}
 ROBUSTNESS = [
     ("distributional", "ellipse-expre",
      {"N": [8, 16, 100000], "test_function": {"terms": [[1, 1, 1.0, 0.0]]}}, 3,
@@ -955,6 +959,9 @@ ROBUSTNESS = [
     *[(command, "disk-expre03", {"domain": FOLDED}, 2,
        "psi' vanishes at |zeta| = 1.2, not below the univalence margin 0.98")
       for command in ("expand", "eval", "verify")],
+    *[(command, "disk-expre03", NO_CUTOFF, 2,
+       "rho = 0.96 leaves no room for the collar's cutoff, which rises from rho + 0.05")
+      for command in ("verify", "distributional")],
     # inside the 2x1 ellipse, with phi below the univalence margin: Newton's
     # inversion cannot reach them, so neither is a point of the expansion
     ("kernel", "ellipse-expre", {"kernel": {**KERNEL, "w": [3.0, 0.0], "z": [0.1, 0.0]}}, 4,
@@ -968,7 +975,8 @@ ROBUSTNESS = [
                          ids=["oracle-cap", "far-point", "centre-point", "far-kernel-z",
                               "far-kernel-w", "collar-overflow", "expansion-overflow",
                               "index-range", "folded-expand", "folded-eval", "folded-verify",
-                              "inner-kernel-z", "inner-kernel-w"])
+                              "cutoff-verify", "cutoff-distributional", "inner-kernel-z",
+                              "inner-kernel-w"])
 def test_robustness_table(tmp_path, capsys, command, preset, extra, code, message):
     cfg = write_config(tmp_path, preset, **extra)
     out = tmp_path / "o"

@@ -288,29 +288,34 @@ def test_berezin_constant_function(disk_alpha_model, disk_alpha_oracle):
 
 
 def _collar_direct(model, polys, N):
-    """The collar rule's radii at the oracle's angles, built here: ``P_N`` by the
-    recurrence at ``psi(zeta)``, the weights ``omega dA / pi`` from ``psi'`` and
-    the weight's evaluator, and the cutoff; no modes."""
-    collar = oracle._collar(model, polys)
-    zeta = collar.radii[:, None] * polys.rule.zeta[None, :]
+    """A radius-by-angle grid over the collar, built here at the oracle's
+    angles: ``COLLAR_Q`` Gauss-Legendre nodes on the cutoff's ramp and on each
+    of six panels over the flat band, graded toward 1, with no closed form for
+    the band; ``P_N`` by the recurrence at ``psi(zeta)``, the weights ``omega dA
+    / pi`` from ``psi'`` and the weight's evaluator, and the cutoff; no modes."""
+    rho1, rho2 = (model.inner_radius + c for c in oracle.CUTOFF)
+    x, w = np.polynomial.legendre.leggauss(oracle.COLLAR_Q)
+    breaks = np.append(rho1, halving_breaks(rho2, 6))
+    a, b = breaks[:-1, None], breaks[1:, None]
+    r, dr = ((a + b) / 2 + (b - a) / 2 * x).ravel(), ((b - a) / 2 * w).ravel()
+    zeta = r[:, None] * polys.rule.zeta[None, :]
     z, dpsi = model.map.psi_and_prime(zeta)
-    weights = collar.weights[:, None] / polys.rule.L * np.abs(dpsi) ** 2 * model.weight.omega(z)
+    weights = (2 * r * dr)[:, None] / polys.rule.L * np.abs(dpsi) ** 2 * model.weight.omega(z)
     P = polys.evaluate(z.ravel(), upto=N)[:, N].reshape(zeta.shape)
-    return collar, zeta, weights, P
+    return smoothstep(r, rho1, rho2)[:, None], zeta, weights, P
 
 
 def _l2_per_degree(model, polys, N, order):
     """The per-degree form: the expansion by ``normalized_at`` at this N only."""
-    collar, zeta, weights, P = _collar_direct(model, polys, N)
+    chi, zeta, weights, P = _collar_direct(model, polys, N)
     F = po.normalized_at(model, N, zeta, order)
-    diff = P - collar.chi[:, None] * F
-    inner = oracle._on_collar(polys, collar, [N], lambda *_: [])[0][N][2]
-    return math.sqrt(inner + np.sum(weights * np.abs(diff) ** 2))
+    inner = oracle._on_collar(polys, oracle._collar(model, polys), [N], lambda *_: [])[0][N][2]
+    return math.sqrt(inner + np.sum(weights * np.abs(P - chi * F) ** 2))
 
 
 def _berezin_per_degree(model, polys, g, N):
-    collar, zeta, weights, P = _collar_direct(model, polys, N)
-    return np.sum(weights * collar.chi[:, None] * g.evaluate(zeta) * np.abs(P) ** 2)
+    chi, zeta, weights, P = _collar_direct(model, polys, N)
+    return np.sum(weights * chi * g.evaluate(zeta) * np.abs(P) ** 2)
 
 
 @pytest.fixture(scope="module")
@@ -756,6 +761,40 @@ def test_collar_refuses_a_cutoff_outside_the_collar(inner_radius):
         berezin_expectations(model, polys, g.terms(), [8])
 
 
+@pytest.mark.parametrize("preset", ["disk-expre03", "ellipse-expre", "perturbed-expre"])
+def test_collar_radial_sums_are_exact_at_every_mode(all_preset_models, preset):
+    # the columns of a moment row sum to int_rho1^1 2 r^(2k + 1) dr: one panel
+    # on the cutoff's ramp and the flat band in closed form, where six panels
+    # graded toward 1 were off by 1e-9 at k = 1000 and 2e-5 at 2000 on disk-expre03
+    model = all_preset_models[preset]
+    collar = oracle._collar(model, po.boundary_onps(model.map, model.weight.holo_poly, 8))
+    k = np.array([0, 12, 50, 300, 1000, 2000, 5000, 10_000])
+    rows = collar.moments(k)
+    assert rows.shape == (k.size, oracle.COLLAR_Q + 1)
+    exact = -np.expm1((2 * k + 2) * math.log(collar.rho1)) / (k + 1)
+    assert np.max(np.abs(rows.sum(axis=1) / exact - 1.0)) <= 1e-14
+
+
+def _radial_integral(a, k):
+    """``int_a^1 2 r^(2k + 1) dr`` for each ``k``, written out."""
+    return np.array([-2 * math.log(a) if j == -1 else (1 - a ** (2 * j + 2)) / (j + 1) for j in k])
+
+
+@pytest.mark.parametrize("inner_radius", [0.5, 0.9])
+def test_collar_flat_band_at_k_minus_one_and_past_the_rim(inner_radius):
+    # the band's column at k = -1 is its limit, -2 log rho2; with rho2 = 1.05
+    # past the rim the ramp ends at 1 and the band's column is 0
+    model = po.build_model(po.disk_map(), po.exp_re_linear_weight(0.3), 1,
+                           inner_radius=inner_radius)
+    collar = oracle._collar(model, po.boundary_onps(model.map, model.weight.holo_poly, 8))
+    k = [-3, -2, -1, 0, 1, 4]
+    rows = collar.moments(np.array(k))
+    band = _radial_integral(min(inner_radius + oracle.CUTOFF[1], 1.0), k)
+    assert rows[:, -1] == pytest.approx(band, rel=1e-14, abs=0.0)
+    assert (collar.chi[-1], collar.rest[-1]) == (1.0, 0.0)
+    assert rows.sum(axis=1) == pytest.approx(_radial_integral(collar.rho1, k), rel=1e-14)
+
+
 def test_collar_guard_refuses_degrees_it_cannot_hold(ellipse_exp_model, ellipse_exp_oracle_400):
     # degree-400 oracle on ellipse-expre: ||P_N||^2 = inner + sum_k M_k |alpha_k|^2
     # is 1 to roundoff through N = 250 and far off at N = 300, where the r^k
@@ -829,9 +868,10 @@ def test_collar_at_large_degree_is_stable_under_doubled_samples(all_preset_model
 
 
 def test_collar_builds_no_radius_by_angle_grid(ellipse_exp_model):
-    # a degree-250 oracle holds L = 2048 samples: a grid over the collar's
-    # 84 radii would take 2.75 MB per complex array, and the mode-space
-    # collar peaks near 0.6 MB
+    # a degree-250 oracle holds L = 2048 samples: a grid over the 84 radii of
+    # _collar_direct's graded rule would take 2.75 MB per complex array, and
+    # the mode-space collar, 12 radii and the flat band in closed form, peaks
+    # near 0.5 MB
     model = ellipse_exp_model
     polys = po.boundary_onps(model.map, model.weight.holo_poly, 250)
     pairs = [(N, k) for k in range(5) for N in (100, 200)]
