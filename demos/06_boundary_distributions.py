@@ -15,8 +15,11 @@ polys = po.boundary_onps(model.map, model.weight.holo_poly, 32)
 split = split_terms({(1, 1): 1.0, (0, 0): -1.0})   # |z|^2 - 1
 print("test data g = |z|^2 - 1 (vanishes on the circle):")
 print("  g(inf) = g_+(inf) =", split.plus_infinity, "(g_- vanishes at infinity)")
-# row nu of the jet: (-(r d/dr)/2)^nu g_0 on the circle; at bandwidth 2, column 2 is mode 0
-print("  circle jet of g_0 at mode 0, nu = 0..3:", split.zero_jet(3, 2)[:, 2].real)
+# (-(r d/dr)/2)^nu takes z^m conj(z)^n to (-(m+n)/2)^nu on the circle, and the
+# harmonic parts' mode m - n to (|m-n|/2)^nu: the difference is g_0's jet there
+jet = [sum(c * ((-(m + n) / 2) ** nu - (abs(m - n) / 2) ** nu)
+           for (m, n), c in {(1, 1): 1.0, (0, 0): -1.0}.items()) for nu in range(4)]
+print("  circle jet of g_0 at mode 0, nu = 0..3:", jet)
 
 print("\n  N    boundary expansion   oracle integral      |difference|")
 for N, o in zip((8, 16, 32), berezin_expectations(model, polys, split.terms, [8, 16, 32])):

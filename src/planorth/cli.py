@@ -375,7 +375,7 @@ def cmd_distributional(cfg: dict, exp: dict, outdir: Path) -> int:
     _require_degree(min(exp["N"]))   # the request is checked before the model is built
     split = _test_function(cfg)
     model = _build(cfg, exp["kappa"])
-    # the rows and the term table at max(N), the last degree, from one contraction
+    # the rows and the term table at max(N), the last degree, from one table product
     vals, index, values = _expectations(model, split, exp["N"], exp["kappa"])
     N_max = max(exp["N"])
     polys = _collar_oracle(model, N_max)
@@ -435,7 +435,7 @@ def cmd_kernel(cfg: dict, exp: dict, outdir: Path) -> int:
         off_rows.append([N, knum, kform, abs(knum / kform - 1.0)])
     band = _map_points(model.map, model.map.psi(np.linspace(rho1, 1.0, 17) * np.exp(0.37j)))
     diag_rows = []
-    for N, diag in zip(exp["N"], _bw_kernel_diag_at(rho, model.map, exp["N"], band)):
+    for N, diag in zip(exp["N"], _bw_kernel_diag_at(rho, exp["N"], *band)):
         sup = float(np.max(diag))
         diag_rows.append([N, sup, sup / N ** 2])
     payload = {

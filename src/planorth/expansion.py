@@ -20,8 +20,8 @@ relative error is of order ``N eps``, the condition of ``phi^N`` itself.
 polynomial in ``w = 1/zeta``; the model keeps them once as such
 (:attr:`ExpansionModel.point_table`, built on the first pointwise request).
 Every pointwise evaluator reads one pass over its mapped points: one
-reciprocal ``w``, and short Horner loops in ``w`` for ``V``, the weighted
-row sum ``sum_j N^-j X_j`` and ``psi' = cap - w^2 p'(w)``.
+reciprocal ``w``, Horner loops in ``w`` for ``V`` and the weighted row sum
+``sum_j N^-j X_j``, and ``|zeta|`` and ``psi'`` from the inversion.
 
 Evaluation is restricted to the region ``|phi(z)| >= 1 - A log(N)/N`` (points
 deeper inside the domain are refused rather than silently extrapolated).
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import laplace
 from .errors import NonFiniteError, OutOfValidityError, stage
-from .geometry import (ExteriorMap, SzegoData, WeightDef, WeightSpec, map_forward_many,
+from .geometry import (ExteriorMap, SzegoData, WeightDef, WeightSpec, _map_forward,
                        pullback_weight, szego)
 from .hierarchy import HierarchyCoeffs, solve_hierarchy
 from .laplace import NormExpansion, norm_expansion
@@ -136,13 +136,14 @@ def leading_coeff(model: ExpansionModel, N: int, order: int | None = None) -> fl
     return normalized_scale(model, N, order) / monic_prefactor(model, N)
 
 
-def _pointwise(model: ExpansionModel, N, zeta, weights=None):
+def _pointwise(model: ExpansionModel, N, zeta, weights=None, mapped=None):
     """One pass over mapped points ``zeta``: ``(factor, sums)`` with the
     positioning factor ``phi'(z) phi(z)^N e^V(z)`` at ``z = psi(zeta)``, in
     log-polar form ``exp((Re V + N log|zeta|) + i (Im V + N arg zeta)) /
     psi'(zeta)``, and the row sums ``sum_j weights[j, ...] X_j(zeta)`` (None
-    without ``weights``).  ``w = 1/zeta`` is formed once; ``V``, the sums and
-    ``psi'`` are Horner loops in it over :attr:`ExpansionModel.point_table`.
+    without ``weights``).  ``w = 1/zeta`` is formed once; ``V``, the sums and,
+    without ``mapped = (|zeta|, psi'(zeta))`` from the inversion, ``psi'`` are
+    Horner loops in it over :attr:`ExpansionModel.point_table`.
 
     ``N`` is a degree or an array of degrees, whose axes lead the factor's
     ahead of the points' (the degree axis: every degree from the one ``w``,
@@ -156,12 +157,13 @@ def _pointwise(model: ExpansionModel, N, zeta, weights=None):
     v_in_w, x_in_w = model.point_table
     zeta = np.asarray(zeta, dtype=np.complex128)
     w = np.reciprocal(zeta)
+    modulus, prime = mapped or (np.abs(zeta), model.map.prime_at_reciprocal(w))
     v = _horner(v_in_w, w)
     if isinstance(N, np.ndarray):   # the degrees' axes, then the points'
         N = N.reshape(N.shape + (1,) * zeta.ndim)
-    log_modulus = v.real + N * np.log(np.abs(zeta))
+    log_modulus = v.real + N * np.log(modulus)
     phase = v.imag + N * np.angle(zeta)
-    factor = np.exp(log_modulus + 1j * phase) / model.map.prime_at_reciprocal(w)
+    factor = np.exp(log_modulus + 1j * phase) / prime
     if weights is None:
         return factor, None
     x = x_in_w[:, :len(weights)]
@@ -184,24 +186,29 @@ def check_valid(model: ExpansionModel, N: int, zeta, ok) -> None:
     """Raise :class:`OutOfValidityError` unless the degree is at least
     ``N_MIN`` and every point was mapped (``ok``, as from ``map_forward_many``)
     to ``zeta`` inside the validity region."""
+    _check_mapped(model, N, ok, np.abs(zeta))
+
+
+def _check_mapped(model: ExpansionModel, N: int, ok, modulus) -> None:
+    """:func:`check_valid` given ``|zeta|``."""
     _require_degree(N)
     if not np.all(ok):
         raise OutOfValidityError("point could not be mapped into the analytic collar")
     r = validity_radius(N, model.validity_constant)
-    if np.any(np.abs(zeta) < r):
+    if np.any(modulus < r):
         # shortest round-trip digits: a refused point never reads equal to r
-        raise OutOfValidityError(f"|phi(z)| = {float(np.min(np.abs(zeta)))!r} below the "
+        raise OutOfValidityError(f"|phi(z)| = {float(np.min(modulus))!r} below the "
                                  f"validity radius {r!r} at degree {N}")
 
 
-def _map_valid(model: ExpansionModel, N: int, z) -> np.ndarray:
-    """``phi(z)`` for points that pass :func:`check_valid`."""
-    zeta, ok = map_forward_many(model.map, np.atleast_1d(np.asarray(z, dtype=np.complex128)))
-    check_valid(model, N, zeta, ok)
-    return zeta
+def _map_valid(model: ExpansionModel, N: int, z):
+    """``(phi(z), (|phi(z)|, psi'(phi(z))))`` for points that pass :func:`check_valid`."""
+    zeta, ok, modulus, prime = _map_forward(model.map, np.atleast_1d(np.asarray(z, complex)))
+    _check_mapped(model, N, ok, modulus)
+    return zeta, (modulus, prime)
 
 
-def _positioned(model: ExpansionModel, N, zeta, scale, weights, what: str):
+def _positioned(model: ExpansionModel, N, zeta, scale, weights, what: str, mapped=None):
     """``scale`` times the positioning factor times the row sums over
     ``weights`` (the factor alone without them) at mapped points ``zeta``, from
     one :func:`_pointwise` pass at the degree or degrees ``N``.  Raises
@@ -209,7 +216,7 @@ def _positioned(model: ExpansionModel, N, zeta, scale, weights, what: str):
     value leaves the float range."""
     # an overflowed factor makes the product inf or nan; both are refused
     with np.errstate(over="ignore", invalid="ignore"):
-        factor, sums = _pointwise(model, N, zeta, weights)
+        factor, sums = _pointwise(model, N, zeta, weights, mapped)
         vals = scale * factor if sums is None else scale * (factor * sums)
     if not np.all(np.isfinite(vals)):
         if isinstance(N, np.ndarray):   # the degrees lead the values' axes
@@ -266,12 +273,16 @@ def normalized_at(model: ExpansionModel, N: int, zeta, order: int | None = None)
 def monic_eval(model: ExpansionModel, N: int, z, order: int | None = None):
     """Asymptotic value of the monic orthogonal polynomial of degree ``N``
     inside the validity region (:func:`monic_at` is the unchecked form)."""
-    vals = monic_at(model, N, _map_valid(model, N, z), order)
+    zeta, mapped = _map_valid(model, N, z)
+    vals = _positioned(model, N, zeta, monic_prefactor(model, N),
+                       _neumann_weights(model, N, order), "monic polynomial", mapped)
     return vals if np.ndim(z) else complex(vals[0])
 
 
 def normalized_eval(model: ExpansionModel, N: int, z, order: int | None = None):
     """Asymptotic value of the unit-norm orthogonal polynomial of degree ``N``
     inside the validity region (:func:`normalized_at` is the unchecked form)."""
-    vals = normalized_at(model, N, _map_valid(model, N, z), order)
+    zeta, mapped = _map_valid(model, N, z)
+    vals = _positioned(model, N, zeta, normalized_scale(model, N, order),
+                       _neumann_weights(model, N, order), "normalized polynomial", mapped)
     return vals if np.ndim(z) else complex(vals[0])

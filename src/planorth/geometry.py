@@ -4,11 +4,8 @@ A domain is specified through the inverse exterior map ``psi(zeta) =
 cap*zeta + a_0 + a_1/zeta + ...`` with ``cap > 0`` (so infinity is fixed and
 the derivative there is positive); ``psi`` and ``psi'`` are evaluated by
 Horner's scheme in ``1/zeta``.  The forward map ``phi`` is obtained by Newton
-inversion seeded at the exterior root of the Joukowski part
-``cap*zeta + a_0 + a_1/zeta`` (the exact inverse of a disk or an ellipse),
-or on the unit circle where that root lies below the univalence margin or is
-not finite (on a longer tail, a point seeded there that fails is run again
-from that root); a point freezes once it has converged.  A weight is a
+inversion (:func:`map_forward_many`), which also hands on ``|zeta|`` and
+``psi'(zeta)`` at each root, as its last test formed them.  A weight is a
 strictly positive function on the closure of the domain whose logarithm is
 harmonic near the boundary; its pullback is ``log(omega(psi(zeta))) = h +
 conj(h)`` with a Laurent series ``h``, carried as a
@@ -137,41 +134,49 @@ def map_forward_many(m: ExteriorMap, zs: np.ndarray):
     """Vectorized :func:`map_forward`; returns ``(zeta, ok_mask)`` without raising.
 
     A non-finite point drops out at once (``zeta`` NaN, ``ok`` false).  Newton
-    starts at :func:`_newton_seed`: the exterior root of the Joukowski part
-    ``cap zeta + a_0 + a_1 / zeta``, so a disk or an ellipse passes the first
-    residual test, or the unit circle at angle ``arg(z - a_0)`` where that
-    root lies below the univalence margin or is not finite.  On a map whose
-    tail goes past ``1/zeta``, a point seeded on the circle that ends not
-    ``ok`` is run again from its Joukowski root and takes that run's result
-    where it is ``ok``: from the circle, Newton can reach a second preimage
-    below the margin.  A batch whose every point is ``ok`` after the first run
-    is not run again.  See :func:`_newton` for the iteration, its safeguards
-    and ``ok``.
+    starts at :func:`_newton_seed`, so a disk or an ellipse passes the first
+    residual test.  On a map whose tail goes past ``1/zeta``, a point seeded
+    on the circle that ends not ``ok`` is run again from its Joukowski root
+    and takes that run's result where it is ``ok``: from the circle, Newton
+    can reach a second preimage below the margin.  See :func:`_newton` for the
+    iteration, its safeguards and ``ok``, and :func:`_map_forward` for what
+    else the inversion hands on.
     """
+    return _map_forward(m, zs)[:2]
+
+
+def _map_forward(m: ExteriorMap, zs: np.ndarray):
+    """:func:`map_forward_many` with ``|zeta|`` and ``psi'(zeta)`` as the last
+    Newton test formed them (a retried point's from the retry, NaN at a
+    non-finite one): ``(zeta, ok, |zeta|, psi'(zeta))``."""
     zs = np.asarray(zs, dtype=np.complex128)
     z = zs.ravel()
     finite = np.isfinite(z)
     if finite.all():
-        zeta, ok = _newton(m, z, _newton_seed(m, z))
+        mapped = _newton(m, z, _newton_seed(m, z))
     else:
-        zeta, ok = np.full(z.shape, np.nan, dtype=np.complex128), finite.copy()
-        zeta[finite], ok[finite] = _newton(m, z[finite], _newton_seed(m, z[finite]))
+        mapped = (np.full(z.shape, np.nan, dtype=np.complex128), finite.copy(),
+                  np.full(z.shape, np.nan), np.full(z.shape, np.nan, dtype=np.complex128))
+        for out, part in zip(mapped, _newton(m, z[finite], _newton_seed(m, z[finite]))):
+            out[finite] = part
     # the Joukowski root is the exact inverse of a map whose tail stops at
     # 1/zeta, so only a longer tail can have a point worth the second run
-    if len(m.tail) > 2 and not ok.all():
-        again = np.flatnonzero(~ok & finite)
+    if len(m.tail) > 2 and not mapped[1].all():
+        again = np.flatnonzero(~mapped[1] & finite)
         root = _joukowski_root(m, z[again])
-        circle = np.isfinite(root) & (np.abs(root) < m.univalence_margin)
+        size = np.abs(root)   # a root of 0 (z = a_0 with a_1 = 0) has no reciprocal
+        circle = (size > 0.0) & (size < m.univalence_margin)
         again, root = again[circle], root[circle]
         if again.size:
-            retry, fine = _newton(m, z[again], root)
-            zeta[again[fine]], ok[again[fine]] = retry[fine], True
-    return zeta.reshape(zs.shape), ok.reshape(zs.shape)
+            retry = _newton(m, z[again], root)
+            for out, part in zip(mapped, retry):
+                out[again[retry[1]]] = part[retry[1]]
+    return tuple(a.reshape(zs.shape) for a in mapped)
 
 
 def _newton(m: ExteriorMap, z: np.ndarray, zeta: np.ndarray):
     """Newton's method for ``psi(zeta) = z`` from the iterates ``zeta``:
-    ``(zeta, ok)``.
+    ``(zeta, ok, |zeta|, psi'(zeta))``, the last two from the final tests.
 
     Each step takes ``psi`` and ``psi'`` from one Horner pass in ``1/zeta``.
     A point freezes at the first iterate whose residual ``|psi(zeta) - z|``
@@ -212,10 +217,11 @@ def _newton(m: ExteriorMap, z: np.ndarray, zeta: np.ndarray):
             step = np.where(slen > cap_len, step * cap_len / slen, step)
         step[~live] = 0.0   # converged points keep their iterate
         zeta = zeta - step
-    ok = (ar <= 1e-10 * scale) & (np.abs(zeta) > m.univalence_margin)
+    modulus = np.abs(zeta)
+    ok = (ar <= 1e-10 * scale) & (modulus > m.univalence_margin)
     if flat is not None:
         ok &= ~flat
-    return zeta, ok
+    return zeta, ok, modulus, dp
 
 
 def _joukowski_root(m: ExteriorMap, z: np.ndarray) -> np.ndarray:

@@ -9,11 +9,12 @@ import numpy as np
 
 from .errors import DomainError, NonFiniteError, OffSpectralError
 from .expansion import ExpansionModel, _map_valid, _positioned
-from .geometry import ExteriorMap, map_forward_many, phi_prime
+from .geometry import ExteriorMap, _map_forward, map_forward_many, phi_prime
 
 OFFSPECTRAL_MARGIN = 1e-6   # least separation |phi(w)| - 1 of a root point
 BW_TAIL_TOL = 1e-14         # relative size of what bw_kernel_diag's tail sum leaves out
 BW_TAIL_TERMS = 10 ** 6     # most terms bw_kernel_diag's tail sum may take
+BW_HEAD_PAST = 256          # terms past n0 that bw_kernel_diag's head sums directly
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,16 +62,16 @@ def offspectral_leading(model: ExpansionModel, point: OffSpectralPoint, N: int, 
     :class:`OutOfValidityError` for a degree below ``N_MIN`` or a point that
     cannot be mapped inside the validity region, as the other evaluators do,
     and :class:`NonFiniteError` where a value leaves the float range."""
-    zeta = _map_valid(model, N, z)
-    vals = _offspectral_at(model, N, zeta, outer_rho(point, zeta))
+    zeta, mapped = _map_valid(model, N, z)
+    vals = _offspectral_at(model, N, zeta, outer_rho(point, zeta), mapped)
     return vals if np.ndim(z) else complex(vals[0])
 
 
-def _offspectral_at(model: ExpansionModel, N: int, zeta, outer) -> np.ndarray:
+def _offspectral_at(model: ExpansionModel, N: int, zeta, outer, mapped=None) -> np.ndarray:
     """:func:`offspectral_leading` at mapped points ``zeta`` that pass
     :func:`~planorth.expansion.check_valid` at ``N``, with ``outer`` the
     degree-free :func:`outer_rho` there."""
-    return _positioned(model, N, zeta, math.sqrt(N) * outer, None, "off-spectral kernel")
+    return _positioned(model, N, zeta, math.sqrt(N) * outer, None, "off-spectral kernel", mapped)
 
 
 def offspectral_phase(model: ExpansionModel, point: OffSpectralPoint, N: int) -> float:
@@ -85,7 +86,7 @@ def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z):
     ``O(|z|^N)`` on the exterior of the level curve ``|phi| = rho``, with the
     ring ``rho < |phi| < 1`` as the inner-product region: a float at one
     point ``z``, an array at a 1-D array of points (one map call and one head
-    sum for all of them; :func:`_bw_kernel_diag_at` takes mapped points).
+    sum for all of them).
 
     ``K_N(z, z) = |phi'(z)|^2 [ |phi(z)|^-2 / log(1/rho^2)
     + sum_{n <= N, n != -1} (n+1) |phi(z)|^{2n} / (1 - rho^{2n+2}) ]``.
@@ -101,48 +102,46 @@ def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z):
         raise DomainError("need 0 < rho < 1")
     if N < 0:
         raise DomainError(f"degree {N} is negative")
-    out, = _bw_kernel_diag_at(rho, m, [N], _map_points(m, np.atleast_1d(np.asarray(z, complex))))
+    out, = _bw_kernel_diag_at(rho, [N], *_map_points(m, np.atleast_1d(np.asarray(z, complex))))
     return out if np.ndim(z) else float(out[0])
 
 
-def _map_points(m: ExteriorMap, pts: np.ndarray) -> np.ndarray:
-    """``phi`` at the 1-D array ``pts``, or :class:`DomainError` naming the first
-    point that cannot be mapped into the analytic collar."""
-    zeta, ok = map_forward_many(m, pts)
+def _map_points(m: ExteriorMap, pts: np.ndarray):
+    """``(|phi|, psi' o phi)`` at the 1-D ``pts``, or :class:`DomainError` naming one not mapped."""
+    _, ok, r, prime = _map_forward(m, pts)
     if not ok.all():
         raise DomainError(f"z = {complex(pts[np.argmin(ok)])} could not be mapped into "
                           "the analytic collar")
-    return zeta
+    return r, prime
 
 
-def _bw_kernel_diag_at(rho: float, m: ExteriorMap, degrees, zeta: np.ndarray) -> np.ndarray:
-    """:func:`bw_kernel_diag` at the mapped points ``zeta`` (a 1-D array), one
-    row for each of the ``degrees``, for ``0 < rho < 1`` and degrees ``>= 0``:
+def _bw_kernel_diag_at(rho: float, degrees, r: np.ndarray, prime: np.ndarray) -> np.ndarray:
+    """:func:`bw_kernel_diag` at the points :func:`_map_points` gives ``(r,
+    prime)``, one row for each of the ``degrees >= 0``, ``0 < rho < 1``:
     ``|phi'|^2``, the tail and the head's first terms, which no degree changes,
-    once, and the rest of each degree's head in closed form.
-
-    From ``n0``, the first ``n`` with ``rho^(2n+2) <= 2^-54``, ``1 - rho^(2n+2)``
-    rounds to 1, so the head's terms ``n0 .. N`` are ``(n+1) r^(2n)`` exactly,
-    an arithmetico-geometric sum (:func:`_ramp_sum`)."""
+    once.  From ``n0``, the first ``n`` with ``rho^(2n+2) <= 2^-54``, ``1 -
+    rho^(2n+2)`` rounds to 1 and the head's terms are ``(n+1) r^(2n)``: a degree
+    below ``n0 + BW_HEAD_PAST`` sums them directly (cheaper than the closed
+    form's numpy calls), a higher one by :func:`_ramp_sum`."""
     rho2 = rho * rho
     log_rho2 = 2.0 * math.log(rho)   # rho * rho underflows for rho below 1e-162
     L = math.ceil(math.log(BW_TAIL_TOL * (1.0 - rho2) ** 3) / log_rho2)
     if L > BW_TAIL_TERMS:
         raise DomainError(f"rho = {rho} is too close to 1: the kernel's tail sum "
                           f"needs {L} terms, more than {BW_TAIL_TERMS}")
-    r = np.abs(zeta)
     if np.any(r <= rho):
         raise DomainError(f"|phi(z)| = {float(r.min()):.4f} must exceed rho = {rho}")
-    dphi2 = np.abs(phi_prime(m, zeta)) ** 2
+    dphi2 = np.abs(1.0 / prime) ** 2
     lead = r ** (-2.0) / -log_rho2
     n0 = max(0, math.ceil(54.0 * math.log(2.0) / -log_rho2) - 1)
-    n = np.arange(min(n0, max(degrees) + 1))
+    ends = [N if N < n0 + BW_HEAD_PAST else n0 - 1 for N in degrees]   # each last direct term
+    n = np.arange(max(ends) + 1)
     acc = np.empty((len(degrees), r.size))
     with np.errstate(over="ignore", invalid="ignore"):   # overflow makes acc inf or nan
         head = np.cumsum((n + 1) * r[:, None] ** (2 * n) / (1.0 - rho ** (2 * n + 2)), axis=1)
-        for i, N in enumerate(degrees):
-            acc[i] = lead + (head[:, min(N, n0 - 1)] if head.size else 0.0)
-            if N >= n0:
+        for i, (N, end) in enumerate(zip(degrees, ends)):
+            acc[i] = lead + (head[:, end] if end >= 0 else 0.0)
+            if end < N:
                 acc[i] += r ** (2 * n0) * _ramp_sum(n0 + 1, N - n0 + 1, r)
             if not np.all(np.isfinite(acc[i])):
                 raise NonFiniteError(f"K_N(z, z) overflows a float at N = {N}, "

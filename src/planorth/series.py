@@ -5,8 +5,8 @@ Read as a function of ``z`` it is a Laurent polynomial, holomorphic on the
 punctured plane, so it carries every holomorphic quantity of the model
 (``F``, ``E = exp(F)``, ``V``, ``X_j``) on the annulus as well as on the
 circle.  A test function of the boundary-distribution expansion,
-``sum c z^m conj(z)^n``, is its terms ``(m - n, m + n, c)``, read through
-their circle jet (:func:`terms_jet`).  An :class:`AnnulusSeries` holds such a
+``sum c z^m conj(z)^n``, is its terms ``(m - n, m + n, c)``
+(:mod:`planorth.distributional`).  An :class:`AnnulusSeries` holds such a
 function as a dense grid of coefficients ``c[m, n]`` for ``|m|, |n| <= M``;
 the pipeline never builds one: it and :func:`annulus_from_terms` remain for
 the benchmark's reference values.  All values are immutable and every
@@ -80,23 +80,6 @@ class AnnulusSeries:
         """The nonzero terms as arrays ``(m - n, m + n, c)``, in grid order."""
         i, j = np.nonzero(self.coeffs)
         return i - j, i + j - 2 * self.bidegree, self.coeffs[i, j]
-
-
-def terms_jet(terms, K: int, order: int) -> np.ndarray:
-    """Circle jet ``J[nu, K + p] = sum_{m-n=p} c (-(m+n)/2)^nu``, ``nu <= order``,
-    of terms ``(m - n, m + n, c)`` with every ``|m - n| <= K``: row ``nu``
-    restricts ``(-(r d/dr)/2)^nu`` of their sum to the unit circle."""
-    p, d, c = terms
-    # row nu of the weights is c (-(m+n)/2)^nu, as repeated products
-    weights = np.empty((order + 1, len(c)), dtype=np.complex128)
-    weights[0] = c
-    weights[1:] = -d / 2.0
-    weights = np.cumprod(weights, axis=0).ravel()
-    # one bincount over every row: bin (nu, p) sums its terms in their order
-    bins = (np.arange(order + 1)[:, None] * (2 * K + 1) + (p + K)).ravel()
-    size = (order + 1) * (2 * K + 1)
-    jet = np.bincount(bins, weights.real, size) + 1j * np.bincount(bins, weights.imag, size)
-    return jet.reshape(order + 1, 2 * K + 1)
 
 
 def annulus_from_terms(terms: dict, bidegree: int, inner_radius: float) -> AnnulusSeries:

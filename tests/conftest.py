@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -210,3 +212,80 @@ def conv2_reference(A, B):
     for i, j in np.argwhere(A != 0):
         out[i:i + sb, j:j + sb] += A[i, j] * B
     return out
+
+
+def terms_jet(terms, K, order):
+    """Circle jet ``J[nu, K + p] = sum_{m-n=p} c (-(m+n)/2)^nu``, ``nu <= order``,
+    of terms ``(m - n, m + n, c)`` with every ``|m - n| <= K``, dense over the
+    modes ``|p| <= K``: row ``nu`` restricts ``(-(r d/dr)/2)^nu`` of their sum
+    to the unit circle.  Terms of one mode add in their order."""
+    p, d, c = (np.asarray(a) for a in terms)
+    jet = np.zeros((order + 1, 2 * K + 1), dtype=np.complex128)
+    w = c.astype(np.complex128)
+    for row in jet:
+        np.add.at(row, p + K, w)
+        w = w * (-d / 2.0)
+    return jet
+
+
+def zero_jet(terms, order, K):
+    """The dense circle jet of ``g_0`` up to ``order`` at bandwidth ``K``, from
+    the terms with ``|m - n| <= K``: ``J[nu, p] - (|p|/2)^nu J[0, p]``, the
+    harmonic parts' modes scaled by ``(|p|/2)^nu``.  The reference for the
+    per-term jet weights of :mod:`planorth.distributional`."""
+    p, d, c = terms
+    near = np.abs(p) <= K
+    jet = terms_jet((p[near], d[near], c[near]), K, order)
+    half = np.abs(np.arange(-K, K + 1)) / 2.0
+    return jet - half ** np.arange(order + 1)[:, None] * jet[0]
+
+
+def dense_boundary_terms(model, terms, degrees, order):
+    """``(index, values, bound)``: :func:`planorth.distributional_terms` at each
+    of ``degrees`` from the dense jet of ``g_0`` at the moment table's
+    bandwidth, contracted with every mode of the table, and the same sum
+    over the absolute values of its per-term parts, ``|c| ((|m+n|/2)^nu +
+    (|m-n|/2)^nu) |B| C(nu+mu, nu) N^-(nu+j+k+mu)``, which bounds the
+    rounding of either form."""
+    B = model.moments
+    K = (B.shape[-1] - 1) // 2
+    index = [(nu, j, k) for nu in range(1, order + 1) for j in range(order - nu + 1)
+             for k in range(order - nu - j + 1)]
+    p, d, c = terms
+    near = np.abs(p) <= K
+    p, d, c = p[near], d[near], c[near]
+    values, bound = np.zeros((2, len(degrees), len(index)), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jet = zero_jet((p, d, c), order, K)[:, ::-1]   # column K + p holds mode -p
+        size = np.abs(c) * ((np.abs(d) / 2.0) ** np.arange(order + 1)[:, None]
+                            + (np.abs(p) / 2.0) ** np.arange(order + 1)[:, None])
+        for t, (nu, j, k) in enumerate(index):
+            for mu in range(order - nu + 1):
+                pair = np.dot(jet[nu], B[j, k, mu])
+                reach = np.dot(size[nu], np.abs(B[j, k, mu, K - p]))
+                for i, N in enumerate(degrees):
+                    w = math.comb(nu + mu, nu) * float(N) ** -(nu + j + k + mu)
+                    values[i, t] += w * pair
+                    bound[i, t] += w * reach
+    return index, values, bound.real
+
+
+class CountingNumpy:
+    """``numpy`` for a module, recording the name of every function it calls
+    (``calls``) and the shape of what each returned (``shapes``)."""
+
+    def __init__(self):
+        self.calls, self.shapes = [], []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            out = attr(*args, **kwargs)
+            self.shapes.append(np.shape(out))
+            return out
+
+        return counted

@@ -616,18 +616,19 @@ def test_fractional_kappa_in_config(tmp_path):
 
 @pytest.fixture
 def mapped_points(monkeypatch):
-    """Every point sent through ``map_forward_many``, whichever planorth module
-    calls it: one array per call."""
+    """Every point sent through the Newton inversion (``_map_forward``, which
+    ``map_forward_many`` calls), whichever planorth module calls it: one array
+    per call."""
     calls = []
-    original = geometry.map_forward_many
+    original = geometry._map_forward
 
     def counting(m, zs, *args, **kwargs):
         calls.append(np.array(zs, dtype=complex).ravel())
         return original(m, zs, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("planorth") and getattr(module, "map_forward_many", None) is original:
-            monkeypatch.setattr(module, "map_forward_many", counting)
+        if name.startswith("planorth") and getattr(module, "_map_forward", None) is original:
+            monkeypatch.setattr(module, "_map_forward", counting)
     return calls
 
 
@@ -726,9 +727,9 @@ def test_verify_reads_the_point_in_one_pass(tmp_path, monkeypatch):
     passes, evaluated = [], []
     pointwise, evaluate = expansion._pointwise, planorth.CircleSeries.evaluate
 
-    def counted_pointwise(model, N, zeta, weights=None):
+    def counted_pointwise(model, N, zeta, weights=None, mapped=None):
         passes.append((np.ravel(N).tolist(), np.shape(zeta), np.shape(weights)))
-        return pointwise(model, N, zeta, weights)
+        return pointwise(model, N, zeta, weights, mapped)
 
     def counted_evaluate(self, z):
         evaluated.append(np.size(z))
@@ -1051,23 +1052,16 @@ def test_oracle_reads_the_map_and_P_alone(tmp_path, capsys, monkeypatch):
         assert np.array_equal(P, model.weight.holo_poly), name
 
 
-def test_kernel_band_maps_each_point_once(tmp_path, monkeypatch):
+def test_kernel_band_maps_each_point_once(tmp_path, monkeypatch, mapped_points):
     # one map call each for w, z and the 17 band points, however many degrees;
     # the band's sup is the largest of the per-point values
-    calls = []
-
-    def counted(m, z):
-        calls.append(np.size(z))
-        return geometry.map_forward_many(m, z)
-
-    for module in (cli, expansion, planorth.kernels):
-        monkeypatch.setattr(module, "map_forward_many", counted)
     kc = {"w": [3.0, 0.0], "z": [2.5, 0.5], "rho": 0.5, "rho1": 0.7}
     for Ns in ([8], [8, 16, 32, 64, 128]):
-        calls.clear()
+        mapped_points.clear()
         cfg = write_config(tmp_path, "ellipse-expre", N=Ns, kernel=kc)
         assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 0
-        assert len(calls) <= 3 and sum(calls) <= 19, calls
+        sizes = [c.size for c in mapped_points]
+        assert len(sizes) == 3 and sum(sizes) == 19, sizes
     monkeypatch.undo()
     m = preset_model("ellipse-expre", 0).map
     band = [m.psi(r * np.exp(0.37j)) for r in np.linspace(0.7, 1.0, 17)]
@@ -1189,8 +1183,10 @@ def test_distributional_contracts_once(tmp_path, monkeypatch):
 
 def test_kernel_computes_the_degree_free_parts_once(tmp_path, monkeypatch):
     # |phi'|^2 at the band and the outer factor at z are taken once per request,
-    # however many degrees; the per-degree values are those of the public functions
-    calls = {"phi_prime": 0, "outer_rho": 0}
+    # however many degrees: psi' at the band comes with its one map, and no
+    # psi' is formed apart from it; the per-degree values are those of the
+    # public functions
+    calls = {"_map_points": 0, "outer_rho": 0, "psi_prime": 0}
 
     def counting(name, f):
         def counted(*args):
@@ -1198,14 +1194,15 @@ def test_kernel_computes_the_degree_free_parts_once(tmp_path, monkeypatch):
             return f(*args)
         return counted
 
-    monkeypatch.setattr(planorth.kernels, "phi_prime",
-                        counting("phi_prime", planorth.kernels.phi_prime))
+    monkeypatch.setattr(cli, "_map_points", counting("_map_points", cli._map_points))
     monkeypatch.setattr(cli, "outer_rho", counting("outer_rho", cli.outer_rho))
+    monkeypatch.setattr(geometry.ExteriorMap, "psi_prime",
+                        counting("psi_prime", geometry.ExteriorMap.psi_prime))
     Ns = [8, 16, 32, 64]
     cfg = write_config(tmp_path, "ellipse-expre", N=Ns, kernel={**KERNEL, "w": [3.0, 0.5],
                                                                  "z": [2.5, 0.5]})
     assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 0
-    assert calls == {"phi_prime": 1, "outer_rho": 1}
+    assert calls == {"_map_points": 1, "outer_rho": 1, "psi_prime": 0}
     monkeypatch.undo()
     payload = json.loads((tmp_path / "o" / "kernel.json").read_text())
     model = preset_model("ellipse-expre", 2)

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planorth as po
-from planorth import laplace
+from planorth import distributional, laplace, series
 from planorth.distributional import (distributional_expectation, distributional_expectations,
                                      distributional_terms, split_terms, split_test_function)
 from planorth.oracle import berezin_expectations
 
-from conftest import conv2_reference, grid_restrictions, padded_zero_part, random_annulus
+from conftest import (CountingNumpy, conv2_reference, dense_boundary_terms,
+                      grid_restrictions, padded_zero_part, random_annulus, zero_jet)
 
 
 def _l1(g):
@@ -22,7 +23,7 @@ def test_split_constant(disk_alpha_model):
     g = po.annulus_from_terms({(0, 0): 1.0}, 8, disk_alpha_model.inner_radius)
     sp = split_test_function(g)
     assert sp.plus_infinity == 1.0
-    assert not np.any(sp.zero_jet(4, 16))
+    assert not np.any(zero_jet(sp.terms, 4, 16))
 
 
 def test_split_mode_bookkeeping(disk_alpha_model):
@@ -31,7 +32,7 @@ def test_split_mode_bookkeeping(disk_alpha_model):
     g = po.annulus_from_terms({(1, 0): 1.0, (-1, 0): 1.0}, 6, rho)
     sp = split_test_function(g)
     assert sp.plus_infinity == 0.0
-    jet, K = sp.zero_jet(2, 12), 12
+    jet, K = zero_jet(sp.terms, 2, 12), 12
     # mode 1: (-1/2)^nu from z less (1/2)^nu from 1/conj(z); mode -1 cancels
     assert list(jet[:, K + 1]) == [0.0, -1.0, 0.0]
     jet[:, K + 1] = 0.0
@@ -47,20 +48,20 @@ def test_split_reassembly(disk_alpha_model):
     sp = split_test_function(g)
     zs = np.exp(2j * np.pi * np.arange(36) / 36)
     assert abs(np.mean(g.evaluate(zs)) - sp.plus_infinity) <= 1e-12 * max(1.0, _l1(g))
-    assert not np.any(sp.zero_jet(3, 16)[0])
+    assert not np.any(zero_jet(sp.terms, 3, 16)[0])
 
 
 def test_zero_jet_hand_values(disk_alpha_model):
     rho = disk_alpha_model.inner_radius
     # |z|^2 - 1: m + n = 2 on the one term that survives, so (-1)^nu at mode 0
     sp = split_test_function(po.annulus_from_terms({(1, 1): 1.0, (0, 0): -1.0}, 1, rho))
-    jet = sp.zero_jet(5, 2)
+    jet = zero_jet(sp.terms, 5, 2)
     assert list(jet[:, 2]) == [0.0, -1.0, 1.0, -1.0, 1.0, -1.0]
     jet[:, 2] = 0.0
     assert not np.any(jet)
     # an exterior-holomorphic plus a conjugate-holomorphic part: no g_0
     sp = split_test_function(po.annulus_from_terms({(-1, 0): 1.0, (0, -2): 1.0}, 2, rho))
-    assert not np.any(sp.zero_jet(5, 4))
+    assert not np.any(zero_jet(sp.terms, 5, 4))
 
 
 @given(st.integers(0, 5), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0), st.integers(0, 6))
@@ -72,7 +73,7 @@ def test_zero_jet_matches_the_padded_grid(M, seed, density, order):
     grid = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     grid[rng.random((side, side)) > density] = 0.0
     g = po.AnnulusSeries(grid, 0.5)
-    got = split_test_function(g).zero_jet(order, 2 * M)
+    got = zero_jet(g.terms(), order, 2 * M)
     assert not np.any(got[0])
     # the padded grid reaches modes |p| <= 4M, of which those beyond 2M are zero
     want = grid_restrictions(padded_zero_part(g), 0.0, order)[:, 2 * M:6 * M + 1]
@@ -294,26 +295,100 @@ def test_expectation_beyond_the_float_range_is_typed(ellipse_exp_model):
         distributional_expectation(ellipse_exp_model, big, 16)
 
 
-def test_expectations_contract_the_jet_once(disk_alpha_model, monkeypatch):
-    # a batch of degrees pairs the jet with the moment table in one einsum, and
-    # each degree reads as the single-degree form
+def test_expectations_make_one_table_product(disk_alpha_model, monkeypatch):
+    # a batch of degrees pairs the terms' jet weights with the moment table's
+    # columns in one matrix product, and each degree reads as the
+    # single-degree form
     model = disk_alpha_model
     model.moments   # built on the first request, not counted here
     split = split_terms({(1, 1): 0.3, (2, 0): 0.2, (0, 1): 0.1j, (0, 0): 0.4, (-1, 2): 0.05})
     degrees = [8, 16, 24, 32, 64]
-    calls = []
-    einsum = np.einsum
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return einsum(*args, **kwargs)
-
-    monkeypatch.setattr(np, "einsum", counted)
+    counting = CountingNumpy()
+    monkeypatch.setattr(distributional, "np", counting)
     vals = distributional_expectations(model, split, degrees, order=3)
-    assert len(calls) == 1
-    monkeypatch.setattr(np, "einsum", einsum)
+    assert counting.calls.count("matmul") == 1 and "einsum" not in counting.calls
+    monkeypatch.undo()
     for N, v in zip(degrees, vals):
         assert v == distributional_expectation(model, split, N, order=3)
         terms = distributional_terms(model, split, N, order=3)
         want = split.plus_infinity + model.norm.factor(N, 3) ** 2 * sum(v for _, v in terms)
         assert v == want
+
+
+def test_expectation_work_is_free_of_the_table_bandwidth(disk_const_model, ellipse_exp_model,
+                                                         monkeypatch):
+    # one request makes the same numpy calls, returning arrays of the same
+    # shapes, on a moment table of bandwidth 0 (disk-const) as on one of
+    # bandwidth 34 (ellipse-expre): no array spans the table's modes
+    split = split_terms({(1, 1): 0.3, (2, 0): 0.2, (0, 1): 0.1j, (0, 0): 0.4, (-3, 2): 0.05})
+    seen = []
+    for model in (disk_const_model, ellipse_exp_model):
+        distributional_expectation(model, split, 40)   # the table and per-order arrays
+        counting = CountingNumpy()
+        for module in (distributional, series):
+            monkeypatch.setattr(module, "np", counting)
+        assert np.isfinite(distributional_expectation(model, split, 40))
+        monkeypatch.undo()
+        seen.append(((model.moments.shape[-1] - 1) // 2, counting.calls, counting.shapes))
+    (small, *work), (large, *other) = seen
+    assert (small, large) == (0, 34)
+    assert work == other and "matmul" in work[0]
+
+
+_PRESET_SPLITS = {
+    # random terms near the circle, several on one mode
+    "random": None,
+    # repeated modes: m - n = 1 three times, m - n = 0 twice
+    "repeated": {(1, 0): 0.5, (2, 1): -0.25j, (3, 2): 0.125, (1, 1): 0.3, (2, 2): -0.1},
+    # a term beyond every preset table's bandwidth beside near ones
+    "far": {(1, 1): 0.3, (40, -40): 1e6, (0, 2): 0.2j},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PRESET_SPLITS))
+def test_contraction_matches_the_dense_jet(all_preset_models, kind):
+    # the per-term contraction against the dense jet of g_0 at the table's
+    # bandwidth contracted with every mode of the table, within 1e-14 of the
+    # sum of the absolute values of their parts, at every order
+    rng = np.random.default_rng(43)
+    for name, model in all_preset_models.items():
+        rows = _PRESET_SPLITS[kind]
+        if rows is None:
+            rows = {(int(m), int(n)): complex(*rng.standard_normal(2))
+                    for m, n in rng.integers(-5, 6, (8, 2))}
+        split = split_terms(rows)
+        degrees = [8, 40, 1000]
+        for order in range(model.order + 1):
+            index, got = distributional._boundary_terms(model, split, degrees, order)
+            want_index, want, bound = dense_boundary_terms(model, split.terms, degrees, order)
+            assert list(index) == want_index
+            assert np.all(np.abs(got - want) <= 1e-14 * bound), (name, kind, order)
+            for i, N in enumerate(degrees):
+                assert distributional_expectation(model, split, N, order) == \
+                    split.plus_infinity + model.norm.factor(N, order) ** 2 * sum(got[i].tolist())
+
+
+def test_exterior_harmonic_terms_give_exactly_the_value_at_infinity(all_preset_models):
+    # g_+ (z^m, m <= 0) and g_- (conj(z)^n, n <= -1) only: every jet weight
+    # cancels exactly, so the expansion is g_+(inf) at every degree and order
+    split = split_terms({(0, 0): 0.7 - 0.1j, (-1, 0): 0.3, (-4, 0): 2j, (0, -1): -0.4,
+                         (0, -3): 0.25j, (-2, 0): 1.5})
+    for name, model in all_preset_models.items():
+        for order in range(model.order + 1):
+            for N in (8, 40, 10 ** 4):
+                assert distributional_expectation(model, split, N, order) == \
+                    split.plus_infinity, (name, order, N)
+                assert all(v == 0 for _, v in distributional_terms(model, split, N, order))
+
+
+def test_overflowing_radial_weight_is_typed(all_preset_models):
+    # a term whose (-(m+n)/2)^nu c leaves the float range: the dense jet is
+    # not finite there, and the request is refused with the same error
+    split = split_terms({(1, 1): 0.3, (2 ** 40, 2 ** 40): 1e300})
+    for name, model in all_preset_models.items():
+        _, want, _ = dense_boundary_terms(model, split.terms, [16], model.order)
+        assert not np.all(np.isfinite(want)), name
+        with pytest.raises(po.NonFiniteError,
+                           match="^boundary expansion of the test function out of float range "
+                                 "at degree 16$"):
+            distributional_expectation(model, split, 16)

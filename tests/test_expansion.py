@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 import planorth as po
-from planorth import expansion
-from planorth.errors import NonFiniteError, OutOfValidityError
+from planorth import expansion, kernels
+from planorth.errors import DomainError, NonFiniteError, OutOfValidityError
 from planorth.expansion import _pointwise
 from planorth.geometry import ExteriorMap, map_forward_many, phi_prime
 from planorth.kernels import off_spectral_point, offspectral_leading
 
-from conftest import ring_rule
+from conftest import CountingNumpy, ring_rule
 
 EPS = np.finfo(float).eps
 
@@ -248,36 +248,22 @@ def test_monic_orders_take_a_degree_axis(all_preset_models):
                            np.array([3.0]))
 
 
-class _CountingNumpy:
-    """``numpy`` for one module, recording the name of every function it calls."""
-
-    def __init__(self):
-        self.calls = []
-
-    def __getattr__(self, name):
-        attr = getattr(np, name)
-        if not callable(attr) or isinstance(attr, type):
-            return attr
-
-        def counted(*args, **kwargs):
-            self.calls.append(name)
-            return attr(*args, **kwargs)
-
-        return counted
-
-
-def test_normalized_eval_makes_the_same_numpy_calls(ellipse_exp_model, monkeypatch):
-    # the degree axis costs a scalar degree nothing: normalized_eval at one N
-    # calls numpy as it did before the axis, once per pass over the points
+def test_normalized_eval_makes_one_pass_of_numpy_calls(ellipse_exp_model, monkeypatch):
+    # normalized_eval at one N calls numpy once per pass over the points, and
+    # takes |zeta| and psi'(zeta) from the inversion: no abs of its own, and
+    # no Horner loop for psi' (which calls nothing of numpy)
     model = ellipse_exp_model
     z = model.map.psi(1.1 * np.exp(2j * np.pi * np.arange(16) / 16))
     want = po.normalized_eval(model, 300, z)   # the point table is built outside the count
-    counting = _CountingNumpy()
+    counting, primes = CountingNumpy(), []
+    prime_at_reciprocal = ExteriorMap.prime_at_reciprocal
     monkeypatch.setattr(expansion, "np", counting)
+    monkeypatch.setattr(ExteriorMap, "prime_at_reciprocal",
+                        lambda self, w: primes.append(1) or prime_at_reciprocal(self, w))
     got = po.normalized_eval(model, 300, z)
-    assert counting.calls == ["asarray", "atleast_1d", "all", "abs", "any", "arange", "asarray",
-                              "reciprocal", "abs", "log", "angle", "exp", "isfinite", "all",
-                              "ndim"]
+    assert counting.calls == ["asarray", "atleast_1d", "all", "any", "arange", "asarray",
+                              "reciprocal", "log", "angle", "exp", "isfinite", "all", "ndim"]
+    assert len(primes) == 1   # the ellipse's seed is its root: one Newton evaluation
     assert np.array_equal(got, want)
 
 
@@ -363,6 +349,64 @@ def test_pointwise_evaluators_build_no_series(ellipse_exp_model, monkeypatch):
         assert np.isfinite(po.monic_eval(model, N, z)).all()
         assert np.isfinite(offspectral_leading(model, point, N, z)).all()
     assert model.point_table is table
+
+
+def _outcome(call):
+    """``("value", values)`` of ``call()``, or ``("error", type, message)``."""
+    try:
+        return "value", np.asarray(call())
+    except po.PlanorthError as exc:
+        return "error", type(exc), str(exc)
+
+
+def _same(got, want):
+    return got[0] == want[0] and (np.array_equal(got[1], want[1]) if got[0] == "value"
+                                  else got[1:] == want[1:])
+
+
+@pytest.mark.parametrize("N", [8, 300, 10 ** 4])
+def test_checked_evaluators_equal_the_map_then_the_unchecked_forms(all_preset_models, N):
+    # |zeta| and psi'(zeta) handed on by the inversion are the values the
+    # unchecked forms form from zeta: every checked evaluator equals
+    # map_forward_many, the check and the unchecked form, bit for bit, and a
+    # point refused at the margin (the centre, whose preimage lies below it)
+    # or below the validity radius raises the same error with the same message
+    t = np.linspace(-0.999, 2.0, 37)
+    for name, model in all_preset_models.items():
+        m = model.map
+        zeta0 = (1.0 + t * math.log(N) / N) * np.exp(1j * np.linspace(0.1, 6.2, 37))
+        centre = m.tail[0] if len(m.tail) else 0.0
+        assert not map_forward_many(m, np.array([centre]))[1][0], name
+        point = off_spectral_point(m, m.psi(1.7 + 0.4j))
+        for z in (m.psi(zeta0), np.array([centre]), m.psi(np.array([0.9 * np.exp(0.4j)]))):
+            zeta, ok = map_forward_many(m, z)
+
+            def checked(f):
+                return lambda: (expansion.check_valid(model, N, zeta, ok), f())[1]
+
+            pairs = [
+                (lambda: po.normalized_eval(model, N, z),
+                 checked(lambda: po.normalized_at(model, N, zeta))),
+                (lambda: po.monic_eval(model, N, z),
+                 checked(lambda: po.monic_at(model, N, zeta))),
+                (lambda: offspectral_leading(model, point, N, z),
+                 checked(lambda: kernels._offspectral_at(model, N, zeta,
+                                                         po.outer_rho(point, zeta)))),
+            ]
+            for rho in (0.5, 0.95):   # 0.95 refuses the point at |phi| = 0.9
+                pairs.append((lambda rho=rho: po.bw_kernel_diag(rho, m, N, z),
+                              lambda rho=rho: _bw_reference(rho, m, N, z, zeta, ok)))
+            for got, want in pairs:
+                assert _same(_outcome(got), _outcome(want)), (name, z.size)
+
+
+def _bw_reference(rho, m, N, z, zeta, ok):
+    """:func:`bw_kernel_diag` from ``map_forward_many``'s ``(zeta, ok)``, with
+    ``|zeta|`` and ``psi'`` formed from ``zeta``."""
+    if not ok.all():
+        raise DomainError(f"z = {complex(z[np.argmin(ok)])} could not be mapped into "
+                          "the analytic collar")
+    return kernels._bw_kernel_diag_at(rho, [N], np.abs(zeta), m.psi_prime(zeta))[0]
 
 
 def test_normalized_large_degree_log_domain(ellipse_exp_model):

@@ -4,7 +4,7 @@ import pytest
 import planorth as po
 from planorth.errors import ConfigError, ConsistencyError, ConvergenceError, PositivityError
 from planorth.geometry import (FIT_TOL, NEWTON_MAXITER, NEWTON_TOL, ExteriorMap, WeightDef,
-                               _newton_seed, map_forward_many, phi_prime)
+                               _map_forward, _newton_seed, map_forward_many, phi_prime)
 from planorth.presets import PRESETS, preset_parts
 
 from conftest import conjugate_on_circle, halving_breaks, polar_rule, random_circle, szego_of
@@ -172,6 +172,7 @@ def test_map_forward_many_safeguards_beside_nonfinite_points(all_preset_models, 
     assert not ok[k + 1] and ok[-near.size:].all()
     assert np.isfinite(want).all()
     assert np.max(np.abs(zeta[k:] - want) / np.abs(want)) <= 1e-12
+    _assert_hands_on_its_last_test(m, zs)
 
 
 def test_map_forward_many_nonfinite_and_empty_input():
@@ -200,6 +201,19 @@ def test_second_preimage_below_the_margin_is_run_again(monkeypatch):
     assert ok.all() and np.max(np.abs(zeta - [zeta0, 1.3 + 0.2j])) <= 1e-13
     whole = sizes.count(2)
     assert sizes[:whole] == [2] * whole and set(sizes[whole:]) == {1}
+    _assert_hands_on_its_last_test(m, zs)
+
+
+def _assert_hands_on_its_last_test(m, zs):
+    """``_map_forward`` hands on ``|zeta|`` and ``psi'(zeta)`` at every root,
+    bit for bit those formed from ``zeta`` (a retried point's from the retry),
+    and NaN at a non-finite point."""
+    zeta, ok, modulus, prime = _map_forward(m, zs)
+    assert np.array_equal(zeta, map_forward_many(m, zs)[0], equal_nan=True)
+    finite = np.isfinite(zs)
+    assert np.isnan(modulus[~finite]).all() and np.isnan(prime[~finite]).all()
+    assert np.array_equal(modulus[finite], np.abs(zeta[finite]))
+    assert np.array_equal(prime[finite], m.psi_prime(zeta[finite]))
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))

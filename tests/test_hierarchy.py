@@ -5,9 +5,9 @@ import planorth as po
 from planorth.errors import TruncationOverflowError
 from planorth.hierarchy import weighted_derivative
 from planorth.presets import preset_model
-from planorth.series import terms_jet
 
-from conftest import random_circle, solve_hierarchy_triangular, weighted_derivative_convolved
+from conftest import (random_circle, solve_hierarchy_triangular, terms_jet,
+                      weighted_derivative_convolved)
 
 ALPHA = 0.3
 EPS = np.finfo(float).eps

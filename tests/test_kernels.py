@@ -6,7 +6,7 @@ import pytest
 
 import planorth as po
 from planorth.errors import DomainError, NonFiniteError, OffSpectralError, OutOfValidityError
-from planorth.kernels import (BW_TAIL_TOL, bw_kernel_diag, off_spectral_point,
+from planorth.kernels import (BW_HEAD_PAST, BW_TAIL_TOL, bw_kernel_diag, off_spectral_point,
                               offspectral_leading, offspectral_phase, outer_rho)
 
 from conftest import ring_rule
@@ -260,11 +260,13 @@ def _bw_diag_fsum(rho, N, r):
 
 @pytest.mark.parametrize("rho", [0.5, 0.9])
 def test_bw_head_in_closed_form_matches_the_exact_sum(rho):
-    # past the head start the terms are summed in closed form: series, expm1 and
-    # power forms by the size of (N - n0 + 1) log r^2, each to 1e-13 of the
-    # exactly summed terms, from r = 1 to 1.3 and N = 0 to 10^5
+    # BW_HEAD_PAST terms past the head start the terms are summed in closed
+    # form: series, expm1 and power forms by the size of (N - s + 1) log r^2,
+    # each to 1e-13 of the exactly summed terms, from r = 1 to 1.3 and N = 0
+    # to 10^5, on both sides of the head start n0 and of the ramp start s
     n0 = _bw_head_start(rho)
-    for N in (0, n0 - 1, n0, n0 + 1, 10 ** 2, 10 ** 4, 10 ** 5):
+    s = n0 + BW_HEAD_PAST
+    for N in (0, n0 - 1, n0, n0 + 1, 10 ** 2, s - 1, s, s + 1, 10 ** 4, 10 ** 5):
         t = math.log(max(N, 2)) / max(N, 2)
         radii = [1.0, 1 + 1e-15, 1 - 1e-15, 1 + 1e-9, 1 - 1e-9, 1 + 1e-4, 1 - 1e-4,
                  1 + t, 1 - t, 0.6, 1.3]

@@ -8,10 +8,10 @@ import planorth as po
 from planorth import series
 from planorth.errors import NonFiniteError, TruncationOverflowError
 from planorth.hierarchy import weighted_derivative
-from planorth.series import EVAL_CHUNK, terms_jet
+from planorth.series import EVAL_CHUNK
 
 from conftest import (circle_exp_fixed, conjugate_on_circle, grid_restrictions, random_annulus,
-                      random_circle, szego_of)
+                      random_circle, szego_of, terms_jet)
 
 RHO = 0.7
 
