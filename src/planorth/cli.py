@@ -117,8 +117,9 @@ def _experiment(cfg: dict, args) -> dict:
         ns = [parse_integer(x, "degree N") for x in args.n.split(",") if x.strip()]
     else:
         ns = [parse_integer(x, "degree N") for x in parse_list(cfg.get("N", []), "N")]
-    if ns != sorted(ns):
-        raise ConfigError("N list must be sorted ascending")
+    for low, high in zip(ns, ns[1:]):
+        if high <= low:
+            raise ConfigError(f"N list must be strictly ascending: degree {high} follows {low}")
     if ns and ns[0] < 0:
         raise ConfigError(f"degree N must be nonnegative, got {ns[0]}")
     points = [parse_pair(p, "points entry")

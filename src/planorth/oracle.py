@@ -27,16 +27,18 @@ and Stewart).  The FFT that forms a degree's modes also checks the samples:
 the integrand's modes decay fast, so on samples that resolve it the outer
 modes ``|k| >= 3L/8`` sit at the rounding floor of the largest (the test by
 which Aurentz and Trefethen chop a Chebyshev series).  Their share is the
-degree's ``tail``, read from a copy of the modes of ``z P_(n-1)`` before
-they are orthogonalized (the kept modes, updated in mode space, carry the
-rounding of the updates and would read a conditioning failure as aliasing),
-in one batch at degrees ``1, 2, 4, ..`` and at most ``TAIL_BATCH`` apart.
-The first degree whose tail exceeds ``TAIL_TOL`` stops the run as
-unresolved, and only then are the samples doubled.  No 2-D rule is built and
-no point is mapped by Newton's method.  Arnoldi from boundary data is
-standard for Bergman polynomials (Gustafsson, Putinar, Saff and
-Stylianopoulos 2009); its stability is that of Vandermonde with Arnoldi
-(Brubeck, Nakatsukasa and Trefethen 2021).
+degree's ``tail``, read from the modes of ``(z - a_0) P_(n-1)`` as the FFT
+forms them, before they are orthogonalized (the kept modes, updated in mode
+space, carry the rounding of the updates and would read a conditioning
+failure as aliasing).  The first degree whose tail exceeds ``TAIL_TOL``
+stops the run as unresolved, and only then are the samples doubled.  The
+step multiplies by ``z - a_0``, ``a_0`` the domain's centre (``psi``'s mode
+0), not by ``z``: the Krylov space is the same, but the rounding no longer
+grows with ``|a_0|`` at every degree; ``a_0`` is added back to the diagonal
+of ``hess``.  No 2-D rule is built and no point is mapped by Newton's
+method.  Arnoldi from boundary data is standard for Bergman polynomials
+(Gustafsson, Putinar, Saff and Stylianopoulos 2009); its stability is that
+of Vandermonde with Arnoldi (Brubeck, Nakatsukasa and Trefethen 2021).
 
 Comparisons against the expansion (:func:`l2_discrepancies`,
 :func:`berezin_expectations`) integrate over the collar ``rho1 < |zeta| < 1``
@@ -75,7 +77,6 @@ GRAM_TOL = 1e-8         # largest Gram deviation an oracle accepts
 MIN_SAMPLES = 128       # fewest circle samples of a boundary oracle
 MAX_SAMPLES = 2 ** 16   # most circle samples a boundary oracle doubles to
 TAIL_TOL = 1e-12        # largest outer-mode share of a resolved sample spectrum
-TAIL_BATCH = 64         # most degrees whose tails an Arnoldi run reads in one batch
 CHOP = 64 * np.finfo(float).eps  # modes below CHOP * max|mode| are dropped before r^k scaling
 COLLAR_TOL = 1e-8       # largest deviation from 1 of ||P_N||^2 on the collar rule
 CUTOFF = (0.05, 0.15)   # the cutoff chi0 rises on rho + CUTOFF, rho the model's inner radius
@@ -253,14 +254,14 @@ def _gram_residuals(gram: np.ndarray, L: int) -> np.ndarray:
     return residuals
 
 
-def _tails(C: np.ndarray) -> np.ndarray:
-    """The tail of each column of modes ``C`` (FFT order): the largest ``|c_k|``
-    with ``|k| >= 3L/8`` over the largest ``|c_k|``; at the rounding floor when
-    the samples resolve the integrand."""
-    L = C.shape[0]
-    a = np.abs(C)
-    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 is a NaN tail, which passes
-        return a[3 * L // 8:L - 3 * L // 8 + 1].max(axis=0) / a.max(axis=0)
+def _tail(c: np.ndarray) -> float:
+    """The tail of the modes ``c`` (FFT order): the largest ``|c_k|`` with
+    ``|k| >= 3L/8`` over the largest ``|c_k|``; at the rounding floor when the
+    samples resolve the integrand, and NaN, which passes, when every mode is 0."""
+    L = c.size
+    a = np.abs(c)
+    top = a.max()
+    return float(a[3 * L // 8:L - 3 * L // 8 + 1].max() / top) if top else math.nan
 
 
 def _circle_arnoldi(rule: BoundaryRule, N: int) -> OraclePolynomials | str:
@@ -270,49 +271,41 @@ def _circle_arnoldi(rule: BoundaryRule, N: int) -> OraclePolynomials | str:
     Gram-Schmidt pass; or the reason the samples do not resolve the integrand,
     naming the first degree whose tail exceeds ``TAIL_TOL``.
 
-    A pass takes the projections of ``v = z Q_(n-1)`` onto ``Q_0 .. Q_(n-1)``
+    Degree ``n`` forms ``v = (z - a_0) Q_(n-1)`` (``1`` at degree 0), ``a_0 =
+    map.tail[0]``, and its modes, and reads their tail before the first pass,
+    so the first degree that is not resolved stops the run, not a later
+    breakdown.  A pass takes the projections of ``v`` onto ``Q_0 .. Q_(n-1)``
     and ``<v, v>`` from one :meth:`BoundaryRule.pairings` with the kept modes,
     updates the samples and the modes of ``v`` in one stacked product and
-    reads the norm left by one :meth:`BoundaryRule.sq_norm`.  The tails are
-    read in batches from ``pre``, the modes of each ``v`` as its FFT left
-    them: at degrees ``1, 2, 4, ..``, every ``TAIL_BATCH`` degrees, at ``N``
-    and before a breakdown is raised, so a degree ``k`` that is not resolved
-    stops the run by degree ``2k - 1`` and is reported, not a later
-    breakdown."""
+    reads the norm left by one :meth:`BoundaryRule.sq_norm`.  ``a_0`` is added
+    to the diagonal of ``hess`` at the end, which then holds the recurrence
+    in ``z``."""
     L = rule.L
+    a0 = rule.map.tail[0] if len(rule.map.tail) else 0.0
+    nodes = rule.nodes - a0
     QC = np.empty((2 * L, N + 1), dtype=np.complex128, order="F")  # Q_n samples over modes
     Q, C = QC[:L], QC[L:]
     hess = np.zeros((N + 1, N), dtype=np.complex128)
     log_kappa = np.empty(N + 1, dtype=float)
     Q[:, 0] = 1.0
-    rule.modes(Q[:, 0], C[:, 0])
-    worst = float(_tails(C[:, :1])[0])
-    if worst > TAIL_TOL:
-        return f"tail {worst:.1e} above {TAIL_TOL:.0e} at degree 0"
-    mass = rule.sq_norm(C[:, 0])
-    if not mass > 0:
-        raise DegreeTooHighError(f"boundary mass {mass:.3e} is not positive")
-    QC[:, 0] /= math.sqrt(mass)
-    log_kappa[0] = -0.5 * math.log(mass)
-    checked, second = 1, 0   # degrees below checked have their tails read
-    pre = np.empty((L, min(N, TAIL_BATCH)), dtype=np.complex128, order="F")
-
-    def unresolved(upto):   # the tails of degrees checked .. upto - 1, kept in pre
-        nonlocal worst, checked
-        tails = _tails(pre[:, :upto - checked])
-        bad = np.flatnonzero(tails > TAIL_TOL)
-        if bad.size:
-            return (f"tail {tails[bad[0]]:.1e} above {TAIL_TOL:.0e} at degree "
-                    f"{checked + bad[0]}")
-        worst, checked = max(worst, float(tails.max())), upto
-        return None
-
-    for n in range(1, N + 1):
-        qc = QC[:, n]   # v = z Q_{n-1}: its samples over its modes c, orthogonalized in place
+    worst, second = 0.0, 0
+    for n in range(N + 1):
+        qc = QC[:, n]   # v: its samples over its modes c, orthogonalized in place
         c = qc[L:]
-        np.multiply(rule.nodes, Q[:, n - 1], out=qc[:L])
+        if n:
+            np.multiply(nodes, Q[:, n - 1], out=qc[:L])
         rule.modes(qc[:L], c)
-        pre[:, n - checked] = c
+        tail = _tail(c)
+        if tail > TAIL_TOL:
+            return f"tail {tail:.1e} above {TAIL_TOL:.0e} at degree {n}"
+        worst = max(worst, tail)
+        if not n:   # P_0, the constant over the square root of the mass
+            mass = rule.sq_norm(c)
+            if not mass > 0:
+                raise DegreeTooHighError(f"boundary mass {mass:.3e} is not positive")
+            qc /= math.sqrt(mass)
+            log_kappa[0] = -0.5 * math.log(mass)
+            continue
         for again in range(2):  # classical Gram-Schmidt, repeated once on heavy cancellation
             g = rule.pairings(c, C[:, :n + 1])   # <Q_j, v> and, last, <v, v>
             proj = g[:n].conj()
@@ -323,18 +316,13 @@ def _circle_arnoldi(rule: BoundaryRule, N: int) -> OraclePolynomials | str:
                 break
             second += 1
         if not (sq > 0 and math.isfinite(sq)):
-            if reason := unresolved(n + 1):
-                return reason
             raise DegreeTooHighError(f"breakdown at degree {n}: residual norm^2 {sq:.3e}")
         nrm = math.sqrt(sq)
         qc *= 1.0 / nrm
         hess[:n, n - 1] = h
         hess[n, n - 1] = nrm
         log_kappa[n] = log_kappa[n - 1] - math.log(nrm)
-        # at a power of 2, at N and when pre is full
-        if ((n == N or not n & (n - 1) or n + 1 - checked == pre.shape[1])
-                and (reason := unresolved(n + 1))):
-            return reason
+    hess[np.diag_indices(N)] += a0
     # <Q_m, Q_n> by Parseval, the FFT of the samples Q_m against the modes C_n / k of
     # the primitives: Gram-Schmidt updated Q and C alike, and this sees where they part
     primitives = C.T * rule._inverse_modes

@@ -276,6 +276,19 @@ def test_unsorted_degree_list(tmp_path):
     assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
 
+@pytest.mark.parametrize("command", ["eval", "verify", "distributional", "kernel"])
+def test_repeated_degree_is_refused(tmp_path, capsys, recwarn, command):
+    # a degree given twice would put two identical points into verify's slope
+    # fit; the list must be strictly ascending for every command
+    cfg = write_config(tmp_path, "ellipse-expre", points=[[3.0, 0.0]],
+                       test_function={"terms": [[1, 1, 0.3, 0.0]]},
+                       kernel={"w": [3.0, 0.0], "z": [3.5, 0.0]})
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", out, "--n", "8,8"]) == 2
+    assert "degree 8 follows 8" in capsys.readouterr().err
+    assert not out.exists() and not recwarn.list
+
+
 def test_eval_out_of_validity(tmp_path):
     cfg = write_config(tmp_path, points=[[0.2, 0.0]])
     assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == 4
@@ -339,6 +352,20 @@ def test_verify_rates_and_summary(tmp_path):
     # the summary names its oracle: the rule block of oracle.json for the same config
     assert run(["oracle", "--config", cfg, "--out", out]) == 0
     assert summary["oracle"] == json.loads((out / "oracle.json").read_text())["rule"]
+
+
+def test_verify_far_centred_disk(tmp_path):
+    # disk-expre03 moved to centre 2: the oracle orthonormalizes in the domain's
+    # own frame, so the slopes are those of the centred disk, -0.94 .. -3.92
+    # (multiplying by z, the Gram gate refused the degree-40 oracle)
+    domain = preset_config("disk-expre03") | {"map": {"cap": 1.0, "tail": [[2.0, 0.0]]}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": domain, "kappa": 3, "N": [8, 16, 24, 32, 40],
+                               "points": [[4.0, 0.5]]}))
+    out = tmp_path / "o"
+    assert run(["verify", "--config", cfg, "--out", out]) == 0
+    slopes = json.loads((out / "summary.json").read_text())["slopes"]
+    assert all(abs(slopes[str(j)]["slope"] + j + 1) < 0.1 for j in range(4))
 
 
 def test_verify_refuses_more_than_one_point(tmp_path, capsys):

@@ -528,10 +528,9 @@ def _first_unresolved(rule, N):
                                         (po.ellipse_map(2, 1), [0.0, 5.0], 128, 80),
                                         (po.disk_map(), [0.0, 3.0], 256, 250)],
                          ids=["exp80-disk", "exp40-disk", "exp10-ellipse", "exp6-disk"])
-def test_batched_tails_name_the_first_unresolved_degree(m, P, L, N):
-    # the tails are read in batches, yet the message names the degree a
-    # per-degree loop stops at: 0, 25, 10 and 72 here, between checkpoints
-    # (72 past the first full batch of TAIL_BATCH degrees)
+def test_tails_name_the_first_unresolved_degree(m, P, L, N):
+    # each degree's tail is read as its FFT forms it, and the message names the
+    # degree the reference loop stops at: 0, 25, 10 and 72 here
     rule = po.boundary_rule(m, np.array(P), L)
     k = _first_unresolved(rule, N)
     assert k is not None
@@ -558,48 +557,46 @@ def _degrees_reached(monkeypatch):
                                            (po.ellipse_map(2, 1), [0.0, 5.0], 128, 80, 10),
                                            (po.disk_map(), [0.0, 3.0], 256, 250, 72)])
 def test_unresolved_run_stops_by_twice_its_degree(monkeypatch, m, P, L, N, k):
-    # degree k is read at the next checkpoint, a power of 2 below 2k or sooner
+    # degree k's tail is read before its first Gram-Schmidt pass, so the run
+    # stops at k itself: the last pass is at degree k - 1
     degrees = _degrees_reached(monkeypatch)
     assert oracle._circle_arnoldi(po.boundary_rule(m, np.array(P), L), N).endswith(
         f"at degree {k}")
-    assert k < max(degrees) <= 2 * k + 1
+    assert max(degrees) == k - 1
 
 
 def test_breakdown_after_an_unresolved_degree_doubles_the_samples(monkeypatch):
-    # omega = exp(40 Re z): on 256 samples degree 25 is unresolved.  A breakdown
-    # forced at degree 28, before the checkpoint at 32, first reads the tails
-    # not yet read, so the run asks for more samples instead of raising; on 512
-    # samples, which resolve degree 25, the same breakdown raises
+    # omega = exp(40 Re z): on 256 samples degree 25 is unresolved and stops the
+    # run, so a breakdown forced at degree 28 is never reached and the samples
+    # are doubled; on 512 samples, which resolve degree 25, the same breakdown
+    # raises at once
     m, P, N = po.disk_map(), np.array([0.0, 20.0]), 60
-    degrees, broken = _degrees_reached(monkeypatch), {256}
+    degrees = _degrees_reached(monkeypatch)
     sq_norm = oracle.BoundaryRule.sq_norm
 
     def breaking(self, c):
-        if self.L in broken and degrees and degrees[-1] == 28:
-            degrees.clear()   # the next run's mass is not forced
-            return 0.0
-        return sq_norm(self, c)
+        return 0.0 if degrees and degrees[-1] == 28 else sq_norm(self, c)
 
     monkeypatch.setattr(oracle.BoundaryRule, "sq_norm", breaking)
     assert re.fullmatch(r"tail \d\.\de-\d\d above 1e-12 at degree 25",
                         oracle._circle_arnoldi(po.boundary_rule(m, P, 256), N))
+    assert max(degrees) == 24
     monkeypatch.setattr(oracle, "boundary_samples", lambda m, N: 256)
     runs = _counted_runs(monkeypatch)
-    assert po.boundary_onps(m, P, N).health["L"] == 512 and runs == [256, 512]
-    broken.add(512)
     with pytest.raises(DegreeTooHighError, match="breakdown at degree 28"):
-        oracle._circle_arnoldi(po.boundary_rule(m, P, 512), N)
+        po.boundary_onps(m, P, N)
+    assert runs == [256, 512]
 
 
 @pytest.mark.parametrize("preset", ["disk-const", "disk-expre03", "ellipse-const",
                                     "ellipse-expre", "perturbed-expre"])
 def test_arnoldi_work_per_degree(monkeypatch, preset):
     # one projection product per Gram-Schmidt pass, one re-norm per degree (and
-    # one for the mass), and the tails read at degrees 0, 1, 2, 4, .., 32 and 40
+    # one for the mass), and one tail read per degree, 0 .. N
     m, wd, _, _ = preset_parts(preset)
     N = 40
     rule = po.boundary_rule(m, wd.holo_poly, oracle.boundary_samples(m, N))
-    counts = {"pairings": 0, "sq_norm": 0, "_tails": 0}
+    counts = {"pairings": 0, "sq_norm": 0, "_tail": 0}
 
     def counting(owner, name):
         f = getattr(owner, name)
@@ -612,10 +609,10 @@ def test_arnoldi_work_per_degree(monkeypatch, preset):
 
     counting(oracle.BoundaryRule, "pairings")
     counting(oracle.BoundaryRule, "sq_norm")
-    counting(oracle, "_tails")
+    counting(oracle, "_tail")
     polys = oracle._circle_arnoldi(rule, N)
     assert polys.health["second_passes"] == 0
-    assert counts == {"pairings": N, "sq_norm": N + 1, "_tails": 2 + math.ceil(math.log2(N))}
+    assert counts == {"pairings": N, "sq_norm": N + 1, "_tail": N + 1}
 
 
 def _ellipse_log_kappa(cap, a1, n):
@@ -731,6 +728,25 @@ def test_boundary_exact_kappa_at_large_degree(all_preset_models, preset):
     exact = (0.5 * np.log(n + 1.0) if preset == "disk-const"
              else _ellipse_log_kappa_all(model, n))
     assert np.max(np.abs(polys.log_kappa - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("cap, tail", [(1.0, []), (1.5, [0.5]), (1.0, [0.0, 0.1])],
+                         ids=["disk", "ellipse", "perturbed"])
+def test_far_centred_domains_reach_degree_256(cap, tail):
+    # the Arnoldi step multiplies by z - a_0, so moving the domain to a_0 adds
+    # no rounding (multiplying by z, eight of these nine broke down by degree
+    # 54).  As |e^(alpha z)|^2 = |e^(alpha a_0)|^2 |e^(alpha (z - a_0))|^2, the
+    # moved P_n(a_0 + w) is the centred P_n(w) over e^(Re(alpha a_0)), which also
+    # checks the a_0 restored to the diagonal of hess
+    alpha, N, w = 0.3, 256, 2.5 * np.exp(2j * np.pi * np.arange(7) / 7)
+    centred = po.boundary_onps(po.ExteriorMap(cap, [0.0, *tail]), np.array([0.0, alpha]), N)
+    for a0 in (2.0, 4j, 3 + 3j):
+        polys = po.boundary_onps(po.ExteriorMap(cap, [a0, *tail]), np.array([0.0, alpha]), N)
+        shift = (alpha * a0).real
+        assert polys.gram_residual <= oracle.GRAM_TOL
+        assert np.max(np.abs(polys.log_kappa + shift - centred.log_kappa)) <= 1e-13
+        want = centred.evaluate(w) * math.exp(-shift)
+        assert np.max(np.abs(polys.evaluate(a0 + w) - want) / np.abs(want)) <= 1e-12
 
 
 def test_boundary_oracle_doubles_its_samples_until_settled():

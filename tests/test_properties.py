@@ -2,8 +2,9 @@
 maps (a disk with one small tail mode) and ``exp(2 Re P)`` weights, of the
 outer function over random decaying pullbacks, and of the norm-constant
 algebra (the moment table's symmetry and the power-series inverse square
-root) over random inputs, and of the Newton inversion over random
-Joukowski maps and maps with longer tails."""
+root) over random inputs, of the Newton inversion over random Joukowski
+maps and maps with longer tails, and of the boundary oracle on those maps
+anywhere in the plane."""
 
 import cmath
 import math
@@ -220,3 +221,17 @@ def test_higher_tail_maps_invert_every_point(m, seed):
     zeta = _exterior_points(np.random.default_rng(seed), 1.0)
     got, ok = map_forward_many(m, m.psi(zeta))
     assert ok.all() and np.max(np.abs(got - zeta) / np.abs(zeta)) <= 1e-10
+
+
+@given(higher_tail_maps(), st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi))
+def test_boundary_oracle_serves_any_centre(m, size, angle):
+    # P = alpha z: neither the degree-64 oracle of the map centred at a_0 =
+    # tail[0] (up to 2 + 2i) nor that of the same map at 0 is refused, and as
+    # |e^(alpha z)|^2 = |e^(alpha a_0)|^2 |e^(alpha (z - a_0))|^2, the first's
+    # log kappa_n is the second's less Re(alpha a_0)
+    alpha = cmath.rect(size / m.cap, angle)
+    P, a0 = np.array([0.0, alpha]), m.tail[0]
+    polys = po.boundary_onps(m, P, 64)
+    centred = po.boundary_onps(ExteriorMap(m.cap, [0.0, *m.tail[1:]]), P, 64)
+    shift = (alpha * a0).real
+    assert np.max(np.abs(polys.log_kappa + shift - centred.log_kappa)) <= 1e-12
