@@ -26,8 +26,7 @@ from .expansion import (_require_degree, build_model, check_valid, leading_coeff
 from .geometry import (load_domain_config, map_forward_many, parse_integer, parse_list,
                        parse_number, parse_object, parse_pair)
 from .hierarchy import hierarchy_residuals
-from .kernels import (_bw_kernel_diag_at, _map_points, _offspectral_at, off_spectral_point,
-                      outer_rho)
+from .kernels import _bw_kernel_diag_at, _offspectral_at, off_spectral_point, outer_rho
 from .oracle import CUTOFF, berezin_expectations, boundary_onps, l2_discrepancies
 
 MAX_ORDER = 8
@@ -434,9 +433,10 @@ def cmd_kernel(cfg: dict, exp: dict, outdir: Path) -> int:
     for N, kform in zip(exp["N"], kforms):
         knum = abs(kzw[N]) / math.sqrt(kww[N].real)
         off_rows.append([N, knum, kform, abs(knum / kform - 1.0)])
-    band = _map_points(model.map, model.map.psi(np.linspace(rho1, 1.0, 17) * np.exp(0.37j)))
+    radii = np.linspace(rho1, 1.0, 17)   # the band psi(radii e^0.37i), read at its preimages
+    diags = _bw_kernel_diag_at(rho, exp["N"], radii, model.map.psi_prime(radii * np.exp(0.37j)))
     diag_rows = []
-    for N, diag in zip(exp["N"], _bw_kernel_diag_at(rho, exp["N"], *band)):
+    for N, diag in zip(exp["N"], diags):
         sup = float(np.max(diag))
         diag_rows.append([N, sup, sup / N ** 2])
     payload = {

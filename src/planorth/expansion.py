@@ -37,8 +37,8 @@ import numpy as np
 
 from . import laplace
 from .errors import NonFiniteError, OutOfValidityError, stage
-from .geometry import (ExteriorMap, SzegoData, WeightDef, WeightSpec, _map_forward,
-                       pullback_weight, szego)
+from .geometry import (ExteriorMap, SzegoData, WeightDef, WeightSpec, _default_inner_radius,
+                       _map_forward, pullback_weight, szego)
 from .hierarchy import HierarchyCoeffs, solve_hierarchy
 from .laplace import NormExpansion, norm_expansion
 from .series import _horner
@@ -99,7 +99,7 @@ def build_model(m: ExteriorMap, weight_def: WeightDef, order: int,
                 validity_constant: float = 1.0) -> ExpansionModel:
     """Run the full pipeline: pullback, outer function, recursion, norm constants.
     A :class:`PlanorthError` from a step is prefixed with ``[stage: <step>]``."""
-    rho = inner_radius if inner_radius is not None else max(0.7, m.univalence_margin + 0.05)
+    rho = inner_radius if inner_radius is not None else _default_inner_radius(m)
     with stage("weight-pullback"):
         ws = pullback_weight(m, weight_def, bidegree, rho)
     with stage("outer-function"):

@@ -539,8 +539,9 @@ def load_domain_config(cfg: dict):
          "weight": {"kind": "const"|"exp-re-linear"|"exp-re-poly"|"custom-samples", ...},
          "rho": float, "M": int, "K": int}
 
-    ``M`` (a positive integer) sets the circle bandwidth ``2M`` of the model's
-    Laurent series; ``K``, if given, must be that bandwidth ``2M``.
+    ``M`` (a positive integer, 24 by default) sets the circle bandwidth ``2M``
+    of the model's Laurent series; ``K``, if given, must be that bandwidth
+    ``2M``.  ``rho`` defaults to :func:`_default_inner_radius` of the map.
     """
     try:
         mp = parse_object(cfg["map"], "map")
@@ -574,7 +575,7 @@ def load_domain_config(cfg: dict):
             wd = sampled_weight(pts, vals, degree)
         else:
             raise ConfigError(f"unknown weight kind {kind!r}")
-        rho = parse_number(cfg.get("rho", 0.7), "rho")
+        rho = parse_number(cfg["rho"], "rho") if "rho" in cfg else None
         M = parse_integer(cfg.get("M", 24), "M")
         if M < 1:
             raise ConfigError(f"M must be a positive integer, got {M}")
@@ -585,4 +586,11 @@ def load_domain_config(cfg: dict):
         raise ConfigError(f"missing config field: {exc}") from exc
     except (IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
-    return ExteriorMap(cap, tail), wd, rho, M, K
+    m = ExteriorMap(cap, tail)
+    return m, wd, _default_inner_radius(m) if rho is None else rho, M, K
+
+
+def _default_inner_radius(m: ExteriorMap) -> float:
+    """The working annulus's inner radius where none is given: 0.7, or 0.05
+    above the univalence margin where that is higher."""
+    return max(0.7, m.univalence_margin + 0.05)

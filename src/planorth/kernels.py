@@ -12,9 +12,8 @@ from .expansion import ExpansionModel, _map_valid, _positioned
 from .geometry import ExteriorMap, _map_forward, map_forward_many, phi_prime
 
 OFFSPECTRAL_MARGIN = 1e-6   # least separation |phi(w)| - 1 of a root point
-BW_TAIL_TOL = 1e-14         # relative size of what bw_kernel_diag's tail sum leaves out
-BW_TAIL_TERMS = 10 ** 6     # most terms bw_kernel_diag's tail sum may take
-BW_HEAD_PAST = 256          # terms past n0 that bw_kernel_diag's head sums directly
+BW_TAIL_TOL = 1e-14         # relative size of what each of bw_kernel_diag's sums leaves out
+BW_TAIL_TERMS = 10 ** 6     # most terms each of bw_kernel_diag's sums may take
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,13 +89,18 @@ def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z):
 
     ``K_N(z, z) = |phi'(z)|^2 [ |phi(z)|^-2 / log(1/rho^2)
     + sum_{n <= N, n != -1} (n+1) |phi(z)|^{2n} / (1 - rho^{2n+2}) ]``.
-    With ``r = |phi(z)|`` the tail ``n <= -2`` is the Lambert series
-    ``r^-2 sum_{l>=0} x_l / (1 - x_l)^2``, ``x_l = (rho/r)^2 rho^{2l}``.  Term
-    ``l`` is at most ``rho^{2l} / (1 - rho^2)^2`` times term 0 whatever ``r``
-    is, so the first ``L`` terms, ``rho^{2L} <= BW_TAIL_TOL (1 - rho^2)^3``,
-    leave out less than ``BW_TAIL_TOL`` of the sum.  A ``rho`` that needs more
-    than ``BW_TAIL_TERMS`` of them raises :class:`DomainError`, as does a point
-    that cannot be mapped or that has ``|phi(z)| <= rho``.
+    With ``r = |phi(z)|`` and ``1/(1 - rho^{2n+2}) = sum_l rho^{2l(n+1)}``
+    both parts are Lambert series in ``rho^{2l}``: the tail ``n <= -2`` is
+    ``r^-2 sum_{l>=0} x_l / (1 - x_l)^2``, ``x_l = (rho/r)^2 rho^{2l}``, and
+    the head ``0 <= n <= N`` is ``sum_{l>=0} rho^{2l} S_{N+1}(r rho^l)``, with
+    ``S_u(s) = sum_{m<u} (m+1) s^{2m}`` in closed form (:func:`_ramp_sum`).
+    Tail term ``l`` is at most ``rho^{2l} / (1 - rho^2)^2`` times term 0
+    whatever ``r`` is, and head term ``l`` at most ``rho^{2l}`` times term 0
+    (``S_u`` increases in ``s``), so the first ``L`` terms of each,
+    ``rho^{2L} <= BW_TAIL_TOL (1 - rho^2)^3``, leave out less than
+    ``BW_TAIL_TOL`` of its sum, whatever the degree.  A ``rho`` that needs
+    more than ``BW_TAIL_TERMS`` of them raises :class:`DomainError`, as does a
+    point that cannot be mapped or that has ``|phi(z)| <= rho``.
     """
     if not (0 < rho < 1):
         raise DomainError("need 0 < rho < 1")
@@ -116,13 +120,11 @@ def _map_points(m: ExteriorMap, pts: np.ndarray):
 
 
 def _bw_kernel_diag_at(rho: float, degrees, r: np.ndarray, prime: np.ndarray) -> np.ndarray:
-    """:func:`bw_kernel_diag` at the points :func:`_map_points` gives ``(r,
-    prime)``, one row for each of the ``degrees >= 0``, ``0 < rho < 1``:
-    ``|phi'|^2``, the tail and the head's first terms, which no degree changes,
-    once.  From ``n0``, the first ``n`` with ``rho^(2n+2) <= 2^-54``, ``1 -
-    rho^(2n+2)`` rounds to 1 and the head's terms are ``(n+1) r^(2n)``: a degree
-    below ``n0 + BW_HEAD_PAST`` sums them directly (cheaper than the closed
-    form's numpy calls), a higher one by :func:`_ramp_sum`."""
+    """:func:`bw_kernel_diag` at the points with ``|phi| = r`` and ``psi' o phi
+    = prime`` (what :func:`_map_points` gives), one row for each of the
+    ``degrees >= 0``, ``0 < rho < 1``: ``|phi'|^2``, the lead term and the
+    tail, which no degree changes, once, and each degree's head as the ``L``
+    terms ``rho^(2l) S_(N+1)(r rho^l)`` of its Lambert series."""
     rho2 = rho * rho
     log_rho2 = 2.0 * math.log(rho)   # rho * rho underflows for rho below 1e-162
     L = math.ceil(math.log(BW_TAIL_TOL * (1.0 - rho2) ** 3) / log_rho2)
@@ -133,70 +135,65 @@ def _bw_kernel_diag_at(rho: float, degrees, r: np.ndarray, prime: np.ndarray) ->
         raise DomainError(f"|phi(z)| = {float(r.min()):.4f} must exceed rho = {rho}")
     dphi2 = np.abs(1.0 / prime) ** 2
     lead = r ** (-2.0) / -log_rho2
-    n0 = max(0, math.ceil(54.0 * math.log(2.0) / -log_rho2) - 1)
-    ends = [N if N < n0 + BW_HEAD_PAST else n0 - 1 for N in degrees]   # each last direct term
-    n = np.arange(max(ends) + 1)
+    q = rho2 ** np.arange(L)
+    s = r[:, None] * rho ** np.arange(L)
     acc = np.empty((len(degrees), r.size))
     with np.errstate(over="ignore", invalid="ignore"):   # overflow makes acc inf or nan
-        head = np.cumsum((n + 1) * r[:, None] ** (2 * n) / (1.0 - rho ** (2 * n + 2)), axis=1)
-        for i, (N, end) in enumerate(zip(degrees, ends)):
-            acc[i] = lead + (head[:, end] if end >= 0 else 0.0)
-            if end < N:
-                acc[i] += r ** (2 * n0) * _ramp_sum(n0 + 1, N - n0 + 1, r)
+        for i, N in enumerate(degrees):
+            acc[i] = lead + np.sum(q * _ramp_sum(N + 1, s), axis=1)
             if not np.all(np.isfinite(acc[i])):
                 raise NonFiniteError(f"K_N(z, z) overflows a float at N = {N}, "
                                      f"|phi(z)| = {float(r.max()):.4f}")
-    x = (rho / r[:, None]) ** 2 * rho2 ** np.arange(L)
+    x = (rho / r[:, None]) ** 2 * q
     return (acc + np.sum(x / (1.0 - x) ** 2, axis=1) / r ** 2) * dphi2
 
 
-def _ramp_sum(a: int, u: int, r: np.ndarray) -> np.ndarray:
-    """``sum_{m<u} (m + a) x^m``, ``x = r^2 = e^lam``, for ``u >= 1``: ``a G0 + G1``
-    with ``G0 = sum x^m = (x^u - 1)/(x - 1)`` and ``G1 = sum m x^m = (u x^u - x
-    G0)/(x - 1)``, in the form that keeps each accurate for its ``t = u lam``:
+def _ramp_sum(u: int, r: np.ndarray) -> np.ndarray:
+    """``sum_{m<u} (m + 1) x^m``, ``x = r^2 = e^lam``, for ``u >= 1``: ``(u x^u -
+    G0)/(x - 1)`` with ``G0 = sum x^m = (x^u - 1)/(x - 1)``, in the form that
+    keeps it accurate for its ``t = u lam``:
 
     - ``|t| < 1e-5``: the Taylor series in ``lam`` to second order, with the
       power sums ``S_k = sum m^k`` (what it leaves out is ``t^3/24``);
-    - ``|t| < 1``: ``G1 = (u h(lam) - h(t))/E^2 + (u - 1) E_u/E``, with ``E =
+    - ``|t| < 1``: ``u E_u/E + (u h(lam) - h(t))/E^2``, with ``E =
       expm1(lam)``, ``E_u = expm1(t)`` and ``h(t) = e^t - 1 - t`` from its
       series, which takes out the cancellation of ``u E - E_u``;
-    - otherwise the closed forms, with ``x^u`` a power and ``x - 1 = (r - 1)(r +
-      1)``, which cancel by at most a factor ``e``."""
+    - otherwise the closed form, with ``x^u`` a power and ``x - 1 = (r - 1)(r +
+      1)``, whose two terms cancel by at most a factor ``e``."""
     lam = 2.0 * np.log(r)
     t = u * lam
     kind = np.digitize(np.abs(t), (1e-5, 1.0))   # the form of each point, as listed
     forms = (_ramp_series, _ramp_expm1, _ramp_closed)
-    kinds = set(kind.tolist())
+    kinds = set(kind.ravel().tolist())
     if len(kinds) == 1:   # every point in one form: no masked copies
-        return forms[kinds.pop()](a, u, r, lam, t)
+        return forms[kinds.pop()](u, r, lam, t)
     out = np.empty_like(r)
     for k in kinds:
         at = kind == k
-        out[at] = forms[k](a, u, r[at], lam[at], t[at])
+        out[at] = forms[k](u, r[at], lam[at], t[at])
     return out
 
 
-def _ramp_series(a, u, r, lam, t):
+def _ramp_series(u, r, lam, t):
     s1, s2 = u * (u - 1) / 2, (u - 1) * u * (2 * u - 1) / 6
-    return a * (u + lam * (s1 + lam * s2 / 2)) + s1 + lam * (s2 + lam * s1 * s1 / 2)
+    return u + s1 + lam * (s1 + s2 + lam * (s2 + s1 * s1) / 2)
 
 
-def _ramp_expm1(a, u, r, lam, t):
-    e = np.expm1(lam)
-    return (a + u - 1) * (np.expm1(t) / e) + (u * _expm1_minus(lam) - _expm1_minus(t)) / e ** 2
+def _ramp_expm1(u, r, lam, t):
+    pair = np.array((lam, t))
+    (e, e_u), (h_lam, h_t) = np.expm1(pair), _expm1_minus(pair)
+    return u * (e_u / e) + (u * h_lam - h_t) / e ** 2
 
 
-def _ramp_closed(a, u, r, lam, t):
+def _ramp_closed(u, r, lam, t):
     e, y = (r - 1.0) * (r + 1.0), r ** (2 * u)
     g0 = (y - 1.0) / e
-    return a * g0 + u * (y / e) - ((e + 1.0) / e) * g0
+    return u * (y / e) - g0 / e
 
 
 def _expm1_minus(t: np.ndarray) -> np.ndarray:
-    """``e^t - 1 - t`` for ``|t| < 1``, from its Taylor series ``sum_{k>=2}
-    t^k / k!`` by Horner's scheme (20 terms: what it leaves out is below
-    ``1e-19`` of the sum)."""
-    acc = np.zeros_like(t)
-    for k in range(21, 1, -1):
-        acc = (acc + 1.0) * t / k
-    return acc * t
+    """``e^t - 1 - t`` at each ``|t| < 1``: its Taylor series ``sum_{k>=2} t^k /
+    k!`` to ``k = 21`` (what it leaves out is below ``1e-19`` of the sum), as
+    one array of terms summed over ``k``."""
+    k = np.arange(2.0, 22.0)
+    return np.add.reduce(np.power.outer(t, k) / np.multiply.accumulate(k), axis=-1)

@@ -1080,21 +1080,53 @@ def test_oracle_reads_the_map_and_P_alone(tmp_path, capsys, monkeypatch):
 
 
 def test_kernel_band_maps_each_point_once(tmp_path, monkeypatch, mapped_points):
-    # one map call each for w, z and the 17 band points, however many degrees;
-    # the band's sup is the largest of the per-point values
+    # one map call each for w and z, however many degrees, and none for the
+    # 17 band points, which the command reads at the preimages it builds; the
+    # band's sup is the largest of the per-point values
     kc = {"w": [3.0, 0.0], "z": [2.5, 0.5], "rho": 0.5, "rho1": 0.7}
     for Ns in ([8], [8, 16, 32, 64, 128]):
         mapped_points.clear()
         cfg = write_config(tmp_path, "ellipse-expre", N=Ns, kernel=kc)
         assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 0
         sizes = [c.size for c in mapped_points]
-        assert len(sizes) == 3 and sum(sizes) == 19, sizes
+        assert sizes == [1, 1], sizes
     monkeypatch.undo()
     m = preset_model("ellipse-expre", 0).map
     band = [m.psi(r * np.exp(0.37j)) for r in np.linspace(0.7, 1.0, 17)]
     rows = json.loads((tmp_path / "o" / "kernel.json").read_text())["diag_bound"]
     for row, N in zip(rows, Ns):
-        assert row["sup"] == max(planorth.bw_kernel_diag(0.5, m, N, z) for z in band), N
+        want = max(planorth.bw_kernel_diag(0.5, m, N, z) for z in band)
+        assert abs(row["sup"] / want - 1.0) <= 1e-14, N
+
+
+def test_kernel_band_needs_no_inversion(tmp_path):
+    # a band point psi(zeta) whose Newton inversion fails on this map is read
+    # at its preimage zeta
+    domain = {"map": {"cap": 1.0, "tail": [[-1.6885, -0.4314], [0.2872, 0.3879],
+                                           [-0.1314, 0.0504]]},
+              "weight": {"kind": "exp-re-linear", "alpha": [0.2, 0.0]}, "rho": 0.9047, "M": 32}
+    kc = {"w": [4.0, 0.0], "z": [4.5, 0.5], "rho": 0.3, "rho1": 0.8767}
+    m = geometry.load_domain_config(domain)[0]
+    _, ok = geometry.map_forward_many(m, m.psi(np.linspace(0.8767, 1.0, 17) * np.exp(0.37j)))
+    assert not ok.all()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": domain, "kappa": 1, "N": [8, 16], "kernel": kc}))
+    assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    rows = json.loads((tmp_path / "o" / "kernel.json").read_text())["diag_bound"]
+    assert [r["N"] for r in rows] == [8, 16] and all(math.isfinite(r["sup"]) for r in rows)
+
+
+def test_a_config_without_rho_takes_the_librarys_inner_radius(tmp_path):
+    # margin 0.774: the config loader and build_model both default rho to
+    # margin + 0.05, inside the collar, and a disk's default is 0.7
+    domain = {"map": {"cap": 1.0, "tail": [[0.0, 0.0], [0.0, 0.0], [0.2, 0.0]]},
+              "weight": {"kind": "exp-re-linear", "alpha": [0.2, 0.0]}}
+    m, wd, rho, _M, _K = geometry.load_domain_config(domain)
+    assert rho == expansion.build_model(m, wd, 1).inner_radius == m.univalence_margin + 0.05
+    assert geometry.load_domain_config({**domain, "map": {"cap": 1.0}})[2] == 0.7
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": domain, "kappa": 1}))
+    assert run(["expand", "--config", cfg, "--out", tmp_path / "o"]) == 0
 
 
 def test_invalid_json_is_a_config_error(tmp_path, capsys):
@@ -1210,10 +1242,9 @@ def test_distributional_contracts_once(tmp_path, monkeypatch):
 
 def test_kernel_computes_the_degree_free_parts_once(tmp_path, monkeypatch):
     # |phi'|^2 at the band and the outer factor at z are taken once per request,
-    # however many degrees: psi' at the band comes with its one map, and no
-    # psi' is formed apart from it; the per-degree values are those of the
-    # public functions
-    calls = {"_map_points": 0, "outer_rho": 0, "psi_prime": 0}
+    # however many degrees: psi' is formed once, at the band's preimages; the
+    # per-degree values are those of the public functions
+    calls = {"outer_rho": 0, "psi_prime": 0}
 
     def counting(name, f):
         def counted(*args):
@@ -1221,7 +1252,6 @@ def test_kernel_computes_the_degree_free_parts_once(tmp_path, monkeypatch):
             return f(*args)
         return counted
 
-    monkeypatch.setattr(cli, "_map_points", counting("_map_points", cli._map_points))
     monkeypatch.setattr(cli, "outer_rho", counting("outer_rho", cli.outer_rho))
     monkeypatch.setattr(geometry.ExteriorMap, "psi_prime",
                         counting("psi_prime", geometry.ExteriorMap.psi_prime))
@@ -1229,7 +1259,7 @@ def test_kernel_computes_the_degree_free_parts_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "ellipse-expre", N=Ns, kernel={**KERNEL, "w": [3.0, 0.5],
                                                                  "z": [2.5, 0.5]})
     assert run(["kernel", "--config", cfg, "--out", tmp_path / "o"]) == 0
-    assert calls == {"_map_points": 1, "outer_rho": 1, "psi_prime": 0}
+    assert calls == {"outer_rho": 1, "psi_prime": 1}
     monkeypatch.undo()
     payload = json.loads((tmp_path / "o" / "kernel.json").read_text())
     model = preset_model("ellipse-expre", 2)

@@ -3,10 +3,12 @@ import timeit
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import planorth as po
 from planorth.errors import DomainError, NonFiniteError, OffSpectralError, OutOfValidityError
-from planorth.kernels import (BW_HEAD_PAST, BW_TAIL_TOL, bw_kernel_diag, off_spectral_point,
+from planorth.kernels import (BW_TAIL_TOL, _ramp_sum, bw_kernel_diag, off_spectral_point,
                               offspectral_leading, offspectral_phase, outer_rho)
 
 from conftest import ring_rule
@@ -260,12 +262,12 @@ def _bw_diag_fsum(rho, N, r):
 
 @pytest.mark.parametrize("rho", [0.5, 0.9])
 def test_bw_head_in_closed_form_matches_the_exact_sum(rho):
-    # BW_HEAD_PAST terms past the head start the terms are summed in closed
-    # form: series, expm1 and power forms by the size of (N - s + 1) log r^2,
-    # each to 1e-13 of the exactly summed terms, from r = 1 to 1.3 and N = 0
-    # to 10^5, on both sides of the head start n0 and of the ramp start s
+    # the head is a Lambert series of closed forms S_{N+1}(r rho^l): series,
+    # expm1 and power forms by the size of (N + 1) log (r rho^l)^2, each to
+    # 1e-13 of the exactly summed terms, from r = 1 to 1.3 and N = 0 to 10^5,
+    # on both sides of the head start n0 and of s = n0 + 256
     n0 = _bw_head_start(rho)
-    s = n0 + BW_HEAD_PAST
+    s = n0 + 256
     for N in (0, n0 - 1, n0, n0 + 1, 10 ** 2, s - 1, s, s + 1, 10 ** 4, 10 ** 5):
         t = math.log(max(N, 2)) / max(N, 2)
         radii = [1.0, 1 + 1e-15, 1 - 1e-15, 1 + 1e-9, 1 - 1e-9, 1 + 1e-4, 1 - 1e-4,
@@ -276,6 +278,21 @@ def test_bw_head_in_closed_form_matches_the_exact_sum(rho):
             want = _bw_diag_fsum(rho, N, r)
             assert abs(value / want - 1.0) <= 1e-13, (N, r)
             assert value == bw_kernel_diag(rho, po.disk_map(), N, r), (N, r)
+
+
+@settings(max_examples=200)
+@given(st.floats(0.05, 0.95), st.integers(0, 10 ** 5), st.data())
+def test_bw_diag_sums_its_terms(rho, N, data):
+    # any ring, degree and batch of radii outside rho: each value within 1e-13
+    # of the exactly summed terms, and bitwise the scalar call's
+    radii = data.draw(st.lists(st.floats(rho, 1.3, exclude_min=True), min_size=1, max_size=4))
+    try:
+        got = bw_kernel_diag(rho, po.disk_map(), N, np.array(radii, dtype=complex))
+    except NonFiniteError:
+        assume(False)
+    for r, value in zip(radii, got):
+        assert abs(value / _bw_diag_fsum(rho, N, r) - 1.0) <= 1e-13, (rho, N, r)
+        assert value == bw_kernel_diag(rho, po.disk_map(), N, r), (rho, N, r)
 
 
 @pytest.mark.parametrize("r", [1.01, 1.2, 1.3, 2.0])
@@ -300,6 +317,17 @@ def test_bw_diag_time_does_not_grow_with_the_degree():
         return min(timeit.repeat(lambda: bw_kernel_diag(0.5, m, N, z), number=20, repeat=15))
 
     assert best(10 ** 5) <= 2.0 * best(10 ** 2)
+
+
+def test_ramp_sum_costs_alike_in_its_expm1_and_closed_forms():
+    # at r = 1.001, u = 283 takes the expm1 form (|u log r^2| = 0.57) and u =
+    # 9719 the closed form (19): one point costs at most twice the other
+    r = np.array([1.001])
+
+    def best(u):
+        return min(timeit.repeat(lambda: _ramp_sum(u, r), number=200, repeat=15))
+
+    assert best(283) <= 2.0 * best(9719)
 
 
 def test_bw_diag_refuses_a_negative_degree():
