@@ -162,7 +162,7 @@ def _pointwise(model: ExpansionModel, N, zeta, weights=None, mapped=None):
     if isinstance(N, np.ndarray):   # the degrees' axes, then the points'
         N = N.reshape(N.shape + (1,) * zeta.ndim)
     log_modulus = v.real + N * np.log(modulus)
-    phase = v.imag + N * np.angle(zeta)
+    phase = v.imag + N * np.arctan2(zeta.imag, zeta.real)   # np.angle, without its wrapper
     factor = np.exp(log_modulus + 1j * phase) / prime
     if weights is None:
         return factor, None
@@ -186,16 +186,16 @@ def check_valid(model: ExpansionModel, N: int, zeta, ok) -> None:
     """Raise :class:`OutOfValidityError` unless the degree is at least
     ``N_MIN`` and every point was mapped (``ok``, as from ``map_forward_many``)
     to ``zeta`` inside the validity region."""
-    _check_mapped(model, N, ok, np.abs(zeta))
+    _check_mapped(model, N, np.asarray(ok), np.abs(zeta))
 
 
 def _check_mapped(model: ExpansionModel, N: int, ok, modulus) -> None:
     """:func:`check_valid` given ``|zeta|``."""
     _require_degree(N)
-    if not np.all(ok):
+    if not ok.all():
         raise OutOfValidityError("point could not be mapped into the analytic collar")
     r = validity_radius(N, model.validity_constant)
-    if np.any(modulus < r):
+    if (modulus < r).any():
         # shortest round-trip digits: a refused point never reads equal to r
         raise OutOfValidityError(f"|phi(z)| = {float(np.min(modulus))!r} below the "
                                  f"validity radius {r!r} at degree {N}")
@@ -218,7 +218,7 @@ def _positioned(model: ExpansionModel, N, zeta, scale, weights, what: str, mappe
     with np.errstate(over="ignore", invalid="ignore"):
         factor, sums = _pointwise(model, N, zeta, weights, mapped)
         vals = scale * factor if sums is None else scale * (factor * sums)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         if isinstance(N, np.ndarray):   # the degrees lead the values' axes
             N = N.flat[np.argmin(np.isfinite(vals).reshape(N.size, -1).all(axis=1))]
         raise NonFiniteError(f"{what} out of float range at degree {N} "

@@ -125,13 +125,14 @@ def map_forward(m: ExteriorMap, z):
     converge in ``NEWTON_MAXITER`` steps.  See :func:`map_forward_many`.
     """
     zeta, ok = map_forward_many(m, np.atleast_1d(np.asarray(z, dtype=np.complex128)))
-    if not np.all(ok):
+    if not ok.all():
         raise ConvergenceError("Newton inversion left the analytic collar or did not converge")
     return zeta if np.ndim(z) else complex(zeta[0])
 
 
 def map_forward_many(m: ExteriorMap, zs: np.ndarray):
-    """Vectorized :func:`map_forward`; returns ``(zeta, ok_mask)`` without raising.
+    """Vectorized :func:`map_forward`; returns ``(zeta, ok_mask)``, each of the
+    shape of ``zs``, without raising.
 
     A non-finite point drops out at once (``zeta`` NaN, ``ok`` false).  Newton
     starts at :func:`_newton_seed`, so a disk or an ellipse passes the first
@@ -168,10 +169,13 @@ def _map_forward(m: ExteriorMap, zs: np.ndarray):
         circle = (size > 0.0) & (size < m.univalence_margin)
         again, root = again[circle], root[circle]
         if again.size:
-            retry = _newton(m, z[again], root)
+            # psi can overflow at a root far below the margin: that point's
+            # residual turns NaN and it stays not ok
+            with np.errstate(all="ignore"):
+                retry = _newton(m, z[again], root)
             for out, part in zip(mapped, retry):
                 out[again[retry[1]]] = part[retry[1]]
-    return tuple(a.reshape(zs.shape) for a in mapped)
+    return mapped if zs.ndim == 1 else tuple(a.reshape(zs.shape) for a in mapped)
 
 
 def _newton(m: ExteriorMap, z: np.ndarray, zeta: np.ndarray):
@@ -215,8 +219,7 @@ def _newton(m: ExteriorMap, z: np.ndarray, zeta: np.ndarray):
             cap_len = 0.5 * np.maximum(1.0, np.abs(zeta))
             slen = np.maximum(slen, 1e-300)
             step = np.where(slen > cap_len, step * cap_len / slen, step)
-        step[~live] = 0.0   # converged points keep their iterate
-        zeta = zeta - step
+        zeta = np.where(live, zeta - step, zeta)   # converged points keep their iterate
     modulus = np.abs(zeta)
     ok = (ar <= 1e-10 * scale) & (modulus > m.univalence_margin)
     if flat is not None:
@@ -235,9 +238,9 @@ def _joukowski_root(m: ExteriorMap, z: np.ndarray) -> np.ndarray:
     a0 = m.tail[0] if len(m.tail) else 0.0
     a1 = m.tail[1] if len(m.tail) > 1 else 0.0
     w = z - a0
+    if a1 == 0:   # warns only where it overflows, at |w| beyond cap times the float range
+        return w / m.cap
     with np.errstate(all="ignore"):
-        if a1 == 0:
-            return w / m.cap
         return w / (2.0 * m.cap) * (1.0 + np.sqrt(1.0 - 4.0 * m.cap * a1 / w / w))
 
 
@@ -250,7 +253,8 @@ def _newton_seed(m: ExteriorMap, z: np.ndarray) -> np.ndarray:
     low = (np.abs(seed) < m.univalence_margin) | ~np.isfinite(seed)
     if low.any():
         a0 = m.tail[0] if len(m.tail) else 0.0
-        seed = np.where(low, np.exp(1j * np.angle(z - a0)), seed)
+        w = z - a0
+        seed = np.where(low, np.exp(1j * np.arctan2(w.imag, w.real)), seed)
     return seed
 
 

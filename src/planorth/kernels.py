@@ -84,8 +84,8 @@ def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z):
     """Diagonal of the reproducing kernel for holomorphic functions of growth
     ``O(|z|^N)`` on the exterior of the level curve ``|phi| = rho``, with the
     ring ``rho < |phi| < 1`` as the inner-product region: a float at one
-    point ``z``, an array at a 1-D array of points (one map call and one head
-    sum for all of them).
+    point ``z``, an array of the shape of ``z`` at an array of points (one map
+    call of their ravel and one head sum for all of them).
 
     ``K_N(z, z) = |phi'(z)|^2 [ |phi(z)|^-2 / log(1/rho^2)
     + sum_{n <= N, n != -1} (n+1) |phi(z)|^{2n} / (1 - rho^{2n+2}) ]``.
@@ -106,8 +106,9 @@ def bw_kernel_diag(rho: float, m: ExteriorMap, N: int, z):
         raise DomainError("need 0 < rho < 1")
     if N < 0:
         raise DomainError(f"degree {N} is negative")
-    out, = _bw_kernel_diag_at(rho, [N], *_map_points(m, np.atleast_1d(np.asarray(z, complex))))
-    return out if np.ndim(z) else float(out[0])
+    z = np.asarray(z, complex)
+    out, = _bw_kernel_diag_at(rho, [N], *_map_points(m, z.ravel()))
+    return out.reshape(z.shape) if z.ndim else float(out[0])
 
 
 def _map_points(m: ExteriorMap, pts: np.ndarray):
@@ -131,21 +132,23 @@ def _bw_kernel_diag_at(rho: float, degrees, r: np.ndarray, prime: np.ndarray) ->
     if L > BW_TAIL_TERMS:
         raise DomainError(f"rho = {rho} is too close to 1: the kernel's tail sum "
                           f"needs {L} terms, more than {BW_TAIL_TERMS}")
-    if np.any(r <= rho):
+    if (r <= rho).any():
         raise DomainError(f"|phi(z)| = {float(r.min()):.4f} must exceed rho = {rho}")
     dphi2 = np.abs(1.0 / prime) ** 2
     lead = r ** (-2.0) / -log_rho2
-    q = rho2 ** np.arange(L)
-    s = r[:, None] * rho ** np.arange(L)
+    ell = np.arange(L)
+    q = rho2 ** ell
+    s = r[:, None] * rho ** ell
     acc = np.empty((len(degrees), r.size))
-    with np.errstate(over="ignore", invalid="ignore"):   # overflow makes acc inf or nan
+    # overflow makes acc inf or nan; _ramp_sum's closed form divides by zero at r rho^l = 1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i, N in enumerate(degrees):
-            acc[i] = lead + np.sum(q * _ramp_sum(N + 1, s), axis=1)
-            if not np.all(np.isfinite(acc[i])):
+            acc[i] = lead + (q * _ramp_sum(N + 1, s)).sum(axis=1)
+            if not np.isfinite(acc[i]).all():
                 raise NonFiniteError(f"K_N(z, z) overflows a float at N = {N}, "
                                      f"|phi(z)| = {float(r.max()):.4f}")
     x = (rho / r[:, None]) ** 2 * q
-    return (acc + np.sum(x / (1.0 - x) ** 2, axis=1) / r ** 2) * dphi2
+    return (acc + (x / (1.0 - x) ** 2).sum(axis=1) / r ** 2) * dphi2
 
 
 def _ramp_sum(u: int, r: np.ndarray) -> np.ndarray:
@@ -153,47 +156,41 @@ def _ramp_sum(u: int, r: np.ndarray) -> np.ndarray:
     G0)/(x - 1)`` with ``G0 = sum x^m = (x^u - 1)/(x - 1)``, in the form that
     keeps it accurate for its ``t = u lam``:
 
-    - ``|t| < 1e-5``: the Taylor series in ``lam`` to second order, with the
-      power sums ``S_k = sum m^k`` (what it leaves out is ``t^3/24``);
-    - ``|t| < 1``: ``u E_u/E + (u h(lam) - h(t))/E^2``, with ``E =
-      expm1(lam)``, ``E_u = expm1(t)`` and ``h(t) = e^t - 1 - t`` from its
-      series, which takes out the cancellation of ``u E - E_u``;
-    - otherwise the closed form, with ``x^u`` a power and ``x - 1 = (r - 1)(r +
-      1)``, whose two terms cancel by at most a factor ``e``."""
+    - ``|t| >= 1``: the closed form, with ``x^u`` a power and ``x - 1 = (r -
+      1)(r + 1)``, whose two terms cancel by at most a factor ``e``;
+    - ``|t| < 1``: :func:`_ramp_near`, in Python floats.
+
+    The closed form is formed at every point (at ``r = 1`` it divides by
+    zero, which the caller ignores) and replaced where ``|t| < 1``, point by
+    point: a point of :func:`bw_kernel_diag` has at most ``1 + 1 / (u
+    log(1/rho))`` Lambert terms ``r rho^l`` this near 1."""
+    e, y = (r - 1.0) * (r + 1.0), r ** (2 * u)
+    g0 = (y - 1.0) / e
+    out = u * (y / e) - g0 / e
     lam = 2.0 * np.log(r)
-    t = u * lam
-    kind = np.digitize(np.abs(t), (1e-5, 1.0))   # the form of each point, as listed
-    forms = (_ramp_series, _ramp_expm1, _ramp_closed)
-    kinds = set(kind.ravel().tolist())
-    if len(kinds) == 1:   # every point in one form: no masked copies
-        return forms[kinds.pop()](u, r, lam, t)
-    out = np.empty_like(r)
-    for k in kinds:
-        at = kind == k
-        out[at] = forms[k](u, r[at], lam[at], t[at])
+    for i in np.flatnonzero(np.abs(u * lam) < 1.0).tolist():
+        out.flat[i] = _ramp_near(u, lam.item(i))
     return out
 
 
-def _ramp_series(u, r, lam, t):
-    s1, s2 = u * (u - 1) / 2, (u - 1) * u * (2 * u - 1) / 6
-    return u + s1 + lam * (s1 + s2 + lam * (s2 + s1 * s1) / 2)
+def _ramp_near(u: int, lam: float) -> float:
+    """:func:`_ramp_sum` at one ``x = e^lam`` with ``|t| = |u lam| < 1``:
 
-
-def _ramp_expm1(u, r, lam, t):
-    pair = np.array((lam, t))
-    (e, e_u), (h_lam, h_t) = np.expm1(pair), _expm1_minus(pair)
-    return u * (e_u / e) + (u * h_lam - h_t) / e ** 2
-
-
-def _ramp_closed(u, r, lam, t):
-    e, y = (r - 1.0) * (r + 1.0), r ** (2 * u)
-    g0 = (y - 1.0) / e
-    return u * (y / e) - g0 / e
-
-
-def _expm1_minus(t: np.ndarray) -> np.ndarray:
-    """``e^t - 1 - t`` at each ``|t| < 1``: its Taylor series ``sum_{k>=2} t^k /
-    k!`` to ``k = 21`` (what it leaves out is below ``1e-19`` of the sum), as
-    one array of terms summed over ``k``."""
-    k = np.arange(2.0, 22.0)
-    return np.add.reduce(np.power.outer(t, k) / np.multiply.accumulate(k), axis=-1)
+    - ``|t| < 1e-5``: the Taylor series in ``lam`` to second order, with the
+      power sums ``S_k = sum m^k`` (what it leaves out is ``t^3/24``);
+    - otherwise ``u E_u/E + (u h(lam) - h(t))/E^2``, with ``E = expm1(lam)``,
+      ``E_u = expm1(t)`` and ``h(s) = e^s - 1 - s``, which takes out the
+      cancellation of ``u E - E_u``.  ``h`` is its Taylor series ``sum_{k>=2}
+      s^k / k!`` to ``k = 21`` (what it leaves out is below ``1e-19`` of the
+      sum), nested as ``s^2/2 (1 + s/3 (1 + s/4 (... (1 + s/21))))``."""
+    t = u * lam
+    if abs(t) < 1e-5:
+        s1, s2 = u * (u - 1) / 2, (u - 1) * u * (2 * u - 1) / 6
+        return u + s1 + lam * (s1 + s2 + lam * (s2 + s1 * s1) / 2)
+    a = b = 1.0
+    for k in range(21, 2, -1):
+        a = 1.0 + lam / k * a
+        b = 1.0 + t / k * b
+    h_lam, h_t = lam * lam / 2.0 * a, t * t / 2.0 * b
+    e = math.expm1(lam)
+    return u * (math.expm1(t) / e) + (u * h_lam - h_t) / (e * e)

@@ -251,7 +251,8 @@ def test_monic_orders_take_a_degree_axis(all_preset_models):
 def test_normalized_eval_makes_one_pass_of_numpy_calls(ellipse_exp_model, monkeypatch):
     # normalized_eval at one N calls numpy once per pass over the points, and
     # takes |zeta| and psi'(zeta) from the inversion: no abs of its own, and
-    # no Horner loop for psi' (which calls nothing of numpy)
+    # no Horner loop for psi' (which calls nothing of numpy); its reductions
+    # are ndarray methods, which numpy's dispatcher does not see
     model = ellipse_exp_model
     z = model.map.psi(1.1 * np.exp(2j * np.pi * np.arange(16) / 16))
     want = po.normalized_eval(model, 300, z)   # the point table is built outside the count
@@ -261,10 +262,42 @@ def test_normalized_eval_makes_one_pass_of_numpy_calls(ellipse_exp_model, monkey
     monkeypatch.setattr(ExteriorMap, "prime_at_reciprocal",
                         lambda self, w: primes.append(1) or prime_at_reciprocal(self, w))
     got = po.normalized_eval(model, 300, z)
-    assert counting.calls == ["asarray", "atleast_1d", "all", "any", "arange", "asarray",
-                              "reciprocal", "log", "angle", "exp", "isfinite", "all", "ndim"]
+    assert counting.calls == ["asarray", "atleast_1d", "arange", "asarray", "reciprocal", "log",
+                              "arctan2", "exp", "isfinite", "ndim"]
     assert len(primes) == 1   # the ellipse's seed is its root: one Newton evaluation
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (4,), (2, 2)])
+def test_evaluators_return_the_shape_of_their_points(all_preset_models, shape):
+    # a scalar at one point, else an array of the points' shape, whose values
+    # are bitwise those of the 1-D ravel
+    rng = np.random.default_rng(7)
+    for name, model in all_preset_models.items():
+        m = model.map
+        zeta = (1.0 + 0.2 * rng.random(4)) * np.exp(2j * np.pi * rng.random(4))
+        z = m.psi(zeta)[:math.prod(shape)].reshape(shape)
+        point = off_spectral_point(m, m.psi(1.7 + 0.4j))
+        evaluators = {
+            "map_forward_many": lambda v: map_forward_many(m, v)[0],
+            "normalized_eval": lambda v: po.normalized_eval(model, 16, v),
+            "monic_eval": lambda v: po.monic_eval(model, 16, v),
+            "offspectral_leading": lambda v: offspectral_leading(model, point, 16, v),
+            "bw_kernel_diag": lambda v: po.bw_kernel_diag(0.5, m, 16, v),
+        }
+        for what, evaluate in evaluators.items():
+            got = evaluate(z)
+            assert np.shape(got) == shape, (name, what)
+            assert np.array_equal(np.ravel(got), evaluate(z.ravel())), (name, what)
+
+
+def test_check_valid_takes_a_plain_list(ellipse_exp_model):
+    zeta = [1.2, 1.1j]
+    expansion.check_valid(ellipse_exp_model, 16, zeta, [True, True])
+    with pytest.raises(OutOfValidityError, match="could not be mapped"):
+        expansion.check_valid(ellipse_exp_model, 16, zeta, [True, False])
+    with pytest.raises(OutOfValidityError, match="below the validity radius"):
+        expansion.check_valid(ellipse_exp_model, 16, [0.5, 1.2], [True, True])
 
 
 def test_normalized_is_leading_coeff_times_monic(all_preset_models):

@@ -186,6 +186,30 @@ def test_map_forward_many_nonfinite_and_empty_input():
         assert zeta.shape == ok.shape == (0,)
 
 
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_map_forward_many_lets_no_warning_out(all_preset_models, preset):
+    # the centre z = a_0, tiny z - a_0 (a Joukowski root of 0, one that is not
+    # finite, or one so small that psi overflows there), non-finite points in
+    # a finite batch and points deep inside, seeded on the circle: each batch
+    # maps to ok or not ok, with no RuntimeWarning (which pytest makes an error)
+    m = all_preset_models[preset].map
+    a0 = m.tail[0] if len(m.tail) else 0.0
+    deep = a0 + np.array([0.01, 0.02j, -0.01 + 0.01j])
+    assert np.allclose(np.abs(_newton_seed(m, deep)), 1.0)
+    batches = [[a0], [a0 + 1e-300j], [a0 + 1e-160], [a0 + 1e-8],
+               [2.0, np.nan, 3j, np.inf, complex(np.nan, 1.0), complex(1.0, -np.inf), 2.5 + 1j],
+               deep]
+    for zs in batches:
+        zs = np.asarray(zs, dtype=np.complex128)
+        zeta, ok = map_forward_many(m, zs)
+        assert ok.dtype == bool and ok.shape == zeta.shape == zs.shape
+        finite = np.isfinite(zs)
+        assert not ok[~finite].any() and np.isnan(zeta[~finite]).all()
+        assert (np.abs(zeta[ok]) > m.univalence_margin).all()
+        assert (np.abs(m.psi(zeta[ok]) - zs[ok]) <= 1e-10 * np.maximum(1.0, np.abs(zs[ok]))).all()
+    assert ok.tolist() == [False] * 3   # deep points have no root above the margin
+
+
 def test_second_preimage_below_the_margin_is_run_again(monkeypatch):
     # from the unit-circle seed, Newton takes psi(0.7043 - 0.1564j) to a second
     # preimage, 0.0452 + 0.5691j, below the margin 0.6967; its Joukowski root

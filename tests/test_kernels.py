@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import planorth as po
 from planorth.errors import DomainError, NonFiniteError, OffSpectralError, OutOfValidityError
-from planorth.kernels import (BW_TAIL_TOL, _ramp_sum, bw_kernel_diag, off_spectral_point,
-                              offspectral_leading, offspectral_phase, outer_rho)
+from planorth.kernels import (BW_TAIL_TOL, _bw_kernel_diag_at, _ramp_sum, bw_kernel_diag,
+                              off_spectral_point, offspectral_leading, offspectral_phase,
+                              outer_rho)
 
 from conftest import ring_rule
 
@@ -328,6 +329,22 @@ def test_ramp_sum_costs_alike_in_its_expm1_and_closed_forms():
         return min(timeit.repeat(lambda: _ramp_sum(u, r), number=200, repeat=15))
 
     assert best(283) <= 2.0 * best(9719)
+
+
+@pytest.mark.parametrize("N", [8, 30, 100])
+def test_bw_diag_costs_alike_in_one_and_two_forms(N):
+    # at |phi| = 1.0005 the l = 0 Lambert term of the head takes the expm1 or
+    # series form (|t| < 1) and the others the closed form; at |phi| = 1.2
+    # every term takes the closed form.  The near term is one Python-float
+    # evaluation, so the two-form point costs about what the other does
+    prime = np.array([1.0 + 0.0j])
+    best = {}
+    for _ in range(15):
+        for r in (1.0005, 1.2):
+            pts = np.array([r])
+            t = timeit.timeit(lambda: _bw_kernel_diag_at(0.5, [N], pts, prime), number=100)
+            best[r] = min(best.get(r, math.inf), t)
+    assert best[1.0005] <= 1.3 * best[1.2]
 
 
 def test_bw_diag_refuses_a_negative_degree():
