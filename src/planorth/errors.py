@@ -36,9 +36,10 @@ class PositivityError(PlanorthError):
 
 
 class DegreeTooHighError(PlanorthError):
-    """The boundary oracle cannot serve the requested degree: its Gram matrix or
-    ``log kappa_n`` does not settle at any circle sample count it tries, or its
-    collar rule does not reproduce the unit norm of ``P_N``."""
+    """The boundary oracle cannot serve the requested degree: no circle sample
+    count up to its cap resolves the integrands, Gram-Schmidt breaks down, the
+    Gram matrix deviates from the identity above its tolerance, or the collar
+    rule does not reproduce the unit norm of ``P_N``."""
 
 
 class ConsistencyError(PlanorthError):

@@ -153,13 +153,16 @@ def _map_forward(m: ExteriorMap, zs: np.ndarray):
     zs = np.asarray(zs, dtype=np.complex128)
     z = zs.ravel()
     finite = np.isfinite(z)
-    if finite.all():
-        mapped = _newton(m, z, _newton_seed(m, z))
-    else:
-        mapped = (np.full(z.shape, np.nan, dtype=np.complex128), finite.copy(),
-                  np.full(z.shape, np.nan), np.full(z.shape, np.nan, dtype=np.complex128))
-        for out, part in zip(mapped, _newton(m, z[finite], _newton_seed(m, z[finite]))):
-            out[finite] = part
+    # a step or a seed can leave the float range at an extreme point: its
+    # residual turns non-finite and it stays not ok
+    with np.errstate(all="ignore"):
+        if finite.all():
+            mapped = _newton(m, z, _newton_seed(m, z))
+        else:
+            mapped = (np.full(z.shape, np.nan, dtype=np.complex128), finite.copy(),
+                      np.full(z.shape, np.nan), np.full(z.shape, np.nan, dtype=np.complex128))
+            for out, part in zip(mapped, _newton(m, z[finite], _newton_seed(m, z[finite]))):
+                out[finite] = part
     # the Joukowski root is the exact inverse of a map whose tail stops at
     # 1/zeta, so only a longer tail can have a point worth the second run
     if len(m.tail) > 2 and not mapped[1].all():

@@ -52,10 +52,11 @@ modes of ``P_N o psi`` and ``G``; the expansion's side of the L2 comparison
 is the modes of the model's products ``A_j = X_j E`` (``model.products``),
 not sampled.  So a degree or order costs ``O(modes)``; the degrees of a
 request share one forward FFT, one inverse FFT and one table of radial
-moments.  Inside ``|phi| < rho1`` a Stokes integral on ``psi(rho1 S^1)`` takes
-over.  Each degree is checked before use: that inner part plus the collar's
-``||P_N||^2`` is 1 to ``COLLAR_TOL``; where it is not (``r^k`` amplifies the
-noise modes of high degrees, from ``N`` near 300 on the presets),
+moments, a row for each distinct mode the request's readers name.  Inside
+``|phi| < rho1`` a Stokes integral on ``psi(rho1 S^1)`` takes over.  Each
+degree is checked before use: that inner part plus the collar's ``||P_N||^2``
+is 1 to ``COLLAR_TOL``; where it is not (``r^k`` amplifies the rounding left
+in a high degree's modes, on ellipse-expre from ``N`` near 290),
 :class:`DegreeTooHighError` is raised rather than a wrong integral returned.
 """
 
@@ -426,60 +427,65 @@ def _collar(model: ExpansionModel, polys: OraclePolynomials) -> _Collar:
                    np.append(smoothstep(-r, -rho2, -rho1), 0.0), rim)
 
 
-def _on_collar(polys: OraclePolynomials, collar: _Collar, Ns: list, reach):
-    """What the collar rule needs of the distinct degrees ``Ns``, from one
-    forward FFT of the stacked samples of every ``P_N`` and the oracle's
-    ``modes / k`` of every ``B_N``.
+def _on_collar(polys: OraclePolynomials, collar: _Collar, Ns: list) -> dict:
+    """The modes and the inner part of the distinct degrees ``Ns`` on the
+    collar rule, from one forward FFT of the stacked samples of every ``P_N``
+    and the oracle's ``modes / k`` of every ``B_N``.
 
-    The lowest mode ``k0`` and modes ``alpha`` of ``G (P_N o psi)`` are the
-    exact convolution of the chopped modes of ``P_N o psi`` and ``G``.  The
-    inner part ``int |P_N|^2 omega dA / pi`` over ``|phi| < rho1`` is Stokes
-    on ``psi(rho1 S^1)`` from the modes of ``P_N`` and ``B_N`` scaled to that
-    circle, one inverse FFT for every degree.  One table ``(shift, m, m1)``,
-    the rows ``m`` of :meth:`_Collar.moments` and their sums ``m1``, serves
-    every degree: each mode of every ``alpha`` and of the ranges ``reach(N, k0,
-    alpha.size)`` the caller reads once, not the gaps between them; mode ``k``
-    of a range ``[a, b)`` is row ``k - shift[a, b]``.  Each degree, in order, is
-    checked: unless ``||P_N||^2 = inner + sum_k |alpha_k|^2 sum_i w_i
-    r_i^(2k)`` is 1 to ``COLLAR_TOL``, the modes, scaled by ``r^k``, have lost
-    ``P_N`` and :class:`DegreeTooHighError` names the first such degree.
-    Returns ``{N: (k0, alpha, inner)}`` and the table."""
+    Only the modes ``P_N o psi`` can hold, ``[-T N, N]`` with ``T`` the degree
+    of ``psi``'s tail in ``1/zeta``, are kept, and those of ``P_N G zeta`` of
+    ``B_N o psi``, ``G``'s from :attr:`BoundaryRule._frame_modes`: out there
+    the FFT holds rounding, which ``r^k`` would amplify.  Then they are
+    chopped.  The lowest mode ``k0`` and modes ``alpha`` of ``G (P_N o psi)``
+    are the exact convolution of the kept modes of ``P_N o psi`` and ``G``.
+    The inner part ``int |P_N|^2 omega dA / pi`` over ``|phi| < rho1`` is
+    Stokes on ``psi(rho1 S^1)`` from the modes of ``P_N`` and ``B_N`` scaled
+    to that circle, one inverse FFT for every degree.  Returns ``{N: (k0,
+    alpha, inner)}``, which :func:`_collar_rows` checks."""
     rule = polys.rule
     L, n = rule.L, len(Ns)
     g0, g = rule._frame_modes
-    f = np.concatenate((_chopped(np.fft.fft(polys.basis[:, Ns].T, norm="forward")),
-                        _chopped(polys.modes[:, Ns].T * rule._inverse_modes)))
-    degrees, ranges = {}, []
+    T = max(0, len(rule.map.tail) - 1)
+    N = np.array(Ns)[:, None]
+    k = np.fft.fftfreq(L, 1.0 / L)
+    f = np.concatenate((np.fft.fft(polys.basis[:, Ns].T, norm="forward"),
+                        polys.modes[:, Ns].T * rule._inverse_modes))
+    f[(k < np.vstack((-T * N, g0 + 1 - T * N))) | (k > np.vstack((N, N + g0 + g.size)))] = 0.0
+    _chopped(f)
     with np.errstate(over="ignore", invalid="ignore"):   # lost modes may overflow
         # mode k on the circle |zeta| = rho1, where it is kept
-        pb = np.fft.ifft(np.where(f != 0, f * collar.rho1 ** np.fft.fftfreq(L, 1.0 / L), 0.0),
-                         norm="forward")
+        pb = np.fft.ifft(np.where(f != 0, f * collar.rho1 ** k, 0.0), norm="forward")
         inner = np.mean(pb[:n] * collar.rim * np.conj(pb[n:]), axis=1).real
-        p = np.concatenate((f[:n, L // 2 + 1:], f[:n, :L // 2 + 1]), axis=1)   # from -L/2 + 1
-        kept = p != 0
-        first, last = kept.argmax(axis=1), L - kept[:, ::-1].argmax(axis=1)
-        for i, N in enumerate(Ns):
-            alpha = np.convolve(p[i, first[i]:last[i]], g)
-            k0 = int(first[i]) + 1 - L // 2 + g0
-            degrees[N] = (k0, alpha)
-            ranges += [(k0, k0 + alpha.size), *reach(N, k0, alpha.size)]
-        blocks, shift = [], {}   # the distinct ranges, merged where they meet, end to end
-        for a, b in sorted(set(ranges)):
-            if not blocks or a > blocks[-1][1]:
-                blocks.append([a, b, a - sum(y - x for x, y, _ in blocks)])
-            blocks[-1][1] = max(blocks[-1][1], b)
-            shift[a, b] = blocks[-1][2]   # mode k of the range [a, b) is row k - shift
-        m = collar.moments(np.concatenate([np.arange(a, b) for a, b, _ in blocks] + [[]]))
+    p = np.concatenate((f[:n, L // 2 + 1:], f[:n, :L // 2 + 1]), axis=1)   # from -L/2 + 1
+    kept = p != 0
+    first, last = kept.argmax(axis=1), L - kept[:, ::-1].argmax(axis=1)
+    return {N: (int(first[i]) + 1 - L // 2 + g0, np.convolve(p[i, first[i]:last[i]], g),
+                float(inner[i])) for i, N in enumerate(Ns)}
+
+
+def _collar_rows(polys: OraclePolynomials, collar: _Collar, degrees: dict, named: list):
+    """One table of radial moments for the degrees ``{N: (k0, alpha, inner)}``
+    of :func:`_on_collar` and the modes a reader names, an integer array per
+    entry of ``named``: the rows of one :meth:`_Collar.moments` call at the
+    distinct modes of every ``alpha`` and every named array.  Each degree, in
+    order, is checked first: unless ``||P_N||^2 = inner + sum_k |alpha_k|^2
+    sum_i w_i r_i^(2k)`` is 1 to ``COLLAR_TOL``, the modes, scaled by ``r^k``,
+    have lost ``P_N`` and :class:`DegreeTooHighError` names the first such
+    degree.  Returns the table, its row sums and each named array's rows."""
+    spans = [np.arange(k0, k0 + alpha.size) for k0, alpha, _ in degrees.values()]
+    modes, row = np.unique(np.concatenate([*spans, *named, np.arange(0)]), return_inverse=True)
+    ends = np.cumsum([0] + [a.size for a in spans + named]).tolist()
+    rows = [row[i:j] for i, j in zip(ends, ends[1:])]
+    with np.errstate(over="ignore", invalid="ignore"):   # lost modes may overflow
+        m = collar.moments(modes)
         m1 = np.sum(m, axis=1)
-        for i, (N, (k0, alpha)) in enumerate(degrees.items()):
-            at = k0 - shift[k0, k0 + alpha.size]
-            norm = inner[i] + float(m1[at:at + alpha.size] @ np.abs(alpha) ** 2)
+        for (N, (_, alpha, inner)), at in zip(degrees.items(), rows):
+            norm = inner + float(m1[at] @ np.abs(alpha) ** 2)
             if not abs(norm - 1.0) <= COLLAR_TOL:   # NaN fails too
                 raise DegreeTooHighError(
                     f"collar rule reads ||P_N||^2 - 1 = {abs(norm - 1.0):.3e} at N = {N} "
-                    f"(L = {L}), above {COLLAR_TOL:.0e}")
-            degrees[N] += (float(inner[i]),)
-    return degrees, (shift, m, m1)
+                    f"(L = {polys.rule.L}), above {COLLAR_TOL:.0e}")
+    return m, m1, rows[len(spans):]
 
 
 def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs) -> np.ndarray:
@@ -491,8 +497,9 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs) -> 
     ``B = G F_N = scale E zeta^N sum_j N^-j X_j``, with the model's outer
     factor ``E = e^(V o psi + h)`` at bandwidth ``2M``, has the modes ``beta``
     of the products ``A_j = X_j E`` shifted by ``N``: the rows of
-    ``model.products``, which the moment table also reads.  The collar
-    part ``sum_k sum_i m_ik |alpha_k - chi_i beta_k|^2``, ``m_ik`` the moment
+    ``model.products``.  Each degree names the span of the modes of ``alpha``
+    and of the shifted ``beta`` to :func:`_collar_rows`.  The collar part
+    ``sum_k sum_i m_ik |alpha_k - chi_i beta_k|^2``, ``m_ik`` the moment
     table, is ``sum_k M_k |alpha_k - beta_k + u_k beta_k|^2 + S_k |beta_k|^2``,
     free of cancellation, with ``u_k`` the ``m_k``-weighted mean of ``1 - chi``
     and ``S_k`` the weighted sum of squares of ``chi`` about its mean.  Raises
@@ -504,28 +511,25 @@ def l2_discrepancies(model: ExpansionModel, polys: OraclePolynomials, pairs) -> 
     collar = _collar(model, polys)
     beta = model.products   # modes -S .. S of every A_j
     b0 = -(beta.shape[1] // 2)
-
-    def span(N, a0, n):   # the modes of alpha and of the shifted beta
-        return [(min(a0, b0 + N), max(a0 + n, b0 + N + beta.shape[1]))]
-
-    degrees, (shift, m, m1) = _on_collar(polys, collar, list(dict.fromkeys(N for N, _ in pairs)),
-                                         span)
+    degrees = _on_collar(polys, collar, list(dict.fromkeys(N for N, _ in pairs)))
+    spans = [(min(a0, b0 + N), max(a0 + alpha.size, b0 + N + beta.shape[1]))
+             for N, (a0, alpha, _) in degrees.items()]
+    m, m1, rows = _collar_rows(polys, collar, degrees, [np.arange(k1, k2) for k1, k2 in spans])
     u = np.sum(m * collar.rest, axis=1) / m1
     spread = np.sum(m * (collar.rest - u[:, None]) ** 2, axis=1)
     per_degree = {}
-    for N, (a0, alpha, inner) in degrees.items():   # alpha and every order's sum of beta
-        (k1, k2), = span(N, a0, alpha.size)
-        a = np.zeros(k2 - k1, dtype=np.complex128)
+    for (N, (a0, alpha, inner)), (k1, k2), at in zip(degrees.items(), spans, rows):
+        a = np.zeros(k2 - k1, dtype=np.complex128)   # alpha and every order's sum of beta
         a[a0 - k1:a0 - k1 + alpha.size] = alpha
         sums = np.zeros((beta.shape[0], k2 - k1), dtype=np.complex128)
         sums[:, b0 + N - k1:b0 + N - k1 + beta.shape[1]] = np.cumsum(
             float(N) ** -np.arange(beta.shape[0])[:, None] * beta, axis=0)
-        per_degree[N] = (slice(k1 - shift[k1, k2], k2 - shift[k1, k2]), a, sums, inner)
+        per_degree[N] = (m1[at], u[at], spread[at], a, sums, inner)
     out = np.empty(len(pairs))
     for i, (N, order) in enumerate(pairs):
-        at, a, sums, inner = per_degree[N]
+        M, U, S, a, sums, inner = per_degree[N]
         b = scales[i] * sums[model.order if order is None else order]
-        q = m1[at] * np.abs(a - b + u[at] * b) ** 2 + spread[at] * np.abs(b) ** 2
+        q = M * np.abs(a - b + U * b) ** 2 + S * np.abs(b) ** 2
         out[i] = math.sqrt(abs(inner + float(np.sum(q))))
     return out
 
@@ -538,41 +542,36 @@ def berezin_expectations(model: ExpansionModel, polys: OraclePolynomials, terms,
     cutoff tapers it to zero deep inside the domain, so the integral lives on
     the collar.  With the modes ``alpha`` of ``G P_N`` (:func:`_on_collar`) it
     is ``sum_t c_t sum_k alpha_k conj(alpha_(k + m - n)) M(k + m)``, ``M(j) =
-    sum_i chi_i m_ij`` over the columns of the call's one moment table; a term
-    whose ``|m - n|`` reaches the span of ``alpha`` gives exactly 0.  Raises
-    :class:`NonFiniteError` where a moment or a sum leaves the float range,
-    and :class:`DegreeTooHighError` for a degree the collar rule cannot hold."""
+    sum_i chi_i m_ij`` over the columns of the call's one moment table, whose
+    modes ``k0 + k + m`` of the products each degree names to
+    :func:`_collar_rows`; a term whose ``|m - n|`` reaches the span of
+    ``alpha`` gives exactly 0.  Raises :class:`NonFiniteError` where a moment
+    or a sum leaves the float range, and :class:`DegreeTooHighError` for a
+    degree the collar rule cannot hold."""
     degrees = list(degrees)
     for N in degrees:
         polys.check_degree(N)
     collar = _collar(model, polys)
     diff, total, c = terms
     m_t = (total + diff) // 2   # the products alpha_k conj(alpha_(k + m - n)) take M(k + m)
-
-    def live(k0, n):   # terms, offsets of their first products, products, first j
-        t = np.flatnonzero(np.abs(diff) < n)
-        lo = np.maximum(0, -diff[t])
-        return t, lo, n - np.abs(diff[t]), k0 + lo + m_t[t]
-
-    def reach(N, k0, n):   # the moments the live terms read
-        _, _, size, j = live(k0, n)
-        return zip(j, j + size)
-
-    per_degree, (shift, m, _) = _on_collar(polys, collar, list(dict.fromkeys(degrees)), reach)
-    out = np.zeros(len(degrees), dtype=np.complex128)
+    alphas = _on_collar(polys, collar, list(dict.fromkeys(degrees)))
+    products, named = {}, []   # each degree's live terms, first products and factors' k
+    for N, (k0, alpha, _) in alphas.items():
+        t = np.flatnonzero(np.abs(diff) < alpha.size)
+        n = alpha.size - np.abs(diff[t])
+        start = np.cumsum(n) - n
+        k = np.repeat(np.maximum(0, -diff[t]), n) + np.arange(n.sum()) - np.repeat(start, n)
+        products[N] = (t, start, k, k + np.repeat(diff[t], n))
+        named.append(k0 + k + np.repeat(m_t[t], n))
+    m, _, rows = _collar_rows(polys, collar, alphas, named)
+    value = {}
     with np.errstate(over="ignore", invalid="ignore"):
         moment = np.sum(m * collar.chi, axis=1)
-        for i, N in enumerate(degrees):   # every product of every live term at once
-            k0, alpha, _ = per_degree[N]
-            t, lo, n, j = live(k0, alpha.size)
-            if not t.size:
-                continue
-            start = np.cumsum(n) - n
-            at = np.arange(n.sum()) - np.repeat(start, n)   # place within its term
-            k = np.repeat(lo, n) + at
-            pairs = alpha[k] * np.conj(alpha[k + np.repeat(diff[t], n)])
-            pairs *= moment[np.repeat(j - [shift[r] for r in zip(j, j + n)], n) + at]
-            out[i] = np.sum(c[t] * np.add.reduceat(pairs, start))
+        for (N, (t, start, k, j)), at in zip(products.items(), rows):
+            alpha = alphas[N][1]
+            pairs = alpha[k] * np.conj(alpha[j]) * moment[at]   # every live term's at once
+            value[N] = np.sum(c[t] * np.add.reduceat(pairs, start)) if t.size else 0.0
+    out = np.array([value[N] for N in degrees], dtype=np.complex128)
     if not np.isfinite(out).all():
         raise NonFiniteError(f"test function out of float range on the collar rule "
                              f"(radii from {collar.radii[0]:.4g}, L = {polys.rule.L})")

@@ -210,6 +210,21 @@ def test_map_forward_many_lets_no_warning_out(all_preset_models, preset):
     assert ok.tolist() == [False] * 3   # deep points have no root above the margin
 
 
+@pytest.mark.parametrize("m, z", [(po.disk_map(0.5), 1.5e308), (po.ellipse_map(1.2, 0.8), 1e-300)],
+                         ids=["disk-overflowing-step", "ellipse-seed-at-zero"])
+def test_first_newton_run_lets_no_warning_out(m, z):
+    # the first run's step r / psi' overflows on the disk at 1.5e308, whose
+    # preimage 3e308 is past the float range; on the ellipse the circle seed's
+    # iterates at 1e-300 reach 0, where 1/zeta is not finite.  Neither warns,
+    # and a point is ok only where its residual passes
+    zs = np.array([z, 2.0 + 1j])
+    zeta, ok = map_forward_many(m, zs)
+    with np.errstate(all="ignore"):
+        residual = np.abs(m.psi(zeta) - zs)
+    passes = residual <= 1e-10 * np.maximum(1.0, np.abs(zs))
+    assert ok.tolist() == passes.tolist() == [False, True]
+
+
 def test_second_preimage_below_the_margin_is_run_again(monkeypatch):
     # from the unit-circle seed, Newton takes psi(0.7043 - 0.1564j) to a second
     # preimage, 0.0452 + 0.5691j, below the margin 0.6967; its Joukowski root

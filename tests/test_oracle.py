@@ -309,7 +309,7 @@ def _l2_per_degree(model, polys, N, order):
     """The per-degree form: the expansion by ``normalized_at`` at this N only."""
     chi, zeta, weights, P = _collar_direct(model, polys, N)
     F = po.normalized_at(model, N, zeta, order)
-    inner = oracle._on_collar(polys, oracle._collar(model, polys), [N], lambda *_: [])[0][N][2]
+    inner = oracle._on_collar(polys, oracle._collar(model, polys), [N])[N][2]
     return math.sqrt(inner + np.sum(weights * np.abs(P - chi * F) ** 2))
 
 
@@ -817,7 +817,7 @@ def test_collar_guard_refuses_degrees_it_cannot_hold(ellipse_exp_model, ellipse_
     # scaling of the sample modes has lost P_N
     model, polys = ellipse_exp_model, ellipse_exp_oracle_400
     collar = oracle._collar(model, polys)
-    degrees = oracle._on_collar(polys, collar, [100, 200, 250], lambda *_: [])[0]
+    degrees = oracle._on_collar(polys, collar, [100, 200, 250])
     for N in (100, 200, 250):
         k0, alpha, inner = degrees[N]
         rows = collar.moments(np.arange(k0, k0 + alpha.size))
@@ -832,6 +832,26 @@ def test_collar_guard_refuses_degrees_it_cannot_hold(ellipse_exp_model, ellipse_
         l2_discrepancies(model, polys, [(N, 2) for N in good + [300]])
     with pytest.raises(DegreeTooHighError, match=msg):
         berezin_expectations(model, polys, g.terms(), good + [300])
+
+
+def test_collar_holds_disk_expre03_to_degree_400(disk_alpha_model):
+    # a degree-420 oracle on disk-expre03 (L = 2048): with the modes that
+    # P_N o psi and B_N o psi cannot hold zeroed before the r^k scaling, the
+    # collar rule holds N = 300..400, and the local rates are the expansion's:
+    # N^-(kappa+1) in L2 for kappa = 0..2 and for the Berezin error of the
+    # boundary expansion of order kappa = 1..3
+    model = disk_alpha_model
+    polys = po.boundary_onps(model.map, model.weight.holo_poly, 420)
+    Ns = np.array([300, 350, 400])
+    split = po.split_terms({(1, 1): 1.0, (0, 0): -1.0})
+    be = berezin_expectations(model, polys, split.terms, Ns)
+    assert np.all(np.isfinite(be))
+    errs = [l2_discrepancies(model, polys, [(N, kappa) for N in Ns]) for kappa in range(3)]
+    errs += [np.abs(po.distributional_expectations(model, split, Ns, order=kappa) - be)
+             for kappa in (1, 2, 3)]
+    for rate, err in zip((1, 2, 3, 2, 3, 4), errs):
+        slopes = np.diff(np.log(err)) / np.diff(np.log(Ns))
+        assert np.all(np.abs(slopes + rate) <= 0.05), (rate, slopes)
 
 
 def test_boundary_oracle_refuses_samples_above_the_cap_before_running(monkeypatch):
