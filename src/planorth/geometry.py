@@ -42,7 +42,11 @@ FIT_TOL = 1e-9         # largest pullback fit residual on the validation grid
 class ExteriorMap:
     """Inverse exterior map ``psi(zeta) = cap*zeta + sum_j tail[j] zeta^{-j}``.
 
-    ``tail[j]`` is the coefficient of ``zeta**-j`` for ``j = 0, 1, ...``.
+    ``tail[j]`` is the coefficient of ``zeta**-j`` for ``j = 0, 1, ...``; the
+    stored tail holds the centre ``a_0`` (``[0]`` for a centred disk) and ends
+    at its last nonzero coefficient, so ``len(tail) - 1`` is the degree in
+    ``1/zeta``.  A cap or a coefficient that is not finite, or a tail that is
+    not a 1-D list of numbers, is refused with :class:`ConfigError`.
     ``psi`` and ``psi'`` are polynomials in ``w = 1/zeta`` past the linear
     term and are evaluated by Horner's scheme.
     ``univalence_margin`` is derived, not given: ``min(0.98, max(0.05, 1.05
@@ -57,9 +61,21 @@ class ExteriorMap:
     univalence_margin: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.cap > 0):
+        if not math.isfinite(self.cap):
+            raise ConfigError(f"map.cap must be finite, got {self.cap!r}")
+        if not self.cap > 0:
             raise ConfigError("map is not orthostatic: leading coefficient must be positive")
-        arr = np.array(self.tail, dtype=np.complex128)
+        try:
+            arr = np.array(self.tail, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:   # ragged, or an entry that is not a number
+            raise ConfigError(f"map.tail must be a 1-D list of numbers: {exc}") from exc
+        if arr.ndim != 1:
+            raise ConfigError(f"map.tail must be a 1-D list of numbers, got shape {arr.shape}")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise ConfigError(f"map.tail entry {j} must be finite, got {arr[j]}")
+        arr = arr[:np.flatnonzero(arr)[-1] + 1] if arr.any() else np.zeros(1, complex)
         arr.setflags(write=False)
         object.__setattr__(self, "tail", arr)
         # coefficients of p'(w) for p(w) = sum_j tail[j] w^j
@@ -95,8 +111,7 @@ class ExteriorMap:
         # p(w) = sum_j tail[j] w^j, both polynomials in w by Horner's scheme
         zs = np.asarray(zeta, dtype=np.complex128)
         if len(self.tail) < 2:   # psi = cap zeta + a_0
-            a0 = self.tail[0] if len(self.tail) else 0.0
-            val = self.cap * zs + a0 if value else None
+            val = self.cap * zs + self.tail[0] if value else None
             der = np.full_like(zs, self.cap) if prime else None
         else:
             w = np.reciprocal(zs)
@@ -238,9 +253,8 @@ def _joukowski_root(m: ExteriorMap, z: np.ndarray) -> np.ndarray:
     and no ``w * w`` is formed that could overflow.  It is the exact inverse of
     every disk and ellipse; ``w = 0``, or a tiny ``w`` that sends ``4 cap a_1 /
     w / w`` past the float range, gives a non-finite root."""
-    a0 = m.tail[0] if len(m.tail) else 0.0
     a1 = m.tail[1] if len(m.tail) > 1 else 0.0
-    w = z - a0
+    w = z - m.tail[0]
     if a1 == 0:   # warns only where it overflows, at |w| beyond cap times the float range
         return w / m.cap
     with np.errstate(all="ignore"):
@@ -255,8 +269,7 @@ def _newton_seed(m: ExteriorMap, z: np.ndarray) -> np.ndarray:
     seed = _joukowski_root(m, z)
     low = (np.abs(seed) < m.univalence_margin) | ~np.isfinite(seed)
     if low.any():
-        a0 = m.tail[0] if len(m.tail) else 0.0
-        w = z - a0
+        w = z - m.tail[0]
         seed = np.where(low, np.exp(1j * np.arctan2(w.imag, w.real)), seed)
     return seed
 

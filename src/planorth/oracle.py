@@ -152,12 +152,13 @@ def boundary_rule(m: ExteriorMap, holo_poly, L: int) -> BoundaryRule:
 
 
 def boundary_samples(m: ExteriorMap, N: int) -> int:
-    """Circle samples of a degree-``N`` boundary oracle: the power of two at
-    least ``max(4, T + 2) (N + 8)`` and ``MIN_SAMPLES``, with ``T`` the degree
-    of ``psi``'s tail in ``1/zeta``.  The integrands of the inner product are
-    Laurent polynomials with modes within ``(T + 1) N`` of 0 times the
-    weight's fast-decaying modes, so these do not alias."""
-    t = max(0, len(m.tail) - 1)
+    """Circle samples a degree-``N`` boundary oracle starts from: the power of
+    two at least ``max(4, T + 2) (N + 8)`` and ``MIN_SAMPLES``, with ``T =
+    len(m.tail) - 1``.  The integrands are Laurent polynomials with modes within
+    ``(T + 1) N`` of 0 times the weight's fast-decaying modes, so these do not
+    alias.  The measured tail cannot replace ``T``: it reads the band ``|k| >=
+    3L/8``, below which a sparse tail folds (``zeta + 1e-4 zeta^-128``)."""
+    t = len(m.tail) - 1
     return max(MIN_SAMPLES, 1 << math.ceil(math.log2(max(4, t + 2) * (N + 8))))
 
 
@@ -282,7 +283,7 @@ def _circle_arnoldi(rule: BoundaryRule, N: int) -> OraclePolynomials | str:
     to the diagonal of ``hess`` at the end, which then holds the recurrence
     in ``z``."""
     L = rule.L
-    a0 = rule.map.tail[0] if len(rule.map.tail) else 0.0
+    a0 = rule.map.tail[0]
     nodes = rule.nodes - a0
     QC = np.empty((2 * L, N + 1), dtype=np.complex128, order="F")  # Q_n samples over modes
     Q, C = QC[:L], QC[L:]
@@ -340,28 +341,28 @@ def _circle_arnoldi(rule: BoundaryRule, N: int) -> OraclePolynomials | str:
 def boundary_onps(m: ExteriorMap, holo_poly, N: int) -> OraclePolynomials:
     """Orthonormalize ``1, z, ..., z^N`` for the weight ``|e^P|^2`` on the
     domain of ``m``, ``P = holo_poly`` (ascending coefficients), from
-    ``boundary_samples(m, N)`` circle samples, doubled while some degree's
-    tail exceeds ``TAIL_TOL``, up to ``MAX_SAMPLES``.  ``health`` reports
-    ``L``, the largest tail, the Gram deviation and the number of degrees
-    that took a second Gram-Schmidt pass.  Raises
-    :class:`DegreeTooHighError` when no sample count up to the cap resolves
-    the integrands, and at once on a breakdown or a Gram deviation from the
-    identity above ``GRAM_TOL`` on resolved samples; before any run when
-    ``boundary_samples`` already exceeds the cap.
+    ``boundary_samples(m, N)`` circle samples, doubled while some degree's tail
+    exceeds ``TAIL_TOL``.  ``health`` reports ``L``, the largest tail, the
+    Gram deviation and the number of degrees that took a second Gram-Schmidt
+    pass.  Raises :class:`DomainError` for a negative ``N`` and
+    :class:`DegreeTooHighError` where the samples a run needs exceed
+    ``MAX_SAMPLES`` (naming the tail that tripped on the last run, if any),
+    and at once on a breakdown or a Gram deviation from the identity above
+    ``GRAM_TOL`` on resolved samples.
     """
     if holo_poly is None:
         raise DomainError("the boundary oracle needs the weight as |e^P|^2 with a polynomial P")
-    L = boundary_samples(m, N)
-    if L > MAX_SAMPLES:
-        raise DegreeTooHighError(f"boundary oracle at degree {N} needs L = {L} circle "
-                                 f"samples, above the cap of {MAX_SAMPLES}")
+    if N < 0:
+        raise DomainError(f"degree {N} is negative")
+    L, unresolved = boundary_samples(m, N), ""
     while True:
+        if L > MAX_SAMPLES:
+            raise DegreeTooHighError(f"boundary oracle at degree {N} needs L = {L} circle "
+                                     f"samples, above the cap of {MAX_SAMPLES}{unresolved}")
         polys = _circle_arnoldi(boundary_rule(m, holo_poly, L), N)
         if not isinstance(polys, str):
             return polys
-        if 2 * L > MAX_SAMPLES:
-            raise DegreeTooHighError(f"boundary oracle at degree {N} not resolved at {L} "
-                                     f"circle samples: {polys}")
+        unresolved = f": {polys} on L = {L}"
         L *= 2
 
 
@@ -445,7 +446,7 @@ def _on_collar(polys: OraclePolynomials, collar: _Collar, Ns: list) -> dict:
     rule = polys.rule
     L, n = rule.L, len(Ns)
     g0, g = rule._frame_modes
-    T = max(0, len(rule.map.tail) - 1)
+    T = len(rule.map.tail) - 1
     N = np.array(Ns)[:, None]
     k = np.fft.fftfreq(L, 1.0 / L)
     f = np.concatenate((np.fft.fft(polys.basis[:, Ns].T, norm="forward"),

@@ -13,6 +13,11 @@ from planorth.series import CHOP_TOL, OVERSAMPLE
 settings.register_profile("planorth", derandomize=True, max_examples=20, deadline=None)
 settings.load_profile("planorth")
 
+# the tail of psi = zeta + 0.05 / (zeta - 0.5) = zeta + sum_(j>=1) 0.05 0.5^(j-1) zeta^-j,
+# cut to 55 coefficients a_0 .. a_54 (the last is 5.6e-18): a real-analytic domain
+# whose tail is infinite, with margin 0.76
+LONG_TAIL = [0.0] + [0.05 * 0.5 ** (j - 1) for j in range(1, 55)]
+
 
 @pytest.fixture(scope="session")
 def disk_const_model():

@@ -21,6 +21,8 @@ from planorth.kernels import off_spectral_point, offspectral_leading
 from planorth.oracle import OraclePolynomials, boundary_onps
 from planorth.presets import PRESETS, preset_config, preset_model
 
+from conftest import LONG_TAIL
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 _RING = 1.05 * np.exp(2j * np.pi * np.arange(24) / 24)
 SAMPLED = {"kind": "custom-samples", "points": [[z.real, z.imag] for z in _RING],
@@ -366,6 +368,36 @@ def test_verify_far_centred_disk(tmp_path):
     assert run(["verify", "--config", cfg, "--out", out]) == 0
     slopes = json.loads((out / "summary.json").read_text())["slopes"]
     assert all(abs(slopes[str(j)]["slope"] + j + 1) < 0.1 for j in range(4))
+
+
+def test_padded_tail_verifies_byte_for_byte_like_the_canonical_one(tmp_path):
+    # two trailing zeros in ellipse-expre's tail name the same domain: sized by
+    # the stored tail, the oracle took L = 256 for it, not 128, and rates.csv
+    # parted from the canonical tail's in the 14th digit
+    written = []
+    for i, tail in enumerate(([[0, 0], [0.5, 0]], [[0, 0], [0.5, 0], [0, 0], [0, 0]])):
+        domain = preset_config("ellipse-expre") | {"map": {"cap": 1.5, "tail": tail}}
+        cfg, out = tmp_path / f"cfg{i}.json", tmp_path / f"o{i}"
+        cfg.write_text(json.dumps({"domain": domain, "kappa": 2, "N": [8, 14, 20, 24],
+                                   "points": [[2.4, 0.3]]}))
+        assert run(["verify", "--config", cfg, "--out", out]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[1] == written[0]
+
+
+def test_verify_long_tail_map(tmp_path):
+    # the 55-term cut of zeta + 0.05 / (zeta - 0.5) (margin 0.76): a tail far
+    # longer than any preset's verifies to kappa = 4 on a degree-96 oracle
+    domain = {"map": {"cap": 1.0, "tail": [[a, 0.0] for a in LONG_TAIL]},
+              "weight": {"kind": "exp-re-linear", "alpha": [0.3, 0.2]}, "rho": 0.8, "M": 40}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": domain, "kappa": 4, "N": [16, 32, 48, 64, 80, 96],
+                               "points": [[1.6, 0.4]]}))
+    out = tmp_path / "o"
+    assert run(["verify", "--config", cfg, "--out", out]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    slopes = [summary["slopes"][str(j)]["slope"] for j in range(5)]
+    assert slopes == pytest.approx([-0.973, -1.969, -2.964, -3.957, -4.951], abs=5e-4)
 
 
 def test_verify_refuses_more_than_one_point(tmp_path, capsys):

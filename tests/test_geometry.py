@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,34 @@ def test_orthostaticity_validation():
         ExteriorMap(-1.0, [])
     with pytest.raises(ConfigError):
         ExteriorMap(0.0, [])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cap, tail, message", [
+    (1.0, [math.nan], r"map\.tail entry 0 must be finite"),
+    (math.inf, [], r"map\.cap must be finite, got inf"),
+    (1.0, [0, math.inf], r"map\.tail entry 1 must be finite"),
+    (1.0, [[0, 0.5]], r"map\.tail must be a 1-D list of numbers, got shape \(1, 2\)"),
+    (1.0, [[0, 0.5], 1], r"map\.tail must be a 1-D list of numbers: "),
+    (1.0, ["a"], r"map\.tail must be a 1-D list of numbers: "),
+], ids=["nan-centre", "infinite-cap", "infinite-coefficient", "2-D-tail", "ragged-tail",
+        "string-entry"])
+def test_map_refuses_non_finite_or_shapeless_data_by_field(cap, tail, message):
+    # a NaN centre used to pass with margin 0.05, an infinite cap passed, an
+    # infinite coefficient raised LinAlgError after two RuntimeWarnings, and a
+    # 2-D or ragged tail or a string entry a bare ValueError
+    with pytest.raises(ConfigError, match=message):
+        ExteriorMap(cap, tail)
+
+
+def test_map_stores_one_tail_per_domain():
+    # the centre is always held and trailing zeros are dropped, so len(tail) - 1
+    # is the degree in 1/zeta: a centred disk's tail is [0], not []
+    for tail in ([], [0.0], [0.0, 0.0, 0.0]):
+        assert ExteriorMap(1.0, tail).tail.tolist() == [0.0]
+    assert ExteriorMap(1.0, [2.0, 0.0]).tail.tolist() == [2.0]
+    assert ExteriorMap(1.5, [0, 0.5, 0, 0]).tail.tolist() == po.ellipse_map(2, 1).tail.tolist()
+    assert ExteriorMap(1.0, [0, 0, 0.1, 0]).tail.tolist() == [0, 0, 0.1]
 
 
 def test_univalence_margin_guard():

@@ -168,10 +168,11 @@ def _counted_runs(monkeypatch):
 
 def test_max_samples_stops_the_doubling(monkeypatch):
     # omega = exp(80 Re z) at degree 8 needs 512 samples; capped at 128, the
-    # oracle gives up and names the tail that tripped
+    # oracle gives up on the doubling and names the tail that tripped
     monkeypatch.setattr(oracle, "MAX_SAMPLES", 128)
-    with pytest.raises(DegreeTooHighError, match=r"degree 8 not resolved at 128 circle "
-                       r"samples: tail \d\.\de-\d\d above 1e-12 at degree \d"):
+    with pytest.raises(DegreeTooHighError, match=r"degree 8 needs L = 256 circle samples, "
+                       r"above the cap of 128: tail \d\.\de-\d\d above 1e-12 at degree \d "
+                       r"on L = 128$"):
         po.boundary_onps(po.disk_map(), np.array([0.0, 40.0]), 8)
 
 
@@ -213,6 +214,19 @@ def test_presets_resolve_in_one_run(all_preset_models, monkeypatch, preset, N):
     assert runs == [oracle.boundary_samples(m, N)]
     twin = oracle._circle_arnoldi(po.boundary_rule(m, P, 2 * polys.rule.L), N)
     assert np.max(np.abs(twin.log_kappa - polys.log_kappa)) <= 1e-13
+
+
+def test_sparse_tail_starts_from_samples_its_degree_holds():
+    # psi = zeta + 1e-4 zeta^-128 (margin 0.98): on 128 samples zeta^-128 = 1,
+    # so the tail's modes fold onto mode 0 and 1, below the band the tail check
+    # reads; sized by the degree alone the run settled there with hess off by
+    # 1.3e-2.  Sized by the tail's degree, it matches 4096 samples
+    m, P, N = po.ExteriorMap(1.0, [0.0] * 128 + [1e-4]), np.array([0.0]), 8
+    polys = po.boundary_onps(m, P, N)
+    assert polys.rule.L == oracle.boundary_samples(m, N) >= 130 * (N + 8)
+    dense = oracle._circle_arnoldi(po.boundary_rule(m, P, 4096), N)
+    assert np.max(np.abs(dense.log_kappa - polys.log_kappa)) <= 1e-13
+    assert np.max(np.abs(dense.hess - polys.hess)) <= 1e-13
 
 
 def test_smoothstep_profile():
@@ -852,6 +866,27 @@ def test_collar_holds_disk_expre03_to_degree_400(disk_alpha_model):
     for rate, err in zip((1, 2, 3, 2, 3, 4), errs):
         slopes = np.diff(np.log(err)) / np.diff(np.log(Ns))
         assert np.all(np.abs(slopes + rate) <= 0.05), (rate, slopes)
+
+
+def test_padded_ellipse_holds_the_collar_like_the_canonical_one():
+    # ellipse-expre's tail written with two trailing zeros names the same
+    # domain: the collar keeps the modes of P_N o psi on [-N, N], not [-3N, N],
+    # where r^k scaled rounding to ||P_N||^2 - 1 = 8.0e30 at N = 260, and a
+    # degree-280 oracle holds N = 260 and 280 for both
+    m, wd, rho, M = preset_parts("ellipse-expre")
+    l2 = []
+    for tail in ([0, 0.5], [0, 0.5, 0, 0]):
+        mp = po.ExteriorMap(m.cap, tail)
+        model = po.build_model(mp, wd, 2, bidegree=M, inner_radius=rho)
+        polys = po.boundary_onps(mp, wd.holo_poly, 280)
+        l2.append(l2_discrepancies(model, polys, [(260, None), (280, None)]))
+    assert np.all(l2[0] <= 1e-6)
+    assert np.array_equal(l2[1], l2[0])
+
+
+def test_boundary_oracle_refuses_a_negative_degree():
+    with pytest.raises(DomainError, match="degree -1 is negative"):
+        po.boundary_onps(po.disk_map(), [0.0], -1)
 
 
 def test_boundary_oracle_refuses_samples_above_the_cap_before_running(monkeypatch):

@@ -223,6 +223,18 @@ def test_higher_tail_maps_invert_every_point(m, seed):
     assert ok.all() and np.max(np.abs(got - zeta) / np.abs(zeta)) <= 1e-10
 
 
+@given(higher_tail_maps(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_trailing_zeros_name_the_same_map(m, zeros, seed):
+    # the stored tail ends at its last nonzero coefficient, so zeros appended
+    # to it change no bit of the map
+    padded = ExteriorMap(m.cap, [*m.tail, *[0.0] * zeros])
+    zeta = _exterior_points(np.random.default_rng(seed), m.univalence_margin + 0.02)
+    assert padded.tail.tobytes() == m.tail.tobytes()
+    assert padded.univalence_margin == m.univalence_margin
+    for f in (ExteriorMap.psi, ExteriorMap.psi_prime):
+        assert f(padded, zeta).tobytes() == f(m, zeta).tobytes()
+
+
 @given(higher_tail_maps(), st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi))
 def test_boundary_oracle_serves_any_centre(m, size, angle):
     # P = alpha z: neither the degree-64 oracle of the map centred at a_0 =
